@@ -547,23 +547,22 @@ impl ModelState {
             && self.to_agent.iter().all(VecDeque::is_empty)
     }
 
-    /// Serializes the state under an agent permutation: `perm[i]` is the
-    /// new index of old agent `i`.
-    fn encode_under(&self, perm: &[usize]) -> Vec<u8> {
-        let n = self.agents.len();
-        let mut inv = vec![0usize; n];
+    /// Appends the state serialized under an agent permutation:
+    /// `perm[i]` is the new index of old agent `i`.
+    fn encode_under(&self, perm: &[usize], out: &mut Vec<u8>) {
+        let mut inv = [0usize; 3];
         for (old, &new) in perm.iter().enumerate() {
             inv[new] = old;
         }
-        let mut out = Vec::with_capacity(64);
-        for &old in &inv {
+        let inv = &inv[..perm.len()];
+        for &old in inv {
             for h in &self.agents[old] {
                 out.push(h.st.encode());
                 out.push(h.data);
             }
         }
         for hl in &self.home {
-            for &old in &inv {
+            for &old in inv {
                 out.push(hl.rec[old] as u8);
             }
             match hl.busy {
@@ -585,7 +584,7 @@ impl ModelState {
         out.extend_from_slice(&self.mem);
         out.extend_from_slice(&self.latest);
         out.extend_from_slice(&self.writes_left);
-        for &old in &inv {
+        for &old in inv {
             for q in &self.to_home[old] {
                 out.push(q.len() as u8);
                 for m in q {
@@ -593,17 +592,23 @@ impl ModelState {
                 }
             }
         }
-        for &old in &inv {
+        for &old in inv {
             out.push(self.to_agent[old].len() as u8);
             for m in &self.to_agent[old] {
                 out.extend_from_slice(&m.encode());
             }
         }
-        out
     }
 
     /// The canonical encoding: minimal over all agent permutations.
     fn canonical(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64);
+        self.canonical_into(&mut out);
+        out
+    }
+
+    /// Appends [`ModelState::canonical`] to `out`.
+    fn canonical_into(&self, out: &mut Vec<u8>) {
         let n = self.agents.len();
         let perms: &[&[usize]] = match n {
             2 => &[&[0, 1], &[1, 0]],
@@ -617,11 +622,17 @@ impl ModelState {
             ],
             _ => &[&[0]],
         };
-        perms
-            .iter()
-            .map(|p| self.encode_under(p))
-            .min()
-            .expect("at least the identity permutation")
+        let start = out.len();
+        self.encode_under(perms[0], out);
+        let mut alt = Vec::new();
+        for perm in &perms[1..] {
+            alt.clear();
+            self.encode_under(perm, &mut alt);
+            if alt[..] < out[start..] {
+                out.truncate(start);
+                out.extend_from_slice(&alt);
+            }
+        }
     }
 
     /// Checks the state invariants; `None` means clean.
@@ -1285,14 +1296,25 @@ impl ProtocolModel for MoesiModel {
     }
 
     fn successors(&self, state: &ModelState) -> Vec<explore::Succ<ModelState, Action>> {
-        state
-            .successors(&self.cfg)
-            .into_iter()
-            .map(|s| explore::Succ {
-                action: s.action,
-                result: s.result.map(|(state, _sent)| state),
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.successors_into(state, &mut out);
+        out
+    }
+
+    fn successors_into(
+        &self,
+        state: &ModelState,
+        out: &mut Vec<explore::Succ<ModelState, Action>>,
+    ) {
+        out.extend(
+            state
+                .successors(&self.cfg)
+                .into_iter()
+                .map(|s| explore::Succ {
+                    action: s.action,
+                    result: s.result.map(|(state, _sent)| state),
+                }),
+        );
     }
 
     fn quiescent(&self, state: &ModelState) -> bool {
@@ -1301,6 +1323,10 @@ impl ProtocolModel for MoesiModel {
 
     fn canonical(&self, state: &ModelState) -> Vec<u8> {
         state.canonical()
+    }
+
+    fn canonical_into(&self, state: &ModelState, out: &mut Vec<u8>) {
+        state.canonical_into(out);
     }
 
     fn check(&self, state: &ModelState) -> Option<(ViolationKind, String)> {

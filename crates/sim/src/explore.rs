@@ -35,9 +35,25 @@
 //! enabled transition) and [`Violation::IllegalStep`] — and is
 //! deterministic: identical models produce identical statistics and
 //! identical counterexamples on every run.
+//!
+//! # Memory and allocation
+//!
+//! The search keeps full states only on the BFS frontier. Every visited
+//! state leaves behind its canonical key, interned in one byte arena
+//! (the visited set), and a node of parent index plus action; a
+//! counterexample is the action chain back to the root, and
+//! [`ProtocolModel::render_path`] replays it. Successors and keys are
+//! produced into buffers the search reuses
+//! ([`ProtocolModel::successors_into`],
+//! [`ProtocolModel::canonical_into`]), so a model whose state owns no
+//! heap memory is explored with no per-state allocation at all.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
+
+mod keyset;
+
+use keyset::KeySet;
 
 /// A bounded protocol model the generic checker can explore.
 pub trait ProtocolModel {
@@ -56,6 +72,14 @@ pub trait ProtocolModel {
     /// returned with `result: Err(..)` so the checker can report them.
     fn successors(&self, state: &Self::State) -> Vec<Succ<Self::State, Self::Action>>;
 
+    /// Appends [`ProtocolModel::successors`] of `state` to `out`, in the
+    /// same order. The exhaustive search calls this with one buffer it
+    /// reuses for every state; override it to skip the per-state
+    /// `Vec`.
+    fn successors_into(&self, state: &Self::State, out: &mut Vec<Succ<Self::State, Self::Action>>) {
+        out.extend(self.successors(state));
+    }
+
     /// `true` if `state` is a legitimate terminal state (having no
     /// successors is completion, not deadlock).
     fn quiescent(&self, state: &Self::State) -> bool;
@@ -64,6 +88,13 @@ pub trait ProtocolModel {
     /// key. Symmetry reduction happens here: states that differ only by
     /// a symmetry (agent renaming, bag ordering) must encode equal.
     fn canonical(&self, state: &Self::State) -> Vec<u8>;
+
+    /// Appends [`ProtocolModel::canonical`] of `state` to `out`. The
+    /// exhaustive search calls this with one buffer it clears and
+    /// reuses for every key; override it to skip the per-key `Vec`.
+    fn canonical_into(&self, state: &Self::State, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.canonical(state));
+    }
 
     /// Checks the model's invariants; `None` means clean.
     fn check(&self, state: &Self::State) -> Option<(Self::Kind, String)>;
@@ -172,13 +203,18 @@ impl fmt::Display for StateLimit {
 
 impl std::error::Error for StateLimit {}
 
-/// Node of the BFS reachability graph.
-struct Node<S, A> {
-    state: S,
-    parent: usize,
+/// Node of the BFS reachability graph, numbered in discovery order: how
+/// the search first reached a state. The state itself lives only on the
+/// frontier.
+struct Node<A> {
+    parent: u32,
+    /// `None` only for the initial state.
     action: Option<A>,
-    depth: u64,
 }
+
+/// Node indices are `u32`, so a search stops at this many states even
+/// when its budget is larger.
+const MAX_NODES: u64 = u32::MAX as u64 - 1;
 
 const DEADLOCK_DESCRIPTION: &str = "no transition is enabled but the system is not quiescent";
 
@@ -196,12 +232,12 @@ fn report<M: ProtocolModel>(
     }
 }
 
-fn path_to<S, A: Clone>(nodes: &[Node<S, A>], idx: usize) -> Vec<A> {
+fn path_to<A: Clone>(nodes: &[Node<A>], idx: u32) -> Vec<A> {
     let mut actions = Vec::new();
-    let mut cur = idx;
+    let mut cur = idx as usize;
     while let Some(a) = &nodes[cur].action {
         actions.push(a.clone());
-        cur = nodes[cur].parent;
+        cur = nodes[cur].parent as usize;
     }
     actions.reverse();
     actions
@@ -214,21 +250,22 @@ fn path_to<S, A: Clone>(nodes: &[Node<S, A>], idx: usize) -> Vec<A> {
 /// # Errors
 ///
 /// Returns [`StateLimit`] if more than `max_states` distinct canonical
-/// states are reached before the frontier drains.
+/// states (at most ~4.29 × 10⁹, the node store's `u32` index space) are
+/// reached before the frontier drains.
 pub fn explore<M: ProtocolModel>(
     model: &M,
     max_states: u64,
 ) -> Result<SearchOutcome<M::Kind>, StateLimit> {
+    let state_cap = max_states.min(MAX_NODES);
     let init = model.initial();
-    let mut nodes: Vec<Node<M::State, M::Action>> = vec![Node {
-        state: init.clone(),
+    let mut key = Vec::new();
+    model.canonical_into(&init, &mut key);
+    let mut visited = KeySet::new();
+    visited.insert(&key);
+    let mut nodes: Vec<Node<M::Action>> = vec![Node {
         parent: 0,
         action: None,
-        depth: 0,
     }];
-    let mut visited: HashMap<Vec<u8>, usize> = HashMap::new();
-    visited.insert(model.canonical(&init), 0);
-    let mut frontier: VecDeque<usize> = VecDeque::from([0]);
     let mut stats = SearchStats {
         states: 1,
         frontier_peak: 1,
@@ -242,9 +279,12 @@ pub fn explore<M: ProtocolModel>(
         });
     }
 
-    while let Some(idx) = frontier.pop_front() {
-        let succs = model.successors(&nodes[idx].state);
-        if succs.is_empty() && !model.quiescent(&nodes[idx].state) {
+    // Each entry: a state to expand, its node index and its depth.
+    let mut frontier: VecDeque<(M::State, u32, u64)> = VecDeque::from([(init, 0, 0)]);
+    let mut succs = Vec::new();
+    while let Some((state, idx, depth)) = frontier.pop_front() {
+        model.successors_into(&state, &mut succs);
+        if succs.is_empty() && !model.quiescent(&state) {
             let path = path_to(&nodes, idx);
             return Ok(SearchOutcome {
                 stats,
@@ -256,8 +296,7 @@ pub fn explore<M: ProtocolModel>(
                 )),
             });
         }
-        let depth = nodes[idx].depth;
-        for succ in succs {
+        for succ in succs.drain(..) {
             stats.transitions += 1;
             match succ.result {
                 Err(e) => {
@@ -270,25 +309,23 @@ pub fn explore<M: ProtocolModel>(
                         violation: Some(cx),
                     });
                 }
-                Ok(state) => {
-                    let key = model.canonical(&state);
-                    if visited.contains_key(&key) {
+                Ok(next) => {
+                    key.clear();
+                    model.canonical_into(&next, &mut key);
+                    if !visited.insert(&key) {
                         continue;
                     }
-                    let node_idx = nodes.len();
-                    visited.insert(key, node_idx);
+                    let node_idx = nodes.len() as u32;
                     nodes.push(Node {
-                        state,
                         parent: idx,
                         action: Some(succ.action),
-                        depth: depth + 1,
                     });
                     stats.states += 1;
                     stats.max_depth = stats.max_depth.max(depth + 1);
-                    if stats.states > max_states {
+                    if stats.states > state_cap {
                         return Err(StateLimit { limit: max_states });
                     }
-                    if let Some((kind, description)) = model.check(&nodes[node_idx].state) {
+                    if let Some((kind, description)) = model.check(&next) {
                         let path = path_to(&nodes, node_idx);
                         return Ok(SearchOutcome {
                             stats,
@@ -300,7 +337,7 @@ pub fn explore<M: ProtocolModel>(
                             )),
                         });
                     }
-                    frontier.push_back(node_idx);
+                    frontier.push_back((next, node_idx, depth + 1));
                     stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u64);
                 }
             }
@@ -328,6 +365,7 @@ pub fn random_walk<M: ProtocolModel>(
         states: 1,
         ..SearchStats::default()
     };
+    let mut succs = Vec::new();
     for step in 0..max_steps {
         if let Some((kind, description)) = model.check(&state) {
             return SearchOutcome {
@@ -340,7 +378,8 @@ pub fn random_walk<M: ProtocolModel>(
                 )),
             };
         }
-        let succs = model.successors(&state);
+        succs.clear();
+        model.successors_into(&state, &mut succs);
         if succs.is_empty() {
             if model.quiescent(&state) {
                 break;
@@ -356,10 +395,10 @@ pub fn random_walk<M: ProtocolModel>(
             };
         }
         let pick = (rng.next() % succs.len() as u64) as usize;
-        let succ = &succs[pick];
-        match &succ.result {
+        let succ = succs.swap_remove(pick);
+        match succ.result {
             Err(e) => {
-                let mut cx = report(model, &path, Violation::IllegalStep, e.clone());
+                let mut cx = report(model, &path, Violation::IllegalStep, e);
                 cx.actions.push(succ.action.to_string());
                 return SearchOutcome {
                     stats,
@@ -367,8 +406,8 @@ pub fn random_walk<M: ProtocolModel>(
                 };
             }
             Ok(next) => {
-                path.push(succ.action.clone());
-                state = next.clone();
+                path.push(succ.action);
+                state = next;
                 stats.states += 1;
                 stats.transitions += 1;
                 stats.max_depth = step + 1;
