@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy build test doc bench-smoke chaos cc-sweep pipelining modelcheck tcp-explore par-cluster service traffic loom perf clean
+.PHONY: ci fmt fmt-check clippy build test doc determinism loom perf clean
 
-ci: fmt-check clippy build test doc bench-smoke chaos cc-sweep pipelining modelcheck tcp-explore par-cluster service traffic loom perf
+ci: fmt-check clippy build test doc determinism loom perf
 
 fmt:
 	$(CARGO) fmt --all
@@ -25,129 +25,15 @@ test:
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
 
-# Fastest closed-form experiment; checks that the machine-readable bench
-# output exists and is deterministic across same-seed reruns.
-bench-smoke: build
-	rm -rf target/bench-smoke
-	mkdir -p target/bench-smoke/a target/bench-smoke/b
-	target/release/reproduce fig11 --bench-dir target/bench-smoke/a > /dev/null
-	target/release/reproduce fig11 --bench-dir target/bench-smoke/b > /dev/null
-	cmp target/bench-smoke/a/BENCH_fig11.json target/bench-smoke/b/BENCH_fig11.json
-	@echo "bench smoke OK: deterministic BENCH_fig11.json"
+# Selectors whose BENCH JSON must be byte-identical across reruns and
+# thread counts; the CI `determinism` matrix job runs the same list.
+DETERMINISM = fig11 fault_sweep pipelining cc_sweep modelcheck tcp_explore \
+              cluster_scale service traffic
 
-# Platform-wide fault injection: runs the fault sweep twice and fails
-# unless the two same-seed BENCH_fault_sweep.json files are byte-identical.
-chaos: build
-	rm -rf target/chaos
-	mkdir -p target/chaos/a target/chaos/b
-	target/release/reproduce fault_sweep --bench-dir target/chaos/a > /dev/null
-	target/release/reproduce fault_sweep --bench-dir target/chaos/b > /dev/null
-	cmp target/chaos/a/BENCH_fault_sweep.json target/chaos/b/BENCH_fault_sweep.json
-	@echo "chaos OK: deterministic BENCH_fault_sweep.json"
-
-# Congestion-control sweep over the split TCP stack (controller x loss
-# rate x transfer size, hybrid CPU/FPGA preset included); runs twice and
-# fails unless the two same-seed BENCH_cc_sweep.json files are
-# byte-identical.
-cc-sweep: build
-	rm -rf target/cc-sweep
-	mkdir -p target/cc-sweep/a target/cc-sweep/b
-	target/release/reproduce cc_sweep --bench-dir target/cc-sweep/a > /dev/null
-	target/release/reproduce cc_sweep --bench-dir target/cc-sweep/b > /dev/null
-	cmp target/cc-sweep/a/BENCH_cc_sweep.json target/cc-sweep/b/BENCH_cc_sweep.json
-	@echo "cc-sweep OK: deterministic BENCH_cc_sweep.json"
-
-# Pipelining sweep: goodput vs outstanding-transaction count through the
-# event-driven engine's async API; runs twice and fails unless the two
-# same-seed BENCH_pipelining.json files are byte-identical.
-pipelining: build
-	rm -rf target/pipelining
-	mkdir -p target/pipelining/a target/pipelining/b
-	target/release/reproduce pipelining --bench-dir target/pipelining/a > /dev/null
-	target/release/reproduce pipelining --bench-dir target/pipelining/b > /dev/null
-	cmp target/pipelining/a/BENCH_pipelining.json target/pipelining/b/BENCH_pipelining.json
-	@echo "pipelining OK: deterministic BENCH_pipelining.json"
-
-# Model check: exhaustive state-space exploration of the ECI protocol
-# model (clean configs violation-free, mutation battery caught); runs
-# twice and fails unless the two BENCH_modelcheck.json files are
-# byte-identical.
-modelcheck: build
-	rm -rf target/modelcheck
-	mkdir -p target/modelcheck/a target/modelcheck/b
-	target/release/reproduce modelcheck --bench-dir target/modelcheck/a > /dev/null
-	target/release/reproduce modelcheck --bench-dir target/modelcheck/b > /dev/null
-	cmp target/modelcheck/a/BENCH_modelcheck.json target/modelcheck/b/BENCH_modelcheck.json
-	@echo "modelcheck OK: deterministic BENCH_modelcheck.json"
-
-# TCP model check: the same exploration core aimed at the TCP
-# connection FSM (bounded clean spaces >= 10^4 states violation-free,
-# four-mutation battery caught); runs twice and fails unless the two
-# BENCH_tcp_explore.json files are byte-identical.
-tcp-explore: build
-	rm -rf target/tcp-explore
-	mkdir -p target/tcp-explore/a target/tcp-explore/b
-	target/release/reproduce tcp_explore --bench-dir target/tcp-explore/a > /dev/null
-	target/release/reproduce tcp_explore --bench-dir target/tcp-explore/b > /dev/null
-	cmp target/tcp-explore/a/BENCH_tcp_explore.json target/tcp-explore/b/BENCH_tcp_explore.json
-	@echo "tcp-explore OK: deterministic BENCH_tcp_explore.json"
-
-# Conservative-parallel cluster: runs cluster_scale twice per thread
-# count (1, 2, 8) and fails unless all six BENCH_cluster_scale.json
-# files are byte-identical — the thread count must never be observable
-# in the simulated results.
-par-cluster: build
-	rm -rf target/par-cluster
-	mkdir -p target/par-cluster/t1a target/par-cluster/t1b \
-	         target/par-cluster/t2a target/par-cluster/t2b \
-	         target/par-cluster/t8a target/par-cluster/t8b
-	target/release/reproduce cluster_scale --threads 1 --bench-dir target/par-cluster/t1a > /dev/null
-	target/release/reproduce cluster_scale --threads 1 --bench-dir target/par-cluster/t1b > /dev/null
-	target/release/reproduce cluster_scale --threads 2 --bench-dir target/par-cluster/t2a > /dev/null
-	target/release/reproduce cluster_scale --threads 2 --bench-dir target/par-cluster/t2b > /dev/null
-	target/release/reproduce cluster_scale --threads 8 --bench-dir target/par-cluster/t8a > /dev/null
-	target/release/reproduce cluster_scale --threads 8 --bench-dir target/par-cluster/t8b > /dev/null
-	cmp target/par-cluster/t1a/BENCH_cluster_scale.json target/par-cluster/t1b/BENCH_cluster_scale.json
-	cmp target/par-cluster/t2a/BENCH_cluster_scale.json target/par-cluster/t2b/BENCH_cluster_scale.json
-	cmp target/par-cluster/t8a/BENCH_cluster_scale.json target/par-cluster/t8b/BENCH_cluster_scale.json
-	cmp target/par-cluster/t1a/BENCH_cluster_scale.json target/par-cluster/t2a/BENCH_cluster_scale.json
-	cmp target/par-cluster/t1a/BENCH_cluster_scale.json target/par-cluster/t8a/BENCH_cluster_scale.json
-	@echo "par-cluster OK: BENCH_cluster_scale.json byte-identical across threads 1/2/8"
-
-# Replicated KV service under cluster faults: runs the service sweep
-# twice at threads 1 and once each at 2 and 8, and fails unless every
-# BENCH_service.json is byte-identical — crash/failover/catch-up timing
-# must be a pure function of the seed, never of the engine.
-service: build
-	rm -rf target/service
-	mkdir -p target/service/t1a target/service/t1b \
-	         target/service/t2 target/service/t8
-	target/release/reproduce service --threads 1 --bench-dir target/service/t1a > /dev/null
-	target/release/reproduce service --threads 1 --bench-dir target/service/t1b > /dev/null
-	target/release/reproduce service --threads 2 --bench-dir target/service/t2 > /dev/null
-	target/release/reproduce service --threads 8 --bench-dir target/service/t8 > /dev/null
-	cmp target/service/t1a/BENCH_service.json target/service/t1b/BENCH_service.json
-	cmp target/service/t1a/BENCH_service.json target/service/t2/BENCH_service.json
-	cmp target/service/t1a/BENCH_service.json target/service/t8/BENCH_service.json
-	@echo "service OK: BENCH_service.json byte-identical across reruns and threads 1/2/8"
-
-# Million-flow traffic generator: runs the churn/flows/loss/proxy legs
-# twice at threads 1 and once each at 2 and 8, and fails unless every
-# BENCH_traffic.json is byte-identical — connection churn, flow-table
-# peaks and loss recovery must be a pure function of the workload,
-# never of the engine.
-traffic: build
-	rm -rf target/traffic
-	mkdir -p target/traffic/t1a target/traffic/t1b \
-	         target/traffic/t2 target/traffic/t8
-	target/release/reproduce traffic --threads 1 --bench-dir target/traffic/t1a > /dev/null
-	target/release/reproduce traffic --threads 1 --bench-dir target/traffic/t1b > /dev/null
-	target/release/reproduce traffic --threads 2 --bench-dir target/traffic/t2 > /dev/null
-	target/release/reproduce traffic --threads 8 --bench-dir target/traffic/t8 > /dev/null
-	cmp target/traffic/t1a/BENCH_traffic.json target/traffic/t1b/BENCH_traffic.json
-	cmp target/traffic/t1a/BENCH_traffic.json target/traffic/t2/BENCH_traffic.json
-	cmp target/traffic/t1a/BENCH_traffic.json target/traffic/t8/BENCH_traffic.json
-	@echo "traffic OK: BENCH_traffic.json byte-identical across reruns and threads 1/2/8"
+# Runs scripts/determinism.sh (threads 1, 1, 2, 8, every BENCH file
+# cmp'd against the first run) for each selector.
+determinism: build
+	for s in $(DETERMINISM); do scripts/determinism.sh $$s || exit 1; done
 
 # Perf gate, exactly as CI runs it: sched_hotpath + cluster_scale twice,
 # determinism compared modulo timing.* gauges, deterministic counters

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 
 use enzian_mem::{MemoryController, MemoryControllerConfig};
 use enzian_sim::stats::LatencyHistogram;
-use enzian_sim::{Duration, Instrumented, MetricsRegistry, SimRng, Time};
+use enzian_sim::{Duration, Fnv, Instrumented, MetricsRegistry, SimRng, Time};
 
 use crate::kvs::{KvStore, KvStoreConfig, MAX_VALUE_BYTES};
 
@@ -892,18 +892,16 @@ impl Replica {
             fold(u64::from(e.client));
             fold(u64::from(e.op_seq));
             fold(e.op.key());
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in encode_svc(&SvcPayload::Replicate {
+            let mut h = Fnv::new();
+            h.bytes(&encode_svc(&SvcPayload::Replicate {
                 shard: self.shard,
                 epoch: 0,
                 index: 0,
                 client: e.client,
                 op_seq: e.op_seq,
                 op: e.op.clone(),
-            }) {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-            fold(h);
+            }));
+            fold(h.finish());
         }
     }
 }

@@ -20,7 +20,8 @@
 //! `--threads N` sets the worker count for the experiments that run on
 //! the parallel cluster engine (default: available parallelism, capped
 //! at 8). The flag changes wall clock only: the bench JSON is
-//! byte-identical for every value, which the CI thread matrix asserts.
+//! byte-identical for every value, which `make determinism` and the CI
+//! `determinism` matrix assert.
 
 use enzian_platform::experiments::{self, fig11, Experiment, ExperimentCtx};
 use enzian_sim::MetricsRegistry;
@@ -79,7 +80,11 @@ fn parse_opts() -> Opts {
                 csv = Some(dir);
             }
             "--bench-dir" => {
-                let dir = std::path::PathBuf::from(args.next().unwrap_or_else(|| ".".into()));
+                let Some(dir) = args.next().filter(|d| !d.starts_with("--")) else {
+                    eprintln!("--bench-dir needs a directory");
+                    std::process::exit(2);
+                };
+                let dir = std::path::PathBuf::from(dir);
                 let _ = std::fs::create_dir_all(&dir);
                 bench = Some(dir);
             }

@@ -38,7 +38,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use enzian_sim::stats::LatencyHistogram;
-use enzian_sim::{Duration, Time};
+use enzian_sim::{Duration, Fnv, Time};
 
 use crate::traffic::{flags, FlowKey, FlowTable, PortMask, Segment};
 
@@ -226,16 +226,6 @@ impl Default for MuxStats {
             session: LatencyHistogram::new(),
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// One board's multi-session TCP engine.
@@ -859,18 +849,18 @@ impl SessionMux {
     /// cross-thread determinism checks: two muxes that processed the
     /// same events in the same order digest identically.
     pub fn state_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv_u64(h, u64::from(self.board));
-        h = fnv_u64(h, self.tx_free.as_ps());
-        h = fnv_u64(h, self.rx_free.as_ps());
-        h = fnv_u64(h, self.timers.len() as u64);
+        let mut h = Fnv::new();
+        h.u64(u64::from(self.board));
+        h.u64(self.tx_free.as_ps());
+        h.u64(self.rx_free.as_ps());
+        h.u64(self.timers.len() as u64);
         for (slot, f) in self.table.iter_live() {
-            h = fnv_u64(h, u64::from(slot));
-            h = fnv_u64(h, f.conn.state() as u64);
-            h = fnv_u64(h, f.sent);
-            h = fnv_u64(h, f.acked);
-            h = fnv_u64(h, f.recv_next);
-            h = fnv_u64(h, f.cc.cwnd());
+            h.u64(u64::from(slot));
+            h.u64(f.conn.state() as u64);
+            h.u64(f.sent);
+            h.u64(f.acked);
+            h.u64(f.recv_next);
+            h.u64(f.cc.cwnd());
         }
         let s = &self.stats;
         for v in [
@@ -894,9 +884,9 @@ impl SessionMux {
             s.handshake.mean_micros().to_bits(),
             s.session.mean_micros().to_bits(),
         ] {
-            h = fnv_u64(h, v);
+            h.u64(v);
         }
-        h
+        h.finish()
     }
 }
 

@@ -26,9 +26,10 @@ use enzian_eci::system::TXN_STALL_TARGET;
 use enzian_eci::{EciSystem, EciSystemConfig};
 use enzian_mem::Addr;
 use enzian_net::eth::{EthLink, EthLinkConfig, FRAME_OVERHEAD_BYTES};
-use enzian_sim::par::{run_conservative, Envelope, EpochWindow, ParConfig, Shard};
+use enzian_sim::channel::Transfer;
+use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::{
-    Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, MetricsRegistry, SimRng, Time,
+    Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, SimRng, Time,
 };
 
 /// Identifies a board in the cluster.
@@ -261,6 +262,122 @@ pub struct FlowStats {
     pub wire_bytes: u64,
 }
 
+/// Outbound envelopes of one work item, as `(destination board, envelope)`.
+pub(crate) type Out = Vec<(usize, Envelope<Vec<u8>>)>;
+
+/// One board's private half of the fabric, shared by every sharded
+/// cluster model (memory bridge, replicated service, traffic): an
+/// outgoing [`Channel`] and its [`FlowStats`] per destination board,
+/// plus the inbox of delivered frames waiting for their turn.
+///
+/// Cache-line aligned, which makes every board struct embedding it a
+/// whole number of cache lines. `run_conservative` gives each worker
+/// thread a contiguous run of the board slice, so two boards side by
+/// side in memory can belong to different workers; unpadded, their hot
+/// fields can share a line (that false sharing cost the traffic model
+/// ~15% of its throughput at 2 threads on a 2-vCPU host).
+#[repr(align(64))]
+pub(crate) struct FabricPort {
+    id: usize,
+    /// Outgoing channel per destination board (`None` for self).
+    out: Vec<Option<Channel>>,
+    flows: Vec<FlowStats>,
+    inbox: BinaryHeap<Reverse<Envelope<Vec<u8>>>>,
+}
+
+impl FabricPort {
+    /// Board `id`'s port onto a full mesh of `n` boards joined by `link`s.
+    pub(crate) fn new(id: usize, n: usize, link: &EthLinkConfig) -> Self {
+        let cfg = ChannelConfig {
+            bits_per_sec: link.bits_per_sec,
+            coding_efficiency: 1.0,
+            propagation: link.propagation,
+            frame_overhead_bytes: FRAME_OVERHEAD_BYTES,
+        };
+        FabricPort {
+            id,
+            out: (0..n)
+                .map(|d| (d != id).then(|| Channel::new(cfg)))
+                .collect(),
+            flows: vec![FlowStats::default(); n],
+            inbox: BinaryHeap::new(),
+        }
+    }
+
+    /// Holds a delivered envelope until its key comes up.
+    pub(crate) fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
+        self.inbox.push(Reverse(env));
+    }
+
+    /// The earliest held envelope's work key: class 0, so deliveries
+    /// run before local work at the same instant, tie-broken by
+    /// `(src, seq)`.
+    pub(crate) fn next_key(&self) -> Option<WorkKey> {
+        self.inbox
+            .peek()
+            .map(|Reverse(env)| (env.at, 0, env.src as u64, env.seq))
+    }
+
+    /// Removes the earliest held envelope (which must exist).
+    pub(crate) fn pop_arrival(&mut self) -> Envelope<Vec<u8>> {
+        self.inbox.pop().expect("inbox not empty").0
+    }
+
+    /// `true` when no delivered envelope is waiting.
+    pub(crate) fn inbox_is_empty(&self) -> bool {
+        self.inbox.is_empty()
+    }
+
+    /// Serializes `wire` bytes onto the channel towards `dst`, starting
+    /// no earlier than `at`, and accounts them as one frame carrying
+    /// `payload` bytes of data.
+    pub(crate) fn transmit(&mut self, dst: usize, at: Time, wire: u64, payload: u64) -> Transfer {
+        let xfer = self.out[dst]
+            .as_mut()
+            .expect("no channel to self")
+            .send(at, wire);
+        let flow = &mut self.flows[dst];
+        flow.frames += 1;
+        flow.payload_bytes += payload;
+        flow.wire_bytes += wire;
+        xfer
+    }
+
+    /// Per-destination accounting, indexed by board.
+    pub(crate) fn flows(&self) -> &[FlowStats] {
+        &self.flows
+    }
+
+    /// Totals over every destination, after asserting each flow matches
+    /// the bytes its channel actually carried.
+    pub(crate) fn audit(&self) -> FlowStats {
+        let mut total = FlowStats::default();
+        for (dst, (f, ch)) in self.flows.iter().zip(&self.out).enumerate() {
+            if let Some(ch) = ch {
+                assert_eq!(
+                    f.wire_bytes,
+                    ch.bytes_carried(),
+                    "flow accounting diverged from the channel ({} -> {dst})",
+                    self.id
+                );
+            }
+            total.frames += f.frames;
+            total.payload_bytes += f.payload_bytes;
+            total.wire_bytes += f.wire_bytes;
+        }
+        total
+    }
+
+    /// Folds the flow accounting into `d`.
+    pub(crate) fn digest_into(&self, d: &mut Fnv) {
+        for f in &self.flows {
+            d.u64(f.frames);
+            d.u64(f.payload_bytes);
+            d.u64(f.wire_bytes);
+        }
+    }
+}
+
 /// A synthetic cluster workload: per-board request streams mixing
 /// local coherent accesses with bridged remote reads/writes, all
 /// derived from one seed so any two same-seed runs are identical.
@@ -429,27 +546,6 @@ impl ClusterRunReport {
     }
 }
 
-/// FNV-1a 64-bit, used for the run digest (stable, dependency-free).
-/// Shared with the service runtime's digest (`crate::service`).
-pub(crate) struct Fnv(pub(crate) u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 /// One stream's pending bridged operation, awaiting its response.
 struct PendingOp {
     write: bool,
@@ -484,14 +580,11 @@ struct BoardShard {
     write_bp: u64,
     bridge_latency: Duration,
     sys: EciSystem,
-    /// Outgoing channel per destination board (`None` for self).
-    out: Vec<Option<Channel>>,
+    port: FabricPort,
     streams: Vec<StreamState>,
-    inbox: BinaryHeap<Reverse<Envelope<Vec<u8>>>>,
     /// Envelope sequence counter — unique per (board, seq), so the
     /// merge order (time, src, seq) is total.
     seq: u32,
-    flows: Vec<FlowStats>,
     last: Time,
     local_reads: u64,
     local_writes: u64,
@@ -501,37 +594,11 @@ struct BoardShard {
     failures: u64,
 }
 
-/// Key ordering per-board work: inbox deliveries run before stream
-/// issues at the same instant, and both tie-break deterministically.
-type WorkKey = (Time, u8, u64, u64);
-
 impl BoardShard {
     /// Requester-private byte offset (valid within any board's slice)
     /// for `(owner-of-the-request board, stream, slot)`.
     fn slot_offset(&self, stream: usize, slot: u64) -> u64 {
         ((self.id * self.streams_per_board + stream) as u64 * self.slots_per_stream + slot) * 128
-    }
-
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
-        self.inbox.push(Reverse(env));
-    }
-
-    /// The next unit of work, or `None` when the board is quiescent.
-    fn next_key(&self) -> Option<WorkKey> {
-        let mut best: Option<WorkKey> = None;
-        if let Some(Reverse(env)) = self.inbox.peek() {
-            best = Some((env.at, 0, env.src as u64, env.seq));
-        }
-        for (i, s) in self.streams.iter().enumerate() {
-            if s.remaining == 0 || s.blocked.is_some() {
-                continue;
-            }
-            let k = (s.at, 1, i as u64, 0);
-            if best.is_none_or(|b| k < b) {
-                best = Some(k);
-            }
-        }
-        best
     }
 
     fn next_seq(&mut self) -> u32 {
@@ -542,24 +609,13 @@ impl BoardShard {
 
     /// Encodes `msg`, serializes it onto the channel towards `dst` at
     /// `at`, accounts the flow, and emits the timestamped envelope.
-    fn send_frame(
-        &mut self,
-        dst: usize,
-        at: Time,
-        msg: &BridgeMsg,
-        out: &mut Vec<(usize, Envelope<Vec<u8>>)>,
-    ) {
+    fn send_frame(&mut self, dst: usize, at: Time, msg: &BridgeMsg, out: &mut Out) {
         let bytes = encode_bridge(msg);
         let payload = match msg.op {
             BridgeOp::ReadResp(_) | BridgeOp::WriteReq(_) => 128,
             _ => 0,
         };
-        let ch = self.out[dst].as_mut().expect("no channel to self");
-        let xfer = ch.send(at, bytes.len() as u64);
-        let flow = &mut self.flows[dst];
-        flow.frames += 1;
-        flow.payload_bytes += payload;
-        flow.wire_bytes += bytes.len() as u64;
+        let xfer = self.port.transmit(dst, at, bytes.len() as u64, payload);
         let seq = u64::from(msg.seq);
         let env = Envelope {
             at: xfer.done + self.bridge_latency,
@@ -571,8 +627,8 @@ impl BoardShard {
     }
 
     /// Serves or completes the next inbox delivery.
-    fn process_envelope(&mut self, out: &mut Vec<(usize, Envelope<Vec<u8>>)>) {
-        let Reverse(env) = self.inbox.pop().expect("inbox not empty");
+    fn process_envelope(&mut self, out: &mut Out) {
+        let env = self.port.pop_arrival();
         let msg = decode_bridge(&env.payload).expect("fabric frames survive transit");
         let src = usize::from(msg.src);
         match msg.op {
@@ -656,7 +712,7 @@ impl BoardShard {
     }
 
     /// Issues stream `si`'s next operation.
-    fn process_stream(&mut self, si: usize, out: &mut Vec<(usize, Envelope<Vec<u8>>)>) {
+    fn process_stream(&mut self, si: usize, out: &mut Out) {
         let (at, remote, write, slot, fill, dst) = {
             let s = &mut self.streams[si];
             let remote = self.n > 1 && s.rng.next_below(10_000) < self.remote_bp;
@@ -743,16 +799,6 @@ impl BoardShard {
         self.last = self.last.max(s.at);
     }
 
-    /// Runs the single earliest unit of work on this board.
-    fn process_next(&mut self, out: &mut Vec<(usize, Envelope<Vec<u8>>)>) {
-        let key = self.next_key().expect("process_next on a quiescent board");
-        if key.1 == 0 {
-            self.process_envelope(out);
-        } else {
-            self.process_stream(key.2 as usize, out);
-        }
-    }
-
     /// Folds this board's externally observable final state into `d`.
     fn digest_into(&self, d: &mut Fnv) {
         d.u64(self.id as u64);
@@ -770,11 +816,7 @@ impl BoardShard {
                 }
             }
         }
-        for f in &self.flows {
-            d.u64(f.frames);
-            d.u64(f.payload_bytes);
-            d.u64(f.wire_bytes);
-        }
+        self.port.digest_into(d);
         d.u64(self.last.as_ps());
         d.u64(self.local_reads);
         d.u64(self.local_writes);
@@ -786,69 +828,46 @@ impl BoardShard {
     }
 }
 
-impl Shard for BoardShard {
+/// Work keys: held deliveries (class 0), then ready stream issues
+/// (class 1, keyed by stream). A *blocked* stream has no key; its
+/// wake-up is a response envelope.
+impl KeyedShard for BoardShard {
     type Msg = Vec<u8>;
 
-    fn step(
-        &mut self,
-        window: EpochWindow,
-        arrivals: Vec<Envelope<Vec<u8>>>,
-        out: &mut Vec<(usize, Envelope<Vec<u8>>)>,
-    ) {
-        for env in arrivals {
-            self.inbox.push(Reverse(env));
-        }
-        while let Some(key) = self.next_key() {
-            if key.0 >= window.end {
-                break;
+    fn next_key(&self) -> Option<WorkKey> {
+        let mut best = self.port.next_key();
+        for (i, s) in self.streams.iter().enumerate() {
+            if s.remaining == 0 || s.blocked.is_some() {
+                continue;
             }
-            self.process_next(out);
+            let k = (s.at, 1, i as u64, 0);
+            if best.is_none_or(|b| k < b) {
+                best = Some(k);
+            }
+        }
+        best
+    }
+
+    fn process_next(&mut self, out: &mut Out) {
+        let key = self.next_key().expect("process_next on a quiescent board");
+        if key.1 == 0 {
+            self.process_envelope(out);
+        } else {
+            self.process_stream(key.2 as usize, out);
         }
     }
 
+    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
+        self.port.push_arrival(env);
+    }
+
     fn idle(&self) -> bool {
-        self.inbox.is_empty()
+        self.port.inbox_is_empty()
             && self
                 .streams
                 .iter()
                 .all(|s| s.remaining == 0 && s.blocked.is_none())
     }
-
-    fn next_activity(&self) -> Option<Time> {
-        // The earliest held delivery or ready stream issue. A *blocked*
-        // stream has no key, but its wake-up is a response envelope that
-        // is either already in some inbox (covered here) or still in
-        // flight this epoch (covered by the engine's send-time fold), so
-        // the leader can never jump past it.
-        self.next_key().map(|k| k.0)
-    }
-}
-
-/// Sequential reference driver: a single global clock sweeping the
-/// earliest work item across all boards, with immediate delivery. The
-/// per-board processing order is identical to the epoch engine's, so
-/// final states must match bit-for-bit — a genuinely different
-/// execution engine validating the lookahead/epoch machinery.
-fn run_shards_reference(shards: &mut [BoardShard]) -> u64 {
-    let mut messages = 0;
-    let mut out = Vec::new();
-    loop {
-        let mut best: Option<(WorkKey, usize)> = None;
-        for (i, s) in shards.iter().enumerate() {
-            if let Some(k) = s.next_key() {
-                if best.is_none_or(|(bk, bi)| (k, i) < (bk, bi)) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { break };
-        shards[i].process_next(&mut out);
-        messages += out.len() as u64;
-        for (dst, env) in out.drain(..) {
-            shards[dst].push_arrival(env);
-        }
-    }
-    messages
 }
 
 impl EnzianCluster {
@@ -871,12 +890,6 @@ impl EnzianCluster {
             "workload's private regions exceed a board slice"
         );
         let boards = std::mem::take(&mut self.boards);
-        let chan_cfg = ChannelConfig {
-            bits_per_sec: self.link_config.bits_per_sec,
-            coding_efficiency: 1.0,
-            propagation: self.link_config.propagation,
-            frame_overhead_bytes: FRAME_OVERHEAD_BYTES,
-        };
         boards
             .into_iter()
             .enumerate()
@@ -916,13 +929,9 @@ impl EnzianCluster {
                     write_bp: w.write_bp,
                     bridge_latency: self.bridge_latency,
                     sys,
-                    out: (0..n)
-                        .map(|d| (d != id).then(|| Channel::new(chan_cfg)))
-                        .collect(),
+                    port: FabricPort::new(id, n, &self.link_config),
                     streams,
-                    inbox: BinaryHeap::new(),
                     seq: 0,
-                    flows: vec![FlowStats::default(); n],
                     last: Time::ZERO,
                     local_reads: 0,
                     local_writes: 0,
@@ -940,60 +949,42 @@ impl EnzianCluster {
         &mut self,
         shards: Vec<BoardShard>,
         w: &ClusterWorkload,
-        epochs: u64,
-        epochs_skipped: u64,
-        messages: u64,
+        par: ParReport,
     ) -> ClusterRunReport {
         let n = shards.len();
-        let mut report = ClusterRunReport {
-            boards: n,
-            total_ops: (n * w.streams_per_board) as u64 * w.ops_per_stream,
-            local_reads: 0,
-            local_writes: 0,
-            remote_reads: 0,
-            remote_writes: 0,
-            nacks: 0,
-            failures: 0,
-            bridge_frames: 0,
-            bridge_payload_bytes: 0,
-            bridge_wire_bytes: 0,
-            sim_end: Time::ZERO,
-            epochs,
-            epochs_skipped,
-            messages,
-            trace_digest: 0,
-            flows: Vec::with_capacity(n),
-        };
         let mut digest = Fnv::new();
-        for shard in shards {
+        let mut bridge = FlowStats::default();
+        for shard in &shards {
             assert!(shard.idle(), "run finished with live work on a board");
             shard.digest_into(&mut digest);
-            report.local_reads += shard.local_reads;
-            report.local_writes += shard.local_writes;
-            report.remote_reads += shard.remote_reads;
-            report.remote_writes += shard.remote_writes;
-            report.nacks += shard.nacks;
-            report.failures += shard.failures;
-            report.sim_end = report.sim_end.max(shard.last);
-            for (dst, (f, ch)) in shard.flows.iter().zip(&shard.out).enumerate() {
-                report.bridge_frames += f.frames;
-                report.bridge_payload_bytes += f.payload_bytes;
-                report.bridge_wire_bytes += f.wire_bytes;
-                if let Some(ch) = ch {
-                    assert_eq!(
-                        f.wire_bytes,
-                        ch.bytes_carried(),
-                        "flow accounting diverged from the channel ({} -> {dst})",
-                        shard.id
-                    );
-                }
-            }
-            report.flows.push(shard.flows.clone());
-            self.remote_reads += shard.remote_reads;
-            self.remote_writes += shard.remote_writes;
-            self.boards.push(shard.sys);
+            let total = shard.port.audit();
+            bridge.frames += total.frames;
+            bridge.payload_bytes += total.payload_bytes;
+            bridge.wire_bytes += total.wire_bytes;
         }
-        report.trace_digest = digest.0;
+        let sum = |f: fn(&BoardShard) -> u64| shards.iter().map(f).sum();
+        let report = ClusterRunReport {
+            boards: n,
+            total_ops: (n * w.streams_per_board) as u64 * w.ops_per_stream,
+            local_reads: sum(|s| s.local_reads),
+            local_writes: sum(|s| s.local_writes),
+            remote_reads: sum(|s| s.remote_reads),
+            remote_writes: sum(|s| s.remote_writes),
+            nacks: sum(|s| s.nacks),
+            failures: sum(|s| s.failures),
+            bridge_frames: bridge.frames,
+            bridge_payload_bytes: bridge.payload_bytes,
+            bridge_wire_bytes: bridge.wire_bytes,
+            sim_end: shards.iter().map(|s| s.last).fold(Time::ZERO, Time::max),
+            epochs: par.epochs,
+            epochs_skipped: par.epochs_skipped,
+            messages: par.messages,
+            trace_digest: digest.finish(),
+            flows: shards.iter().map(|s| s.port.flows().to_vec()).collect(),
+        };
+        self.remote_reads += report.remote_reads;
+        self.remote_writes += report.remote_writes;
+        self.boards.extend(shards.into_iter().map(|s| s.sys));
         let completed = report.local_reads
             + report.local_writes
             + report.remote_reads
@@ -1014,13 +1005,7 @@ impl EnzianCluster {
     /// inbox, and the merge order `(time, src, seq)` never observes
     /// the partitioning.
     pub fn run_parallel(&mut self, w: &ClusterWorkload, threads: usize) -> ClusterRunReport {
-        assert!(threads >= 1, "need at least one worker thread");
-        let mut shards = self.make_shards(w);
-        let cfg = ParConfig::new(self.lookahead())
-            .with_threads(threads)
-            .with_channel_capacity(256);
-        let par = run_conservative(&mut shards, &cfg);
-        self.finish_run(shards, w, par.epochs, par.epochs_skipped, par.messages)
+        self.run(w, Engine::Conservative(threads))
     }
 
     /// Runs `w` on the sequential reference driver (global
@@ -1029,9 +1014,13 @@ impl EnzianCluster {
     /// [`EnzianCluster::run_parallel`] report must hold for any thread
     /// count.
     pub fn run_reference(&mut self, w: &ClusterWorkload) -> ClusterRunReport {
+        self.run(w, Engine::Sequential)
+    }
+
+    fn run(&mut self, w: &ClusterWorkload, engine: Engine) -> ClusterRunReport {
         let mut shards = self.make_shards(w);
-        let messages = run_shards_reference(&mut shards);
-        self.finish_run(shards, w, 0, 0, messages)
+        let par = engine.run(&mut shards, self.lookahead());
+        self.finish_run(shards, w, par)
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! Every cell is seeded (payloads and loss schedules derive from fixed
 //! seeds), so two runs render byte-identical `BENCH_cc_sweep.json`
-//! files — which `make cc-sweep` and CI assert.
+//! files — which `make determinism` and CI assert.
 
 use enzian_net::eth::{EthLink, EthLinkConfig};
 use enzian_net::tcp::{CcAlgorithm, LossPattern, TcpEngine, TcpStackConfig, SEGMENT_LOSS_TARGET};

@@ -9,7 +9,8 @@
 //! Every number here is a pure function of the workload seed: the
 //! engine's merge order never observes the worker partitioning, so
 //! `BENCH_cluster_scale.json` is byte-identical for every `--threads`
-//! value — which `make par-cluster` and the CI thread matrix assert.
+//! value — which `make determinism` and the CI `determinism` matrix
+//! assert.
 //! Wall-clock speedup, the one thing that *does* depend on the thread
 //! count, is reported on stderr only.
 

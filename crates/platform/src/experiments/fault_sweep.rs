@@ -8,7 +8,7 @@
 //! replay machinery retransmitted, how often the transaction layer timed
 //! out and retried, and the distribution of recovery latencies. The
 //! entire sweep is seeded, so two runs render byte-identical
-//! `BENCH_fault_sweep.json` files — which `make chaos` and CI assert.
+//! `BENCH_fault_sweep.json` files — which `make determinism` and CI assert.
 
 use enzian_eci::link::fault_targets;
 use enzian_eci::system::TXN_STALL_TARGET;

@@ -24,8 +24,8 @@
 
 use enzian_sim::alloc_count;
 use enzian_sim::{
-    reference, run_conservative, Duration, Envelope, EpochWindow, MetricsRegistry, ParConfig, Pod,
-    Shard, Simulator, Time, TraceEvent,
+    reference, run_conservative, Duration, Envelope, EpochWindow, Fnv, MetricsRegistry, ParConfig,
+    Pod, Shard, Simulator, Time, TraceEvent,
 };
 
 /// Actors in the storm; each runs an independent event chain.
@@ -48,15 +48,6 @@ fn splitmix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One FNV-1a fold of a u64 into a running digest.
-fn fnv(digest: u64, v: u64) -> u64 {
-    let mut d = digest;
-    for byte in v.to_le_bytes() {
-        d = (d ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    d
-}
-
 /// The storm model: per-actor chained events over a shared digest.
 ///
 /// Event handlers only touch indexed `Vec`s — no hashing, no interior
@@ -69,7 +60,7 @@ pub struct Storm {
     remaining: Vec<u32>,
     /// FNV-1a digest over every `(time, actor, state)` firing, in fire
     /// order.
-    digest: u64,
+    digest: Fnv,
     /// Total events fired.
     fired: u64,
 }
@@ -84,7 +75,7 @@ impl Storm {
                 .map(|i| splitmix(SEED ^ (first + i) as u64))
                 .collect(),
             remaining: vec![EVENTS_PER_ACTOR; actors],
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: Fnv::new(),
             fired: 0,
         }
     }
@@ -99,7 +90,9 @@ impl Storm {
     pub fn fire(&mut self, now: Time, actor: usize) -> Option<Duration> {
         let s = splitmix(self.states[actor] ^ now.as_ps());
         self.states[actor] = s;
-        self.digest = fnv(fnv(fnv(self.digest, now.as_ps()), actor as u64), s);
+        self.digest.u64(now.as_ps());
+        self.digest.u64(actor as u64);
+        self.digest.u64(s);
         self.fired += 1;
         self.remaining[actor] -= 1;
         (self.remaining[actor] > 0).then(|| Duration::from_ns(1 + s % 7))
@@ -107,7 +100,7 @@ impl Storm {
 
     /// The fire-order digest.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.digest.finish()
     }
 
     /// Total events fired.
@@ -238,15 +231,21 @@ pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
         &ParConfig::new(Duration::from_ns(64)).with_threads(threads),
     );
     let mut events = 0;
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = Fnv::new();
     let mut end = Time::ZERO;
     for sh in &shards {
         let m = sh.sim.model();
         events += m.fired();
-        digest = fnv(digest, m.digest());
+        digest.u64(m.digest());
         end = end.max(sh.sim.now());
     }
-    (events, digest, report.epochs, report.epochs_skipped, end)
+    (
+        events,
+        digest.finish(),
+        report.epochs,
+        report.epochs_skipped,
+        end,
+    )
 }
 
 /// One leg of the sweep.

@@ -11,8 +11,8 @@
 //! Every run is audited before it is reported: the committed logs must
 //! replay linearizably, and no acknowledged write may be lost. Every
 //! number is a pure function of the scenario seed — the bench JSON is
-//! byte-identical across `--threads` values, which `make service` and
-//! the CI thread matrix assert.
+//! byte-identical across `--threads` values, which `make determinism`
+//! and the CI `determinism` matrix assert.
 
 use crate::service::{FaultScenario, ServiceConfig};
 use enzian_sim::{MetricsRegistry, Time, TraceEvent};

@@ -5,7 +5,8 @@
 //! machines from [`enzian_apps::service`] onto the boards of a
 //! conservative-parallel cluster (the same engine as
 //! [`crate::cluster`]), carries every service message inside a bridge
-//! `Svc*` frame over seeded [`Channel`]s, and drives the robustness
+//! `Svc*` frame over seeded [`Channel`](enzian_sim::Channel)s, and
+//! drives the robustness
 //! machinery end to end:
 //!
 //! * **Fault scenarios** ([`FaultScenario`]) build per-board
@@ -42,8 +43,7 @@
 //! quorum — *before* its replication retry budget does: it steps down
 //! instead of solo-committing a write the promoted backup never saw.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use enzian_apps::service::{
     verify_log, AckState, Applied, ClientPlan, ClientState, KvOp, KvResult, LogEntry, Replica,
@@ -51,13 +51,11 @@ use enzian_apps::service::{
 };
 use enzian_apps::{decode_svc, encode_svc, KvStoreConfig};
 use enzian_eci::bridge::{decode_bridge, encode_bridge, BridgeMsg, BridgeOp};
-use enzian_net::eth::{EthLinkConfig, FRAME_OVERHEAD_BYTES};
-use enzian_sim::par::{run_conservative, Envelope, EpochWindow, ParConfig, Shard};
-use enzian_sim::{
-    cluster_targets, Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, MetricsRegistry, Time,
-};
+use enzian_net::eth::EthLinkConfig;
+use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
+use enzian_sim::{cluster_targets, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FlowStats, Fnv};
+use crate::cluster::{FabricPort, Out};
 
 // -------------------------------------------------------------------
 // Configuration
@@ -321,11 +319,27 @@ struct LocalClient {
     wake: Option<(Time, ClientWake)>,
 }
 
+/// Who awaits a response: `(board, client uid, req_id)`.
+type ReplyTo = (usize, u32, u32);
+
+/// A response body.
+type Body = Result<RespOk, RespErr>;
+
+/// A successful response body.
+fn served(result: KvResult, stale: bool) -> Body {
+    Ok(RespOk { result, stale })
+}
+
+/// A rejection response body.
+fn rejected(error: SvcError) -> Body {
+    Err(RespErr { error })
+}
+
 /// An uncommitted log entry at the primary, awaiting its backup ack.
 #[derive(Debug)]
 struct Pend {
-    /// Clients to answer on commit: `(board, client uid, req_id)`.
-    responders: Vec<(usize, u32, u32)>,
+    /// Clients to answer on commit.
+    responders: Vec<ReplyTo>,
     /// Replication attempts made.
     attempts: u32,
     /// Current attempt's ack deadline (keys the timer set).
@@ -356,11 +370,6 @@ impl CatchupState {
     }
 }
 
-/// Key ordering per-board work: `(time, class, a, b)` where class 0 is
-/// an inbox delivery `(src, seq)`, 1 a client wake `(client, 0)`, 2 the
-/// heartbeat tick, and 3 a replication timer `(shard, index)`.
-type WorkKey = (Time, u8, u64, u64);
-
 /// One board of the replicated service: its shard replicas, its
 /// clients, its timers, and its half of the fabric.
 struct ServiceBoard {
@@ -386,7 +395,7 @@ struct ServiceBoard {
     plan: FaultPlan,
     down: bool,
     down_since: Time,
-    out: Vec<Option<Channel>>,
+    port: FabricPort,
     /// Per-destination serialization floor: the wire start of the last
     /// frame sent there. Submitting at-or-after it keeps the channel
     /// FIFO even though replicate/response send times (apply-completion
@@ -394,9 +403,7 @@ struct ServiceBoard {
     /// a short later frame can gap-fill ahead of an in-flight one and
     /// force a spurious full catch-up on the backup.
     send_floor: Vec<Time>,
-    inbox: BinaryHeap<Reverse<Envelope<Vec<u8>>>>,
     seq: u32,
-    flows: Vec<FlowStats>,
     slo: SloRecorder,
     last: Time,
     crashes: u64,
@@ -415,8 +422,6 @@ struct ServiceBoard {
     local_msgs: u64,
 }
 
-type Out = Vec<(usize, Envelope<Vec<u8>>)>;
-
 impl ServiceBoard {
     fn me(&self) -> u8 {
         self.id as u8
@@ -426,35 +431,6 @@ impl ServiceBoard {
         let s = self.seq;
         self.seq += 1;
         s
-    }
-
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
-        self.inbox.push(Reverse(env));
-    }
-
-    /// The next unit of work, or `None` when the board is quiescent.
-    fn next_key(&self) -> Option<WorkKey> {
-        let mut best: Option<WorkKey> = None;
-        let consider = |k: WorkKey, best: &mut Option<WorkKey>| {
-            if best.is_none_or(|b| k < b) {
-                *best = Some(k);
-            }
-        };
-        if let Some(Reverse(env)) = self.inbox.peek() {
-            consider((env.at, 0, env.src as u64, env.seq), &mut best);
-        }
-        for (i, c) in self.clients.iter().enumerate() {
-            if let Some((t, _)) = &c.wake {
-                consider((*t, 1, i as u64, 0), &mut best);
-            }
-        }
-        if let Some(t) = self.next_hb {
-            consider((t, 2, 0, 0), &mut best);
-        }
-        if let Some(&(t, shard, index)) = self.rep_timers.iter().next() {
-            consider((t, 3, u64::from(shard), u64::from(index)), &mut best);
-        }
-        best
     }
 
     // ---------------------------------------------------------------
@@ -561,7 +537,7 @@ impl ServiceBoard {
         let seq = u64::from(msg.seq);
         if dst == self.id {
             self.local_msgs += 1;
-            self.push_arrival(Envelope {
+            self.port.push_arrival(Envelope {
                 at: at + self.cfg.local_latency,
                 src: self.id,
                 seq,
@@ -578,16 +554,13 @@ impl ServiceBoard {
             extra = self.cfg.delay_extra;
             self.delays_injected += 1;
         }
-        let ch = self.out[dst].as_mut().expect("no channel to self");
-        let xfer = ch.send(at.max(self.send_floor[dst]), frame.len() as u64);
-        self.send_floor[dst] = xfer.start;
-        let flow = &mut self.flows[dst];
-        flow.frames += 1;
-        flow.payload_bytes += match &msg.op {
+        let payload = match &msg.op {
             BridgeOp::SvcClient(b) | BridgeOp::SvcRep(b) | BridgeOp::SvcCtl(b) => b.len() as u64,
             _ => 0,
         };
-        flow.wire_bytes += frame.len() as u64;
+        let start = at.max(self.send_floor[dst]);
+        let xfer = self.port.transmit(dst, start, frame.len() as u64, payload);
+        self.send_floor[dst] = xfer.start;
         out.push((
             dst,
             Envelope {
@@ -599,30 +572,25 @@ impl ServiceBoard {
         ));
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Answers the client attempt `to`, stamped with `shard`'s `epoch`.
     fn respond(
         &mut self,
-        dst: usize,
+        to: ReplyTo,
         at: Time,
-        client: u32,
-        req_id: u32,
         shard: u16,
         epoch: u32,
-        body: Result<RespOk, RespErr>,
+        body: Body,
         out: &mut Out,
     ) {
-        self.send_svc(
-            dst,
-            at,
-            &SvcPayload::Response {
-                client,
-                req_id,
-                shard,
-                epoch,
-                body,
-            },
-            out,
-        );
+        let (dst, client, req_id) = to;
+        let response = SvcPayload::Response {
+            client,
+            req_id,
+            shard,
+            epoch,
+            body,
+        };
+        self.send_svc(dst, at, &response, out);
     }
 
     // ---------------------------------------------------------------
@@ -660,17 +628,8 @@ impl ServiceBoard {
         };
         for (index, e) in m {
             self.rep_timers.remove(&(e.deadline, shard, index));
-            for (dst, client, req_id) in e.responders {
-                self.respond(
-                    dst,
-                    now,
-                    client,
-                    req_id,
-                    shard,
-                    epoch,
-                    Err(RespErr { error: err }),
-                    out,
-                );
+            for to in e.responders {
+                self.respond(to, now, shard, epoch, rejected(err), out);
             }
         }
     }
@@ -749,7 +708,7 @@ impl ServiceBoard {
     // ---------------------------------------------------------------
 
     fn process_envelope(&mut self, out: &mut Out) {
-        let Reverse(env) = self.inbox.pop().expect("inbox not empty");
+        let env = self.port.pop_arrival();
         let now = env.at;
         self.last = self.last.max(now);
         if env.src != self.id
@@ -778,7 +737,7 @@ impl ServiceBoard {
                 epoch: _,
                 stale_ok,
                 op,
-            } => self.on_request(src, now, client, req_id, op_seq, shard, stale_ok, op, out),
+            } => self.on_request((src, client, req_id), now, op_seq, shard, stale_ok, op, out),
             SvcPayload::Response {
                 client,
                 req_id,
@@ -828,185 +787,89 @@ impl ServiceBoard {
     #[allow(clippy::too_many_arguments)]
     fn on_request(
         &mut self,
-        src: usize,
+        to: ReplyTo,
         now: Time,
-        client: u32,
-        req_id: u32,
         op_seq: u32,
         shard: u16,
         stale_ok: bool,
         op: KvOp,
         out: &mut Out,
     ) {
-        let Some(r) = self.replicas.get(&shard) else {
+        let Some(r) = self.replicas.get_mut(&shard) else {
             debug_assert!(false, "request for a shard this board does not host");
             return;
         };
         let (role, epoch) = (r.role, r.epoch);
-        match role {
-            Role::Recovering => self.respond(
-                src,
-                now,
-                client,
-                req_id,
+        if role != Role::Recovering && stale_ok && matches!(op, KvOp::Get { .. }) {
+            // The degraded path never logs, even at the primary, so its
+            // answer is marked stale and audited out.
+            let (result, done) = r.execute(now, &op);
+            self.last = self.last.max(done);
+            self.respond(to, done, shard, epoch, served(result, true), out);
+            return;
+        }
+        let error = match role {
+            Role::Recovering => Some(SvcError::Recovering),
+            Role::Backup => {
+                let primary = self.map.primary_at(shard, epoch);
+                Some(SvcError::NotPrimary { epoch, primary })
+            }
+            Role::Primary if !self.quorum(now) => Some(SvcError::NoQuorum),
+            Role::Primary => None,
+        };
+        if let Some(error) = error {
+            self.respond(to, now, shard, epoch, rejected(error), out);
+            return;
+        }
+        let client = to.1;
+        if let Some((index, result)) = self.replicas[&shard].dedup_lookup(client, op_seq) {
+            // A retry of an op already in the log: exactly-once.
+            let pending = self.pend.get_mut(&shard).and_then(|m| m.get_mut(&index));
+            if let Some(e) = pending {
+                // Still uncommitted: answer when the commit lands.
+                e.responders.push(to);
+            } else {
+                self.respond(to, now, shard, epoch, served(result, false), out);
+            }
+            return;
+        }
+        let (index, result, done) = self
+            .replicas
+            .get_mut(&shard)
+            .expect("hosted shard")
+            .apply_fresh(now, client, op_seq, op.clone());
+        self.last = self.last.max(done);
+        let backup = self.map.backup_at(shard, epoch);
+        if self.suspected(backup, now) {
+            // Backup is dead to us but quorum holds: commit solo;
+            // the rejoining backup re-replicates via catch-up.
+            self.solo_commits += 1;
+            self.respond(to, done, shard, epoch, served(result, false), out);
+            return;
+        }
+        let deadline = done + self.cfg.rep_timeout;
+        self.pend.entry(shard).or_default().insert(
+            index,
+            Pend {
+                responders: vec![to],
+                attempts: 1,
+                deadline,
+            },
+        );
+        self.rep_timers.insert((deadline, shard, index));
+        self.send_svc(
+            usize::from(backup),
+            done,
+            &SvcPayload::Replicate {
                 shard,
                 epoch,
-                Err(RespErr {
-                    error: SvcError::Recovering,
-                }),
-                out,
-            ),
-            Role::Backup => {
-                if stale_ok && matches!(op, KvOp::Get { .. }) {
-                    let (result, done) = self
-                        .replicas
-                        .get_mut(&shard)
-                        .expect("hosted shard")
-                        .execute(now, &op);
-                    self.last = self.last.max(done);
-                    self.respond(
-                        src,
-                        done,
-                        client,
-                        req_id,
-                        shard,
-                        epoch,
-                        Ok(RespOk {
-                            result,
-                            stale: true,
-                        }),
-                        out,
-                    );
-                } else {
-                    let primary = self.map.primary_at(shard, epoch);
-                    self.respond(
-                        src,
-                        now,
-                        client,
-                        req_id,
-                        shard,
-                        epoch,
-                        Err(RespErr {
-                            error: SvcError::NotPrimary { epoch, primary },
-                        }),
-                        out,
-                    );
-                }
-            }
-            Role::Primary => {
-                if stale_ok && matches!(op, KvOp::Get { .. }) {
-                    // The degraded path never logs, even at the primary,
-                    // so its answer is marked stale and audited out.
-                    let (result, done) = self
-                        .replicas
-                        .get_mut(&shard)
-                        .expect("hosted shard")
-                        .execute(now, &op);
-                    self.last = self.last.max(done);
-                    self.respond(
-                        src,
-                        done,
-                        client,
-                        req_id,
-                        shard,
-                        epoch,
-                        Ok(RespOk {
-                            result,
-                            stale: true,
-                        }),
-                        out,
-                    );
-                    return;
-                }
-                if !self.quorum(now) {
-                    self.respond(
-                        src,
-                        now,
-                        client,
-                        req_id,
-                        shard,
-                        epoch,
-                        Err(RespErr {
-                            error: SvcError::NoQuorum,
-                        }),
-                        out,
-                    );
-                    return;
-                }
-                if let Some((index, result)) = r.dedup_lookup(client, op_seq) {
-                    // A retry of an op already in the log: exactly-once.
-                    let pending = self.pend.get_mut(&shard).and_then(|m| m.get_mut(&index));
-                    if let Some(e) = pending {
-                        // Still uncommitted: answer when the commit lands.
-                        e.responders.push((src, client, req_id));
-                    } else {
-                        self.respond(
-                            src,
-                            now,
-                            client,
-                            req_id,
-                            shard,
-                            epoch,
-                            Ok(RespOk {
-                                result,
-                                stale: false,
-                            }),
-                            out,
-                        );
-                    }
-                    return;
-                }
-                let (index, result, done) = self
-                    .replicas
-                    .get_mut(&shard)
-                    .expect("hosted shard")
-                    .apply_fresh(now, client, op_seq, op.clone());
-                self.last = self.last.max(done);
-                let backup = self.map.backup_at(shard, epoch);
-                if self.suspected(backup, now) {
-                    // Backup is dead to us but quorum holds: commit solo;
-                    // the rejoining backup re-replicates via catch-up.
-                    self.solo_commits += 1;
-                    self.respond(
-                        src,
-                        done,
-                        client,
-                        req_id,
-                        shard,
-                        epoch,
-                        Ok(RespOk {
-                            result,
-                            stale: false,
-                        }),
-                        out,
-                    );
-                    return;
-                }
-                let deadline = done + self.cfg.rep_timeout;
-                self.pend.entry(shard).or_default().insert(
-                    index,
-                    Pend {
-                        responders: vec![(src, client, req_id)],
-                        attempts: 1,
-                        deadline,
-                    },
-                );
-                self.rep_timers.insert((deadline, shard, index));
-                self.send_svc(
-                    usize::from(backup),
-                    done,
-                    &SvcPayload::Replicate {
-                        shard,
-                        epoch,
-                        index,
-                        client,
-                        op_seq,
-                        op,
-                    },
-                    out,
-                );
-            }
-        }
+                index,
+                client,
+                op_seq,
+                op,
+            },
+            out,
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1042,38 +905,29 @@ impl ServiceBoard {
             r.epoch = epoch;
         }
         match r.role {
-            Role::Backup => match r.apply_replicated(now, index, client, op_seq, op) {
-                Applied::Fresh(_, done) => {
-                    self.last = self.last.max(done);
-                    self.send_svc(
-                        src,
-                        done,
-                        &SvcPayload::RepAck {
-                            shard,
-                            epoch,
-                            index,
-                        },
-                        out,
-                    );
-                }
-                Applied::Duplicate => self.send_svc(
-                    src,
-                    now,
-                    &SvcPayload::RepAck {
-                        shard,
-                        epoch,
-                        index,
-                    },
-                    out,
-                ),
-                Applied::Gap { have: _ } => {
-                    // Deliveries were lost (partition) or reordered
-                    // past the FIFO floor (delay fault): stop acking
-                    // and rebuild the whole log.
-                    r.reset_for_recovery();
-                    self.request_catchup(shard, now, out);
-                }
-            },
+            Role::Backup => {
+                let acked = match r.apply_replicated(now, index, client, op_seq, op) {
+                    Applied::Fresh(_, done) => {
+                        self.last = self.last.max(done);
+                        done
+                    }
+                    Applied::Duplicate => now,
+                    Applied::Gap { have: _ } => {
+                        // Deliveries were lost (partition) or reordered
+                        // past the FIFO floor (delay fault): stop acking
+                        // and rebuild the whole log.
+                        r.reset_for_recovery();
+                        self.request_catchup(shard, now, out);
+                        return;
+                    }
+                };
+                let ack = SvcPayload::RepAck {
+                    shard,
+                    epoch,
+                    index,
+                };
+                self.send_svc(src, acked, &ack, out);
+            }
             Role::Recovering => {
                 // Catch-up replay (and live entries racing it) parks in
                 // the reorder buffer and applies in index order; acks
@@ -1230,20 +1084,8 @@ impl ServiceBoard {
                 let r = &self.replicas[&shard];
                 (r.epoch, r.log[i as usize].result.clone())
             };
-            for (dst, client, req_id) in e.responders {
-                self.respond(
-                    dst,
-                    now,
-                    client,
-                    req_id,
-                    shard,
-                    epoch,
-                    Ok(RespOk {
-                        result: result.clone(),
-                        stale: false,
-                    }),
-                    out,
-                );
+            for to in e.responders {
+                self.respond(to, now, shard, epoch, served(result.clone(), false), out);
             }
         }
     }
@@ -1263,7 +1105,7 @@ impl ServiceBoard {
         req_id: u32,
         shard: u16,
         epoch: u32,
-        body: Result<RespOk, RespErr>,
+        body: Body,
     ) {
         self.bump_routing(shard, epoch);
         let base = self.id as u32 * u32::from(self.cfg.clients_per_board);
@@ -1509,9 +1351,8 @@ impl ServiceBoard {
     // Dispatch
     // ---------------------------------------------------------------
 
-    /// Runs the single earliest unit of work on this board.
-    fn process_next(&mut self, out: &mut Out) {
-        let key = self.next_key().expect("process_next on a quiescent board");
+    /// Runs the work item `key` names.
+    fn dispatch(&mut self, key: WorkKey, out: &mut Out) {
         let was_down = self.down;
         if self.fault_tick(key.0, out) {
             if !was_down {
@@ -1523,7 +1364,7 @@ impl ServiceBoard {
             // ticking as the rejoin opportunity clock.
             match key.1 {
                 0 => {
-                    let _ = self.inbox.pop();
+                    self.port.pop_arrival();
                 }
                 2 => {
                     let next = key.0 + self.cfg.hb_interval;
@@ -1563,11 +1404,7 @@ impl ServiceBoard {
                 }
             }
         }
-        for f in &self.flows {
-            d.u64(f.frames);
-            d.u64(f.payload_bytes);
-            d.u64(f.wire_bytes);
-        }
+        self.port.digest_into(d);
         d.u64(self.last.as_ps());
         d.u64(self.crashes);
         d.u64(self.rejoins);
@@ -1581,30 +1418,47 @@ impl ServiceBoard {
     }
 }
 
-impl Shard for ServiceBoard {
+/// Work keys `(time, class, a, b)`: class 0 an inbox delivery
+/// `(src, seq)`, 1 a client wake `(client, 0)`, 2 the heartbeat tick,
+/// and 3 a replication timer `(shard, index)`.
+impl KeyedShard for ServiceBoard {
     type Msg = Vec<u8>;
 
-    fn step(&mut self, window: EpochWindow, arrivals: Vec<Envelope<Vec<u8>>>, out: &mut Out) {
-        for env in arrivals {
-            self.inbox.push(Reverse(env));
-        }
-        while let Some(key) = self.next_key() {
-            if key.0 >= window.end {
-                break;
+    fn next_key(&self) -> Option<WorkKey> {
+        let mut best = self.port.next_key();
+        let mut consider = |k: WorkKey| {
+            if best.is_none_or(|b| k < b) {
+                best = Some(k);
             }
-            self.process_next(out);
+        };
+        for (i, c) in self.clients.iter().enumerate() {
+            if let Some((t, _)) = &c.wake {
+                consider((*t, 1, i as u64, 0));
+            }
         }
+        if let Some(t) = self.next_hb {
+            consider((t, 2, 0, 0));
+        }
+        if let Some(&(t, shard, index)) = self.rep_timers.iter().next() {
+            consider((t, 3, u64::from(shard), u64::from(index)));
+        }
+        best
+    }
+
+    fn process_next(&mut self, out: &mut Out) {
+        let key = self.next_key().expect("process_next on a quiescent board");
+        self.dispatch(key, out);
+    }
+
+    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
+        self.port.push_arrival(env);
     }
 
     fn idle(&self) -> bool {
-        self.inbox.is_empty()
+        self.port.inbox_is_empty()
             && self.next_hb.is_none()
             && self.rep_timers.is_empty()
             && self.clients.iter().all(|c| c.wake.is_none())
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        self.next_key().map(|k| k.0)
     }
 }
 
@@ -1612,43 +1466,11 @@ impl Shard for ServiceBoard {
 // Run drivers + report
 // -------------------------------------------------------------------
 
-/// Sequential reference driver: one global clock sweeping the earliest
-/// work item across all boards with immediate delivery. The per-board
-/// processing order is identical to the epoch engine's, so final states
-/// must match bit-for-bit.
-fn run_boards_reference(boards: &mut [ServiceBoard]) -> u64 {
-    let mut messages = 0;
-    let mut out = Vec::new();
-    loop {
-        let mut best: Option<(WorkKey, usize)> = None;
-        for (i, b) in boards.iter().enumerate() {
-            if let Some(k) = b.next_key() {
-                if best.is_none_or(|(bk, bi)| (k, i) < (bk, bi)) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { break };
-        boards[i].process_next(&mut out);
-        messages += out.len() as u64;
-        for (dst, env) in out.drain(..) {
-            boards[dst].push_arrival(env);
-        }
-    }
-    messages
-}
-
 fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
     cfg.validate();
     let n = usize::from(cfg.boards);
     let map = ShardMap::new(cfg.shards, cfg.boards);
     let link = EthLinkConfig::hundred_gig();
-    let chan_cfg = ChannelConfig {
-        bits_per_sec: link.bits_per_sec,
-        coding_efficiency: 1.0,
-        propagation: link.propagation,
-        frame_overhead_bytes: FRAME_OVERHEAD_BYTES,
-    };
     (0..n)
         .map(|id| {
             let replicas: BTreeMap<u16, Replica> = map
@@ -1694,13 +1516,9 @@ fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
                 plan: cfg.scenario.plan_for(cfg.seed, id as u8),
                 down: false,
                 down_since: Time::ZERO,
-                out: (0..n)
-                    .map(|d| (d != id).then(|| Channel::new(chan_cfg)))
-                    .collect(),
+                port: FabricPort::new(id, n, &link),
                 send_floor: vec![Time::ZERO; n],
-                inbox: BinaryHeap::new(),
                 seq: 0,
-                flows: vec![FlowStats::default(); n],
                 slo: SloRecorder::new(cfg.scenario.fault_window()),
                 last: Time::ZERO,
                 crashes: 0,
@@ -1924,55 +1742,7 @@ fn describe(v: &Option<Vec<u8>>) -> String {
     }
 }
 
-fn finish_run(
-    cfg: &ServiceConfig,
-    boards: Vec<ServiceBoard>,
-    epochs: u64,
-    epochs_skipped: u64,
-    messages: u64,
-) -> ServiceRunReport {
-    let n = boards.len();
-    let mut slo = SloRecorder::new(cfg.scenario.fault_window());
-    let mut digest = Fnv::new();
-    let mut report = ServiceRunReport {
-        boards: n,
-        shards: cfg.shards,
-        clients: u32::from(cfg.boards) * u32::from(cfg.clients_per_board),
-        total_client_ops: cfg.total_client_ops(),
-        ok_ops: 0,
-        failed_ops: 0,
-        crashed_ops: 0,
-        stale_served: 0,
-        timeouts: 0,
-        retries: 0,
-        failovers: 0,
-        solo_commits: 0,
-        fenced: 0,
-        step_downs: 0,
-        catchup_requests: 0,
-        catchups_completed: 0,
-        crashes: 0,
-        rejoins: 0,
-        partition_drops: 0,
-        delays_injected: 0,
-        heartbeats_sent: 0,
-        client_rejections: 0,
-        local_msgs: 0,
-        committed_entries: 0,
-        availability_in_window: 1.0,
-        availability_out_window: 1.0,
-        svc_frames: 0,
-        wire_bytes: 0,
-        sim_end: Time::ZERO,
-        epochs,
-        epochs_skipped,
-        messages,
-        digest: 0,
-        slo: SloRecorder::new(cfg.scenario.fault_window()),
-        shard_epochs: vec![0; usize::from(cfg.shards)],
-        shard_logs: vec![Vec::new(); usize::from(cfg.shards)],
-        acked: Vec::new(),
-    };
+fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) -> ServiceRunReport {
     // Authoritative log per shard: the replica with the highest epoch;
     // ties prefer the primary role, then the lower board id.
     let mut best: Vec<Option<(u32, u8, usize)>> = vec![None; usize::from(cfg.shards)];
@@ -1996,6 +1766,9 @@ fn finish_run(
             }
         }
     }
+    let mut slo = SloRecorder::new(cfg.scenario.fault_window());
+    let mut digest = Fnv::new();
+    let (mut svc_frames, mut wire_bytes) = (0, 0);
     for b in &boards {
         assert!(b.idle(), "run finished with live work on a board");
         for c in &b.clients {
@@ -2005,37 +1778,53 @@ fn finish_run(
                 c.state.uid
             );
         }
-    }
-    for b in boards {
         b.digest_into(&mut digest);
         slo.merge(&b.slo);
-        report.crashed_ops += b.crashed_ops;
-        report.failovers += b.failovers;
-        report.solo_commits += b.solo_commits;
-        report.fenced += b.fenced;
-        report.step_downs += b.step_downs;
-        report.catchup_requests += b.catchup_requests;
-        report.catchups_completed += b.catchups_completed;
-        report.crashes += b.crashes;
-        report.rejoins += b.rejoins;
-        report.partition_drops += b.partition_drops;
-        report.delays_injected += b.delays_injected;
-        report.heartbeats_sent += b.heartbeats_sent;
-        report.client_rejections += b.client_rejections;
-        report.local_msgs += b.local_msgs;
-        report.sim_end = report.sim_end.max(b.last);
-        for (dst, (f, ch)) in b.flows.iter().zip(&b.out).enumerate() {
-            report.svc_frames += f.frames;
-            report.wire_bytes += f.wire_bytes;
-            if let Some(ch) = ch {
-                assert_eq!(
-                    f.wire_bytes,
-                    ch.bytes_carried(),
-                    "flow accounting diverged from the channel ({} -> {dst})",
-                    b.id
-                );
-            }
-        }
+        let total = b.port.audit();
+        svc_frames += total.frames;
+        wire_bytes += total.wire_bytes;
+    }
+    let sum = |f: fn(&ServiceBoard) -> u64| boards.iter().map(f).sum();
+    let mut report = ServiceRunReport {
+        boards: boards.len(),
+        shards: cfg.shards,
+        clients: u32::from(cfg.boards) * u32::from(cfg.clients_per_board),
+        total_client_ops: cfg.total_client_ops(),
+        ok_ops: slo.ok_in_window + slo.ok_out_window,
+        failed_ops: slo.failures,
+        crashed_ops: sum(|b| b.crashed_ops),
+        stale_served: slo.stale_served,
+        timeouts: slo.timeouts,
+        retries: slo.retries,
+        failovers: sum(|b| b.failovers),
+        solo_commits: sum(|b| b.solo_commits),
+        fenced: sum(|b| b.fenced),
+        step_downs: sum(|b| b.step_downs),
+        catchup_requests: sum(|b| b.catchup_requests),
+        catchups_completed: sum(|b| b.catchups_completed),
+        crashes: sum(|b| b.crashes),
+        rejoins: sum(|b| b.rejoins),
+        partition_drops: sum(|b| b.partition_drops),
+        delays_injected: sum(|b| b.delays_injected),
+        heartbeats_sent: sum(|b| b.heartbeats_sent),
+        client_rejections: sum(|b| b.client_rejections),
+        local_msgs: sum(|b| b.local_msgs),
+        committed_entries: 0,
+        availability_in_window: slo.availability_in_window(),
+        availability_out_window: slo.availability_out_window(),
+        svc_frames,
+        wire_bytes,
+        sim_end: boards.iter().map(|b| b.last).fold(Time::ZERO, Time::max),
+        epochs: par.epochs,
+        epochs_skipped: par.epochs_skipped,
+        messages: par.messages,
+        digest: digest.finish(),
+        slo,
+        shard_epochs: vec![0; usize::from(cfg.shards)],
+        shard_logs: vec![Vec::new(); usize::from(cfg.shards)],
+        acked: Vec::new(),
+    };
+    for b in boards {
         for (shard, r) in b.replicas {
             let s = usize::from(shard);
             report.shard_epochs[s] = report.shard_epochs[s].max(r.epoch);
@@ -2051,20 +1840,11 @@ fn finish_run(
     }
     report.acked.sort_by_key(|(uid, _)| *uid);
     report.committed_entries = report.shard_logs.iter().map(|l| l.len() as u64).sum();
-    report.ok_ops = slo.ok_in_window + slo.ok_out_window;
-    report.failed_ops = slo.failures;
-    report.stale_served = slo.stale_served;
-    report.timeouts = slo.timeouts;
-    report.retries = slo.retries;
-    report.availability_in_window = slo.availability_in_window();
-    report.availability_out_window = slo.availability_out_window();
     assert_eq!(
-        slo.completed() + report.crashed_ops,
+        report.slo.completed() + report.crashed_ops,
         report.total_client_ops,
         "client operations went missing"
     );
-    report.slo = slo;
-    report.digest = digest.0;
     report
 }
 
@@ -2073,13 +1853,7 @@ impl ServiceConfig {
     /// `threads` workers. The report — and any metrics or bench JSON
     /// derived from it — is bit-identical for every thread count.
     pub fn run_parallel(&self, threads: usize) -> ServiceRunReport {
-        assert!(threads >= 1, "need at least one worker thread");
-        let mut boards = make_boards(self);
-        let par_cfg = ParConfig::new(self.lookahead())
-            .with_threads(threads)
-            .with_channel_capacity(256);
-        let par = run_conservative(&mut boards, &par_cfg);
-        finish_run(self, boards, par.epochs, par.epochs_skipped, par.messages)
+        self.run(Engine::Conservative(threads))
     }
 
     /// Runs the service on the sequential reference driver. Exists to
@@ -2087,9 +1861,13 @@ impl ServiceConfig {
     /// [`ServiceRunReport::assert_matches`] against any
     /// [`ServiceConfig::run_parallel`] report must hold.
     pub fn run_reference(&self) -> ServiceRunReport {
+        self.run(Engine::Sequential)
+    }
+
+    fn run(&self, engine: Engine) -> ServiceRunReport {
         let mut boards = make_boards(self);
-        let messages = run_boards_reference(&mut boards);
-        finish_run(self, boards, 0, 0, messages)
+        let par = engine.run(&mut boards, self.lookahead());
+        finish_run(self, boards, par)
     }
 }
 

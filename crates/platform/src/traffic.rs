@@ -4,9 +4,9 @@
 //! places one [`SessionMux`] per board of a conservative-parallel
 //! cluster (the same engine as [`crate::cluster`] and
 //! [`crate::service`]), carries every TCP segment inside a bridge
-//! [`BridgeOp::Tcp`] frame over seeded [`Channel`]s, and drives full
-//! handshake / transfer / teardown sessions at TrafficEngine-style
-//! churn rates:
+//! [`BridgeOp::Tcp`] frame over seeded [`Channel`](enzian_sim::Channel)s,
+//! and drives full handshake / transfer / teardown sessions at
+//! TrafficEngine-style churn rates:
 //!
 //! * **Shared-nothing sharding**: each board is one generator running
 //!   client and server roles concurrently; segments are steered to the
@@ -26,18 +26,15 @@
 //! across thread counts and between the parallel engine and the
 //! sequential reference driver.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use enzian_eci::bridge::{decode_bridge, encode_bridge, BridgeMsg, BridgeOp};
-use enzian_net::eth::{EthLinkConfig, FRAME_OVERHEAD_BYTES};
+use enzian_net::eth::EthLinkConfig;
 use enzian_net::tcp::{LossPattern, SessionMux, TcpStackConfig, WireSegment, SEGMENT_LOSS_TARGET};
 use enzian_net::traffic::{decode_segment, encode_segment, PortMask};
-use enzian_sim::par::{run_conservative, Envelope, EpochWindow, ParConfig, Shard};
+use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::stats::LatencyHistogram;
-use enzian_sim::{Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, MetricsRegistry, Time};
+use enzian_sim::{Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FlowStats, Fnv};
+use crate::cluster::{FabricPort, Out};
 
 /// Store-and-forward latency of the top-of-rack hop every inter-board
 /// frame crosses (the same 1 µs as [`enzian_net::eth::Switch::tor`]).
@@ -244,13 +241,6 @@ impl TrafficWorkload {
 // The per-board shard
 // -------------------------------------------------------------------
 
-/// Key ordering per-board work: `(time, class, a, b)` where class 0 is
-/// an inbox delivery `(src, seq)`, 1 the mux's earliest timer
-/// `(timer seq, 0)`, and 2 the next scheduled open `(0, 0)`.
-type WorkKey = (Time, u8, u64, u64);
-
-type Out = Vec<(usize, Envelope<Vec<u8>>)>;
-
 /// One board of the traffic cluster: its session mux, its open
 /// schedule, and its half of the fabric.
 struct TrafficBoard {
@@ -262,10 +252,8 @@ struct TrafficBoard {
     opens_left: u64,
     opens_issued: u64,
     next_open: Option<Time>,
-    out: Vec<Option<Channel>>,
-    inbox: BinaryHeap<Reverse<Envelope<Vec<u8>>>>,
+    port: FabricPort,
     seq: u64,
-    flows: Vec<FlowStats>,
     /// Scratch buffer the mux emits into; drained after every event.
     buf: Vec<WireSegment>,
     last: Time,
@@ -276,10 +264,6 @@ impl TrafficBoard {
         self.id as u8
     }
 
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
-        self.inbox.push(Reverse(env));
-    }
-
     /// The destination of this board's `i`-th open: round-robin over
     /// the other boards in the mesh, always the proxy in the chain.
     fn open_dst(&self, i: u64) -> u8 {
@@ -288,26 +272,6 @@ impl TrafficBoard {
         }
         let others = self.n as u64 - 1;
         ((self.id as u64 + 1 + i % others) % self.n as u64) as u8
-    }
-
-    /// The next unit of work, or `None` when the board is quiescent.
-    fn next_key(&self) -> Option<WorkKey> {
-        let mut best: Option<WorkKey> = None;
-        let consider = |k: WorkKey, best: &mut Option<WorkKey>| {
-            if best.is_none_or(|b| k < b) {
-                *best = Some(k);
-            }
-        };
-        if let Some(Reverse(env)) = self.inbox.peek() {
-            consider((env.at, 0, env.src as u64, env.seq), &mut best);
-        }
-        if let Some((t, seq)) = self.mux.next_timer() {
-            consider((t, 1, seq, 0), &mut best);
-        }
-        if let Some(t) = self.next_open {
-            consider((t, 2, 0, 0), &mut best);
-        }
-        best
     }
 
     /// Frames every segment the mux emitted and hands it to the fabric.
@@ -332,12 +296,7 @@ impl TrafficBoard {
             // session payload itself is synthetic, so the channel is
             // charged for both to occupy the wire realistically.
             let wire = frame.len() as u64 + u64::from(ws.seg.len);
-            let ch = self.out[dst].as_mut().expect("no channel to self");
-            let xfer = ch.send(ws.at, wire);
-            let flow = &mut self.flows[dst];
-            flow.frames += 1;
-            flow.payload_bytes += u64::from(ws.seg.len);
-            flow.wire_bytes += wire;
+            let xfer = self.port.transmit(dst, ws.at, wire, u64::from(ws.seg.len));
             out.push((
                 dst,
                 Envelope {
@@ -353,7 +312,7 @@ impl TrafficBoard {
     }
 
     fn process_envelope(&mut self, out: &mut Out) {
-        let Reverse(env) = self.inbox.pop().expect("inbox not empty");
+        let env = self.port.pop_arrival();
         self.last = self.last.max(env.at);
         let msg = decode_bridge(&env.payload).expect("fabric frames survive transit");
         let BridgeOp::Tcp(bytes) = &msg.op else {
@@ -387,7 +346,37 @@ impl TrafficBoard {
         self.flush(out);
     }
 
-    /// Runs the single earliest unit of work on this board.
+    /// Folds this board's externally observable final state into `d`.
+    fn digest_into(&self, d: &mut Fnv) {
+        d.u64(self.id as u64);
+        d.u64(self.mux.state_digest());
+        self.port.digest_into(d);
+        d.u64(self.last.as_ps());
+    }
+}
+
+/// Work keys `(time, class, a, b)`: class 0 an inbox delivery
+/// `(src, seq)`, 1 the mux's earliest timer `(timer seq, 0)`, and 2 the
+/// next scheduled open `(0, 0)`.
+impl KeyedShard for TrafficBoard {
+    type Msg = Vec<u8>;
+
+    fn next_key(&self) -> Option<WorkKey> {
+        let mut best = self.port.next_key();
+        let mut consider = |k: WorkKey| {
+            if best.is_none_or(|b| k < b) {
+                best = Some(k);
+            }
+        };
+        if let Some((t, seq)) = self.mux.next_timer() {
+            consider((t, 1, seq, 0));
+        }
+        if let Some(t) = self.next_open {
+            consider((t, 2, 0, 0));
+        }
+        best
+    }
+
     fn process_next(&mut self, out: &mut Out) {
         let key = self.next_key().expect("process_next on a quiescent board");
         match key.1 {
@@ -398,40 +387,12 @@ impl TrafficBoard {
         }
     }
 
-    /// Folds this board's externally observable final state into `d`.
-    fn digest_into(&self, d: &mut Fnv) {
-        d.u64(self.id as u64);
-        d.u64(self.mux.state_digest());
-        for f in &self.flows {
-            d.u64(f.frames);
-            d.u64(f.payload_bytes);
-            d.u64(f.wire_bytes);
-        }
-        d.u64(self.last.as_ps());
-    }
-}
-
-impl Shard for TrafficBoard {
-    type Msg = Vec<u8>;
-
-    fn step(&mut self, window: EpochWindow, arrivals: Vec<Envelope<Vec<u8>>>, out: &mut Out) {
-        for env in arrivals {
-            self.inbox.push(Reverse(env));
-        }
-        while let Some(key) = self.next_key() {
-            if key.0 >= window.end {
-                break;
-            }
-            self.process_next(out);
-        }
+    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
+        self.port.push_arrival(env);
     }
 
     fn idle(&self) -> bool {
-        self.inbox.is_empty() && self.next_open.is_none() && self.mux.idle()
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        self.next_key().map(|k| k.0)
+        self.port.inbox_is_empty() && self.next_open.is_none() && self.mux.idle()
     }
 }
 
@@ -439,43 +400,11 @@ impl Shard for TrafficBoard {
 // Run drivers + report
 // -------------------------------------------------------------------
 
-/// Sequential reference driver: one global clock sweeping the earliest
-/// work item across all boards with immediate delivery. The per-board
-/// processing order is identical to the epoch engine's, so final states
-/// must match bit-for-bit.
-fn run_boards_reference(boards: &mut [TrafficBoard]) -> u64 {
-    let mut messages = 0;
-    let mut out = Vec::new();
-    loop {
-        let mut best: Option<(WorkKey, usize)> = None;
-        for (i, b) in boards.iter().enumerate() {
-            if let Some(k) = b.next_key() {
-                if best.is_none_or(|(bk, bi)| (k, i) < (bk, bi)) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { break };
-        boards[i].process_next(&mut out);
-        messages += out.len() as u64;
-        for (dst, env) in out.drain(..) {
-            boards[dst].push_arrival(env);
-        }
-    }
-    messages
-}
-
 fn make_boards(w: &TrafficWorkload) -> Vec<TrafficBoard> {
     w.validate();
     let n = usize::from(w.boards);
     let mask = PortMask::for_boards(usize::from(w.boards));
     let link = EthLinkConfig::hundred_gig();
-    let chan_cfg = ChannelConfig {
-        bits_per_sec: link.bits_per_sec,
-        coding_efficiency: 1.0,
-        propagation: link.propagation,
-        frame_overhead_bytes: FRAME_OVERHEAD_BYTES,
-    };
     (0..n)
         .map(|id| {
             let mut mux =
@@ -494,12 +423,8 @@ fn make_boards(w: &TrafficWorkload) -> Vec<TrafficBoard> {
                 opens_issued: 0,
                 next_open: (opens > 0)
                     .then(|| Time::ZERO + Duration::from_ns(50) * (id as u64 + 1)),
-                out: (0..n)
-                    .map(|d| (d != id).then(|| Channel::new(chan_cfg)))
-                    .collect(),
-                inbox: BinaryHeap::new(),
+                port: FabricPort::new(id, n, &link),
                 seq: 0,
-                flows: vec![FlowStats::default(); n],
                 buf: Vec::new(),
                 last: Time::ZERO,
             }
@@ -652,46 +577,10 @@ impl TrafficRunReport {
     }
 }
 
-fn finish_run(
-    w: &TrafficWorkload,
-    boards: Vec<TrafficBoard>,
-    epochs: u64,
-    epochs_skipped: u64,
-    messages: u64,
-) -> TrafficRunReport {
+fn finish_run(w: &TrafficWorkload, boards: Vec<TrafficBoard>, par: ParReport) -> TrafficRunReport {
     let mut digest = Fnv::new();
-    let mut report = TrafficRunReport {
-        boards: boards.len(),
-        opened: 0,
-        completed: 0,
-        accepted: 0,
-        closed_server: 0,
-        relayed_sessions: 0,
-        peak_flows: 0,
-        peak_flows_board: 0,
-        table_slots: 0,
-        segments_tx: 0,
-        segments_rx: 0,
-        data_segments: 0,
-        control_segments: 0,
-        dup_acks: 0,
-        payload_delivered: 0,
-        relayed_bytes: 0,
-        retransmissions: 0,
-        rto_fires: 0,
-        out_of_order: 0,
-        losses_injected: 0,
-        losses_recovered: 0,
-        frames: 0,
-        wire_bytes: 0,
-        handshake: LatencyHistogram::new(),
-        session: LatencyHistogram::new(),
-        sim_end: Time::ZERO,
-        epochs,
-        epochs_skipped,
-        messages,
-        digest: 0,
-    };
+    let (mut handshake, mut session) = (LatencyHistogram::new(), LatencyHistogram::new());
+    let (mut frames, mut wire_bytes) = (0, 0);
     for b in &boards {
         assert!(b.idle(), "run finished with live work on a board");
         assert_eq!(b.opens_left, 0, "a board retired with opens outstanding");
@@ -700,47 +589,49 @@ fn finish_run(
             b.mux.peak_flows(),
             "the slab grew past the concurrency high-water mark"
         );
-    }
-    for b in boards {
         b.digest_into(&mut digest);
-        let s = b.mux.stats();
-        report.opened += s.opened;
-        report.completed += s.completed;
-        report.accepted += s.accepted;
-        report.closed_server += s.closed_server;
-        report.relayed_sessions += s.relayed_sessions;
-        report.peak_flows += u64::from(b.mux.peak_flows());
-        report.peak_flows_board = report.peak_flows_board.max(u64::from(b.mux.peak_flows()));
-        report.table_slots += u64::from(b.mux.table_slots());
-        report.segments_tx += s.segments_tx;
-        report.segments_rx += s.segments_rx;
-        report.data_segments += s.data_segments;
-        report.control_segments += s.control_segments;
-        report.dup_acks += s.dup_acks;
-        report.payload_delivered += s.payload_delivered;
-        report.relayed_bytes += s.relayed_bytes;
-        report.retransmissions += s.retransmissions;
-        report.rto_fires += s.rto_fires;
-        report.out_of_order += s.out_of_order;
-        report.losses_injected += b.mux.loss().plan().injected(SEGMENT_LOSS_TARGET);
-        report.losses_recovered += b.mux.loss().plan().recovered(SEGMENT_LOSS_TARGET);
-        report.handshake.merge(&s.handshake);
-        report.session.merge(&s.session);
-        report.sim_end = report.sim_end.max(b.last);
-        for (dst, (f, ch)) in b.flows.iter().zip(&b.out).enumerate() {
-            report.frames += f.frames;
-            report.wire_bytes += f.wire_bytes;
-            if let Some(ch) = ch {
-                assert_eq!(
-                    f.wire_bytes,
-                    ch.bytes_carried(),
-                    "flow accounting diverged from the channel ({} -> {dst})",
-                    b.id
-                );
-            }
-        }
+        handshake.merge(&b.mux.stats().handshake);
+        session.merge(&b.mux.stats().session);
+        let total = b.port.audit();
+        frames += total.frames;
+        wire_bytes += total.wire_bytes;
     }
-    report.digest = digest.0;
+    let sum = |f: fn(&TrafficBoard) -> u64| boards.iter().map(f).sum();
+    let report = TrafficRunReport {
+        boards: boards.len(),
+        opened: sum(|b| b.mux.stats().opened),
+        completed: sum(|b| b.mux.stats().completed),
+        accepted: sum(|b| b.mux.stats().accepted),
+        closed_server: sum(|b| b.mux.stats().closed_server),
+        relayed_sessions: sum(|b| b.mux.stats().relayed_sessions),
+        peak_flows: sum(|b| u64::from(b.mux.peak_flows())),
+        peak_flows_board: boards
+            .iter()
+            .map(|b| u64::from(b.mux.peak_flows()))
+            .fold(0, u64::max),
+        table_slots: sum(|b| u64::from(b.mux.table_slots())),
+        segments_tx: sum(|b| b.mux.stats().segments_tx),
+        segments_rx: sum(|b| b.mux.stats().segments_rx),
+        data_segments: sum(|b| b.mux.stats().data_segments),
+        control_segments: sum(|b| b.mux.stats().control_segments),
+        dup_acks: sum(|b| b.mux.stats().dup_acks),
+        payload_delivered: sum(|b| b.mux.stats().payload_delivered),
+        relayed_bytes: sum(|b| b.mux.stats().relayed_bytes),
+        retransmissions: sum(|b| b.mux.stats().retransmissions),
+        rto_fires: sum(|b| b.mux.stats().rto_fires),
+        out_of_order: sum(|b| b.mux.stats().out_of_order),
+        losses_injected: sum(|b| b.mux.loss().plan().injected(SEGMENT_LOSS_TARGET)),
+        losses_recovered: sum(|b| b.mux.loss().plan().recovered(SEGMENT_LOSS_TARGET)),
+        frames,
+        wire_bytes,
+        handshake,
+        session,
+        sim_end: boards.iter().map(|b| b.last).fold(Time::ZERO, Time::max),
+        epochs: par.epochs,
+        epochs_skipped: par.epochs_skipped,
+        messages: par.messages,
+        digest: digest.finish(),
+    };
     assert_eq!(report.opened, w.total_sessions(), "opens went missing");
     assert_eq!(
         report.completed, report.opened,
@@ -776,13 +667,7 @@ impl TrafficWorkload {
     /// `threads` workers. The report — and any metrics or bench JSON
     /// derived from it — is bit-identical for every thread count.
     pub fn run_parallel(&self, threads: usize) -> TrafficRunReport {
-        assert!(threads >= 1, "need at least one worker thread");
-        let mut boards = make_boards(self);
-        let par_cfg = ParConfig::new(self.lookahead())
-            .with_threads(threads)
-            .with_channel_capacity(256);
-        let par = run_conservative(&mut boards, &par_cfg);
-        finish_run(self, boards, par.epochs, par.epochs_skipped, par.messages)
+        self.run(Engine::Conservative(threads))
     }
 
     /// Runs the workload on the sequential reference driver. Exists to
@@ -790,9 +675,13 @@ impl TrafficWorkload {
     /// [`TrafficRunReport::assert_matches`] against any
     /// [`TrafficWorkload::run_parallel`] report must hold.
     pub fn run_reference(&self) -> TrafficRunReport {
+        self.run(Engine::Sequential)
+    }
+
+    fn run(&self, engine: Engine) -> TrafficRunReport {
         let mut boards = make_boards(self);
-        let messages = run_boards_reference(&mut boards);
-        finish_run(self, boards, 0, 0, messages)
+        let par = engine.run(&mut boards, self.lookahead());
+        finish_run(self, boards, par)
     }
 }
 

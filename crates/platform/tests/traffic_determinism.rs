@@ -5,7 +5,7 @@
 //! connection-churn generator is a pure function of the workload, at
 //! threads ∈ {1, 2, 8}, against the sequential reference engine, and
 //! under an active segment-loss fault plan. The full-size legs behind
-//! `BENCH_traffic.json` run in release through `make traffic`; these
+//! `BENCH_traffic.json` run in release through `make determinism`; these
 //! tests drive scaled-down workloads through the identical code path.
 
 use enzian_platform::{TrafficRunReport, TrafficStack, TrafficWorkload};

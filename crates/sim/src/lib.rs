@@ -23,7 +23,10 @@
 //! * [`par`] — a conservative parallel execution layer: [`Shard`]s
 //!   advance in lock-step epochs of one lookahead, exchanging
 //!   timestamped [`Envelope`]s over bounded channels, with results that
-//!   are bit-identical for every thread count.
+//!   are bit-identical for every thread count (and, for
+//!   [`KeyedShard`]s, to a sequential reference sweep),
+//! * [`digest`] — the [`Fnv`] digest every determinism check folds
+//!   final states into.
 //!
 //! # Example
 //!
@@ -42,6 +45,7 @@
 pub mod alloc_count;
 pub mod calq;
 pub mod channel;
+pub mod digest;
 pub mod engine;
 pub mod explore;
 pub mod fault;
@@ -55,13 +59,17 @@ pub mod time;
 
 pub use calq::{CalEntry, CalendarQueue};
 pub use channel::{Channel, ChannelConfig};
+pub use digest::Fnv;
 pub use engine::{EventId, LivelockError, Pod, PodFn, Scheduler, Simulator};
 pub use explore::{
     Counterexample, ProtocolModel, SearchOutcome, SearchStats, SplitMix64, StateLimit, Succ,
     Violation,
 };
 pub use fault::{cluster_targets, FaultPlan, FaultSpec, FaultTrigger};
-pub use par::{run_conservative, Envelope, EpochBarrier, EpochWindow, ParConfig, ParReport, Shard};
+pub use par::{
+    run_conservative, run_sequential, Engine, Envelope, EpochBarrier, EpochWindow, KeyedShard,
+    ParConfig, ParReport, Shard, WorkKey,
+};
 pub use rng::SimRng;
 pub use telemetry::{Instrumented, MetricsRegistry, TraceEvent, TraceRing};
 pub use time::{Duration, Time};

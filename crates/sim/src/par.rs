@@ -40,6 +40,16 @@
 //! `--cfg loom` model in `crates/sim/tests/loom_par.rs` explores every
 //! interleaving of a small configuration to check this argument, and
 //! shows the counterexample when the drain rule is removed.
+//!
+//! # Keyed shards
+//!
+//! Most multi-board models are a heap of discrete work items processed
+//! earliest-first. Such a model implements [`KeyedShard`] — its next
+//! [`WorkKey`], how to run that item, how to hold an arrival — and gets
+//! [`Shard`] for free. It can then also run on [`run_sequential`], a
+//! genuinely different engine (one global earliest-work sweep with
+//! immediate delivery) whose final states must match the epoch engine's
+//! bit for bit. [`Engine::run`] is the single entry point for both.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,6 +148,67 @@ pub trait Shard: Send {
     }
 }
 
+/// Orders a [`KeyedShard`]'s work items: `(time, class, a, b)`. The
+/// class breaks same-instant ties between kinds of work (by convention
+/// class 0 is an inbox delivery keyed `(src, seq)`, so held messages run
+/// before local work at the same instant); `a` and `b` tie-break within
+/// a class.
+pub type WorkKey = (Time, u8, u64, u64);
+
+/// A shard whose work is a sequence of discrete items run strictly in
+/// [`WorkKey`] order. Every implementor is a [`Shard`] (it steps a window
+/// by absorbing its arrivals and then running every item keyed before
+/// the window's end) and can also run on [`run_sequential`].
+pub trait KeyedShard: Send {
+    /// The inter-shard message payload.
+    type Msg: Send;
+
+    /// The key of the earliest pending work item, or `None` when the
+    /// shard has nothing to run (though it may still be waiting on a
+    /// reply; see [`KeyedShard::idle`]).
+    fn next_key(&self) -> Option<WorkKey>;
+
+    /// Runs the item [`KeyedShard::next_key`] names, pushing outbound
+    /// messages as `(destination shard, envelope)`.
+    fn process_next(&mut self, out: &mut Vec<(usize, Envelope<Self::Msg>)>);
+
+    /// Holds a delivered message until its key comes up.
+    fn push_arrival(&mut self, env: Envelope<Self::Msg>);
+
+    /// `true` when the shard has no work left, held or awaited (see
+    /// [`Shard::idle`]).
+    fn idle(&self) -> bool;
+}
+
+impl<S: KeyedShard> Shard for S {
+    type Msg = S::Msg;
+
+    fn step(
+        &mut self,
+        window: EpochWindow,
+        arrivals: Vec<Envelope<Self::Msg>>,
+        out: &mut Vec<(usize, Envelope<Self::Msg>)>,
+    ) {
+        for env in arrivals {
+            self.push_arrival(env);
+        }
+        while self.next_key().is_some_and(|k| k.0 < window.end) {
+            self.process_next(out);
+        }
+    }
+
+    fn idle(&self) -> bool {
+        KeyedShard::idle(self)
+    }
+
+    /// The earliest key. Awaited work has none, but its wake-up envelope
+    /// is either held (covered here) or in flight (covered by the
+    /// engine's send-time fold), so the leader never jumps past it.
+    fn next_activity(&self) -> Option<Time> {
+        self.next_key().map(|k| k.0)
+    }
+}
+
 /// Tuning knobs of a conservative run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -177,7 +248,8 @@ impl ParConfig {
 }
 
 /// What a conservative run did. Every field is a pure function of the
-/// shards and the lookahead — never of the thread count.
+/// shards and the lookahead — never of the thread count. A
+/// [`run_sequential`] run has no epochs, so it reports only `messages`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParReport {
     /// Epochs executed, including the final all-quiet epoch.
@@ -562,6 +634,71 @@ pub fn run_conservative<S: Shard>(shards: &mut [S], cfg: &ParConfig) -> ParRepor
     }
 }
 
+/// The sequential reference engine: one global clock repeatedly runs
+/// the earliest `(key, shard index)` work item across all shards and
+/// delivers its messages immediately. Each shard still sees its own
+/// items in key order, so its final state must equal what
+/// [`run_conservative`] leaves — a genuinely different execution that
+/// validates the lookahead/epoch machinery.
+pub fn run_sequential<S: KeyedShard>(shards: &mut [S]) -> ParReport {
+    let mut messages = 0;
+    let mut out = Vec::new();
+    loop {
+        let mut best: Option<(WorkKey, usize)> = None;
+        for (i, s) in shards.iter().enumerate() {
+            if let Some(k) = s.next_key() {
+                if best.is_none_or(|b| (k, i) < b) {
+                    best = Some((k, i));
+                }
+            }
+        }
+        let Some((_, i)) = best else { break };
+        shards[i].process_next(&mut out);
+        messages += out.len() as u64;
+        for (dst, env) in out.drain(..) {
+            shards[dst].push_arrival(env);
+        }
+    }
+    ParReport {
+        epochs: 0,
+        epochs_skipped: 0,
+        messages,
+    }
+}
+
+/// Which engine runs a set of [`KeyedShard`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// [`run_sequential`]: the reference sweep.
+    Sequential,
+    /// [`run_conservative`] with this many worker threads.
+    Conservative(usize),
+}
+
+impl Engine {
+    /// Runs `shards` to quiescence on this engine. `lookahead` is the
+    /// minimum cross-shard latency (unused by the sequential sweep).
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero worker threads, and wherever the chosen engine
+    /// panics.
+    pub fn run<S: KeyedShard>(self, shards: &mut [S], lookahead: Duration) -> ParReport {
+        /// Inbound queue capacity per shard.
+        const CHANNEL_CAPACITY: usize = 256;
+        match self {
+            Engine::Sequential => run_sequential(shards),
+            Engine::Conservative(threads) => {
+                assert!(threads >= 1, "need at least one worker thread");
+                let cfg = ParConfig::new(lookahead)
+                    .with_threads(threads)
+                    .with_channel_capacity(CHANNEL_CAPACITY);
+                run_conservative(shards, &cfg)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,6 +914,140 @@ mod tests {
             "quiet epochs were executed, not skipped: {r1:?}"
         );
         assert!(r1.epochs_skipped > 1000, "{r1:?}");
+    }
+
+    /// A [`KeyedShard`] in which every shard ticks at the same instants
+    /// and broadcasts to all peers, so arrivals from several sources tie
+    /// on time; each arrival is relayed onward until its hop budget runs
+    /// out. The log records processing order.
+    struct Relay {
+        id: usize,
+        n: usize,
+        latency: Duration,
+        ticks: VecDeque<Time>,
+        seq: u64,
+        inbox: std::collections::BinaryHeap<std::cmp::Reverse<Envelope<u32>>>,
+        /// Every delivery, in processing order.
+        log: Vec<Delivery>,
+    }
+
+    /// `(time ps, src, hops left)` of one delivery.
+    type Delivery = (u64, usize, u32);
+
+    impl Relay {
+        fn send(&mut self, dst: usize, at: Time, hops: u32, out: &mut Vec<(usize, Envelope<u32>)>) {
+            self.seq += 1;
+            let env = Envelope {
+                at: at + self.latency,
+                src: self.id,
+                seq: self.seq,
+                payload: hops,
+            };
+            out.push((dst, env));
+        }
+    }
+
+    impl KeyedShard for Relay {
+        type Msg = u32;
+
+        fn next_key(&self) -> Option<WorkKey> {
+            let held = self
+                .inbox
+                .peek()
+                .map(|std::cmp::Reverse(e)| (e.at, 0, e.src as u64, e.seq));
+            let tick = self.ticks.front().map(|&t| (t, 1, 0, 0));
+            match (held, tick) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            }
+        }
+
+        fn process_next(&mut self, out: &mut Vec<(usize, Envelope<u32>)>) {
+            let key = self.next_key().expect("work pending");
+            if key.1 == 0 {
+                let std::cmp::Reverse(env) = self.inbox.pop().unwrap();
+                self.log.push((env.at.as_ps(), env.src, env.payload));
+                if env.payload > 0 {
+                    // Relay away from the sender, never to ourselves.
+                    let dst = (env.src + self.id + 1) % self.n;
+                    let dst = if dst == self.id {
+                        (dst + 1) % self.n
+                    } else {
+                        dst
+                    };
+                    self.send(dst, env.at, env.payload - 1, out);
+                }
+            } else {
+                let t = self.ticks.pop_front().unwrap();
+                for k in 1..self.n {
+                    self.send((self.id + k) % self.n, t, 2, out);
+                }
+            }
+        }
+
+        fn push_arrival(&mut self, env: Envelope<u32>) {
+            self.inbox.push(std::cmp::Reverse(env));
+        }
+
+        fn idle(&self) -> bool {
+            self.ticks.is_empty() && self.inbox.is_empty()
+        }
+    }
+
+    fn relays() -> Vec<Relay> {
+        let n = 4;
+        (0..n)
+            .map(|id| Relay {
+                id,
+                n,
+                latency: Duration::from_ns(10),
+                ticks: (0..5u64)
+                    .map(|i| Time::ZERO + Duration::from_ns(25) * i)
+                    .collect(),
+                seq: 0,
+                inbox: std::collections::BinaryHeap::new(),
+                log: Vec::new(),
+            })
+            .collect()
+    }
+
+    /// Each shard's delivery log and send count, once it is idle.
+    fn relay_state(shards: &[Relay]) -> Vec<(Vec<Delivery>, u64)> {
+        shards
+            .iter()
+            .inspect(|s| assert!(KeyedShard::idle(*s)))
+            .map(|s| (s.log.clone(), s.seq))
+            .collect()
+    }
+
+    #[test]
+    fn keyed_shards_match_the_sequential_sweep_at_every_thread_count() {
+        let mut reference = relays();
+        let seq = run_sequential(&mut reference);
+        let expect = relay_state(&reference);
+        assert_eq!(seq.epochs, 0);
+        // Four shards x five ticks x three peers, each relayed twice.
+        assert_eq!(seq.messages, 4 * 5 * 3 * 3);
+        let ties = expect[0]
+            .0
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1);
+        assert!(
+            ties.count() > 0,
+            "arrivals from different shards tie on time"
+        );
+        for threads in [1, 2, 4] {
+            let mut shards = relays();
+            let cfg = ParConfig::new(Duration::from_ns(10))
+                .with_threads(threads)
+                .with_channel_capacity(2);
+            let par = run_conservative(&mut shards, &cfg);
+            assert_eq!(relay_state(&shards), expect, "threads={threads}");
+            assert_eq!(par.messages, seq.messages, "threads={threads}");
+            assert!(par.epochs > 0);
+        }
+        let via_engine = Engine::Conservative(2).run(&mut relays(), Duration::from_ns(10));
+        assert_eq!(via_engine.messages, seq.messages);
     }
 
     #[test]

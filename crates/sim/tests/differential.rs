@@ -11,22 +11,13 @@
 //! queue answers with a window rebase).
 #![cfg(feature = "reference-core")]
 
-use enzian_sim::{reference, Duration, SimRng, Simulator, Time};
-
-/// One FNV-1a fold of a u64 into a running digest.
-fn fnv(digest: u64, v: u64) -> u64 {
-    let mut d = digest;
-    for byte in v.to_le_bytes() {
-        d = (d ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    d
-}
+use enzian_sim::{reference, Duration, Fnv, SimRng, Simulator, Time};
 
 /// The model both cores drive: a fire-order digest plus a PRNG that
 /// lets handlers make (identical) follow-up decisions.
 struct Trace {
     rng: SimRng,
-    digest: u64,
+    digest: Fnv,
     fired: u64,
 }
 
@@ -34,14 +25,16 @@ impl Trace {
     fn new(seed: u64) -> Self {
         Trace {
             rng: SimRng::seed_from(seed),
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: Fnv::new(),
             fired: 0,
         }
     }
 
     fn record(&mut self, now: Time, tag: u64) {
         self.fired += 1;
-        self.digest = fnv(fnv(fnv(self.digest, now.as_ps()), tag), self.fired);
+        self.digest.u64(now.as_ps());
+        self.digest.u64(tag);
+        self.digest.u64(self.fired);
     }
 }
 
@@ -61,7 +54,7 @@ macro_rules! drive {
         let mut sim = $sim;
         let mut script = SimRng::seed_from($seed ^ 0x5c21_17f0);
         let mut ids = Vec::new();
-        let mut cancels = 0xcbf2_9ce4_8422_2325u64;
+        let mut cancels = Fnv::new();
         for _ in 0..80 {
             match script.next_u64() % 10 {
                 0..=4 => {
@@ -79,7 +72,7 @@ macro_rules! drive {
                     // or cancelled twice — the outcome bit must agree.
                     if !ids.is_empty() {
                         let i = script.next_u64() as usize % ids.len();
-                        cancels = fnv(cancels, u64::from(sim.cancel(ids[i])));
+                        cancels.u64(u64::from(sim.cancel(ids[i])));
                     }
                 }
                 7 | 8 => {
@@ -90,7 +83,7 @@ macro_rules! drive {
                     } else {
                         sim.run_until(deadline)
                     };
-                    cancels = fnv(cancels, ran);
+                    cancels.u64(ran);
                 }
                 _ => {
                     // Drain and rewind; stale ids stay in `ids` so later
@@ -103,7 +96,7 @@ macro_rules! drive {
         sim.run();
         let end = sim.now().as_ps();
         let m = sim.into_model();
-        (m.digest, m.fired, cancels, end)
+        (m.digest.finish(), m.fired, cancels.finish(), end)
     }};
 }
 

@@ -1,0 +1,28 @@
+#!/bin/sh
+# Determinism check for one `reproduce` selector: runs it at threads 1,
+# 1, 2 and 8 and fails unless every BENCH_*.json of each run is
+# byte-identical to the first run's. Simulated results must be a pure
+# function of the seed, never of a rerun or the worker count.
+#
+#   scripts/determinism.sh <selector>
+#
+# Expects a release build (`cargo build --release`). The first run's
+# files stay in target/determinism/<selector>/t1a.
+set -eu
+
+sel=${1:?usage: scripts/determinism.sh <selector>}
+out=target/determinism/$sel
+rm -rf "$out"
+for run in t1a:1 t1b:1 t2:2 t8:8; do
+    dir=$out/${run%:*}
+    mkdir -p "$dir"
+    target/release/reproduce "$sel" --threads "${run#*:}" --bench-dir "$dir" > /dev/null
+done
+
+first=$(ls "$out"/t1a/BENCH_*.json)
+for f in $first; do
+    for dir in t1b t2 t8; do
+        cmp "$f" "$out/$dir/$(basename "$f")"
+    done
+done
+echo "$sel OK: BENCH files byte-identical across threads 1, 1, 2, 8"
