@@ -41,6 +41,11 @@
 //! permutations before the visited-set lookup; with at most three
 //! agents that is at most six encodings per state.
 //!
+//! The model state is a fixed-size `Copy` value sized by the envelope
+//! [`Explorer::new`] enforces (at most three agents, four lines and
+//! [`MAX_FIFO`]-deep channels), with every queue stored inline, so
+//! stepping and encoding a state allocate nothing.
+//!
 //! The search machinery itself — canonicalized BFS, shortest-path
 //! counterexamples, seeded random walks — is the generic
 //! [`enzian_sim::explore`] core; this module supplies the MOESI
@@ -48,8 +53,6 @@
 //! ([`Explorer`], [`ViolationReport`]) on top of it, bit-identically to
 //! the pre-extraction explorer (same state counts, same
 //! counterexamples).
-
-use std::collections::VecDeque;
 
 use enzian_cache::{check_global_invariant, local_step, probe_step, CoherenceRequest, LineState};
 use enzian_mem::{Addr, CacheLine, NodeId};
@@ -95,14 +98,16 @@ pub const ALL_MUTATIONS: [Mutation; 4] = [
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExploreConfig {
-    /// Number of caching agents (2 or 3; more is intractable).
+    /// Number of caching agents (1 to 3; more is intractable).
     pub agents: usize,
-    /// Number of cache lines homed at the single home node.
+    /// Number of cache lines homed at the single home node (1 to 4).
     pub lines: usize,
     /// Total stores permitted per line across all agents; bounds the
     /// data-version space.
     pub max_writes: u8,
-    /// Depth of each per-virtual-channel FIFO (the credit pool).
+    /// Depth of each agent-to-home virtual-channel FIFO (the credit
+    /// pool), 1 to [`MAX_FIFO`]; also the credit the home needs towards
+    /// an agent before a grant, probe or victim ack that waits for one.
     pub fifo_capacity: usize,
     /// Whether the home grants Exclusive on a read when it knows there
     /// are no other sharers (the E-state optimisation).
@@ -293,6 +298,22 @@ impl std::error::Error for ExploreError {
 // The protocol model
 // ---------------------------------------------------------------------
 
+/// Most caching agents [`Explorer::new`] accepts; sizes the state's
+/// per-agent arrays.
+const MAX_AGENTS: usize = 3;
+/// Most lines [`Explorer::new`] accepts; sizes the state's per-line
+/// arrays.
+const MAX_LINES: usize = 4;
+
+/// Deepest agent-to-home virtual-channel FIFO [`Explorer::new`] accepts
+/// as [`ExploreConfig::fifo_capacity`]. The model state is a fixed-size
+/// `Copy` value, so this bounds the inline storage of every queue.
+pub const MAX_FIFO: usize = 4;
+
+/// Depth of a home-to-agent queue: at most one probe and one response
+/// per line (see [`ModelState`] for the argument).
+const TO_AGENT_DEPTH: usize = 2 * MAX_LINES;
+
 /// Agent-to-home virtual channels (indices into the per-agent FIFO
 /// array). Home-to-agent traffic is a single in-order queue: probes and
 /// grants from one home may not overtake each other, which the real
@@ -381,6 +402,13 @@ enum Msg {
     VicAck(u8),
 }
 
+/// The filler of unused queue slots.
+impl Default for Msg {
+    fn default() -> Self {
+        Msg::GetS(0)
+    }
+}
+
 impl Msg {
     fn encode(self) -> [u8; 3] {
         match self {
@@ -405,6 +433,56 @@ impl Msg {
     }
 }
 
+/// An inline FIFO of at most `N` entries. Slots past `len` hold
+/// `T::default()`, so the derived equality compares contents only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Queue<T, const N: usize> {
+    len: u8,
+    items: [T; N],
+}
+
+impl<T: Copy + Default, const N: usize> Queue<T, N> {
+    fn new() -> Self {
+        Queue {
+            len: 0,
+            items: [T::default(); N],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[..self.len()]
+    }
+
+    fn front(&self) -> Option<T> {
+        self.as_slice().first().copied()
+    }
+
+    /// Appends `item`. The queue bounds argued on [`ModelState`] make
+    /// overflow a model bug, so it panics rather than drop a message.
+    fn push_back(&mut self, item: T) {
+        assert!(self.len() < N, "bounded queue of {N} overflowed");
+        self.items[self.len()] = item;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let first = self.front()?;
+        let len = self.len();
+        self.items.copy_within(1..len, 0);
+        self.items[len - 1] = T::default();
+        self.len -= 1;
+        Some(first)
+    }
+}
+
 /// What the home is waiting on for a busy line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Want {
@@ -426,11 +504,11 @@ struct Busy {
     data: Option<u8>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HomeLine {
     /// Per-agent record, driven exclusively through
     /// [`RemoteCopy::step`].
-    rec: Vec<RemoteCopy>,
+    rec: [RemoteCopy; MAX_AGENTS],
     busy: Option<Busy>,
 }
 
@@ -440,23 +518,50 @@ struct Hold {
     data: u8,
 }
 
-/// The complete model state. `Eq`/hashing go through
+/// The complete model state: a fixed-size `Copy` value, so a successor
+/// is a copy and the search allocates nothing per state. Only the first
+/// `n_agents` agents and `n_lines` lines are live; the rest stay at
+/// their initial values. `Eq`/hashing go through
 /// [`ModelState::canonical`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # Queue bounds
+///
+/// Every agent-to-home push waits for a credit, so each `to_home` FIFO
+/// holds at most `fifo_capacity` ≤ [`MAX_FIFO`] messages.
+///
+/// The home-to-agent queue is only partly credit-limited: invalidation
+/// probes (`PrbI`) and a write grant that needs no probe are pushed
+/// without a credit check. It is bounded per line instead. For each
+/// line, an agent's queue holds at most
+///
+/// * **one probe**: the home probes only a line that is not busy, and a
+///   probe makes the line busy with the agent in `pending` until the
+///   agent's ack for it reaches the home, which the agent sends only
+///   after taking the probe off its queue;
+/// * **one response** (a grant or a victim ack): each answers one request
+///   or victim of the agent for that line, which the agent sends from a
+///   stable state and then stays transient until that answer arrives.
+///
+/// So a `to_agent` queue holds at most 2 × lines messages, whatever the
+/// capacity: two agents on two lines queue four messages even at
+/// capacity 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ModelState {
+    n_agents: u8,
+    n_lines: u8,
     /// `agents[a][l]`.
-    agents: Vec<Vec<Hold>>,
-    home: Vec<HomeLine>,
+    agents: [[Hold; MAX_LINES]; MAX_AGENTS],
+    home: [HomeLine; MAX_LINES],
     /// Memory's version of each line.
-    mem: Vec<u8>,
+    mem: [u8; MAX_LINES],
     /// The globally latest version written to each line.
-    latest: Vec<u8>,
+    latest: [u8; MAX_LINES],
     /// Remaining store budget per line.
-    writes_left: Vec<u8>,
+    writes_left: [u8; MAX_LINES],
     /// `to_home[a][vc]`, vc in {REQ, RESP, EVICT}.
-    to_home: Vec<[VecDeque<Msg>; 3]>,
+    to_home: [[Queue<Msg, MAX_FIFO>; 3]; MAX_AGENTS],
     /// Single in-order home-to-agent queue per agent.
-    to_agent: Vec<VecDeque<Msg>>,
+    to_agent: [Queue<Msg, TO_AGENT_DEPTH>; MAX_AGENTS],
 }
 
 /// One transition of the model.
@@ -495,73 +600,83 @@ impl std::fmt::Display for Action {
 
 /// A message sent while applying an action, for trace rendering.
 /// `from`/`to` of `None` designate the home.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Sent {
     from: Option<u8>,
     to: Option<u8>,
     msg: Msg,
 }
 
-/// A successor: either a new state plus the messages the step put on
-/// the wire, or a protocol-legality error detected while stepping.
-/// The generic core's [`explore::Succ`] instantiated with the model
-/// state paired with its sent-message log (the log feeds trace
-/// rendering and is stripped off before the state reaches the core).
-type Succ = explore::Succ<(ModelState, Vec<Sent>), Action>;
+/// The messages one step puts on the wire: a single message, or one
+/// invalidation probe to every agent but the requester.
+type SentLog = Queue<Sent, { MAX_AGENTS - 1 }>;
+
+/// The outcome of one enabled transition: the next state plus the
+/// messages the step sent, or a protocol-legality error detected while
+/// stepping.
+type StepResult = Result<(ModelState, SentLog), String>;
+
+/// A successor, collected: the generic core's [`explore::Succ`] over a
+/// [`StepResult`] (the log feeds trace rendering and is stripped off
+/// before the state reaches the core).
+type Succ = explore::Succ<(ModelState, SentLog), Action>;
 
 impl ModelState {
     fn init(cfg: &ExploreConfig) -> Self {
+        let idle = Hold {
+            st: AState::I,
+            data: 0,
+        };
         ModelState {
-            agents: vec![
-                vec![
-                    Hold {
-                        st: AState::I,
-                        data: 0
-                    };
-                    cfg.lines
-                ];
-                cfg.agents
-            ],
-            home: vec![
-                HomeLine {
-                    rec: vec![RemoteCopy::None; cfg.agents],
-                    busy: None,
-                };
-                cfg.lines
-            ],
-            mem: vec![0; cfg.lines],
-            latest: vec![0; cfg.lines],
-            writes_left: vec![cfg.max_writes; cfg.lines],
-            to_home: (0..cfg.agents).map(|_| Default::default()).collect(),
-            to_agent: vec![VecDeque::new(); cfg.agents],
+            n_agents: cfg.agents as u8,
+            n_lines: cfg.lines as u8,
+            agents: [[idle; MAX_LINES]; MAX_AGENTS],
+            home: [HomeLine {
+                rec: [RemoteCopy::None; MAX_AGENTS],
+                busy: None,
+            }; MAX_LINES],
+            mem: [0; MAX_LINES],
+            latest: [0; MAX_LINES],
+            writes_left: [cfg.max_writes; MAX_LINES],
+            to_home: [[Queue::new(); 3]; MAX_AGENTS],
+            to_agent: [Queue::new(); MAX_AGENTS],
         }
     }
 
+    fn agents(&self) -> usize {
+        self.n_agents as usize
+    }
+
+    fn lines(&self) -> usize {
+        self.n_lines as usize
+    }
+
     fn quiescent(&self) -> bool {
-        self.agents.iter().all(|a| a.iter().all(|h| h.st.stable()))
-            && self.home.iter().all(|h| h.busy.is_none())
-            && self
-                .to_home
-                .iter()
-                .all(|q| q.iter().all(VecDeque::is_empty))
-            && self.to_agent.iter().all(VecDeque::is_empty)
+        let (n, lines) = (self.agents(), self.lines());
+        self.agents[..n]
+            .iter()
+            .all(|a| a[..lines].iter().all(|h| h.st.stable()))
+            && self.home[..lines].iter().all(|h| h.busy.is_none())
+            && self.to_home[..n].iter().flatten().all(Queue::is_empty)
+            && self.to_agent[..n].iter().all(Queue::is_empty)
     }
 
     /// Appends the state serialized under an agent permutation:
     /// `perm[i]` is the new index of old agent `i`.
     fn encode_under(&self, perm: &[usize], out: &mut Vec<u8>) {
-        let mut inv = [0usize; 3];
+        let lines = self.lines();
+        let mut inv = [0usize; MAX_AGENTS];
         for (old, &new) in perm.iter().enumerate() {
             inv[new] = old;
         }
         let inv = &inv[..perm.len()];
         for &old in inv {
-            for h in &self.agents[old] {
+            for h in &self.agents[old][..lines] {
                 out.push(h.st.encode());
                 out.push(h.data);
             }
         }
-        for hl in &self.home {
+        for hl in &self.home[..lines] {
             for &old in inv {
                 out.push(hl.rec[old] as u8);
             }
@@ -581,20 +696,21 @@ impl ModelState {
                 }
             }
         }
-        out.extend_from_slice(&self.mem);
-        out.extend_from_slice(&self.latest);
-        out.extend_from_slice(&self.writes_left);
+        out.extend_from_slice(&self.mem[..lines]);
+        out.extend_from_slice(&self.latest[..lines]);
+        out.extend_from_slice(&self.writes_left[..lines]);
         for &old in inv {
             for q in &self.to_home[old] {
-                out.push(q.len() as u8);
-                for m in q {
+                out.push(q.len);
+                for m in q.as_slice() {
                     out.extend_from_slice(&m.encode());
                 }
             }
         }
         for &old in inv {
-            out.push(self.to_agent[old].len() as u8);
-            for m in &self.to_agent[old] {
+            let q = &self.to_agent[old];
+            out.push(q.len);
+            for m in q.as_slice() {
                 out.extend_from_slice(&m.encode());
             }
         }
@@ -607,10 +723,12 @@ impl ModelState {
         out
     }
 
-    /// Appends [`ModelState::canonical`] to `out`.
+    /// Appends [`ModelState::canonical`] to `out`. Each further
+    /// permutation is encoded past the best so far and moved over it if
+    /// smaller; a permutation only reorders equal-sized per-agent
+    /// blocks, so every encoding has the same length.
     fn canonical_into(&self, out: &mut Vec<u8>) {
-        let n = self.agents.len();
-        let perms: &[&[usize]] = match n {
+        let perms: &[&[usize]] = match self.agents() {
             2 => &[&[0, 1], &[1, 0]],
             3 => &[
                 &[0, 1, 2],
@@ -624,25 +742,29 @@ impl ModelState {
         };
         let start = out.len();
         self.encode_under(perms[0], out);
-        let mut alt = Vec::new();
+        let end = out.len();
         for perm in &perms[1..] {
-            alt.clear();
-            self.encode_under(perm, &mut alt);
-            if alt[..] < out[start..] {
-                out.truncate(start);
-                out.extend_from_slice(&alt);
+            self.encode_under(perm, out);
+            debug_assert_eq!(out.len() - end, end - start);
+            if out[end..] < out[start..end] {
+                out.copy_within(end.., start);
             }
+            out.truncate(end);
         }
     }
 
     /// Checks the state invariants; `None` means clean.
     fn check(&self) -> Option<(ViolationKind, String)> {
-        for l in 0..self.home.len() {
-            let proj: Vec<LineState> = self.agents.iter().map(|a| a[l].st.project()).collect();
-            if let Err(e) = check_global_invariant(&proj) {
+        let agents = &self.agents[..self.agents()];
+        for l in 0..self.lines() {
+            let mut proj = [LineState::Invalid; MAX_AGENTS];
+            for (p, ag) in proj.iter_mut().zip(agents) {
+                *p = ag[l].st.project();
+            }
+            if let Err(e) = check_global_invariant(&proj[..agents.len()]) {
                 return Some((ViolationKind::Swmr, format!("line {l}: {e}")));
             }
-            for (a, hold) in self.agents.iter().map(|ag| &ag[l]).enumerate() {
+            for (a, hold) in agents.iter().map(|ag| &ag[l]).enumerate() {
                 if hold.st.project().is_readable() && hold.data != self.latest[l] {
                     return Some((
                         ViolationKind::DataValue,
@@ -661,15 +783,14 @@ impl ModelState {
     // -- transition helpers ------------------------------------------
 
     fn owner_of(&self, l: usize) -> Option<usize> {
-        self.home[l]
-            .rec
+        self.home[l].rec[..self.agents()]
             .iter()
             .position(|r| *r == RemoteCopy::Owner)
     }
 
     fn sharer_mask(&self, l: usize, except: usize) -> u8 {
         let mut mask = 0u8;
-        for (x, r) in self.home[l].rec.iter().enumerate() {
+        for (x, r) in self.home[l].rec[..self.agents()].iter().enumerate() {
             if x != except && *r == RemoteCopy::Shared {
                 mask |= 1 << x;
             }
@@ -680,6 +801,26 @@ impl ModelState {
     fn step_rec(&mut self, l: usize, a: usize, op: DirOp) -> Result<(), String> {
         self.home[l].rec[a] = self.home[l].rec[a].step(op).map_err(|e| e.to_string())?;
         Ok(())
+    }
+
+    /// Queues `msg` from the home to agent `to` and logs it.
+    fn send_to_agent(&mut self, to: usize, msg: Msg, sent: &mut SentLog) {
+        self.to_agent[to].push_back(msg);
+        sent.push_back(Sent {
+            from: None,
+            to: Some(to as u8),
+            msg,
+        });
+    }
+
+    /// Queues `msg` from agent `from` on home channel `vc` and logs it.
+    fn send_to_home(&mut self, from: usize, vc: usize, msg: Msg, sent: &mut SentLog) {
+        self.to_home[from][vc].push_back(msg);
+        sent.push_back(Sent {
+            from: Some(from as u8),
+            to: None,
+            msg,
+        });
     }
 
     /// Applies a store at the moment its grant lands.
@@ -699,20 +840,12 @@ impl ModelState {
         cfg: &ExploreConfig,
         a: usize,
         m: Msg,
-        sent: &mut Vec<Sent>,
+        sent: &mut SentLog,
     ) -> Result<Option<()>, String> {
         let l = m.line() as usize;
         if self.home[l].busy.is_some() {
             return Ok(None);
         }
-        let push_agent = |s: &mut Self, to: usize, msg: Msg, sent: &mut Vec<Sent>| {
-            s.to_agent[to].push_back(msg);
-            sent.push(Sent {
-                from: None,
-                to: Some(to as u8),
-                msg,
-            });
-        };
         match m {
             Msg::GetS(_) => {
                 // Victim acknowledgement guarantees the record is clear
@@ -731,14 +864,14 @@ impl ModelState {
                         }
                         // The injected bug: serve from (stale) memory
                         // while the owner still holds the line dirty.
-                        push_agent(self, a, Msg::DataS(l as u8, self.mem[l]), sent);
+                        self.send_to_agent(a, Msg::DataS(l as u8, self.mem[l]), sent);
                         self.home[l].rec[a] = RemoteCopy::Shared;
                         return Ok(Some(()));
                     }
                     if self.to_agent[o].len() >= cfg.fifo_capacity {
                         return Ok(None);
                     }
-                    push_agent(self, o, Msg::PrbS(l as u8), sent);
+                    self.send_to_agent(o, Msg::PrbS(l as u8), sent);
                     self.home[l].busy = Some(Busy {
                         req: a as u8,
                         want: Want::S,
@@ -750,10 +883,10 @@ impl ModelState {
                         return Ok(None);
                     }
                     if cfg.e_grant && self.sharer_mask(l, a) == 0 {
-                        push_agent(self, a, Msg::DataE(l as u8, self.mem[l]), sent);
+                        self.send_to_agent(a, Msg::DataE(l as u8, self.mem[l]), sent);
                         self.step_rec(l, a, DirOp::GrantOwner)?;
                     } else {
-                        push_agent(self, a, Msg::DataS(l as u8, self.mem[l]), sent);
+                        self.send_to_agent(a, Msg::DataS(l as u8, self.mem[l]), sent);
                         self.step_rec(l, a, DirOp::GrantShared)?;
                     }
                 }
@@ -765,14 +898,14 @@ impl ModelState {
                         self.home[l].rec[a]
                     ));
                 }
-                self.home_acquire_for_write(cfg, a, l, Want::M, sent)?;
+                self.home_acquire_for_write(a, l, Want::M, sent)?;
             }
             Msg::Upg(_) => match self.home[l].rec[a] {
                 // The requester's copy was invalidated while the upgrade
                 // was in flight; it has already converted to a full
                 // store miss and expects data.
                 RemoteCopy::None => {
-                    self.home_acquire_for_write(cfg, a, l, Want::M, sent)?;
+                    self.home_acquire_for_write(a, l, Want::M, sent)?;
                 }
                 RemoteCopy::Shared | RemoteCopy::Owner => {
                     if cfg.mutation == Some(Mutation::SkipInvalidateOnUpgrade) {
@@ -781,13 +914,13 @@ impl ModelState {
                         }
                         // The injected bug: ack the upgrade with the
                         // other sharers still holding readable copies.
-                        push_agent(self, a, Msg::AckM(l as u8), sent);
+                        self.send_to_agent(a, Msg::AckM(l as u8), sent);
                         if self.home[l].rec[a] != RemoteCopy::Owner {
                             self.step_rec(l, a, DirOp::GrantOwner)?;
                         }
                         return Ok(Some(()));
                     }
-                    self.home_acquire_for_write(cfg, a, l, Want::Upg, sent)?;
+                    self.home_acquire_for_write(a, l, Want::Upg, sent)?;
                 }
             },
             _ => return Err(format!("{m:?} on the request channel")),
@@ -796,15 +929,14 @@ impl ModelState {
     }
 
     /// Shared tail of GetM/Upg: invalidate every other copy, then grant.
-    /// (Blocked-ness was established by the caller for the no-probe
-    /// path; the probe path re-checks output credits itself.)
+    /// Neither the probes nor a grant that needs no probe wait for a
+    /// credit; the per-line bound on [`ModelState`] caps them.
     fn home_acquire_for_write(
         &mut self,
-        cfg: &ExploreConfig,
         a: usize,
         l: usize,
         want: Want,
-        sent: &mut Vec<Sent>,
+        sent: &mut SentLog,
     ) -> Result<(), String> {
         let mut mask = self.sharer_mask(l, a);
         if let Some(o) = self.owner_of(l) {
@@ -813,20 +945,13 @@ impl ModelState {
             }
         }
         if mask == 0 {
-            self.grant_write(a, l, want, None, sent)?;
-            return Ok(());
+            return self.grant_write(a, l, want, None, sent);
         }
-        for x in 0..self.agents.len() {
+        for x in 0..self.agents() {
             if mask & (1 << x) != 0 {
-                self.to_agent[x].push_back(Msg::PrbI(l as u8));
-                sent.push(Sent {
-                    from: None,
-                    to: Some(x as u8),
-                    msg: Msg::PrbI(l as u8),
-                });
+                self.send_to_agent(x, Msg::PrbI(l as u8), sent);
             }
         }
-        let _ = cfg;
         self.home[l].busy = Some(Busy {
             req: a as u8,
             want,
@@ -843,18 +968,13 @@ impl ModelState {
         l: usize,
         want: Want,
         data: Option<u8>,
-        sent: &mut Vec<Sent>,
+        sent: &mut SentLog,
     ) -> Result<(), String> {
         let msg = match want {
             Want::Upg => Msg::AckM(l as u8),
             _ => Msg::DataE(l as u8, data.unwrap_or(self.mem[l])),
         };
-        self.to_agent[a].push_back(msg);
-        sent.push(Sent {
-            from: None,
-            to: Some(a as u8),
-            msg,
-        });
+        self.send_to_agent(a, msg, sent);
         if self.home[l].rec[a] != RemoteCopy::Owner {
             self.step_rec(l, a, DirOp::GrantOwner)?;
         }
@@ -867,7 +987,7 @@ impl ModelState {
         cfg: &ExploreConfig,
         x: usize,
         m: Msg,
-        sent: &mut Vec<Sent>,
+        sent: &mut SentLog,
     ) -> Result<Option<()>, String> {
         let l = m.line() as usize;
         let Some(mut busy) = self.home[l].busy else {
@@ -912,12 +1032,7 @@ impl ModelState {
             match busy.want {
                 Want::S => {
                     let data = busy.data.unwrap_or(self.mem[l]);
-                    self.to_agent[req].push_back(Msg::DataS(l as u8, data));
-                    sent.push(Sent {
-                        from: None,
-                        to: Some(req as u8),
-                        msg: Msg::DataS(l as u8, data),
-                    });
+                    self.send_to_agent(req, Msg::DataS(l as u8, data), sent);
                     self.step_rec(l, req, DirOp::GrantShared)?;
                 }
                 w => self.grant_write(req, l, w, busy.data, sent)?,
@@ -934,7 +1049,7 @@ impl ModelState {
         cfg: &ExploreConfig,
         a: usize,
         m: Msg,
-        sent: &mut Vec<Sent>,
+        sent: &mut SentLog,
     ) -> Result<Option<()>, String> {
         let l = m.line() as usize;
         match m {
@@ -953,12 +1068,7 @@ impl ModelState {
                 // dropped (a fresher copy reached memory via the probe
                 // ack), but the record must still be cleared.
                 self.step_rec(l, a, DirOp::Revoke)?;
-                self.to_agent[a].push_back(Msg::VicAck(l as u8));
-                sent.push(Sent {
-                    from: None,
-                    to: Some(a as u8),
-                    msg: Msg::VicAck(l as u8),
-                });
+                self.send_to_agent(a, Msg::VicAck(l as u8), sent);
             }
             Msg::VicC(_) => {
                 if self.to_agent[a].len() >= cfg.fifo_capacity {
@@ -969,12 +1079,7 @@ impl ModelState {
                 if self.home[l].rec[a] != RemoteCopy::None {
                     self.step_rec(l, a, DirOp::Revoke)?;
                 }
-                self.to_agent[a].push_back(Msg::VicAck(l as u8));
-                sent.push(Sent {
-                    from: None,
-                    to: Some(a as u8),
-                    msg: Msg::VicAck(l as u8),
-                });
+                self.send_to_agent(a, Msg::VicAck(l as u8), sent);
             }
             _ => return Err(format!("{m:?} on the eviction channel")),
         }
@@ -987,7 +1092,7 @@ impl ModelState {
         cfg: &ExploreConfig,
         a: usize,
         m: Msg,
-        sent: &mut Vec<Sent>,
+        sent: &mut SentLog,
     ) -> Result<Option<()>, String> {
         let l = m.line() as usize;
         let st = self.agents[a][l].st;
@@ -1060,12 +1165,7 @@ impl ModelState {
                     } else {
                         Msg::PAck(l as u8)
                     };
-                    self.to_home[a][VC_RESP].push_back(reply);
-                    sent.push(Sent {
-                        from: Some(a as u8),
-                        to: None,
-                        msg: reply,
-                    });
+                    self.send_to_home(a, VC_RESP, reply, sent);
                 }
             }
             _ => return Err(format!("{m:?} sent towards an agent")),
@@ -1073,93 +1173,84 @@ impl ModelState {
         Ok(Some(()))
     }
 
-    /// All enabled transitions, in a fixed deterministic order.
-    fn successors(&self, cfg: &ExploreConfig) -> Vec<Succ> {
-        let mut out = Vec::new();
-        let n = self.agents.len();
+    /// Every enabled transition, in a fixed deterministic order, handed
+    /// to `emit` as it is generated.
+    fn each_successor(&self, cfg: &ExploreConfig, mut emit: impl FnMut(Action, StepResult)) {
+        let n = self.agents();
         // Agent-local actions: issues, upgrades, silent stores, evicts.
         for a in 0..n {
-            for l in 0..self.home.len() {
+            for l in 0..self.lines() {
                 let hold = self.agents[a][l];
-                if hold.st.stable() {
-                    let room = self.to_home[a][VC_REQ].len() < cfg.fifo_capacity;
-                    for write in [false, true] {
-                        if !hold.st.stable() {
-                            continue;
+                if !hold.st.stable() {
+                    continue;
+                }
+                let room = self.to_home[a][VC_REQ].len() < cfg.fifo_capacity;
+                for write in [false, true] {
+                    let step = local_step(hold.st.project(), write);
+                    match step.request {
+                        Some(CoherenceRequest::ReadShared) if room && !write => {
+                            let (action, next) = self.apply_issue(a, l, false, Msg::GetS(l as u8));
+                            emit(action, Ok(next));
                         }
-                        let step = local_step(hold.st.project(), write);
-                        match step.request {
-                            Some(CoherenceRequest::ReadShared) if room && !write => {
-                                out.push(self.apply_issue(a, l, false, Msg::GetS(l as u8)));
-                            }
-                            Some(CoherenceRequest::ReadExclusive)
-                                if room && write && self.writes_left[l] > 0 =>
-                            {
-                                out.push(self.apply_issue(a, l, true, Msg::GetM(l as u8)));
-                            }
-                            Some(CoherenceRequest::Upgrade)
-                                if room && write && self.writes_left[l] > 0 =>
-                            {
-                                out.push(self.apply_issue(a, l, true, Msg::Upg(l as u8)));
-                            }
-                            None if write
-                                && self.writes_left[l] > 0
-                                && hold.st.project().is_writable() =>
-                            {
-                                let mut s = self.clone();
-                                s.writes_left[l] -= 1;
-                                s.store(a, l);
-                                out.push(Succ {
-                                    action: Action::StoreLocal {
-                                        agent: a as u8,
-                                        line: l as u8,
-                                    },
-                                    result: Ok((s, Vec::new())),
-                                });
-                            }
-                            _ => {}
+                        Some(CoherenceRequest::ReadExclusive)
+                            if room && write && self.writes_left[l] > 0 =>
+                        {
+                            let (action, next) = self.apply_issue(a, l, true, Msg::GetM(l as u8));
+                            emit(action, Ok(next));
                         }
-                    }
-                    // Voluntary eviction.
-                    let evict_room = self.to_home[a][VC_EVICT].len() < cfg.fifo_capacity;
-                    if evict_room && hold.st != AState::I {
-                        let mut s = self.clone();
-                        let msg = if hold.st.project().is_dirty() {
-                            s.agents[a][l].st = AState::MiA;
-                            Msg::VicD(l as u8, hold.data)
-                        } else {
-                            s.agents[a][l] = Hold {
-                                st: AState::CiA,
-                                data: 0,
-                            };
-                            Msg::VicC(l as u8)
-                        };
-                        s.to_home[a][VC_EVICT].push_back(msg);
-                        out.push(Succ {
-                            action: Action::Evict {
+                        Some(CoherenceRequest::Upgrade)
+                            if room && write && self.writes_left[l] > 0 =>
+                        {
+                            let (action, next) = self.apply_issue(a, l, true, Msg::Upg(l as u8));
+                            emit(action, Ok(next));
+                        }
+                        None if write
+                            && self.writes_left[l] > 0
+                            && hold.st.project().is_writable() =>
+                        {
+                            let mut s = *self;
+                            s.writes_left[l] -= 1;
+                            s.store(a, l);
+                            let action = Action::StoreLocal {
                                 agent: a as u8,
                                 line: l as u8,
-                            },
-                            result: Ok((
-                                s,
-                                vec![Sent {
-                                    from: Some(a as u8),
-                                    to: None,
-                                    msg,
-                                }],
-                            )),
-                        });
+                            };
+                            emit(action, Ok((s, SentLog::new())));
+                        }
+                        _ => {}
                     }
+                }
+                // Voluntary eviction.
+                let evict_room = self.to_home[a][VC_EVICT].len() < cfg.fifo_capacity;
+                if evict_room && hold.st != AState::I {
+                    let mut s = *self;
+                    let msg = if hold.st.project().is_dirty() {
+                        s.agents[a][l].st = AState::MiA;
+                        Msg::VicD(l as u8, hold.data)
+                    } else {
+                        s.agents[a][l] = Hold {
+                            st: AState::CiA,
+                            data: 0,
+                        };
+                        Msg::VicC(l as u8)
+                    };
+                    let mut sent = SentLog::new();
+                    s.send_to_home(a, VC_EVICT, msg, &mut sent);
+                    let action = Action::Evict {
+                        agent: a as u8,
+                        line: l as u8,
+                    };
+                    emit(action, Ok((s, sent)));
                 }
             }
         }
         // Message deliveries.
         for a in 0..n {
             for vc in [VC_REQ, VC_RESP, VC_EVICT] {
-                if let Some(&m) = self.to_home[a][vc].front() {
-                    let mut s = self.clone();
+                if let Some(m) = self.to_home[a][vc].front() {
+                    let mut s = *self;
                     s.to_home[a][vc].pop_front();
-                    let mut sent = Vec::new();
+                    let mut sent = SentLog::new();
                     let r = match vc {
                         VC_REQ => s.home_request(cfg, a, m, &mut sent),
                         VC_RESP => s.home_probe_ack(cfg, a, m, &mut sent),
@@ -1170,41 +1261,44 @@ impl ModelState {
                         vc: vc as u8,
                     };
                     match r {
-                        Ok(Some(())) => out.push(Succ {
-                            action,
-                            result: Ok((s, sent)),
-                        }),
+                        Ok(Some(())) => emit(action, Ok((s, sent))),
                         Ok(None) => {} // blocked; stays queued
-                        Err(e) => out.push(Succ {
-                            action,
-                            result: Err(e),
-                        }),
+                        Err(e) => emit(action, Err(e)),
                     }
                 }
             }
-            if let Some(&m) = self.to_agent[a].front() {
-                let mut s = self.clone();
+            if let Some(m) = self.to_agent[a].front() {
+                let mut s = *self;
                 s.to_agent[a].pop_front();
-                let mut sent = Vec::new();
+                let mut sent = SentLog::new();
                 let action = Action::DeliverAgent { agent: a as u8 };
                 match s.agent_receive(cfg, a, m, &mut sent) {
-                    Ok(Some(())) => out.push(Succ {
-                        action,
-                        result: Ok((s, sent)),
-                    }),
+                    Ok(Some(())) => emit(action, Ok((s, sent))),
                     Ok(None) => {}
-                    Err(e) => out.push(Succ {
-                        action,
-                        result: Err(e),
-                    }),
+                    Err(e) => emit(action, Err(e)),
                 }
             }
         }
+    }
+
+    /// Every enabled transition, collected in [`each_successor`] order:
+    /// the replay and test view of the successor relation.
+    ///
+    /// [`each_successor`]: ModelState::each_successor
+    fn successors(&self, cfg: &ExploreConfig) -> Vec<Succ> {
+        let mut out = Vec::new();
+        self.each_successor(cfg, |action, result| out.push(Succ { action, result }));
         out
     }
 
-    fn apply_issue(&self, a: usize, l: usize, write: bool, msg: Msg) -> Succ {
-        let mut s = self.clone();
+    fn apply_issue(
+        &self,
+        a: usize,
+        l: usize,
+        write: bool,
+        msg: Msg,
+    ) -> (Action, (ModelState, SentLog)) {
+        let mut s = *self;
         s.agents[a][l].st = match (msg, s.agents[a][l].st) {
             (Msg::GetS(_), _) => AState::IsD,
             (Msg::GetM(_), _) => AState::ImD,
@@ -1218,7 +1312,8 @@ impl ModelState {
         if matches!(msg, Msg::GetS(_) | Msg::GetM(_)) {
             s.agents[a][l].data = 0;
         }
-        s.to_home[a][VC_REQ].push_back(msg);
+        let mut sent = SentLog::new();
+        s.send_to_home(a, VC_REQ, msg, &mut sent);
         let action = if matches!(msg, Msg::Upg(_)) {
             Action::Upgrade {
                 agent: a as u8,
@@ -1231,17 +1326,7 @@ impl ModelState {
                 write,
             }
         };
-        Succ {
-            action,
-            result: Ok((
-                s,
-                vec![Sent {
-                    from: Some(a as u8),
-                    to: None,
-                    msg,
-                }],
-            )),
-        }
+        (action, (s, sent))
     }
 
     /// Maps a model message onto the real ECI message set for trace
@@ -1306,15 +1391,12 @@ impl ProtocolModel for MoesiModel {
         state: &ModelState,
         out: &mut Vec<explore::Succ<ModelState, Action>>,
     ) {
-        out.extend(
-            state
-                .successors(&self.cfg)
-                .into_iter()
-                .map(|s| explore::Succ {
-                    action: s.action,
-                    result: s.result.map(|(state, _sent)| state),
-                }),
-        );
+        state.each_successor(&self.cfg, |action, result| {
+            out.push(explore::Succ {
+                action,
+                result: result.map(|(state, _sent)| state),
+            });
+        });
     }
 
     fn quiescent(&self, state: &ModelState) -> bool {
@@ -1346,14 +1428,14 @@ impl ProtocolModel for MoesiModel {
                 break; // the final action errored; nothing more to replay
             };
             if let Ok((next, sent)) = &succ.result {
-                for s in sent {
+                for s in sent.as_slice() {
                     buf.capture(
                         Time::ZERO + Duration::from_ns(step),
                         &ModelState::wire_message(s),
                     );
                     step += 1;
                 }
-                state = next.clone();
+                state = *next;
             }
         }
         format_trace(&buf)
@@ -1389,19 +1471,23 @@ impl Explorer {
     /// # Panics
     ///
     /// Panics if the configuration is outside the tractable envelope
-    /// (1–3 agents, 1–4 lines, FIFO capacity ≥ 1).
+    /// (1–3 agents, 1–4 lines, FIFO capacity 1–[`MAX_FIFO`]).
     pub fn new(cfg: ExploreConfig) -> Self {
         assert!(
-            (1..=3).contains(&cfg.agents),
-            "agents must be 1..=3, got {}",
+            (1..=MAX_AGENTS).contains(&cfg.agents),
+            "agents must be 1..={MAX_AGENTS}, got {}",
             cfg.agents
         );
         assert!(
-            (1..=4).contains(&cfg.lines),
-            "lines must be 1..=4, got {}",
+            (1..=MAX_LINES).contains(&cfg.lines),
+            "lines must be 1..={MAX_LINES}, got {}",
             cfg.lines
         );
-        assert!(cfg.fifo_capacity >= 1, "fifo_capacity must be at least 1");
+        assert!(
+            (1..=MAX_FIFO).contains(&cfg.fifo_capacity),
+            "fifo_capacity must be 1..={MAX_FIFO}, got {}",
+            cfg.fifo_capacity
+        );
         Explorer { cfg }
     }
 
@@ -1626,6 +1712,64 @@ mod tests {
             deduped.len() < keys.len(),
             "symmetric successors were not merged"
         );
+    }
+
+    /// The largest `to_home` and `to_agent` queue over every reachable
+    /// state of `cfg`, and the number of states.
+    fn queue_peaks(cfg: ExploreConfig) -> (usize, usize, usize) {
+        let init = ModelState::init(&cfg);
+        let mut seen = std::collections::HashSet::from([init.canonical()]);
+        let mut frontier = std::collections::VecDeque::from([init]);
+        let (mut to_home, mut to_agent) = (0, 0);
+        while let Some(s) = frontier.pop_front() {
+            for a in 0..cfg.agents {
+                to_agent = to_agent.max(s.to_agent[a].len());
+                for q in &s.to_home[a] {
+                    to_home = to_home.max(q.len());
+                }
+            }
+            s.each_successor(&cfg, |_, result| {
+                let (next, _) = result.expect("clean configurations step legally");
+                if seen.insert(next.canonical()) {
+                    frontier.push_back(next);
+                }
+            });
+        }
+        (to_home, to_agent, seen.len())
+    }
+
+    #[test]
+    fn every_reachable_queue_stays_within_its_proven_bound() {
+        let two = ExploreConfig::two_agent;
+        let cases = [
+            (two().with_fifo_capacity(1), 2),
+            (two(), 2),
+            (ExploreConfig::three_agent().with_fifo_capacity(1), 2),
+            (ExploreConfig::three_agent(), 2),
+            (
+                two().with_lines(2).with_max_writes(1).with_fifo_capacity(1),
+                3,
+            ),
+            (two().with_lines(2).with_max_writes(1), 4),
+        ];
+        for (cfg, peak) in cases {
+            let (to_home, to_agent, states) = queue_peaks(cfg);
+            assert!(
+                to_home <= cfg.fifo_capacity,
+                "{cfg:?}: to_home reached {to_home}"
+            );
+            assert!(
+                to_agent <= 2 * cfg.lines,
+                "{cfg:?}: to_agent reached {to_agent}"
+            );
+            assert_eq!(to_agent, peak, "{cfg:?} over {states} states");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fifo_capacity must be 1..=4")]
+    fn fifo_capacity_beyond_the_envelope_is_rejected() {
+        Explorer::new(ExploreConfig::two_agent().with_fifo_capacity(MAX_FIFO + 1));
     }
 
     #[test]

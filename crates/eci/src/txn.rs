@@ -163,9 +163,14 @@ impl MshrTable {
 
     /// Retires the in-flight transaction on `line_key` and returns the
     /// transaction to start next, if any: the oldest same-line waiter
-    /// (the entry stays allocated), or — once the entry frees — the first
-    /// overflow transaction that does not conflict with a live entry
-    /// (conflicting ones become waiters on their entry as they are met).
+    /// (the entry stays allocated), or — once the entry frees — the
+    /// oldest overflow transaction, in the freed slot.
+    ///
+    /// A transaction overflows only when its line has no entry, and an
+    /// entry started from the overflow queue takes every younger
+    /// same-line overflow transaction as its waiters, in order. So no
+    /// overflow transaction ever has a live entry, and a later same-line
+    /// admission queues behind all of them instead of overtaking one.
     pub(crate) fn retire(&mut self, line_key: u64) -> Option<PendingTxn> {
         let waiters = self
             .entries
@@ -175,16 +180,19 @@ impl MshrTable {
             return Some(next);
         }
         self.entries.remove(&line_key);
-        while let Some(p) = self.overflow.pop_front() {
-            let key = Self::key(&p);
-            if let Some(w) = self.entries.get_mut(&key) {
-                w.push_back(p);
-                continue;
+        let p = self.overflow.pop_front()?;
+        let key = Self::key(&p);
+        debug_assert!(!self.entries.contains_key(&key));
+        let mut waiters = VecDeque::new();
+        self.overflow.retain(|q| {
+            let same = Self::key(q) == key;
+            if same {
+                waiters.push_back(*q);
             }
-            self.entries.insert(key, VecDeque::new());
-            return Some(p);
-        }
-        None
+            !same
+        });
+        self.entries.insert(key, waiters);
+        Some(p)
     }
 }
 
@@ -261,5 +269,27 @@ mod tests {
         assert_eq!(t.retire(0).unwrap().handle, TxnHandle(4));
         // Txn 3 starts when its line retires.
         assert_eq!(t.retire(128).unwrap().handle, TxnHandle(3));
+    }
+
+    #[test]
+    fn overflowed_same_line_transactions_keep_their_order() {
+        let mut t = MshrTable::new(1);
+        assert!(matches!(t.admit(pend(1, 0)), Admitted::Start(_)));
+        // Line 128 has no entry and the table is full: both of its
+        // transactions park in the overflow queue, behind one on 256.
+        assert!(matches!(t.admit(pend(2, 128)), Admitted::Full));
+        assert!(matches!(t.admit(pend(3, 256)), Admitted::Full));
+        assert!(matches!(t.admit(pend(4, 128)), Admitted::Full));
+        // Retiring line 0 starts txn 2; txn 4 moves onto its entry.
+        assert_eq!(t.retire(0).unwrap().handle, TxnHandle(2));
+        assert_eq!((t.in_flight(), t.queued()), (1, 2));
+        // A younger same-line admission queues behind txn 4, not ahead.
+        assert!(matches!(t.admit(pend(5, 128)), Admitted::Conflict));
+        assert_eq!(t.retire(128).unwrap().handle, TxnHandle(4));
+        assert_eq!(t.retire(128).unwrap().handle, TxnHandle(5));
+        // Only then does the line free its slot for txn 3.
+        assert_eq!(t.retire(128).unwrap().handle, TxnHandle(3));
+        assert!(t.retire(256).is_none());
+        assert_eq!((t.in_flight(), t.queued()), (0, 0));
     }
 }

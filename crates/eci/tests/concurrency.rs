@@ -131,6 +131,33 @@ fn tight_mshr_table_still_serializes_and_completes() {
     }
 }
 
+/// Acquire→release pairs on a hot set twice the stock table's size
+/// overflow it, with same-line pairs parked in the overflow queue. Every
+/// pair must still run in issue order: a release overtaking its acquire
+/// would release an unheld line.
+#[test]
+fn overflowing_the_stock_table_keeps_same_line_order() {
+    let cfg = EciSystemConfig::enzian();
+    let mut sys = EciSystem::new(cfg);
+    let mut rng = SimRng::seed_from(1);
+    let gap = Duration::from_ns(3);
+    let mut handles = Vec::new();
+    for i in 0..1_000u64 {
+        let addr = Addr(rng.next_below(2 * cfg.mshr_entries as u64) * 128);
+        let at = Time::ZERO + gap * (2 * i);
+        handles.push(sys.issue(at, addr, TxnOp::FpgaAcquire { exclusive: true }));
+        handles.push(sys.issue(at + gap, addr, TxnOp::FpgaRelease(Some([1; 128]))));
+    }
+    sys.run_to_idle();
+    sys.checker().assert_clean();
+    let engine = sys.engine_stats();
+    assert!(engine.mshr_full_stalls > 0, "the stock table never filled");
+    assert_eq!(engine.completed, 2_000);
+    for h in handles {
+        assert!(sys.take_completion(h).is_some(), "{h:?} never completed");
+    }
+}
+
 /// The same invariants hold with frame corruption and drops injected
 /// under the concurrent traffic: the replay layer recovers transparently,
 /// the checker stays clean, and reruns stay byte-identical.

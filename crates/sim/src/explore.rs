@@ -46,7 +46,10 @@
 //! produced into buffers the search reuses
 //! ([`ProtocolModel::successors_into`],
 //! [`ProtocolModel::canonical_into`]), so a model whose state owns no
-//! heap memory is explored with no per-state allocation at all.
+//! heap memory is explored with no per-state allocation at all. Both
+//! in-tree models are such models: the TCP connection FSM
+//! (`enzian-net`) and the MOESI coherence model (`enzian-eci`) keep
+//! their whole state in a fixed-size `Copy` value.
 
 use std::collections::VecDeque;
 use std::fmt;
