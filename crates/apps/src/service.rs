@@ -483,9 +483,16 @@ fn get_result(r: &mut Reader<'_>) -> Result<KvResult, SvcWireError> {
     }
 }
 
-/// Encodes a service payload to bytes (the bridge frame's payload).
+/// Encodes a service payload to bytes of its own.
 pub fn encode_svc(p: &SvcPayload) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
+    encode_svc_into(p, &mut out);
+    out
+}
+
+/// Appends the encoding of `p` to `out`: how a board writes a service
+/// message straight into the bridge frame that carries it.
+pub fn encode_svc_into(p: &SvcPayload, out: &mut Vec<u8>) {
     match p {
         SvcPayload::Request {
             client,
@@ -503,7 +510,7 @@ pub fn encode_svc(p: &SvcPayload) -> Vec<u8> {
             out.extend_from_slice(&shard.to_le_bytes());
             out.extend_from_slice(&epoch.to_le_bytes());
             out.push(u8::from(*stale_ok));
-            put_op(&mut out, op);
+            put_op(out, op);
         }
         SvcPayload::Response {
             client,
@@ -521,7 +528,7 @@ pub fn encode_svc(p: &SvcPayload) -> Vec<u8> {
                 Ok(ok) => {
                     out.push(1);
                     out.push(u8::from(ok.stale));
-                    put_result(&mut out, &ok.result);
+                    put_result(out, &ok.result);
                 }
                 Err(e) => {
                     out.push(2);
@@ -553,7 +560,7 @@ pub fn encode_svc(p: &SvcPayload) -> Vec<u8> {
             out.extend_from_slice(&index.to_le_bytes());
             out.extend_from_slice(&client.to_le_bytes());
             out.extend_from_slice(&op_seq.to_le_bytes());
-            put_op(&mut out, op);
+            put_op(out, op);
         }
         SvcPayload::RepAck {
             shard,
@@ -590,7 +597,6 @@ pub fn encode_svc(p: &SvcPayload) -> Vec<u8> {
             out.extend_from_slice(&len.to_le_bytes());
         }
     }
-    out
 }
 
 /// Decodes one service payload.
@@ -681,6 +687,11 @@ pub fn decode_svc(buf: &[u8]) -> Result<SvcPayload, SvcWireError> {
         6 => {
             let seq = r.u32()?;
             let n = r.u16()? as usize;
+            // Six bytes per entry: a count the buffer cannot hold is a
+            // cut frame, caught before it sizes an allocation.
+            if n * 6 > buf.len() - r.at {
+                return Err(SvcWireError::Truncated);
+            }
             let mut epochs = Vec::with_capacity(n);
             for _ in 0..n {
                 let shard = r.u16()?;
@@ -1483,6 +1494,10 @@ mod tests {
         for p in corpus {
             let bytes = encode_svc(&p);
             assert_eq!(decode_svc(&bytes).unwrap(), p, "round trip failed");
+            // Encoding in place after other bytes writes the same bytes.
+            let mut framed = vec![0xEE; 5];
+            encode_svc_into(&p, &mut framed);
+            assert_eq!(framed[5..], bytes[..]);
             // Truncations are always detected.
             for cut in 0..bytes.len() {
                 assert!(decode_svc(&bytes[..cut]).is_err(), "cut {cut} accepted");

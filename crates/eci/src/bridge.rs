@@ -45,6 +45,20 @@
 //! `enzian-net::traffic` between boards: the payload is one encoded
 //! segment (header + synthetic payload length — the bridge does not
 //! interpret it) and `addr` is unused, like the `Svc*` opcodes.
+//!
+//! # One writer, one parser
+//!
+//! [`write_bridge`] is the only encoder. It appends the header to the
+//! caller's buffer, lets the caller encode the payload straight after
+//! it, then patches `paylen` and appends the CRC. A fabric board sizes
+//! one `Vec` per frame and hands it to the writer, so a cross-board
+//! message costs one allocation: the frame itself. [`BridgeFrame::parse`]
+//! is the only parser. It makes every check (truncation, magic,
+//! version, CRC, opcode against payload length) and returns the header
+//! plus a payload borrowed from the received bytes, so the receiver
+//! decodes the service message or TCP segment in place.
+//! [`encode_bridge`] and [`decode_bridge`] are thin owned wrappers over
+//! the two, for tests and capture tooling.
 
 use crate::wire::crc32;
 
@@ -59,6 +73,61 @@ pub const BRIDGE_MAGIC: u8 = 0xEB;
 pub const BRIDGE_VERSION: u8 = 1;
 
 const HEADER: usize = 20;
+
+/// The opcode byte of a bridge frame: which operation, and so which
+/// plane, the frame carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BridgeOpcode {
+    /// [`BridgeOp::ReadReq`].
+    ReadReq = 1,
+    /// [`BridgeOp::ReadResp`].
+    ReadResp = 2,
+    /// [`BridgeOp::WriteReq`].
+    WriteReq = 3,
+    /// [`BridgeOp::WriteAck`].
+    WriteAck = 4,
+    /// [`BridgeOp::Nack`].
+    Nack = 5,
+    /// [`BridgeOp::SvcClient`].
+    SvcClient = 6,
+    /// [`BridgeOp::SvcRep`].
+    SvcRep = 7,
+    /// [`BridgeOp::SvcCtl`].
+    SvcCtl = 8,
+    /// [`BridgeOp::Tcp`].
+    Tcp = 9,
+}
+
+impl BridgeOpcode {
+    fn from_byte(b: u8) -> Option<Self> {
+        use BridgeOpcode::*;
+        Some(match b {
+            1 => ReadReq,
+            2 => ReadResp,
+            3 => WriteReq,
+            4 => WriteAck,
+            5 => Nack,
+            6 => SvcClient,
+            7 => SvcRep,
+            8 => SvcCtl,
+            9 => Tcp,
+            _ => return None,
+        })
+    }
+
+    /// Whether a frame with this opcode may carry `len` payload bytes:
+    /// none for the line requests and acks, a whole line for
+    /// [`BridgeOpcode::ReadResp`]/[`BridgeOpcode::WriteReq`], and any
+    /// length for the opaque planes.
+    fn fits(self, len: usize) -> bool {
+        use BridgeOpcode::*;
+        match self {
+            ReadReq | WriteAck | Nack => len == 0,
+            ReadResp | WriteReq => len == 128,
+            SvcClient | SvcRep | SvcCtl | Tcp => true,
+        }
+    }
+}
 
 /// Operation carried by a bridge message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,21 +157,23 @@ pub enum BridgeOp {
 }
 
 impl BridgeOp {
-    fn opcode(&self) -> u8 {
+    /// The opcode this operation travels under.
+    pub fn opcode(&self) -> BridgeOpcode {
         match self {
-            BridgeOp::ReadReq => 1,
-            BridgeOp::ReadResp(_) => 2,
-            BridgeOp::WriteReq(_) => 3,
-            BridgeOp::WriteAck => 4,
-            BridgeOp::Nack => 5,
-            BridgeOp::SvcClient(_) => 6,
-            BridgeOp::SvcRep(_) => 7,
-            BridgeOp::SvcCtl(_) => 8,
-            BridgeOp::Tcp(_) => 9,
+            BridgeOp::ReadReq => BridgeOpcode::ReadReq,
+            BridgeOp::ReadResp(_) => BridgeOpcode::ReadResp,
+            BridgeOp::WriteReq(_) => BridgeOpcode::WriteReq,
+            BridgeOp::WriteAck => BridgeOpcode::WriteAck,
+            BridgeOp::Nack => BridgeOpcode::Nack,
+            BridgeOp::SvcClient(_) => BridgeOpcode::SvcClient,
+            BridgeOp::SvcRep(_) => BridgeOpcode::SvcRep,
+            BridgeOp::SvcCtl(_) => BridgeOpcode::SvcCtl,
+            BridgeOp::Tcp(_) => BridgeOpcode::Tcp,
         }
     }
 
-    fn payload(&self) -> &[u8] {
+    /// The payload bytes this operation carries on the wire.
+    pub fn payload(&self) -> &[u8] {
         match self {
             BridgeOp::ReadResp(d) | BridgeOp::WriteReq(d) => &d[..],
             BridgeOp::SvcClient(p)
@@ -129,6 +200,52 @@ pub struct BridgeMsg {
     pub seq: u32,
     /// The operation.
     pub op: BridgeOp,
+}
+
+impl BridgeMsg {
+    /// The message's header fields.
+    pub fn header(&self) -> BridgeHeader {
+        BridgeHeader {
+            opcode: self.op.opcode(),
+            src: self.src,
+            dst: self.dst,
+            token: self.token,
+            addr: self.addr,
+            seq: self.seq,
+        }
+    }
+}
+
+/// Every header field of a bridge frame except the payload length,
+/// which [`write_bridge`] fills in from the payload it wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BridgeHeader {
+    /// The operation (and plane) the frame carries.
+    pub opcode: BridgeOpcode,
+    /// Board that sent the frame.
+    pub src: u8,
+    /// Board it is addressed to.
+    pub dst: u8,
+    /// Requester-chosen tag (the issuing stream); replies echo it.
+    pub token: u8,
+    /// Global cluster address of the line concerned (zero for the
+    /// opaque planes).
+    pub addr: u64,
+    /// Per-sender sequence number.
+    pub seq: u32,
+}
+
+/// A bridge frame parsed in place: its header and a payload borrowed
+/// from the received bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BridgeFrame<'a> {
+    /// The header fields.
+    pub header: BridgeHeader,
+    /// The payload: empty for [`BridgeOpcode::ReadReq`],
+    /// [`BridgeOpcode::WriteAck`] and [`BridgeOpcode::Nack`], one line
+    /// for the line ops (see [`BridgeFrame::line`]), and the opaque
+    /// service or segment bytes for the other planes.
+    pub payload: &'a [u8],
 }
 
 /// Decoding failures. Mirrors the spirit of [`crate::wire::WireError`].
@@ -187,106 +304,163 @@ impl std::fmt::Display for BridgeError {
 
 impl std::error::Error for BridgeError {}
 
-/// Encodes `msg` into a framed byte buffer.
+/// Appends one bridge frame to `buf`: writes the header, lets
+/// `payload` append the payload bytes in place, then patches the
+/// length field and appends the CRC. Returns the payload length.
+///
+/// This is the one bridge encoder; [`encode_bridge`] wraps it.
 ///
 /// # Panics
 ///
-/// Panics if a `Svc*` payload exceeds the 16-bit length field.
-pub fn encode_bridge(msg: &BridgeMsg) -> Vec<u8> {
-    let payload = msg.op.payload();
+/// Panics if the payload exceeds the 16-bit length field or does not
+/// fit the opcode (none for requests and acks, 128 bytes for the line
+/// ops).
+pub fn write_bridge(
+    buf: &mut Vec<u8>,
+    header: &BridgeHeader,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[
+        BRIDGE_MAGIC,
+        BRIDGE_VERSION,
+        header.opcode as u8,
+        header.src,
+        header.dst,
+        header.token,
+        0, // paylen, patched below
+        0,
+    ]);
+    buf.extend_from_slice(&header.addr.to_le_bytes());
+    buf.extend_from_slice(&header.seq.to_le_bytes());
+    payload(buf);
+    let len = buf.len() - start - HEADER;
     assert!(
-        payload.len() <= usize::from(u16::MAX),
+        len <= usize::from(u16::MAX),
         "bridge payload exceeds the 16-bit length field"
     );
-    let mut buf = Vec::with_capacity(HEADER + payload.len() + 4);
-    buf.push(BRIDGE_MAGIC);
-    buf.push(BRIDGE_VERSION);
-    buf.push(msg.op.opcode());
-    buf.push(msg.src);
-    buf.push(msg.dst);
-    buf.push(msg.token);
-    buf.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-    buf.extend_from_slice(&msg.addr.to_le_bytes());
-    buf.extend_from_slice(&msg.seq.to_le_bytes());
-    debug_assert_eq!(buf.len(), HEADER);
-    buf.extend_from_slice(payload);
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    debug_assert_eq!(
-        buf.len() as u64,
-        BRIDGE_OVERHEAD_BYTES + payload.len() as u64
+    assert!(
+        header.opcode.fits(len),
+        "{:?} cannot carry a {len}-byte payload",
+        header.opcode
     );
+    buf[start + 6..start + 8].copy_from_slice(&(len as u16).to_le_bytes());
+    let crc = crc32(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    len
+}
+
+/// Encodes `msg` into a framed byte buffer of its own.
+///
+/// # Panics
+///
+/// Panics if a `Svc*` or `Tcp` payload exceeds the 16-bit length field.
+pub fn encode_bridge(msg: &BridgeMsg) -> Vec<u8> {
+    let payload = msg.op.payload();
+    let mut buf = Vec::with_capacity(HEADER + payload.len() + 4);
+    write_bridge(&mut buf, &msg.header(), |p| p.extend_from_slice(payload));
     buf
 }
 
-/// Decodes one complete bridge frame.
+impl<'a> BridgeFrame<'a> {
+    /// Parses the bridge frame at the start of `buf` without copying
+    /// it. Bytes past the frame's end are ignored.
+    ///
+    /// This is the one bridge parser; [`decode_bridge`] wraps it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BridgeError`] describing the first inconsistency
+    /// found, checking in this order: truncation, magic, version, the
+    /// CRC, then the opcode and its payload length.
+    pub fn parse(buf: &'a [u8]) -> Result<Self, BridgeError> {
+        if buf.len() < HEADER + 4 {
+            return Err(BridgeError::Truncated {
+                needed: HEADER + 4,
+                got: buf.len(),
+            });
+        }
+        if buf[0] != BRIDGE_MAGIC {
+            return Err(BridgeError::BadMagic(buf[0]));
+        }
+        if buf[1] != BRIDGE_VERSION {
+            return Err(BridgeError::BadVersion(buf[1]));
+        }
+        let paylen = u16::from_le_bytes([buf[6], buf[7]]);
+        let end = HEADER + usize::from(paylen);
+        if buf.len() < end + 4 {
+            return Err(BridgeError::Truncated {
+                needed: end + 4,
+                got: buf.len(),
+            });
+        }
+        let expected = crc32(&buf[..end]);
+        let found = u32::from_le_bytes(buf[end..end + 4].try_into().unwrap());
+        if expected != found {
+            return Err(BridgeError::BadCrc { expected, found });
+        }
+        let opcode = BridgeOpcode::from_byte(buf[2]).ok_or(BridgeError::BadOpcode(buf[2]))?;
+        if !opcode.fits(usize::from(paylen)) {
+            return Err(BridgeError::BadPayloadLength {
+                opcode: buf[2],
+                len: paylen,
+            });
+        }
+        Ok(BridgeFrame {
+            header: BridgeHeader {
+                opcode,
+                src: buf[3],
+                dst: buf[4],
+                token: buf[5],
+                addr: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
+                seq: u32::from_le_bytes(buf[16..20].try_into().unwrap()),
+            },
+            payload: &buf[HEADER..end],
+        })
+    }
+
+    /// The line a [`BridgeOpcode::ReadResp`] or
+    /// [`BridgeOpcode::WriteReq`] frame carries; `None` for every other
+    /// opcode.
+    pub fn line(&self) -> Option<&'a [u8; 128]> {
+        match self.header.opcode {
+            BridgeOpcode::ReadResp | BridgeOpcode::WriteReq => Some(
+                self.payload
+                    .try_into()
+                    .expect("parse checked the line length"),
+            ),
+            _ => None,
+        }
+    }
+}
+
+/// Decodes one complete bridge frame into an owned [`BridgeMsg`].
 ///
 /// # Errors
 ///
-/// Returns a [`BridgeError`] describing the first inconsistency found;
-/// the CRC is checked last, so structural errors win over bit rot.
+/// Returns the [`BridgeError`] [`BridgeFrame::parse`] reports.
 pub fn decode_bridge(buf: &[u8]) -> Result<BridgeMsg, BridgeError> {
-    if buf.len() < HEADER + 4 {
-        return Err(BridgeError::Truncated {
-            needed: HEADER + 4,
-            got: buf.len(),
-        });
-    }
-    if buf[0] != BRIDGE_MAGIC {
-        return Err(BridgeError::BadMagic(buf[0]));
-    }
-    if buf[1] != BRIDGE_VERSION {
-        return Err(BridgeError::BadVersion(buf[1]));
-    }
-    let opcode = buf[2];
-    let paylen = u16::from_le_bytes([buf[6], buf[7]]);
-    let total = HEADER + usize::from(paylen) + 4;
-    if buf.len() < total {
-        return Err(BridgeError::Truncated {
-            needed: total,
-            got: buf.len(),
-        });
-    }
-    let expected = crc32(&buf[..HEADER + usize::from(paylen)]);
-    let found = u32::from_le_bytes([
-        buf[total - 4],
-        buf[total - 3],
-        buf[total - 2],
-        buf[total - 1],
-    ]);
-    if expected != found {
-        return Err(BridgeError::BadCrc { expected, found });
-    }
-    let line = |buf: &[u8]| -> Result<Box<[u8; 128]>, BridgeError> {
-        let arr: [u8; 128] =
-            buf[HEADER..HEADER + 128]
-                .try_into()
-                .map_err(|_| BridgeError::BadPayloadLength {
-                    opcode,
-                    len: paylen,
-                })?;
-        Ok(Box::new(arr))
-    };
-    let svc = |buf: &[u8]| buf[HEADER..HEADER + usize::from(paylen)].to_vec();
-    let op = match (opcode, paylen) {
-        (1, 0) => BridgeOp::ReadReq,
-        (2, 128) => BridgeOp::ReadResp(line(buf)?),
-        (3, 128) => BridgeOp::WriteReq(line(buf)?),
-        (4, 0) => BridgeOp::WriteAck,
-        (5, 0) => BridgeOp::Nack,
-        (6, _) => BridgeOp::SvcClient(svc(buf)),
-        (7, _) => BridgeOp::SvcRep(svc(buf)),
-        (8, _) => BridgeOp::SvcCtl(svc(buf)),
-        (9, _) => BridgeOp::Tcp(svc(buf)),
-        (1..=5, len) => return Err(BridgeError::BadPayloadLength { opcode, len }),
-        (o, _) => return Err(BridgeError::BadOpcode(o)),
+    let frame = BridgeFrame::parse(buf)?;
+    let h = frame.header;
+    let line = || Box::new(*frame.line().expect("a line op"));
+    let opaque = || frame.payload.to_vec();
+    let op = match h.opcode {
+        BridgeOpcode::ReadReq => BridgeOp::ReadReq,
+        BridgeOpcode::ReadResp => BridgeOp::ReadResp(line()),
+        BridgeOpcode::WriteReq => BridgeOp::WriteReq(line()),
+        BridgeOpcode::WriteAck => BridgeOp::WriteAck,
+        BridgeOpcode::Nack => BridgeOp::Nack,
+        BridgeOpcode::SvcClient => BridgeOp::SvcClient(opaque()),
+        BridgeOpcode::SvcRep => BridgeOp::SvcRep(opaque()),
+        BridgeOpcode::SvcCtl => BridgeOp::SvcCtl(opaque()),
+        BridgeOpcode::Tcp => BridgeOp::Tcp(opaque()),
     };
     Ok(BridgeMsg {
-        src: buf[3],
-        dst: buf[4],
-        token: buf[5],
-        addr: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
-        seq: u32::from_le_bytes(buf[16..20].try_into().unwrap()),
+        src: h.src,
+        dst: h.dst,
+        token: h.token,
+        addr: h.addr,
+        seq: h.seq,
         op,
     })
 }
@@ -388,6 +562,66 @@ mod tests {
             assert_eq!(back, msg);
             assert_eq!(bytes, encode_bridge(&back), "re-encode is byte-identical");
         }
+    }
+
+    /// The encoder as it was before the in-place writer: every field
+    /// pushed in turn, the payload copied, the CRC appended.
+    fn reference_encode(msg: &BridgeMsg) -> Vec<u8> {
+        let payload = msg.op.payload();
+        let mut buf = vec![
+            BRIDGE_MAGIC,
+            BRIDGE_VERSION,
+            msg.op.opcode() as u8,
+            msg.src,
+            msg.dst,
+            msg.token,
+        ];
+        buf.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+        buf.extend_from_slice(&msg.addr.to_le_bytes());
+        buf.extend_from_slice(&msg.seq.to_le_bytes());
+        buf.extend_from_slice(payload);
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn in_place_writer_reproduces_the_reference_encoding_for_every_opcode() {
+        // Frames appended back to back after unrelated bytes, as a
+        // capture stream would hold them.
+        let mut stream = vec![0xAA; 3];
+        let mut expected = stream.clone();
+        for msg in corpus() {
+            let payload = msg.op.payload();
+            let len = write_bridge(&mut stream, &msg.header(), |p| p.extend_from_slice(payload));
+            assert_eq!(len, payload.len());
+            assert_eq!(encode_bridge(&msg), reference_encode(&msg), "{msg:?}");
+            expected.extend(reference_encode(&msg));
+        }
+        assert_eq!(stream, expected);
+    }
+
+    #[test]
+    fn borrowed_view_exposes_header_and_payload_in_place() {
+        for msg in corpus() {
+            let bytes = encode_bridge(&msg);
+            let frame = BridgeFrame::parse(&bytes).unwrap();
+            assert_eq!(frame.header, msg.header());
+            assert_eq!(frame.payload, msg.op.payload());
+            assert!(std::ptr::eq(frame.payload.as_ptr(), bytes[20..].as_ptr()));
+            match &msg.op {
+                BridgeOp::ReadResp(d) | BridgeOp::WriteReq(d) => {
+                    assert_eq!(frame.line(), Some(&**d));
+                }
+                _ => assert_eq!(frame.line(), None),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot carry")]
+    fn writer_rejects_a_payload_the_opcode_cannot_carry() {
+        write_bridge(&mut Vec::new(), &corpus()[0].header(), |p| p.push(1));
     }
 
     #[test]

@@ -58,7 +58,10 @@ pub mod system;
 pub mod txn;
 pub mod wire;
 
-pub use bridge::{decode_bridge, encode_bridge, BridgeError, BridgeMsg, BridgeOp};
+pub use bridge::{
+    decode_bridge, encode_bridge, write_bridge, BridgeError, BridgeFrame, BridgeHeader, BridgeMsg,
+    BridgeOp, BridgeOpcode,
+};
 pub use checker::{CheckerError, ProtocolChecker};
 pub use cosim::{CosimEndpoint, CosimHome, Loopback};
 pub use directory::{DirOp, DirStepError, Directory, DirectoryEntry, RemoteCopy};

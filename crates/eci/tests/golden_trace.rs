@@ -11,7 +11,8 @@
 use enzian_eci::bridge::BRIDGE_OVERHEAD_BYTES;
 use enzian_eci::decoder::{decode_trace, format_trace, TraceBuffer};
 use enzian_eci::{
-    decode_bridge, encode_bridge, encode_message, BridgeMsg, BridgeOp, Message, MessageKind, TxnId,
+    decode_bridge, encode_bridge, encode_message, write_bridge, BridgeMsg, BridgeOp, Message,
+    MessageKind, TxnId,
 };
 use enzian_mem::{Addr, CacheLine, NodeId};
 use enzian_sim::{Duration, Time};
@@ -187,6 +188,15 @@ fn golden_bridge_corpus_round_trips_byte_for_byte() {
     }
     assert_eq!(off, stored.len(), "trailing bytes in the corpus");
     assert_eq!(decoded, golden_bridge_corpus());
+    // The in-place writer, appending frame after frame into one buffer,
+    // lays down the same stream.
+    let mut streamed = Vec::new();
+    for msg in golden_bridge_corpus() {
+        write_bridge(&mut streamed, &msg.header(), |p| {
+            p.extend_from_slice(msg.op.payload())
+        });
+    }
+    assert_eq!(streamed, stored);
 }
 
 /// Rewrites the corpus from the current codecs. Run only when an

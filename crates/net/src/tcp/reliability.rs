@@ -22,6 +22,12 @@ use enzian_sim::Time;
 /// The RFC 1071 Internet checksum over a byte slice (odd-length buffers
 /// are virtually padded with a zero byte).
 pub fn internet_checksum(data: &[u8]) -> u16 {
+    !(ones_complement_sum(data) as u16)
+}
+
+/// The folded ones'-complement sum of `data` read as big-endian 16-bit
+/// words, an odd trailing byte padded with zero; always `<= 0xFFFF`.
+fn ones_complement_sum(data: &[u8]) -> u32 {
     let mut sum = 0u32;
     for chunk in data.chunks(2) {
         let word = if chunk.len() == 2 {
@@ -32,21 +38,17 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
         sum += u32::from(word);
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
-    !(sum as u16)
+    sum
 }
 
 /// Verifies `data` against a checksum computed by [`internet_checksum`]:
 /// summing the (zero-padded) data plus the checksum word must yield
 /// zero. This is how a receiver checks a segment whose trailer carries
-/// the transmitted checksum.
+/// the transmitted checksum; the checksum word is folded into the
+/// running sum, so nothing is copied.
 pub fn checksum_verifies(data: &[u8], checksum: u16) -> bool {
-    let mut framed = Vec::with_capacity(data.len() + 3);
-    framed.extend_from_slice(data);
-    if framed.len() % 2 == 1 {
-        framed.push(0);
-    }
-    framed.extend_from_slice(&checksum.to_be_bytes());
-    internet_checksum(&framed) == 0
+    let sum = ones_complement_sum(data) + u32::from(checksum);
+    !(((sum & 0xFFFF) + (sum >> 16)) as u16) == 0
 }
 
 /// Payload length of the segment starting at offset `sent` of a
@@ -228,6 +230,42 @@ mod tests {
             }
             assert_eq!(sent, len);
             assert_eq!(segs, len.div_ceil(mss as u64));
+        }
+    }
+
+    #[test]
+    fn checksum_verifies_matches_the_copying_definition() {
+        // The definition before the checksum word was folded in place:
+        // copy the segment, pad it to even length, append the word, and
+        // checksum the whole buffer.
+        fn copying(data: &[u8], checksum: u16) -> bool {
+            let mut framed = data.to_vec();
+            if framed.len() % 2 == 1 {
+                framed.push(0);
+            }
+            framed.extend_from_slice(&checksum.to_be_bytes());
+            internet_checksum(&framed) == 0
+        }
+        let mut rng = SimRng::seed_from(0xC4EC_0003);
+        for case in 0..2_000u64 {
+            let len = rng.range(0, 64) as usize;
+            let fill = rng.range(0, 2);
+            let data: Vec<u8> = (0..len)
+                .map(|_| match fill {
+                    0 => 0,
+                    1 => 0xFF,
+                    _ => rng.next_u64() as u8,
+                })
+                .collect();
+            let good = internet_checksum(&data);
+            for sum in [good, rng.next_u64() as u16, !good, 0, 0xFFFF] {
+                assert_eq!(
+                    checksum_verifies(&data, sum),
+                    copying(&data, sum),
+                    "case {case}: len {len}, checksum {sum:#06x}"
+                );
+            }
+            assert!(checksum_verifies(&data, good));
         }
     }
 

@@ -98,6 +98,8 @@ pub enum SegmentError {
     BadMagic(u8),
     /// Unknown format version.
     BadVersion(u8),
+    /// The pad byte after the board ids was not zero.
+    BadPad(u8),
     /// Header checksum mismatch.
     BadChecksum {
         /// Checksum computed from the header contents.
@@ -118,6 +120,7 @@ impl std::fmt::Display for SegmentError {
             }
             SegmentError::BadMagic(b) => write!(f, "bad segment magic {b:#04x}"),
             SegmentError::BadVersion(v) => write!(f, "unknown segment version {v}"),
+            SegmentError::BadPad(b) => write!(f, "nonzero segment pad byte {b:#04x}"),
             SegmentError::BadChecksum { expected, found } => {
                 write!(f, "segment checksum {found:#06x}, expected {expected:#06x}")
             }
@@ -127,27 +130,42 @@ impl std::fmt::Display for SegmentError {
 
 impl std::error::Error for SegmentError {}
 
-/// Encodes `seg` as a [`SEGMENT_HEADER_BYTES`]-byte header.
+/// Encodes `seg` as a [`SEGMENT_HEADER_BYTES`]-byte header of its own.
 pub fn encode_segment(seg: &Segment) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
-    out.push(SEGMENT_MAGIC);
-    out.push(SEGMENT_VERSION);
-    out.push(seg.flags);
-    out.push(seg.src_board);
-    out.push(seg.dst_board);
-    out.push(0); // pad: keeps the u32 fields aligned and the size even
+    encode_segment_into(seg, &mut out);
+    out
+}
+
+/// Appends the [`SEGMENT_HEADER_BYTES`]-byte header of `seg` to `out`:
+/// how a board writes a segment straight into its bridge frame.
+pub fn encode_segment_into(seg: &Segment, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[
+        SEGMENT_MAGIC,
+        SEGMENT_VERSION,
+        seg.flags,
+        seg.src_board,
+        seg.dst_board,
+        0, // pad: keeps the u32 fields aligned and the size even
+    ]);
     out.extend_from_slice(&seg.src_port.to_le_bytes());
     out.extend_from_slice(&seg.dst_port.to_le_bytes());
     out.extend_from_slice(&seg.seq.to_le_bytes());
     out.extend_from_slice(&seg.ack.to_le_bytes());
     out.extend_from_slice(&seg.len.to_le_bytes());
-    let sum = internet_checksum(&out);
+    let sum = internet_checksum(&out[start..]);
     out.extend_from_slice(&sum.to_le_bytes());
-    debug_assert_eq!(out.len() as u64, SEGMENT_HEADER_BYTES);
-    out
+    debug_assert_eq!((out.len() - start) as u64, SEGMENT_HEADER_BYTES);
 }
 
-/// Decodes a header produced by [`encode_segment`].
+/// Decodes a header produced by [`encode_segment`]; bytes past the
+/// header are ignored.
+///
+/// # Errors
+///
+/// Returns a [`SegmentError`] for a short buffer, a bad magic, version
+/// or pad byte, or a checksum mismatch.
 pub fn decode_segment(bytes: &[u8]) -> Result<Segment, SegmentError> {
     if bytes.len() < SEGMENT_HEADER_BYTES as usize {
         return Err(SegmentError::Truncated { got: bytes.len() });
@@ -157,6 +175,9 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Segment, SegmentError> {
     }
     if bytes[1] != SEGMENT_VERSION {
         return Err(SegmentError::BadVersion(bytes[1]));
+    }
+    if bytes[5] != 0 {
+        return Err(SegmentError::BadPad(bytes[5]));
     }
     let body = &bytes[..26];
     let found = u16::from_le_bytes([bytes[26], bytes[27]]);
@@ -402,6 +423,9 @@ mod tests {
         let bytes = encode_segment(&seg);
         assert_eq!(bytes.len() as u64, SEGMENT_HEADER_BYTES);
         assert_eq!(decode_segment(&bytes), Ok(seg));
+        let mut framed = vec![0xEB; 3];
+        encode_segment_into(&seg, &mut framed);
+        assert_eq!(framed[3..], bytes[..]);
         assert_eq!(seg.wire_bytes(), SEGMENT_HEADER_BYTES + 2048);
     }
 
@@ -428,6 +452,9 @@ mod tests {
             Err(SegmentError::Truncated { got: 10 })
         );
         assert_eq!(decode_segment(&[0u8; 28]), Err(SegmentError::BadMagic(0)));
+        let mut padded = encode_segment(&seg);
+        padded[5] = 8;
+        assert_eq!(decode_segment(&padded), Err(SegmentError::BadPad(8)));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use enzian_eci::bridge::{
-    decode_bridge, encode_bridge, BridgeMsg, BridgeOp, BRIDGE_OVERHEAD_BYTES,
+    write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode, BRIDGE_OVERHEAD_BYTES,
 };
 use enzian_eci::link::fault_targets;
 use enzian_eci::system::TXN_STALL_TARGET;
@@ -607,82 +607,92 @@ impl BoardShard {
         s
     }
 
-    /// Encodes `msg`, serializes it onto the channel towards `dst` at
-    /// `at`, accounts the flow, and emits the timestamped envelope.
-    fn send_frame(&mut self, dst: usize, at: Time, msg: &BridgeMsg, out: &mut Out) {
-        let bytes = encode_bridge(msg);
-        let payload = match msg.op {
-            BridgeOp::ReadResp(_) | BridgeOp::WriteReq(_) => 128,
-            _ => 0,
-        };
-        let xfer = self.port.transmit(dst, at, bytes.len() as u64, payload);
-        let seq = u64::from(msg.seq);
+    /// Frames `line` (if any) under `header` in place, serializes the
+    /// frame onto the channel towards `dst` at `at`, accounts the flow,
+    /// and emits the timestamped envelope.
+    fn send_frame(
+        &mut self,
+        dst: usize,
+        at: Time,
+        header: BridgeHeader,
+        line: Option<&[u8; 128]>,
+        out: &mut Out,
+    ) {
+        let line: &[u8] = line.map_or(&[], |l| &l[..]);
+        let mut frame = Vec::with_capacity(BRIDGE_HEADER as usize + line.len());
+        let payload = write_bridge(&mut frame, &header, |p| p.extend_from_slice(line));
+        let xfer = self
+            .port
+            .transmit(dst, at, frame.len() as u64, payload as u64);
         let env = Envelope {
             at: xfer.done + self.bridge_latency,
             src: self.id,
-            seq,
-            payload: bytes,
+            seq: u64::from(header.seq),
+            payload: frame,
         };
         out.push((dst, env));
+    }
+
+    /// Answers `req` with an `opcode` frame (carrying `line`, if any)
+    /// sent at `at`.
+    fn reply(
+        &mut self,
+        req: &BridgeHeader,
+        opcode: BridgeOpcode,
+        at: Time,
+        line: Option<&[u8; 128]>,
+        out: &mut Out,
+    ) {
+        let header = BridgeHeader {
+            opcode,
+            src: self.id as u8,
+            dst: req.src,
+            token: req.token,
+            addr: req.addr,
+            seq: self.next_seq(),
+        };
+        self.send_frame(usize::from(req.src), at, header, line, out);
     }
 
     /// Serves or completes the next inbox delivery.
     fn process_envelope(&mut self, out: &mut Out) {
         let env = self.port.pop_arrival();
-        let msg = decode_bridge(&env.payload).expect("fabric frames survive transit");
-        let src = usize::from(msg.src);
-        match msg.op {
-            BridgeOp::ReadReq => {
-                let local = Addr(msg.addr % self.slice_bytes);
-                let (op, at) = match self.sys.try_fpga_read_line(env.at, local) {
-                    Ok((data, served)) => (BridgeOp::ReadResp(Box::new(data)), served),
-                    Err(_) => (BridgeOp::Nack, env.at + Duration::from_us(1)),
+        let frame = BridgeFrame::parse(&env.payload).expect("fabric frames survive transit");
+        let h = frame.header;
+        match h.opcode {
+            BridgeOpcode::ReadReq => {
+                let local = Addr(h.addr % self.slice_bytes);
+                let (opcode, data, at) = match self.sys.try_fpga_read_line(env.at, local) {
+                    Ok((data, served)) => (BridgeOpcode::ReadResp, Some(data), served),
+                    Err(_) => (BridgeOpcode::Nack, None, env.at + Duration::from_us(1)),
                 };
                 self.last = self.last.max(at);
-                let reply = BridgeMsg {
-                    src: self.id as u8,
-                    dst: msg.src,
-                    token: msg.token,
-                    addr: msg.addr,
-                    seq: self.next_seq(),
-                    op,
-                };
-                self.send_frame(src, at, &reply, out);
+                self.reply(&h, opcode, at, data.as_ref(), out);
             }
-            BridgeOp::WriteReq(data) => {
-                let local = Addr(msg.addr % self.slice_bytes);
-                let (op, at) = match self.sys.try_fpga_write_line(env.at, local, &data) {
-                    Ok(committed) => (BridgeOp::WriteAck, committed),
-                    Err(_) => (BridgeOp::Nack, env.at + Duration::from_us(1)),
+            BridgeOpcode::WriteReq => {
+                let local = Addr(h.addr % self.slice_bytes);
+                let data = frame.line().expect("a write carries its line");
+                let (opcode, at) = match self.sys.try_fpga_write_line(env.at, local, data) {
+                    Ok(committed) => (BridgeOpcode::WriteAck, committed),
+                    Err(_) => (BridgeOpcode::Nack, env.at + Duration::from_us(1)),
                 };
                 self.last = self.last.max(at);
-                let reply = BridgeMsg {
-                    src: self.id as u8,
-                    dst: msg.src,
-                    token: msg.token,
-                    addr: msg.addr,
-                    seq: self.next_seq(),
-                    op,
-                };
-                self.send_frame(src, at, &reply, out);
+                self.reply(&h, opcode, at, None, out);
             }
-            BridgeOp::ReadResp(data) => {
-                let s = &mut self.streams[usize::from(msg.token)];
+            BridgeOpcode::ReadResp => {
+                let data = frame.line().expect("a read response carries its line");
+                let s = &mut self.streams[usize::from(h.token)];
                 let p = s.blocked.take().expect("response for an idle stream");
                 if let Some(Some(fill)) = s.shadow.get(&p.global) {
-                    assert_eq!(
-                        data.as_ref(),
-                        &[*fill; 128],
-                        "bridged read returned stale data"
-                    );
+                    assert_eq!(data, &[*fill; 128], "bridged read returned stale data");
                 }
                 s.at = env.at;
                 s.remaining -= 1;
                 self.remote_reads += 1;
                 self.last = self.last.max(env.at);
             }
-            BridgeOp::WriteAck => {
-                let s = &mut self.streams[usize::from(msg.token)];
+            BridgeOpcode::WriteAck => {
+                let s = &mut self.streams[usize::from(h.token)];
                 let p = s.blocked.take().expect("ack for an idle stream");
                 s.shadow.insert(p.global, Some(p.fill));
                 s.at = env.at;
@@ -690,8 +700,8 @@ impl BoardShard {
                 self.remote_writes += 1;
                 self.last = self.last.max(env.at);
             }
-            BridgeOp::Nack => {
-                let s = &mut self.streams[usize::from(msg.token)];
+            BridgeOpcode::Nack => {
+                let s = &mut self.streams[usize::from(h.token)];
                 let p = s.blocked.take().expect("nack for an idle stream");
                 if p.write {
                     s.shadow.insert(p.global, None);
@@ -702,10 +712,10 @@ impl BoardShard {
                 self.failures += 1;
                 self.last = self.last.max(env.at);
             }
-            BridgeOp::SvcClient(_)
-            | BridgeOp::SvcRep(_)
-            | BridgeOp::SvcCtl(_)
-            | BridgeOp::Tcp(_) => {
+            BridgeOpcode::SvcClient
+            | BridgeOpcode::SvcRep
+            | BridgeOpcode::SvcCtl
+            | BridgeOpcode::Tcp => {
                 unreachable!("service/traffic frames never ride the memory-bridge workload")
             }
         }
@@ -764,25 +774,24 @@ impl BoardShard {
                 }
             }
         } else {
-            let op = if write {
-                BridgeOp::WriteReq(Box::new([fill; 128]))
-            } else {
-                BridgeOp::ReadReq
-            };
-            let msg = BridgeMsg {
+            let header = BridgeHeader {
+                opcode: if write {
+                    BridgeOpcode::WriteReq
+                } else {
+                    BridgeOpcode::ReadReq
+                },
                 src: self.id as u8,
                 dst: dst as u8,
                 token: si as u8,
                 addr: global,
                 seq: self.next_seq(),
-                op,
             };
             self.streams[si].blocked = Some(PendingOp {
                 write,
                 global,
                 fill,
             });
-            self.send_frame(dst, at, &msg, out);
+            self.send_frame(dst, at, header, write.then_some(&[fill; 128]), out);
         }
     }
 

@@ -189,7 +189,7 @@ impl Shard for StormShard {
     fn step(
         &mut self,
         window: EpochWindow,
-        arrivals: Vec<Envelope<()>>,
+        arrivals: &mut Vec<Envelope<()>>,
         _out: &mut Vec<(usize, Envelope<()>)>,
     ) {
         debug_assert!(arrivals.is_empty());

@@ -49,13 +49,19 @@ use enzian_apps::service::{
     verify_log, AckState, Applied, ClientPlan, ClientState, KvOp, KvResult, LogEntry, Replica,
     RespErr, RespOk, RetryDecision, Role, ShardMap, SloRecorder, SvcError, SvcPayload,
 };
-use enzian_apps::{decode_svc, encode_svc, KvStoreConfig};
-use enzian_eci::bridge::{decode_bridge, encode_bridge, BridgeMsg, BridgeOp};
+use enzian_apps::{decode_svc, encode_svc_into, KvStoreConfig};
+use enzian_eci::bridge::{write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode};
 use enzian_net::eth::EthLinkConfig;
 use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::{cluster_targets, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FabricPort, Out};
+use crate::cluster::{FabricPort, Out, BRIDGE_HEADER};
+
+/// Bytes reserved for one service frame: the bridge framing plus 64
+/// bytes, which holds every request, response and replication message
+/// (values are at most 23 bytes) and a heartbeat for up to nine shards
+/// without regrowing.
+const SVC_FRAME_CAPACITY: usize = BRIDGE_HEADER as usize + 64;
 
 // -------------------------------------------------------------------
 // Configuration
@@ -512,29 +518,30 @@ impl ServiceBoard {
 
     /// Routes a payload to its bridge plane: client traffic, the
     /// replication stream, or control (heartbeats).
-    fn plane(payload: &SvcPayload, bytes: Vec<u8>) -> BridgeOp {
+    fn plane(payload: &SvcPayload) -> BridgeOpcode {
         match payload {
-            SvcPayload::Request { .. } | SvcPayload::Response { .. } => BridgeOp::SvcClient(bytes),
-            SvcPayload::Heartbeat { .. } => BridgeOp::SvcCtl(bytes),
-            _ => BridgeOp::SvcRep(bytes),
+            SvcPayload::Request { .. } | SvcPayload::Response { .. } => BridgeOpcode::SvcClient,
+            SvcPayload::Heartbeat { .. } => BridgeOpcode::SvcCtl,
+            _ => BridgeOpcode::SvcRep,
         }
     }
 
-    /// Encodes and sends one service payload towards `dst` at `at`,
-    /// applying partition/delay faults; same-board messages loop back
-    /// through the inbox after `local_latency`.
+    /// Encodes one service payload straight into its bridge frame and
+    /// sends it towards `dst` at `at`, applying partition/delay faults;
+    /// same-board messages loop back through the inbox after
+    /// `local_latency`.
     fn send_svc(&mut self, dst: usize, at: Time, payload: &SvcPayload, out: &mut Out) {
-        let bytes = encode_svc(payload);
-        let msg = BridgeMsg {
+        let header = BridgeHeader {
+            opcode: Self::plane(payload),
             src: self.me(),
             dst: dst as u8,
             token: 0,
             addr: 0,
             seq: self.next_seq(),
-            op: Self::plane(payload, bytes),
         };
-        let frame = encode_bridge(&msg);
-        let seq = u64::from(msg.seq);
+        let mut frame = Vec::with_capacity(SVC_FRAME_CAPACITY);
+        let payload_len = write_bridge(&mut frame, &header, |p| encode_svc_into(payload, p));
+        let seq = u64::from(header.seq);
         if dst == self.id {
             self.local_msgs += 1;
             self.port.push_arrival(Envelope {
@@ -554,12 +561,10 @@ impl ServiceBoard {
             extra = self.cfg.delay_extra;
             self.delays_injected += 1;
         }
-        let payload = match &msg.op {
-            BridgeOp::SvcClient(b) | BridgeOp::SvcRep(b) | BridgeOp::SvcCtl(b) => b.len() as u64,
-            _ => 0,
-        };
         let start = at.max(self.send_floor[dst]);
-        let xfer = self.port.transmit(dst, start, frame.len() as u64, payload);
+        let xfer = self
+            .port
+            .transmit(dst, start, frame.len() as u64, payload_len as u64);
         self.send_floor[dst] = xfer.start;
         out.push((
             dst,
@@ -719,14 +724,14 @@ impl ServiceBoard {
             self.partition_drops += 1;
             return;
         }
-        let msg = decode_bridge(&env.payload).expect("fabric frames survive transit");
-        let payload = match &msg.op {
-            BridgeOp::SvcClient(b) | BridgeOp::SvcRep(b) | BridgeOp::SvcCtl(b) => {
-                decode_svc(b).expect("service payloads survive transit")
+        let frame = BridgeFrame::parse(&env.payload).expect("fabric frames survive transit");
+        let payload = match frame.header.opcode {
+            BridgeOpcode::SvcClient | BridgeOpcode::SvcRep | BridgeOpcode::SvcCtl => {
+                decode_svc(frame.payload).expect("service payloads survive transit")
             }
             other => unreachable!("non-service frame on the service fabric: {other:?}"),
         };
-        let src = usize::from(msg.src);
+        let src = usize::from(frame.header.src);
         match payload {
             SvcPayload::Heartbeat { seq: _, epochs } => self.on_heartbeat(src, now, epochs, out),
             SvcPayload::Request {

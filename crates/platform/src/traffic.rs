@@ -4,7 +4,7 @@
 //! places one [`SessionMux`] per board of a conservative-parallel
 //! cluster (the same engine as [`crate::cluster`] and
 //! [`crate::service`]), carries every TCP segment inside a bridge
-//! [`BridgeOp::Tcp`] frame over seeded [`Channel`](enzian_sim::Channel)s,
+//! [`BridgeOpcode::Tcp`] frame over seeded [`Channel`](enzian_sim::Channel)s,
 //! and drives full handshake / transfer / teardown sessions at
 //! TrafficEngine-style churn rates:
 //!
@@ -26,15 +26,15 @@
 //! across thread counts and between the parallel engine and the
 //! sequential reference driver.
 
-use enzian_eci::bridge::{decode_bridge, encode_bridge, BridgeMsg, BridgeOp};
+use enzian_eci::bridge::{write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode};
 use enzian_net::eth::EthLinkConfig;
 use enzian_net::tcp::{LossPattern, SessionMux, TcpStackConfig, WireSegment, SEGMENT_LOSS_TARGET};
-use enzian_net::traffic::{decode_segment, encode_segment, PortMask};
+use enzian_net::traffic::{decode_segment, encode_segment_into, PortMask, SEGMENT_HEADER_BYTES};
 use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::stats::LatencyHistogram;
 use enzian_sim::{Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FabricPort, Out};
+use crate::cluster::{FabricPort, Out, BRIDGE_HEADER};
 
 /// Store-and-forward latency of the top-of-rack hop every inter-board
 /// frame crosses (the same 1 µs as [`enzian_net::eth::Switch::tor`]).
@@ -283,15 +283,16 @@ impl TrafficBoard {
         for ws in buf.drain(..) {
             let dst = usize::from(ws.seg.dst_board);
             debug_assert_ne!(dst, self.id, "the mux never emits to itself");
-            let msg = BridgeMsg {
+            let header = BridgeHeader {
+                opcode: BridgeOpcode::Tcp,
                 src: self.me(),
                 dst: ws.seg.dst_board,
                 token: 0,
                 addr: 0,
                 seq: self.seq as u32,
-                op: BridgeOp::Tcp(encode_segment(&ws.seg)),
             };
-            let frame = encode_bridge(&msg);
+            let mut frame = Vec::with_capacity((BRIDGE_HEADER + SEGMENT_HEADER_BYTES) as usize);
+            write_bridge(&mut frame, &header, |p| encode_segment_into(&ws.seg, p));
             // The encoded frame carries the 28-byte segment header; the
             // session payload itself is synthetic, so the channel is
             // charged for both to occupy the wire realistically.
@@ -314,11 +315,13 @@ impl TrafficBoard {
     fn process_envelope(&mut self, out: &mut Out) {
         let env = self.port.pop_arrival();
         self.last = self.last.max(env.at);
-        let msg = decode_bridge(&env.payload).expect("fabric frames survive transit");
-        let BridgeOp::Tcp(bytes) = &msg.op else {
-            unreachable!("non-traffic frame on the traffic fabric: {:?}", msg.op)
-        };
-        let seg = decode_segment(bytes).expect("segments survive transit");
+        let frame = BridgeFrame::parse(&env.payload).expect("fabric frames survive transit");
+        assert_eq!(
+            frame.header.opcode,
+            BridgeOpcode::Tcp,
+            "non-traffic frame on the traffic fabric"
+        );
+        let seg = decode_segment(frame.payload).expect("segments survive transit");
         self.mux.on_segment(env.at, &seg, &mut self.buf);
         self.flush(out);
     }

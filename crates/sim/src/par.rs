@@ -111,17 +111,19 @@ pub trait Shard: Send {
     /// The inter-shard message payload.
     type Msg: Send;
 
-    /// Advances the shard across `window`, first absorbing `arrivals`
+    /// Advances the shard across `window`, first draining `arrivals`
     /// (messages destined to this shard; *not* necessarily limited to
     /// this window — the shard must hold messages timestamped beyond
-    /// `window.end` for later epochs). Every outbound message is pushed
+    /// `window.end` for later epochs). The engine hands the same vector
+    /// back every epoch, so it must be left empty; its capacity is kept
+    /// for the next epoch. Every outbound message is pushed
     /// as `(destination shard, envelope)`; its `at` must be
     /// `≥ window.end`, which the lookahead guarantees for any physical
     /// link at least one epoch long.
     fn step(
         &mut self,
         window: EpochWindow,
-        arrivals: Vec<Envelope<Self::Msg>>,
+        arrivals: &mut Vec<Envelope<Self::Msg>>,
         out: &mut Vec<(usize, Envelope<Self::Msg>)>,
     );
 
@@ -186,10 +188,10 @@ impl<S: KeyedShard> Shard for S {
     fn step(
         &mut self,
         window: EpochWindow,
-        arrivals: Vec<Envelope<Self::Msg>>,
+        arrivals: &mut Vec<Envelope<Self::Msg>>,
         out: &mut Vec<(usize, Envelope<Self::Msg>)>,
     ) {
-        for env in arrivals {
+        for env in arrivals.drain(..) {
             self.push_arrival(env);
         }
         while self.next_key().is_some_and(|k| k.0 < window.end) {
@@ -495,10 +497,15 @@ impl<'a, S: Shard> Worker<'a, S> {
             let mut local_min = u64::MAX;
             Self::drain(&shared.queues, self.base, &mut self.stash);
             for local in 0..self.shards.len() {
-                let arrivals = std::mem::take(&mut self.stash[local]);
+                let arrivals = &mut self.stash[local];
                 self.shards[local].step(window, arrivals, &mut out);
+                assert!(
+                    arrivals.is_empty(),
+                    "shard {} left arrivals undrained",
+                    self.base + local
+                );
                 let sent = out.len() as u64;
-                for (dst, env) in std::mem::take(&mut out) {
+                for (dst, env) in out.drain(..) {
                     assert!(
                         env.at >= window.end,
                         "lookahead violation: {} sends an envelope at {} inside window ending {}",
@@ -742,10 +749,10 @@ mod tests {
         fn step(
             &mut self,
             window: EpochWindow,
-            arrivals: Vec<Envelope<u64>>,
+            arrivals: &mut Vec<Envelope<u64>>,
             out: &mut Vec<(usize, Envelope<u64>)>,
         ) {
-            for env in arrivals {
+            for env in arrivals.drain(..) {
                 self.inbox.push(std::cmp::Reverse(env));
             }
             // Deliver due messages as local events, in merge order.
@@ -833,10 +840,10 @@ mod tests {
         fn step(
             &mut self,
             window: EpochWindow,
-            arrivals: Vec<Envelope<u64>>,
+            arrivals: &mut Vec<Envelope<u64>>,
             out: &mut Vec<(usize, Envelope<u64>)>,
         ) {
-            for env in arrivals {
+            for env in arrivals.drain(..) {
                 self.inbox.push(std::cmp::Reverse(env));
             }
             while let Some(std::cmp::Reverse(env)) = self.inbox.peek() {
@@ -1083,7 +1090,7 @@ mod tests {
             fn step(
                 &mut self,
                 window: EpochWindow,
-                _arrivals: Vec<Envelope<()>>,
+                _arrivals: &mut Vec<Envelope<()>>,
                 out: &mut Vec<(usize, Envelope<()>)>,
             ) {
                 out.push((
