@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! reproduce [fig3|fig6|fig7|fig8|fig9|fig11|table1|fig12|fault_sweep|
-//!            pipelining|modelcheck|cluster_scale|sched_hotpath|service|
-//!            cc_sweep|traffic|all]
+//!            cc_sweep|pipelining|modelcheck|tcp_explore|cluster_scale|
+//!            sched_hotpath|service|traffic|all]
 //!           [--csv [dir]] [--bench-dir dir] [--no-bench] [--threads N]
 //! ```
 //!
@@ -19,9 +19,9 @@
 //!
 //! `--threads N` sets the worker count for the experiments that run on
 //! the parallel cluster engine (default: available parallelism, capped
-//! at 8). The flag changes wall clock only: the bench JSON is
-//! byte-identical for every value, which `make determinism` and the CI
-//! `determinism` matrix assert.
+//! at 8). The flag changes wall clock only: the bench JSON and the CSV
+//! tables are byte-identical for every value, which `make determinism`
+//! and the CI `determinism` matrix assert for every selector.
 
 use enzian_platform::experiments::{self, fig11, Experiment, ExperimentCtx};
 use enzian_sim::MetricsRegistry;
@@ -152,12 +152,7 @@ fn finish(opts: &Opts, figure: &str, reg: &MetricsRegistry, started: std::time::
 
 /// The generic driver every experiment runs through: run, print the
 /// rendered series, export the CSV tables, snapshot the registry.
-///
-/// `single` marks a one-experiment invocation; for those, experiments
-/// with [`Experiment::speedup_check`] re-run sequentially so the wall
-/// clocks can be compared — and everything else asserted bit-identical,
-/// since wall clock must be the only thread-dependent observable.
-fn run_one(e: &dyn Experiment, opts: &Opts, single: bool) {
+fn run_one(e: &dyn Experiment, opts: &Opts) {
     let started = std::time::Instant::now();
     let threads = if e.needs_threads() {
         opts.threads.unwrap_or_else(default_threads)
@@ -165,38 +160,11 @@ fn run_one(e: &dyn Experiment, opts: &Opts, single: bool) {
         1
     };
     let mut reg = MetricsRegistry::new();
-    let par_started = std::time::Instant::now();
     let rows = e.run(&mut ExperimentCtx {
         reg: &mut reg,
         threads,
     });
-    let par_wall = par_started.elapsed();
     println!("{}", e.render(&rows));
-    if single && e.speedup_check() && threads > 1 {
-        let mut seq_reg = MetricsRegistry::new();
-        let seq_started = std::time::Instant::now();
-        let seq_rows = e.run(&mut ExperimentCtx {
-            reg: &mut seq_reg,
-            threads: 1,
-        });
-        let seq_wall = seq_started.elapsed();
-        assert_eq!(
-            rows.tables, seq_rows.tables,
-            "thread count leaked into the rows"
-        );
-        assert_eq!(
-            reg.export_json(),
-            seq_reg.export_json(),
-            "thread count leaked into the metrics export"
-        );
-        eprintln!(
-            "{}: threads=1 {:.0} ms vs threads={threads} {:.0} ms ({:.2}x speedup)",
-            e.name(),
-            seq_wall.as_secs_f64() * 1e3,
-            par_wall.as_secs_f64() * 1e3,
-            seq_wall.as_secs_f64() / par_wall.as_secs_f64()
-        );
-    }
     for t in &rows.tables {
         export(&opts.csv, t.name, enzian_bench::to_csv(t.header, &t.rows));
     }
@@ -220,12 +188,12 @@ fn main() {
     match opts.experiment.as_str() {
         "all" => {
             for e in experiments::registry() {
-                run_one(*e, &opts, false);
+                run_one(*e, &opts);
             }
         }
         "table1" => run_table1(),
         name => match experiments::find(name) {
-            Ok(e) => run_one(e, &opts, true),
+            Ok(e) => run_one(e, &opts),
             Err(err) => {
                 eprintln!("{err} (aliases: table1|all)");
                 std::process::exit(2);

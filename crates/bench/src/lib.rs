@@ -1,12 +1,10 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! The real content of this crate lives in `benches/` (one harness group
-//! per paper table/figure, plus ablations and substrate microbenchmarks)
-//! and in the [`reproduce`](../src/bin/reproduce.rs) binary, which
-//! regenerates every evaluation series as text, CSV, and machine-readable
-//! `BENCH_<figure>.json` snapshots of the telemetry registry.
-
-pub mod harness;
+//! Output helpers for the [`reproduce`](../src/bin/reproduce.rs) binary,
+//! which regenerates every evaluation series as text, CSV, and
+//! machine-readable `BENCH_<figure>.json` snapshots of the telemetry
+//! registry. Every BENCH file and CSV is a pure function of the seed:
+//! `scripts/determinism.sh` checks both byte for byte across reruns and
+//! thread counts. Host time is measured by the separate benchmark under
+//! `benches/benchmark`.
 
 use enzian_sim::telemetry::{Json, MetricsRegistry};
 

@@ -71,6 +71,20 @@ pub enum WireError {
     SelfAddressed,
     /// An I/O access size was not 1, 2, 4 or 8.
     BadIoSize(u8),
+    /// The virtual-channel byte is not the channel the opcode travels on.
+    BadChannel {
+        /// Opcode of the frame.
+        opcode: u8,
+        /// Channel byte found in the header.
+        vc: u8,
+    },
+    /// A header field the opcode does not use holds a value the encoder
+    /// never writes: a nonzero reserved byte, a nonzero aux byte (other
+    /// than 8 for I/O data), or a nonzero address on an IPI.
+    UnusedField {
+        /// Opcode of the frame.
+        opcode: u8,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -94,6 +108,15 @@ impl std::fmt::Display for WireError {
             }
             WireError::SelfAddressed => write!(f, "source and destination nodes are equal"),
             WireError::BadIoSize(s) => write!(f, "invalid i/o access size {s}"),
+            WireError::BadChannel { opcode, vc } => {
+                write!(f, "opcode {opcode:#04x} sent on virtual channel {vc}")
+            }
+            WireError::UnusedField { opcode } => {
+                write!(
+                    f,
+                    "opcode {opcode:#04x} sets a header field it does not use"
+                )
+            }
         }
     }
 }
@@ -221,33 +244,44 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// The address and aux header fields of `kind`'s frame: the line index
+/// or byte address (zero for an IPI), and the I/O access size or IPI
+/// vector (zero where unused).
+fn addr_and_aux(kind: &MessageKind) -> (u64, u8) {
+    use MessageKind::*;
+    match kind {
+        IoRead { addr, size } | IoWrite { addr, size, .. } => (addr.0, *size),
+        IoData { addr, .. } => (addr.0, 8),
+        IoAck { addr } => (addr.0, 0),
+        Ipi { vector } => (0, *vector),
+        // Every other kind names a cache line.
+        _ => (kind.line().map_or(0, |l| l.0), 0),
+    }
+}
+
 /// Encodes a message into a framed byte buffer.
 pub fn encode_message(msg: &Message) -> Vec<u8> {
     use MessageKind::*;
 
-    let (addr_field, aux, payload): (u64, u8, &[u8]) = match &msg.kind {
-        ReadShared(l) | ReadExclusive(l) | Upgrade(l) | ReadOnce(l) | ProbeShared(l)
-        | ProbeInvalidate(l) | Ack(l) | ProbeAck(l) | VictimClean(l) => (l.0, 0, &[]),
-        WriteLine(l, d)
-        | DataShared(l, d)
-        | DataExclusive(l, d)
-        | ProbeAckData(l, d)
-        | VictimDirty(l, d) => (l.0, 0, &d[..]),
-        IoRead { addr, size } => (addr.0, *size, &[]),
-        IoWrite { addr, size, data } => {
-            // Payload is the low `size` bytes of `data`; encoded below.
-            (addr.0, *size, &data.to_le_bytes()[..])
+    let io;
+    let payload: &[u8] = match &msg.kind {
+        WriteLine(_, d)
+        | DataShared(_, d)
+        | DataExclusive(_, d)
+        | ProbeAckData(_, d)
+        | VictimDirty(_, d) => &d[..],
+        // The payload is the low `size` bytes of `data`.
+        IoWrite { size, data, .. } => {
+            io = data.to_le_bytes();
+            &io[..usize::from(*size)]
         }
-        IoData { addr, data } => (addr.0, 8, &data.to_le_bytes()[..]),
-        IoAck { addr } => (addr.0, 0, &[]),
-        Ipi { vector } => (0, *vector, &[]),
+        IoData { data, .. } => {
+            io = data.to_le_bytes();
+            &io[..]
+        }
+        _ => &[],
     };
-    // IoWrite payload is truncated to its access size.
-    let payload: &[u8] = if let IoWrite { size, .. } = &msg.kind {
-        &payload[..usize::from(*size)]
-    } else {
-        payload
-    };
+    let (addr_field, aux) = addr_and_aux(&msg.kind);
 
     let mut buf = Vec::with_capacity(HEADER_BYTES as usize + payload.len() + 4);
     buf.push(MAGIC);
@@ -326,7 +360,7 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
     if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let _vc = buf[2];
+    let vc = buf[2];
     let op = buf[3];
     let src = byte_node(buf[4])?;
     let dst = byte_node(buf[5])?;
@@ -452,6 +486,14 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
         }
         other => return Err(WireError::BadOpcode(other)),
     };
+    // Only the bytes the encoder would write are accepted, so a decoded
+    // frame always re-encodes to exactly the bytes it was read from.
+    if vc != kind.virtual_channel() as u8 {
+        return Err(WireError::BadChannel { opcode: op, vc });
+    }
+    if (addr_field, aux) != addr_and_aux(&kind) || buf[21..header] != [0; 3] {
+        return Err(WireError::UnusedField { opcode: op });
+    }
 
     Ok((
         Message {

@@ -11,8 +11,8 @@
 //! `BENCH_cluster_scale.json` is byte-identical for every `--threads`
 //! value — which `make determinism` and the CI `determinism` matrix
 //! assert.
-//! Wall-clock speedup, the one thing that *does* depend on the thread
-//! count, is reported on stderr only.
+//! Wall clock, the one thing that *does* depend on the thread count, is
+//! reported on stderr only.
 
 use crate::cluster::{ClusterWorkload, EnzianCluster};
 use enzian_sim::{Instrumented, MetricsRegistry, Time, TraceEvent};
@@ -155,10 +155,6 @@ impl super::Experiment for Driver {
     }
 
     fn needs_threads(&self) -> bool {
-        true
-    }
-
-    fn speedup_check(&self) -> bool {
         true
     }
 

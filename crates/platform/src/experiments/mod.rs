@@ -1,13 +1,14 @@
 //! One driver per table/figure of the paper's evaluation (§5).
 //!
 //! Every driver returns structured rows plus a `render()` that prints the
-//! same series the paper plots. The drivers are also what the Criterion
-//! benches in `enzian-bench` call, and `EXPERIMENTS.md` records their
-//! output against the paper's values.
+//! same series the paper plots. The `reproduce` binary in `enzian-bench`
+//! runs them, and `EXPERIMENTS.md` records their output against the
+//! paper's values.
 //!
-//! All drivers dispatch through one [`Experiment`] trait: `reproduce`,
-//! the benches, and the Makefile targets look experiments up by name in
-//! [`registry`] instead of hard-coding one entry point per figure. Each
+//! All drivers dispatch through one [`Experiment`] trait: `reproduce`
+//! looks experiments up by name in [`registry`] instead of hard-coding
+//! one entry point per figure, and the Makefile's and CI's determinism
+//! lists name every registry entry (a root test holds them equal). Each
 //! module still exposes its typed `run_instrumented()` for tests; the
 //! module's `Driver` unit struct adapts it to the trait, carrying the
 //! CSV tables and the rendered text in an [`ExperimentRows`] bundle.
@@ -97,14 +98,6 @@ pub trait Experiment: Sync {
     /// True when the driver runs on the parallel cluster engine and
     /// honours `ctx.threads`; single-threaded drivers ignore it.
     fn needs_threads(&self) -> bool {
-        false
-    }
-
-    /// True when a single-experiment invocation should re-run at
-    /// `threads=1` and assert the tables and metrics export are
-    /// bit-identical (reporting the speedup on stderr). Off for drivers
-    /// whose BENCH JSON carries thread-dependent wall-clock gauges.
-    fn speedup_check(&self) -> bool {
         false
     }
 
@@ -235,17 +228,6 @@ mod tests {
         assert!(err.contains("fig99"), "{err}");
         for e in registry() {
             assert!(err.contains(e.name()), "{err} missing {}", e.name());
-        }
-    }
-
-    #[test]
-    fn speedup_checked_experiments_honour_threads() {
-        // speedup_check re-runs at threads=1 and asserts equality, which
-        // only makes sense for drivers on the parallel engine.
-        for e in registry() {
-            if e.speedup_check() {
-                assert!(e.needs_threads(), "{} checks speedup", e.name());
-            }
         }
     }
 }

@@ -194,10 +194,6 @@ impl super::Experiment for Driver {
         true
     }
 
-    fn speedup_check(&self) -> bool {
-        true
-    }
-
     fn run(&self, ctx: &mut super::ExperimentCtx<'_>) -> super::ExperimentRows {
         let rows = run_instrumented(ctx.threads, ctx.reg);
         let opt_cell = |v: Option<f64>| v.map_or_else(String::new, |x| x.to_string());

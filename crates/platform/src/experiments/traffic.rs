@@ -266,10 +266,6 @@ impl super::Experiment for Driver {
         true
     }
 
-    fn speedup_check(&self) -> bool {
-        true
-    }
-
     fn run(&self, ctx: &mut super::ExperimentCtx<'_>) -> super::ExperimentRows {
         let rows = run_instrumented(ctx.threads, ctx.reg);
         let csv = rows

@@ -1,4 +1,4 @@
-//! A counting global allocator for the perf gate.
+//! A counting global allocator for allocation-count tests and reports.
 //!
 //! [`CountingAllocator`] wraps the system allocator and counts
 //! allocations, deallocations and allocated bytes in relaxed atomics.

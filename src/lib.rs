@@ -44,7 +44,6 @@
 //! ```text
 //! cargo run -p enzian-bench --bin reproduce            # everything
 //! cargo run -p enzian-bench --bin reproduce fig6       # one figure
-//! cargo bench -p enzian-bench                          # Criterion benches
 //! ```
 
 /// Evaluation workloads (GBDT, vision, reduction, stress).

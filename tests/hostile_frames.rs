@@ -1,35 +1,46 @@
-//! Hostile bytes into the fabric decoders.
+//! Hostile bytes into the fabric and ECI wire decoders.
 //!
 //! Every frame a cluster board receives passes three decoders: the
 //! bridge parser ([`BridgeFrame::parse`], which [`decode_bridge`]
 //! wraps), then the service codec ([`decode_svc`]) or the traffic
-//! segment codec ([`decode_segment`]) on the payload it borrows. This
-//! battery starts from valid frames of every bridge opcode, every
-//! service message kind and every segment flag, and feeds each decoder
-//! deterministic SplitMix64-driven mutations of them: bit flips,
-//! truncation, extension, overwritten bytes and wholly random buffers.
+//! segment codec ([`decode_segment`]) on the payload it borrows. ECI
+//! messages in the trace/interoperability format go through
+//! [`decode_message`], and whole captured traces through
+//! [`decode_trace`]. This battery starts from valid frames of every
+//! bridge opcode, every service message kind, every segment flag and
+//! every ECI message kind, and feeds each decoder deterministic
+//! SplitMix64-driven mutations of them: bit flips, truncation,
+//! extension, overwritten bytes and wholly random buffers.
 //!
 //! Properties, on every input:
 //! - no decoder panics;
 //! - the owned and the borrowed bridge decoders agree, error for error;
 //! - an accepted frame re-encodes to exactly the accepted bytes, both
 //!   through [`encode_bridge`] and through the in-place writer
-//!   [`write_bridge`];
+//!   [`write_bridge`], and through [`encode_message`] for ECI frames;
 //! - a frame corrupted within its extent (flipped or overwritten bytes,
 //!   a cut) yields a typed error.
+//!
+//! The CRC-32 trailer of an ECI frame rejects nearly every mutation
+//! before the field checks run, so each mutated ECI frame is also
+//! decoded re-sealed: with its CRC recomputed over the damaged bytes.
 
 use enzian::apps::{
     decode_svc, encode_svc, encode_svc_into, KvOp, KvResult, RespErr, RespOk, SvcError, SvcPayload,
     SvcWireError,
 };
 use enzian::eci::bridge::BRIDGE_OVERHEAD_BYTES;
+use enzian::eci::decoder::{decode_trace, TraceBuffer};
+use enzian::eci::wire::{crc32, decode_message, encode_message, WireError};
 use enzian::eci::{
     decode_bridge, encode_bridge, write_bridge, BridgeError, BridgeFrame, BridgeMsg, BridgeOp,
+    Message, MessageKind, TxnId,
 };
+use enzian::mem::{Addr, CacheLine, NodeId};
 use enzian::net::traffic::{
     decode_segment, encode_segment, encode_segment_into, flags, Segment, SegmentError,
 };
-use enzian::sim::SplitMix64;
+use enzian::sim::{Duration, SplitMix64, Time};
 
 /// Mutated inputs drawn per valid frame.
 const ROUNDS: usize = 2_000;
@@ -396,6 +407,196 @@ fn segments_survive_hostile_bytes() {
                 }
                 Damage::Extended => assert_eq!(verdict, Ok(seg)),
                 Damage::Flipped | Damage::Random => {}
+            }
+        }
+    }
+}
+
+/// One ECI message of every kind, I/O accesses at every size, in both
+/// directions.
+fn eci_corpus(rng: &mut SplitMix64) -> Vec<Message> {
+    let line = CacheLine(rng.next() >> 7);
+    let addr = Addr(rng.next());
+    let mut kinds = vec![
+        MessageKind::ReadShared(line),
+        MessageKind::ReadExclusive(line),
+        MessageKind::Upgrade(line),
+        MessageKind::ReadOnce(line),
+        MessageKind::WriteLine(line, self::line(rng)),
+        MessageKind::ProbeShared(line),
+        MessageKind::ProbeInvalidate(line),
+        MessageKind::DataShared(line, self::line(rng)),
+        MessageKind::DataExclusive(line, self::line(rng)),
+        MessageKind::Ack(line),
+        MessageKind::ProbeAckData(line, self::line(rng)),
+        MessageKind::ProbeAck(line),
+        MessageKind::VictimDirty(line, self::line(rng)),
+        MessageKind::VictimClean(line),
+        MessageKind::IoData {
+            addr,
+            data: rng.next(),
+        },
+        MessageKind::IoAck { addr },
+        MessageKind::Ipi {
+            vector: rng.next() as u8,
+        },
+    ];
+    for size in [1u8, 2, 4, 8] {
+        kinds.push(MessageKind::IoRead { addr, size });
+        // The frame carries only the low `size` bytes of the data.
+        let data = rng.next() & (u64::MAX >> (64 - 8 * u32::from(size)));
+        kinds.push(MessageKind::IoWrite { addr, size, data });
+    }
+    kinds
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| {
+            let (src, dst) = if i % 2 == 0 {
+                (NodeId::Fpga, NodeId::Cpu)
+            } else {
+                (NodeId::Cpu, NodeId::Fpga)
+            };
+            Message::new(src, dst, TxnId(rng.next() as u32), kind)
+        })
+        .collect()
+}
+
+/// Decodes one ECI frame and checks an accepted decode re-encodes to
+/// exactly the bytes it consumed.
+fn check_message(input: &[u8]) -> Result<(Message, usize), WireError> {
+    let decoded = decode_message(input);
+    if let Ok((msg, used)) = &decoded {
+        assert_eq!(
+            encode_message(msg),
+            &input[..*used],
+            "{msg} re-encodes to other bytes"
+        );
+    }
+    decoded
+}
+
+/// `frame` with its CRC-32 recomputed over the header and the payload
+/// its (possibly damaged) length field claims, when the buffer is long
+/// enough to hold them.
+fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
+    if frame.len() >= 8 {
+        let body = 24 + usize::from(u16::from_le_bytes([frame[6], frame[7]]));
+        if frame.len() >= body + 4 {
+            let crc = crc32(&frame[..body]);
+            frame[body..body + 4].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+    frame
+}
+
+#[test]
+fn eci_frames_survive_hostile_bytes() {
+    let mut rng = SplitMix64::new(0xEC1_6E03);
+    for msg in eci_corpus(&mut rng) {
+        let valid = encode_message(&msg);
+        assert_eq!(check_message(&valid), Ok((msg.clone(), valid.len())));
+        for _ in 0..ROUNDS {
+            let (input, damage) = mutate(&mut rng, &valid);
+            let verdict = check_message(&input);
+            match damage {
+                Damage::Flipped | Damage::Overwritten => {
+                    assert!(verdict.is_err(), "{damage:?} frame accepted: {input:02x?}")
+                }
+                Damage::Truncated => assert!(
+                    matches!(verdict, Err(WireError::Truncated { .. })),
+                    "{input:02x?} gave {verdict:?}"
+                ),
+                Damage::Extended => assert_eq!(verdict, Ok((msg.clone(), valid.len()))),
+                Damage::Random => {}
+            }
+            // Past the CRC, only the field checks stand between the
+            // damaged bytes and the message they would decode to.
+            let _ = check_message(&reseal(input));
+        }
+    }
+}
+
+/// Frames with a valid CRC whose header sets bytes the encoder never
+/// writes. The decoder used to accept them as the message they would
+/// encode to, so the decode did not round-trip.
+#[test]
+fn eci_frames_with_fields_the_encoder_never_writes_are_rejected() {
+    // Found by the battery above: a ReadShared with reserved byte 23 set.
+    let reserved = [
+        0xec, 0x01, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x47, 0x9d, 0x19, 0x78, 0x72, 0x92, 0x5b,
+        0x00, 0x2a, 0x2b, 0xa0, 0x63, 0x00, 0x00, 0x00, 0x04, 0x09, 0x55, 0xd9, 0x8c,
+    ];
+    assert_eq!(
+        decode_message(&reserved),
+        Err(WireError::UnusedField { opcode: 0x01 })
+    );
+    let patched = |kind: MessageKind, at: usize, byte: u8| {
+        let msg = Message::new(NodeId::Fpga, NodeId::Cpu, TxnId(7), kind);
+        let mut frame = encode_message(&msg);
+        frame[at] = byte;
+        decode_message(&reseal(frame)).map(|_| ())
+    };
+    let line = CacheLine(0x40);
+    let addr = Addr(0x1000);
+    // A request on the response channel.
+    assert_eq!(
+        patched(MessageKind::ReadShared(line), 2, 2),
+        Err(WireError::BadChannel {
+            opcode: 0x01,
+            vc: 2
+        })
+    );
+    // An aux byte on a coherence message, I/O data that is not 8 bytes
+    // wide, an IPI with an address.
+    assert_eq!(
+        patched(MessageKind::Ack(line), 20, 1),
+        Err(WireError::UnusedField { opcode: 0x22 })
+    );
+    assert_eq!(
+        patched(MessageKind::IoData { addr, data: 1 }, 20, 4),
+        Err(WireError::UnusedField { opcode: 0x42 })
+    );
+    assert_eq!(
+        patched(MessageKind::Ipi { vector: 3 }, 8, 1),
+        Err(WireError::UnusedField { opcode: 0x50 })
+    );
+}
+
+#[test]
+fn eci_traces_survive_hostile_bytes() {
+    let mut rng = SplitMix64::new(0x7ACE_6E04);
+    let corpus = eci_corpus(&mut rng);
+    let mut trace = TraceBuffer::new();
+    for (i, msg) in corpus.iter().enumerate() {
+        trace.capture(Time::ZERO + Duration::from_ns(i as u64), msg);
+    }
+    let valid = trace.wire_bytes();
+    assert_eq!(decode_trace(valid).as_ref(), Ok(&corpus));
+    for _ in 0..ROUNDS {
+        let (input, damage) = mutate(&mut rng, valid);
+        match decode_trace(&input) {
+            Ok(msgs) => {
+                // Every byte belongs to a frame that re-encodes to it.
+                let again: Vec<u8> = msgs.iter().flat_map(encode_message).collect();
+                assert_eq!(again, input);
+                match damage {
+                    // A cut on a frame boundary leaves a shorter trace.
+                    Damage::Truncated => assert_eq!(msgs[..], corpus[..msgs.len()]),
+                    Damage::Random => {}
+                    _ => panic!("{damage:?} trace accepted: {input:02x?}"),
+                }
+            }
+            Err((off, err)) => {
+                // The error sits on a frame boundary: everything before
+                // it decodes and re-encodes, and the frame at it fails
+                // with the error reported.
+                let before = decode_trace(&input[..off]).expect("prefix before the error decodes");
+                let again: Vec<u8> = before.iter().flat_map(encode_message).collect();
+                assert_eq!(again, &input[..off]);
+                assert_eq!(decode_message(&input[off..]).map(|_| ()), Err(err));
+                if damage == Damage::Extended {
+                    assert_eq!(off, valid.len(), "valid frames rejected");
+                }
             }
         }
     }
