@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy build test doc determinism loom clean
+.PHONY: ci fmt fmt-check clippy build test doc determinism clean
 
-ci: fmt-check clippy build test doc determinism loom
+ci: fmt-check clippy build test doc determinism
 
 fmt:
 	$(CARGO) fmt --all
@@ -38,12 +38,6 @@ DETERMINISM = fig3 fig6 fig7 fig8 fig9 fig11 fig12 fault_sweep cc_sweep \
 # baseline in benches/baselines/) for each selector.
 determinism: build
 	for s in $(DETERMINISM); do scripts/determinism.sh $$s || exit 1; done
-
-# Exhaustive interleaving checks for the epoch barrier and bounded
-# inter-shard channels (the loom-style battery; compiled only under
-# --cfg loom).
-loom:
-	RUSTFLAGS="--cfg loom" $(CARGO) test -p enzian-sim --test loom_par
 
 clean:
 	$(CARGO) clean

@@ -271,11 +271,11 @@ pub(crate) type Out = Vec<(usize, Envelope<Vec<u8>>)>;
 /// plus the inbox of delivered frames waiting for their turn.
 ///
 /// Cache-line aligned, which makes every board struct embedding it a
-/// whole number of cache lines. `run_conservative` gives each worker
-/// thread a contiguous run of the board slice, so two boards side by
-/// side in memory can belong to different workers; unpadded, their hot
-/// fields can share a line (that false sharing cost the traffic model
-/// ~15% of its throughput at 2 threads on a 2-vCPU host).
+/// whole number of cache lines. `Engine::Conservative` splits the
+/// board slice into one contiguous run per worker thread, so two boards
+/// side by side in memory can belong to different workers; unpadded,
+/// their hot fields can share a line (that false sharing cost the
+/// traffic model ~15% of its throughput at 2 threads on a 2-vCPU host).
 #[repr(align(64))]
 pub(crate) struct FabricPort {
     id: usize,

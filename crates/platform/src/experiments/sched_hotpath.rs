@@ -25,8 +25,8 @@
 
 use enzian_sim::alloc_count;
 use enzian_sim::{
-    reference, run_conservative, Duration, Envelope, EpochWindow, Fnv, MetricsRegistry, ParConfig,
-    Pod, Shard, Simulator, Time, TraceEvent,
+    reference, run_conservative, Duration, Envelope, EpochWindow, Fnv, MetricsRegistry, Pod, Shard,
+    Simulator, Time, TraceEvent,
 };
 
 /// Actors in the storm; each runs an independent event chain.
@@ -179,7 +179,9 @@ pub fn run_pod_core() -> (u64, u64, Time) {
 /// calendar-queue simulator, advanced window by window. The storm is
 /// embarrassingly parallel (no cross-shard messages), which makes this
 /// leg a pure measurement of the epoch machinery plus per-shard kernel
-/// throughput; adaptive lookahead skips the quiet tail epochs.
+/// throughput. Its [`Shard::next_activity`] is the clock, which
+/// `run_before` has just set to the window end, so adaptive lookahead
+/// never skips an epoch here (`parallel.epochs_skipped` is 0).
 struct StormShard {
     sim: Simulator<Storm>,
 }
@@ -203,9 +205,8 @@ impl Shard for StormShard {
 
     fn next_activity(&self) -> Option<Time> {
         // `peek_next_time` needs `&mut self` (it may compact the
-        // queue); the live lower bound is the simulator's clock, which
-        // is exact right after `run_before` drained everything before
-        // the window end.
+        // queue); the simulator's clock is a valid lower bound right
+        // after `run_before` drained everything before the window end.
         (self.sim.pending() > 0).then(|| self.sim.now())
     }
 }
@@ -227,10 +228,7 @@ pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
             StormShard { sim }
         })
         .collect();
-    let report = run_conservative(
-        &mut shards,
-        &ParConfig::new(Duration::from_ns(64)).with_threads(threads),
-    );
+    let report = run_conservative(&mut shards, Duration::from_ns(64), threads);
     let mut events = 0;
     let mut digest = Fnv::new();
     let mut end = Time::ZERO;

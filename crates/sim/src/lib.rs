@@ -22,7 +22,7 @@
 //!   connection FSM are the two in-tree instances),
 //! * [`par`] — a conservative parallel execution layer: [`Shard`]s
 //!   advance in lock-step epochs of one lookahead, exchanging
-//!   timestamped [`Envelope`]s over bounded channels, with results that
+//!   timestamped [`Envelope`]s through per-shard mailboxes, with results that
 //!   are bit-identical for every thread count (and, for
 //!   [`KeyedShard`]s, to a sequential reference sweep),
 //! * [`digest`] — the [`Fnv`] digest every determinism check folds
@@ -67,8 +67,8 @@ pub use explore::{
 };
 pub use fault::{cluster_targets, FaultPlan, FaultSpec, FaultTrigger};
 pub use par::{
-    run_conservative, run_sequential, Engine, Envelope, EpochBarrier, EpochWindow, KeyedShard,
-    ParConfig, ParReport, Shard, WorkKey,
+    run_conservative, run_sequential, Engine, Envelope, EpochWindow, KeyedShard, ParReport, Shard,
+    WorkKey,
 };
 pub use rng::SimRng;
 pub use telemetry::{Instrumented, MetricsRegistry, TraceEvent, TraceRing};

@@ -16,8 +16,9 @@
 //! * every [`Shard`] (one board) is owned privately by one worker;
 //! * workers advance in lock-step **epochs** of exactly `lookahead`;
 //! * messages produced in epoch *k* carry timestamps `≥ (k+1)·lookahead`
-//!   (checked at send time) and are exchanged over bounded channels;
-//! * at each epoch edge a worker drains its inbound queues and hands the
+//!   (checked at send time) and are pushed into the receiving shard's
+//!   mailbox;
+//! * at each epoch edge a worker empties its shards' mailboxes and hands the
 //!   newly arrived envelopes to its shards, which process them strictly
 //!   in `(time, source shard, sequence)` order.
 //!
@@ -29,17 +30,10 @@
 //!
 //! # Deadlock freedom
 //!
-//! The inter-shard channels are bounded, so a sender can block on a full
-//! queue. The classic failure mode is a cycle of workers all blocked on
-//! each other's full queues at an epoch edge. The protocol here never
-//! deadlocks because *every* blocking wait — both a send into a full
-//! queue and the epoch-barrier wait — keeps draining the worker's own
-//! inbound queues into a local stash while it waits. A full queue's
-//! consumer is therefore always consuming, no matter what it blocks on,
-//! so some queue in any would-be cycle always empties. The
-//! `--cfg loom` model in `crates/sim/tests/loom_par.rs` explores every
-//! interleaving of a small configuration to check this argument, and
-//! shows the counterexample when the drain rule is removed.
+//! Each shard's mailbox is unbounded, so a send never blocks, and the
+//! epoch barrier is the only place a worker ever waits: no cycle of
+//! waiting workers can form. Memory stays bounded by one epoch's
+//! traffic, since every mailbox is emptied at the start of the next.
 //!
 //! # Keyed shards
 //!
@@ -51,9 +45,9 @@
 //! immediate delivery) whose final states must match the epoch engine's
 //! bit for bit. [`Engine::run`] is the single entry point for both.
 
-use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use crate::time::{Duration, Time};
 
@@ -211,48 +205,10 @@ impl<S: KeyedShard> Shard for S {
     }
 }
 
-/// Tuning knobs of a conservative run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ParConfig {
-    /// The lookahead: minimum cross-shard message latency, and the
-    /// length of every epoch.
-    pub lookahead: Duration,
-    /// Worker threads. `1` executes the identical epoch algorithm on the
-    /// calling thread; results never depend on this value.
-    pub threads: usize,
-    /// Capacity of each shard's inbound queue, in envelopes.
-    pub channel_capacity: usize,
-}
-
-impl ParConfig {
-    /// A configuration with the given lookahead, one worker and a
-    /// deliberately small queue (so tests exercise the blocking path).
-    pub fn new(lookahead: Duration) -> Self {
-        ParConfig {
-            lookahead,
-            threads: 1,
-            channel_capacity: 64,
-        }
-    }
-
-    /// Sets the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the per-shard inbound queue capacity.
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity;
-        self
-    }
-}
-
 /// What a conservative run did. Every field is a pure function of the
 /// shards and the lookahead — never of the thread count. A
 /// [`run_sequential`] run has no epochs, so it reports only `messages`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParReport {
     /// Epochs executed, including the final all-quiet epoch.
     pub epochs: u64,
@@ -264,148 +220,87 @@ pub struct ParReport {
     pub messages: u64,
 }
 
-/// A bounded MPSC queue of envelopes for one destination shard.
-///
-/// `push` never blocks by itself — it reports `Err` on a full queue and
-/// leaves the retry/drain policy to the caller, which is what makes the
-/// deadlock-freedom argument local and checkable.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    inner: Mutex<VecDeque<Envelope<T>>>,
-    /// Signalled when space frees up (for blocked producers).
-    space: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// An empty queue holding at most `capacity` envelopes.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue {
-            inner: Mutex::new(VecDeque::with_capacity(capacity)),
-            space: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Attempts to enqueue; returns the envelope back when full.
-    pub fn try_push(&self, env: Envelope<T>) -> Result<(), Envelope<T>> {
-        let mut q = self.inner.lock().unwrap();
-        if q.len() >= self.capacity {
-            return Err(env);
-        }
-        q.push_back(env);
-        Ok(())
-    }
-
-    /// Moves every queued envelope into `out`; wakes blocked producers.
-    /// Returns how many were drained.
-    pub fn drain_into(&self, out: &mut Vec<Envelope<T>>) -> usize {
-        let mut q = self.inner.lock().unwrap();
-        let n = q.len();
-        out.extend(q.drain(..));
-        drop(q);
-        if n > 0 {
-            self.space.notify_all();
-        }
-        n
-    }
-
-    /// Blocks briefly waiting for space, without consuming it.
-    fn wait_for_space(&self, timeout: std::time::Duration) {
-        let q = self.inner.lock().unwrap();
-        if q.len() >= self.capacity {
-            let _ = self.space.wait_timeout(q, timeout).unwrap();
-        }
-    }
-}
-
 /// The epoch barrier: workers arrive once per epoch; the last arrival
 /// runs a leader section (global quiescence accounting) before releasing
 /// the generation, so every worker observes the leader's decision on
-/// wake-up.
-///
-/// The waiting side periodically invokes a caller-supplied `drain`
-/// callback — the hook through which a barrier-blocked worker keeps
-/// consuming its inbound queues (see the module docs on deadlock
-/// freedom).
-#[derive(Debug)]
-pub struct EpochBarrier {
+/// wake-up. A worker that panics poisons it, releasing every waiter for
+/// good so the run can unwind instead of hanging.
+struct EpochBarrier {
     n: usize,
     arrived: Mutex<usize>,
     generation: AtomicU64,
+    poisoned: AtomicBool,
     release: Condvar,
 }
 
 impl EpochBarrier {
     /// A barrier for `n` workers.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "barrier needs at least one worker");
+    fn new(n: usize) -> Self {
         EpochBarrier {
             n,
             arrived: Mutex::new(0),
             generation: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
             release: Condvar::new(),
         }
     }
 
     /// Arrives at the barrier. The last worker to arrive runs `leader`
-    /// *before* anyone is released; every earlier worker repeatedly runs
-    /// `drain` while it waits.
-    pub fn wait(&self, mut drain: impl FnMut(), leader: impl FnOnce()) {
+    /// *before* anyone is released. Returns `false`, without waiting for
+    /// the others, once the barrier is poisoned.
+    fn wait(&self, leader: impl FnOnce()) -> bool {
+        let mut arrived = self.arrived.lock().unwrap();
         let gen = self.generation.load(Ordering::Acquire);
-        {
-            let mut arrived = self.arrived.lock().unwrap();
-            *arrived += 1;
-            if *arrived == self.n {
-                *arrived = 0;
-                leader();
-                self.generation.fetch_add(1, Ordering::Release);
-                drop(arrived);
-                self.release.notify_all();
-                return;
-            }
+        *arrived += 1;
+        if *arrived == self.n {
+            *arrived = 0;
+            leader();
+            self.generation.fetch_add(1, Ordering::Release);
+            drop(arrived);
+            self.release.notify_all();
+            return true;
         }
-        let mut rounds = 0u32;
-        loop {
-            // Short spin first: epochs are typically much shorter than a
-            // sleep/wake round trip. Yield early so an oversubscribed
-            // host (fewer cores than workers) makes progress instead of
-            // burning the peer's time slice.
+        drop(arrived);
+        let released = || {
+            self.generation.load(Ordering::Acquire) != gen || self.poisoned.load(Ordering::Acquire)
+        };
+        // Short spin first: epochs are typically much shorter than a
+        // sleep/wake round trip. Yield early so an oversubscribed host
+        // (fewer cores than workers) makes progress instead of burning
+        // the peer's time slice.
+        for _ in 0..32 {
             for _ in 0..200 {
-                if self.generation.load(Ordering::Acquire) != gen {
-                    return;
+                if released() {
+                    return !self.poisoned.load(Ordering::Acquire);
                 }
                 std::hint::spin_loop();
             }
-            if rounds < 32 {
-                rounds += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            // Keep consuming inbound traffic while parked, then sleep
-            // with a timeout so a missed wake-up can only cost latency,
-            // never liveness.
-            drain();
-            let arrived = self.arrived.lock().unwrap();
-            if self.generation.load(Ordering::Acquire) != gen {
-                return;
-            }
-            let _ = self
-                .release
-                .wait_timeout(arrived, std::time::Duration::from_micros(200))
-                .unwrap();
+            std::thread::yield_now();
         }
+        // The leader bumps the generation (and a panicking worker sets
+        // the poison flag) under this lock, so no wake-up is missed.
+        let arrived = self.arrived.lock().unwrap();
+        drop(self.release.wait_while(arrived, |_| !released()).unwrap());
+        !self.poisoned.load(Ordering::Acquire)
+    }
+
+    /// Releases every current and future waiter for good.
+    fn poison(&self) {
+        let _arrived = self.arrived.lock().unwrap_or_else(PoisonError::into_inner);
+        self.poisoned.store(true, Ordering::Release);
+        self.generation.fetch_add(1, Ordering::Release);
+        self.release.notify_all();
     }
 }
 
 /// Shared state of one conservative run.
 struct RunShared<T> {
-    /// Inbound queue per destination shard.
-    queues: Vec<BoundedQueue<T>>,
+    /// Envelopes sent to each shard by other workers, taken at the
+    /// start of the receiver's next epoch.
+    mailboxes: Vec<Mutex<Vec<Envelope<T>>>>,
     barrier: EpochBarrier,
-    /// Shards (or queues) that were active this epoch; swapped to zero by
-    /// the barrier leader.
+    /// Shards that were active this epoch; swapped to zero by the
+    /// barrier leader.
     active: AtomicU64,
     /// Envelopes exchanged, cumulative.
     messages: AtomicU64,
@@ -447,16 +342,8 @@ impl<'a, S: Shard> Worker<'a, S> {
         global >= self.base && global < self.base + self.shards.len()
     }
 
-    /// Drains this worker's inbound queues into the local stash.
-    fn drain(queues: &[BoundedQueue<S::Msg>], base: usize, stash: &mut [Vec<Envelope<S::Msg>>]) {
-        for (local, bucket) in stash.iter_mut().enumerate() {
-            queues[base + local].drain_into(bucket);
-        }
-    }
-
-    /// Sends `env` to global shard `dst`, blocking on a full queue while
-    /// draining our own inbound queues (the deadlock-freedom rule).
-    fn send(&mut self, shared: &RunShared<S::Msg>, dst: usize, mut env: Envelope<S::Msg>) {
+    /// Sends `env` to global shard `dst`; never blocks.
+    fn send(&mut self, shared: &RunShared<S::Msg>, dst: usize, env: Envelope<S::Msg>) {
         shared.messages.fetch_add(1, Ordering::Relaxed);
         // An in-flight envelope is future activity its receiver cannot
         // see yet; fold its timestamp so the leader never jumps past it.
@@ -464,19 +351,12 @@ impl<'a, S: Shard> Worker<'a, S> {
             .next_min_ps
             .fetch_min(env.at.as_ps(), Ordering::Relaxed);
         if self.owns(dst) {
-            // Same-worker fast path: no queue involved. Determinism is
+            // Same-worker fast path: no mailbox involved. Determinism is
             // unaffected — delivery order is erased by the (at, src, seq)
             // sort before processing.
             self.stash[dst - self.base].push(env);
-            return;
-        }
-        loop {
-            match shared.queues[dst].try_push(env) {
-                Ok(()) => return,
-                Err(back) => env = back,
-            }
-            Self::drain(&shared.queues, self.base, &mut self.stash);
-            shared.queues[dst].wait_for_space(std::time::Duration::from_micros(200));
+        } else {
+            shared.mailboxes[dst].lock().unwrap().push(env);
         }
     }
 
@@ -495,7 +375,12 @@ impl<'a, S: Shard> Worker<'a, S> {
             };
             let mut active = 0u64;
             let mut local_min = u64::MAX;
-            Self::drain(&shared.queues, self.base, &mut self.stash);
+            // Everything sent before the last barrier is here; anything a
+            // peer already sends in this epoch is timestamped at or after
+            // its end, so taking it now or next epoch is equally sound.
+            for (local, bucket) in self.stash.iter_mut().enumerate() {
+                bucket.append(&mut shared.mailboxes[self.base + local].lock().unwrap());
+            }
             for local in 0..self.shards.len() {
                 let arrivals = &mut self.stash[local];
                 self.shards[local].step(window, arrivals, &mut out);
@@ -533,34 +418,31 @@ impl<'a, S: Shard> Worker<'a, S> {
             if local_min != u64::MAX {
                 shared.next_min_ps.fetch_min(local_min, Ordering::Relaxed);
             }
-            let base = self.base;
-            let stash = &mut self.stash;
-            shared.barrier.wait(
-                || Self::drain(&shared.queues, base, stash),
-                || {
-                    let quiet = shared.active.swap(0, Ordering::AcqRel) == 0;
-                    shared.done.store(quiet, Ordering::Release);
-                    // Adaptive lookahead: everything anyone could do next
-                    // — local events, held messages, envelopes still in
-                    // flight — lies at or beyond `min_ps`, so the epoch
-                    // containing it is the next one worth executing.
-                    // Window length never changes, only quiet windows are
-                    // jumped, so the lookahead guarantee is untouched.
-                    let min_ps = shared.next_min_ps.swap(u64::MAX, Ordering::AcqRel);
-                    let jump = if min_ps == u64::MAX {
-                        epoch + 1
-                    } else {
-                        (min_ps / lookahead_ps).max(epoch + 1)
-                    };
-                    shared
-                        .epochs_skipped
-                        .fetch_add(jump - (epoch + 1), Ordering::Relaxed);
-                    shared.next_epoch.store(jump, Ordering::Release);
-                },
-            );
+            let released = shared.barrier.wait(|| {
+                let quiet = shared.active.swap(0, Ordering::AcqRel) == 0;
+                shared.done.store(quiet, Ordering::Release);
+                // Adaptive lookahead: everything anyone could do next
+                // — local events, held messages, envelopes still in
+                // flight — lies at or beyond `min_ps`, so the epoch
+                // containing it is the next one worth executing.
+                // Window length never changes, only quiet windows are
+                // jumped, so the lookahead guarantee is untouched.
+                let min_ps = shared.next_min_ps.swap(u64::MAX, Ordering::AcqRel);
+                let jump = if min_ps == u64::MAX {
+                    epoch + 1
+                } else {
+                    (min_ps / lookahead_ps).max(epoch + 1)
+                };
+                shared
+                    .epochs_skipped
+                    .fetch_add(jump - (epoch + 1), Ordering::Relaxed);
+                shared.next_epoch.store(jump, Ordering::Release);
+            });
             epoch = shared.next_epoch.load(Ordering::Acquire);
             executed += 1;
-            if shared.done.load(Ordering::Acquire) {
+            // A poisoned barrier means a peer panicked; `run_conservative`
+            // re-raises its panic.
+            if !released || shared.done.load(Ordering::Acquire) {
                 return executed;
             }
         }
@@ -569,34 +451,33 @@ impl<'a, S: Shard> Worker<'a, S> {
 
 /// Runs `shards` conservatively to global quiescence and reports what
 /// happened. The shards are advanced in place; inspect them afterwards
-/// for results.
+/// for results. `lookahead` is the minimum cross-shard message latency
+/// and the length of every epoch; `threads` workers share the shards,
+/// and `1` executes the identical epoch algorithm on the calling thread.
 ///
-/// The run is bit-identical for every `cfg.threads` value (including 1)
-/// and for the number of shards per worker: inside an epoch each shard
-/// depends only on its own state and its deterministically ordered
-/// inbox.
+/// The run is bit-identical for every `threads` value and for the
+/// number of shards per worker: inside an epoch each shard depends only
+/// on its own state and its deterministically ordered inbox.
 ///
 /// # Panics
 ///
 /// Panics when a shard emits an envelope timestamped inside the current
-/// window (a lookahead violation), or when `cfg` is degenerate (zero
-/// lookahead or zero threads).
-pub fn run_conservative<S: Shard>(shards: &mut [S], cfg: &ParConfig) -> ParReport {
-    assert!(cfg.lookahead > Duration::ZERO, "lookahead must be positive");
-    assert!(cfg.threads > 0, "at least one worker required");
+/// window (a lookahead violation), when a shard panics (with that
+/// shard's payload), or when `lookahead` or `threads` is zero.
+pub fn run_conservative<S: Shard>(
+    shards: &mut [S],
+    lookahead: Duration,
+    threads: usize,
+) -> ParReport {
+    assert!(lookahead > Duration::ZERO, "lookahead must be positive");
+    assert!(threads > 0, "at least one worker required");
     if shards.is_empty() {
-        return ParReport {
-            epochs: 0,
-            epochs_skipped: 0,
-            messages: 0,
-        };
+        return ParReport::default();
     }
     let n = shards.len();
-    let workers = cfg.threads.min(n);
+    let workers = threads.min(n);
     let shared = RunShared {
-        queues: (0..n)
-            .map(|_| BoundedQueue::new(cfg.channel_capacity))
-            .collect(),
+        mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
         barrier: EpochBarrier::new(workers),
         active: AtomicU64::new(0),
         messages: AtomicU64::new(0),
@@ -607,32 +488,37 @@ pub fn run_conservative<S: Shard>(shards: &mut [S], cfg: &ParConfig) -> ParRepor
     };
 
     let epochs = if workers == 1 {
-        Worker::new(shards, 0).run(&shared, cfg.lookahead)
+        Worker::new(shards, 0).run(&shared, lookahead)
     } else {
         // Contiguous partition: worker w owns shards [lo, hi). The split
         // has no observable effect on results, only on load balance.
-        let mut slices: Vec<(usize, &mut [S])> = Vec::with_capacity(workers);
-        let mut rest = shards;
-        let mut base = 0usize;
-        for w in 0..workers {
-            let take = (n - base).div_ceil(workers - w);
-            let (head, tail) = rest.split_at_mut(take);
-            slices.push((base, head));
-            base += take;
-            rest = tail;
-        }
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (base, slice) in slices {
-                let shared = &shared;
-                let lookahead = cfg.lookahead;
-                handles.push(scope.spawn(move || Worker::new(slice, base).run(shared, lookahead)));
+            let shared = &shared;
+            let mut handles = Vec::with_capacity(workers);
+            let mut rest = shards;
+            let mut base = 0usize;
+            for w in 0..workers {
+                let take = (n - base).div_ceil(workers - w);
+                let (slice, tail) = rest.split_at_mut(take);
+                handles.push(scope.spawn(move || {
+                    // A panicking worker poisons the barrier, releasing its
+                    // peers so the run unwinds instead of hanging.
+                    panic::catch_unwind(AssertUnwindSafe(|| {
+                        Worker::new(slice, base).run(shared, lookahead)
+                    }))
+                    .inspect_err(|_| shared.barrier.poison())
+                }));
+                base += take;
+                rest = tail;
             }
             handles
                 .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .fold(0u64, u64::max)
+                .map(|h| h.join().and_then(|run| run))
+                .collect::<std::thread::Result<Vec<u64>>>()
         })
+        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+        .into_iter()
+        .fold(0, u64::max)
     };
     ParReport {
         epochs,
@@ -667,9 +553,8 @@ pub fn run_sequential<S: KeyedShard>(shards: &mut [S]) -> ParReport {
         }
     }
     ParReport {
-        epochs: 0,
-        epochs_skipped: 0,
         messages,
+        ..ParReport::default()
     }
 }
 
@@ -691,17 +576,9 @@ impl Engine {
     /// Panics on zero worker threads, and wherever the chosen engine
     /// panics.
     pub fn run<S: KeyedShard>(self, shards: &mut [S], lookahead: Duration) -> ParReport {
-        /// Inbound queue capacity per shard.
-        const CHANNEL_CAPACITY: usize = 256;
         match self {
             Engine::Sequential => run_sequential(shards),
-            Engine::Conservative(threads) => {
-                assert!(threads >= 1, "need at least one worker thread");
-                let cfg = ParConfig::new(lookahead)
-                    .with_threads(threads)
-                    .with_channel_capacity(CHANNEL_CAPACITY);
-                run_conservative(shards, &cfg)
-            }
+            Engine::Conservative(threads) => run_conservative(shards, lookahead, threads),
         }
     }
 }
@@ -710,6 +587,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::engine::Simulator;
+    use std::collections::VecDeque;
 
     /// A shard wrapping a [`Simulator`] over a counter model: every
     /// arrival schedules a local event; every `period`, the shard pings
@@ -797,10 +675,7 @@ mod tests {
             PingShard::new(0, 1, 5, latency),
             PingShard::new(1, 0, 3, latency),
         ];
-        let cfg = ParConfig::new(latency)
-            .with_threads(threads)
-            .with_channel_capacity(2);
-        let report = run_conservative(&mut shards, &cfg);
+        let report = run_conservative(&mut shards, latency, threads);
         let b = shards.pop().unwrap();
         let a = shards.pop().unwrap();
         (a.sim.into_model(), b.sim.into_model(), report)
@@ -898,8 +773,7 @@ mod tests {
             inbox: std::collections::BinaryHeap::new(),
         };
         let mut shards = vec![mk(0, 1, 7), mk(1, 0, 4)];
-        let cfg = ParConfig::new(latency).with_threads(threads);
-        let report = run_conservative(&mut shards, &cfg);
+        let report = run_conservative(&mut shards, latency, threads);
         let b = shards.pop().unwrap();
         let a = shards.pop().unwrap();
         (a.log, b.log, report)
@@ -1001,16 +875,15 @@ mod tests {
         }
     }
 
-    fn relays() -> Vec<Relay> {
+    /// Four relays, each ticking `ticks` times `spacing` apart.
+    fn relays(ticks: u64, spacing: Duration) -> Vec<Relay> {
         let n = 4;
         (0..n)
             .map(|id| Relay {
                 id,
                 n,
                 latency: Duration::from_ns(10),
-                ticks: (0..5u64)
-                    .map(|i| Time::ZERO + Duration::from_ns(25) * i)
-                    .collect(),
+                ticks: (0..ticks).map(|i| Time::ZERO + spacing * i).collect(),
                 seq: 0,
                 inbox: std::collections::BinaryHeap::new(),
                 log: Vec::new(),
@@ -1029,32 +902,42 @@ mod tests {
 
     #[test]
     fn keyed_shards_match_the_sequential_sweep_at_every_thread_count() {
-        let mut reference = relays();
-        let seq = run_sequential(&mut reference);
-        let expect = relay_state(&reference);
-        assert_eq!(seq.epochs, 0);
-        // Four shards x five ticks x three peers, each relayed twice.
-        assert_eq!(seq.messages, 4 * 5 * 3 * 3);
-        let ties = expect[0]
-            .0
-            .windows(2)
-            .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1);
-        assert!(
-            ties.count() > 0,
-            "arrivals from different shards tie on time"
-        );
-        for threads in [1, 2, 4] {
-            let mut shards = relays();
-            let cfg = ParConfig::new(Duration::from_ns(10))
-                .with_threads(threads)
-                .with_channel_capacity(2);
-            let par = run_conservative(&mut shards, &cfg);
-            assert_eq!(relay_state(&shards), expect, "threads={threads}");
-            assert_eq!(par.messages, seq.messages, "threads={threads}");
-            assert!(par.epochs > 0);
+        // Five spaced ticks, then a burst: 500 ticks at one instant send
+        // every shard 1,500 envelopes in one window, at least 1,000 of
+        // them from other workers' shards at every thread count above 1.
+        for (ticks, spacing) in [(5, Duration::from_ns(25)), (500, Duration::ZERO)] {
+            let mut reference = relays(ticks, spacing);
+            let seq = run_sequential(&mut reference);
+            let expect = relay_state(&reference);
+            assert_eq!(seq.epochs, 0);
+            // Four shards x `ticks` ticks x three peers, each relayed twice.
+            assert_eq!(seq.messages, 4 * ticks * 3 * 3);
+            let ties = expect[0]
+                .0
+                .windows(2)
+                .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1);
+            assert!(
+                ties.count() > 0,
+                "arrivals from different shards tie on time"
+            );
+            for threads in [1, 2, 4] {
+                let mut shards = relays(ticks, spacing);
+                let par = run_conservative(&mut shards, Duration::from_ns(10), threads);
+                assert_eq!(
+                    relay_state(&shards),
+                    expect,
+                    "ticks={ticks} threads={threads}"
+                );
+                assert_eq!(
+                    par.messages, seq.messages,
+                    "ticks={ticks} threads={threads}"
+                );
+                assert!(par.epochs > 0);
+            }
         }
-        let via_engine = Engine::Conservative(2).run(&mut relays(), Duration::from_ns(10));
-        assert_eq!(via_engine.messages, seq.messages);
+        let via_engine = Engine::Conservative(2)
+            .run(&mut relays(5, Duration::from_ns(25)), Duration::from_ns(10));
+        assert_eq!(via_engine.messages, 4 * 5 * 3 * 3);
     }
 
     #[test]
@@ -1064,27 +947,10 @@ mod tests {
     }
 
     #[test]
-    fn tiny_queues_do_not_deadlock() {
-        // Capacity 1 with bursts of sends forces the blocked-sender
-        // drain path on every epoch edge.
-        let latency = Duration::from_ns(10);
-        let mut shards: Vec<PingShard> = (0..4)
-            .map(|i| PingShard::new(i, (i + 1) % 4, 200, latency))
-            .collect();
-        let cfg = ParConfig::new(latency)
-            .with_threads(4)
-            .with_channel_capacity(1);
-        let report = run_conservative(&mut shards, &cfg);
-        assert!(report.messages >= 800, "all pings delivered");
-        for s in &shards {
-            assert!(s.idle());
-            assert_eq!(s.sim.model().len(), 200);
-        }
-    }
-
-    #[test]
     fn lookahead_violations_are_caught() {
-        struct Rogue;
+        /// Sends an envelope timestamped at its window's start when its
+        /// flag is set; otherwise never finishes.
+        struct Rogue(bool);
         impl Shard for Rogue {
             type Msg = ();
             fn step(
@@ -1093,29 +959,41 @@ mod tests {
                 _arrivals: &mut Vec<Envelope<()>>,
                 out: &mut Vec<(usize, Envelope<()>)>,
             ) {
-                out.push((
-                    0,
-                    Envelope {
-                        at: window.start,
-                        src: 0,
-                        seq: 0,
-                        payload: (),
-                    },
-                ));
+                if self.0 {
+                    out.push((
+                        0,
+                        Envelope {
+                            at: window.start,
+                            src: 0,
+                            seq: 0,
+                            payload: (),
+                        },
+                    ));
+                }
             }
             fn idle(&self) -> bool {
                 false
             }
         }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_conservative(&mut [Rogue], &ParConfig::new(Duration::from_ns(1)))
-        }));
-        assert!(result.is_err(), "lookahead violation must panic");
+        // At two threads the honest shard's worker waits at the barrier
+        // while the rogue's worker panics; the run must still return.
+        for (mut shards, threads) in [(vec![Rogue(true)], 1), (vec![Rogue(false), Rogue(true)], 2)]
+        {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_conservative(&mut shards, Duration::from_ns(1), threads)
+            }));
+            let payload = result.expect_err("lookahead violation must panic");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("lookahead violation"),
+                "threads={threads}: {message:?}"
+            );
+        }
     }
 
     #[test]
     fn empty_shard_list_is_a_noop() {
-        let report = run_conservative::<PingShard>(&mut [], &ParConfig::new(Duration::from_ns(1)));
+        let report = run_conservative::<PingShard>(&mut [], Duration::from_ns(1), 1);
         assert_eq!(report.epochs, 0);
         assert_eq!(report.messages, 0);
     }
@@ -1143,14 +1021,14 @@ mod tests {
             let barrier = barrier.clone();
             let flag = flag.clone();
             handles.push(std::thread::spawn(move || {
-                barrier.wait(|| {}, || panic!("only the last arrival leads"));
+                assert!(barrier.wait(|| panic!("only the last arrival leads")));
                 flag.load(Ordering::Acquire)
             }));
         }
         // Give the two waiters a moment to arrive first (timing only
         // affects which thread leads, never correctness).
         std::thread::sleep(std::time::Duration::from_millis(10));
-        barrier.wait(|| {}, || flag.store(42, Ordering::Release));
+        assert!(barrier.wait(|| flag.store(42, Ordering::Release)));
         for h in handles {
             assert_eq!(h.join().unwrap(), 42, "leader section visible on wake");
         }
