@@ -38,8 +38,11 @@
 //!
 //! Symmetry reduction: caching agents are interchangeable, so every
 //! state is canonicalized to the minimal byte encoding over all agent
-//! permutations before the visited-set lookup; with at most three
-//! agents that is at most six encodings per state.
+//! permutations before the visited-set lookup. The encoding opens with
+//! the agents' hold blocks, all of one length, so the minimum lists the
+//! agents in sorted block order; canonicalization sorts them and
+//! compares permutations only among agents whose blocks tie. Most
+//! states have no tie and cost one encoding, built on the stack.
 //!
 //! The model state is a fixed-size `Copy` value sized by the envelope
 //! [`Explorer::new`] enforces (at most three agents, four lines and
@@ -410,7 +413,7 @@ impl Default for Msg {
 }
 
 impl Msg {
-    fn encode(self) -> [u8; 3] {
+    fn encode(self) -> [u8; MSG_KEY_LEN] {
         match self {
             Msg::GetS(l) => [0, l, 0],
             Msg::GetM(l) => [1, l, 0],
@@ -480,6 +483,66 @@ impl<T: Copy + Default, const N: usize> Queue<T, N> {
         self.items[len - 1] = T::default();
         self.len -= 1;
         Some(first)
+    }
+}
+
+/// Encoded length of one message ([`Msg::encode`]).
+const MSG_KEY_LEN: usize = 3;
+
+/// Longest encoding of a [`ModelState`], reached at [`MAX_AGENTS`],
+/// [`MAX_LINES`] and [`MAX_FIFO`] with every queue full: per agent a
+/// two-byte hold per line; per line a record per agent and a busy block
+/// of at most four bytes; the per-line memory, latest and store-budget
+/// bytes; every queue as a length byte and its messages.
+const KEY_MAX: usize = MAX_AGENTS * MAX_LINES * 2
+    + MAX_LINES * (MAX_AGENTS + 4)
+    + 3 * MAX_LINES
+    + MAX_AGENTS * 3 * (1 + MAX_FIFO * MSG_KEY_LEN)
+    + MAX_AGENTS * (1 + TO_AGENT_DEPTH * MSG_KEY_LEN);
+
+/// One encoding of a state, built on the stack.
+struct Key {
+    buf: [u8; KEY_MAX],
+    len: usize,
+}
+
+impl Key {
+    fn new() -> Self {
+        Key {
+            buf: [0; KEY_MAX],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, byte: u8) {
+        self.buf[self.len] = byte;
+        self.len += 1;
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+/// Every permutation of the first `n` agents (`n` ≤ [`MAX_AGENTS`]),
+/// the identity first; entries past `n` are padding.
+fn permutations(n: usize) -> &'static [[usize; MAX_AGENTS]] {
+    match n {
+        3 => &[
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ],
+        2 => &[[0, 1, 0], [1, 0, 0]],
+        _ => &[[0, 0, 0]],
     }
 }
 
@@ -661,57 +724,57 @@ impl ModelState {
             && self.to_agent[..n].iter().all(Queue::is_empty)
     }
 
-    /// Appends the state serialized under an agent permutation:
-    /// `perm[i]` is the new index of old agent `i`.
-    fn encode_under(&self, perm: &[usize], out: &mut Vec<u8>) {
+    /// Encodes the state into `key` with its agents renumbered: `inv[new]`
+    /// is the old index of new agent `new`.
+    fn encode_under(&self, inv: &[usize], key: &mut Key) {
         let lines = self.lines();
-        let mut inv = [0usize; MAX_AGENTS];
-        for (old, &new) in perm.iter().enumerate() {
-            inv[new] = old;
+        let mut perm = [0usize; MAX_AGENTS];
+        for (new, &old) in inv.iter().enumerate() {
+            perm[old] = new;
         }
-        let inv = &inv[..perm.len()];
         for &old in inv {
             for h in &self.agents[old][..lines] {
-                out.push(h.st.encode());
-                out.push(h.data);
+                key.extend(&[h.st.encode(), h.data]);
             }
         }
         for hl in &self.home[..lines] {
             for &old in inv {
-                out.push(hl.rec[old] as u8);
+                key.push(hl.rec[old] as u8);
             }
             match hl.busy {
-                None => out.push(0xFF),
+                None => key.push(0xFF),
                 Some(b) => {
-                    out.push(perm[b.req as usize] as u8);
-                    out.push(b.want as u8);
                     let mut mask = 0u8;
-                    for (old, &new) in perm.iter().enumerate() {
+                    for (old, &new) in perm[..inv.len()].iter().enumerate() {
                         if b.pending & (1 << old) != 0 {
                             mask |= 1 << new;
                         }
                     }
-                    out.push(mask);
-                    out.push(b.data.map_or(0xFF, |v| v));
+                    key.extend(&[
+                        perm[b.req as usize] as u8,
+                        b.want as u8,
+                        mask,
+                        b.data.map_or(0xFF, |v| v),
+                    ]);
                 }
             }
         }
-        out.extend_from_slice(&self.mem[..lines]);
-        out.extend_from_slice(&self.latest[..lines]);
-        out.extend_from_slice(&self.writes_left[..lines]);
+        key.extend(&self.mem[..lines]);
+        key.extend(&self.latest[..lines]);
+        key.extend(&self.writes_left[..lines]);
         for &old in inv {
             for q in &self.to_home[old] {
-                out.push(q.len);
+                key.push(q.len);
                 for m in q.as_slice() {
-                    out.extend_from_slice(&m.encode());
+                    key.extend(&m.encode());
                 }
             }
         }
         for &old in inv {
             let q = &self.to_agent[old];
-            out.push(q.len);
+            key.push(q.len);
             for m in q.as_slice() {
-                out.extend_from_slice(&m.encode());
+                key.extend(&m.encode());
             }
         }
     }
@@ -723,34 +786,59 @@ impl ModelState {
         out
     }
 
-    /// Appends [`ModelState::canonical`] to `out`. Each further
-    /// permutation is encoded past the best so far and moved over it if
-    /// smaller; a permutation only reorders equal-sized per-agent
-    /// blocks, so every encoding has the same length.
+    /// Appends [`ModelState::canonical`] to `out`.
+    ///
+    /// Every encoding opens with the agents' hold blocks, all of one
+    /// length, so the minimal one lists the agents in sorted block
+    /// order: any other order has a larger prefix. Only agents whose
+    /// blocks tie can still trade places, so only those orders are
+    /// encoded and compared.
     fn canonical_into(&self, out: &mut Vec<u8>) {
-        let perms: &[&[usize]] = match self.agents() {
-            2 => &[&[0, 1], &[1, 0]],
-            3 => &[
-                &[0, 1, 2],
-                &[0, 2, 1],
-                &[1, 0, 2],
-                &[1, 2, 0],
-                &[2, 0, 1],
-                &[2, 1, 0],
-            ],
-            _ => &[&[0]],
-        };
-        let start = out.len();
-        self.encode_under(perms[0], out);
-        let end = out.len();
-        for perm in &perms[1..] {
-            self.encode_under(perm, out);
-            debug_assert_eq!(out.len() - end, end - start);
-            if out[end..] < out[start..end] {
-                out.copy_within(end.., start);
+        let n = self.agents();
+        // A hold block as a big-endian number: numeric order is the
+        // byte order of the encoded block.
+        let blocks: [u64; MAX_AGENTS] = std::array::from_fn(|a| {
+            self.agents[a][..self.lines()].iter().fold(0, |acc, h| {
+                acc << 16 | u64::from(h.st.encode()) << 8 | u64::from(h.data)
+            })
+        });
+        let mut sorted = [0, 1, 2];
+        let sorted = &mut sorted[..n];
+        sorted.sort_unstable_by_key(|&a| blocks[a]);
+        let mut best = Key::new();
+        self.encode_under(sorted, &mut best);
+        if sorted.windows(2).any(|w| blocks[w[0]] == blocks[w[1]]) {
+            for p in &permutations(n)[1..] {
+                let mut inv = [0; MAX_AGENTS];
+                for (slot, &i) in inv.iter_mut().zip(&p[..n]) {
+                    *slot = sorted[i];
+                }
+                let inv = &inv[..n];
+                if (0..n).all(|i| blocks[inv[i]] == blocks[sorted[i]]) {
+                    let mut key = Key::new();
+                    self.encode_under(inv, &mut key);
+                    if key.bytes() < best.bytes() {
+                        best = key;
+                    }
+                }
             }
-            out.truncate(end);
         }
+        out.extend_from_slice(best.bytes());
+    }
+
+    /// The canonical encoding by brute force: the minimum over every
+    /// agent permutation.
+    #[cfg(test)]
+    fn canonical_all_permutations(&self) -> Vec<u8> {
+        permutations(self.agents())
+            .iter()
+            .map(|p| {
+                let mut key = Key::new();
+                self.encode_under(&p[..self.agents()], &mut key);
+                key.bytes().to_vec()
+            })
+            .min()
+            .expect("at least one permutation")
     }
 
     /// Checks the state invariants; `None` means clean.
@@ -1714,20 +1802,14 @@ mod tests {
         );
     }
 
-    /// The largest `to_home` and `to_agent` queue over every reachable
-    /// state of `cfg`, and the number of states.
-    fn queue_peaks(cfg: ExploreConfig) -> (usize, usize, usize) {
+    /// Calls `visit` on every reachable state of `cfg`, in BFS order;
+    /// returns the number of states.
+    fn for_each_reachable(cfg: ExploreConfig, mut visit: impl FnMut(&ModelState)) -> usize {
         let init = ModelState::init(&cfg);
         let mut seen = std::collections::HashSet::from([init.canonical()]);
         let mut frontier = std::collections::VecDeque::from([init]);
-        let (mut to_home, mut to_agent) = (0, 0);
         while let Some(s) = frontier.pop_front() {
-            for a in 0..cfg.agents {
-                to_agent = to_agent.max(s.to_agent[a].len());
-                for q in &s.to_home[a] {
-                    to_home = to_home.max(q.len());
-                }
-            }
+            visit(&s);
             s.each_successor(&cfg, |_, result| {
                 let (next, _) = result.expect("clean configurations step legally");
                 if seen.insert(next.canonical()) {
@@ -1735,7 +1817,52 @@ mod tests {
                 }
             });
         }
-        (to_home, to_agent, seen.len())
+        seen.len()
+    }
+
+    /// The largest `to_home` and `to_agent` queue over every reachable
+    /// state of `cfg`, and the number of states.
+    fn queue_peaks(cfg: ExploreConfig) -> (usize, usize, usize) {
+        let (mut to_home, mut to_agent) = (0, 0);
+        let states = for_each_reachable(cfg, |s| {
+            for a in 0..cfg.agents {
+                to_agent = to_agent.max(s.to_agent[a].len());
+                for q in &s.to_home[a] {
+                    to_home = to_home.max(q.len());
+                }
+            }
+        });
+        (to_home, to_agent, states)
+    }
+
+    #[test]
+    fn sorted_canonicalization_equals_the_all_permutations_minimum() {
+        for cfg in [
+            ExploreConfig::two_agent().with_lines(2).with_max_writes(1),
+            ExploreConfig::three_agent(),
+        ] {
+            let states = for_each_reachable(cfg, |s| {
+                assert_eq!(s.canonical(), s.canonical_all_permutations(), "{s:?}");
+            });
+            assert!(states > 1_000, "{cfg:?}: only {states} states");
+        }
+    }
+
+    #[test]
+    fn tied_hold_blocks_are_ordered_by_the_later_bytes() {
+        // Both agents hold nothing, so their hold blocks tie; only agent
+        // 0 has a request queued, which a later byte of the key shows.
+        let cfg = ExploreConfig::two_agent();
+        let mut s = ModelState::init(&cfg);
+        s.to_home[0][VC_REQ].push_back(Msg::GetS(0));
+        let mut identity = Key::new();
+        s.encode_under(&[0, 1], &mut identity);
+        let key = s.canonical();
+        assert_eq!(key, s.canonical_all_permutations());
+        assert!(key.as_slice() < identity.bytes(), "the swap is smaller");
+        let mut mirrored = ModelState::init(&cfg);
+        mirrored.to_home[1][VC_REQ].push_back(Msg::GetS(0));
+        assert_eq!(mirrored.canonical(), key);
     }
 
     #[test]

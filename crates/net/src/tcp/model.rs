@@ -334,16 +334,47 @@ impl Bag {
             .map(Seg::from_index)
     }
 
-    /// Appends the segment count, then one index byte per in-flight
-    /// copy in sorted order.
-    fn encode(self, out: &mut Vec<u8>) {
-        let len: u8 = self.0.iter().sum();
-        out.push(len);
-        for (i, &count) in self.0.iter().enumerate() {
-            out.extend(std::iter::repeat_n(i as u8, count as usize));
+    /// Writes the segment count, then one index byte per in-flight copy
+    /// in sorted order, into `key` at `at`; returns the offset just past
+    /// them. Only the kinds in flight are visited, and each stores its
+    /// index twice before looking at its count, so the common counts
+    /// of 1 and 2 take no branch; a store past the kind's run is
+    /// overwritten by the next kind or lands in [`KEY_SLACK`].
+    fn encode(self, key: &mut [u8; KEY_MAX + KEY_SLACK], at: usize) -> usize {
+        let mut kinds = self
+            .0
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (i, &count)| m | u32::from(count != 0) << i);
+        let mut end = at + 1;
+        while kinds != 0 {
+            let i = kinds.trailing_zeros() as usize;
+            kinds &= kinds - 1;
+            let count = usize::from(self.0[i]);
+            key[end] = i as u8;
+            key[end + 1] = i as u8;
+            if count > 2 {
+                key[end + 2..end + count].fill(i as u8);
+            }
+            end += count;
         }
+        key[at] = u8::try_from(end - at - 1).expect("a bag holds at most 255 segments");
+        end
     }
 }
+
+/// Longest [`Bag::encode`]: the count byte plus at most `u8::MAX`
+/// segments, since the count is a `u8`.
+const BAG_KEY_MAX: usize = 1 + u8::MAX as usize;
+
+/// Bytes of the scalars that open [`TcpState::encode`], two per byte.
+const SCALAR_KEY_LEN: usize = 12;
+
+/// Longest canonical key: the scalars and both channels.
+const KEY_MAX: usize = SCALAR_KEY_LEN + 2 * BAG_KEY_MAX;
+
+/// Room past [`KEY_MAX`] for [`Bag::encode`]'s two speculative stores.
+const KEY_SLACK: usize = 2;
 
 impl std::fmt::Display for Seg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -573,39 +604,36 @@ impl TcpState {
             && self.ba.is_empty()
     }
 
-    /// Appends the canonical encoding. Every scalar field is below 16
+    /// Appends the canonical encoding, built in a stack array and
+    /// appended in one copy. Every scalar field is below 16
     /// ([`TcpModel::new`] caps data segments and budgets at 4, so the
     /// reassembly bitmaps use four bits), so they pack two per byte; the
     /// channels follow as count-prefixed runs of segment indices.
     fn encode(&self, out: &mut Vec<u8>) {
-        let scalars = [
-            enc_conn(self.a),
-            enc_conn(self.b),
-            self.a_snd,
-            self.a_rcv,
-            self.a_acked,
-            self.b_snd,
-            self.b_rcv,
-            self.b_acked,
-            self.a_rbuf,
-            self.b_rbuf,
-            self.loss,
-            self.dup,
-            self.rt_syn,
-            self.rt_syn_ack,
-            self.rt_fin_a,
-            self.rt_fin_b,
-        ];
-        for pair in scalars
-            .chunks_exact(2)
-            .chain(self.rt_data_a.chunks_exact(2))
-            .chain(self.rt_data_b.chunks_exact(2))
-        {
-            debug_assert!(pair[0] < 16 && pair[1] < 16, "{pair:?} exceeds a nibble");
-            out.push(pair[0] << 4 | pair[1]);
-        }
-        self.ab.encode(out);
-        self.ba.encode(out);
+        let pack = |hi: u8, lo: u8| {
+            debug_assert!(hi < 16 && lo < 16, "{hi} or {lo} exceeds a nibble");
+            hi << 4 | lo
+        };
+        let [da0, da1, da2, da3] = self.rt_data_a;
+        let [db0, db1, db2, db3] = self.rt_data_b;
+        let mut key = [0u8; KEY_MAX + KEY_SLACK];
+        key[..SCALAR_KEY_LEN].copy_from_slice(&[
+            pack(enc_conn(self.a), enc_conn(self.b)),
+            pack(self.a_snd, self.a_rcv),
+            pack(self.a_acked, self.b_snd),
+            pack(self.b_rcv, self.b_acked),
+            pack(self.a_rbuf, self.b_rbuf),
+            pack(self.loss, self.dup),
+            pack(self.rt_syn, self.rt_syn_ack),
+            pack(self.rt_fin_a, self.rt_fin_b),
+            pack(da0, da1),
+            pack(da2, da3),
+            pack(db0, db1),
+            pack(db2, db3),
+        ]);
+        let end = self.ab.encode(&mut key, SCALAR_KEY_LEN);
+        let end = self.ba.encode(&mut key, end);
+        out.extend_from_slice(&key[..end]);
     }
 
     /// Checks the state invariants; `None` means clean.

@@ -50,6 +50,15 @@
 //! in-tree models are such models: the TCP connection FSM
 //! (`enzian-net`) and the MOESI coherence model (`enzian-eci`) keep
 //! their whole state in a fixed-size `Copy` value.
+//!
+//! The visited set is far larger than the caches, so a lookup is
+//! usually a cache miss. The search therefore works on one state's
+//! successors as a batch: it encodes every successor's key into one
+//! buffer, hashes each, and prefetches each key's first table slot
+//! before it looks any of them up, so their misses overlap. The
+//! lookups then run in successor order, so node numbering, statistics
+//! and counterexamples are those of one-at-a-time insertion. A table
+//! growth prefetches the same way, a batch of keys at a time.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -285,6 +294,9 @@ pub fn explore<M: ProtocolModel>(
     // Each entry: a state to expand, its node index and its depth.
     let mut frontier: VecDeque<(M::State, u32, u64)> = VecDeque::from([(init, 0, 0)]);
     let mut succs = Vec::new();
+    // The keys of one state's `Ok` successors, back to back in `key`,
+    // with each key's end offset and hash.
+    let mut batch: Vec<(usize, u64)> = Vec::new();
     while let Some((state, idx, depth)) = frontier.pop_front() {
         model.successors_into(&state, &mut succs);
         if succs.is_empty() && !model.quiescent(&state) {
@@ -299,6 +311,20 @@ pub fn explore<M: ProtocolModel>(
                 )),
             });
         }
+        // Hash every key and prefetch its table slot first, so the
+        // lookups below overlap their cache misses instead of taking
+        // them one after another.
+        key.clear();
+        batch.clear();
+        for next in succs.iter().filter_map(|s| s.result.as_ref().ok()) {
+            let start = key.len();
+            model.canonical_into(next, &mut key);
+            let hash = keyset::fx_hash(&key[start..]);
+            visited.prefetch(hash);
+            batch.push((key.len(), hash));
+        }
+        let mut keys = batch.iter();
+        let mut start = 0;
         for succ in succs.drain(..) {
             stats.transitions += 1;
             match succ.result {
@@ -313,9 +339,10 @@ pub fn explore<M: ProtocolModel>(
                     });
                 }
                 Ok(next) => {
-                    key.clear();
-                    model.canonical_into(&next, &mut key);
-                    if !visited.insert(&key) {
+                    let &(end, hash) = keys.next().expect("one key per Ok successor");
+                    let fresh = visited.insert_hashed(&key[start..end], hash);
+                    start = end;
+                    if !fresh {
                         continue;
                     }
                     let node_idx = nodes.len() as u32;

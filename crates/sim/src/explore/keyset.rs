@@ -19,7 +19,7 @@ const FX: u64 = 0x517c_c1b7_2722_0a95;
 
 /// Word-at-a-time Fx hash of `key`, seeded with its length so keys
 /// that differ only by trailing zero bytes hash apart.
-fn fx_hash(key: &[u8]) -> u64 {
+pub(crate) fn fx_hash(key: &[u8]) -> u64 {
     let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(FX);
     let mut h = key.len() as u64;
     let mut words = key.chunks_exact(8);
@@ -96,7 +96,33 @@ impl KeySet {
     ///
     /// Panics if the arena outgrows 2^48 bytes.
     pub(crate) fn insert(&mut self, key: &[u8]) -> bool {
-        let hash = fx_hash(key);
+        self.insert_hashed(key, fx_hash(key))
+    }
+
+    /// Hints the CPU to load the first table slot a key hashed to
+    /// `hash` probes, so a batch of lookups can overlap their cache
+    /// misses. Only a hint: a later growth merely wastes it.
+    pub(crate) fn prefetch(&self, hash: u64) {
+        let i = (hash >> self.shift) as usize;
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `i < self.slots.len()` (the shift keeps the index
+        // within the table), and a prefetch never faults or writes.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(self.slots.as_ptr().add(i).cast());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = i;
+    }
+
+    /// [`KeySet::insert`] for a key whose [`fx_hash`] the caller
+    /// already computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena outgrows 2^48 bytes.
+    pub(crate) fn insert_hashed(&mut self, key: &[u8], hash: u64) -> bool {
+        debug_assert_eq!(hash, fx_hash(key), "stale hash");
         let tag = hash << OFFSET_BITS;
         let mask = self.slots.len() - 1;
         let mut i = (hash >> self.shift) as usize;
@@ -130,24 +156,38 @@ impl KeySet {
     }
 
     /// Doubles the table, re-hashing every key in one sequential pass
-    /// over the arena.
+    /// over the arena. Keys are hashed and their slots prefetched
+    /// [`GROW_BATCH`] at a time before any is placed, so the table's
+    /// cache misses overlap.
     fn grow(&mut self) {
         self.slots = vec![0; self.slots.len() * 2];
         self.shift -= 1;
         let mask = self.slots.len() - 1;
+        let mut batch = [(0u64, 0usize); GROW_BATCH];
         let mut at = 0;
         while at < self.arena.len() {
-            let (key, next) = self.entry(at);
-            let hash = fx_hash(key);
-            let mut i = (hash >> self.shift) as usize;
-            while self.slots[i] != 0 {
-                i = (i + 1) & mask;
+            let mut n = 0;
+            while n < GROW_BATCH && at < self.arena.len() {
+                let (key, next) = self.entry(at);
+                let hash = fx_hash(key);
+                self.prefetch(hash);
+                batch[n] = (hash, at);
+                n += 1;
+                at = next;
             }
-            self.slots[i] = Self::slot(hash, at);
-            at = next;
+            for &(hash, offset) in &batch[..n] {
+                let mut i = (hash >> self.shift) as usize;
+                while self.slots[i] != 0 {
+                    i = (i + 1) & mask;
+                }
+                self.slots[i] = Self::slot(hash, offset);
+            }
         }
     }
 }
+
+/// Keys [`KeySet::grow`] hashes and prefetches ahead of placing them.
+const GROW_BATCH: usize = 16;
 
 #[cfg(test)]
 mod tests {
@@ -161,20 +201,39 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let mut set = KeySet::new();
         let mut reference: HashSet<Vec<u8>> = HashSet::new();
+        let mut stale_hashes = 0;
         // Short keys over a tiny alphabet force many repeats and shared
         // prefixes, a few long ones take two-byte length prefixes, and
         // 20k inserts grow the table from 1 Ki slots several times.
-        for _ in 0..20_000 {
-            let len = match rng.next() % 64 {
-                0 => 128 + (rng.next() % 200) as usize,
-                _ => (rng.next() % 12) as usize,
-            };
-            let key: Vec<u8> = (0..len).map(|_| (rng.next() % 3) as u8).collect();
-            let fresh = reference.insert(key.clone());
-            assert_eq!(set.insert(&key), fresh, "key {key:?}");
+        // Keys come in batches of up to 31, as the search inserts one
+        // state's successors: every hash is computed and prefetched
+        // before the batch's first insert, so growths inside a batch
+        // leave hashes that predate them.
+        let mut inserted = 0;
+        while inserted < 20_000 {
+            let batch: Vec<(Vec<u8>, u64)> = (0..rng.next() % 32)
+                .map(|_| {
+                    let len = match rng.next() % 64 {
+                        0 => 128 + (rng.next() % 200) as usize,
+                        _ => (rng.next() % 12) as usize,
+                    };
+                    let key: Vec<u8> = (0..len).map(|_| (rng.next() % 3) as u8).collect();
+                    let hash = fx_hash(&key);
+                    set.prefetch(hash);
+                    (key, hash)
+                })
+                .collect();
+            let slots = set.slots.len();
+            for (key, hash) in batch {
+                stale_hashes += usize::from(set.slots.len() != slots);
+                let fresh = reference.insert(key.clone());
+                assert_eq!(set.insert_hashed(&key, hash), fresh, "key {key:?}");
+                inserted += 1;
+            }
         }
         assert_eq!(set.len, reference.len());
         assert!(set.slots.len() > 1 << MIN_BITS, "the table grew");
+        assert!(stale_hashes > 0, "no hash predated a growth");
         for key in &reference {
             assert!(!set.insert(key), "{key:?} must still be present");
         }

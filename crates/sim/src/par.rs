@@ -227,10 +227,24 @@ pub struct ParReport {
 /// good so the run can unwind instead of hanging.
 struct EpochBarrier {
     n: usize,
-    arrived: Mutex<usize>,
+    state: Mutex<BarrierState>,
     generation: AtomicU64,
     poisoned: AtomicBool,
     release: Condvar,
+}
+
+/// Why the barrier's lock is never poisoned: nothing panics while
+/// holding it, since the run's leader section only touches atomics.
+const BARRIER_LOCK: &str = "the barrier lock is never held across a panic";
+
+/// What the barrier's lock guards.
+struct BarrierState {
+    /// Workers arrived in the current generation.
+    arrived: usize,
+    /// Workers blocked on the condition variable. The leader notifies
+    /// only when one is, so a generation every worker spins through
+    /// costs no futex call.
+    parked: usize,
 }
 
 impl EpochBarrier {
@@ -238,7 +252,10 @@ impl EpochBarrier {
     fn new(n: usize) -> Self {
         EpochBarrier {
             n,
-            arrived: Mutex::new(0),
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                parked: 0,
+            }),
             generation: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             release: Condvar::new(),
@@ -249,18 +266,21 @@ impl EpochBarrier {
     /// *before* anyone is released. Returns `false`, without waiting for
     /// the others, once the barrier is poisoned.
     fn wait(&self, leader: impl FnOnce()) -> bool {
-        let mut arrived = self.arrived.lock().unwrap();
+        let mut state = self.state.lock().expect(BARRIER_LOCK);
         let gen = self.generation.load(Ordering::Acquire);
-        *arrived += 1;
-        if *arrived == self.n {
-            *arrived = 0;
+        state.arrived += 1;
+        if state.arrived == self.n {
+            state.arrived = 0;
             leader();
             self.generation.fetch_add(1, Ordering::Release);
-            drop(arrived);
-            self.release.notify_all();
+            let parked = state.parked > 0;
+            drop(state);
+            if parked {
+                self.release.notify_all();
+            }
             return true;
         }
-        drop(arrived);
+        drop(state);
         let released = || {
             self.generation.load(Ordering::Acquire) != gen || self.poisoned.load(Ordering::Acquire)
         };
@@ -278,15 +298,23 @@ impl EpochBarrier {
             std::thread::yield_now();
         }
         // The leader bumps the generation (and a panicking worker sets
-        // the poison flag) under this lock, so no wake-up is missed.
-        let arrived = self.arrived.lock().unwrap();
-        drop(self.release.wait_while(arrived, |_| !released()).unwrap());
+        // the poison flag) under this lock and reads `parked` there, so
+        // a waiter that parks is either seen and notified or finds
+        // itself released before it sleeps: no wake-up is missed.
+        let mut state = self.state.lock().expect(BARRIER_LOCK);
+        state.parked += 1;
+        let mut state = self
+            .release
+            .wait_while(state, |_| !released())
+            .expect(BARRIER_LOCK);
+        state.parked -= 1;
+        drop(state);
         !self.poisoned.load(Ordering::Acquire)
     }
 
     /// Releases every current and future waiter for good.
     fn poison(&self) {
-        let _arrived = self.arrived.lock().unwrap_or_else(PoisonError::into_inner);
+        let _state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         self.poisoned.store(true, Ordering::Release);
         self.generation.fetch_add(1, Ordering::Release);
         self.release.notify_all();
@@ -302,12 +330,14 @@ struct RunShared<T> {
     /// Shards that were active this epoch; swapped to zero by the
     /// barrier leader.
     active: AtomicU64,
-    /// Envelopes exchanged, cumulative.
+    /// Envelopes exchanged, cumulative; each worker adds its epoch's
+    /// count once, before the barrier.
     messages: AtomicU64,
     /// Minimum over every shard's [`Shard::next_activity`] and every
-    /// envelope timestamp sent this epoch, in picoseconds; reset to
-    /// `u64::MAX` by the barrier leader. The happens-before edges of the
-    /// barrier make the relaxed `fetch_min`s visible to the leader.
+    /// envelope timestamp sent this epoch, in picoseconds; each worker
+    /// folds its own minimum in once per epoch, and the barrier leader
+    /// resets it to `u64::MAX`. The happens-before edges of the barrier
+    /// make the relaxed `fetch_min`s visible to the leader.
     next_min_ps: AtomicU64,
     /// Leader's decision: the epoch index every worker executes next
     /// (may jump past quiet epochs).
@@ -326,15 +356,19 @@ struct Worker<'a, S: Shard> {
     base: usize,
     /// Arrived-but-not-yet-delivered envelopes, per owned shard.
     stash: Vec<Vec<Envelope<S::Msg>>>,
+    /// Envelopes for other workers' shards sent this epoch, per global
+    /// destination; appended to its mailbox in one lock at epoch end.
+    outbox: Vec<Vec<Envelope<S::Msg>>>,
 }
 
 impl<'a, S: Shard> Worker<'a, S> {
-    fn new(shards: &'a mut [S], base: usize) -> Self {
+    fn new(shards: &'a mut [S], base: usize, total: usize) -> Self {
         let stash = shards.iter().map(|_| Vec::new()).collect();
         Worker {
             shards,
             base,
             stash,
+            outbox: (0..total).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -343,20 +377,14 @@ impl<'a, S: Shard> Worker<'a, S> {
     }
 
     /// Sends `env` to global shard `dst`; never blocks.
-    fn send(&mut self, shared: &RunShared<S::Msg>, dst: usize, env: Envelope<S::Msg>) {
-        shared.messages.fetch_add(1, Ordering::Relaxed);
-        // An in-flight envelope is future activity its receiver cannot
-        // see yet; fold its timestamp so the leader never jumps past it.
-        shared
-            .next_min_ps
-            .fetch_min(env.at.as_ps(), Ordering::Relaxed);
+    fn send(&mut self, dst: usize, env: Envelope<S::Msg>) {
         if self.owns(dst) {
             // Same-worker fast path: no mailbox involved. Determinism is
             // unaffected — delivery order is erased by the (at, src, seq)
             // sort before processing.
             self.stash[dst - self.base].push(env);
         } else {
-            shared.mailboxes[dst].lock().unwrap().push(env);
+            self.outbox[dst].push(env);
         }
     }
 
@@ -374,6 +402,7 @@ impl<'a, S: Shard> Worker<'a, S> {
                 end: Time::ZERO + lookahead * (epoch + 1),
             };
             let mut active = 0u64;
+            let mut messages = 0u64;
             let mut local_min = u64::MAX;
             // Everything sent before the last barrier is here; anything a
             // peer already sends in this epoch is timestamped at or after
@@ -390,6 +419,7 @@ impl<'a, S: Shard> Worker<'a, S> {
                     self.base + local
                 );
                 let sent = out.len() as u64;
+                messages += sent;
                 for (dst, env) in out.drain(..) {
                     assert!(
                         env.at >= window.end,
@@ -398,7 +428,11 @@ impl<'a, S: Shard> Worker<'a, S> {
                         env.at,
                         window.end
                     );
-                    self.send(shared, dst, env);
+                    // An in-flight envelope is future activity its
+                    // receiver cannot see yet; fold its timestamp so the
+                    // leader never jumps past it.
+                    local_min = local_min.min(env.at.as_ps());
+                    self.send(dst, env);
                 }
                 // Activity is a function of simulated state only (did the
                 // shard send, does it still have work) — never of *when*
@@ -412,8 +446,21 @@ impl<'a, S: Shard> Worker<'a, S> {
                     local_min = local_min.min(t.as_ps());
                 }
             }
+            // Everything sent to another worker goes out before the
+            // barrier, so its receiver takes it at the next epoch start.
+            for (dst, outbox) in self.outbox.iter_mut().enumerate() {
+                if !outbox.is_empty() {
+                    shared.mailboxes[dst]
+                        .lock()
+                        .expect("a mailbox is locked only to append to it")
+                        .append(outbox);
+                }
+            }
             if active > 0 {
                 shared.active.fetch_add(active, Ordering::AcqRel);
+            }
+            if messages > 0 {
+                shared.messages.fetch_add(messages, Ordering::Relaxed);
             }
             if local_min != u64::MAX {
                 shared.next_min_ps.fetch_min(local_min, Ordering::Relaxed);
@@ -488,7 +535,7 @@ pub fn run_conservative<S: Shard>(
     };
 
     let epochs = if workers == 1 {
-        Worker::new(shards, 0).run(&shared, lookahead)
+        Worker::new(shards, 0, n).run(&shared, lookahead)
     } else {
         // Contiguous partition: worker w owns shards [lo, hi). The split
         // has no observable effect on results, only on load balance.
@@ -504,7 +551,7 @@ pub fn run_conservative<S: Shard>(
                     // A panicking worker poisons the barrier, releasing its
                     // peers so the run unwinds instead of hanging.
                     panic::catch_unwind(AssertUnwindSafe(|| {
-                        Worker::new(slice, base).run(shared, lookahead)
+                        Worker::new(slice, base, n).run(shared, lookahead)
                     }))
                     .inspect_err(|_| shared.barrier.poison())
                 }));
