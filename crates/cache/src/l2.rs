@@ -6,8 +6,6 @@
 //! coherence probes from the remote node (the FPGA's home/remote agents in
 //! `enzian-eci` call [`L2Cache::probe`]).
 
-use std::collections::HashMap;
-
 use enzian_mem::CacheLine;
 
 use crate::moesi::{LineEvent, LineState};
@@ -136,8 +134,8 @@ struct Way {
 pub struct L2Cache {
     config: L2Config,
     sets: Vec<Vec<Way>>,
-    // Directory of resident lines for O(1) lookup of membership.
-    resident: HashMap<CacheLine, usize>,
+    /// Resident lines (fills minus evictions and invalidating probes).
+    resident: usize,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -153,7 +151,7 @@ impl L2Cache {
         L2Cache {
             config,
             sets: vec![Vec::new(); sets],
-            resident: HashMap::new(),
+            resident: 0,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -255,7 +253,7 @@ impl L2Cache {
                 .min_by_key(|(_, w)| w.lru)
                 .expect("full set has a victim");
             let w = self.sets[set].swap_remove(idx);
-            self.resident.remove(&w.line);
+            self.resident -= 1;
             self.evictions += 1;
             if w.state.is_dirty() {
                 self.writebacks += 1;
@@ -271,7 +269,7 @@ impl L2Cache {
             state,
             lru: self.clock,
         });
-        self.resident.insert(line, set);
+        self.resident += 1;
         evicted
     }
 
@@ -291,8 +289,8 @@ impl L2Cache {
         };
         match was.after(event) {
             Some(LineState::Invalid) | None => {
-                let w = self.sets[set].swap_remove(idx);
-                self.resident.remove(&w.line);
+                self.sets[set].swap_remove(idx);
+                self.resident -= 1;
             }
             Some(next) => self.sets[set][idx].state = next,
         }
@@ -301,7 +299,7 @@ impl L2Cache {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.resident.len()
+        self.resident
     }
 
     /// `(hits, misses, upgrades, evictions, writebacks)` so far.
@@ -330,10 +328,7 @@ impl enzian_sim::Instrumented for L2Cache {
         registry.counter_set(&format!("{prefix}.upgrades"), self.upgrades);
         registry.counter_set(&format!("{prefix}.evictions"), self.evictions);
         registry.counter_set(&format!("{prefix}.writebacks"), self.writebacks);
-        registry.counter_set(
-            &format!("{prefix}.resident_lines"),
-            self.resident.len() as u64,
-        );
+        registry.counter_set(&format!("{prefix}.resident_lines"), self.resident as u64);
         if let Some(rate) = self.hit_rate() {
             registry.gauge_set(&format!("{prefix}.hit_rate"), rate);
         }

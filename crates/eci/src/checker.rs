@@ -14,10 +14,9 @@
 //!    transaction (no unsolicited data), and each request is answered at
 //!    most once.
 
-use std::collections::HashMap;
-
 use enzian_cache::moesi::{check_global_invariant, LineState};
 use enzian_mem::{CacheLine, NodeId};
+use enzian_sim::FxHashMap;
 
 use crate::message::{Message, MessageKind, TxnId};
 
@@ -106,9 +105,9 @@ fn node_index(n: NodeId) -> usize {
 #[derive(Debug, Default)]
 pub struct ProtocolChecker {
     // Last-known state of each line in each node's cache.
-    states: HashMap<CacheLine, [LineState; 2]>,
+    states: FxHashMap<CacheLine, [LineState; 2]>,
     // Outstanding request transactions awaiting a response.
-    outstanding: HashMap<TxnId, &'static str>,
+    outstanding: FxHashMap<TxnId, &'static str>,
     violations: Vec<CheckerError>,
     transitions_checked: u64,
     messages_checked: u64,

@@ -7,10 +7,9 @@
 //! the remote node and local accesses that conflict with a remote copy
 //! consult the directory to decide whether probes are needed.
 
-use std::collections::HashMap;
-
 use enzian_mem::CacheLine;
 use enzian_sim::telemetry::{Instrumented, MetricsRegistry};
+use enzian_sim::FxHashMap;
 
 /// The remote node's copy of a home line, as the home tracks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,7 +111,7 @@ pub struct DirectoryEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    entries: HashMap<CacheLine, DirectoryEntry>,
+    entries: FxHashMap<CacheLine, DirectoryEntry>,
     grants: u64,
     recalls: u64,
 }

@@ -27,6 +27,20 @@
 //! it reaches the link layer's own credit/replay machinery. The protocol
 //! checker observes the message stream exactly as before.
 //!
+//! A transaction is a record in a slab (`TxnRecord`: the pending
+//! operation, when it began service, the data it completes with, and the
+//! return step its CPU-side fill or upgrade ends in). Each of its events
+//! is a `Step` — a `Copy` value of kind, record slot, line, protocol
+//! transaction id, flags and delivery time that packs into the event's
+//! [`Pod`] — so a transaction schedules no closures and allocates nothing
+//! but the data boxes of the messages it sends. A nested chain (probe,
+//! then fill, then finish) is a "next step" carried by the step itself.
+//! Completions wait in a window indexed by handle (handles are
+//! sequential) until taken.
+//!
+//! Maps keyed by lines, pages or transaction ids use
+//! [`enzian_sim::FxHashMap`]: no SipHash on simulator-internal keys.
+//!
 //! Two surfaces sit on top of the engine:
 //!
 //! * the **synchronous facade** — `fpga_read_line`, the `try_*` pairs,
@@ -48,9 +62,11 @@
 //! enforces state-machine legality.
 
 use enzian_cache::{AccessOutcome, L2Cache, L2Config, LineState};
-use enzian_mem::{Addr, MemoryController, MemoryControllerConfig, MemoryMap, NodeId, Op};
-use enzian_sim::{Duration, FaultPlan, Pod, Scheduler, Simulator, Time};
-use std::collections::{HashMap, HashSet, VecDeque};
+use enzian_mem::{
+    Addr, CacheLine, MemoryController, MemoryControllerConfig, MemoryMap, NodeId, Op,
+};
+use enzian_sim::{Duration, FaultPlan, FxHashMap, Pod, Scheduler, Simulator, Time};
+use std::collections::VecDeque;
 
 use crate::checker::ProtocolChecker;
 use crate::decoder::TraceBuffer;
@@ -329,20 +345,170 @@ const VC_COUNT: usize = VirtualChannel::ALL.len();
 /// The scheduler type every event handler in the engine receives.
 type Sched = Scheduler<EngineCore>;
 
-/// A continuation in a transaction's event chain: invoked with the time
-/// the awaited message was delivered.
-type Cont = Box<dyn FnOnce(&mut EngineCore, &mut Sched, Time) + Send>;
+/// What a [`Step`] does when its event fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StepKind {
+    /// The issue time came: present the transaction to the MSHR table.
+    Admit,
+    /// An FPGA read request reached the CPU home.
+    FpgaReadAtHome,
+    /// An FPGA write reached the CPU home.
+    FpgaWriteAtHome,
+    /// An FPGA acquire reached the CPU home.
+    FpgaAcquireAtHome,
+    /// An FPGA upgrade reached the CPU home.
+    FpgaUpgradeAtHome,
+    /// An FPGA release (victim) reached the CPU home.
+    FpgaReleaseAtHome,
+    /// The CPU home's response reached the FPGA.
+    FpgaResponse,
+    /// A probe from the CPU home reached the FPGA.
+    ProbeAtFpga,
+    /// Fill the CPU L2 from local DRAM (the probe ack, if any, is back).
+    LocalFill,
+    /// A CPU fill request reached the FPGA home.
+    RemoteFillAtHome,
+    /// The FPGA home's fill data reached the CPU.
+    RemoteFillData,
+    /// A CPU upgrade reached the FPGA home.
+    RemoteUpgradeAtHome,
+    /// Run the transaction's [`Ret`]: its CPU-side work is done.
+    Return,
+    /// A CPU L2 victim reached the FPGA home. Belongs to no record.
+    Victim,
+    /// The transaction's completion time came.
+    Finish,
+}
+
+impl StepKind {
+    /// Every kind, indexed by its discriminant (for decoding a [`Pod`]).
+    const ALL: [StepKind; 15] = [
+        StepKind::Admit,
+        StepKind::FpgaReadAtHome,
+        StepKind::FpgaWriteAtHome,
+        StepKind::FpgaAcquireAtHome,
+        StepKind::FpgaUpgradeAtHome,
+        StepKind::FpgaReleaseAtHome,
+        StepKind::FpgaResponse,
+        StepKind::ProbeAtFpga,
+        StepKind::LocalFill,
+        StepKind::RemoteFillAtHome,
+        StepKind::RemoteFillData,
+        StepKind::RemoteUpgradeAtHome,
+        StepKind::Return,
+        StepKind::Victim,
+        StepKind::Finish,
+    ];
+}
+
+/// [`Step::flags`]: the probe invalidates, the fill is for a write.
+const FOR_WRITE: u8 = 1;
+/// [`Step::flags`]: the probe ack continues with a [`StepKind::LocalFill`]
+/// (otherwise with the [`Ret`]).
+const THEN_FILL: u8 = 2;
+/// [`Step::flags`]: the victim carries dirty data.
+const DIRTY: u8 = 4;
+/// [`Step::flags`]: the released FPGA copy was owned, not shared.
+const WAS_OWNER: u8 = 8;
+
+/// One link in a transaction's event chain: everything the next event
+/// needs besides the transaction's [`TxnRecord`]. It is `Copy` and packs
+/// into the event's [`Pod`], so scheduling a step allocates nothing.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    kind: StepKind,
+    /// The transaction's slot in [`EngineCore::txns`].
+    slot: u32,
+    line: CacheLine,
+    /// The protocol transaction id the step's messages carry.
+    txn: TxnId,
+    flags: u8,
+    /// When the awaited message was delivered (for [`StepKind::Finish`],
+    /// the completion time).
+    delivered: Time,
+}
+
+impl Step {
+    fn new(kind: StepKind, slot: u32, line: CacheLine, txn: TxnId, flags: u8) -> Self {
+        Step {
+            kind,
+            slot,
+            line,
+            txn,
+            flags,
+            delivered: Time::ZERO,
+        }
+    }
+
+    /// The same transaction's next step.
+    fn then(self, kind: StepKind) -> Self {
+        Step { kind, ..self }
+    }
+
+    fn has(self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    fn pod(self) -> Pod {
+        Pod::new(
+            u64::from(self.slot) | u64::from(self.txn.0) << 32,
+            self.line.0,
+            self.delivered.as_ps(),
+            self.kind as u64 | u64::from(self.flags) << 8,
+        )
+    }
+
+    fn from_pod(p: Pod) -> Self {
+        Step {
+            kind: StepKind::ALL[(p.d & 0xff) as usize],
+            slot: p.a as u32,
+            line: CacheLine(p.b),
+            txn: TxnId((p.a >> 32) as u32),
+            flags: (p.d >> 8) as u8,
+            delivered: Time::from_ps(p.c),
+        }
+    }
+}
+
+/// The event handler of every [`Step`].
+fn step_event(core: &mut EngineCore, s: &mut Sched, p: Pod) {
+    core.run_step(s, Step::from_pod(p));
+}
+
+/// What a CPU-initiated transaction does once its fill or upgrade is
+/// done: the return step nested fills and probes finish with.
+#[derive(Debug, Clone, Copy)]
+enum Ret {
+    /// Read the line from its home store and complete with the data.
+    Read,
+    /// Complete the write miss.
+    Write,
+    /// Record the L2 upgrade and complete one L2 hit later.
+    Upgrade,
+}
+
+/// A transaction from issue to completion: parked in
+/// [`EngineCore::txns`] and named by slot in every [`Step`] of its chain.
+struct TxnRecord {
+    p: PendingTxn,
+    /// When it left the MSHR admission queue and began service.
+    issued: Time,
+    /// The data it completes with, captured when the protocol reads it.
+    data: Option<[u8; 128]>,
+    /// Set by CPU-initiated transactions that fill or upgrade.
+    ret: Option<Ret>,
+}
 
 /// A send waiting for an engine-level VC credit.
 struct QueuedSend {
     ready: Time,
     msg: Message,
-    k: Cont,
+    step: Step,
 }
 
 /// A tiny reusable slab: slots recycle through a free stack, so the
-/// steady-state insert/take cycle of the engine's POD events (delivery
-/// continuations, completion records) touches recycled memory only.
+/// steady-state insert/take cycle of transaction records touches
+/// recycled memory only.
 struct PodSlab<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
@@ -370,6 +536,18 @@ impl<T> PodSlab<T> {
         }
     }
 
+    fn get_mut(&mut self, i: u32) -> &mut T {
+        self.slots[i as usize]
+            .as_mut()
+            .expect("pod slab slot is vacant")
+    }
+
+    fn get(&self, i: u32) -> &T {
+        self.slots[i as usize]
+            .as_ref()
+            .expect("pod slab slot is vacant")
+    }
+
     fn take(&mut self, i: u32) -> T {
         let v = self.slots[i as usize]
             .take()
@@ -379,9 +557,71 @@ impl<T> PodSlab<T> {
     }
 }
 
-/// The payload of a deferred completion: everything `complete` needs,
-/// parked in [`EngineCore::finishes`] while its POD event is in flight.
-type FinishRec = (PendingTxn, Time, Option<[u8; 128]>, Time);
+/// One handle's entry in the [`CompletionWindow`].
+enum Completion {
+    InFlight,
+    Done(TxnCompletion),
+    Taken,
+}
+
+/// Completions by handle. Handles are issued sequentially, so the
+/// window is a deque indexed by `handle - base`; taken entries at the
+/// front are dropped, which keeps it as long as the span from the
+/// oldest untaken handle to the newest.
+struct CompletionWindow {
+    /// The handle of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Completion>,
+}
+
+impl CompletionWindow {
+    fn new() -> Self {
+        CompletionWindow {
+            base: 1,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// Opens the next handle, in flight.
+    fn open(&mut self) -> TxnHandle {
+        self.slots.push_back(Completion::InFlight);
+        TxnHandle(self.base + self.slots.len() as u64 - 1)
+    }
+
+    fn index(&self, h: TxnHandle) -> Option<usize> {
+        let i = usize::try_from(h.0.checked_sub(self.base)?).ok()?;
+        (i < self.slots.len()).then_some(i)
+    }
+
+    fn complete(&mut self, c: TxnCompletion) {
+        let i = self.index(c.handle).expect("completion of an open handle");
+        self.slots[i] = Completion::Done(c);
+    }
+
+    fn status(&self, h: TxnHandle) -> TxnStatus {
+        match self.index(h).map(|i| &self.slots[i]) {
+            Some(Completion::InFlight) => TxnStatus::InFlight,
+            Some(Completion::Done(_)) => TxnStatus::Completed,
+            Some(Completion::Taken) | None => TxnStatus::Retired,
+        }
+    }
+
+    fn take(&mut self, h: TxnHandle) -> Option<TxnCompletion> {
+        let i = self.index(h)?;
+        let c = match std::mem::replace(&mut self.slots[i], Completion::Taken) {
+            Completion::Done(c) => c,
+            other => {
+                self.slots[i] = other;
+                return None;
+            }
+        };
+        while matches!(self.slots.front(), Some(Completion::Taken)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(c)
+    }
+}
 
 /// Per-(node, VC) output-queue state.
 struct VcState {
@@ -403,23 +643,20 @@ struct EngineCore {
     dir_fpga: Directory,
     checker: ProtocolChecker,
     trace: TraceBuffer,
-    io_regs: [HashMap<u64, u64>; 2],
+    io_regs: [FxHashMap<u64, u64>; 2],
     pending_ipis: [Vec<u8>; 2],
     next_txn: u32,
     cpu_home_busy: Time,
     fpga_home_busy: Time,
     stats: EciSystemStats,
     faults: Option<FaultPlan>,
+    /// Transactions holding or waiting for an entry, by record slot.
     mshrs: MshrTable,
     vcq: [[VcState; VC_COUNT]; 2],
-    completions: HashMap<u64, TxnCompletion>,
-    outstanding: HashSet<u64>,
-    next_handle: u64,
+    /// Every issued transaction from issue to completion.
+    txns: PodSlab<TxnRecord>,
+    completions: CompletionWindow,
     engine: EngineStats,
-    /// Delivery continuations awaiting their POD event, keyed by slab slot.
-    conts: PodSlab<(Cont, Time)>,
-    /// Completion records awaiting their POD event, keyed by slab slot.
-    finishes: PodSlab<FinishRec>,
 }
 
 impl EngineCore {
@@ -433,7 +670,7 @@ impl EngineCore {
             dir_fpga: Directory::new(),
             checker: ProtocolChecker::new(),
             trace: TraceBuffer::new(),
-            io_regs: [HashMap::new(), HashMap::new()],
+            io_regs: Default::default(),
             pending_ipis: [Vec::new(), Vec::new()],
             next_txn: 0,
             cpu_home_busy: Time::ZERO,
@@ -447,12 +684,9 @@ impl EngineCore {
                     waiting: VecDeque::new(),
                 })
             }),
-            completions: HashMap::new(),
-            outstanding: HashSet::new(),
-            next_handle: 0,
+            txns: PodSlab::new(),
+            completions: CompletionWindow::new(),
             engine: EngineStats::default(),
-            conts: PodSlab::new(),
-            finishes: PodSlab::new(),
             cfg,
         }
     }
@@ -517,11 +751,11 @@ impl EngineCore {
         }
     }
 
-    fn l2_transition(&mut self, line: enzian_mem::CacheLine, from: LineState, to: LineState) {
+    fn l2_transition(&mut self, line: CacheLine, from: LineState, to: LineState) {
         let _ = self.checker.observe_transition(NodeId::Cpu, line, from, to);
     }
 
-    fn fpga_transition(&mut self, line: enzian_mem::CacheLine, from: LineState, to: LineState) {
+    fn fpga_transition(&mut self, line: CacheLine, from: LineState, to: LineState) {
         let _ = self
             .checker
             .observe_transition(NodeId::Fpga, line, from, to);
@@ -545,34 +779,31 @@ impl EngineCore {
     // Engine-level VC queues with credit-based flow control
     // ---------------------------------------------------------------
 
-    /// Sends `msg` on its virtual channel no earlier than `ready`,
-    /// invoking `k` with the delivery time. With no engine-level credit
-    /// free on the (source node, VC) queue, the send waits its turn.
-    fn vc_send(&mut self, s: &mut Sched, ready: Time, msg: Message, k: Cont) {
+    /// Sends `msg` on its virtual channel no earlier than `ready`; `step`
+    /// runs at the delivery time. With no engine-level credit free on the
+    /// (source node, VC) queue, the send waits its turn.
+    fn vc_send(&mut self, s: &mut Sched, ready: Time, msg: Message, step: Step) {
         let n = Self::node_index(msg.src);
         let v = msg.kind.virtual_channel().index();
         if self.vcq[n][v].free == 0 {
             self.engine.vc_queue_stalls += 1;
             self.vcq[n][v]
                 .waiting
-                .push_back(QueuedSend { ready, msg, k });
+                .push_back(QueuedSend { ready, msg, step });
             return;
         }
         self.vcq[n][v].free -= 1;
-        self.dispatch_send(s, ready, msg, k);
+        self.dispatch_send(s, ready, msg, step);
     }
 
-    /// Emits a credit-holding send and schedules its continuation at the
-    /// delivery time plus the credit's return.
-    fn dispatch_send(&mut self, s: &mut Sched, ready: Time, msg: Message, k: Cont) {
+    /// Emits a credit-holding send and schedules `step` at the delivery
+    /// time and the credit's return after it.
+    fn dispatch_send(&mut self, s: &mut Sched, ready: Time, msg: Message, step: Step) {
         let n = Self::node_index(msg.src);
         let v = msg.kind.virtual_channel().index();
         let at = ready.max(s.now());
         let delivered = self.emit(at, &msg);
         let credit_back = delivered + self.cfg.link.credit_return;
-        // Both follow-ups are POD events: the credit return carries its
-        // queue coordinates inline, and the continuation is parked in the
-        // engine-side slab, so neither send schedules a boxed closure.
         let _ = s.schedule_pod_at_or_now(
             credit_back,
             |core: &mut EngineCore, s: &mut Sched, p: Pod| {
@@ -580,24 +811,76 @@ impl EngineCore {
             },
             Pod::new(n as u64, v as u64, 0, 0),
         );
-        let idx = self.conts.insert((k, delivered));
-        let _ = s.schedule_pod_at_or_now(
-            delivered,
-            |core: &mut EngineCore, s: &mut Sched, p: Pod| {
-                let (k, delivered) = core.conts.take(p.a as u32);
-                k(core, s, delivered);
-            },
-            Pod::new(u64::from(idx), 0, 0, 0),
-        );
+        self.schedule_step(s, Step { delivered, ..step });
     }
 
     /// A credit came back on queue (`n`, `v`): hand it to the oldest
     /// waiting send, or bank it.
     fn vc_credit_return(&mut self, s: &mut Sched, n: usize, v: usize) {
         if let Some(q) = self.vcq[n][v].waiting.pop_front() {
-            self.dispatch_send(s, q.ready, q.msg, q.k);
+            self.dispatch_send(s, q.ready, q.msg, q.step);
         } else {
             self.vcq[n][v].free += 1;
+        }
+    }
+
+    // ---------------------------------------------------------------
+    // Steps: the engine's events
+    // ---------------------------------------------------------------
+
+    /// Schedules `step` at its `delivered` time (or now, if later).
+    fn schedule_step(&mut self, s: &mut Sched, step: Step) {
+        let _ = s.schedule_pod_at_or_now(step.delivered, step_event, step.pod());
+    }
+
+    fn run_step(&mut self, s: &mut Sched, step: Step) {
+        match step.kind {
+            StepKind::Admit => self.admit_txn(s, step.slot),
+            StepKind::FpgaReadAtHome => self.fpga_read_at_home(s, step),
+            StepKind::FpgaWriteAtHome => self.fpga_write_at_home(s, step),
+            StepKind::FpgaAcquireAtHome => self.fpga_acquire_at_home(s, step),
+            StepKind::FpgaUpgradeAtHome => self.fpga_upgrade_at_home(s, step),
+            StepKind::FpgaReleaseAtHome => self.fpga_release_at_home(s, step),
+            StepKind::FpgaResponse => {
+                let end = step.delivered + self.fpga_delay();
+                self.finish(s, step.slot, end);
+            }
+            StepKind::ProbeAtFpga => self.probe_at_fpga(s, step),
+            StepKind::LocalFill => {
+                self.local_fill(s, step.slot, step.line, step.has(FOR_WRITE), step.delivered)
+            }
+            StepKind::RemoteFillAtHome => self.remote_fill_at_home(s, step),
+            StepKind::RemoteFillData => {
+                let state = if step.has(FOR_WRITE) {
+                    LineState::Modified
+                } else {
+                    LineState::Shared
+                };
+                self.fill_l2(s, step.delivered, step.line, state);
+                let done = step.delivered + self.cfg.l2_hit_latency;
+                self.ret(s, step.slot, done);
+            }
+            StepKind::RemoteUpgradeAtHome => {
+                let service = step.delivered + self.fpga_delay();
+                self.dir_fpga.grant_owner(step.line);
+                let ack = Message::new(
+                    NodeId::Fpga,
+                    NodeId::Cpu,
+                    step.txn,
+                    MessageKind::Ack(step.line),
+                );
+                self.vc_send(s, service, ack, step.then(StepKind::Return));
+            }
+            StepKind::Return => self.ret(s, step.slot, step.delivered),
+            StepKind::Victim => {
+                if step.has(DIRTY) {
+                    let _ = self
+                        .fpga_mem
+                        .request(step.delivered, step.line.base(), 128, Op::Write);
+                }
+                self.dir_fpga.revoke(step.line);
+            }
+            StepKind::Finish => self.complete(s, step.slot, step.delivered),
         }
     }
 
@@ -605,71 +888,77 @@ impl EngineCore {
     // Transaction admission and retirement
     // ---------------------------------------------------------------
 
-    fn admit_txn(&mut self, s: &mut Sched, p: PendingTxn) {
-        match self.mshrs.admit(p) {
-            Admitted::Start(p) => self.begin(s, p),
+    fn admit_txn(&mut self, s: &mut Sched, slot: u32) {
+        let key = self.txns.get(slot).p.addr.line().base().0;
+        match self.mshrs.admit(key, slot) {
+            Admitted::Start(slot) => self.begin(s, slot),
             Admitted::Conflict => self.engine.mshr_conflicts += 1,
             Admitted::Full => self.engine.mshr_full_stalls += 1,
         }
     }
 
-    fn begin(&mut self, s: &mut Sched, p: PendingTxn) {
+    fn begin(&mut self, s: &mut Sched, slot: u32) {
         self.engine.started += 1;
         self.engine.max_inflight = self.engine.max_inflight.max(self.mshrs.in_flight() as u64);
+        let rec = self.txns.get_mut(slot);
+        rec.issued = s.now();
+        let p = rec.p;
         match p.op {
-            TxnOp::FpgaRead => self.begin_fpga_read(s, p),
-            TxnOp::FpgaWrite(_) => self.begin_fpga_write(s, p),
-            TxnOp::FpgaAcquire { .. } => self.begin_fpga_acquire(s, p),
-            TxnOp::FpgaUpgrade => self.begin_fpga_upgrade(s, p),
-            TxnOp::FpgaRelease(_) => self.begin_fpga_release(s, p),
-            TxnOp::CpuRead => self.begin_cpu_read(s, p),
-            TxnOp::CpuWrite(_) => self.begin_cpu_write(s, p),
+            TxnOp::FpgaRead => self.begin_fpga_read(s, slot, p),
+            TxnOp::FpgaWrite(_) => self.begin_fpga_write(s, slot, p),
+            TxnOp::FpgaAcquire { .. } => self.begin_fpga_acquire(s, slot, p),
+            TxnOp::FpgaUpgrade => self.begin_fpga_upgrade(s, slot, p),
+            TxnOp::FpgaRelease(_) => self.begin_fpga_release(s, slot, p),
+            TxnOp::CpuRead => self.begin_cpu_read(s, slot, p),
+            TxnOp::CpuWrite(_) => self.begin_cpu_write(s, slot, p),
         }
     }
 
-    /// Schedules the completion record of `p` at its completion time.
-    fn finish(
-        &mut self,
-        s: &mut Sched,
-        p: PendingTxn,
-        issued: Time,
-        data: Option<[u8; 128]>,
-        end: Time,
-    ) {
-        let idx = self.finishes.insert((p, issued, data, end));
-        let _ = s.schedule_pod_at_or_now(
-            end,
-            |core: &mut EngineCore, s: &mut Sched, pod: Pod| {
-                let (p, issued, data, end) = core.finishes.take(pod.a as u32);
-                core.complete(s, p, issued, data, end);
-            },
-            Pod::new(u64::from(idx), 0, 0, 0),
-        );
+    /// Schedules the completion of transaction `slot` at `end`.
+    fn finish(&mut self, s: &mut Sched, slot: u32, end: Time) {
+        let mut step = Step::new(StepKind::Finish, slot, CacheLine(0), TxnId(0), 0);
+        step.delivered = end;
+        self.schedule_step(s, step);
     }
 
-    fn complete(
-        &mut self,
-        s: &mut Sched,
-        p: PendingTxn,
-        issued: Time,
-        data: Option<[u8; 128]>,
-        at: Time,
-    ) {
+    /// Like [`EngineCore::finish`], completing with `data`.
+    fn finish_with(&mut self, s: &mut Sched, slot: u32, data: [u8; 128], end: Time) {
+        self.txns.get_mut(slot).data = Some(data);
+        self.finish(s, slot, end);
+    }
+
+    fn complete(&mut self, s: &mut Sched, slot: u32, at: Time) {
+        let rec = self.txns.take(slot);
         self.engine.completed += 1;
-        self.outstanding.remove(&p.handle.0);
-        self.completions.insert(
-            p.handle.0,
-            TxnCompletion {
-                handle: p.handle,
-                addr: p.addr,
-                op: p.op.name(),
-                issued,
-                completed: at,
-                data,
-            },
-        );
-        if let Some(next) = self.mshrs.retire(p.addr.line().base().0) {
+        self.completions.complete(TxnCompletion {
+            handle: rec.p.handle,
+            addr: rec.p.addr,
+            op: rec.p.op.name(),
+            issued: rec.issued,
+            completed: at,
+            data: rec.data,
+        });
+        if let Some(next) = self.mshrs.retire(rec.p.addr.line().base().0) {
             self.begin(s, next);
+        }
+    }
+
+    /// Runs the return step of CPU transaction `slot`, whose fill or
+    /// upgrade is done at `at`.
+    fn ret(&mut self, s: &mut Sched, slot: u32, at: Time) {
+        let rec = self.txns.get(slot);
+        let addr = rec.p.addr;
+        match rec.ret.expect("CPU transaction has a return step") {
+            Ret::Read => {
+                let home = self.cfg.map.home_of(addr);
+                let data = self.home_store(home).read_line(addr);
+                self.finish_with(s, slot, data, at);
+            }
+            Ret::Write => self.finish(s, slot, at),
+            Ret::Upgrade => {
+                self.l2_transition(addr.line(), LineState::Shared, LineState::Modified);
+                self.finish(s, slot, at + self.cfg.l2_hit_latency);
+            }
         }
     }
 
@@ -677,259 +966,231 @@ impl EngineCore {
     // FPGA-initiated uncached coherent accesses (the §5.1 benchmark)
     // ---------------------------------------------------------------
 
-    fn begin_fpga_read(&mut self, s: &mut Sched, p: PendingTxn) {
-        let issued = s.now();
-        self.stats.fpga_reads += 1;
-        let line = p.addr.line();
+    /// Sends an FPGA request to the CPU home one FPGA pipeline after the
+    /// transaction began; `kind` runs when it arrives.
+    fn fpga_request(
+        &mut self,
+        s: &mut Sched,
+        slot: u32,
+        msg: MessageKind,
+        kind: StepKind,
+        flags: u8,
+    ) {
+        let issue = s.now() + self.fpga_delay();
+        let line = self.txns.get(slot).p.addr.line();
         let txn = self.txn();
-
-        let issue = issued + self.fpga_delay();
-        let req = Message::new(NodeId::Fpga, NodeId::Cpu, txn, MessageKind::ReadOnce(line));
+        let step = Step::new(kind, slot, line, txn, flags);
         self.vc_send(
             s,
             issue,
-            req,
-            Box::new(move |core, s, delivered| {
-                // Home service: the pipeline accepts one line per occupancy
-                // slot; the lookup latency is pipelined (latency, not
-                // occupancy). ReadOnce leaves L2 state untouched: no copy
-                // is created at the requester.
-                let accept = delivered.max(core.cpu_home_busy);
-                core.cpu_home_busy = accept + core.cfg.home_occupancy_read;
-                let lookup_done = accept + core.cfg.home_latency;
-                let data_ready = if core.l2.state_of(line).is_readable() {
-                    lookup_done + core.cfg.l2_hit_latency
-                } else {
-                    core.cpu_mem
-                        .request(lookup_done, line.base(), 128, Op::Read)
-                };
-                let data = core.cpu_mem.store().read_line(p.addr);
-
-                let rsp = Message::new(
-                    NodeId::Cpu,
-                    NodeId::Fpga,
-                    txn,
-                    MessageKind::DataShared(line, Box::new(data)),
-                );
-                core.vc_send(
-                    s,
-                    data_ready,
-                    rsp,
-                    Box::new(move |core, s, delivered| {
-                        let end = delivered + core.fpga_delay();
-                        core.finish(s, p, issued, Some(data), end);
-                    }),
-                );
-            }),
+            Message::new(NodeId::Fpga, NodeId::Cpu, txn, msg),
+            step,
         );
     }
 
-    fn begin_fpga_write(&mut self, s: &mut Sched, p: PendingTxn) {
+    /// Occupies the CPU home pipeline for a request delivered at
+    /// `delivered`; returns when its lookup is done. The pipeline accepts
+    /// one line per occupancy slot; the lookup latency is pipelined
+    /// (latency, not occupancy).
+    fn cpu_home_accept(&mut self, delivered: Time, occupancy: Duration) -> Time {
+        let accept = delivered.max(self.cpu_home_busy);
+        self.cpu_home_busy = accept + occupancy;
+        accept + self.cfg.home_latency
+    }
+
+    /// When the CPU home has `line`'s data: an L2 hit or a DRAM read.
+    fn cpu_home_data_ready(&mut self, line: CacheLine, lookup_done: Time) -> Time {
+        if self.l2.state_of(line).is_readable() {
+            lookup_done + self.cfg.l2_hit_latency
+        } else {
+            self.cpu_mem
+                .request(lookup_done, line.base(), 128, Op::Read)
+        }
+    }
+
+    /// Sends the CPU home's response for `step`'s transaction; the FPGA
+    /// sees it complete one pipeline after delivery.
+    fn cpu_home_respond(&mut self, s: &mut Sched, step: Step, ready: Time, kind: MessageKind) {
+        let rsp = Message::new(NodeId::Cpu, NodeId::Fpga, step.txn, kind);
+        self.vc_send(s, ready, rsp, step.then(StepKind::FpgaResponse));
+    }
+
+    fn begin_fpga_read(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
+        self.stats.fpga_reads += 1;
+        let msg = MessageKind::ReadOnce(p.addr.line());
+        self.fpga_request(s, slot, msg, StepKind::FpgaReadAtHome, 0);
+    }
+
+    /// ReadOnce leaves L2 state untouched: no copy is created at the
+    /// requester.
+    fn fpga_read_at_home(&mut self, s: &mut Sched, step: Step) {
+        let line = step.line;
+        let lookup_done = self.cpu_home_accept(step.delivered, self.cfg.home_occupancy_read);
+        let data_ready = self.cpu_home_data_ready(line, lookup_done);
+        let data = self.cpu_mem.store().read_line(line.base());
+        self.txns.get_mut(step.slot).data = Some(data);
+        self.cpu_home_respond(
+            s,
+            step,
+            data_ready,
+            MessageKind::DataShared(line, Box::new(data)),
+        );
+    }
+
+    fn begin_fpga_write(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
         let TxnOp::FpgaWrite(data) = p.op else {
             unreachable!("begin_fpga_write on {:?}", p.op)
         };
-        let issued = s.now();
         self.stats.fpga_writes += 1;
-        let line = p.addr.line();
-        let txn = self.txn();
+        let msg = MessageKind::WriteLine(p.addr.line(), Box::new(data));
+        self.fpga_request(s, slot, msg, StepKind::FpgaWriteAtHome, 0);
+    }
 
-        let issue = issued + self.fpga_delay();
-        let req = Message::new(
-            NodeId::Fpga,
-            NodeId::Cpu,
-            txn,
-            MessageKind::WriteLine(line, Box::new(data)),
-        );
-        self.vc_send(
-            s,
-            issue,
-            req,
-            Box::new(move |core, s, delivered| {
-                let accept = delivered.max(core.cpu_home_busy);
-                core.cpu_home_busy = accept + core.cfg.home_occupancy_write;
-                let lookup_done = accept + core.cfg.home_latency;
-                // Invalidate any local L2 copy (the home and the cache
-                // share a die, so this is a local pipeline action, not a
-                // link message).
-                let was = core.l2.state_of(line);
-                if was.is_readable() {
-                    core.l2.probe(line, true);
-                    core.l2_transition(line, was, LineState::Invalid);
-                }
-                let done = core.cpu_mem.write(lookup_done, line.base(), &data[..]);
-
-                let rsp = Message::new(NodeId::Cpu, NodeId::Fpga, txn, MessageKind::Ack(line));
-                core.vc_send(
-                    s,
-                    done,
-                    rsp,
-                    Box::new(move |core, s, delivered| {
-                        let end = delivered + core.fpga_delay();
-                        core.finish(s, p, issued, None, end);
-                    }),
-                );
-            }),
-        );
+    fn fpga_write_at_home(&mut self, s: &mut Sched, step: Step) {
+        let TxnOp::FpgaWrite(data) = self.txns.get(step.slot).p.op else {
+            unreachable!("fpga_write_at_home on another op")
+        };
+        let line = step.line;
+        let lookup_done = self.cpu_home_accept(step.delivered, self.cfg.home_occupancy_write);
+        // Invalidate any local L2 copy (the home and the cache share a
+        // die, so this is a local pipeline action, not a link message).
+        let was = self.l2.state_of(line);
+        if was.is_readable() {
+            self.l2.probe(line, true);
+            self.l2_transition(line, was, LineState::Invalid);
+        }
+        let done = self.cpu_mem.write(lookup_done, line.base(), &data[..]);
+        self.cpu_home_respond(s, step, done, MessageKind::Ack(line));
     }
 
     // ---------------------------------------------------------------
     // FPGA-side cached lines (remote-memory research path)
     // ---------------------------------------------------------------
 
-    fn begin_fpga_acquire(&mut self, s: &mut Sched, p: PendingTxn) {
+    fn begin_fpga_acquire(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
         let TxnOp::FpgaAcquire { exclusive } = p.op else {
             unreachable!("begin_fpga_acquire on {:?}", p.op)
         };
-        let issued = s.now();
         let line = p.addr.line();
-        let txn = self.txn();
-        let issue = issued + self.fpga_delay();
-        let kind = if exclusive {
+        let msg = if exclusive {
             MessageKind::ReadExclusive(line)
         } else {
             MessageKind::ReadShared(line)
         };
-        self.vc_send(
-            s,
-            issue,
-            Message::new(NodeId::Fpga, NodeId::Cpu, txn, kind),
-            Box::new(move |core, s, delivered| {
-                let accept = delivered.max(core.cpu_home_busy);
-                core.cpu_home_busy = accept + core.cfg.home_occupancy_read;
-                let lookup_done = accept + core.cfg.home_latency;
-                // Exclusive grants require invalidating the CPU L2 copy.
-                let was = core.l2.state_of(line);
-                if exclusive && was.is_readable() {
-                    core.l2.probe(line, true);
-                    core.l2_transition(line, was, LineState::Invalid);
-                } else if !exclusive && was.is_writable() {
-                    core.l2.probe(line, false);
-                    core.l2_transition(
-                        line,
-                        was,
-                        if was.is_dirty() {
-                            LineState::Owned
-                        } else {
-                            LineState::Shared
-                        },
-                    );
-                }
-                let data_ready = if core.l2.state_of(line).is_readable() {
-                    lookup_done + core.cfg.l2_hit_latency
-                } else {
-                    core.cpu_mem
-                        .request(lookup_done, line.base(), 128, Op::Read)
-                };
-
-                let data = core.cpu_mem.store().read_line(p.addr);
-                if exclusive {
-                    core.dir_cpu.grant_owner(line);
-                    core.fpga_transition(line, LineState::Invalid, LineState::Shared);
-                    core.fpga_transition(line, LineState::Shared, LineState::Modified);
-                } else {
-                    core.dir_cpu.grant_shared(line);
-                    core.fpga_transition(line, LineState::Invalid, LineState::Shared);
-                }
-
-                let kind = if exclusive {
-                    MessageKind::DataExclusive(line, Box::new(data))
-                } else {
-                    MessageKind::DataShared(line, Box::new(data))
-                };
-                core.vc_send(
-                    s,
-                    data_ready,
-                    Message::new(NodeId::Cpu, NodeId::Fpga, txn, kind),
-                    Box::new(move |core, s, delivered| {
-                        let end = delivered + core.fpga_delay();
-                        core.finish(s, p, issued, Some(data), end);
-                    }),
-                );
-            }),
-        );
+        self.fpga_request(s, slot, msg, StepKind::FpgaAcquireAtHome, 0);
     }
 
-    fn begin_fpga_upgrade(&mut self, s: &mut Sched, p: PendingTxn) {
-        let issued = s.now();
+    fn fpga_acquire_at_home(&mut self, s: &mut Sched, step: Step) {
+        let TxnOp::FpgaAcquire { exclusive } = self.txns.get(step.slot).p.op else {
+            unreachable!("fpga_acquire_at_home on another op")
+        };
+        let line = step.line;
+        let lookup_done = self.cpu_home_accept(step.delivered, self.cfg.home_occupancy_read);
+        // Exclusive grants require invalidating the CPU L2 copy.
+        let was = self.l2.state_of(line);
+        if exclusive && was.is_readable() {
+            self.l2.probe(line, true);
+            self.l2_transition(line, was, LineState::Invalid);
+        } else if !exclusive && was.is_writable() {
+            self.l2.probe(line, false);
+            self.l2_transition(
+                line,
+                was,
+                if was.is_dirty() {
+                    LineState::Owned
+                } else {
+                    LineState::Shared
+                },
+            );
+        }
+        let data_ready = self.cpu_home_data_ready(line, lookup_done);
+
+        let data = self.cpu_mem.store().read_line(line.base());
+        self.txns.get_mut(step.slot).data = Some(data);
+        if exclusive {
+            self.dir_cpu.grant_owner(line);
+            self.fpga_transition(line, LineState::Invalid, LineState::Shared);
+            self.fpga_transition(line, LineState::Shared, LineState::Modified);
+        } else {
+            self.dir_cpu.grant_shared(line);
+            self.fpga_transition(line, LineState::Invalid, LineState::Shared);
+        }
+        let kind = if exclusive {
+            MessageKind::DataExclusive(line, Box::new(data))
+        } else {
+            MessageKind::DataShared(line, Box::new(data))
+        };
+        self.cpu_home_respond(s, step, data_ready, kind);
+    }
+
+    fn begin_fpga_upgrade(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
         let line = p.addr.line();
         assert_eq!(
             self.dir_cpu.remote_copy(line),
             RemoteCopy::Shared,
             "upgrade without a shared copy of {line}"
         );
-        let txn = self.txn();
-        let issue = issued + self.fpga_delay();
-        self.vc_send(
-            s,
-            issue,
-            Message::new(NodeId::Fpga, NodeId::Cpu, txn, MessageKind::Upgrade(line)),
-            Box::new(move |core, s, delivered| {
-                let accept = delivered.max(core.cpu_home_busy);
-                core.cpu_home_busy = accept + core.cfg.home_occupancy_write;
-                let lookup_done = accept + core.cfg.home_latency;
-                // Invalidate the home's own (necessarily clean) copy.
-                let was = core.l2.state_of(line);
-                if was.is_readable() {
-                    core.l2.probe(line, true);
-                    core.l2_transition(line, was, LineState::Invalid);
-                }
-                core.dir_cpu.grant_owner(line);
-                core.fpga_transition(line, LineState::Shared, LineState::Modified);
-                core.vc_send(
-                    s,
-                    lookup_done,
-                    Message::new(NodeId::Cpu, NodeId::Fpga, txn, MessageKind::Ack(line)),
-                    Box::new(move |core, s, delivered| {
-                        let end = delivered + core.fpga_delay();
-                        core.finish(s, p, issued, None, end);
-                    }),
-                );
-            }),
-        );
+        let msg = MessageKind::Upgrade(line);
+        self.fpga_request(s, slot, msg, StepKind::FpgaUpgradeAtHome, 0);
     }
 
-    fn begin_fpga_release(&mut self, s: &mut Sched, p: PendingTxn) {
+    fn fpga_upgrade_at_home(&mut self, s: &mut Sched, step: Step) {
+        let line = step.line;
+        let lookup_done = self.cpu_home_accept(step.delivered, self.cfg.home_occupancy_write);
+        // Invalidate the home's own (necessarily clean) copy.
+        let was = self.l2.state_of(line);
+        if was.is_readable() {
+            self.l2.probe(line, true);
+            self.l2_transition(line, was, LineState::Invalid);
+        }
+        self.dir_cpu.grant_owner(line);
+        self.fpga_transition(line, LineState::Shared, LineState::Modified);
+        self.cpu_home_respond(s, step, lookup_done, MessageKind::Ack(line));
+    }
+
+    fn begin_fpga_release(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
         let TxnOp::FpgaRelease(dirty) = p.op else {
             unreachable!("begin_fpga_release on {:?}", p.op)
         };
-        let issued = s.now();
         let line = p.addr.line();
-        let txn = self.txn();
-        let issue = issued + self.fpga_delay();
-        let was = match self.dir_cpu.remote_copy(line) {
-            RemoteCopy::Owner => LineState::Modified,
-            RemoteCopy::Shared => LineState::Shared,
+        let flags = match self.dir_cpu.remote_copy(line) {
+            RemoteCopy::Owner => WAS_OWNER,
+            RemoteCopy::Shared => 0,
             RemoteCopy::None => panic!("release of unheld line {line}"),
         };
         self.stats.victims += 1;
-        let kind = match dirty {
+        let msg = match dirty {
             Some(d) => MessageKind::VictimDirty(line, Box::new(d)),
             None => MessageKind::VictimClean(line),
         };
-        self.vc_send(
-            s,
-            issue,
-            Message::new(NodeId::Fpga, NodeId::Cpu, txn, kind),
-            Box::new(move |core, s, delivered| {
-                let accept = delivered.max(core.cpu_home_busy);
-                core.cpu_home_busy = accept + core.cfg.home_occupancy_write;
-                let lookup_done = accept + core.cfg.home_latency;
-                let done = match dirty {
-                    Some(d) => core.cpu_mem.write(lookup_done, line.base(), &d[..]),
-                    None => lookup_done,
-                };
-                core.dir_cpu.revoke(line);
-                core.fpga_transition(line, was, LineState::Invalid);
-                core.finish(s, p, issued, None, done);
-            }),
-        );
+        self.fpga_request(s, slot, msg, StepKind::FpgaReleaseAtHome, flags);
+    }
+
+    fn fpga_release_at_home(&mut self, s: &mut Sched, step: Step) {
+        let TxnOp::FpgaRelease(dirty) = self.txns.get(step.slot).p.op else {
+            unreachable!("fpga_release_at_home on another op")
+        };
+        let line = step.line;
+        let lookup_done = self.cpu_home_accept(step.delivered, self.cfg.home_occupancy_write);
+        let done = match dirty {
+            Some(d) => self.cpu_mem.write(lookup_done, line.base(), &d[..]),
+            None => lookup_done,
+        };
+        self.dir_cpu.revoke(line);
+        let was = if step.has(WAS_OWNER) {
+            LineState::Modified
+        } else {
+            LineState::Shared
+        };
+        self.fpga_transition(line, was, LineState::Invalid);
+        self.finish(s, step.slot, done);
     }
 
     // ---------------------------------------------------------------
     // CPU-initiated cached accesses
     // ---------------------------------------------------------------
 
-    fn begin_cpu_read(&mut self, s: &mut Sched, p: PendingTxn) {
+    fn begin_cpu_read(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
         let issued = s.now();
         self.stats.cpu_reads += 1;
         let line = p.addr.line();
@@ -937,23 +1198,20 @@ impl EngineCore {
         match self.l2.read(line) {
             AccessOutcome::Hit => {
                 let data = self.home_store(home).read_line(p.addr);
-                self.finish(s, p, issued, Some(data), issued + self.cfg.l2_hit_latency);
+                self.finish_with(s, slot, data, issued + self.cfg.l2_hit_latency);
             }
             AccessOutcome::UpgradeMiss => unreachable!("reads do not upgrade"),
             AccessOutcome::Miss(_) => {
-                let k: Cont = Box::new(move |core, s, done| {
-                    let data = core.home_store(home).read_line(p.addr);
-                    core.finish(s, p, issued, Some(data), done);
-                });
+                self.txns.get_mut(slot).ret = Some(Ret::Read);
                 match home {
-                    NodeId::Cpu => self.local_fill_cpu(s, issued, p.addr, false, k),
-                    NodeId::Fpga => self.remote_fill_from_fpga(s, issued, p.addr, false, k),
+                    NodeId::Cpu => self.local_fill_cpu(s, slot, issued, line, false),
+                    NodeId::Fpga => self.remote_fill_from_fpga(s, slot, issued, line, false),
                 }
             }
         }
     }
 
-    fn begin_cpu_write(&mut self, s: &mut Sched, p: PendingTxn) {
+    fn begin_cpu_write(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
         let TxnOp::CpuWrite(data) = p.op else {
             unreachable!("begin_cpu_write on {:?}", p.op)
         };
@@ -969,54 +1227,65 @@ impl EngineCore {
         }
         match outcome {
             AccessOutcome::Hit => {
-                self.finish(s, p, issued, None, issued + self.cfg.l2_hit_latency);
+                self.finish(s, slot, issued + self.cfg.l2_hit_latency);
             }
             AccessOutcome::UpgradeMiss => {
                 // Invalidate remote sharers, then proceed.
-                let k: Cont = Box::new(move |core, s, done| {
-                    core.l2_transition(line, LineState::Shared, LineState::Modified);
-                    core.finish(s, p, issued, None, done + core.cfg.l2_hit_latency);
-                });
-                self.invalidate_remote_sharers(s, issued, p.addr, k);
+                self.txns.get_mut(slot).ret = Some(Ret::Upgrade);
+                self.invalidate_remote_sharers(s, slot, issued, p.addr);
             }
             AccessOutcome::Miss(_) => {
-                let k: Cont = Box::new(move |core, s, done| {
-                    core.finish(s, p, issued, None, done);
-                });
+                self.txns.get_mut(slot).ret = Some(Ret::Write);
                 match home {
-                    NodeId::Cpu => self.local_fill_cpu(s, issued, p.addr, true, k),
-                    NodeId::Fpga => self.remote_fill_from_fpga(s, issued, p.addr, true, k),
+                    NodeId::Cpu => self.local_fill_cpu(s, slot, issued, line, true),
+                    NodeId::Fpga => self.remote_fill_from_fpga(s, slot, issued, line, true),
                 }
             }
         }
     }
 
-    /// Fill from local (CPU) DRAM, probing the FPGA if it holds the line.
-    /// `k` receives the fill-visible time (including the L2 hit latency).
-    fn local_fill_cpu(&mut self, s: &mut Sched, now: Time, addr: Addr, for_write: bool, k: Cont) {
-        let line = addr.line();
+    /// Fill from local (CPU) DRAM, probing the FPGA first if it holds the
+    /// line; the transaction's return step runs at the fill-visible time
+    /// (including the L2 hit latency).
+    fn local_fill_cpu(
+        &mut self,
+        s: &mut Sched,
+        slot: u32,
+        now: Time,
+        line: CacheLine,
+        for_write: bool,
+    ) {
         let need_probe = if for_write {
             self.dir_cpu.needs_probe_for_write(line)
         } else {
             self.dir_cpu.needs_probe_for_read(line)
         };
-        let fill: Cont = Box::new(move |core, s, ready| {
-            let done = core.cpu_mem.request(ready, line.base(), 128, Op::Read);
-            let state = if for_write {
-                LineState::Modified
-            } else if core.dir_cpu.remote_copy(line) == RemoteCopy::Shared {
-                LineState::Shared
-            } else {
-                LineState::Exclusive
-            };
-            core.fill_l2(s, done, line, state);
-            k(core, s, done + core.cfg.l2_hit_latency);
-        });
         if need_probe {
-            self.probe_fpga(s, now, addr, for_write, fill);
+            self.probe_fpga(s, slot, now, line, for_write, THEN_FILL);
         } else {
-            fill(self, s, now);
+            self.local_fill(s, slot, line, for_write, now);
         }
+    }
+
+    /// The DRAM read and L2 install of a local fill started at `ready`.
+    fn local_fill(
+        &mut self,
+        s: &mut Sched,
+        slot: u32,
+        line: CacheLine,
+        for_write: bool,
+        ready: Time,
+    ) {
+        let done = self.cpu_mem.request(ready, line.base(), 128, Op::Read);
+        let state = if for_write {
+            LineState::Modified
+        } else if self.dir_cpu.remote_copy(line) == RemoteCopy::Shared {
+            LineState::Shared
+        } else {
+            LineState::Exclusive
+        };
+        self.fill_l2(s, done, line, state);
+        self.ret(s, slot, done + self.cfg.l2_hit_latency);
     }
 
     /// Fill over ECI from the FPGA home ("loads appear exactly like
@@ -1024,59 +1293,47 @@ impl EngineCore {
     fn remote_fill_from_fpga(
         &mut self,
         s: &mut Sched,
+        slot: u32,
         now: Time,
-        addr: Addr,
+        line: CacheLine,
         for_write: bool,
-        k: Cont,
     ) {
-        let line = addr.line();
         let txn = self.txn();
-        let kind = if for_write {
-            MessageKind::ReadExclusive(line)
+        let (kind, flags) = if for_write {
+            (MessageKind::ReadExclusive(line), FOR_WRITE)
         } else {
-            MessageKind::ReadShared(line)
+            (MessageKind::ReadShared(line), 0)
         };
+        let step = Step::new(StepKind::RemoteFillAtHome, slot, line, txn, flags);
         self.vc_send(
             s,
             now,
             Message::new(NodeId::Cpu, NodeId::Fpga, txn, kind),
-            Box::new(move |core, s, delivered| {
-                // FPGA home: shell pipeline + DRAM.
-                let service = delivered.max(core.fpga_home_busy) + core.fpga_delay();
-                let data_ready = core.fpga_mem.request(service, line.base(), 128, Op::Read);
-                core.fpga_home_busy = service + Duration::from_hz(core.cfg.fpga_clock_hz);
-
-                let data = core.fpga_mem.store().read_line(addr);
-                if for_write {
-                    core.dir_fpga.grant_owner(line);
-                } else {
-                    core.dir_fpga.grant_shared(line);
-                }
-                let kind = if for_write {
-                    MessageKind::DataExclusive(line, Box::new(data))
-                } else {
-                    MessageKind::DataShared(line, Box::new(data))
-                };
-                core.vc_send(
-                    s,
-                    data_ready,
-                    Message::new(NodeId::Fpga, NodeId::Cpu, txn, kind),
-                    Box::new(move |core, s, delivered| {
-                        let state = if for_write {
-                            LineState::Modified
-                        } else {
-                            LineState::Shared
-                        };
-                        core.fill_l2(s, delivered, line, state);
-                        k(core, s, delivered + core.cfg.l2_hit_latency);
-                    }),
-                );
-            }),
+            step,
         );
     }
 
+    /// FPGA home: shell pipeline + DRAM.
+    fn remote_fill_at_home(&mut self, s: &mut Sched, step: Step) {
+        let line = step.line;
+        let service = step.delivered.max(self.fpga_home_busy) + self.fpga_delay();
+        let data_ready = self.fpga_mem.request(service, line.base(), 128, Op::Read);
+        self.fpga_home_busy = service + Duration::from_hz(self.cfg.fpga_clock_hz);
+
+        let data = self.fpga_mem.store().read_line(line.base());
+        let kind = if step.has(FOR_WRITE) {
+            self.dir_fpga.grant_owner(line);
+            MessageKind::DataExclusive(line, Box::new(data))
+        } else {
+            self.dir_fpga.grant_shared(line);
+            MessageKind::DataShared(line, Box::new(data))
+        };
+        let msg = Message::new(NodeId::Fpga, NodeId::Cpu, step.txn, kind);
+        self.vc_send(s, data_ready, msg, step.then(StepKind::RemoteFillData));
+    }
+
     /// Installs a line in the L2, handling the displaced victim.
-    fn fill_l2(&mut self, s: &mut Sched, now: Time, line: enzian_mem::CacheLine, state: LineState) {
+    fn fill_l2(&mut self, s: &mut Sched, now: Time, line: CacheLine, state: LineState) {
         self.l2_transition(line, LineState::Invalid, state);
         if let Some(ev) = self.l2.fill(line, state) {
             self.l2_transition(ev.line, ev.state, LineState::Invalid);
@@ -1092,108 +1349,101 @@ impl EngineCore {
                     // Notify the FPGA home so its directory stays exact.
                     self.stats.victims += 1;
                     let txn = self.txn();
-                    let dirty = ev.state.is_dirty();
-                    let kind = if dirty {
+                    let (kind, flags) = if ev.state.is_dirty() {
                         let data = self.fpga_mem.store().read_line(ev.line.base());
-                        MessageKind::VictimDirty(ev.line, Box::new(data))
+                        (MessageKind::VictimDirty(ev.line, Box::new(data)), DIRTY)
                     } else {
-                        MessageKind::VictimClean(ev.line)
+                        (MessageKind::VictimClean(ev.line), 0)
                     };
-                    let vline = ev.line;
+                    let step = Step::new(StepKind::Victim, 0, ev.line, txn, flags);
                     self.vc_send(
                         s,
                         now,
                         Message::new(NodeId::Cpu, NodeId::Fpga, txn, kind),
-                        Box::new(move |core, _s, delivered| {
-                            if dirty {
-                                let _ =
-                                    core.fpga_mem
-                                        .request(delivered, vline.base(), 128, Op::Write);
-                            }
-                            core.dir_fpga.revoke(vline);
-                        }),
+                        step,
                     );
                 }
             }
         }
     }
 
-    /// Sends a probe to the FPGA; `k` receives the ack's delivery time.
-    fn probe_fpga(&mut self, s: &mut Sched, now: Time, addr: Addr, for_write: bool, k: Cont) {
-        let line = addr.line();
+    /// Sends a probe to the FPGA; the step after the ack is the local
+    /// fill (`then` = [`THEN_FILL`]) or the transaction's return step.
+    fn probe_fpga(
+        &mut self,
+        s: &mut Sched,
+        slot: u32,
+        now: Time,
+        line: CacheLine,
+        for_write: bool,
+        then: u8,
+    ) {
         self.stats.probes += 1;
         let txn = self.txn();
-        let kind = if for_write {
-            MessageKind::ProbeInvalidate(line)
+        let (kind, flags) = if for_write {
+            (MessageKind::ProbeInvalidate(line), FOR_WRITE | then)
         } else {
-            MessageKind::ProbeShared(line)
+            (MessageKind::ProbeShared(line), then)
         };
+        let step = Step::new(StepKind::ProbeAtFpga, slot, line, txn, flags);
         self.vc_send(
             s,
             now,
             Message::new(NodeId::Cpu, NodeId::Fpga, txn, kind),
-            Box::new(move |core, s, delivered| {
-                let service = delivered + core.fpga_delay();
-                let was_owner = core.dir_cpu.remote_copy(line) == RemoteCopy::Owner;
-                let ack_kind = if was_owner {
-                    let data = core.cpu_mem.store().read_line(addr);
-                    MessageKind::ProbeAckData(line, Box::new(data))
-                } else {
-                    MessageKind::ProbeAck(line)
-                };
-                if for_write {
-                    core.dir_cpu.revoke(line);
-                    let from = if was_owner {
-                        LineState::Modified
-                    } else {
-                        LineState::Shared
-                    };
-                    core.fpga_transition(line, from, LineState::Invalid);
-                } else if was_owner {
-                    core.dir_cpu.downgrade(line);
-                    core.fpga_transition(line, LineState::Modified, LineState::Owned);
-                }
-                core.vc_send(
-                    s,
-                    service,
-                    Message::new(NodeId::Fpga, NodeId::Cpu, txn, ack_kind),
-                    Box::new(move |core, s, ack_delivered| k(core, s, ack_delivered)),
-                );
-            }),
+            step,
         );
     }
 
-    /// Invalidates remote sharers before a CPU upgrade completes; `k`
-    /// receives the time the last sharer is gone.
-    fn invalidate_remote_sharers(&mut self, s: &mut Sched, now: Time, addr: Addr, k: Cont) {
+    fn probe_at_fpga(&mut self, s: &mut Sched, step: Step) {
+        let line = step.line;
+        let service = step.delivered + self.fpga_delay();
+        let was_owner = self.dir_cpu.remote_copy(line) == RemoteCopy::Owner;
+        let ack_kind = if was_owner {
+            let data = self.cpu_mem.store().read_line(line.base());
+            MessageKind::ProbeAckData(line, Box::new(data))
+        } else {
+            MessageKind::ProbeAck(line)
+        };
+        if step.has(FOR_WRITE) {
+            self.dir_cpu.revoke(line);
+            let from = if was_owner {
+                LineState::Modified
+            } else {
+                LineState::Shared
+            };
+            self.fpga_transition(line, from, LineState::Invalid);
+        } else if was_owner {
+            self.dir_cpu.downgrade(line);
+            self.fpga_transition(line, LineState::Modified, LineState::Owned);
+        }
+        let next = if step.has(THEN_FILL) {
+            StepKind::LocalFill
+        } else {
+            StepKind::Return
+        };
+        let ack = Message::new(NodeId::Fpga, NodeId::Cpu, step.txn, ack_kind);
+        self.vc_send(s, service, ack, step.then(next));
+    }
+
+    /// Invalidates remote sharers before a CPU upgrade completes; the
+    /// return step runs once the last sharer is gone.
+    fn invalidate_remote_sharers(&mut self, s: &mut Sched, slot: u32, now: Time, addr: Addr) {
         let line = addr.line();
         match self.cfg.map.home_of(addr) {
             NodeId::Cpu => {
                 if self.dir_cpu.needs_probe_for_write(line) {
-                    self.probe_fpga(s, now, addr, true, k);
+                    self.probe_fpga(s, slot, now, line, true, 0);
                 } else {
-                    k(self, s, now);
+                    self.ret(s, slot, now);
                 }
             }
             // FPGA-homed: the FPGA home tracks us as a sharer; an upgrade
             // message promotes us to owner there.
             NodeId::Fpga => {
                 let txn = self.txn();
-                self.vc_send(
-                    s,
-                    now,
-                    Message::new(NodeId::Cpu, NodeId::Fpga, txn, MessageKind::Upgrade(line)),
-                    Box::new(move |core, s, delivered| {
-                        let service = delivered + core.fpga_delay();
-                        core.dir_fpga.grant_owner(line);
-                        core.vc_send(
-                            s,
-                            service,
-                            Message::new(NodeId::Fpga, NodeId::Cpu, txn, MessageKind::Ack(line)),
-                            Box::new(move |core, s, done| k(core, s, done)),
-                        );
-                    }),
-                );
+                let step = Step::new(StepKind::RemoteUpgradeAtHome, slot, line, txn, 0);
+                let msg = Message::new(NodeId::Cpu, NodeId::Fpga, txn, MessageKind::Upgrade(line));
+                self.vc_send(s, now, msg, step);
             }
         }
     }
@@ -1413,15 +1663,16 @@ impl EciSystem {
             _ => {}
         }
         let core = self.core_mut();
-        core.next_handle += 1;
-        let handle = TxnHandle(core.next_handle);
-        core.outstanding.insert(handle.0);
-        let p = PendingTxn { handle, addr, op };
-        let _ = self
-            .sim
-            .schedule_at_or_now(at, move |core: &mut EngineCore, s: &mut Sched| {
-                core.admit_txn(s, p);
-            });
+        let handle = core.completions.open();
+        let slot = core.txns.insert(TxnRecord {
+            p: PendingTxn { handle, addr, op },
+            issued: Time::ZERO,
+            data: None,
+            ret: None,
+        });
+        let mut step = Step::new(StepKind::Admit, slot, addr.line(), TxnId(0), 0);
+        step.delivered = at;
+        let _ = self.sim.schedule_pod_at_or_now(at, step_event, step.pod());
         handle
     }
 
@@ -1439,18 +1690,12 @@ impl EciSystem {
     /// a completion waits in the table; [`TxnStatus::Retired`] means the
     /// handle was never issued or its completion was already taken.
     pub fn poll(&self, h: TxnHandle) -> TxnStatus {
-        if self.core().completions.contains_key(&h.0) {
-            TxnStatus::Completed
-        } else if self.core().outstanding.contains(&h.0) {
-            TxnStatus::InFlight
-        } else {
-            TxnStatus::Retired
-        }
+        self.core().completions.status(h)
     }
 
     /// Removes and returns the completion of `h`, if it completed.
     pub fn take_completion(&mut self, h: TxnHandle) -> Option<TxnCompletion> {
-        self.core_mut().completions.remove(&h.0)
+        self.core_mut().completions.take(h)
     }
 
     /// Runs the event loop until `h` completes, returning (and consuming)
@@ -1463,7 +1708,7 @@ impl EciSystem {
     /// issued, or its completion was already taken.
     pub fn run_until_complete(&mut self, h: TxnHandle) -> TxnCompletion {
         loop {
-            if let Some(c) = self.core_mut().completions.remove(&h.0) {
+            if let Some(c) = self.core_mut().completions.take(h) {
                 return c;
             }
             assert!(
@@ -2192,6 +2437,97 @@ mod tests {
         assert_eq!(c.data, Some(sync_data));
         assert_eq!(c.completed, sync_done);
         sys.checker().assert_clean();
+    }
+
+    #[test]
+    fn steps_survive_their_pod_encoding() {
+        for (i, &kind) in StepKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, i, "StepKind::ALL out of order at {kind:?}");
+            let mut step = Step::new(
+                kind,
+                u32::MAX - 1,
+                CacheLine(u64::MAX >> 7),
+                TxnId(u32::MAX),
+                WAS_OWNER | DIRTY,
+            );
+            step.delivered = Time::from_ps(u64::MAX - 3);
+            let back = Step::from_pod(step.pod());
+            assert_eq!(
+                (
+                    back.kind,
+                    back.slot,
+                    back.line,
+                    back.txn,
+                    back.flags,
+                    back.delivered
+                ),
+                (
+                    step.kind,
+                    step.slot,
+                    step.line,
+                    step.txn,
+                    step.flags,
+                    step.delivered
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn poll_and_take_handle_unknown_taken_and_out_of_order_handles() {
+        let mut sys = system();
+        // Never issued: before, between and after real handles.
+        assert_eq!(sys.poll(TxnHandle(0)), TxnStatus::Retired);
+        assert!(sys.take_completion(TxnHandle(0)).is_none());
+        let handles: Vec<_> = (0..4u64)
+            .map(|i| sys.issue_read(Time::ZERO, Addr(i * 128)))
+            .collect();
+        let future = TxnHandle(handles[3].0 + 1);
+        assert_eq!(sys.poll(future), TxnStatus::Retired);
+        assert!(sys.take_completion(future).is_none());
+        // In flight: nothing to take yet.
+        assert!(sys.take_completion(handles[2]).is_none());
+        assert_eq!(sys.poll(handles[2]), TxnStatus::InFlight);
+        sys.run_to_idle();
+        // Out of order: the last, then the second, then the rest.
+        for &i in &[3usize, 1, 0, 2] {
+            assert_eq!(sys.poll(handles[i]), TxnStatus::Completed);
+            let c = sys.take_completion(handles[i]).unwrap();
+            assert_eq!(c.handle, handles[i]);
+            assert_eq!(c.addr, Addr(i as u64 * 128));
+            // Already taken.
+            assert_eq!(sys.poll(handles[i]), TxnStatus::Retired);
+            assert!(sys.take_completion(handles[i]).is_none());
+        }
+        // Untaken completions after a taken one stay available.
+        let h = sys.issue_read(Time::ZERO, Addr(0));
+        let h2 = sys.issue_read(Time::ZERO, Addr(128));
+        sys.run_to_idle();
+        assert!(sys.take_completion(h2).is_some());
+        assert_eq!(sys.poll(h), TxnStatus::Completed);
+        assert!(sys.take_completion(h).is_some());
+        assert!(sys.core().completions.slots.is_empty());
+    }
+
+    #[test]
+    fn completion_window_stays_bounded_when_every_completion_is_taken() {
+        let mut sys = system();
+        let batch = 1_000u64;
+        for round in 0..100u64 {
+            let handles: Vec<_> = (0..batch)
+                .map(|i| sys.issue_read(Time::ZERO, Addr(((round * batch + i) % 8_192) * 128)))
+                .collect();
+            assert_eq!(sys.core().completions.slots.len(), batch as usize);
+            sys.run_to_idle();
+            // Taken newest first: the window empties only with the oldest.
+            for &h in handles.iter().rev() {
+                assert!(sys.take_completion(h).is_some());
+            }
+            assert!(sys.core().completions.slots.is_empty());
+        }
+        assert_eq!(sys.engine_stats().completed, 100_000);
+        // The record slab never held more than one batch.
+        assert!(sys.core().txns.slots.len() <= batch as usize);
     }
 
     #[test]

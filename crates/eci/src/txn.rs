@@ -3,15 +3,15 @@
 //! The protocol engine in [`crate::system`] runs every coherence operation
 //! as a chain of discrete events over an MSHR-style transaction table,
 //! the shape BedRock-like coherence engines use in hardware. This module
-//! holds the pieces of that machinery with no event-closure entanglement:
-//! the public issue/poll surface ([`TxnHandle`], [`TxnOp`], [`TxnStatus`],
+//! holds the pieces of that machinery that know nothing of events: the
+//! public issue/poll surface ([`TxnHandle`], [`TxnOp`], [`TxnStatus`],
 //! [`TxnCompletion`]) and the MSHR table itself (`MshrTable`), which
 //! bounds the number of concurrently outstanding transactions and queues
 //! same-line conflicts per entry so conflicting transactions serialize.
 
 use enzian_mem::Addr;
-use enzian_sim::Time;
-use std::collections::{HashMap, VecDeque};
+use enzian_sim::{FxHashMap, Time};
+use std::collections::VecDeque;
 
 /// Opaque handle to a transaction issued through the async API
 /// ([`crate::EciSystem::issue`] and friends). Poll it with
@@ -101,7 +101,7 @@ pub(crate) struct PendingTxn {
 /// Outcome of presenting a transaction to the MSHR table.
 pub(crate) enum Admitted {
     /// A free entry was allocated; start the transaction now.
-    Start(PendingTxn),
+    Start(u32),
     /// Same-line conflict: queued on the existing entry; it starts when
     /// the predecessor retires.
     Conflict,
@@ -113,13 +113,20 @@ pub(crate) enum Admitted {
 /// The MSHR-style transaction table: at most `capacity` lines have a
 /// transaction in flight; same-line requests queue per entry (FIFO), and
 /// requests arriving with the table full queue FIFO in an overflow queue.
+///
+/// A transaction is the slot of its record in the engine, presented with
+/// its line key. Waiter queues of freed entries are kept for reuse, so
+/// once the table has seen its peak the admit/retire cycle allocates
+/// nothing.
 #[derive(Debug)]
 pub(crate) struct MshrTable {
     capacity: usize,
     /// Keyed by line base address. The value holds the *waiters*; the
     /// in-flight head transaction lives in the event chain itself.
-    entries: HashMap<u64, VecDeque<PendingTxn>>,
-    overflow: VecDeque<PendingTxn>,
+    entries: FxHashMap<u64, VecDeque<u32>>,
+    overflow: VecDeque<(u64, u32)>,
+    /// Empty waiter queues of freed entries, capacity retained.
+    spare: Vec<VecDeque<u32>>,
 }
 
 impl MshrTable {
@@ -127,8 +134,9 @@ impl MshrTable {
         assert!(capacity > 0, "MSHR table needs at least one entry");
         MshrTable {
             capacity,
-            entries: HashMap::new(),
+            entries: FxHashMap::default(),
             overflow: VecDeque::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -142,22 +150,18 @@ impl MshrTable {
         self.entries.values().map(VecDeque::len).sum::<usize>() + self.overflow.len()
     }
 
-    fn key(p: &PendingTxn) -> u64 {
-        p.addr.line().base().0
-    }
-
-    /// Presents `p` to the table.
-    pub(crate) fn admit(&mut self, p: PendingTxn) -> Admitted {
-        let key = Self::key(&p);
+    /// Presents transaction `t` on line `key` to the table.
+    pub(crate) fn admit(&mut self, key: u64, t: u32) -> Admitted {
         if let Some(waiters) = self.entries.get_mut(&key) {
-            waiters.push_back(p);
+            waiters.push_back(t);
             Admitted::Conflict
         } else if self.entries.len() >= self.capacity {
-            self.overflow.push_back(p);
+            self.overflow.push_back((key, t));
             Admitted::Full
         } else {
-            self.entries.insert(key, VecDeque::new());
-            Admitted::Start(p)
+            let waiters = self.spare.pop().unwrap_or_default();
+            self.entries.insert(key, waiters);
+            Admitted::Start(t)
         }
     }
 
@@ -171,7 +175,7 @@ impl MshrTable {
     /// same-line overflow transaction as its waiters, in order. So no
     /// overflow transaction ever has a live entry, and a later same-line
     /// admission queues behind all of them instead of overtaking one.
-    pub(crate) fn retire(&mut self, line_key: u64) -> Option<PendingTxn> {
+    pub(crate) fn retire(&mut self, line_key: u64) -> Option<u32> {
         let waiters = self
             .entries
             .get_mut(&line_key)
@@ -179,20 +183,20 @@ impl MshrTable {
         if let Some(next) = waiters.pop_front() {
             return Some(next);
         }
-        self.entries.remove(&line_key);
-        let p = self.overflow.pop_front()?;
-        let key = Self::key(&p);
+        let freed = self.entries.remove(&line_key).expect("entry just seen");
+        self.spare.push(freed);
+        let (key, t) = self.overflow.pop_front()?;
         debug_assert!(!self.entries.contains_key(&key));
-        let mut waiters = VecDeque::new();
-        self.overflow.retain(|q| {
-            let same = Self::key(q) == key;
+        let mut waiters = self.spare.pop().unwrap_or_default();
+        self.overflow.retain(|&(k, q)| {
+            let same = k == key;
             if same {
-                waiters.push_back(*q);
+                waiters.push_back(q);
             }
             !same
         });
         self.entries.insert(key, waiters);
-        Some(p)
+        Some(t)
     }
 }
 
@@ -218,25 +222,22 @@ pub struct EngineStats {
 mod tests {
     use super::*;
 
-    fn pend(handle: u64, addr: u64) -> PendingTxn {
-        PendingTxn {
-            handle: TxnHandle(handle),
-            addr: Addr(addr),
-            op: TxnOp::FpgaRead,
-        }
+    /// Presents transaction `t` on the line holding `addr`.
+    fn admit(table: &mut MshrTable, t: u32, addr: u64) -> Admitted {
+        table.admit(Addr(addr).line().base().0, t)
     }
 
     #[test]
     fn same_line_conflicts_queue_on_the_entry() {
         let mut t = MshrTable::new(4);
-        assert!(matches!(t.admit(pend(1, 0)), Admitted::Start(_)));
-        assert!(matches!(t.admit(pend(2, 64)), Admitted::Conflict));
-        assert!(matches!(t.admit(pend(3, 0)), Admitted::Conflict));
+        assert!(matches!(admit(&mut t, 1, 0), Admitted::Start(_)));
+        assert!(matches!(admit(&mut t, 2, 64), Admitted::Conflict));
+        assert!(matches!(admit(&mut t, 3, 0), Admitted::Conflict));
         assert_eq!(t.in_flight(), 1);
         assert_eq!(t.queued(), 2);
         // Retire releases waiters strictly FIFO, entry stays allocated.
-        assert_eq!(t.retire(0).unwrap().handle, TxnHandle(2));
-        assert_eq!(t.retire(0).unwrap().handle, TxnHandle(3));
+        assert_eq!(t.retire(0).unwrap(), 2);
+        assert_eq!(t.retire(0).unwrap(), 3);
         assert!(t.retire(0).is_none());
         assert_eq!(t.in_flight(), 0);
     }
@@ -244,51 +245,51 @@ mod tests {
     #[test]
     fn full_table_overflows_and_refills_fifo() {
         let mut t = MshrTable::new(2);
-        assert!(matches!(t.admit(pend(1, 0)), Admitted::Start(_)));
-        assert!(matches!(t.admit(pend(2, 128)), Admitted::Start(_)));
-        assert!(matches!(t.admit(pend(3, 256)), Admitted::Full));
-        assert!(matches!(t.admit(pend(4, 384)), Admitted::Full));
+        assert!(matches!(admit(&mut t, 1, 0), Admitted::Start(_)));
+        assert!(matches!(admit(&mut t, 2, 128), Admitted::Start(_)));
+        assert!(matches!(admit(&mut t, 3, 256), Admitted::Full));
+        assert!(matches!(admit(&mut t, 4, 384), Admitted::Full));
         assert_eq!(t.in_flight(), 2);
         // Retiring a line starts the oldest overflow transaction.
-        assert_eq!(t.retire(0).unwrap().handle, TxnHandle(3));
+        assert_eq!(t.retire(0).unwrap(), 3);
         assert_eq!(t.in_flight(), 2);
-        assert_eq!(t.retire(256).unwrap().handle, TxnHandle(4));
+        assert_eq!(t.retire(256).unwrap(), 4);
     }
 
     #[test]
     fn same_line_admits_queue_on_the_entry_even_when_full() {
         let mut t = MshrTable::new(2);
-        assert!(matches!(t.admit(pend(1, 0)), Admitted::Start(_)));
-        assert!(matches!(t.admit(pend(2, 128)), Admitted::Start(_)));
+        assert!(matches!(admit(&mut t, 1, 0), Admitted::Start(_)));
+        assert!(matches!(admit(&mut t, 2, 128), Admitted::Start(_)));
         // A same-line request with the table full still queues on its
         // live entry (it needs no new entry); unrelated lines overflow.
-        assert!(matches!(t.admit(pend(3, 128 + 4)), Admitted::Conflict));
-        assert!(matches!(t.admit(pend(4, 256)), Admitted::Full));
+        assert!(matches!(admit(&mut t, 3, 128 + 4), Admitted::Conflict));
+        assert!(matches!(admit(&mut t, 4, 256), Admitted::Full));
         // Retiring line 0 walks the overflow queue: txn 4 starts in the
         // freed slot.
-        assert_eq!(t.retire(0).unwrap().handle, TxnHandle(4));
+        assert_eq!(t.retire(0).unwrap(), 4);
         // Txn 3 starts when its line retires.
-        assert_eq!(t.retire(128).unwrap().handle, TxnHandle(3));
+        assert_eq!(t.retire(128).unwrap(), 3);
     }
 
     #[test]
     fn overflowed_same_line_transactions_keep_their_order() {
         let mut t = MshrTable::new(1);
-        assert!(matches!(t.admit(pend(1, 0)), Admitted::Start(_)));
+        assert!(matches!(admit(&mut t, 1, 0), Admitted::Start(_)));
         // Line 128 has no entry and the table is full: both of its
         // transactions park in the overflow queue, behind one on 256.
-        assert!(matches!(t.admit(pend(2, 128)), Admitted::Full));
-        assert!(matches!(t.admit(pend(3, 256)), Admitted::Full));
-        assert!(matches!(t.admit(pend(4, 128)), Admitted::Full));
+        assert!(matches!(admit(&mut t, 2, 128), Admitted::Full));
+        assert!(matches!(admit(&mut t, 3, 256), Admitted::Full));
+        assert!(matches!(admit(&mut t, 4, 128), Admitted::Full));
         // Retiring line 0 starts txn 2; txn 4 moves onto its entry.
-        assert_eq!(t.retire(0).unwrap().handle, TxnHandle(2));
+        assert_eq!(t.retire(0).unwrap(), 2);
         assert_eq!((t.in_flight(), t.queued()), (1, 2));
         // A younger same-line admission queues behind txn 4, not ahead.
-        assert!(matches!(t.admit(pend(5, 128)), Admitted::Conflict));
-        assert_eq!(t.retire(128).unwrap().handle, TxnHandle(4));
-        assert_eq!(t.retire(128).unwrap().handle, TxnHandle(5));
+        assert!(matches!(admit(&mut t, 5, 128), Admitted::Conflict));
+        assert_eq!(t.retire(128).unwrap(), 4);
+        assert_eq!(t.retire(128).unwrap(), 5);
         // Only then does the line free its slot for txn 3.
-        assert_eq!(t.retire(128).unwrap().handle, TxnHandle(3));
+        assert_eq!(t.retire(128).unwrap(), 3);
         assert!(t.retire(256).is_none());
         assert_eq!((t.in_flight(), t.queued()), (0, 0));
     }

@@ -6,7 +6,7 @@
 //! actually written are materialised. Unwritten memory reads as zero, like
 //! fresh DRAM after the BDK's init.
 
-use std::collections::HashMap;
+use enzian_sim::FxHashMap;
 
 use crate::addr::Addr;
 
@@ -28,7 +28,7 @@ const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+    pages: FxHashMap<u64, Box<[u8; PAGE_BYTES]>>,
 }
 
 impl Store {

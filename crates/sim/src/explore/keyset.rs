@@ -11,29 +11,10 @@
 //! false "already visited".
 //!
 //! The keys are a model's own canonical encodings, never input from
-//! outside the program, so the fast Fx hash needs no resistance to
-//! crafted collisions.
+//! outside the program, so the fast Fx hash ([`crate::hash`]) needs no
+//! resistance to crafted collisions.
 
-/// Multiplier of the Fx hash (rustc's `FxHasher`).
-const FX: u64 = 0x517c_c1b7_2722_0a95;
-
-/// Word-at-a-time Fx hash of `key`, seeded with its length so keys
-/// that differ only by trailing zero bytes hash apart.
-pub(crate) fn fx_hash(key: &[u8]) -> u64 {
-    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(FX);
-    let mut h = key.len() as u64;
-    let mut words = key.chunks_exact(8);
-    for w in &mut words {
-        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut w = [0u8; 8];
-        w[..tail.len()].copy_from_slice(tail);
-        h = mix(h, u64::from_le_bytes(w));
-    }
-    h
-}
+pub(crate) use crate::hash::fx_hash;
 
 /// Smallest table: 2^MIN_BITS slots.
 const MIN_BITS: u32 = 10;

@@ -26,7 +26,9 @@
 //!   are bit-identical for every thread count (and, for
 //!   [`KeyedShard`]s, to a sequential reference sweep),
 //! * [`digest`] — the [`Fnv`] digest every determinism check folds
-//!   final states into.
+//!   final states into,
+//! * [`hash`] — the one Fx hash ([`FxBuildHasher`]) every map keyed by
+//!   simulator-internal integers uses instead of SipHash.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@ pub mod digest;
 pub mod engine;
 pub mod explore;
 pub mod fault;
+pub mod hash;
 pub mod par;
 #[cfg(feature = "reference-core")]
 pub mod reference;
@@ -66,6 +69,7 @@ pub use explore::{
     Violation,
 };
 pub use fault::{cluster_targets, FaultPlan, FaultSpec, FaultTrigger};
+pub use hash::{FxBuildHasher, FxHashMap};
 pub use par::{
     run_conservative, run_sequential, Engine, Envelope, EpochWindow, KeyedShard, ParReport, Shard,
     WorkKey,
