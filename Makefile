@@ -21,6 +21,7 @@ build:
 
 test:
 	$(CARGO) test -q --workspace
+	$(CARGO) test -q --release -p enzian-eci -p enzian-sim
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace

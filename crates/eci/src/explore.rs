@@ -37,17 +37,24 @@
 //! the transaction id column carrying the agent index).
 //!
 //! Symmetry reduction: caching agents are interchangeable, so every
-//! state is canonicalized to the minimal byte encoding over all agent
-//! permutations before the visited-set lookup. The encoding opens with
-//! the agents' hold blocks, all of one length, so the minimum lists the
-//! agents in sorted block order; canonicalization sorts them and
-//! compares permutations only among agents whose blocks tie. Most
-//! states have no tie and cost one encoding, built on the stack.
+//! state is canonicalized to the minimal encoding over all agent
+//! permutations before the visited-set lookup. The encoding is a bit
+//! string, each field as wide as its range under the configuration
+//! needs (a 4-bit line state, a 2-bit directory record, a data version
+//! in as few bits as `max_writes` allows), about 11 bytes for two agents
+//! on two lines. It opens with the agents' hold blocks, all of one
+//! width, so the minimum lists the agents in sorted block order;
+//! canonicalization sorts them and compares permutations only among
+//! agents whose blocks tie. Most states have no tie and cost one
+//! encoding, built on the stack. The same encoding, plus a byte naming
+//! the renaming, is how a state waits on the search frontier: decoding
+//! it restores the state.
 //!
 //! The model state is a fixed-size `Copy` value sized by the envelope
-//! [`Explorer::new`] enforces (at most three agents, four lines and
-//! [`MAX_FIFO`]-deep channels), with every queue stored inline, so
-//! stepping and encoding a state allocate nothing.
+//! [`Explorer::new`] enforces (at most three agents, four lines,
+//! [`MAX_FIFO`]-deep channels and [`MAX_WRITES`] stores per line), with
+//! every queue stored inline, so stepping and encoding a state allocate
+//! nothing.
 //!
 //! The search machinery itself — canonicalized BFS, shortest-path
 //! counterexamples, seeded random walks — is the generic
@@ -59,7 +66,9 @@
 
 use enzian_cache::{check_global_invariant, local_step, probe_step, CoherenceRequest, LineState};
 use enzian_mem::{Addr, CacheLine, NodeId};
-use enzian_sim::explore::{self, Counterexample, ProtocolModel, SplitMix64, Violation};
+use enzian_sim::explore::{
+    self, Counterexample, PackedModel, ProtocolModel, SplitMix64, Violation,
+};
 use enzian_sim::{Duration, LivelockError, Time};
 
 use crate::decoder::{format_trace, TraceBuffer};
@@ -105,8 +114,8 @@ pub struct ExploreConfig {
     pub agents: usize,
     /// Number of cache lines homed at the single home node (1 to 4).
     pub lines: usize,
-    /// Total stores permitted per line across all agents; bounds the
-    /// data-version space.
+    /// Total stores permitted per line across all agents, 0 to
+    /// [`MAX_WRITES`]; bounds the data-version space.
     pub max_writes: u8,
     /// Depth of each agent-to-home virtual-channel FIFO (the credit
     /// pool), 1 to [`MAX_FIFO`]; also the credit the home needs towards
@@ -313,6 +322,12 @@ const MAX_LINES: usize = 4;
 /// `Copy` value, so this bounds the inline storage of every queue.
 pub const MAX_FIFO: usize = 4;
 
+/// Most stores per line [`Explorer::new`] accepts as
+/// [`ExploreConfig::max_writes`]. A data version counts the stores to
+/// its line, so versions stay within `0..=MAX_WRITES` and pack into two
+/// bits; every in-tree configuration uses at most two.
+pub const MAX_WRITES: u8 = 3;
+
 /// Depth of a home-to-agent queue: at most one probe and one response
 /// per line (see [`ModelState`] for the argument).
 const TO_AGENT_DEPTH: usize = 2 * MAX_LINES;
@@ -356,9 +371,29 @@ enum AState {
     CiA,
 }
 
+/// Every [`AState`], indexed by its code.
+const ASTATES: [AState; 12] = [
+    AState::I,
+    AState::S,
+    AState::E,
+    AState::O,
+    AState::M,
+    AState::IsD,
+    AState::ImD,
+    AState::SmA,
+    AState::OmA,
+    AState::MiA,
+    AState::IiA,
+    AState::CiA,
+];
+
 impl AState {
     fn encode(self) -> u8 {
         self as u8
+    }
+
+    fn decode(code: u8) -> Self {
+        ASTATES[code as usize]
     }
 
     /// The stable MOESI projection used for the global invariants: a
@@ -413,7 +448,9 @@ impl Default for Msg {
 }
 
 impl Msg {
-    fn encode(self) -> [u8; MSG_KEY_LEN] {
+    /// The message as its kind code, line and data version (0 for a
+    /// kind without data).
+    fn encode(self) -> [u8; 3] {
         match self {
             Msg::GetS(l) => [0, l, 0],
             Msg::GetM(l) => [1, l, 0],
@@ -428,6 +465,26 @@ impl Msg {
             Msg::PrbS(l) => [10, l, 0],
             Msg::PrbI(l) => [11, l, 0],
             Msg::VicAck(l) => [12, l, 0],
+        }
+    }
+
+    /// The message [`Msg::encode`] turned into `[kind, line, version]`.
+    fn decode([kind, l, v]: [u8; 3]) -> Self {
+        match kind {
+            0 => Msg::GetS(l),
+            1 => Msg::GetM(l),
+            2 => Msg::Upg(l),
+            3 => Msg::VicD(l, v),
+            4 => Msg::VicC(l),
+            5 => Msg::PAck(l),
+            6 => Msg::PAckD(l, v),
+            7 => Msg::DataS(l, v),
+            8 => Msg::DataE(l, v),
+            9 => Msg::AckM(l),
+            10 => Msg::PrbS(l),
+            11 => Msg::PrbI(l),
+            12 => Msg::VicAck(l),
+            _ => unreachable!("message kind code {kind}"),
         }
     }
 
@@ -486,46 +543,213 @@ impl<T: Copy + Default, const N: usize> Queue<T, N> {
     }
 }
 
-/// Encoded length of one message ([`Msg::encode`]).
-const MSG_KEY_LEN: usize = 3;
+// ---------------------------------------------------------------------
+// The packed encoding
+// ---------------------------------------------------------------------
 
-/// Longest encoding of a [`ModelState`], reached at [`MAX_AGENTS`],
-/// [`MAX_LINES`] and [`MAX_FIFO`] with every queue full: per agent a
-/// two-byte hold per line; per line a record per agent and a busy block
-/// of at most four bytes; the per-line memory, latest and store-budget
-/// bytes; every queue as a length byte and its messages.
-const KEY_MAX: usize = MAX_AGENTS * MAX_LINES * 2
-    + MAX_LINES * (MAX_AGENTS + 4)
-    + 3 * MAX_LINES
-    + MAX_AGENTS * 3 * (1 + MAX_FIFO * MSG_KEY_LEN)
-    + MAX_AGENTS * (1 + TO_AGENT_DEPTH * MSG_KEY_LEN);
+/// Bits that hold every value in `0..=max`.
+const fn bits_for(max: usize) -> u32 {
+    usize::BITS - max.leading_zeros()
+}
 
-/// One encoding of a state, built on the stack.
+/// Bits of an [`AState`] code.
+const STATE_BITS: u32 = 4;
+/// Bits of a [`RemoteCopy`] record.
+const REC_BITS: u32 = 2;
+/// Bits of a [`Want`].
+const WANT_BITS: u32 = 2;
+/// Bits of a message kind code ([`Msg::encode`]).
+const KIND_BITS: u32 = 4;
+/// The kind codes of the messages that carry a data version, as a bit
+/// set: `VicD`, `PAckD`, `DataS` and `DataE`.
+const DATA_KINDS: u32 = 1 << 3 | 1 << 6 | 1 << 7 | 1 << 8;
+
+/// Field widths of the packed state encoding. Each field takes the bits
+/// its range needs under the configuration: two agents and one line
+/// need no bits for a line index and one for an agent index.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// A data version, memory copy, latest version or store budget,
+    /// all in `0..=max_writes`.
+    version: u32,
+    /// A line index.
+    line: u32,
+    /// An agent index.
+    agent: u32,
+    /// A to-home FIFO length, `0..=fifo_capacity`.
+    to_home_len: u32,
+    /// A to-agent queue length, `0..=2 × lines` (see [`ModelState`]).
+    to_agent_len: u32,
+}
+
+impl Layout {
+    fn new(cfg: &ExploreConfig) -> Self {
+        Layout {
+            version: bits_for(cfg.max_writes as usize),
+            line: bits_for(cfg.lines - 1),
+            agent: bits_for(cfg.agents - 1),
+            to_home_len: bits_for(cfg.fifo_capacity),
+            to_agent_len: bits_for(2 * cfg.lines),
+        }
+    }
+
+    /// The widest layout [`Explorer::new`] admits.
+    const fn widest() -> Self {
+        Layout {
+            version: bits_for(MAX_WRITES as usize),
+            line: bits_for(MAX_LINES - 1),
+            agent: bits_for(MAX_AGENTS - 1),
+            to_home_len: bits_for(MAX_FIFO),
+            to_agent_len: bits_for(TO_AGENT_DEPTH),
+        }
+    }
+
+    /// Bits of one agent's hold on one line.
+    const fn hold(&self) -> u32 {
+        STATE_BITS + self.version
+    }
+
+    /// Bits of a message that carries data.
+    const fn msg(&self) -> u32 {
+        KIND_BITS + self.line + self.version
+    }
+
+    /// Bits of a busy record among `n` agents: the requester, what it
+    /// wants, the pending mask, and a flag plus version for the data.
+    const fn busy(&self, n: u32) -> u32 {
+        self.agent + WANT_BITS + n + 1 + self.version
+    }
+
+    /// Bits of the longest state at the envelope's limits, every line
+    /// busy and every queue full of messages with data: per agent a
+    /// hold per line; per line a record per agent, a busy flag and
+    /// record; the per-line memory, latest and budget fields; every
+    /// queue as a length and its messages.
+    const fn max_bits(&self) -> usize {
+        let (a, l) = (MAX_AGENTS, MAX_LINES);
+        a * l * self.hold() as usize
+            + l * (a * REC_BITS as usize + 1 + self.busy(MAX_AGENTS as u32) as usize)
+            + 3 * l * self.version as usize
+            + a * 3 * (self.to_home_len as usize + MAX_FIFO * self.msg() as usize)
+            + a * (self.to_agent_len as usize + TO_AGENT_DEPTH * self.msg() as usize)
+    }
+}
+
+/// Longest packed encoding of a [`ModelState`], in bytes.
+const KEY_MAX: usize = Layout::widest().max_bits().div_ceil(8);
+
+/// One packed encoding of a state, built on the stack: fields appended
+/// most significant bit first, so comparing two encodings byte by byte
+/// compares their leading fields as numbers.
+///
+/// Bits collect in a 128-bit accumulator that is flushed 64 at a time,
+/// so the flush branch stays untaken for most of a key: a state of two
+/// agents on two lines packs into about 100 bits.
 struct Key {
-    buf: [u8; KEY_MAX],
+    /// Eight bytes of slack take [`Key::finish`]'s whole-word store.
+    buf: [u8; KEY_MAX + 8],
     len: usize,
+    /// Bits not yet flushed to `buf`: the low `pending` bits.
+    acc: u128,
+    pending: u32,
 }
 
 impl Key {
     fn new() -> Self {
         Key {
-            buf: [0; KEY_MAX],
+            buf: [0; KEY_MAX + 8],
             len: 0,
+            acc: 0,
+            pending: 0,
         }
     }
 
-    fn push(&mut self, byte: u8) {
-        self.buf[self.len] = byte;
-        self.len += 1;
+    /// Appends `value` in `width` (at most 32) bits. The caller keeps
+    /// every field within its width: [`ModelState::encode_under`]
+    /// checks the bounds that are not structural.
+    fn put(&mut self, value: u32, width: u32) {
+        debug_assert!(
+            width <= 32 && u64::from(value) >> width == 0,
+            "{value} does not fit {width} bits"
+        );
+        // Shift counts below 64 (masking is a no-op for them) spare the
+        // 128-bit shifts their fix-up for counts of 64 and more.
+        self.acc = self.acc << (width & 63) | u128::from(value);
+        self.pending += width;
+        if self.pending >= 64 {
+            self.pending -= 64;
+            let word = (self.acc >> (self.pending & 63)) as u64;
+            self.buf[self.len..self.len + 8].copy_from_slice(&word.to_be_bytes());
+            self.len += 8;
+        }
     }
 
-    fn extend(&mut self, bytes: &[u8]) {
-        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
+    /// Appends a message: its kind, line and, if it carries data, its
+    /// version. The width is computed rather than branched on.
+    fn put_msg(&mut self, layout: &Layout, m: Msg) {
+        let [kind, line, version] = m.encode().map(u32::from);
+        let version_bits = layout.version * (DATA_KINDS >> kind & 1);
+        let value = (kind << layout.line | line) << version_bits | version;
+        self.put(value, KIND_BITS + layout.line + version_bits);
+    }
+
+    /// Flushes the pending bits, zero-padded to a whole byte.
+    fn finish(&mut self) {
+        let word = (self.acc << (64 - self.pending)) as u64;
+        self.buf[self.len..self.len + 8].copy_from_slice(&word.to_be_bytes());
+        self.len += self.pending.div_ceil(8) as usize;
+        self.pending = 0;
     }
 
     fn bytes(&self) -> &[u8] {
+        debug_assert_eq!(self.pending, 0, "unfinished key");
         &self.buf[..self.len]
+    }
+}
+
+/// Reads the fields of a finished [`Key`] back in order.
+struct Fields {
+    /// The key, zero-padded so that any field's eight-byte window is in
+    /// bounds.
+    buf: [u8; KEY_MAX + 8],
+    len: usize,
+    /// Bit offset of the next field.
+    at: usize,
+}
+
+impl Fields {
+    fn new(bytes: &[u8]) -> Self {
+        let mut buf = [0; KEY_MAX + 8];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Fields {
+            buf,
+            len: bytes.len(),
+            at: 0,
+        }
+    }
+
+    /// The next `width` (at most 32) bits as a number.
+    fn get(&mut self, width: u32) -> u32 {
+        let (byte, shift) = (self.at / 8, self.at % 8);
+        let window: [u8; 8] = self.buf[byte..byte + 8].try_into().expect("eight bytes");
+        self.at += width as usize;
+        // Two shifts, so a zero width reads zero rather than shifting
+        // by 64.
+        ((u64::from_be_bytes(window) << shift >> 1) >> (63 - width)) as u32
+    }
+
+    /// Reads what [`Key::put_msg`] wrote.
+    fn get_msg(&mut self, layout: &Layout) -> Msg {
+        let head = self.get(KIND_BITS + layout.line);
+        let kind = head >> layout.line;
+        let line = head & ((1 << layout.line) - 1);
+        let version = self.get(layout.version * (DATA_KINDS >> kind & 1));
+        Msg::decode([kind, line, version].map(|v| v as u8))
+    }
+
+    /// Whether every byte was read (the last one up to its padding).
+    fn done(&self) -> bool {
+        self.at.div_ceil(8) == self.len
     }
 }
 
@@ -579,6 +803,13 @@ struct HomeLine {
 struct Hold {
     st: AState,
     data: u8,
+}
+
+impl Hold {
+    /// The hold as its packed field: the state code, then the version.
+    fn code(self, layout: &Layout) -> u32 {
+        u32::from(self.st.encode()) << layout.version | u32::from(self.data)
+    }
 }
 
 /// The complete model state: a fixed-size `Copy` value, so a successor
@@ -724,90 +955,217 @@ impl ModelState {
             && self.to_agent[..n].iter().all(Queue::is_empty)
     }
 
+    /// The agents' hold blocks: agent `a`'s holds on every line as one
+    /// number, line 0 most significant. Numeric order is the order of
+    /// the encoded blocks.
+    fn hold_blocks(&self, layout: &Layout) -> [u32; MAX_AGENTS] {
+        std::array::from_fn(|a| {
+            self.agents[a][..self.lines()]
+                .iter()
+                .fold(0, |acc, h| acc << layout.hold() | h.code(layout))
+        })
+    }
+
+    /// The agents in ascending hold-block order, and whether two blocks
+    /// tie.
+    fn sorted_agents(&self, blocks: &[u32; MAX_AGENTS]) -> ([usize; MAX_AGENTS], bool) {
+        // Insertion sort: at most three agents, so at most three
+        // compare-and-swaps and no call into the library sort.
+        let n = self.agents();
+        let mut sorted = [0, 1, 2];
+        for i in 1..n {
+            let mut j = i;
+            while j > 0 && blocks[sorted[j - 1]] > blocks[sorted[j]] {
+                sorted.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        let tied = sorted[..n].windows(2).any(|w| blocks[w[0]] == blocks[w[1]]);
+        (sorted, tied)
+    }
+
     /// Encodes the state into `key` with its agents renumbered: `inv[new]`
-    /// is the old index of new agent `new`.
-    fn encode_under(&self, inv: &[usize], key: &mut Key) {
-        let lines = self.lines();
+    /// is the old index of new agent `new`; `blocks` are
+    /// [`ModelState::hold_blocks`]. In order: every agent's hold block,
+    /// all of one width; per line the home's records, a busy flag and
+    /// the busy record; the per-line memory, latest and budget fields;
+    /// per agent the lengths of its four queues; then every queued
+    /// message. Fields are grouped so that one [`Key::put`] writes many.
+    fn encode_under(
+        &self,
+        layout: &Layout,
+        blocks: &[u32; MAX_AGENTS],
+        inv: &[usize],
+        key: &mut Key,
+    ) {
+        let (n, lines) = (inv.len() as u32, self.lines());
+        // A field wider than its width would alias another state. Every
+        // data version is a copy of its line's latest version at some
+        // earlier step, and `latest` only grows, so bounding `latest`
+        // bounds them all; the to-agent bound is checked below. The
+        // other fields are bounded by their types or by credit checks.
+        assert!(
+            self.latest[..lines]
+                .iter()
+                .all(|&v| u32::from(v) >> layout.version == 0),
+            "a data version beyond max_writes"
+        );
         let mut perm = [0usize; MAX_AGENTS];
         for (new, &old) in inv.iter().enumerate() {
             perm[old] = new;
         }
         for &old in inv {
-            for h in &self.agents[old][..lines] {
-                key.extend(&[h.st.encode(), h.data]);
-            }
+            key.put(blocks[old], lines as u32 * layout.hold());
         }
         for hl in &self.home[..lines] {
-            for &old in inv {
-                key.push(hl.rec[old] as u8);
-            }
-            match hl.busy {
-                None => key.push(0xFF),
-                Some(b) => {
-                    let mut mask = 0u8;
-                    for (old, &new) in perm[..inv.len()].iter().enumerate() {
-                        if b.pending & (1 << old) != 0 {
-                            mask |= 1 << new;
-                        }
+            let recs = inv
+                .iter()
+                .fold(0, |acc, &old| acc << REC_BITS | hl.rec[old] as u32);
+            key.put(recs << 1 | u32::from(hl.busy.is_some()), n * REC_BITS + 1);
+            if let Some(b) = hl.busy {
+                let mut mask = 0;
+                for (old, &new) in perm[..inv.len()].iter().enumerate() {
+                    if b.pending & (1 << old) != 0 {
+                        mask |= 1 << new;
                     }
-                    key.extend(&[
-                        perm[b.req as usize] as u8,
-                        b.want as u8,
-                        mask,
-                        b.data.map_or(0xFF, |v| v),
-                    ]);
                 }
+                let data = b.data.map_or(0, |v| 1 << layout.version | u32::from(v));
+                let head = (perm[b.req as usize] as u32) << WANT_BITS | b.want as u32;
+                key.put(
+                    (head << n | mask) << (1 + layout.version) | data,
+                    layout.busy(n),
+                );
             }
         }
-        key.extend(&self.mem[..lines]);
-        key.extend(&self.latest[..lines]);
-        key.extend(&self.writes_left[..lines]);
-        for &old in inv {
-            for q in &self.to_home[old] {
-                key.push(q.len);
-                for m in q.as_slice() {
-                    key.extend(&m.encode());
-                }
+        let mut counters = 0;
+        for field in [&self.mem, &self.latest, &self.writes_left] {
+            for &v in &field[..lines] {
+                counters = counters << layout.version | u32::from(v);
             }
         }
+        key.put(counters, 3 * lines as u32 * layout.version);
         for &old in inv {
             let q = &self.to_agent[old];
-            key.push(q.len);
-            for m in q.as_slice() {
-                key.extend(&m.encode());
+            // The queue bound rests on the protocol argument on
+            // `ModelState`; a longer queue must not alias a shorter one.
+            assert!(q.len() <= 2 * lines, "to-agent queue beyond its bound");
+            let lens = self.to_home[old]
+                .iter()
+                .fold(0, |acc, q| acc << layout.to_home_len | u32::from(q.len));
+            key.put(
+                lens << layout.to_agent_len | u32::from(q.len),
+                3 * layout.to_home_len + layout.to_agent_len,
+            );
+        }
+        for &old in inv {
+            for q in &self.to_home[old] {
+                for &m in q.as_slice() {
+                    key.put_msg(layout, m);
+                }
+            }
+            for &m in self.to_agent[old].as_slice() {
+                key.put_msg(layout, m);
             }
         }
+        key.finish();
+    }
+
+    /// Overwrites the state with what [`ModelState::encode_under`]
+    /// encoded under the renaming `inv`. Only the live agents and lines
+    /// are written: the rest must hold their initial values, as every
+    /// state of one configuration does.
+    fn decode_under(&mut self, layout: &Layout, inv: &[usize], bytes: &[u8]) {
+        const RECORDS: [RemoteCopy; 3] = [RemoteCopy::None, RemoteCopy::Shared, RemoteCopy::Owner];
+        const WANTS: [Want; 3] = [Want::S, Want::M, Want::Upg];
+        let s = self;
+        let (n, lines) = (inv.len() as u32, s.lines());
+        let field = |value: u32, width: u32, index: usize, of: usize| {
+            (value >> (width * (of - 1 - index) as u32)) & ((1 << width) - 1)
+        };
+        let mut f = Fields::new(bytes);
+        for &old in inv {
+            let block = f.get(lines as u32 * layout.hold());
+            for (l, h) in s.agents[old][..lines].iter_mut().enumerate() {
+                let code = field(block, layout.hold(), l, lines);
+                h.st = AState::decode((code >> layout.version) as u8);
+                h.data = (code & ((1 << layout.version) - 1)) as u8;
+            }
+        }
+        for hl in &mut s.home[..lines] {
+            let recs = f.get(n * REC_BITS + 1);
+            for (new, &old) in inv.iter().enumerate() {
+                hl.rec[old] = RECORDS[field(recs >> 1, REC_BITS, new, inv.len()) as usize];
+            }
+            hl.busy = None;
+            if recs & 1 == 1 {
+                let busy = f.get(layout.busy(n));
+                let data = busy & ((1 << (1 + layout.version)) - 1);
+                let rest = busy >> (1 + layout.version);
+                let mut pending = 0;
+                for (new, &old) in inv.iter().enumerate() {
+                    pending |= ((rest >> new & 1) as u8) << old;
+                }
+                let rest = rest >> n;
+                hl.busy = Some(Busy {
+                    req: inv[(rest >> WANT_BITS) as usize] as u8,
+                    want: WANTS[(rest & ((1 << WANT_BITS) - 1)) as usize],
+                    pending,
+                    data: (data >> layout.version == 1)
+                        .then_some((data & ((1 << layout.version) - 1)) as u8),
+                });
+            }
+        }
+        let counters = f.get(3 * lines as u32 * layout.version);
+        for (i, field_of) in [&mut s.mem, &mut s.latest, &mut s.writes_left]
+            .into_iter()
+            .enumerate()
+        {
+            for (l, v) in field_of[..lines].iter_mut().enumerate() {
+                *v = field(counters, layout.version, i * lines + l, 3 * lines) as u8;
+            }
+        }
+        let mut lens = [0; MAX_AGENTS];
+        for &old in inv {
+            lens[old] = f.get(3 * layout.to_home_len + layout.to_agent_len);
+        }
+        for &old in inv {
+            let to_home = lens[old] >> layout.to_agent_len;
+            for (i, q) in s.to_home[old].iter_mut().enumerate() {
+                *q = Queue::new();
+                for _ in 0..field(to_home, layout.to_home_len, i, 3) {
+                    q.push_back(f.get_msg(layout));
+                }
+            }
+            let q = &mut s.to_agent[old];
+            *q = Queue::new();
+            for _ in 0..lens[old] & ((1 << layout.to_agent_len) - 1) {
+                q.push_back(f.get_msg(layout));
+            }
+        }
+        debug_assert!(f.done(), "trailing bytes after a packed state");
     }
 
     /// The canonical encoding: minimal over all agent permutations.
-    fn canonical(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        self.canonical_into(&mut out);
+    fn canonical(&self, layout: &Layout) -> Vec<u8> {
+        let mut out = Vec::with_capacity(32);
+        self.canonical_into(layout, &mut out);
         out
     }
 
     /// Appends [`ModelState::canonical`] to `out`.
     ///
     /// Every encoding opens with the agents' hold blocks, all of one
-    /// length, so the minimal one lists the agents in sorted block
+    /// width, so the minimal one lists the agents in sorted block
     /// order: any other order has a larger prefix. Only agents whose
     /// blocks tie can still trade places, so only those orders are
     /// encoded and compared.
-    fn canonical_into(&self, out: &mut Vec<u8>) {
+    fn canonical_into(&self, layout: &Layout, out: &mut Vec<u8>) {
         let n = self.agents();
-        // A hold block as a big-endian number: numeric order is the
-        // byte order of the encoded block.
-        let blocks: [u64; MAX_AGENTS] = std::array::from_fn(|a| {
-            self.agents[a][..self.lines()].iter().fold(0, |acc, h| {
-                acc << 16 | u64::from(h.st.encode()) << 8 | u64::from(h.data)
-            })
-        });
-        let mut sorted = [0, 1, 2];
-        let sorted = &mut sorted[..n];
-        sorted.sort_unstable_by_key(|&a| blocks[a]);
+        let blocks = self.hold_blocks(layout);
+        let (sorted, tied) = self.sorted_agents(&blocks);
         let mut best = Key::new();
-        self.encode_under(sorted, &mut best);
-        if sorted.windows(2).any(|w| blocks[w[0]] == blocks[w[1]]) {
+        self.encode_under(layout, &blocks, &sorted[..n], &mut best);
+        if tied {
             for p in &permutations(n)[1..] {
                 let mut inv = [0; MAX_AGENTS];
                 for (slot, &i) in inv.iter_mut().zip(&p[..n]) {
@@ -816,7 +1174,7 @@ impl ModelState {
                 let inv = &inv[..n];
                 if (0..n).all(|i| blocks[inv[i]] == blocks[sorted[i]]) {
                     let mut key = Key::new();
-                    self.encode_under(inv, &mut key);
+                    self.encode_under(layout, &blocks, inv, &mut key);
                     if key.bytes() < best.bytes() {
                         best = key;
                     }
@@ -829,12 +1187,13 @@ impl ModelState {
     /// The canonical encoding by brute force: the minimum over every
     /// agent permutation.
     #[cfg(test)]
-    fn canonical_all_permutations(&self) -> Vec<u8> {
+    fn canonical_all_permutations(&self, layout: &Layout) -> Vec<u8> {
+        let blocks = self.hold_blocks(layout);
         permutations(self.agents())
             .iter()
             .map(|p| {
                 let mut key = Key::new();
-                self.encode_under(&p[..self.agents()], &mut key);
+                self.encode_under(layout, &blocks, &p[..self.agents()], &mut key);
                 key.bytes().to_vec()
             })
             .min()
@@ -1457,6 +1816,57 @@ impl ModelState {
 /// [`MoesiModel::render_path`] re-derives the log by replay.
 struct MoesiModel {
     cfg: ExploreConfig,
+    layout: Layout,
+}
+
+/// The agents in their own order, for encodings that rename nothing.
+const IDENTITY: [usize; MAX_AGENTS] = [0, 1, 2];
+
+impl MoesiModel {
+    fn new(cfg: ExploreConfig) -> Self {
+        MoesiModel {
+            cfg,
+            layout: Layout::new(&cfg),
+        }
+    }
+}
+
+/// A queued state is one byte naming a renaming of the agents, then the
+/// state encoded under that renaming. Unpacking decodes and undoes the
+/// renaming, so it restores the very state, not a symmetric one. It
+/// writes the live agents and lines only; the rest of every state keeps
+/// its initial value.
+///
+/// Without tied hold blocks the canonical key is the encoding under the
+/// sorted renaming, so packing copies the key the search computed; with
+/// a tie it encodes the state afresh, under no renaming.
+impl PackedModel for MoesiModel {
+    fn pack_into(&self, state: &ModelState, key: &[u8], out: &mut Vec<u8>) {
+        let n = state.agents();
+        let blocks = state.hold_blocks(&self.layout);
+        let (sorted, tied) = state.sorted_agents(&blocks);
+        if !tied {
+            out.push(renaming_code(&sorted[..n]));
+            out.extend_from_slice(key);
+        } else {
+            let mut own = Key::new();
+            state.encode_under(&self.layout, &blocks, &IDENTITY[..n], &mut own);
+            out.push(renaming_code(&IDENTITY[..n]));
+            out.extend_from_slice(own.bytes());
+        }
+    }
+
+    fn unpack_into(&self, packed: &[u8], state: &mut ModelState) {
+        let (&code, bytes) = packed.split_first().expect("a renaming byte");
+        let inv: [usize; MAX_AGENTS] = std::array::from_fn(|i| usize::from(code >> (2 * i) & 3));
+        state.decode_under(&self.layout, &inv[..self.cfg.agents], bytes);
+    }
+}
+
+/// A renaming `inv` (new agent `i` is old agent `inv[i]`) as one byte,
+/// two bits per agent.
+fn renaming_code(inv: &[usize]) -> u8 {
+    inv.iter().rev().fold(0, |acc, &old| acc << 2 | old as u8)
 }
 
 impl ProtocolModel for MoesiModel {
@@ -1492,11 +1902,11 @@ impl ProtocolModel for MoesiModel {
     }
 
     fn canonical(&self, state: &ModelState) -> Vec<u8> {
-        state.canonical()
+        state.canonical(&self.layout)
     }
 
     fn canonical_into(&self, state: &ModelState, out: &mut Vec<u8>) {
-        state.canonical_into(out);
+        state.canonical_into(&self.layout, out);
     }
 
     fn check(&self, state: &ModelState) -> Option<(ViolationKind, String)> {
@@ -1559,7 +1969,9 @@ impl Explorer {
     /// # Panics
     ///
     /// Panics if the configuration is outside the tractable envelope
-    /// (1–3 agents, 1–4 lines, FIFO capacity 1–[`MAX_FIFO`]).
+    /// (1–3 agents, 1–4 lines, FIFO capacity 1–[`MAX_FIFO`], at most
+    /// [`MAX_WRITES`] stores per line). The packed state encoding sizes
+    /// its fields from these bounds.
     pub fn new(cfg: ExploreConfig) -> Self {
         assert!(
             (1..=MAX_AGENTS).contains(&cfg.agents),
@@ -1575,6 +1987,11 @@ impl Explorer {
             (1..=MAX_FIFO).contains(&cfg.fifo_capacity),
             "fifo_capacity must be 1..={MAX_FIFO}, got {}",
             cfg.fifo_capacity
+        );
+        assert!(
+            cfg.max_writes <= MAX_WRITES,
+            "max_writes must be 0..={MAX_WRITES}, got {}",
+            cfg.max_writes
         );
         Explorer { cfg }
     }
@@ -1592,8 +2009,8 @@ impl Explorer {
     /// Returns [`ExploreError::StateLimit`] if the state budget runs
     /// out before the frontier drains.
     pub fn run_exhaustive(&self) -> Result<ExploreOutcome, ExploreError> {
-        let model = MoesiModel { cfg: self.cfg };
-        let out = explore::explore(&model, self.cfg.max_states)
+        let model = MoesiModel::new(self.cfg);
+        let out = explore::explore_packed(&model, self.cfg.max_states)
             .map_err(|e| ExploreError::StateLimit { limit: e.limit })?;
         Ok(ExploreOutcome {
             stats: out.stats,
@@ -1607,7 +2024,7 @@ impl Explorer {
     /// seed and configuration. Useful for configurations whose full
     /// state space is out of reach.
     pub fn random_walk(&self, seed: u64, max_steps: u64) -> ExploreOutcome {
-        let model = MoesiModel { cfg: self.cfg };
+        let model = MoesiModel::new(self.cfg);
         let out = explore::random_walk(&model, seed, max_steps);
         ExploreOutcome {
             stats: out.stats,
@@ -1786,12 +2203,13 @@ mod tests {
         // step, so the visited count with 2 agents must be well below
         // 2x the asymmetric count.
         let cfg = ExploreConfig::two_agent();
+        let layout = Layout::new(&cfg);
         let st = ModelState::init(&cfg);
         let succs = st.successors(&cfg);
         let keys: Vec<Vec<u8>> = succs
             .iter()
             .filter_map(|s| s.result.as_ref().ok())
-            .map(|(s, _)| s.canonical())
+            .map(|(s, _)| s.canonical(&layout))
             .collect();
         let mut deduped = keys.clone();
         deduped.sort();
@@ -1805,14 +2223,15 @@ mod tests {
     /// Calls `visit` on every reachable state of `cfg`, in BFS order;
     /// returns the number of states.
     fn for_each_reachable(cfg: ExploreConfig, mut visit: impl FnMut(&ModelState)) -> usize {
+        let layout = Layout::new(&cfg);
         let init = ModelState::init(&cfg);
-        let mut seen = std::collections::HashSet::from([init.canonical()]);
+        let mut seen = std::collections::HashSet::from([init.canonical(&layout)]);
         let mut frontier = std::collections::VecDeque::from([init]);
         while let Some(s) = frontier.pop_front() {
             visit(&s);
             s.each_successor(&cfg, |_, result| {
                 let (next, _) = result.expect("clean configurations step legally");
-                if seen.insert(next.canonical()) {
+                if seen.insert(next.canonical(&layout)) {
                     frontier.push_back(next);
                 }
             });
@@ -1835,14 +2254,68 @@ mod tests {
         (to_home, to_agent, states)
     }
 
+    impl ModelState {
+        /// The state with its agents renumbered: new agent `new` is old
+        /// agent `inv[new]`. Written field by field, independently of
+        /// [`ModelState::encode_under`]'s renaming.
+        fn renumbered(&self, inv: &[usize]) -> Self {
+            let mut perm = [0; MAX_AGENTS];
+            for (new, &old) in inv.iter().enumerate() {
+                perm[old] = new;
+            }
+            let mut s = *self;
+            for (new, &old) in inv.iter().enumerate() {
+                s.agents[new] = self.agents[old];
+                s.to_home[new] = self.to_home[old];
+                s.to_agent[new] = self.to_agent[old];
+                for (to, from) in s.home.iter_mut().zip(&self.home) {
+                    to.rec[new] = from.rec[old];
+                }
+            }
+            for b in s.home.iter_mut().filter_map(|h| h.busy.as_mut()) {
+                b.req = perm[b.req as usize] as u8;
+                b.pending = (0..inv.len())
+                    .filter(|&old| b.pending & (1 << old) != 0)
+                    .fold(0, |mask, old| mask | 1 << perm[old]);
+            }
+            s
+        }
+    }
+
     #[test]
-    fn sorted_canonicalization_equals_the_all_permutations_minimum() {
+    fn packed_states_round_trip_and_the_canonical_key_is_the_minimum() {
         for cfg in [
             ExploreConfig::two_agent().with_lines(2).with_max_writes(1),
             ExploreConfig::three_agent(),
         ] {
+            let model = MoesiModel::new(cfg);
+            let layout = model.layout;
+            let mut packed = Vec::new();
+            // Unpacked into over and over, as the search does, so a
+            // field a decode forgets to overwrite shows.
+            let mut unpacked = ModelState::init(&cfg);
             let states = for_each_reachable(cfg, |s| {
-                assert_eq!(s.canonical(), s.canonical_all_permutations(), "{s:?}");
+                let key = s.canonical(&layout);
+                assert_eq!(key, s.canonical_all_permutations(&layout), "{s:?}");
+                packed.clear();
+                model.pack_into(s, &key, &mut packed);
+                model.unpack_into(&packed, &mut unpacked);
+                assert_eq!(unpacked, *s, "{s:?}");
+                // Every renaming encodes the renamed state, so the
+                // minimum over them is a key of the symmetry class, and
+                // decoding under the renaming undoes it.
+                let blocks = s.hold_blocks(&layout);
+                for p in permutations(cfg.agents) {
+                    let inv = &p[..cfg.agents];
+                    let mut key = Key::new();
+                    s.encode_under(&layout, &blocks, inv, &mut key);
+                    let mut renamed = ModelState::init(&cfg);
+                    renamed.decode_under(&layout, &IDENTITY[..cfg.agents], key.bytes());
+                    assert_eq!(renamed, s.renumbered(inv), "{s:?} under {inv:?}");
+                    let mut back = ModelState::init(&cfg);
+                    back.decode_under(&layout, inv, key.bytes());
+                    assert_eq!(back, *s, "{s:?} under {inv:?}");
+                }
             });
             assert!(states > 1_000, "{cfg:?}: only {states} states");
         }
@@ -1851,18 +2324,88 @@ mod tests {
     #[test]
     fn tied_hold_blocks_are_ordered_by_the_later_bytes() {
         // Both agents hold nothing, so their hold blocks tie; only agent
-        // 0 has a request queued, which a later byte of the key shows.
+        // 0 has a request queued, which a later field of the key shows.
         let cfg = ExploreConfig::two_agent();
+        let layout = Layout::new(&cfg);
         let mut s = ModelState::init(&cfg);
         s.to_home[0][VC_REQ].push_back(Msg::GetS(0));
         let mut identity = Key::new();
-        s.encode_under(&[0, 1], &mut identity);
-        let key = s.canonical();
-        assert_eq!(key, s.canonical_all_permutations());
+        s.encode_under(&layout, &s.hold_blocks(&layout), &[0, 1], &mut identity);
+        let key = s.canonical(&layout);
+        assert_eq!(key, s.canonical_all_permutations(&layout));
         assert!(key.as_slice() < identity.bytes(), "the swap is smaller");
         let mut mirrored = ModelState::init(&cfg);
         mirrored.to_home[1][VC_REQ].push_back(Msg::GetS(0));
-        assert_eq!(mirrored.canonical(), key);
+        assert_eq!(mirrored.canonical(&layout), key);
+    }
+
+    #[test]
+    fn the_fullest_state_fills_the_key_buffer_exactly() {
+        // The envelope's limits with every queue full of data-carrying
+        // messages and every line busy with data collected: the longest
+        // encoding there is, which `KEY_MAX` must hold to the byte.
+        let cfg = ExploreConfig::three_agent()
+            .with_lines(MAX_LINES)
+            .with_max_writes(MAX_WRITES)
+            .with_fifo_capacity(MAX_FIFO);
+        let layout = Layout::new(&cfg);
+        let mut s = ModelState::init(&cfg);
+        for a in 0..MAX_AGENTS {
+            for q in &mut s.to_home[a] {
+                while q.len() < MAX_FIFO {
+                    q.push_back(Msg::VicD(3, MAX_WRITES));
+                }
+            }
+            while s.to_agent[a].len() < TO_AGENT_DEPTH {
+                s.to_agent[a].push_back(Msg::DataE(2, 1));
+            }
+        }
+        for hl in &mut s.home {
+            hl.busy = Some(Busy {
+                req: 2,
+                want: Want::Upg,
+                pending: 0b101,
+                data: Some(MAX_WRITES),
+            });
+        }
+        let mut key = Key::new();
+        s.encode_under(&layout, &s.hold_blocks(&layout), &IDENTITY, &mut key);
+        assert_eq!(key.bytes().len(), KEY_MAX);
+        let mut decoded = ModelState::init(&cfg);
+        decoded.decode_under(&layout, &IDENTITY, key.bytes());
+        assert_eq!(decoded, s);
+    }
+
+    #[test]
+    fn keys_at_three_agents_and_two_lines_average_at_most_24_bytes() {
+        // Seeded random walks reach the deep states, full of queued
+        // messages, that a BFS prefix would not.
+        let cfg = ExploreConfig::three_agent().with_lines(2);
+        let layout = Layout::new(&cfg);
+        let mut rng = SplitMix64::new(24);
+        let (mut bytes, mut keys) = (0, 0);
+        for _ in 0..40 {
+            let mut s = ModelState::init(&cfg);
+            for _ in 0..500 {
+                (bytes, keys) = (bytes + s.canonical(&layout).len(), keys + 1);
+                let succs = s.successors(&cfg);
+                if succs.is_empty() {
+                    break;
+                }
+                let pick = (rng.next() % succs.len() as u64) as usize;
+                let (next, _) = succs[pick].result.clone().expect("clean steps");
+                s = next;
+            }
+        }
+        // 15.0 B over these 20,000 states.
+        let mean = bytes as f64 / keys as f64;
+        assert!(mean <= 24.0, "mean key {mean:.1} B over {keys} states");
+    }
+
+    #[test]
+    #[should_panic(expected = "max_writes must be 0..=3")]
+    fn max_writes_beyond_the_envelope_is_rejected() {
+        Explorer::new(ExploreConfig::two_agent().with_max_writes(MAX_WRITES + 1));
     }
 
     #[test]

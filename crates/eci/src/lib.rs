@@ -67,7 +67,7 @@ pub use cosim::{CosimEndpoint, CosimHome, Loopback};
 pub use directory::{DirOp, DirStepError, Directory, DirectoryEntry, RemoteCopy};
 pub use explore::{
     ExploreConfig, ExploreError, ExploreOutcome, ExploreStats, Explorer, Mutation, ViolationKind,
-    ViolationReport, ALL_MUTATIONS, MAX_FIFO,
+    ViolationReport, ALL_MUTATIONS, MAX_FIFO, MAX_WRITES,
 };
 pub use link::{EciLinkConfig, EciLinks, LinkPolicy, LinkState, VirtualChannel};
 pub use message::{Message, MessageKind, TxnId};

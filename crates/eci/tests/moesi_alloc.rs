@@ -20,9 +20,10 @@ fn exhaustive_search_allocates_only_to_grow_its_stores() {
     assert!(out.violation.is_none());
     assert_eq!(out.stats.states, 112_943);
     // The state is `Copy` and successors and keys go into buffers the
-    // search reuses, so what remains is the doubling of the key arena,
-    // the node store, the visited table and the frontier: logarithmic
-    // in the state count, not linear.
+    // search reuses, so what remains is one 64 KiB block per arena-full
+    // of keys (never reallocated), and the doubling of the node store,
+    // the visited table and the packed frontier's buffer: a few dozen
+    // allocations, not one per state.
     assert!(
         delta.allocations < 200,
         "{} allocations ({} bytes) for {} states",

@@ -38,12 +38,13 @@
 //!
 //! # Memory and allocation
 //!
-//! The search keeps full states only on the BFS frontier. Every visited
-//! state leaves behind its canonical key, interned in one byte arena
-//! (the visited set), and a node of parent index plus action; a
-//! counterexample is the action chain back to the root, and
-//! [`ProtocolModel::render_path`] replays it. Successors and keys are
-//! produced into buffers the search reuses
+//! The search keeps states only on the BFS frontier, and
+//! [`explore_packed`] keeps them there packed ([`PackedModel`]). Every
+//! visited state leaves behind its canonical key, interned in arena
+//! blocks that are never reallocated (the visited set), and a node of
+//! parent index plus action; a counterexample is the action chain back
+//! to the root, and [`ProtocolModel::render_path`] replays it.
+//! Successors and keys are produced into buffers the search reuses
 //! ([`ProtocolModel::successors_into`],
 //! [`ProtocolModel::canonical_into`]), so a model whose state owns no
 //! heap memory is explored with no per-state allocation at all. Both
@@ -114,6 +115,30 @@ pub trait ProtocolModel {
     /// Replays `path` from the initial state and renders the message
     /// trace it generates, decoded through the model's wire format.
     fn render_path(&self, path: &[Self::Action]) -> String;
+}
+
+/// A model whose states can wait on the BFS frontier packed.
+///
+/// [`explore_packed`] queues each state as the bytes
+/// [`PackedModel::pack_into`] writes and restores it with
+/// [`PackedModel::unpack_into`] when it comes up for expansion, so a queued
+/// state costs its packed length rather than `size_of::<State>()`. The
+/// search itself is [`explore`]'s: same successor order, node numbering,
+/// statistics and counterexamples.
+pub trait PackedModel: ProtocolModel {
+    /// Appends the packed form of `state` to `out`. `key` is the
+    /// state's canonical key, already computed by the search: a model
+    /// whose key is a decodable encoding can pack a state as its key
+    /// plus whatever undoes the symmetry reduction.
+    fn pack_into(&self, state: &Self::State, key: &[u8], out: &mut Vec<u8>);
+
+    /// Overwrites `state` with the state `packed` holds: unpacking what
+    /// [`PackedModel::pack_into`] packed from a reachable state must
+    /// restore an equal state. `state` is the initial state or one this
+    /// method unpacked before, so a model may rewrite only the parts of
+    /// a state its packing covers and leave the rest, which never
+    /// changes, as it is.
+    fn unpack_into(&self, packed: &[u8], state: &mut Self::State);
 }
 
 /// A successor of a state: either the next state or a protocol-legality
@@ -224,6 +249,108 @@ struct Node<A> {
     action: Option<A>,
 }
 
+/// The BFS queue of states waiting for expansion. The search numbers
+/// nodes in the order it queues their states and expands them in that
+/// same order, so an entry is the bare state: the k-th state popped is
+/// node k, and its depth follows from where each BFS level ends.
+trait Frontier<S> {
+    /// Queues a copy of `state`, whose canonical key is `key`.
+    fn push(&mut self, state: &S, key: &[u8]);
+    /// Moves the next state into `state`; `false` if there is none.
+    fn pop_into(&mut self, state: &mut S) -> bool;
+    fn len(&self) -> usize;
+}
+
+impl<S: Clone> Frontier<S> for VecDeque<S> {
+    fn push(&mut self, state: &S, _key: &[u8]) {
+        self.push_back(state.clone());
+    }
+
+    fn pop_into(&mut self, state: &mut S) -> bool {
+        self.pop_front().map(|s| *state = s).is_some()
+    }
+
+    fn len(&self) -> usize {
+        VecDeque::len(self)
+    }
+}
+
+/// The frontier of [`explore_packed`]. The oldest states wait whole in
+/// `plain`, at most `unpacked_max` of them, so a small search never
+/// packs; once that fills, every later state is packed until the packed
+/// part drains. All plain states are older than all packed ones, so
+/// popping `plain` first keeps the order first in, first out.
+///
+/// Packed states lie back to back in `buf`, each as a LEB128 length
+/// plus its bytes, consumed from `head`. The consumed prefix is dropped
+/// once it is at least half the buffer, so the buffer holds at most
+/// twice the live entries.
+struct PackedFrontier<'m, M: ProtocolModel> {
+    model: &'m M,
+    plain: VecDeque<M::State>,
+    unpacked_max: usize,
+    buf: Vec<u8>,
+    head: usize,
+    /// Packed states in `buf[head..]`.
+    packed: usize,
+    /// Where a state is packed before its length is known.
+    scratch: Vec<u8>,
+}
+
+/// Most states [`explore_packed`] keeps unpacked on its frontier.
+const UNPACKED_MAX: usize = 1 << 10;
+
+impl<'m, M: PackedModel> PackedFrontier<'m, M> {
+    fn new(model: &'m M, unpacked_max: usize) -> Self {
+        PackedFrontier {
+            model,
+            plain: VecDeque::new(),
+            unpacked_max,
+            buf: Vec::new(),
+            head: 0,
+            packed: 0,
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl<M: PackedModel> Frontier<M::State> for PackedFrontier<'_, M> {
+    fn push(&mut self, state: &M::State, key: &[u8]) {
+        if self.packed == 0 && self.plain.len() < self.unpacked_max {
+            self.plain.push_back(state.clone());
+            return;
+        }
+        self.scratch.clear();
+        self.model.pack_into(state, key, &mut self.scratch);
+        keyset::push_len(&mut self.buf, self.scratch.len());
+        self.buf.extend_from_slice(&self.scratch);
+        self.packed += 1;
+    }
+
+    fn pop_into(&mut self, state: &mut M::State) -> bool {
+        if let Some(next) = self.plain.pop_front() {
+            *state = next;
+            return true;
+        }
+        if self.packed == 0 {
+            return false;
+        }
+        let (packed, next) = keyset::read_entry(&self.buf, self.head);
+        self.model.unpack_into(packed, state);
+        self.head = next;
+        self.packed -= 1;
+        if self.head * 2 >= self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        true
+    }
+
+    fn len(&self) -> usize {
+        self.plain.len() + self.packed
+    }
+}
+
 /// Node indices are `u32`, so a search stops at this many states even
 /// when its budget is larger.
 const MAX_NODES: u64 = u32::MAX as u64 - 1;
@@ -268,6 +395,29 @@ pub fn explore<M: ProtocolModel>(
     model: &M,
     max_states: u64,
 ) -> Result<SearchOutcome<M::Kind>, StateLimit> {
+    search(model, max_states, VecDeque::new())
+}
+
+/// [`explore`] with the frontier holding packed states (see
+/// [`PackedModel`]): the same search, statistics and counterexamples in
+/// less memory.
+///
+/// # Errors
+///
+/// Returns [`StateLimit`] as [`explore`] does.
+pub fn explore_packed<M: PackedModel>(
+    model: &M,
+    max_states: u64,
+) -> Result<SearchOutcome<M::Kind>, StateLimit> {
+    search(model, max_states, PackedFrontier::new(model, UNPACKED_MAX))
+}
+
+/// The BFS of [`explore`] over any frontier representation.
+fn search<M: ProtocolModel>(
+    model: &M,
+    max_states: u64,
+    mut frontier: impl Frontier<M::State>,
+) -> Result<SearchOutcome<M::Kind>, StateLimit> {
     let state_cap = max_states.min(MAX_NODES);
     let init = model.initial();
     let mut key = Vec::new();
@@ -291,13 +441,23 @@ pub fn explore<M: ProtocolModel>(
         });
     }
 
-    // Each entry: a state to expand, its node index and its depth.
-    let mut frontier: VecDeque<(M::State, u32, u64)> = VecDeque::from([(init, 0, 0)]);
+    frontier.push(&init, &key);
+    // The state being expanded, overwritten by each pop.
+    let mut state = init;
+    // The node being expanded, its depth, and the first node one level
+    // deeper than it.
+    let (mut idx, mut depth, mut level_end) = (0u32, 0u64, 1usize);
     let mut succs = Vec::new();
     // The keys of one state's `Ok` successors, back to back in `key`,
     // with each key's end offset and hash.
     let mut batch: Vec<(usize, u64)> = Vec::new();
-    while let Some((state, idx, depth)) = frontier.pop_front() {
+    while frontier.pop_into(&mut state) {
+        if idx as usize == level_end {
+            // Every node of this level was found while expanding the
+            // last one, and none of the next level yet.
+            depth += 1;
+            level_end = nodes.len();
+        }
         model.successors_into(&state, &mut succs);
         if succs.is_empty() && !model.quiescent(&state) {
             let path = path_to(&nodes, idx);
@@ -325,13 +485,14 @@ pub fn explore<M: ProtocolModel>(
         }
         let mut keys = batch.iter();
         let mut start = 0;
-        for succ in succs.drain(..) {
+        // By reference: a successor is copied only if it is queued.
+        for succ in &succs {
             stats.transitions += 1;
-            match succ.result {
+            match &succ.result {
                 Err(e) => {
                     // Render the path up to the offending action.
                     let path = path_to(&nodes, idx);
-                    let mut cx = report(model, &path, Violation::IllegalStep, e);
+                    let mut cx = report(model, &path, Violation::IllegalStep, e.clone());
                     cx.actions.push(succ.action.to_string());
                     return Ok(SearchOutcome {
                         stats,
@@ -340,22 +501,22 @@ pub fn explore<M: ProtocolModel>(
                 }
                 Ok(next) => {
                     let &(end, hash) = keys.next().expect("one key per Ok successor");
-                    let fresh = visited.insert_hashed(&key[start..end], hash);
+                    let next_key = &key[start..end];
                     start = end;
-                    if !fresh {
+                    if !visited.insert_hashed(next_key, hash) {
                         continue;
                     }
                     let node_idx = nodes.len() as u32;
                     nodes.push(Node {
                         parent: idx,
-                        action: Some(succ.action),
+                        action: Some(succ.action.clone()),
                     });
                     stats.states += 1;
                     stats.max_depth = stats.max_depth.max(depth + 1);
                     if stats.states > state_cap {
                         return Err(StateLimit { limit: max_states });
                     }
-                    if let Some((kind, description)) = model.check(&next) {
+                    if let Some((kind, description)) = model.check(next) {
                         let path = path_to(&nodes, node_idx);
                         return Ok(SearchOutcome {
                             stats,
@@ -367,11 +528,13 @@ pub fn explore<M: ProtocolModel>(
                             )),
                         });
                     }
-                    frontier.push_back((next, node_idx, depth + 1));
+                    frontier.push(next, next_key);
                     stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u64);
                 }
             }
         }
+        succs.clear();
+        idx += 1;
     }
     Ok(SearchOutcome {
         stats,
@@ -624,6 +787,55 @@ mod tests {
                 .map(|p| format!("token {} -> {}", p.0, (p.0 + 1) % self.n))
                 .collect::<Vec<_>>()
                 .join("\n")
+        }
+    }
+
+    /// Packs a ring state as one byte per station, then the lap and
+    /// the done flag.
+    impl PackedModel for Ring {
+        fn pack_into(&self, s: &RingState, _key: &[u8], out: &mut Vec<u8>) {
+            out.extend(s.holders.iter().map(|&h| h as u8));
+            out.extend([s.lap, s.done as u8]);
+        }
+
+        fn unpack_into(&self, packed: &[u8], s: &mut RingState) {
+            let (holders, tail) = packed.split_at(self.n as usize);
+            for (h, &b) in s.holders.iter_mut().zip(holders) {
+                *h = b != 0;
+            }
+            (s.lap, s.done) = (tail[0], tail[1] != 0);
+        }
+    }
+
+    #[test]
+    fn a_packed_frontier_changes_nothing_but_memory() {
+        let rings = [
+            Ring::clean(4, 3),
+            Ring {
+                split_token: true,
+                ..Ring::clean(3, 2)
+            },
+            Ring {
+                lose_token: true,
+                ..Ring::clean(3, 2)
+            },
+            Ring {
+                bad_step: true,
+                ..Ring::clean(2, 1)
+            },
+        ];
+        for ring in &rings {
+            let plain = explore(ring, 1_000).unwrap();
+            // All packed, at most one whole state, and as many whole
+            // states as the real frontier keeps.
+            for unpacked_max in [0, 1, UNPACKED_MAX] {
+                let packed = search(ring, 1_000, PackedFrontier::new(ring, unpacked_max)).unwrap();
+                assert_eq!(plain.stats, packed.stats);
+                assert_eq!(
+                    plain.violation.as_ref().map(|cx| cx.to_string()),
+                    packed.violation.map(|cx| cx.to_string())
+                );
+            }
         }
     }
 
