@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy build test doc determinism clean
+.PHONY: ci fmt fmt-check clippy build test doc benchmark determinism clean
 
-ci: fmt-check clippy build test doc determinism
+ci: fmt-check clippy build test doc benchmark determinism
 
 fmt:
 	$(CARGO) fmt --all
@@ -25,6 +25,20 @@ test:
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
+
+# The CI `benchmark` job: the benchmark's self-tests, then one short run
+# of each workload, whose result line (the last line of stdout) must say
+# "correct":true, i.e. the run matched benches/benchmark/golden.json.
+BENCH_MANIFEST = --manifest-path benches/benchmark/Cargo.toml
+
+benchmark:
+	$(CARGO) test --release $(BENCH_MANIFEST)
+	for w in explore_tcp explore_moesi eci_mix traffic service; do \
+	  line=$$($(CARGO) run --quiet --release $(BENCH_MANIFEST) -- \
+	    run --workload $$w --seconds 1 | tail -n 1); \
+	  echo "$$line"; \
+	  echo "$$line" | grep -q '"correct":true' || exit 1; \
+	done
 
 # Every reproduce selector, in registry order: each one's BENCH JSON and
 # CSV tables must be byte-identical across reruns and thread counts. The

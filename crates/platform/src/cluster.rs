@@ -249,9 +249,12 @@ impl enzian_sim::Instrumented for EnzianCluster {
 /// at the sender.
 ///
 /// `wire_bytes` counts encoded frames exactly as the fabric carries
-/// them, so for every flow `wire_bytes == payload_bytes + frames *`
-/// [`BRIDGE_HEADER`] and equals the outgoing channel's
-/// [`Channel::bytes_carried`].
+/// them and equals the outgoing channel's [`Channel::bytes_carried`].
+/// On the cluster and service planes every frame is a bridge header
+/// around its payload, so `wire_bytes == payload_bytes + frames *`
+/// [`BRIDGE_HEADER`]; a traffic frame also carries a TCP segment
+/// header, so there the per-frame overhead is
+/// [`TCP_FRAME_BYTES`](crate::traffic::TCP_FRAME_BYTES).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowStats {
     /// Bridge frames sent to this destination.
@@ -263,12 +266,14 @@ pub struct FlowStats {
 }
 
 /// Outbound envelopes of one work item, as `(destination board, envelope)`.
-pub(crate) type Out = Vec<(usize, Envelope<Vec<u8>>)>;
+pub(crate) type Out<M = Vec<u8>> = Vec<(usize, Envelope<M>)>;
 
 /// One board's private half of the fabric, shared by every sharded
 /// cluster model (memory bridge, replicated service, traffic): an
 /// outgoing [`Channel`] and its [`FlowStats`] per destination board,
-/// plus the inbox of delivered frames waiting for their turn.
+/// plus the inbox of delivered frames waiting for their turn. `M` is
+/// the envelope payload: an encoded frame of any length by default, or
+/// a fixed-size array where every frame has one length.
 ///
 /// Cache-line aligned, which makes every board struct embedding it a
 /// whole number of cache lines. `Engine::Conservative` splits the
@@ -277,15 +282,15 @@ pub(crate) type Out = Vec<(usize, Envelope<Vec<u8>>)>;
 /// their hot fields can share a line (that false sharing cost the
 /// traffic model ~15% of its throughput at 2 threads on a 2-vCPU host).
 #[repr(align(64))]
-pub(crate) struct FabricPort {
+pub(crate) struct FabricPort<M = Vec<u8>> {
     id: usize,
     /// Outgoing channel per destination board (`None` for self).
     out: Vec<Option<Channel>>,
     flows: Vec<FlowStats>,
-    inbox: BinaryHeap<Reverse<Envelope<Vec<u8>>>>,
+    inbox: BinaryHeap<Reverse<Envelope<M>>>,
 }
 
-impl FabricPort {
+impl<M: Eq> FabricPort<M> {
     /// Board `id`'s port onto a full mesh of `n` boards joined by `link`s.
     pub(crate) fn new(id: usize, n: usize, link: &EthLinkConfig) -> Self {
         let cfg = ChannelConfig {
@@ -305,7 +310,7 @@ impl FabricPort {
     }
 
     /// Holds a delivered envelope until its key comes up.
-    pub(crate) fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
+    pub(crate) fn push_arrival(&mut self, env: Envelope<M>) {
         self.inbox.push(Reverse(env));
     }
 
@@ -319,7 +324,7 @@ impl FabricPort {
     }
 
     /// Removes the earliest held envelope (which must exist).
-    pub(crate) fn pop_arrival(&mut self) -> Envelope<Vec<u8>> {
+    pub(crate) fn pop_arrival(&mut self) -> Envelope<M> {
         self.inbox.pop().expect("inbox not empty").0
     }
 
@@ -857,8 +862,7 @@ impl KeyedShard for BoardShard {
         best
     }
 
-    fn process_next(&mut self, out: &mut Out) {
-        let key = self.next_key().expect("process_next on a quiescent board");
+    fn process_next(&mut self, key: WorkKey, out: &mut Out) {
         if key.1 == 0 {
             self.process_envelope(out);
         } else {

@@ -1450,8 +1450,7 @@ impl KeyedShard for ServiceBoard {
         best
     }
 
-    fn process_next(&mut self, out: &mut Out) {
-        let key = self.next_key().expect("process_next on a quiescent board");
+    fn process_next(&mut self, key: WorkKey, out: &mut Out) {
         self.dispatch(key, out);
     }
 

@@ -40,6 +40,15 @@ use crate::cluster::{FabricPort, Out, BRIDGE_HEADER};
 /// frame crosses (the same 1 µs as [`enzian_net::eth::Switch::tor`]).
 const SWITCH_LATENCY: Duration = Duration::from_us(1);
 
+/// Bytes of every traffic frame on the fabric: a bridge header around
+/// one TCP segment header. The session payload is synthetic and never
+/// encoded, so every frame has this one length and travels inline in
+/// its envelope.
+pub const TCP_FRAME_BYTES: usize = (BRIDGE_HEADER + SEGMENT_HEADER_BYTES) as usize;
+
+/// A traffic frame as it crosses the fabric.
+type TcpFrame = [u8; TCP_FRAME_BYTES];
+
 // -------------------------------------------------------------------
 // Configuration
 // -------------------------------------------------------------------
@@ -252,10 +261,13 @@ struct TrafficBoard {
     opens_left: u64,
     opens_issued: u64,
     next_open: Option<Time>,
-    port: FabricPort,
+    port: FabricPort<TcpFrame>,
     seq: u64,
     /// Scratch buffer the mux emits into; drained after every event.
     buf: Vec<WireSegment>,
+    /// Scratch buffer each frame is encoded into before it is copied
+    /// into its envelope.
+    frame: Vec<u8>,
     last: Time,
 }
 
@@ -278,7 +290,7 @@ impl TrafficBoard {
     /// The mux's transmit pipeline is serial, so the emission times are
     /// already monotone per board and the per-destination channels stay
     /// FIFO without a serialization floor.
-    fn flush(&mut self, out: &mut Out) {
+    fn flush(&mut self, out: &mut Out<TcpFrame>) {
         let mut buf = std::mem::take(&mut self.buf);
         for ws in buf.drain(..) {
             let dst = usize::from(ws.seg.dst_board);
@@ -291,12 +303,16 @@ impl TrafficBoard {
                 addr: 0,
                 seq: self.seq as u32,
             };
-            let mut frame = Vec::with_capacity((BRIDGE_HEADER + SEGMENT_HEADER_BYTES) as usize);
-            write_bridge(&mut frame, &header, |p| encode_segment_into(&ws.seg, p));
+            self.frame.clear();
+            write_bridge(&mut self.frame, &header, |p| {
+                encode_segment_into(&ws.seg, p)
+            });
+            let frame = TcpFrame::try_from(&self.frame[..])
+                .expect("a traffic frame is exactly TCP_FRAME_BYTES long");
             // The encoded frame carries the 28-byte segment header; the
             // session payload itself is synthetic, so the channel is
             // charged for both to occupy the wire realistically.
-            let wire = frame.len() as u64 + u64::from(ws.seg.len);
+            let wire = TCP_FRAME_BYTES as u64 + u64::from(ws.seg.len);
             let xfer = self.port.transmit(dst, ws.at, wire, u64::from(ws.seg.len));
             out.push((
                 dst,
@@ -312,10 +328,10 @@ impl TrafficBoard {
         self.buf = buf;
     }
 
-    fn process_envelope(&mut self, out: &mut Out) {
+    fn process_envelope(&mut self, out: &mut Out<TcpFrame>) {
         let env = self.port.pop_arrival();
         self.last = self.last.max(env.at);
-        let frame = BridgeFrame::parse(&env.payload).expect("fabric frames survive transit");
+        let frame = BridgeFrame::parse(&env.payload[..]).expect("fabric frames survive transit");
         assert_eq!(
             frame.header.opcode,
             BridgeOpcode::Tcp,
@@ -326,14 +342,14 @@ impl TrafficBoard {
         self.flush(out);
     }
 
-    fn process_timer(&mut self, out: &mut Out) {
+    fn process_timer(&mut self, out: &mut Out<TcpFrame>) {
         if let Some(at) = self.mux.fire_next_timer(&mut self.buf) {
             self.last = self.last.max(at);
         }
         self.flush(out);
     }
 
-    fn process_open(&mut self, now: Time, out: &mut Out) {
+    fn process_open(&mut self, now: Time, out: &mut Out<TcpFrame>) {
         self.last = self.last.max(now);
         let dst = self.open_dst(self.opens_issued);
         self.mux.open(
@@ -362,7 +378,7 @@ impl TrafficBoard {
 /// `(src, seq)`, 1 the mux's earliest timer `(timer seq, 0)`, and 2 the
 /// next scheduled open `(0, 0)`.
 impl KeyedShard for TrafficBoard {
-    type Msg = Vec<u8>;
+    type Msg = TcpFrame;
 
     fn next_key(&self) -> Option<WorkKey> {
         let mut best = self.port.next_key();
@@ -380,8 +396,7 @@ impl KeyedShard for TrafficBoard {
         best
     }
 
-    fn process_next(&mut self, out: &mut Out) {
-        let key = self.next_key().expect("process_next on a quiescent board");
+    fn process_next(&mut self, key: WorkKey, out: &mut Out<TcpFrame>) {
         match key.1 {
             0 => self.process_envelope(out),
             1 => self.process_timer(out),
@@ -390,7 +405,7 @@ impl KeyedShard for TrafficBoard {
         }
     }
 
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
+    fn push_arrival(&mut self, env: Envelope<TcpFrame>) {
         self.port.push_arrival(env);
     }
 
@@ -429,6 +444,7 @@ fn make_boards(w: &TrafficWorkload) -> Vec<TrafficBoard> {
                 port: FabricPort::new(id, n, &link),
                 seq: 0,
                 buf: Vec::new(),
+                frame: Vec::with_capacity(TCP_FRAME_BYTES),
                 last: Time::ZERO,
             }
         })
@@ -596,6 +612,12 @@ fn finish_run(w: &TrafficWorkload, boards: Vec<TrafficBoard>, par: ParReport) ->
         handshake.merge(&b.mux.stats().handshake);
         session.merge(&b.mux.stats().session);
         let total = b.port.audit();
+        assert_eq!(
+            total.wire_bytes,
+            total.payload_bytes + total.frames * TCP_FRAME_BYTES as u64,
+            "board {}: every traffic frame adds exactly TCP_FRAME_BYTES",
+            b.id
+        );
         frames += total.frames;
         wire_bytes += total.wire_bytes;
     }

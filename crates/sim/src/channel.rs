@@ -118,6 +118,22 @@ impl Channel {
         Time::from_ps(self.busy.last().map_or(0, |&(_, e)| e))
     }
 
+    /// The start of a `dur`-picosecond transfer submitted at `from`: the
+    /// first idle gap of that length at or after `from`.
+    ///
+    /// Tail fast path: when `from` is at or after the start of the last
+    /// busy interval, no earlier interval can overlap and no gap exists
+    /// inside the last one, so the transfer starts at `from` or when the
+    /// last interval ends. A FIFO caller, whose submissions never go
+    /// back in time, always takes it; only a submission into an older
+    /// gap searches the list.
+    fn start_of(&self, from: u64, dur: u64) -> u64 {
+        match self.busy.last() {
+            Some(&(s, _)) if from < s => self.find_gap(from, dur),
+            last => last.map_or(from, |&(_, e)| from.max(e)),
+        }
+    }
+
     /// Finds the start of the first idle gap of length `dur` at or after
     /// `from` (both in picoseconds).
     fn find_gap(&self, from: u64, dur: u64) -> u64 {
@@ -135,6 +151,19 @@ impl Channel {
 
     /// Inserts `[start, end)` as busy, merging with neighbours.
     fn occupy(&mut self, start: u64, end: u64) {
+        // Tail fast path: nothing lies at or after the last interval's
+        // end, so the interval extends it or is pushed after it.
+        match self.busy.last_mut() {
+            Some(last) if last.1 == start => {
+                last.1 = end;
+                return;
+            }
+            Some(&mut (_, e)) if e > start => {}
+            _ => {
+                self.busy.push((start, end));
+                return;
+            }
+        }
         let idx = self.busy.partition_point(|&(s, _)| s < start);
         debug_assert!(idx == 0 || self.busy[idx - 1].1 <= start, "overlap left");
         debug_assert!(
@@ -168,7 +197,7 @@ impl Channel {
     /// timing. The transfer takes the first idle slot at or after `now`.
     pub fn send(&mut self, now: Time, payload_bytes: u64) -> Transfer {
         let ser = self.config.serialization_time(payload_bytes).as_ps().max(1);
-        let start = self.find_gap(now.as_ps(), ser);
+        let start = self.start_of(now.as_ps(), ser);
         self.occupy(start, start + ser);
         self.bytes_carried += payload_bytes;
         self.transfers += 1;
@@ -182,7 +211,7 @@ impl Channel {
     /// committing it.
     pub fn peek_done(&self, now: Time, payload_bytes: u64) -> Time {
         let ser = self.config.serialization_time(payload_bytes).as_ps().max(1);
-        let start = self.find_gap(now.as_ps(), ser);
+        let start = self.start_of(now.as_ps(), ser);
         Time::from_ps(start + ser) + self.config.propagation
     }
 
@@ -279,6 +308,101 @@ mod tests {
         let d2 = ch.peek_done(Time::ZERO, 128);
         assert_eq!(d1, d2);
         assert_eq!(ch.transfers(), 0);
+    }
+
+    /// The general path alone: `find_gap` then `occupy`, searching the
+    /// whole interval list on every submission.
+    struct GapSearch {
+        busy: Vec<(u64, u64)>,
+    }
+
+    impl GapSearch {
+        fn send(&mut self, from: u64, ser: u64) -> u64 {
+            let mut start = from;
+            let idx = self.busy.partition_point(|&(_, e)| e <= start);
+            for &(s, e) in &self.busy[idx..] {
+                if s >= start.saturating_add(ser) {
+                    break;
+                }
+                start = start.max(e);
+            }
+            let end = start + ser;
+            let idx = self.busy.partition_point(|&(s, _)| s < start);
+            let merge_left = idx > 0 && self.busy[idx - 1].1 == start;
+            let merge_right = idx < self.busy.len() && self.busy[idx].0 == end;
+            match (merge_left, merge_right) {
+                (true, true) => {
+                    self.busy[idx - 1].1 = self.busy[idx].1;
+                    self.busy.remove(idx);
+                }
+                (true, false) => self.busy[idx - 1].1 = end,
+                (false, true) => self.busy[idx].0 = start,
+                (false, false) => self.busy.insert(idx, (start, end)),
+            }
+            start
+        }
+    }
+
+    /// Seeded random submissions (monotone runs, jumps back into old
+    /// gaps, bursts at one instant, zero- and large-byte transfers and
+    /// retrains) give the same transfers and the same busy list as the
+    /// general gap search.
+    #[test]
+    fn tail_fast_path_matches_the_gap_search() {
+        let mut hits = [0u32; 2];
+        for seed in 0..64 {
+            let mut rng = crate::SimRng::seed_from(seed);
+            let mut ch = ten_gbps();
+            let mut reference = GapSearch { busy: Vec::new() };
+            let mut now = 0u64;
+            for step in 0..400 {
+                now = match rng.next_below(8) {
+                    // Same instant as the last submission.
+                    0 | 1 => now,
+                    // Back into the past, possibly before every interval.
+                    2 => now.saturating_sub(rng.next_below(2_000_000)),
+                    // Anywhere inside the committed span.
+                    3 => rng.next_below(ch.busy_until().as_ps() + 1),
+                    // At or just before the last interval's start, where
+                    // a 1 ps transfer can still fit in the gap before it.
+                    4 => ch
+                        .busy
+                        .last()
+                        .map_or(now, |&(s, _)| s.saturating_sub(rng.next_below(3))),
+                    // Monotone, from barely past to beyond the tail.
+                    _ => now + rng.next_below(400_000),
+                };
+                if rng.next_below(100) == 0 {
+                    ch.reset_at(Time::from_ps(now));
+                    reference.busy.clear();
+                    if now > 0 {
+                        reference.busy.push((0, now));
+                    }
+                }
+                let bytes = match rng.next_below(10) {
+                    0 => 0,
+                    1 => 1 << 20,
+                    _ => rng.next_below(1_600),
+                };
+                let ser = ch.config().serialization_time(bytes).as_ps().max(1);
+                let tail_start = ch.busy.last().map_or(0, |&(s, _)| s);
+                hits[usize::from(now >= tail_start)] += 1;
+                let peeked = ch.peek_done(Time::from_ps(now), bytes);
+                let t = ch.send(Time::from_ps(now), bytes);
+                let start = reference.send(now, ser);
+                let ctx = format!("seed {seed} step {step}: {bytes} B at {now} ps");
+                assert_eq!(t.start.as_ps(), start, "{ctx}");
+                assert_eq!(
+                    t.done,
+                    Time::from_ps(start + ser) + ch.config().propagation,
+                    "{ctx}"
+                );
+                assert_eq!(peeked, t.done, "{ctx}");
+                assert_eq!(ch.busy, reference.busy, "{ctx}");
+            }
+        }
+        // Both paths ran many times: [gap search, tail fast path].
+        assert!(hits.iter().all(|&h| h > 1_000), "{hits:?}");
     }
 
     #[test]

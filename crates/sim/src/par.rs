@@ -164,9 +164,11 @@ pub trait KeyedShard: Send {
     /// reply; see [`KeyedShard::idle`]).
     fn next_key(&self) -> Option<WorkKey>;
 
-    /// Runs the item [`KeyedShard::next_key`] names, pushing outbound
-    /// messages as `(destination shard, envelope)`.
-    fn process_next(&mut self, out: &mut Vec<(usize, Envelope<Self::Msg>)>);
+    /// Runs the item `key` names, pushing outbound messages as
+    /// `(destination shard, envelope)`. `key` is what
+    /// [`KeyedShard::next_key`] just returned, so the shard need not
+    /// compute it again.
+    fn process_next(&mut self, key: WorkKey, out: &mut Vec<(usize, Envelope<Self::Msg>)>);
 
     /// Holds a delivered message until its key comes up.
     fn push_arrival(&mut self, env: Envelope<Self::Msg>);
@@ -188,8 +190,8 @@ impl<S: KeyedShard> Shard for S {
         for env in arrivals.drain(..) {
             self.push_arrival(env);
         }
-        while self.next_key().is_some_and(|k| k.0 < window.end) {
-            self.process_next(out);
+        while let Some(key) = self.next_key().filter(|k| k.0 < window.end) {
+            self.process_next(key, out);
         }
     }
 
@@ -592,8 +594,8 @@ pub fn run_sequential<S: KeyedShard>(shards: &mut [S]) -> ParReport {
                 }
             }
         }
-        let Some((_, i)) = best else { break };
-        shards[i].process_next(&mut out);
+        let Some((key, i)) = best else { break };
+        shards[i].process_next(key, &mut out);
         messages += out.len() as u64;
         for (dst, env) in out.drain(..) {
             shards[dst].push_arrival(env);
@@ -890,8 +892,7 @@ mod tests {
             }
         }
 
-        fn process_next(&mut self, out: &mut Vec<(usize, Envelope<u32>)>) {
-            let key = self.next_key().expect("work pending");
+        fn process_next(&mut self, key: WorkKey, out: &mut Vec<(usize, Envelope<u32>)>) {
             if key.1 == 0 {
                 let std::cmp::Reverse(env) = self.inbox.pop().unwrap();
                 self.log.push((env.at.as_ps(), env.src, env.payload));
