@@ -406,11 +406,98 @@ impl<'a> Reader<'a> {
         Ok(u64::from(lo) | (u64::from(hi) << 32))
     }
 
-    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, SvcWireError> {
+    fn slice(&mut self, n: usize) -> Result<&'a [u8], SvcWireError> {
         let end = self.at.checked_add(n).ok_or(SvcWireError::Truncated)?;
         let s = self.buf.get(self.at..end).ok_or(SvcWireError::Truncated)?;
         self.at = end;
-        Ok(s.to_vec())
+        Ok(s)
+    }
+
+    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, SvcWireError> {
+        Ok(self.slice(n)?.to_vec())
+    }
+
+    /// Demands the whole buffer was read.
+    fn finish(&self) -> Result<(), SvcWireError> {
+        match self.buf.len() - self.at {
+            0 => Ok(()),
+            n => Err(SvcWireError::TrailingBytes(n)),
+        }
+    }
+}
+
+/// Wire tag of [`SvcPayload::Heartbeat`].
+const HEARTBEAT_TAG: u8 = 6;
+
+/// Bytes of one `(shard, epoch)` heartbeat entry.
+const HEARTBEAT_ENTRY_BYTES: usize = 6;
+
+/// A heartbeat read in place from its payload bytes: the sequence
+/// number, and the `(shard, epoch)` entries decoded one by one as
+/// [`HeartbeatView::epochs`] yields them. A board acts on a heartbeat
+/// through this view without building a `Vec`; [`decode_svc`] builds
+/// [`SvcPayload::Heartbeat`] from it, so both accept and reject exactly
+/// the same bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeartbeatView<'a> {
+    /// Per-sender heartbeat sequence number.
+    pub seq: u32,
+    /// The entries, [`HEARTBEAT_ENTRY_BYTES`] each.
+    entries: &'a [u8],
+}
+
+impl<'a> HeartbeatView<'a> {
+    /// Reads a whole heartbeat payload, tag byte included.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SvcWireError::BadTag`] for any other message kind, and
+    /// otherwise exactly the error [`decode_svc`] returns for `buf`.
+    pub fn parse(buf: &'a [u8]) -> Result<Self, SvcWireError> {
+        let mut r = Reader { buf, at: 0 };
+        match r.u8()? {
+            HEARTBEAT_TAG => {}
+            t => return Err(SvcWireError::BadTag(t)),
+        }
+        let view = Self::read(&mut r)?;
+        r.finish()?;
+        Ok(view)
+    }
+
+    /// Reads the heartbeat body that follows its tag. The entry count
+    /// is checked against the bytes left before anything else is read.
+    fn read(r: &mut Reader<'a>) -> Result<Self, SvcWireError> {
+        let seq = r.u32()?;
+        let n = usize::from(r.u16()?);
+        let entries = r.slice(n * HEARTBEAT_ENTRY_BYTES)?;
+        Ok(HeartbeatView { seq, entries })
+    }
+
+    /// The `(shard, epoch)` entries, in wire order.
+    pub fn epochs(&self) -> impl ExactSizeIterator<Item = (u16, u32)> + 'a {
+        self.entries.chunks_exact(HEARTBEAT_ENTRY_BYTES).map(|e| {
+            (
+                u16::from_le_bytes([e[0], e[1]]),
+                u32::from_le_bytes([e[2], e[3], e[4], e[5]]),
+            )
+        })
+    }
+}
+
+/// Appends the encoding of a heartbeat carrying `seq` and `epochs`: the
+/// bytes [`encode_svc_into`] writes for the equivalent
+/// [`SvcPayload::Heartbeat`], without building its `Vec`.
+pub fn encode_heartbeat_into(
+    seq: u32,
+    epochs: impl ExactSizeIterator<Item = (u16, u32)>,
+    out: &mut Vec<u8>,
+) {
+    out.push(HEARTBEAT_TAG);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(epochs.len() as u16).to_le_bytes());
+    for (shard, epoch) in epochs {
+        out.extend_from_slice(&shard.to_le_bytes());
+        out.extend_from_slice(&epoch.to_le_bytes());
     }
 }
 
@@ -447,6 +534,26 @@ fn get_op(r: &mut Reader<'_>) -> Result<KvOp, SvcWireError> {
         3 => Ok(KvOp::Delete { key: r.u64()? }),
         t => Err(SvcWireError::BadTag(t)),
     }
+}
+
+/// Appends the encoding of a [`SvcPayload::Replicate`] from borrowed
+/// parts, so a caller holding a log entry need not clone its op.
+fn put_replicate(
+    out: &mut Vec<u8>,
+    shard: u16,
+    epoch: u32,
+    index: u32,
+    client: u32,
+    op_seq: u32,
+    op: &KvOp,
+) {
+    out.push(3);
+    out.extend_from_slice(&shard.to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&index.to_le_bytes());
+    out.extend_from_slice(&client.to_le_bytes());
+    out.extend_from_slice(&op_seq.to_le_bytes());
+    put_op(out, op);
 }
 
 fn put_result(out: &mut Vec<u8>, res: &KvResult) {
@@ -553,15 +660,7 @@ pub fn encode_svc_into(p: &SvcPayload, out: &mut Vec<u8>) {
             client,
             op_seq,
             op,
-        } => {
-            out.push(3);
-            out.extend_from_slice(&shard.to_le_bytes());
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&index.to_le_bytes());
-            out.extend_from_slice(&client.to_le_bytes());
-            out.extend_from_slice(&op_seq.to_le_bytes());
-            put_op(out, op);
-        }
+        } => put_replicate(out, *shard, *epoch, *index, *client, *op_seq, op),
         SvcPayload::RepAck {
             shard,
             epoch,
@@ -578,13 +677,7 @@ pub fn encode_svc_into(p: &SvcPayload, out: &mut Vec<u8>) {
             out.extend_from_slice(&epoch.to_le_bytes());
         }
         SvcPayload::Heartbeat { seq, epochs } => {
-            out.push(6);
-            out.extend_from_slice(&seq.to_le_bytes());
-            out.extend_from_slice(&(epochs.len() as u16).to_le_bytes());
-            for (shard, epoch) in epochs {
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
+            encode_heartbeat_into(*seq, epochs.iter().copied(), out);
         }
         SvcPayload::CatchupReq { shard } => {
             out.push(7);
@@ -684,21 +777,14 @@ pub fn decode_svc(buf: &[u8]) -> Result<SvcPayload, SvcWireError> {
             shard: r.u16()?,
             epoch: r.u32()?,
         },
-        6 => {
-            let seq = r.u32()?;
-            let n = r.u16()? as usize;
-            // Six bytes per entry: a count the buffer cannot hold is a
-            // cut frame, caught before it sizes an allocation.
-            if n * 6 > buf.len() - r.at {
-                return Err(SvcWireError::Truncated);
+        HEARTBEAT_TAG => {
+            // A count the buffer cannot hold is a cut frame, caught
+            // before it sizes an allocation.
+            let view = HeartbeatView::read(&mut r)?;
+            SvcPayload::Heartbeat {
+                seq: view.seq,
+                epochs: view.epochs().collect(),
             }
-            let mut epochs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let shard = r.u16()?;
-                let epoch = r.u32()?;
-                epochs.push((shard, epoch));
-            }
-            SvcPayload::Heartbeat { seq, epochs }
         }
         7 => SvcPayload::CatchupReq { shard: r.u16()? },
         8 => SvcPayload::CatchupStart {
@@ -708,9 +794,7 @@ pub fn decode_svc(buf: &[u8]) -> Result<SvcPayload, SvcWireError> {
         },
         t => return Err(SvcWireError::BadTag(t)),
     };
-    if r.at != buf.len() {
-        return Err(SvcWireError::TrailingBytes(buf.len() - r.at));
-    }
+    r.finish()?;
     Ok(payload)
 }
 
@@ -899,19 +983,17 @@ impl Replica {
             Role::Recovering => 3,
         });
         fold(self.log.len() as u64);
+        // Each entry's hash covers its encoding as an epoch-0, index-0
+        // replication message, written into one reused buffer.
+        let mut entry = Vec::new();
         for e in &self.log {
             fold(u64::from(e.client));
             fold(u64::from(e.op_seq));
             fold(e.op.key());
+            entry.clear();
+            put_replicate(&mut entry, self.shard, 0, 0, e.client, e.op_seq, &e.op);
             let mut h = Fnv::new();
-            h.bytes(&encode_svc(&SvcPayload::Replicate {
-                shard: self.shard,
-                epoch: 0,
-                index: 0,
-                client: e.client,
-                op_seq: e.op_seq,
-                op: e.op.clone(),
-            }));
+            h.bytes(&entry);
             fold(h.finish());
         }
     }
@@ -1510,6 +1592,38 @@ mod tests {
                 Err(SvcWireError::TrailingBytes(1))
             ));
         }
+    }
+
+    #[test]
+    fn heartbeats_read_in_place_match_the_owned_decoder() {
+        let epochs = vec![(0, 1), (7, 4), (65_535, u32::MAX)];
+        let owned = encode_svc(&SvcPayload::Heartbeat {
+            seq: 99,
+            epochs: epochs.clone(),
+        });
+        let mut written = Vec::new();
+        encode_heartbeat_into(99, epochs.iter().copied(), &mut written);
+        assert_eq!(written, owned);
+        let view = HeartbeatView::parse(&owned).unwrap();
+        assert_eq!(view.seq, 99);
+        assert_eq!(view.epochs().len(), 3);
+        assert_eq!(view.epochs().collect::<Vec<_>>(), epochs);
+        let empty = encode_svc(&SvcPayload::Heartbeat {
+            seq: 0,
+            epochs: Vec::new(),
+        });
+        assert_eq!(HeartbeatView::parse(&empty).unwrap().epochs().len(), 0);
+        // Other kinds are refused by tag; a count past the end is a cut.
+        let ack = encode_svc(&SvcPayload::RepAck {
+            shard: 1,
+            epoch: 2,
+            index: 3,
+        });
+        assert_eq!(HeartbeatView::parse(&ack), Err(SvcWireError::BadTag(4)));
+        let mut overrun = owned.clone();
+        overrun[5] = 4;
+        assert_eq!(HeartbeatView::parse(&overrun), Err(SvcWireError::Truncated));
+        assert_eq!(decode_svc(&overrun), Err(SvcWireError::Truncated));
     }
 
     #[test]

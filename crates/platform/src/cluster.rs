@@ -272,8 +272,10 @@ pub(crate) type Out<M = Vec<u8>> = Vec<(usize, Envelope<M>)>;
 /// cluster model (memory bridge, replicated service, traffic): an
 /// outgoing [`Channel`] and its [`FlowStats`] per destination board,
 /// plus the inbox of delivered frames waiting for their turn. `M` is
-/// the envelope payload: an encoded frame of any length by default, or
-/// a fixed-size array where every frame has one length.
+/// the envelope payload: an encoded frame of any length by default (the
+/// memory-bridge cluster), a fixed-size array where every frame has one
+/// length (traffic), or an inline buffer that spills to the heap only
+/// for an oversized frame (the replicated service).
 ///
 /// Cache-line aligned, which makes every board struct embedding it a
 /// whole number of cache lines. `Engine::Conservative` splits the

@@ -46,22 +46,76 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use enzian_apps::service::{
-    verify_log, AckState, Applied, ClientPlan, ClientState, KvOp, KvResult, LogEntry, Replica,
-    RespErr, RespOk, RetryDecision, Role, ShardMap, SloRecorder, SvcError, SvcPayload,
+    verify_log, AckState, Applied, ClientPlan, ClientState, HeartbeatView, KvOp, KvResult,
+    LogEntry, Replica, RespErr, RespOk, RetryDecision, Role, ShardMap, SloRecorder, SvcError,
+    SvcPayload,
 };
-use enzian_apps::{decode_svc, encode_svc_into, KvStoreConfig};
+use enzian_apps::{decode_svc, encode_heartbeat_into, encode_svc_into, KvStoreConfig};
 use enzian_eci::bridge::{write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode};
 use enzian_net::eth::EthLinkConfig;
 use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::{cluster_targets, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FabricPort, Out, BRIDGE_HEADER};
+use crate::cluster::{FabricPort, BRIDGE_HEADER};
 
-/// Bytes reserved for one service frame: the bridge framing plus 64
-/// bytes, which holds every request, response and replication message
-/// (values are at most 23 bytes) and a heartbeat for up to nine shards
-/// without regrowing.
+/// Bytes a service frame holds inline in its envelope: the bridge
+/// framing plus 64 bytes of payload. That fits every request, response
+/// and replication message (values are at most 23 bytes) and the
+/// heartbeat of a board hosting up to nine shards, so every frame of
+/// the `small` and `standard` services travels without a heap
+/// allocation.
 const SVC_FRAME_CAPACITY: usize = BRIDGE_HEADER as usize + 64;
+
+/// A service frame as it crosses the fabric: inline when it fits in
+/// [`SVC_FRAME_CAPACITY`] bytes, spilled to the heap when it does not
+/// (the heartbeat of a board hosting more than nine shards).
+#[derive(Debug)]
+enum SvcFrame {
+    /// The first `len` bytes of `bytes`.
+    Inline {
+        len: u8,
+        bytes: [u8; SVC_FRAME_CAPACITY],
+    },
+    /// A frame longer than the inline capacity.
+    Spilled(Vec<u8>),
+}
+
+impl SvcFrame {
+    /// Copies an encoded frame into its envelope payload.
+    fn new(frame: &[u8]) -> Self {
+        if frame.len() <= SVC_FRAME_CAPACITY {
+            let mut bytes = [0; SVC_FRAME_CAPACITY];
+            bytes[..frame.len()].copy_from_slice(frame);
+            SvcFrame::Inline {
+                len: frame.len() as u8,
+                bytes,
+            }
+        } else {
+            SvcFrame::Spilled(frame.to_vec())
+        }
+    }
+
+    /// The encoded frame.
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            SvcFrame::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            SvcFrame::Spilled(v) => v,
+        }
+    }
+}
+
+/// Frames compare by their bytes; the inbox's envelope ordering needs
+/// `Eq`, though it orders by the envelope key alone.
+impl PartialEq for SvcFrame {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for SvcFrame {}
+
+/// Outbound envelopes of one service work item.
+type Out = crate::cluster::Out<SvcFrame>;
 
 // -------------------------------------------------------------------
 // Configuration
@@ -344,12 +398,21 @@ fn rejected(error: SvcError) -> Body {
 /// An uncommitted log entry at the primary, awaiting its backup ack.
 #[derive(Debug)]
 struct Pend {
-    /// Clients to answer on commit.
-    responders: Vec<ReplyTo>,
+    /// The client whose request created the entry.
+    responder: ReplyTo,
+    /// Retries of that request that arrived before the commit.
+    retries: Vec<ReplyTo>,
     /// Replication attempts made.
     attempts: u32,
     /// Current attempt's ack deadline (keys the timer set).
     deadline: Time,
+}
+
+impl Pend {
+    /// Every client to answer, in arrival order.
+    fn responders(self) -> impl Iterator<Item = ReplyTo> {
+        std::iter::once(self.responder).chain(self.retries)
+    }
 }
 
 /// Catch-up progress for one recovering shard.
@@ -385,6 +448,9 @@ struct ServiceBoard {
     map: ShardMap,
     /// Hosted shard → replica.
     replicas: BTreeMap<u16, Replica>,
+    /// The hosted shards, ascending: the keys of `replicas`, which
+    /// never change.
+    hosted: Vec<u16>,
     /// Hosted shard → uncommitted log index → pending commit.
     pend: BTreeMap<u16, BTreeMap<u32, Pend>>,
     /// Armed replication timers, ordered by deadline.
@@ -401,7 +467,15 @@ struct ServiceBoard {
     plan: FaultPlan,
     down: bool,
     down_since: Time,
-    port: FabricPort,
+    port: FabricPort<SvcFrame>,
+    /// Scratch buffer each frame is encoded into before it is copied
+    /// into its envelope.
+    frame: Vec<u8>,
+    /// Scratch buffer for the heartbeat payload, encoded once per tick
+    /// and framed once per destination.
+    hb_payload: Vec<u8>,
+    /// Frames too long to travel inline (see [`SvcFrame`]).
+    spilled_frames: u64,
     /// Per-destination serialization floor: the wire start of the last
     /// frame sent there. Submitting at-or-after it keeps the channel
     /// FIFO even though replicate/response send times (apply-completion
@@ -497,9 +571,8 @@ impl ServiceBoard {
         for t in &mut self.last_heard {
             *t = now;
         }
-        let shards: Vec<u16> = self.replicas.keys().copied().collect();
-        for shard in shards {
-            self.request_catchup(shard, now, out);
+        for i in 0..self.hosted.len() {
+            self.request_catchup(self.hosted[i], now, out);
         }
         for (i, c) in self.clients.iter_mut().enumerate() {
             if !c.state.done() {
@@ -527,28 +600,44 @@ impl ServiceBoard {
     }
 
     /// Encodes one service payload straight into its bridge frame and
-    /// sends it towards `dst` at `at`, applying partition/delay faults;
-    /// same-board messages loop back through the inbox after
-    /// `local_latency`.
+    /// sends it towards `dst` at `at` (see [`ServiceBoard::send_frame`]).
     fn send_svc(&mut self, dst: usize, at: Time, payload: &SvcPayload, out: &mut Out) {
+        self.send_frame(dst, at, Self::plane(payload), out, |p| {
+            encode_svc_into(payload, p)
+        });
+    }
+
+    /// Frames the payload `write` appends on the `opcode` plane, through
+    /// the board's scratch buffer, and sends it towards `dst` at `at`,
+    /// applying partition/delay faults; same-board messages loop back
+    /// through the inbox after `local_latency`.
+    fn send_frame(
+        &mut self,
+        dst: usize,
+        at: Time,
+        opcode: BridgeOpcode,
+        out: &mut Out,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) {
         let header = BridgeHeader {
-            opcode: Self::plane(payload),
+            opcode,
             src: self.me(),
             dst: dst as u8,
             token: 0,
             addr: 0,
             seq: self.next_seq(),
         };
-        let mut frame = Vec::with_capacity(SVC_FRAME_CAPACITY);
-        let payload_len = write_bridge(&mut frame, &header, |p| encode_svc_into(payload, p));
+        self.frame.clear();
+        let payload_len = write_bridge(&mut self.frame, &header, write);
         let seq = u64::from(header.seq);
         if dst == self.id {
             self.local_msgs += 1;
+            let payload = self.envelope_frame();
             self.port.push_arrival(Envelope {
                 at: at + self.cfg.local_latency,
                 src: self.id,
                 seq,
-                payload: frame,
+                payload,
             });
             return;
         }
@@ -564,17 +653,27 @@ impl ServiceBoard {
         let start = at.max(self.send_floor[dst]);
         let xfer = self
             .port
-            .transmit(dst, start, frame.len() as u64, payload_len as u64);
+            .transmit(dst, start, self.frame.len() as u64, payload_len as u64);
         self.send_floor[dst] = xfer.start;
+        let payload = self.envelope_frame();
         out.push((
             dst,
             Envelope {
                 at: xfer.done + self.cfg.bridge_latency + extra,
                 src: self.id,
                 seq,
-                payload: frame,
+                payload,
             },
         ));
+    }
+
+    /// The frame in the scratch buffer, as an envelope payload.
+    fn envelope_frame(&mut self) -> SvcFrame {
+        let frame = SvcFrame::new(&self.frame);
+        if matches!(frame, SvcFrame::Spilled(_)) {
+            self.spilled_frames += 1;
+        }
+        frame
     }
 
     /// Answers the client attempt `to`, stamped with `shard`'s `epoch`.
@@ -633,7 +732,7 @@ impl ServiceBoard {
         };
         for (index, e) in m {
             self.rep_timers.remove(&(e.deadline, shard, index));
-            for to in e.responders {
+            for to in e.responders() {
                 self.respond(to, now, shard, epoch, rejected(err), out);
             }
         }
@@ -724,14 +823,22 @@ impl ServiceBoard {
             self.partition_drops += 1;
             return;
         }
-        let frame = BridgeFrame::parse(&env.payload).expect("fabric frames survive transit");
+        let frame =
+            BridgeFrame::parse(env.payload.as_bytes()).expect("fabric frames survive transit");
+        let src = usize::from(frame.header.src);
         let payload = match frame.header.opcode {
-            BridgeOpcode::SvcClient | BridgeOpcode::SvcRep | BridgeOpcode::SvcCtl => {
+            BridgeOpcode::SvcCtl => {
+                // The control plane carries heartbeats only; they are
+                // read in place.
+                let hb = HeartbeatView::parse(frame.payload).expect("heartbeats survive transit");
+                self.on_heartbeat(src, now, hb.epochs(), out);
+                return;
+            }
+            BridgeOpcode::SvcClient | BridgeOpcode::SvcRep => {
                 decode_svc(frame.payload).expect("service payloads survive transit")
             }
             other => unreachable!("non-service frame on the service fabric: {other:?}"),
         };
-        let src = usize::from(frame.header.src);
         match payload {
             SvcPayload::Heartbeat { seq: _, epochs } => self.on_heartbeat(src, now, epochs, out),
             SvcPayload::Request {
@@ -771,7 +878,13 @@ impl ServiceBoard {
         }
     }
 
-    fn on_heartbeat(&mut self, src: usize, now: Time, epochs: Vec<(u16, u32)>, out: &mut Out) {
+    fn on_heartbeat(
+        &mut self,
+        src: usize,
+        now: Time,
+        epochs: impl IntoIterator<Item = (u16, u32)>,
+        out: &mut Out,
+    ) {
         self.last_heard[src] = now;
         for (shard, ep) in epochs {
             self.bump_routing(shard, ep);
@@ -832,7 +945,7 @@ impl ServiceBoard {
             let pending = self.pend.get_mut(&shard).and_then(|m| m.get_mut(&index));
             if let Some(e) = pending {
                 // Still uncommitted: answer when the commit lands.
-                e.responders.push(to);
+                e.retries.push(to);
             } else {
                 self.respond(to, now, shard, epoch, served(result, false), out);
             }
@@ -856,7 +969,8 @@ impl ServiceBoard {
         self.pend.entry(shard).or_default().insert(
             index,
             Pend {
-                responders: vec![to],
+                responder: to,
+                retries: Vec::new(),
                 attempts: 1,
                 deadline,
             },
@@ -1071,16 +1185,13 @@ impl ServiceBoard {
     /// Commits every pending entry of `shard` up to `index`: removes
     /// the timers and answers every attached responder.
     fn commit_up_to(&mut self, shard: u16, index: u32, now: Time, solo: bool, out: &mut Out) {
-        let committed: Vec<(u32, Pend)> = {
-            let Some(m) = self.pend.get_mut(&shard) else {
-                return;
-            };
-            let keys: Vec<u32> = m.range(..=index).map(|(&i, _)| i).collect();
-            keys.into_iter()
-                .map(|i| (i, m.remove(&i).expect("key just listed")))
-                .collect()
-        };
-        for (i, e) in committed {
+        while let Some((i, e)) = self
+            .pend
+            .get_mut(&shard)
+            .and_then(|m| m.first_entry())
+            .filter(|first| *first.key() <= index)
+            .map(|first| first.remove_entry())
+        {
             self.rep_timers.remove(&(e.deadline, shard, i));
             if solo {
                 self.solo_commits += 1;
@@ -1089,7 +1200,7 @@ impl ServiceBoard {
                 let r = &self.replicas[&shard];
                 (r.epoch, r.log[i as usize].result.clone())
             };
-            for to in e.responders {
+            for to in e.responders() {
                 self.respond(to, now, shard, epoch, served(result.clone(), false), out);
             }
         }
@@ -1248,8 +1359,8 @@ impl ServiceBoard {
             // clock; the board itself does nothing while down.
             return;
         }
-        let shards: Vec<u16> = self.replicas.keys().copied().collect();
-        for shard in shards {
+        for i in 0..self.hosted.len() {
+            let shard = self.hosted[i];
             let (role, epoch) = {
                 let r = &self.replicas[&shard];
                 (r.role, r.epoch)
@@ -1283,19 +1394,23 @@ impl ServiceBoard {
                 Role::Primary => {}
             }
         }
-        let epochs: Vec<(u16, u32)> = self.replicas.iter().map(|(&s, r)| (s, r.epoch)).collect();
-        let hb = SvcPayload::Heartbeat {
-            seq: self.hb_seq,
-            epochs,
-        };
+        // One payload per tick; only the bridge header and its CRC
+        // differ per destination.
+        let mut hb = std::mem::take(&mut self.hb_payload);
+        hb.clear();
+        let epochs = self.replicas.iter().map(|(&s, r)| (s, r.epoch));
+        encode_heartbeat_into(self.hb_seq, epochs, &mut hb);
         self.hb_seq += 1;
         for dst in 0..self.n {
             if dst == self.id {
                 continue;
             }
             self.heartbeats_sent += 1;
-            self.send_svc(dst, now, &hb, out);
+            self.send_frame(dst, now, BridgeOpcode::SvcCtl, out, |p| {
+                p.extend_from_slice(&hb)
+            });
         }
+        self.hb_payload = hb;
     }
 
     fn process_rep_timer(&mut self, now: Time, shard: u16, index: u32, out: &mut Out) {
@@ -1427,7 +1542,7 @@ impl ServiceBoard {
 /// `(src, seq)`, 1 a client wake `(client, 0)`, 2 the heartbeat tick,
 /// and 3 a replication timer `(shard, index)`.
 impl KeyedShard for ServiceBoard {
-    type Msg = Vec<u8>;
+    type Msg = SvcFrame;
 
     fn next_key(&self) -> Option<WorkKey> {
         let mut best = self.port.next_key();
@@ -1454,7 +1569,7 @@ impl KeyedShard for ServiceBoard {
         self.dispatch(key, out);
     }
 
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
+    fn push_arrival(&mut self, env: Envelope<SvcFrame>) {
         self.port.push_arrival(env);
     }
 
@@ -1508,6 +1623,7 @@ fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
                 n,
                 cfg: *cfg,
                 map,
+                hosted: replicas.keys().copied().collect(),
                 replicas,
                 pend: BTreeMap::new(),
                 rep_timers: BTreeSet::new(),
@@ -1521,6 +1637,9 @@ fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
                 down: false,
                 down_since: Time::ZERO,
                 port: FabricPort::new(id, n, &link),
+                frame: Vec::with_capacity(SVC_FRAME_CAPACITY),
+                hb_payload: Vec::new(),
+                spilled_frames: 0,
                 send_floor: vec![Time::ZERO; n],
                 seq: 0,
                 slo: SloRecorder::new(cfg.scenario.fault_window()),
@@ -1606,6 +1725,10 @@ pub struct ServiceRunReport {
     pub svc_frames: u64,
     /// Encoded bytes handed to the fabric.
     pub wire_bytes: u64,
+    /// Service frames, loopback ones included, too long for the 88-byte
+    /// inline envelope buffer and held on the heap instead. Not exported
+    /// to metrics.
+    pub spilled_frames: u64,
     /// Latest instant any board observed.
     pub sim_end: Time,
     /// Lock-step epochs executed (zero under the reference driver).
@@ -1818,6 +1941,7 @@ fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) ->
         availability_out_window: slo.availability_out_window(),
         svc_frames,
         wire_bytes,
+        spilled_frames: sum(|b| b.spilled_frames),
         sim_end: boards.iter().map(|b| b.last).fold(Time::ZERO, Time::max),
         epochs: par.epochs,
         epochs_skipped: par.epochs_skipped,
@@ -1977,6 +2101,29 @@ mod tests {
         let c = cfg.with_seed(0x0D15_EA5E).run_reference();
         c.verify_linearizable(cfg.store).expect("linearizable");
         c.audit_zero_lost_acks()
+            .expect("no acknowledged write lost");
+    }
+
+    #[test]
+    fn oversized_heartbeats_spill_to_the_heap() {
+        // Four boards and 24 shards: every board hosts 12, so its
+        // heartbeat frame is 103 bytes, past the inline capacity.
+        let mut cfg = ServiceConfig::small();
+        cfg.shards = 24;
+        let hb_frame = BRIDGE_HEADER as usize + 7 + 12 * 6;
+        assert_eq!(hb_frame, 103);
+        assert!(hb_frame > SVC_FRAME_CAPACITY);
+        let reference = cfg.run_reference();
+        cfg.run_parallel(2).assert_matches(&reference);
+        // Every heartbeat spills, and no other frame does.
+        assert!(reference.heartbeats_sent > 0);
+        assert_eq!(reference.spilled_frames, reference.heartbeats_sent);
+        assert_eq!(reference.ok_ops, reference.total_client_ops);
+        reference
+            .verify_linearizable(cfg.store)
+            .expect("linearizable");
+        reference
+            .audit_zero_lost_acks()
             .expect("no acknowledged write lost");
     }
 

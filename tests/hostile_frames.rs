@@ -2,8 +2,9 @@
 //!
 //! Every frame a cluster board receives passes three decoders: the
 //! bridge parser ([`BridgeFrame::parse`], which [`decode_bridge`]
-//! wraps), then the service codec ([`decode_svc`]) or the traffic
-//! segment codec ([`decode_segment`]) on the payload it borrows. ECI
+//! wraps), then the service codec ([`decode_svc`], or the in-place
+//! [`HeartbeatView`] on the control plane) or the traffic segment
+//! codec ([`decode_segment`]) on the payload it borrows. ECI
 //! messages in the trace/interoperability format go through
 //! [`decode_message`], and whole captured traces through
 //! [`decode_trace`]. This battery starts from valid frames of every
@@ -14,7 +15,8 @@
 //!
 //! Properties, on every input:
 //! - no decoder panics;
-//! - the owned and the borrowed bridge decoders agree, error for error;
+//! - the owned and the borrowed bridge decoders agree, error for error,
+//!   and so do the owned and the borrowed heartbeat decoders;
 //! - an accepted frame re-encodes to exactly the accepted bytes, both
 //!   through [`encode_bridge`] and through the in-place writer
 //!   [`write_bridge`], and through [`encode_message`] for ECI frames;
@@ -26,8 +28,8 @@
 //! decoded re-sealed: with its CRC recomputed over the damaged bytes.
 
 use enzian::apps::{
-    decode_svc, encode_svc, encode_svc_into, KvOp, KvResult, RespErr, RespOk, SvcError, SvcPayload,
-    SvcWireError,
+    decode_svc, encode_svc, encode_svc_into, HeartbeatView, KvOp, KvResult, RespErr, RespOk,
+    SvcError, SvcPayload, SvcWireError,
 };
 use enzian::eci::bridge::BRIDGE_OVERHEAD_BYTES;
 use enzian::eci::decoder::{decode_trace, TraceBuffer};
@@ -296,6 +298,31 @@ fn check_svc(input: &[u8]) -> Result<SvcPayload, SvcWireError> {
     decoded
 }
 
+/// The wire tag of a heartbeat, the first byte of its payload.
+const HEARTBEAT_TAG: u8 = 6;
+
+/// Reads `input` as a heartbeat in place and checks the view against
+/// the owned decoder: a payload tagged as a heartbeat gives both the
+/// same `(seq, entries)` or the same error; any other kind the view
+/// refuses by its tag.
+fn check_heartbeat(input: &[u8]) -> Result<HeartbeatView<'_>, SvcWireError> {
+    let view = HeartbeatView::parse(input);
+    let owned = decode_svc(input);
+    match (input.first(), &view, &owned) {
+        (Some(&t), _, _) if t != HEARTBEAT_TAG => {
+            assert_eq!(view, Err(SvcWireError::BadTag(t)));
+            assert!(!matches!(owned, Ok(SvcPayload::Heartbeat { .. })));
+        }
+        (_, Ok(v), Ok(SvcPayload::Heartbeat { seq, epochs })) => {
+            assert_eq!(v.seq, *seq);
+            assert!(v.epochs().eq(epochs.iter().copied()));
+        }
+        (_, Err(a), Err(b)) => assert_eq!(a, b),
+        _ => panic!("view {view:?} and decoder {owned:?} disagree on {input:02x?}"),
+    }
+    view
+}
+
 /// Decodes a segment and checks the accepted header re-encodes to the
 /// bytes it was decoded from.
 fn check_segment(input: &[u8]) -> Result<Segment, SegmentError> {
@@ -351,6 +378,7 @@ fn bridge_frames_survive_hostile_bytes_and_both_decoders_agree() {
             // What the boards do next with an accepted opaque payload.
             if let Ok(frame) = verdict {
                 let _ = check_svc(frame.payload);
+                let _ = check_heartbeat(frame.payload);
                 let _ = check_segment(frame.payload);
             }
         }
@@ -379,6 +407,53 @@ fn service_payloads_survive_hostile_bytes() {
                     matches!(verdict, Err(SvcWireError::TrailingBytes(_))),
                     "{input:02x?} gave {verdict:?}"
                 ),
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn heartbeat_view_and_decoder_agree_on_hostile_bytes() {
+    let mut rng = SplitMix64::new(0x4EA7_6E03);
+    let mut heartbeats: Vec<SvcPayload> = svc_corpus(&mut rng)
+        .into_iter()
+        .filter(|p| matches!(p, SvcPayload::Heartbeat { .. }))
+        .collect();
+    // A board hosting twelve shards: a payload past the 64 bytes a
+    // service frame holds inline.
+    heartbeats.push(SvcPayload::Heartbeat {
+        seq: rng.next() as u32,
+        epochs: (0..12).map(|s| (s, rng.next() as u32)).collect(),
+    });
+    for p in heartbeats {
+        let valid = encode_svc(&p);
+        let SvcPayload::Heartbeat { epochs, .. } = &p else {
+            unreachable!("filtered to heartbeats")
+        };
+        let have = epochs.len();
+        assert!(check_heartbeat(&valid).is_ok());
+        // Every entry count near the true one: a count past the entries
+        // present overruns the buffer, one short of them leaves entries
+        // trailing.
+        for n in (0..=have as u16 + 3).chain([0x7FFF, u16::MAX]) {
+            let mut input = valid.clone();
+            input[5..7].copy_from_slice(&n.to_le_bytes());
+            let verdict = check_heartbeat(&input);
+            match usize::from(n) {
+                n if n > have => assert_eq!(verdict, Err(SvcWireError::Truncated)),
+                n if n < have => {
+                    assert_eq!(verdict, Err(SvcWireError::TrailingBytes((have - n) * 6)));
+                }
+                _ => assert!(verdict.is_ok()),
+            }
+        }
+        for _ in 0..ROUNDS {
+            let (input, damage) = mutate(&mut rng, &valid);
+            let verdict = check_heartbeat(&input);
+            match damage {
+                Damage::Truncated => assert_eq!(verdict, Err(SvcWireError::Truncated)),
+                Damage::Extended => assert!(verdict.is_err(), "{input:02x?} accepted"),
                 _ => {}
             }
         }
