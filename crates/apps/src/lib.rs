@@ -38,10 +38,9 @@ pub use kvs::{KvStats, KvStore, KvStoreConfig};
 pub use reduction::{ReductionEngine, ReductionMode};
 pub use rtverify::{Formula, Monitor, TraceEvent};
 pub use service::{
-    decode_svc, encode_heartbeat_into, encode_svc, encode_svc_into, verify_log, Applied,
-    ClientPlan, ClientState, HeartbeatView, KvOp, KvResult, LogEntry, OpClass, PendingReq, Replica,
-    RespErr, RespOk, RetryDecision, Role, ShardMap, SloRecorder, SvcError, SvcPayload,
-    SvcWireError,
+    decode_svc, encode_heartbeat_into, encode_svc_into, verify_log, Applied, ClientPlan,
+    ClientState, HeartbeatView, KvOp, KvResult, LogEntry, OpClass, PendingReq, Replica, RespErr,
+    RespOk, RetryDecision, Role, ShardMap, SloRecorder, SvcError, SvcPayload, SvcWireError,
 };
 pub use stress::{StressPhase, StressSchedule};
 pub use vision::{blur3x3, quantize_4bpp, rgba_to_luma, Frame};

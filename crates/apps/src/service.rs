@@ -590,13 +590,6 @@ fn get_result(r: &mut Reader<'_>) -> Result<KvResult, SvcWireError> {
     }
 }
 
-/// Encodes a service payload to bytes of its own.
-pub fn encode_svc(p: &SvcPayload) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    encode_svc_into(p, &mut out);
-    out
-}
-
 /// Appends the encoding of `p` to `out`: how a board writes a service
 /// message straight into the bridge frame that carries it.
 pub fn encode_svc_into(p: &SvcPayload, out: &mut Vec<u8>) {
@@ -1463,6 +1456,12 @@ impl Instrumented for SloRecorder {
 mod tests {
     use super::*;
 
+    fn encode(p: &SvcPayload) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_svc_into(p, &mut out);
+        out
+    }
+
     fn tiny_cfg() -> KvStoreConfig {
         KvStoreConfig {
             buckets: 64,
@@ -1574,7 +1573,7 @@ mod tests {
             },
         ];
         for p in corpus {
-            let bytes = encode_svc(&p);
+            let bytes = encode(&p);
             assert_eq!(decode_svc(&bytes).unwrap(), p, "round trip failed");
             // Encoding in place after other bytes writes the same bytes.
             let mut framed = vec![0xEE; 5];
@@ -1597,7 +1596,7 @@ mod tests {
     #[test]
     fn heartbeats_read_in_place_match_the_owned_decoder() {
         let epochs = vec![(0, 1), (7, 4), (65_535, u32::MAX)];
-        let owned = encode_svc(&SvcPayload::Heartbeat {
+        let owned = encode(&SvcPayload::Heartbeat {
             seq: 99,
             epochs: epochs.clone(),
         });
@@ -1608,13 +1607,13 @@ mod tests {
         assert_eq!(view.seq, 99);
         assert_eq!(view.epochs().len(), 3);
         assert_eq!(view.epochs().collect::<Vec<_>>(), epochs);
-        let empty = encode_svc(&SvcPayload::Heartbeat {
+        let empty = encode(&SvcPayload::Heartbeat {
             seq: 0,
             epochs: Vec::new(),
         });
         assert_eq!(HeartbeatView::parse(&empty).unwrap().epochs().len(), 0);
         // Other kinds are refused by tag; a count past the end is a cut.
-        let ack = encode_svc(&SvcPayload::RepAck {
+        let ack = encode(&SvcPayload::RepAck {
             shard: 1,
             epoch: 2,
             index: 3,

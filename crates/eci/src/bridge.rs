@@ -50,15 +50,12 @@
 //!
 //! [`write_bridge`] is the only encoder. It appends the header to the
 //! caller's buffer, lets the caller encode the payload straight after
-//! it, then patches `paylen` and appends the CRC. A fabric board sizes
-//! one `Vec` per frame and hands it to the writer, so a cross-board
-//! message costs one allocation: the frame itself. [`BridgeFrame::parse`]
-//! is the only parser. It makes every check (truncation, magic,
-//! version, CRC, opcode against payload length) and returns the header
-//! plus a payload borrowed from the received bytes, so the receiver
-//! decodes the service message or TCP segment in place.
-//! [`encode_bridge`] and [`decode_bridge`] are thin owned wrappers over
-//! the two, for tests and capture tooling.
+//! it, then patches `paylen` and appends the CRC, so a sender can reuse
+//! one buffer for every frame it writes. [`BridgeFrame::parse`] is the
+//! only parser. It makes every check (truncation, magic, version, CRC,
+//! opcode against payload length) and returns the header plus a payload
+//! borrowed from the received bytes, so the receiver decodes the
+//! service message or TCP segment in place.
 
 use crate::wire::crc32;
 
@@ -78,23 +75,27 @@ const HEADER: usize = 20;
 /// plane, the frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BridgeOpcode {
-    /// [`BridgeOp::ReadReq`].
+    /// Read one line of the owner's slice.
     ReadReq = 1,
-    /// [`BridgeOp::ReadResp`].
+    /// The line data coming back.
     ReadResp = 2,
-    /// [`BridgeOp::WriteReq`].
+    /// Write one line into the owner's slice.
     WriteReq = 3,
-    /// [`BridgeOp::WriteAck`].
+    /// The owner committed the write.
     WriteAck = 4,
-    /// [`BridgeOp::Nack`].
+    /// The owner could not serve the request (e.g. its transaction
+    /// layer exhausted the retry budget under fault injection).
     Nack = 5,
-    /// [`BridgeOp::SvcClient`].
+    /// KV-service client-plane message (request or response); the
+    /// payload is an opaque `enzian-apps` service payload.
     SvcClient = 6,
-    /// [`BridgeOp::SvcRep`].
+    /// KV-service replication-plane message (replicate, ack, nack,
+    /// catch-up); opaque payload as above.
     SvcRep = 7,
-    /// [`BridgeOp::SvcCtl`].
+    /// KV-service control-plane message (heartbeats); opaque payload.
     SvcCtl = 8,
-    /// [`BridgeOp::Tcp`].
+    /// Traffic-plane TCP segment (`enzian-net::traffic` wire format);
+    /// opaque payload as above.
     Tcp = 9,
 }
 
@@ -125,93 +126,6 @@ impl BridgeOpcode {
             ReadReq | WriteAck | Nack => len == 0,
             ReadResp | WriteReq => len == 128,
             SvcClient | SvcRep | SvcCtl | Tcp => true,
-        }
-    }
-}
-
-/// Operation carried by a bridge message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BridgeOp {
-    /// Read one line of the owner's slice.
-    ReadReq,
-    /// The line data coming back.
-    ReadResp(Box<[u8; 128]>),
-    /// Write one line into the owner's slice.
-    WriteReq(Box<[u8; 128]>),
-    /// The owner committed the write.
-    WriteAck,
-    /// The owner could not serve the request (e.g. its transaction
-    /// layer exhausted the retry budget under fault injection).
-    Nack,
-    /// KV-service client-plane message (request or response); the
-    /// payload is an opaque `enzian-apps` service payload.
-    SvcClient(Vec<u8>),
-    /// KV-service replication-plane message (replicate, ack, nack,
-    /// catch-up); opaque payload as above.
-    SvcRep(Vec<u8>),
-    /// KV-service control-plane message (heartbeats); opaque payload.
-    SvcCtl(Vec<u8>),
-    /// Traffic-plane TCP segment (`enzian-net::traffic` wire format);
-    /// opaque payload as above.
-    Tcp(Vec<u8>),
-}
-
-impl BridgeOp {
-    /// The opcode this operation travels under.
-    pub fn opcode(&self) -> BridgeOpcode {
-        match self {
-            BridgeOp::ReadReq => BridgeOpcode::ReadReq,
-            BridgeOp::ReadResp(_) => BridgeOpcode::ReadResp,
-            BridgeOp::WriteReq(_) => BridgeOpcode::WriteReq,
-            BridgeOp::WriteAck => BridgeOpcode::WriteAck,
-            BridgeOp::Nack => BridgeOpcode::Nack,
-            BridgeOp::SvcClient(_) => BridgeOpcode::SvcClient,
-            BridgeOp::SvcRep(_) => BridgeOpcode::SvcRep,
-            BridgeOp::SvcCtl(_) => BridgeOpcode::SvcCtl,
-            BridgeOp::Tcp(_) => BridgeOpcode::Tcp,
-        }
-    }
-
-    /// The payload bytes this operation carries on the wire.
-    pub fn payload(&self) -> &[u8] {
-        match self {
-            BridgeOp::ReadResp(d) | BridgeOp::WriteReq(d) => &d[..],
-            BridgeOp::SvcClient(p)
-            | BridgeOp::SvcRep(p)
-            | BridgeOp::SvcCtl(p)
-            | BridgeOp::Tcp(p) => p,
-            _ => &[],
-        }
-    }
-}
-
-/// One bridge message, ready to encode or freshly decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BridgeMsg {
-    /// Board that sent the message.
-    pub src: u8,
-    /// Board it is addressed to.
-    pub dst: u8,
-    /// Requester-chosen tag (the issuing stream); replies echo it.
-    pub token: u8,
-    /// Global cluster address of the line concerned.
-    pub addr: u64,
-    /// Per-sender sequence number.
-    pub seq: u32,
-    /// The operation.
-    pub op: BridgeOp,
-}
-
-impl BridgeMsg {
-    /// The message's header fields.
-    pub fn header(&self) -> BridgeHeader {
-        BridgeHeader {
-            opcode: self.op.opcode(),
-            src: self.src,
-            dst: self.dst,
-            token: self.token,
-            addr: self.addr,
-            seq: self.seq,
         }
     }
 }
@@ -308,8 +222,6 @@ impl std::error::Error for BridgeError {}
 /// `payload` append the payload bytes in place, then patches the
 /// length field and appends the CRC. Returns the payload length.
 ///
-/// This is the one bridge encoder; [`encode_bridge`] wraps it.
-///
 /// # Panics
 ///
 /// Panics if the payload exceeds the 16-bit length field or does not
@@ -350,23 +262,9 @@ pub fn write_bridge(
     len
 }
 
-/// Encodes `msg` into a framed byte buffer of its own.
-///
-/// # Panics
-///
-/// Panics if a `Svc*` or `Tcp` payload exceeds the 16-bit length field.
-pub fn encode_bridge(msg: &BridgeMsg) -> Vec<u8> {
-    let payload = msg.op.payload();
-    let mut buf = Vec::with_capacity(HEADER + payload.len() + 4);
-    write_bridge(&mut buf, &msg.header(), |p| p.extend_from_slice(payload));
-    buf
-}
-
 impl<'a> BridgeFrame<'a> {
     /// Parses the bridge frame at the start of `buf` without copying
     /// it. Bytes past the frame's end are ignored.
-    ///
-    /// This is the one bridge parser; [`decode_bridge`] wraps it.
     ///
     /// # Errors
     ///
@@ -434,151 +332,85 @@ impl<'a> BridgeFrame<'a> {
     }
 }
 
-/// Decodes one complete bridge frame into an owned [`BridgeMsg`].
-///
-/// # Errors
-///
-/// Returns the [`BridgeError`] [`BridgeFrame::parse`] reports.
-pub fn decode_bridge(buf: &[u8]) -> Result<BridgeMsg, BridgeError> {
-    let frame = BridgeFrame::parse(buf)?;
-    let h = frame.header;
-    let line = || Box::new(*frame.line().expect("a line op"));
-    let opaque = || frame.payload.to_vec();
-    let op = match h.opcode {
-        BridgeOpcode::ReadReq => BridgeOp::ReadReq,
-        BridgeOpcode::ReadResp => BridgeOp::ReadResp(line()),
-        BridgeOpcode::WriteReq => BridgeOp::WriteReq(line()),
-        BridgeOpcode::WriteAck => BridgeOp::WriteAck,
-        BridgeOpcode::Nack => BridgeOp::Nack,
-        BridgeOpcode::SvcClient => BridgeOp::SvcClient(opaque()),
-        BridgeOpcode::SvcRep => BridgeOp::SvcRep(opaque()),
-        BridgeOpcode::SvcCtl => BridgeOp::SvcCtl(opaque()),
-        BridgeOpcode::Tcp => BridgeOp::Tcp(opaque()),
-    };
-    Ok(BridgeMsg {
-        src: h.src,
-        dst: h.dst,
-        token: h.token,
-        addr: h.addr,
-        seq: h.seq,
-        op,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_line(fill: u8) -> Box<[u8; 128]> {
-        let mut d = [0u8; 128];
-        for (i, b) in d.iter_mut().enumerate() {
-            *b = fill.wrapping_add(i as u8);
-        }
-        Box::new(d)
+    fn sample_line(fill: u8) -> Vec<u8> {
+        (0..128u8).map(|i| fill.wrapping_add(i)).collect()
     }
 
-    fn corpus() -> Vec<BridgeMsg> {
+    fn header(
+        opcode: BridgeOpcode,
+        src: u8,
+        dst: u8,
+        token: u8,
+        addr: u64,
+        seq: u32,
+    ) -> BridgeHeader {
+        BridgeHeader {
+            opcode,
+            src,
+            dst,
+            token,
+            addr,
+            seq,
+        }
+    }
+
+    /// One frame of every opcode, as `(header, payload)`.
+    fn corpus() -> Vec<(BridgeHeader, Vec<u8>)> {
+        use BridgeOpcode::*;
         vec![
-            BridgeMsg {
-                src: 0,
-                dst: 3,
-                token: 7,
-                addr: 0x1234_5678_9ABC,
-                seq: 1,
-                op: BridgeOp::ReadReq,
-            },
-            BridgeMsg {
-                src: 3,
-                dst: 0,
-                token: 7,
-                addr: 0x1234_5678_9ABC,
-                seq: 9,
-                op: BridgeOp::ReadResp(sample_line(0xA0)),
-            },
-            BridgeMsg {
-                src: 1,
-                dst: 2,
-                token: 0,
-                addr: 128,
-                seq: u32::MAX,
-                op: BridgeOp::WriteReq(sample_line(0x55)),
-            },
-            BridgeMsg {
-                src: 2,
-                dst: 1,
-                token: 0,
-                addr: 128,
-                seq: 0,
-                op: BridgeOp::WriteAck,
-            },
-            BridgeMsg {
-                src: 5,
-                dst: 6,
-                token: 255,
-                addr: u64::MAX,
-                seq: 42,
-                op: BridgeOp::Nack,
-            },
-            BridgeMsg {
-                src: 1,
-                dst: 4,
-                token: 9,
-                addr: 0,
-                seq: 7,
-                op: BridgeOp::SvcClient(b"get key 5".to_vec()),
-            },
-            BridgeMsg {
-                src: 4,
-                dst: 5,
-                token: 0,
-                addr: 0,
-                seq: 8,
-                op: BridgeOp::SvcRep(vec![0xAB; 300]),
-            },
-            BridgeMsg {
-                src: 4,
-                dst: 5,
-                token: 0,
-                addr: 0,
-                seq: 9,
-                op: BridgeOp::SvcCtl(Vec::new()),
-            },
-            BridgeMsg {
-                src: 0,
-                dst: 2,
-                token: 0,
-                addr: 0,
-                seq: 10,
-                op: BridgeOp::Tcp(vec![0xE7; 28]),
-            },
+            (header(ReadReq, 0, 3, 7, 0x1234_5678_9ABC, 1), Vec::new()),
+            (
+                header(ReadResp, 3, 0, 7, 0x1234_5678_9ABC, 9),
+                sample_line(0xA0),
+            ),
+            (header(WriteReq, 1, 2, 0, 128, u32::MAX), sample_line(0x55)),
+            (header(WriteAck, 2, 1, 0, 128, 0), Vec::new()),
+            (header(Nack, 5, 6, 255, u64::MAX, 42), Vec::new()),
+            (header(SvcClient, 1, 4, 9, 0, 7), b"get key 5".to_vec()),
+            (header(SvcRep, 4, 5, 0, 0, 8), vec![0xAB; 300]),
+            (header(SvcCtl, 4, 5, 0, 0, 9), Vec::new()),
+            (header(Tcp, 0, 2, 0, 0, 10), vec![0xE7; 28]),
         ]
+    }
+
+    fn encode(h: &BridgeHeader, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_bridge(&mut buf, h, |p| p.extend_from_slice(payload));
+        buf
     }
 
     #[test]
     fn round_trips_every_opcode() {
-        for msg in corpus() {
-            let bytes = encode_bridge(&msg);
-            let back = decode_bridge(&bytes).unwrap();
-            assert_eq!(back, msg);
-            assert_eq!(bytes, encode_bridge(&back), "re-encode is byte-identical");
+        for (h, payload) in corpus() {
+            let bytes = encode(&h, &payload);
+            let frame = BridgeFrame::parse(&bytes).unwrap();
+            assert_eq!((frame.header, frame.payload), (h, &payload[..]));
+            assert_eq!(
+                bytes,
+                encode(&frame.header, frame.payload),
+                "re-encode is byte-identical"
+            );
         }
     }
 
     /// The encoder as it was before the in-place writer: every field
     /// pushed in turn, the payload copied, the CRC appended.
-    fn reference_encode(msg: &BridgeMsg) -> Vec<u8> {
-        let payload = msg.op.payload();
+    fn reference_encode(h: &BridgeHeader, payload: &[u8]) -> Vec<u8> {
         let mut buf = vec![
             BRIDGE_MAGIC,
             BRIDGE_VERSION,
-            msg.op.opcode() as u8,
-            msg.src,
-            msg.dst,
-            msg.token,
+            h.opcode as u8,
+            h.src,
+            h.dst,
+            h.token,
         ];
         buf.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-        buf.extend_from_slice(&msg.addr.to_le_bytes());
-        buf.extend_from_slice(&msg.seq.to_le_bytes());
+        buf.extend_from_slice(&h.addr.to_le_bytes());
+        buf.extend_from_slice(&h.seq.to_le_bytes());
         buf.extend_from_slice(payload);
         let crc = crc32(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
@@ -591,27 +423,23 @@ mod tests {
         // capture stream would hold them.
         let mut stream = vec![0xAA; 3];
         let mut expected = stream.clone();
-        for msg in corpus() {
-            let payload = msg.op.payload();
-            let len = write_bridge(&mut stream, &msg.header(), |p| p.extend_from_slice(payload));
+        for (h, payload) in corpus() {
+            let len = write_bridge(&mut stream, &h, |p| p.extend_from_slice(&payload));
             assert_eq!(len, payload.len());
-            assert_eq!(encode_bridge(&msg), reference_encode(&msg), "{msg:?}");
-            expected.extend(reference_encode(&msg));
+            expected.extend(reference_encode(&h, &payload));
         }
         assert_eq!(stream, expected);
     }
 
     #[test]
     fn borrowed_view_exposes_header_and_payload_in_place() {
-        for msg in corpus() {
-            let bytes = encode_bridge(&msg);
+        for (h, payload) in corpus() {
+            let bytes = encode(&h, &payload);
             let frame = BridgeFrame::parse(&bytes).unwrap();
-            assert_eq!(frame.header, msg.header());
-            assert_eq!(frame.payload, msg.op.payload());
             assert!(std::ptr::eq(frame.payload.as_ptr(), bytes[20..].as_ptr()));
-            match &msg.op {
-                BridgeOp::ReadResp(d) | BridgeOp::WriteReq(d) => {
-                    assert_eq!(frame.line(), Some(&**d));
+            match h.opcode {
+                BridgeOpcode::ReadResp | BridgeOpcode::WriteReq => {
+                    assert_eq!(frame.line().map(|l| &l[..]), Some(&payload[..]));
                 }
                 _ => assert_eq!(frame.line(), None),
             }
@@ -621,28 +449,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot carry")]
     fn writer_rejects_a_payload_the_opcode_cannot_carry() {
-        write_bridge(&mut Vec::new(), &corpus()[0].header(), |p| p.push(1));
+        write_bridge(&mut Vec::new(), &corpus()[0].0, |p| p.push(1));
     }
 
     #[test]
     fn overhead_is_exactly_the_bridge_header() {
-        let req = &corpus()[0];
-        assert_eq!(encode_bridge(req).len() as u64, BRIDGE_OVERHEAD_BYTES);
-        let resp = &corpus()[1];
-        assert_eq!(
-            encode_bridge(resp).len() as u64,
-            BRIDGE_OVERHEAD_BYTES + 128
-        );
+        let (req, _) = &corpus()[0];
+        assert_eq!(encode(req, &[]).len() as u64, BRIDGE_OVERHEAD_BYTES);
+        let (resp, line) = &corpus()[1];
+        assert_eq!(encode(resp, line).len() as u64, BRIDGE_OVERHEAD_BYTES + 128);
     }
 
     #[test]
     fn bit_flips_are_rejected() {
-        let bytes = encode_bridge(&corpus()[1]);
+        let (h, line) = &corpus()[1];
+        let bytes = encode(h, line);
         for byte in 0..bytes.len() {
             let mut dam = bytes.clone();
             dam[byte] ^= 0x01;
             assert!(
-                decode_bridge(&dam).is_err(),
+                BridgeFrame::parse(&dam).is_err(),
                 "flip at byte {byte} went undetected"
             );
         }
@@ -650,9 +476,10 @@ mod tests {
 
     #[test]
     fn truncation_is_reported() {
-        let bytes = encode_bridge(&corpus()[2]);
+        let (h, line) = &corpus()[2];
+        let bytes = encode(h, line);
         for cut in 0..bytes.len() {
-            let err = decode_bridge(&bytes[..cut]).unwrap_err();
+            let err = BridgeFrame::parse(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(err, BridgeError::Truncated { .. }),
                 "cut at {cut} gave {err:?}"
@@ -665,13 +492,13 @@ mod tests {
         // A ReadReq claiming a 128-byte payload is structurally invalid.
         // Build the hostile frame by hand with a valid CRC so the length
         // check is what fires.
-        let mut bytes = encode_bridge(&corpus()[0]);
+        let mut bytes = encode(&corpus()[0].0, &[]);
         bytes.truncate(20); // drop the CRC trailer
         bytes[6] = 128; // paylen LE low byte
         bytes.extend_from_slice(&[0u8; 128]);
         let crc = crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
-        let err = decode_bridge(&bytes).unwrap_err();
+        let err = BridgeFrame::parse(&bytes).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -686,36 +513,23 @@ mod tests {
 
     #[test]
     fn service_frames_carry_opaque_variable_payloads() {
+        let h = header(BridgeOpcode::SvcRep, 2, 7, 3, 0, 11);
         for len in [0usize, 1, 23, 128, 300, 1024] {
-            let msg = BridgeMsg {
-                src: 2,
-                dst: 7,
-                token: 3,
-                addr: 0,
-                seq: 11,
-                op: BridgeOp::SvcRep(vec![0x5A; len]),
-            };
-            let bytes = encode_bridge(&msg);
+            let payload = vec![0x5A; len];
+            let bytes = encode(&h, &payload);
             assert_eq!(bytes.len() as u64, BRIDGE_OVERHEAD_BYTES + len as u64);
-            assert_eq!(decode_bridge(&bytes).unwrap(), msg);
+            let frame = BridgeFrame::parse(&bytes).unwrap();
+            assert_eq!((frame.header, frame.payload), (h, &payload[..]));
         }
         // The opaque-payload planes stay distinct on the wire.
-        let planes = [
-            BridgeOp::SvcClient(vec![1]),
-            BridgeOp::SvcRep(vec![1]),
-            BridgeOp::SvcCtl(vec![1]),
-            BridgeOp::Tcp(vec![1]),
-        ];
         let mut encodings: Vec<Vec<u8>> = Vec::new();
-        for op in planes {
-            let bytes = encode_bridge(&BridgeMsg {
-                src: 0,
-                dst: 1,
-                token: 0,
-                addr: 0,
-                seq: 0,
-                op,
-            });
+        for opcode in [
+            BridgeOpcode::SvcClient,
+            BridgeOpcode::SvcRep,
+            BridgeOpcode::SvcCtl,
+            BridgeOpcode::Tcp,
+        ] {
+            let bytes = encode(&header(opcode, 0, 1, 0, 0, 0), &[1]);
             assert!(!encodings.contains(&bytes));
             encodings.push(bytes);
         }

@@ -106,7 +106,7 @@ pub const ALL_MUTATIONS: [Mutation; 4] = [
 ///
 /// `#[non_exhaustive]`: construct from a named preset
 /// ([`ExploreConfig::two_agent`] / [`ExploreConfig::three_agent`]) and
-/// adjust fields with the `with_*` setters.
+/// adjust its public fields, directly or with the `with_*` setters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExploreConfig {
@@ -152,12 +152,6 @@ impl ExploreConfig {
             agents: 3,
             ..ExploreConfig::two_agent()
         }
-    }
-
-    /// Returns the config with `agents` replaced.
-    pub fn with_agents(mut self, agents: usize) -> Self {
-        self.agents = agents;
-        self
     }
 
     /// Returns the config with `lines` replaced.

@@ -58,10 +58,7 @@ pub mod system;
 pub mod txn;
 pub mod wire;
 
-pub use bridge::{
-    decode_bridge, encode_bridge, write_bridge, BridgeError, BridgeFrame, BridgeHeader, BridgeMsg,
-    BridgeOp, BridgeOpcode,
-};
+pub use bridge::{write_bridge, BridgeError, BridgeFrame, BridgeHeader, BridgeOpcode};
 pub use checker::{CheckerError, ProtocolChecker};
 pub use cosim::{CosimEndpoint, CosimHome, Loopback};
 pub use directory::{DirOp, DirStepError, Directory, DirectoryEntry, RemoteCopy};

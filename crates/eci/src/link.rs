@@ -111,7 +111,7 @@ pub enum LinkPolicy {
 /// Static link-layer configuration.
 ///
 /// `#[non_exhaustive]`: construct from the [`EciLinkConfig::enzian`]
-/// preset and adjust fields with the `with_*` setters.
+/// preset and adjust its public fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct EciLinkConfig {
@@ -153,60 +153,6 @@ impl EciLinkConfig {
             credit_return: Duration::from_ns(25),
             replay_timeout: Duration::from_ns(500),
         }
-    }
-
-    /// Returns the config with `lanes_per_link` replaced.
-    pub fn with_lanes_per_link(mut self, lanes_per_link: u8) -> Self {
-        self.lanes_per_link = lanes_per_link;
-        self
-    }
-
-    /// Returns the config with `lane_bits_per_sec` replaced.
-    pub fn with_lane_bits_per_sec(mut self, lane_bits_per_sec: u64) -> Self {
-        self.lane_bits_per_sec = lane_bits_per_sec;
-        self
-    }
-
-    /// Returns the config with `coding_efficiency` replaced.
-    pub fn with_coding_efficiency(mut self, coding_efficiency: f64) -> Self {
-        self.coding_efficiency = coding_efficiency;
-        self
-    }
-
-    /// Returns the config with `propagation` replaced.
-    pub fn with_propagation(mut self, propagation: Duration) -> Self {
-        self.propagation = propagation;
-        self
-    }
-
-    /// Returns the config with `training_time` replaced.
-    pub fn with_training_time(mut self, training_time: Duration) -> Self {
-        self.training_time = training_time;
-        self
-    }
-
-    /// Returns the config with `credits_per_vc` replaced.
-    pub fn with_credits_per_vc(mut self, credits_per_vc: u32) -> Self {
-        self.credits_per_vc = credits_per_vc;
-        self
-    }
-
-    /// Returns the config with `response_data_credits` replaced.
-    pub fn with_response_data_credits(mut self, response_data_credits: u32) -> Self {
-        self.response_data_credits = response_data_credits;
-        self
-    }
-
-    /// Returns the config with `credit_return` replaced.
-    pub fn with_credit_return(mut self, credit_return: Duration) -> Self {
-        self.credit_return = credit_return;
-        self
-    }
-
-    /// Returns the config with `replay_timeout` replaced.
-    pub fn with_replay_timeout(mut self, replay_timeout: Duration) -> Self {
-        self.replay_timeout = replay_timeout;
-        self
     }
 
     fn channel_config(&self, lanes: u8) -> ChannelConfig {

@@ -120,7 +120,7 @@ impl std::error::Error for TxnError {}
 ///
 /// `#[non_exhaustive]`: construct from a named preset
 /// ([`EciSystemConfig::enzian`] / [`EciSystemConfig::thunderx_2socket`])
-/// and adjust fields with the `with_*` setters.
+/// and adjust its public fields, directly or with the `with_*` setters.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct EciSystemConfig {
@@ -172,69 +172,9 @@ pub struct EciSystemConfig {
 }
 
 impl EciSystemConfig {
-    /// Returns the config with `map` replaced.
-    pub fn with_map(mut self, map: MemoryMap) -> Self {
-        self.map = map;
-        self
-    }
-
-    /// Returns the config with `link` replaced.
-    pub fn with_link(mut self, link: EciLinkConfig) -> Self {
-        self.link = link;
-        self
-    }
-
     /// Returns the config with `policy` replaced.
     pub fn with_policy(mut self, policy: LinkPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Returns the config with `fpga_clock_hz` replaced.
-    pub fn with_fpga_clock_hz(mut self, hz: u64) -> Self {
-        self.fpga_clock_hz = hz;
-        self
-    }
-
-    /// Returns the config with `fpga_pipeline_cycles` replaced.
-    pub fn with_fpga_pipeline_cycles(mut self, cycles: u32) -> Self {
-        self.fpga_pipeline_cycles = cycles;
-        self
-    }
-
-    /// Returns the config with `home_latency` replaced.
-    pub fn with_home_latency(mut self, latency: Duration) -> Self {
-        self.home_latency = latency;
-        self
-    }
-
-    /// Returns the config with `home_occupancy_read` replaced.
-    pub fn with_home_occupancy_read(mut self, occupancy: Duration) -> Self {
-        self.home_occupancy_read = occupancy;
-        self
-    }
-
-    /// Returns the config with `home_occupancy_write` replaced.
-    pub fn with_home_occupancy_write(mut self, occupancy: Duration) -> Self {
-        self.home_occupancy_write = occupancy;
-        self
-    }
-
-    /// Returns the config with `l2_hit_latency` replaced.
-    pub fn with_l2_hit_latency(mut self, latency: Duration) -> Self {
-        self.l2_hit_latency = latency;
-        self
-    }
-
-    /// Returns the config with `cpu_mem` replaced.
-    pub fn with_cpu_mem(mut self, cfg: MemoryControllerConfig) -> Self {
-        self.cpu_mem = cfg;
-        self
-    }
-
-    /// Returns the config with `fpga_mem` replaced.
-    pub fn with_fpga_mem(mut self, cfg: MemoryControllerConfig) -> Self {
-        self.fpga_mem = cfg;
         self
     }
 
@@ -250,27 +190,9 @@ impl EciSystemConfig {
         self
     }
 
-    /// Returns the config with `txn_timeout` replaced.
-    pub fn with_txn_timeout(mut self, timeout: Duration) -> Self {
-        self.txn_timeout = timeout;
-        self
-    }
-
-    /// Returns the config with `txn_retry_budget` replaced.
-    pub fn with_txn_retry_budget(mut self, retries: u32) -> Self {
-        self.txn_retry_budget = retries;
-        self
-    }
-
     /// Returns the config with `mshr_entries` replaced.
     pub fn with_mshr_entries(mut self, entries: usize) -> Self {
         self.mshr_entries = entries;
-        self
-    }
-
-    /// Returns the config with `vc_queue_credits` replaced.
-    pub fn with_vc_queue_credits(mut self, credits: u32) -> Self {
-        self.vc_queue_credits = credits;
         self
     }
 

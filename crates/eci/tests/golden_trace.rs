@@ -11,8 +11,8 @@
 use enzian_eci::bridge::BRIDGE_OVERHEAD_BYTES;
 use enzian_eci::decoder::{decode_trace, format_trace, TraceBuffer};
 use enzian_eci::{
-    decode_bridge, encode_bridge, encode_message, write_bridge, BridgeMsg, BridgeOp, Message,
-    MessageKind, TxnId,
+    encode_message, write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode, Message, MessageKind,
+    TxnId,
 };
 use enzian_mem::{Addr, CacheLine, NodeId};
 use enzian_sim::{Duration, Time};
@@ -83,57 +83,52 @@ fn golden_eci_trace() -> TraceBuffer {
     buf
 }
 
-/// The canonical bridge corpus: every opcode, concatenated.
-fn golden_bridge_corpus() -> Vec<BridgeMsg> {
+/// The canonical bridge corpus, one frame of every line opcode as
+/// `(header, payload)`.
+fn golden_bridge_corpus() -> Vec<(BridgeHeader, Vec<u8>)> {
+    let frame = |opcode, src, dst, token, addr, seq, payload: &[u8]| {
+        let header = BridgeHeader {
+            opcode,
+            src,
+            dst,
+            token,
+            addr,
+            seq,
+        };
+        (header, payload.to_vec())
+    };
     vec![
-        BridgeMsg {
-            src: 0,
-            dst: 3,
-            token: 7,
-            addr: 0x30_0400,
-            seq: 1,
-            op: BridgeOp::ReadReq,
-        },
-        BridgeMsg {
-            src: 3,
-            dst: 0,
-            token: 7,
-            addr: 0x30_0400,
-            seq: 2,
-            op: BridgeOp::ReadResp(line(0x66)),
-        },
-        BridgeMsg {
-            src: 1,
-            dst: 2,
-            token: 0,
-            addr: 0x20_0000,
-            seq: 3,
-            op: BridgeOp::WriteReq(line(0x77)),
-        },
-        BridgeMsg {
-            src: 2,
-            dst: 1,
-            token: 0,
-            addr: 0x20_0000,
-            seq: 4,
-            op: BridgeOp::WriteAck,
-        },
-        BridgeMsg {
-            src: 2,
-            dst: 1,
-            token: 5,
-            addr: 0xFFF_FF80,
-            seq: 5,
-            op: BridgeOp::Nack,
-        },
+        frame(BridgeOpcode::ReadReq, 0, 3, 7, 0x30_0400, 1, &[]),
+        frame(
+            BridgeOpcode::ReadResp,
+            3,
+            0,
+            7,
+            0x30_0400,
+            2,
+            &line(0x66)[..],
+        ),
+        frame(
+            BridgeOpcode::WriteReq,
+            1,
+            2,
+            0,
+            0x20_0000,
+            3,
+            &line(0x77)[..],
+        ),
+        frame(BridgeOpcode::WriteAck, 2, 1, 0, 0x20_0000, 4, &[]),
+        frame(BridgeOpcode::Nack, 2, 1, 5, 0xFFF_FF80, 5, &[]),
     ]
 }
 
+/// The corpus written frame after frame into one buffer.
 fn golden_bridge_bytes() -> Vec<u8> {
-    golden_bridge_corpus()
-        .iter()
-        .flat_map(encode_bridge)
-        .collect()
+    let mut stream = Vec::new();
+    for (header, payload) in golden_bridge_corpus() {
+        write_bridge(&mut stream, &header, |p| p.extend_from_slice(&payload));
+    }
+    stream
 }
 
 #[test]
@@ -175,28 +170,23 @@ fn golden_bridge_corpus_round_trips_byte_for_byte() {
         stored,
         "bridge encoding changed; regenerate deliberately if intended"
     );
-    // Walk the stored stream frame by frame using the length header.
+    // Walk the stored stream frame by frame; each frame re-encodes to
+    // exactly its stored bytes.
     let mut off = 0;
     let mut decoded = Vec::new();
     while off < stored.len() {
-        let paylen = u16::from_le_bytes([stored[off + 6], stored[off + 7]]) as usize;
-        let total = BRIDGE_OVERHEAD_BYTES as usize + paylen;
-        let msg = decode_bridge(&stored[off..off + total]).expect("golden frame decodes");
-        assert_eq!(encode_bridge(&msg), &stored[off..off + total]);
-        decoded.push(msg);
+        let frame = BridgeFrame::parse(&stored[off..]).expect("golden frame decodes");
+        let total = BRIDGE_OVERHEAD_BYTES as usize + frame.payload.len();
+        let mut again = Vec::new();
+        write_bridge(&mut again, &frame.header, |p| {
+            p.extend_from_slice(frame.payload)
+        });
+        assert_eq!(again, &stored[off..off + total]);
+        decoded.push((frame.header, frame.payload.to_vec()));
         off += total;
     }
     assert_eq!(off, stored.len(), "trailing bytes in the corpus");
     assert_eq!(decoded, golden_bridge_corpus());
-    // The in-place writer, appending frame after frame into one buffer,
-    // lays down the same stream.
-    let mut streamed = Vec::new();
-    for msg in golden_bridge_corpus() {
-        write_bridge(&mut streamed, &msg.header(), |p| {
-            p.extend_from_slice(msg.op.payload())
-        });
-    }
-    assert_eq!(streamed, stored);
 }
 
 /// Rewrites the corpus from the current codecs. Run only when an

@@ -80,8 +80,8 @@ pub enum StackKind {
 ///
 /// `#[non_exhaustive]`: construct from a named preset
 /// ([`TcpStackConfig::fpga_coyote`] / [`TcpStackConfig::linux_kernel`] /
-/// [`TcpStackConfig::hybrid_offload`]) and adjust fields with the
-/// `with_*` setters.
+/// [`TcpStackConfig::hybrid_offload`]) and adjust its public fields,
+/// directly or with the `with_*` setters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct TcpStackConfig {
@@ -109,51 +109,9 @@ pub struct TcpStackConfig {
 }
 
 impl TcpStackConfig {
-    /// Returns the config with `kind` replaced.
-    pub fn with_kind(mut self, kind: StackKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// Returns the config with `mss` replaced.
-    pub fn with_mss(mut self, mss: usize) -> Self {
-        self.mss = mss;
-        self
-    }
-
     /// Returns the config with `window` replaced.
     pub fn with_window(mut self, window: u64) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Returns the config with `per_segment` replaced.
-    pub fn with_per_segment(mut self, cost: Duration) -> Self {
-        self.per_segment = cost;
-        self
-    }
-
-    /// Returns the config with `per_64_bytes` replaced.
-    pub fn with_per_64_bytes(mut self, cost: Duration) -> Self {
-        self.per_64_bytes = cost;
-        self
-    }
-
-    /// Returns the config with `per_transfer` replaced.
-    pub fn with_per_transfer(mut self, cost: Duration) -> Self {
-        self.per_transfer = cost;
-        self
-    }
-
-    /// Returns the config with `per_ack` replaced.
-    pub fn with_per_ack(mut self, cost: Duration) -> Self {
-        self.per_ack = cost;
-        self
-    }
-
-    /// Returns the config with `rto` replaced.
-    pub fn with_rto(mut self, rto: Duration) -> Self {
-        self.rto = rto;
         self
     }
 

@@ -98,7 +98,7 @@ pub const ALL_TCP_MUTATIONS: [TcpMutation; 4] = [
 ///
 /// `#[non_exhaustive]`: construct from a named preset
 /// ([`TcpModelConfig::duplex`] / [`TcpModelConfig::deep`]) and adjust
-/// fields with the `with_*` setters.
+/// its public fields, directly or with the `with_*` setters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct TcpModelConfig {
@@ -177,12 +177,6 @@ impl TcpModelConfig {
     /// Returns the config with `loss_budget` replaced.
     pub fn with_loss_budget(mut self, loss_budget: u8) -> Self {
         self.loss_budget = loss_budget;
-        self
-    }
-
-    /// Returns the config with `dup_budget` replaced.
-    pub fn with_dup_budget(mut self, dup_budget: u8) -> Self {
-        self.dup_budget = dup_budget;
         self
     }
 

@@ -18,9 +18,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use enzian_eci::bridge::{
-    write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode, BRIDGE_OVERHEAD_BYTES,
-};
+use enzian_eci::bridge::{write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode};
 use enzian_eci::link::fault_targets;
 use enzian_eci::system::TXN_STALL_TARGET;
 use enzian_eci::{EciSystem, EciSystemConfig};
@@ -63,11 +61,13 @@ impl std::fmt::Debug for EnzianCluster {
     }
 }
 
-/// Header bytes of a bridge message on the fabric (the framed codec's
-/// 20-byte header plus its CRC-32 trailer; see
-/// [`enzian_eci::bridge::BRIDGE_OVERHEAD_BYTES`]).
-pub const BRIDGE_HEADER: u64 = 24;
-const _: () = assert!(BRIDGE_HEADER == BRIDGE_OVERHEAD_BYTES);
+/// Header bytes of a bridge message on the fabric: the framed codec's
+/// 20-byte header plus its CRC-32 trailer.
+pub use enzian_eci::bridge::BRIDGE_OVERHEAD_BYTES as BRIDGE_HEADER;
+
+/// Bytes of the longest cluster frame, a bridge header around one
+/// 128-byte line: every cluster frame travels inline.
+const LINE_FRAME_BYTES: usize = BRIDGE_HEADER as usize + 128;
 
 impl EnzianCluster {
     /// Builds an `n`-board cluster, each contributing `slice_bytes` of
@@ -265,17 +265,91 @@ pub struct FlowStats {
     pub wire_bytes: u64,
 }
 
+/// A bridge frame as it crosses the fabric in its envelope: inline when
+/// it fits in `N` bytes, on the heap when it does not. Each plane's
+/// frame format fixes its `N`, so only an oversized service heartbeat
+/// ever spills.
+///
+/// Bytes past `len` are zero, so equal frames are equal values.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum FabricFrame<const N: usize> {
+    /// The first `len` bytes of `bytes`.
+    Inline { len: u16, bytes: [u8; N] },
+    /// A frame longer than `N` bytes.
+    Spilled(Vec<u8>),
+}
+
+impl<const N: usize> FabricFrame<N> {
+    /// Copies an encoded frame into an envelope payload.
+    fn new(frame: &[u8]) -> Self {
+        const { assert!(N <= u16::MAX as usize, "an inline length is a u16") };
+        if frame.len() <= N {
+            let mut bytes = [0; N];
+            bytes[..frame.len()].copy_from_slice(frame);
+            FabricFrame::Inline {
+                len: frame.len() as u16,
+                bytes,
+            }
+        } else {
+            FabricFrame::Spilled(frame.to_vec())
+        }
+    }
+
+    /// The encoded frame.
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            FabricFrame::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            FabricFrame::Spilled(v) => v,
+        }
+    }
+
+    /// The bridge frame, parsed in place with every check of
+    /// [`BridgeFrame::parse`], CRC included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes are not a valid bridge frame: a frame is
+    /// written by [`FabricPort::frame`] and never altered in transit.
+    pub(crate) fn parse(&self) -> BridgeFrame<'_> {
+        BridgeFrame::parse(self.as_bytes()).expect("fabric frames survive transit")
+    }
+}
+
 /// Outbound envelopes of one work item, as `(destination board, envelope)`.
-pub(crate) type Out<M = Vec<u8>> = Vec<(usize, Envelope<M>)>;
+pub(crate) type Out<const N: usize> = Vec<(usize, Envelope<FabricFrame<N>>)>;
+
+/// A frame [`FabricPort::frame`] wrote into the port's scratch buffer,
+/// waiting to be sent, looped back or dropped.
+#[must_use = "a framed message is sent, looped back or dropped"]
+pub(crate) struct Framed {
+    dst: usize,
+    seq: u64,
+    /// Bytes the channel is charged for.
+    wire: u64,
+    /// Bytes accounted as the frame's payload.
+    payload: u64,
+}
+
+impl Framed {
+    /// Adds `bytes` of synthetic payload that ride after the encoded
+    /// frame without being encoded (a traffic segment's session data):
+    /// the channel is charged for them, and they are the frame's
+    /// accounted payload, the encoded segment header being framing
+    /// like the bridge header.
+    pub(crate) fn with_synthetic_payload(mut self, bytes: u64) -> Self {
+        self.wire += bytes;
+        self.payload = bytes;
+        self
+    }
+}
 
 /// One board's private half of the fabric, shared by every sharded
 /// cluster model (memory bridge, replicated service, traffic): an
 /// outgoing [`Channel`] and its [`FlowStats`] per destination board,
-/// plus the inbox of delivered frames waiting for their turn. `M` is
-/// the envelope payload: an encoded frame of any length by default (the
-/// memory-bridge cluster), a fixed-size array where every frame has one
-/// length (traffic), or an inline buffer that spills to the heap only
-/// for an oversized frame (the replicated service).
+/// the inbox of delivered frames waiting for their turn, and the one
+/// send path: the board's frame sequence counter and the scratch buffer
+/// every frame is written into before it is copied into its envelope as
+/// a [`FabricFrame<N>`].
 ///
 /// Cache-line aligned, which makes every board struct embedding it a
 /// whole number of cache lines. `Engine::Conservative` splits the
@@ -284,15 +358,22 @@ pub(crate) type Out<M = Vec<u8>> = Vec<(usize, Envelope<M>)>;
 /// their hot fields can share a line (that false sharing cost the
 /// traffic model ~15% of its throughput at 2 threads on a 2-vCPU host).
 #[repr(align(64))]
-pub(crate) struct FabricPort<M = Vec<u8>> {
+pub(crate) struct FabricPort<const N: usize> {
     id: usize,
     /// Outgoing channel per destination board (`None` for self).
     out: Vec<Option<Channel>>,
     flows: Vec<FlowStats>,
-    inbox: BinaryHeap<Reverse<Envelope<M>>>,
+    inbox: BinaryHeap<Reverse<Envelope<FabricFrame<N>>>>,
+    /// Sequence number of the next frame: unique per board, so the
+    /// merge order `(time, src, seq)` is total.
+    seq: u64,
+    /// The frame being sent.
+    frame: Vec<u8>,
+    /// Frames, loopback ones included, too long to travel inline.
+    spilled: u64,
 }
 
-impl<M: Eq> FabricPort<M> {
+impl<const N: usize> FabricPort<N> {
     /// Board `id`'s port onto a full mesh of `n` boards joined by `link`s.
     pub(crate) fn new(id: usize, n: usize, link: &EthLinkConfig) -> Self {
         let cfg = ChannelConfig {
@@ -308,11 +389,100 @@ impl<M: Eq> FabricPort<M> {
                 .collect(),
             flows: vec![FlowStats::default(); n],
             inbox: BinaryHeap::new(),
+            seq: 0,
+            frame: Vec::with_capacity(N),
+            spilled: 0,
         }
     }
 
+    /// Writes an `opcode` frame for `dst`, stamped with the board's next
+    /// sequence number, whose payload `write` appends in place.
+    pub(crate) fn frame(
+        &mut self,
+        opcode: BridgeOpcode,
+        dst: usize,
+        token: u8,
+        addr: u64,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Framed {
+        let header = BridgeHeader {
+            opcode,
+            src: self.id as u8,
+            dst: dst as u8,
+            token,
+            addr,
+            seq: self.seq as u32,
+        };
+        self.frame.clear();
+        let payload = write_bridge(&mut self.frame, &header, write);
+        let framed = Framed {
+            dst,
+            seq: self.seq,
+            wire: self.frame.len() as u64,
+            payload: payload as u64,
+        };
+        self.seq += 1;
+        framed
+    }
+
+    /// The written frame as an envelope payload.
+    fn envelope(&mut self, framed: &Framed, at: Time) -> Envelope<FabricFrame<N>> {
+        debug_assert_eq!(
+            framed.seq + 1,
+            self.seq,
+            "a frame is overwritten before it is sent"
+        );
+        let payload = FabricFrame::new(&self.frame);
+        if matches!(payload, FabricFrame::Spilled(_)) {
+            self.spilled += 1;
+        }
+        Envelope {
+            at,
+            src: self.id,
+            seq: framed.seq,
+            payload,
+        }
+    }
+
+    /// Serializes `framed` onto the channel towards its destination,
+    /// starting no earlier than `at`, accounts the flow, and emits the
+    /// envelope, delivered `latency` after the last bit.
+    pub(crate) fn send(
+        &mut self,
+        framed: Framed,
+        at: Time,
+        latency: Duration,
+        out: &mut Out<N>,
+    ) -> Transfer {
+        let dst = framed.dst;
+        let xfer = self.out[dst]
+            .as_mut()
+            .expect("no channel to self")
+            .send(at, framed.wire);
+        let flow = &mut self.flows[dst];
+        flow.frames += 1;
+        flow.payload_bytes += framed.payload;
+        flow.wire_bytes += framed.wire;
+        let env = self.envelope(&framed, xfer.done + latency);
+        out.push((dst, env));
+        xfer
+    }
+
+    /// Delivers `framed`, addressed to this board, to its own inbox at
+    /// `at` without touching the fabric.
+    pub(crate) fn loop_back(&mut self, framed: Framed, at: Time) {
+        debug_assert_eq!(framed.dst, self.id, "loopback to another board");
+        let env = self.envelope(&framed, at);
+        self.push_arrival(env);
+    }
+
+    /// Frames, loopback ones included, that spilled to the heap.
+    pub(crate) fn spilled(&self) -> u64 {
+        self.spilled
+    }
+
     /// Holds a delivered envelope until its key comes up.
-    pub(crate) fn push_arrival(&mut self, env: Envelope<M>) {
+    pub(crate) fn push_arrival(&mut self, env: Envelope<FabricFrame<N>>) {
         self.inbox.push(Reverse(env));
     }
 
@@ -326,28 +496,13 @@ impl<M: Eq> FabricPort<M> {
     }
 
     /// Removes the earliest held envelope (which must exist).
-    pub(crate) fn pop_arrival(&mut self) -> Envelope<M> {
+    pub(crate) fn pop_arrival(&mut self) -> Envelope<FabricFrame<N>> {
         self.inbox.pop().expect("inbox not empty").0
     }
 
     /// `true` when no delivered envelope is waiting.
     pub(crate) fn inbox_is_empty(&self) -> bool {
         self.inbox.is_empty()
-    }
-
-    /// Serializes `wire` bytes onto the channel towards `dst`, starting
-    /// no earlier than `at`, and accounts them as one frame carrying
-    /// `payload` bytes of data.
-    pub(crate) fn transmit(&mut self, dst: usize, at: Time, wire: u64, payload: u64) -> Transfer {
-        let xfer = self.out[dst]
-            .as_mut()
-            .expect("no channel to self")
-            .send(at, wire);
-        let flow = &mut self.flows[dst];
-        flow.frames += 1;
-        flow.payload_bytes += payload;
-        flow.wire_bytes += wire;
-        xfer
     }
 
     /// Per-destination accounting, indexed by board.
@@ -587,11 +742,8 @@ struct BoardShard {
     write_bp: u64,
     bridge_latency: Duration,
     sys: EciSystem,
-    port: FabricPort,
+    port: FabricPort<LINE_FRAME_BYTES>,
     streams: Vec<StreamState>,
-    /// Envelope sequence counter — unique per (board, seq), so the
-    /// merge order (time, src, seq) is total.
-    seq: u32,
     last: Time,
     local_reads: u64,
     local_writes: u64,
@@ -608,38 +760,6 @@ impl BoardShard {
         ((self.id * self.streams_per_board + stream) as u64 * self.slots_per_stream + slot) * 128
     }
 
-    fn next_seq(&mut self) -> u32 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    /// Frames `line` (if any) under `header` in place, serializes the
-    /// frame onto the channel towards `dst` at `at`, accounts the flow,
-    /// and emits the timestamped envelope.
-    fn send_frame(
-        &mut self,
-        dst: usize,
-        at: Time,
-        header: BridgeHeader,
-        line: Option<&[u8; 128]>,
-        out: &mut Out,
-    ) {
-        let line: &[u8] = line.map_or(&[], |l| &l[..]);
-        let mut frame = Vec::with_capacity(BRIDGE_HEADER as usize + line.len());
-        let payload = write_bridge(&mut frame, &header, |p| p.extend_from_slice(line));
-        let xfer = self
-            .port
-            .transmit(dst, at, frame.len() as u64, payload as u64);
-        let env = Envelope {
-            at: xfer.done + self.bridge_latency,
-            src: self.id,
-            seq: u64::from(header.seq),
-            payload: frame,
-        };
-        out.push((dst, env));
-    }
-
     /// Answers `req` with an `opcode` frame (carrying `line`, if any)
     /// sent at `at`.
     fn reply(
@@ -648,23 +768,20 @@ impl BoardShard {
         opcode: BridgeOpcode,
         at: Time,
         line: Option<&[u8; 128]>,
-        out: &mut Out,
+        out: &mut Out<LINE_FRAME_BYTES>,
     ) {
-        let header = BridgeHeader {
-            opcode,
-            src: self.id as u8,
-            dst: req.src,
-            token: req.token,
-            addr: req.addr,
-            seq: self.next_seq(),
-        };
-        self.send_frame(usize::from(req.src), at, header, line, out);
+        let line: &[u8] = line.map_or(&[], |l| &l[..]);
+        let dst = usize::from(req.src);
+        let framed = self.port.frame(opcode, dst, req.token, req.addr, |p| {
+            p.extend_from_slice(line)
+        });
+        self.port.send(framed, at, self.bridge_latency, out);
     }
 
     /// Serves or completes the next inbox delivery.
-    fn process_envelope(&mut self, out: &mut Out) {
+    fn process_envelope(&mut self, out: &mut Out<LINE_FRAME_BYTES>) {
         let env = self.port.pop_arrival();
-        let frame = BridgeFrame::parse(&env.payload).expect("fabric frames survive transit");
+        let frame = env.payload.parse();
         let h = frame.header;
         match h.opcode {
             BridgeOpcode::ReadReq => {
@@ -729,7 +846,7 @@ impl BoardShard {
     }
 
     /// Issues stream `si`'s next operation.
-    fn process_stream(&mut self, si: usize, out: &mut Out) {
+    fn process_stream(&mut self, si: usize, out: &mut Out<LINE_FRAME_BYTES>) {
         let (at, remote, write, slot, fill, dst) = {
             let s = &mut self.streams[si];
             let remote = self.n > 1 && s.rng.next_below(10_000) < self.remote_bp;
@@ -781,24 +898,23 @@ impl BoardShard {
                 }
             }
         } else {
-            let header = BridgeHeader {
-                opcode: if write {
-                    BridgeOpcode::WriteReq
-                } else {
-                    BridgeOpcode::ReadReq
-                },
-                src: self.id as u8,
-                dst: dst as u8,
-                token: si as u8,
-                addr: global,
-                seq: self.next_seq(),
+            let opcode = if write {
+                BridgeOpcode::WriteReq
+            } else {
+                BridgeOpcode::ReadReq
             };
             self.streams[si].blocked = Some(PendingOp {
                 write,
                 global,
                 fill,
             });
-            self.send_frame(dst, at, header, write.then_some(&[fill; 128]), out);
+            let line = [fill; 128];
+            let framed = self.port.frame(opcode, dst, si as u8, global, |p| {
+                if write {
+                    p.extend_from_slice(&line);
+                }
+            });
+            self.port.send(framed, at, self.bridge_latency, out);
         }
     }
 
@@ -848,7 +964,7 @@ impl BoardShard {
 /// (class 1, keyed by stream). A *blocked* stream has no key; its
 /// wake-up is a response envelope.
 impl KeyedShard for BoardShard {
-    type Msg = Vec<u8>;
+    type Msg = FabricFrame<LINE_FRAME_BYTES>;
 
     fn next_key(&self) -> Option<WorkKey> {
         let mut best = self.port.next_key();
@@ -864,7 +980,7 @@ impl KeyedShard for BoardShard {
         best
     }
 
-    fn process_next(&mut self, key: WorkKey, out: &mut Out) {
+    fn process_next(&mut self, key: WorkKey, out: &mut Out<LINE_FRAME_BYTES>) {
         if key.1 == 0 {
             self.process_envelope(out);
         } else {
@@ -872,7 +988,7 @@ impl KeyedShard for BoardShard {
         }
     }
 
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
+    fn push_arrival(&mut self, env: Envelope<FabricFrame<LINE_FRAME_BYTES>>) {
         self.port.push_arrival(env);
     }
 
@@ -946,7 +1062,6 @@ impl EnzianCluster {
                     sys,
                     port: FabricPort::new(id, n, &self.link_config),
                     streams,
-                    seq: 0,
                     last: Time::ZERO,
                     local_reads: 0,
                     local_writes: 0,

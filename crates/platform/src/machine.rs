@@ -16,7 +16,7 @@ use enzian_sim::Time;
 /// Machine-level configuration.
 ///
 /// Construct from the named preset ([`MachineConfig::enzian`]) and
-/// adjust fields with the `with_*` setters.
+/// adjust its public fields.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct MachineConfig {
@@ -33,18 +33,6 @@ impl MachineConfig {
             eci: EciSystemConfig::enzian(),
             shell_slots: 2,
         }
-    }
-
-    /// Replaces the coherent-system configuration.
-    pub fn with_eci(mut self, eci: EciSystemConfig) -> Self {
-        self.eci = eci;
-        self
-    }
-
-    /// Sets the number of vFPGA slots in the shell bitstream.
-    pub fn with_shell_slots(mut self, shell_slots: u8) -> Self {
-        self.shell_slots = shell_slots;
-        self
     }
 }
 

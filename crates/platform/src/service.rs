@@ -51,12 +51,12 @@ use enzian_apps::service::{
     SvcPayload,
 };
 use enzian_apps::{decode_svc, encode_heartbeat_into, encode_svc_into, KvStoreConfig};
-use enzian_eci::bridge::{write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode};
+use enzian_eci::bridge::BridgeOpcode;
 use enzian_net::eth::EthLinkConfig;
 use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::{cluster_targets, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FabricPort, BRIDGE_HEADER};
+use crate::cluster::{FabricFrame, FabricPort, BRIDGE_HEADER};
 
 /// Bytes a service frame holds inline in its envelope: the bridge
 /// framing plus 64 bytes of payload. That fits every request, response
@@ -66,56 +66,8 @@ use crate::cluster::{FabricPort, BRIDGE_HEADER};
 /// allocation.
 const SVC_FRAME_CAPACITY: usize = BRIDGE_HEADER as usize + 64;
 
-/// A service frame as it crosses the fabric: inline when it fits in
-/// [`SVC_FRAME_CAPACITY`] bytes, spilled to the heap when it does not
-/// (the heartbeat of a board hosting more than nine shards).
-#[derive(Debug)]
-enum SvcFrame {
-    /// The first `len` bytes of `bytes`.
-    Inline {
-        len: u8,
-        bytes: [u8; SVC_FRAME_CAPACITY],
-    },
-    /// A frame longer than the inline capacity.
-    Spilled(Vec<u8>),
-}
-
-impl SvcFrame {
-    /// Copies an encoded frame into its envelope payload.
-    fn new(frame: &[u8]) -> Self {
-        if frame.len() <= SVC_FRAME_CAPACITY {
-            let mut bytes = [0; SVC_FRAME_CAPACITY];
-            bytes[..frame.len()].copy_from_slice(frame);
-            SvcFrame::Inline {
-                len: frame.len() as u8,
-                bytes,
-            }
-        } else {
-            SvcFrame::Spilled(frame.to_vec())
-        }
-    }
-
-    /// The encoded frame.
-    fn as_bytes(&self) -> &[u8] {
-        match self {
-            SvcFrame::Inline { len, bytes } => &bytes[..usize::from(*len)],
-            SvcFrame::Spilled(v) => v,
-        }
-    }
-}
-
-/// Frames compare by their bytes; the inbox's envelope ordering needs
-/// `Eq`, though it orders by the envelope key alone.
-impl PartialEq for SvcFrame {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_bytes() == other.as_bytes()
-    }
-}
-
-impl Eq for SvcFrame {}
-
 /// Outbound envelopes of one service work item.
-type Out = crate::cluster::Out<SvcFrame>;
+type Out = crate::cluster::Out<SVC_FRAME_CAPACITY>;
 
 // -------------------------------------------------------------------
 // Configuration
@@ -302,12 +254,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns the configuration with the client plan replaced.
-    pub fn with_client_plan(mut self, client: ClientPlan) -> Self {
-        self.client = client;
-        self
-    }
-
     /// Checks the configuration's internal consistency — in particular
     /// the solo-commit safety invariant (see the module docs).
     ///
@@ -467,15 +413,10 @@ struct ServiceBoard {
     plan: FaultPlan,
     down: bool,
     down_since: Time,
-    port: FabricPort<SvcFrame>,
-    /// Scratch buffer each frame is encoded into before it is copied
-    /// into its envelope.
-    frame: Vec<u8>,
+    port: FabricPort<SVC_FRAME_CAPACITY>,
     /// Scratch buffer for the heartbeat payload, encoded once per tick
     /// and framed once per destination.
     hb_payload: Vec<u8>,
-    /// Frames too long to travel inline (see [`SvcFrame`]).
-    spilled_frames: u64,
     /// Per-destination serialization floor: the wire start of the last
     /// frame sent there. Submitting at-or-after it keeps the channel
     /// FIFO even though replicate/response send times (apply-completion
@@ -483,7 +424,6 @@ struct ServiceBoard {
     /// a short later frame can gap-fill ahead of an in-flight one and
     /// force a spurious full catch-up on the backup.
     send_floor: Vec<Time>,
-    seq: u32,
     slo: SloRecorder,
     last: Time,
     crashes: u64,
@@ -505,12 +445,6 @@ struct ServiceBoard {
 impl ServiceBoard {
     fn me(&self) -> u8 {
         self.id as u8
-    }
-
-    fn next_seq(&mut self) -> u32 {
-        let s = self.seq;
-        self.seq += 1;
-        s
     }
 
     // ---------------------------------------------------------------
@@ -607,10 +541,10 @@ impl ServiceBoard {
         });
     }
 
-    /// Frames the payload `write` appends on the `opcode` plane, through
-    /// the board's scratch buffer, and sends it towards `dst` at `at`,
-    /// applying partition/delay faults; same-board messages loop back
-    /// through the inbox after `local_latency`.
+    /// Frames the payload `write` appends on the `opcode` plane and
+    /// sends it towards `dst` at `at`, applying partition/delay faults;
+    /// same-board messages loop back through the inbox after
+    /// `local_latency`.
     fn send_frame(
         &mut self,
         dst: usize,
@@ -619,26 +553,10 @@ impl ServiceBoard {
         out: &mut Out,
         write: impl FnOnce(&mut Vec<u8>),
     ) {
-        let header = BridgeHeader {
-            opcode,
-            src: self.me(),
-            dst: dst as u8,
-            token: 0,
-            addr: 0,
-            seq: self.next_seq(),
-        };
-        self.frame.clear();
-        let payload_len = write_bridge(&mut self.frame, &header, write);
-        let seq = u64::from(header.seq);
+        let framed = self.port.frame(opcode, dst, 0, 0, write);
         if dst == self.id {
             self.local_msgs += 1;
-            let payload = self.envelope_frame();
-            self.port.push_arrival(Envelope {
-                at: at + self.cfg.local_latency,
-                src: self.id,
-                seq,
-                payload,
-            });
+            self.port.loop_back(framed, at + self.cfg.local_latency);
             return;
         }
         if self.plan.should_fire(cluster_targets::BRIDGE_PARTITION, at) {
@@ -653,27 +571,8 @@ impl ServiceBoard {
         let start = at.max(self.send_floor[dst]);
         let xfer = self
             .port
-            .transmit(dst, start, self.frame.len() as u64, payload_len as u64);
+            .send(framed, start, self.cfg.bridge_latency + extra, out);
         self.send_floor[dst] = xfer.start;
-        let payload = self.envelope_frame();
-        out.push((
-            dst,
-            Envelope {
-                at: xfer.done + self.cfg.bridge_latency + extra,
-                src: self.id,
-                seq,
-                payload,
-            },
-        ));
-    }
-
-    /// The frame in the scratch buffer, as an envelope payload.
-    fn envelope_frame(&mut self) -> SvcFrame {
-        let frame = SvcFrame::new(&self.frame);
-        if matches!(frame, SvcFrame::Spilled(_)) {
-            self.spilled_frames += 1;
-        }
-        frame
     }
 
     /// Answers the client attempt `to`, stamped with `shard`'s `epoch`.
@@ -823,8 +722,7 @@ impl ServiceBoard {
             self.partition_drops += 1;
             return;
         }
-        let frame =
-            BridgeFrame::parse(env.payload.as_bytes()).expect("fabric frames survive transit");
+        let frame = env.payload.parse();
         let src = usize::from(frame.header.src);
         let payload = match frame.header.opcode {
             BridgeOpcode::SvcCtl => {
@@ -1542,7 +1440,7 @@ impl ServiceBoard {
 /// `(src, seq)`, 1 a client wake `(client, 0)`, 2 the heartbeat tick,
 /// and 3 a replication timer `(shard, index)`.
 impl KeyedShard for ServiceBoard {
-    type Msg = SvcFrame;
+    type Msg = FabricFrame<SVC_FRAME_CAPACITY>;
 
     fn next_key(&self) -> Option<WorkKey> {
         let mut best = self.port.next_key();
@@ -1569,7 +1467,7 @@ impl KeyedShard for ServiceBoard {
         self.dispatch(key, out);
     }
 
-    fn push_arrival(&mut self, env: Envelope<SvcFrame>) {
+    fn push_arrival(&mut self, env: Envelope<FabricFrame<SVC_FRAME_CAPACITY>>) {
         self.port.push_arrival(env);
     }
 
@@ -1637,11 +1535,8 @@ fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
                 down: false,
                 down_since: Time::ZERO,
                 port: FabricPort::new(id, n, &link),
-                frame: Vec::with_capacity(SVC_FRAME_CAPACITY),
                 hb_payload: Vec::new(),
-                spilled_frames: 0,
                 send_floor: vec![Time::ZERO; n],
-                seq: 0,
                 slo: SloRecorder::new(cfg.scenario.fault_window()),
                 last: Time::ZERO,
                 crashes: 0,
@@ -1941,7 +1836,7 @@ fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) ->
         availability_out_window: slo.availability_out_window(),
         svc_frames,
         wire_bytes,
-        spilled_frames: sum(|b| b.spilled_frames),
+        spilled_frames: sum(|b| b.port.spilled()),
         sim_end: boards.iter().map(|b| b.last).fold(Time::ZERO, Time::max),
         epochs: par.epochs,
         epochs_skipped: par.epochs_skipped,

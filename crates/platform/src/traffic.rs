@@ -26,7 +26,7 @@
 //! across thread counts and between the parallel engine and the
 //! sequential reference driver.
 
-use enzian_eci::bridge::{write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode};
+use enzian_eci::bridge::BridgeOpcode;
 use enzian_net::eth::EthLinkConfig;
 use enzian_net::tcp::{LossPattern, SessionMux, TcpStackConfig, WireSegment, SEGMENT_LOSS_TARGET};
 use enzian_net::traffic::{decode_segment, encode_segment_into, PortMask, SEGMENT_HEADER_BYTES};
@@ -34,7 +34,7 @@ use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::stats::LatencyHistogram;
 use enzian_sim::{Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FabricPort, Out, BRIDGE_HEADER};
+use crate::cluster::{FabricFrame, FabricPort, BRIDGE_HEADER};
 
 /// Store-and-forward latency of the top-of-rack hop every inter-board
 /// frame crosses (the same 1 µs as [`enzian_net::eth::Switch::tor`]).
@@ -46,8 +46,8 @@ const SWITCH_LATENCY: Duration = Duration::from_us(1);
 /// its envelope.
 pub const TCP_FRAME_BYTES: usize = (BRIDGE_HEADER + SEGMENT_HEADER_BYTES) as usize;
 
-/// A traffic frame as it crosses the fabric.
-type TcpFrame = [u8; TCP_FRAME_BYTES];
+/// Outbound envelopes of one traffic work item.
+type Out = crate::cluster::Out<TCP_FRAME_BYTES>;
 
 // -------------------------------------------------------------------
 // Configuration
@@ -261,21 +261,13 @@ struct TrafficBoard {
     opens_left: u64,
     opens_issued: u64,
     next_open: Option<Time>,
-    port: FabricPort<TcpFrame>,
-    seq: u64,
+    port: FabricPort<TCP_FRAME_BYTES>,
     /// Scratch buffer the mux emits into; drained after every event.
     buf: Vec<WireSegment>,
-    /// Scratch buffer each frame is encoded into before it is copied
-    /// into its envelope.
-    frame: Vec<u8>,
     last: Time,
 }
 
 impl TrafficBoard {
-    fn me(&self) -> u8 {
-        self.id as u8
-    }
-
     /// The destination of this board's `i`-th open: round-robin over
     /// the other boards in the mesh, always the proxy in the chain.
     fn open_dst(&self, i: u64) -> u8 {
@@ -290,48 +282,27 @@ impl TrafficBoard {
     /// The mux's transmit pipeline is serial, so the emission times are
     /// already monotone per board and the per-destination channels stay
     /// FIFO without a serialization floor.
-    fn flush(&mut self, out: &mut Out<TcpFrame>) {
-        let mut buf = std::mem::take(&mut self.buf);
-        for ws in buf.drain(..) {
+    fn flush(&mut self, out: &mut Out) {
+        for ws in self.buf.drain(..) {
             let dst = usize::from(ws.seg.dst_board);
             debug_assert_ne!(dst, self.id, "the mux never emits to itself");
-            let header = BridgeHeader {
-                opcode: BridgeOpcode::Tcp,
-                src: self.me(),
-                dst: ws.seg.dst_board,
-                token: 0,
-                addr: 0,
-                seq: self.seq as u32,
-            };
-            self.frame.clear();
-            write_bridge(&mut self.frame, &header, |p| {
-                encode_segment_into(&ws.seg, p)
-            });
-            let frame = TcpFrame::try_from(&self.frame[..])
-                .expect("a traffic frame is exactly TCP_FRAME_BYTES long");
             // The encoded frame carries the 28-byte segment header; the
             // session payload itself is synthetic, so the channel is
             // charged for both to occupy the wire realistically.
-            let wire = TCP_FRAME_BYTES as u64 + u64::from(ws.seg.len);
-            let xfer = self.port.transmit(dst, ws.at, wire, u64::from(ws.seg.len));
-            out.push((
-                dst,
-                Envelope {
-                    at: xfer.done + SWITCH_LATENCY,
-                    src: self.id,
-                    seq: self.seq,
-                    payload: frame,
-                },
-            ));
-            self.seq += 1;
+            let framed = self
+                .port
+                .frame(BridgeOpcode::Tcp, dst, 0, 0, |p| {
+                    encode_segment_into(&ws.seg, p)
+                })
+                .with_synthetic_payload(u64::from(ws.seg.len));
+            self.port.send(framed, ws.at, SWITCH_LATENCY, out);
         }
-        self.buf = buf;
     }
 
-    fn process_envelope(&mut self, out: &mut Out<TcpFrame>) {
+    fn process_envelope(&mut self, out: &mut Out) {
         let env = self.port.pop_arrival();
         self.last = self.last.max(env.at);
-        let frame = BridgeFrame::parse(&env.payload[..]).expect("fabric frames survive transit");
+        let frame = env.payload.parse();
         assert_eq!(
             frame.header.opcode,
             BridgeOpcode::Tcp,
@@ -342,14 +313,14 @@ impl TrafficBoard {
         self.flush(out);
     }
 
-    fn process_timer(&mut self, out: &mut Out<TcpFrame>) {
+    fn process_timer(&mut self, out: &mut Out) {
         if let Some(at) = self.mux.fire_next_timer(&mut self.buf) {
             self.last = self.last.max(at);
         }
         self.flush(out);
     }
 
-    fn process_open(&mut self, now: Time, out: &mut Out<TcpFrame>) {
+    fn process_open(&mut self, now: Time, out: &mut Out) {
         self.last = self.last.max(now);
         let dst = self.open_dst(self.opens_issued);
         self.mux.open(
@@ -378,7 +349,7 @@ impl TrafficBoard {
 /// `(src, seq)`, 1 the mux's earliest timer `(timer seq, 0)`, and 2 the
 /// next scheduled open `(0, 0)`.
 impl KeyedShard for TrafficBoard {
-    type Msg = TcpFrame;
+    type Msg = FabricFrame<TCP_FRAME_BYTES>;
 
     fn next_key(&self) -> Option<WorkKey> {
         let mut best = self.port.next_key();
@@ -396,7 +367,7 @@ impl KeyedShard for TrafficBoard {
         best
     }
 
-    fn process_next(&mut self, key: WorkKey, out: &mut Out<TcpFrame>) {
+    fn process_next(&mut self, key: WorkKey, out: &mut Out) {
         match key.1 {
             0 => self.process_envelope(out),
             1 => self.process_timer(out),
@@ -405,7 +376,7 @@ impl KeyedShard for TrafficBoard {
         }
     }
 
-    fn push_arrival(&mut self, env: Envelope<TcpFrame>) {
+    fn push_arrival(&mut self, env: Envelope<FabricFrame<TCP_FRAME_BYTES>>) {
         self.port.push_arrival(env);
     }
 
@@ -442,9 +413,7 @@ fn make_boards(w: &TrafficWorkload) -> Vec<TrafficBoard> {
                 next_open: (opens > 0)
                     .then(|| Time::ZERO + Duration::from_ns(50) * (id as u64 + 1)),
                 port: FabricPort::new(id, n, &link),
-                seq: 0,
                 buf: Vec::new(),
-                frame: Vec::with_capacity(TCP_FRAME_BYTES),
                 last: Time::ZERO,
             }
         })

@@ -15,9 +15,8 @@
 //! [`Pod`] payload). Boxed-closure handlers ([`Scheduler::schedule_at`])
 //! remain fully supported for cold paths and cost exactly one `Box` per
 //! event. The previous `BTreeMap`-of-boxes core is retained verbatim
-//! behind the `reference-core` feature (see [`crate::reference`]) as the
-//! differential-testing oracle; both cores fire events in the identical
-//! `(time, seq)` order.
+//! (see [`crate::reference`]) as the differential-testing oracle; both
+//! cores fire events in the identical `(time, seq)` order.
 
 use crate::calq::CalendarQueue;
 use crate::telemetry::{Instrumented, MetricsRegistry};

@@ -146,8 +146,6 @@ struct SpecState {
     rng: SimRng,
     /// Opportunities this spec has been consulted for.
     opportunities: u64,
-    /// Times this spec fired.
-    fired: u64,
     /// `false` once a one-shot trigger has consumed itself.
     armed: bool,
 }
@@ -202,7 +200,6 @@ impl FaultPlan {
             spec,
             rng,
             opportunities: 0,
-            fired: 0,
             armed: true,
         });
     }
@@ -237,10 +234,7 @@ impl FaultPlan {
                 FaultTrigger::Window { from, until } => now >= from && now < until,
                 FaultTrigger::Probability { p } => state.rng.chance(p),
             };
-            if hit {
-                state.fired += 1;
-                fired = true;
-            }
+            fired |= hit;
         }
         if fired {
             *self.injected.entry(target.to_string()).or_insert(0) += 1;

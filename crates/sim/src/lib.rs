@@ -53,7 +53,6 @@ pub mod explore;
 pub mod fault;
 pub mod hash;
 pub mod par;
-#[cfg(feature = "reference-core")]
 pub mod reference;
 pub mod rng;
 pub mod stats;

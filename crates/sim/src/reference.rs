@@ -1,8 +1,7 @@
 //! The retained reference DES core (pre-calendar-queue).
 //!
 //! This is the original `BTreeMap<u64, Box<dyn FnOnce>>` scheduler,
-//! kept verbatim behind the `reference-core` feature as the
-//! differential-testing oracle for the calendar-queue engine in
+//! kept verbatim as the differential-testing oracle for the calendar-queue engine in
 //! [`crate::engine`]: both cores fire events in the identical
 //! `(time, seq)` order, which `crates/sim/tests/differential.rs` checks
 //! over randomized schedules and the `sched_hotpath` experiment

@@ -9,7 +9,6 @@
 //! against `run_before`/`run_until` deadlines, handler-scheduled
 //! follow-ups, and full drains followed by `rewind` (which the calendar
 //! queue answers with a window rebase).
-#![cfg(feature = "reference-core")]
 
 use enzian_sim::{reference, Duration, Fnv, SimRng, Simulator, Time};
 
