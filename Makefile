@@ -21,7 +21,7 @@ build:
 
 test:
 	$(CARGO) test -q --workspace
-	$(CARGO) test -q --release -p enzian-eci -p enzian-sim -p enzian-apps -p enzian-platform
+	$(CARGO) test -q --release -p enzian-eci -p enzian-sim -p enzian-apps -p enzian-net -p enzian-platform
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace

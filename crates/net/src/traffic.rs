@@ -273,6 +273,35 @@ struct Slot<T> {
     state: Option<T>,
 }
 
+/// The first slot block holds 2^FIRST_BLOCK_BITS slots, and each next
+/// one twice the last, up to 2^BLOCK_BITS.
+const FIRST_BLOCK_BITS: u32 = 5;
+const BLOCK_BITS: u32 = 12;
+
+/// The block and the offset in it that hold slot `slot`. Block `b` below
+/// the cap holds 2^(FIRST_BLOCK_BITS + b) slots and starts at slot
+/// 2^(FIRST_BLOCK_BITS + b) - 2^FIRST_BLOCK_BITS, so shifting the index
+/// by the first block's size makes its top bit name the block; from the
+/// first full-size block on, blocks are 2^BLOCK_BITS slots apart.
+fn locate(slot: u32) -> (usize, usize) {
+    let i = slot as usize + (1 << FIRST_BLOCK_BITS);
+    if i < 1 << BLOCK_BITS {
+        let top = i.ilog2();
+        ((top - FIRST_BLOCK_BITS) as usize, i - (1 << top))
+    } else {
+        let past = i - (1 << BLOCK_BITS);
+        (
+            (BLOCK_BITS - FIRST_BLOCK_BITS) as usize + (past >> BLOCK_BITS),
+            past & ((1 << BLOCK_BITS) - 1),
+        )
+    }
+}
+
+/// Slots block `b` holds.
+fn block_len(b: usize) -> usize {
+    1 << (FIRST_BLOCK_BITS + b as u32).min(BLOCK_BITS)
+}
+
 /// Slab-backed per-flow state with bounded memory.
 ///
 /// The table grows only when a flow arrives while the free list is
@@ -280,8 +309,18 @@ struct Slot<T> {
 /// ever live — churning a million sessions through a table that never
 /// holds more than 10^5 at once allocates 10^5 slots, not 10^6. Freed
 /// slots are recycled LIFO (hot in cache) with a generation bump.
+///
+/// The slots live in blocks that are never reallocated: the first holds
+/// 32 slots and each next one twice the last, up to 4,096. Growing the
+/// table allocates one more block and copies nothing, so it never holds
+/// an old and a new copy of the slab at once, as a doubling `Vec` does
+/// while it moves.
 pub struct FlowTable<T> {
-    slots: Vec<Slot<T>>,
+    /// Block `b` is allocated with room for [`block_len`]`(b)` slots and
+    /// never grows past it; every block but the last is full.
+    blocks: Vec<Vec<Slot<T>>>,
+    /// Slots ever allocated.
+    len: u32,
     free: Vec<u32>,
     live: u32,
     peak_live: u32,
@@ -293,7 +332,8 @@ impl<T> FlowTable<T> {
     /// An empty table.
     pub fn new() -> Self {
         FlowTable {
-            slots: Vec::new(),
+            blocks: Vec::new(),
+            len: 0,
             free: Vec::new(),
             live: 0,
             peak_live: 0,
@@ -316,7 +356,17 @@ impl<T> FlowTable<T> {
     /// [`peak_live`](Self::peak_live) by construction, which the
     /// property tests assert.
     pub fn capacity(&self) -> u32 {
-        self.slots.len() as u32
+        self.len
+    }
+
+    fn slot(&self, slot: u32) -> Option<&Slot<T>> {
+        let (b, at) = locate(slot);
+        self.blocks.get(b)?.get(at)
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> Option<&mut Slot<T>> {
+        let (b, at) = locate(slot);
+        self.blocks.get_mut(b)?.get_mut(at)
     }
 
     /// Total flows admitted over the table's lifetime.
@@ -335,23 +385,28 @@ impl<T> FlowTable<T> {
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
         if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
+            let s = self.slot_mut(slot).expect("free list names a slot");
             debug_assert!(s.state.is_none(), "free list held a live slot");
             s.state = Some(state);
             FlowKey { slot, gen: s.gen }
         } else {
-            let slot = self.slots.len() as u32;
-            self.slots.push(Slot {
+            let slot = self.len;
+            let (b, _) = locate(slot);
+            if b == self.blocks.len() {
+                self.blocks.push(Vec::with_capacity(block_len(b)));
+            }
+            self.blocks[b].push(Slot {
                 gen: 0,
                 state: Some(state),
             });
+            self.len += 1;
             FlowKey { slot, gen: 0 }
         }
     }
 
     /// The flow `key` names, if it is still the same incarnation.
     pub fn get(&self, key: FlowKey) -> Option<&T> {
-        let s = self.slots.get(key.slot as usize)?;
+        let s = self.slot(key.slot)?;
         if s.gen != key.gen {
             return None;
         }
@@ -360,7 +415,7 @@ impl<T> FlowTable<T> {
 
     /// Mutable access to the flow `key` names.
     pub fn get_mut(&mut self, key: FlowKey) -> Option<&mut T> {
-        let s = self.slots.get_mut(key.slot as usize)?;
+        let s = self.slot_mut(key.slot)?;
         if s.gen != key.gen {
             return None;
         }
@@ -370,14 +425,14 @@ impl<T> FlowTable<T> {
     /// The live flow in `slot` (however it was allocated), with its
     /// current key — the receive-path demux after [`PortMask::slot_of`].
     pub fn get_slot(&self, slot: u32) -> Option<(&T, FlowKey)> {
-        let s = self.slots.get(slot as usize)?;
+        let s = self.slot(slot)?;
         s.state.as_ref().map(|t| (t, FlowKey { slot, gen: s.gen }))
     }
 
     /// Frees the flow, recycling its slot. Returns the state, or `None`
     /// if the key was stale.
     pub fn free(&mut self, key: FlowKey) -> Option<T> {
-        let s = self.slots.get_mut(key.slot as usize)?;
+        let s = self.slot_mut(key.slot)?;
         if s.gen != key.gen || s.state.is_none() {
             return None;
         }
@@ -391,8 +446,9 @@ impl<T> FlowTable<T> {
 
     /// Iterates live flows in slot order (deterministic digests).
     pub fn iter_live(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.slots
+        self.blocks
             .iter()
+            .flatten()
             .enumerate()
             .filter_map(|(i, s)| s.state.as_ref().map(|t| (i as u32, t)))
     }
@@ -493,6 +549,38 @@ mod tests {
         assert_eq!(t.get_slot(b.slot).map(|(s, _)| *s), Some("b"));
         assert_eq!(t.capacity(), 2);
         assert_eq!(t.peak_live(), 2);
+    }
+
+    #[test]
+    fn slots_fill_their_blocks_in_order() {
+        assert_eq!(
+            (block_len(0), block_len(7), block_len(100)),
+            (32, 4096, 4096)
+        );
+        let mut expect = (0, 0);
+        for slot in 0..20_000 {
+            assert_eq!(locate(slot), expect, "slot {slot}");
+            expect.1 += 1;
+            if expect.1 == block_len(expect.0) {
+                expect = (expect.0 + 1, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn growing_the_table_never_moves_a_flow() {
+        let mut t = FlowTable::new();
+        let first = t.alloc(0u32);
+        let at: *const u32 = t.get(first).unwrap();
+        let keys: Vec<FlowKey> = (1..10_000).map(|i| t.alloc(i)).collect();
+        assert_eq!(t.get(first).map(|v| v as *const u32), Some(at));
+        assert!(keys.iter().zip(1..).all(|(&k, i)| t.get(k) == Some(&i)));
+        assert!(t
+            .iter_live()
+            .map(|(s, &v)| (s, v))
+            .eq((0..10_000).map(|i| (i, i))));
+        assert_eq!(t.capacity(), 10_000);
+        assert_eq!(t.get_slot(10_000).map(|(_, k)| k), None);
     }
 
     #[test]

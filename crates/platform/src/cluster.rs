@@ -351,6 +351,11 @@ impl Framed {
 /// every frame is written into before it is copied into its envelope as
 /// a [`FabricFrame<N>`].
 ///
+/// The port also knows the board's current work time (see
+/// [`FabricPort::advance_to`]) and keeps each channel's busy intervals
+/// behind it retired, so a channel holds only the traffic still ahead
+/// of the board rather than every interval of the run.
+///
 /// Cache-line aligned, which makes every board struct embedding it a
 /// whole number of cache lines. `Engine::Conservative` splits the
 /// board slice into one contiguous run per worker thread, so two boards
@@ -364,6 +369,9 @@ pub(crate) struct FabricPort<const N: usize> {
     out: Vec<Option<Channel>>,
     flows: Vec<FlowStats>,
     inbox: BinaryHeap<Reverse<Envelope<FabricFrame<N>>>>,
+    /// Time of the work item the board is running: no send starts
+    /// before it.
+    now: Time,
     /// Sequence number of the next frame: unique per board, so the
     /// merge order `(time, src, seq)` is total.
     seq: u64,
@@ -389,10 +397,21 @@ impl<const N: usize> FabricPort<N> {
                 .collect(),
             flows: vec![FlowStats::default(); n],
             inbox: BinaryHeap::new(),
+            now: Time::ZERO,
             seq: 0,
             frame: Vec::with_capacity(N),
             spilled: 0,
         }
+    }
+
+    /// Records that the board is running the work item keyed at `now`.
+    /// A shard runs its items in nondecreasing key order on both
+    /// engines and no send starts before the item that makes it, so
+    /// every later send starts at or after `now`: [`FabricPort::send`]
+    /// makes it the destination channel's floor (see
+    /// [`Channel::retire_before`]).
+    pub(crate) fn advance_to(&mut self, now: Time) {
+        self.now = now;
     }
 
     /// Writes an `opcode` frame for `dst`, stamped with the board's next
@@ -455,10 +474,9 @@ impl<const N: usize> FabricPort<N> {
         out: &mut Out<N>,
     ) -> Transfer {
         let dst = framed.dst;
-        let xfer = self.out[dst]
-            .as_mut()
-            .expect("no channel to self")
-            .send(at, framed.wire);
+        let channel = self.out[dst].as_mut().expect("no channel to self");
+        channel.retire_before(self.now);
+        let xfer = channel.send(at, framed.wire);
         let flow = &mut self.flows[dst];
         flow.frames += 1;
         flow.payload_bytes += framed.payload;
@@ -981,6 +999,7 @@ impl KeyedShard for BoardShard {
     }
 
     fn process_next(&mut self, key: WorkKey, out: &mut Out<LINE_FRAME_BYTES>) {
+        self.port.advance_to(key.0);
         if key.1 == 0 {
             self.process_envelope(out);
         } else {

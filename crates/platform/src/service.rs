@@ -1464,6 +1464,7 @@ impl KeyedShard for ServiceBoard {
     }
 
     fn process_next(&mut self, key: WorkKey, out: &mut Out) {
+        self.port.advance_to(key.0);
         self.dispatch(key, out);
     }
 

@@ -368,6 +368,7 @@ impl KeyedShard for TrafficBoard {
     }
 
     fn process_next(&mut self, key: WorkKey, out: &mut Out) {
+        self.port.advance_to(key.0);
         match key.1 {
             0 => self.process_envelope(out),
             1 => self.process_timer(out),

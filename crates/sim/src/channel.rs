@@ -11,6 +11,11 @@
 //! busy_until)` and `done = start + serialization + propagation`; the
 //! channel is then busy until `start + serialization` (cut-through: the
 //! propagation tail overlaps the next transfer).
+//!
+//! A caller that never goes back in time can say so with
+//! [`Channel::retire_before`]: the channel then forgets the busy
+//! intervals behind that floor, so its memory tracks the traffic still
+//! on the wire rather than everything it ever carried.
 
 use crate::time::{Duration, Time};
 
@@ -77,12 +82,17 @@ impl Transfer {
 /// idle gap (as real arbitration would), which keeps independent virtual
 /// channels from falsely blocking each other in the transaction-level
 /// engine. Contiguous busy intervals are merged, so back-to-back traffic
-/// keeps the interval list tiny.
+/// keeps the interval list tiny. A caller that declares a floor (see
+/// [`Channel::retire_before`]) also keeps it short when its traffic
+/// leaves idle gaps.
 #[derive(Debug, Clone)]
 pub struct Channel {
     config: ChannelConfig,
     /// Sorted, disjoint, merged busy intervals in picoseconds.
     busy: Vec<(u64, u64)>,
+    /// No transfer is submitted before this instant, in picoseconds
+    /// (see [`Channel::retire_before`]).
+    floor: u64,
     bytes_carried: u64,
     transfers: u64,
 }
@@ -103,6 +113,7 @@ impl Channel {
         Channel {
             config,
             busy: Vec::new(),
+            floor: 0,
             bytes_carried: 0,
             transfers: 0,
         }
@@ -183,6 +194,26 @@ impl Channel {
         }
     }
 
+    /// Promises that no later transfer is submitted before `t`, and
+    /// drops the busy intervals that end at or before it, always keeping
+    /// the newest so that [`Channel::busy_until`] and the tail fast path
+    /// see the same last interval.
+    ///
+    /// A submission at or after the floor starts its gap search past
+    /// every interval that ends at or before it, so a retired interval
+    /// could never have changed a [`Transfer`]: the list only gets
+    /// shorter. The floor never moves back; [`Channel::send`] and
+    /// [`Channel::peek_done`] debug-assert that they are called at or
+    /// after it.
+    pub fn retire_before(&mut self, t: Time) {
+        self.floor = self.floor.max(t.as_ps());
+        if self.busy.len() > 1 && self.busy[0].1 <= self.floor {
+            let floor = self.floor;
+            let dead = self.busy.partition_point(|&(_, e)| e <= floor);
+            self.busy.drain(..dead.min(self.busy.len() - 1));
+        }
+    }
+
     /// Total payload bytes carried so far.
     pub fn bytes_carried(&self) -> u64 {
         self.bytes_carried
@@ -196,6 +227,7 @@ impl Channel {
     /// Submits a `payload_bytes` transfer at time `now`, returning its
     /// timing. The transfer takes the first idle slot at or after `now`.
     pub fn send(&mut self, now: Time, payload_bytes: u64) -> Transfer {
+        self.check_floor(now);
         let ser = self.config.serialization_time(payload_bytes).as_ps().max(1);
         let start = self.start_of(now.as_ps(), ser);
         self.occupy(start, start + ser);
@@ -210,9 +242,21 @@ impl Channel {
     /// Time at which a transfer submitted at `now` would complete, without
     /// committing it.
     pub fn peek_done(&self, now: Time, payload_bytes: u64) -> Time {
+        self.check_floor(now);
         let ser = self.config.serialization_time(payload_bytes).as_ps().max(1);
         let start = self.start_of(now.as_ps(), ser);
         Time::from_ps(start + ser) + self.config.propagation
+    }
+
+    /// Debug-asserts that a submission at `now` keeps the promise of
+    /// [`Channel::retire_before`].
+    fn check_floor(&self, now: Time) {
+        debug_assert!(
+            now.as_ps() >= self.floor,
+            "submission at {} ps is below the channel's floor of {} ps",
+            now.as_ps(),
+            self.floor
+        );
     }
 
     /// Resets occupancy (e.g. after link retraining drains the wire).
@@ -403,6 +447,52 @@ mod tests {
         }
         // Both paths ran many times: [gap search, tail fast path].
         assert!(hits.iter().all(|&h| h > 1_000), "{hits:?}");
+    }
+
+    /// Seeded random submissions that jump back into gaps ahead of a
+    /// nondecreasing floor, retired before each one, give the same
+    /// transfers and the same `busy_until` as the same stream on a
+    /// channel that never retires, while its interval list stays short.
+    #[test]
+    fn retiring_behind_the_floor_changes_no_transfer() {
+        let mut longest = 0;
+        let mut kept = 0;
+        for seed in 0..32 {
+            let mut rng = crate::SimRng::seed_from(seed);
+            let mut ch = ten_gbps();
+            let mut keep_all = ten_gbps();
+            let mut floor = 0u64;
+            for step in 0..2_000 {
+                floor += rng.next_below(400_000);
+                ch.retire_before(Time::from_ps(floor));
+                // Anywhere in the next microsecond: mostly into idle
+                // gaps between traffic already committed ahead.
+                let now = Time::from_ps(floor + rng.next_below(1_000_000));
+                let bytes = rng.next_below(200);
+                let ctx = format!("seed {seed} step {step}: {bytes} B at {now:?}");
+                assert_eq!(
+                    ch.peek_done(now, bytes),
+                    keep_all.peek_done(now, bytes),
+                    "{ctx}"
+                );
+                assert_eq!(ch.send(now, bytes), keep_all.send(now, bytes), "{ctx}");
+                assert_eq!(ch.busy_until(), keep_all.busy_until(), "{ctx}");
+                longest = longest.max(ch.busy.len());
+            }
+            kept = kept.max(keep_all.busy.len());
+        }
+        assert!(longest <= 16, "retiring channel held {longest} intervals");
+        assert!(kept > 500, "the stream left only {kept} gaps");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the channel's floor")]
+    fn a_submission_below_the_floor_panics() {
+        let mut ch = ten_gbps();
+        ch.send(Time::from_ps(1_000_000), 128);
+        ch.retire_before(Time::from_ps(2_000_000));
+        ch.send(Time::from_ps(1_999_999), 128);
     }
 
     #[test]

@@ -237,7 +237,7 @@ impl FaultPlan {
             fired |= hit;
         }
         if fired {
-            *self.injected.entry(target.to_string()).or_insert(0) += 1;
+            bump(&mut self.injected, target);
             self.trace
                 .record(TraceEvent::new(now, "fault", "inject").field("target", target));
         }
@@ -247,7 +247,7 @@ impl FaultPlan {
     /// Records that a previously injected `target` fault finished
     /// recovering at `now`, `latency` after it was injected.
     pub fn note_recovery(&mut self, target: &str, now: Time, latency: Duration) {
-        *self.recovered.entry(target.to_string()).or_insert(0) += 1;
+        bump(&mut self.recovered, target);
         self.trace.record(
             TraceEvent::new(now, "fault", "recover")
                 .field("target", target)
@@ -278,6 +278,17 @@ impl FaultPlan {
     /// The plan's inject/recover event ring (read-only).
     pub fn trace(&self) -> &TraceRing {
         &self.trace
+    }
+}
+
+/// Counts one more fault for `target` in `ledger`, allocating its key
+/// only the first time the target appears.
+fn bump(ledger: &mut BTreeMap<String, u64>, target: &str) {
+    match ledger.get_mut(target) {
+        Some(n) => *n += 1,
+        None => {
+            ledger.insert(target.to_string(), 1);
+        }
     }
 }
 

@@ -576,29 +576,122 @@ pub fn run_conservative<S: Shard>(
     }
 }
 
+/// Every shard's cached next key in an indexed binary min-heap on
+/// `(key, shard)`: the root is the reference sweep's earliest item, and
+/// re-keying one shard costs O(log shards). A shard without a key is
+/// not in the heap.
+struct KeyHeap {
+    heap: Vec<(WorkKey, usize)>,
+    /// Each shard's index in `heap`, or [`KeyHeap::ABSENT`].
+    pos: Vec<usize>,
+}
+
+impl KeyHeap {
+    const ABSENT: usize = usize::MAX;
+
+    fn new(shards: usize) -> Self {
+        KeyHeap {
+            heap: Vec::with_capacity(shards),
+            pos: vec![Self::ABSENT; shards],
+        }
+    }
+
+    /// The earliest `(key, shard)`.
+    fn min(&self) -> Option<(WorkKey, usize)> {
+        self.heap.first().copied()
+    }
+
+    /// Sets `shard`'s key.
+    fn set(&mut self, shard: usize, key: Option<WorkKey>) {
+        let at = self.pos[shard];
+        match key {
+            Some(key) if at == Self::ABSENT => {
+                self.heap.push((key, shard));
+                self.pos[shard] = self.heap.len() - 1;
+                self.sift_up(self.heap.len() - 1);
+            }
+            Some(key) => {
+                self.heap[at].0 = key;
+                self.fix(at);
+            }
+            None if at == Self::ABSENT => {}
+            None => {
+                self.pos[shard] = Self::ABSENT;
+                let last = self.heap.pop().expect("a keyed shard is in the heap");
+                if at < self.heap.len() {
+                    self.heap[at] = last;
+                    self.pos[last.1] = at;
+                    self.fix(at);
+                }
+            }
+        }
+    }
+
+    /// Restores the heap order around an entry whose key changed.
+    fn fix(&mut self, at: usize) {
+        let at = self.sift_up(at);
+        self.sift_down(at);
+    }
+
+    fn sift_up(&mut self, mut at: usize) -> usize {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.heap[parent] <= self.heap[at] {
+                break;
+            }
+            self.swap(at, parent);
+            at = parent;
+        }
+        at
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let left = 2 * at + 1;
+            let Some(&l) = self.heap.get(left) else { break };
+            let child = match self.heap.get(left + 1) {
+                Some(&r) if r < l => left + 1,
+                _ => left,
+            };
+            if self.heap[at] <= self.heap[child] {
+                break;
+            }
+            self.swap(at, child);
+            at = child;
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].1] = a;
+        self.pos[self.heap[b].1] = b;
+    }
+}
+
 /// The sequential reference engine: one global clock repeatedly runs
 /// the earliest `(key, shard index)` work item across all shards and
 /// delivers its messages immediately. Each shard still sees its own
 /// items in key order, so its final state must equal what
 /// [`run_conservative`] leaves — a genuinely different execution that
 /// validates the lookahead/epoch machinery.
+///
+/// Only running an item and holding an arrival change a shard, so the
+/// sweep keeps every shard's key in an indexed min-heap and asks again
+/// only the shard that ran and the shards it delivered to.
 pub fn run_sequential<S: KeyedShard>(shards: &mut [S]) -> ParReport {
     let mut messages = 0;
     let mut out = Vec::new();
-    loop {
-        let mut best: Option<(WorkKey, usize)> = None;
-        for (i, s) in shards.iter().enumerate() {
-            if let Some(k) = s.next_key() {
-                if best.is_none_or(|b| (k, i) < b) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let Some((key, i)) = best else { break };
+    let mut keys = KeyHeap::new(shards.len());
+    for (i, s) in shards.iter().enumerate() {
+        keys.set(i, s.next_key());
+    }
+    while let Some((key, i)) = keys.min() {
         shards[i].process_next(key, &mut out);
+        keys.set(i, shards[i].next_key());
         messages += out.len() as u64;
         for (dst, env) in out.drain(..) {
             shards[dst].push_arrival(env);
+            keys.set(dst, shards[dst].next_key());
         }
     }
     ParReport {
@@ -1036,6 +1129,32 @@ mod tests {
                 message.contains("lookahead violation"),
                 "threads={threads}: {message:?}"
             );
+        }
+    }
+
+    /// Random re-keyings (new, earlier, later and removed keys, ties
+    /// broken by shard) leave the heap's root equal to a scan over every
+    /// shard's key.
+    #[test]
+    fn key_heap_root_is_the_scanned_minimum() {
+        let mut rng = crate::SimRng::seed_from(7);
+        let n = 9;
+        let mut heap = KeyHeap::new(n);
+        let mut keys: Vec<Option<WorkKey>> = vec![None; n];
+        for _ in 0..20_000 {
+            let shard = rng.next_below(n as u64) as usize;
+            let key = (rng.next_below(4) > 0).then(|| {
+                let at = Time::from_ps(rng.next_below(50));
+                (at, rng.next_below(3) as u8, rng.next_below(3), 0)
+            });
+            heap.set(shard, key);
+            keys[shard] = key;
+            let scanned = keys
+                .iter()
+                .enumerate()
+                .filter_map(|(i, k)| k.map(|k| (k, i)))
+                .min();
+            assert_eq!(heap.min(), scanned);
         }
     }
 
