@@ -48,7 +48,7 @@ DETERMINISM = fig3 fig6 fig7 fig8 fig9 fig11 fig12 fault_sweep cc_sweep \
               pipelining modelcheck tcp_explore cluster_scale sched_hotpath \
               service traffic
 
-# Runs scripts/determinism.sh (threads 1, 1, 2, 8, every BENCH and CSV
+# Runs scripts/determinism.sh (threads 1, 1, 2, 3, 8, every BENCH and CSV
 # file cmp'd against the first run, BENCH also against any committed
 # baseline in benches/baselines/) for each selector.
 determinism: build

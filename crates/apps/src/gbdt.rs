@@ -237,11 +237,18 @@ impl GbdtAccelerator {
     /// are fetched from host memory, scored in the pipeline, and results
     /// written back, with transfers double-buffered against compute.
     pub fn score_batch(&mut self, now: Time, tuples: &[Tuple]) -> BatchResult {
-        assert!(!tuples.is_empty(), "empty batch");
+        let done = now + self.batch_timing(tuples.len());
         let scores = self.ensemble.score_batch(tuples);
-        self.tuples_scored += tuples.len() as u64;
+        BatchResult { scores, done }
+    }
 
-        let n = tuples.len() as f64;
+    /// How long a batch of `n` tuples takes from issue to its last
+    /// result, counting the tuples as scored. The time depends only on
+    /// `n`, never on the tuples' values.
+    fn batch_timing(&mut self, n: usize) -> Duration {
+        assert!(n > 0, "empty batch");
+        self.tuples_scored += n as u64;
+        let n = n as f64;
         let tuple_bytes = 4.0 * f64::from(self.ensemble.features);
         let result_bytes = 4.0;
         // Double buffering: steady state is limited by the slower of
@@ -251,14 +258,16 @@ impl GbdtAccelerator {
         let transfer = n * (tuple_bytes + result_bytes) / self.config.link_bytes_per_sec;
         let steady = compute.max(transfer);
         let fill = f64::from(self.config.pipeline_depth) / self.config.clock_hz as f64;
-        let done = now + Duration::from_secs_f64(steady + fill);
-        BatchResult { scores, done }
+        Duration::from_secs_f64(steady + fill)
     }
 
-    /// Measured throughput in tuples/sec for a batch scored at `now`.
+    /// Measured throughput in tuples/sec for a batch issued at `now`.
+    /// The pipeline's timing depends only on the batch size, so the
+    /// tuples are counted as scored without computing their scores
+    /// (see [`GbdtAccelerator::score_batch`] for the scores).
     pub fn measure_throughput(&mut self, now: Time, tuples: &[Tuple]) -> f64 {
-        let r = self.score_batch(now, tuples);
-        tuples.len() as f64 / r.done.since(now).as_secs_f64()
+        let done = now + self.batch_timing(tuples.len());
+        tuples.len() as f64 / done.since(now).as_secs_f64()
     }
 }
 
@@ -351,6 +360,21 @@ mod tests {
         let r = two.measure_throughput(Time::ZERO, &tuples)
             / one.measure_throughput(Time::ZERO, &tuples);
         assert!((1.9..2.1).contains(&r), "engine scaling {r:.2}");
+    }
+
+    #[test]
+    fn measured_throughput_is_the_scored_batch_timing() {
+        let e = ensemble();
+        let tuples = e.generate_tuples(9, 5_000);
+        let now = Time::ZERO + Duration::from_us(3);
+        let mut scored = GbdtAccelerator::new(e.clone(), enzian_config());
+        let mut measured = GbdtAccelerator::new(e, enzian_config());
+        let r = scored.score_batch(now, &tuples);
+        let expect = tuples.len() as f64 / r.done.since(now).as_secs_f64();
+        let tput = measured.measure_throughput(now, &tuples);
+        assert_eq!(tput.to_bits(), expect.to_bits());
+        assert_eq!(measured.tuples_scored(), scored.tuples_scored());
+        assert_eq!(measured.tuples_scored(), 5_000);
     }
 
     #[test]

@@ -34,11 +34,8 @@
 //! duplicate data ack arriving during teardown counts as a dup-ack; it
 //! can never be mistaken for a FIN's acknowledgement.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-
 use enzian_sim::stats::LatencyHistogram;
-use enzian_sim::{Duration, Fnv, Time};
+use enzian_sim::{Duration, Fnv, Keyed, SortedStreams, Time};
 
 use crate::traffic::{flags, FlowKey, FlowTable, PortMask, Segment};
 
@@ -74,46 +71,55 @@ enum Role {
     ProxyUp,
 }
 
+/// What a timer does, named by the one place that schedules it. Each
+/// site's deadlines are nondecreasing in scheduling order, so the mux
+/// keeps one sorted stream of timers per site: a push is an append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
-    /// Retransmission timeout: go-back-N rewind to the ack edge.
-    Rto,
-    /// 2·RTO linger after the active closer's final ack.
+    /// Retransmission timeout armed as a segment is emitted with none
+    /// pending: `rto` after the segment clears the transmit pipeline,
+    /// whose clock never moves back.
+    RtoAfterEmit,
+    /// Retransmission timeout re-armed by an ack that advanced: `rto`
+    /// after the ack clears the receive pipeline, whose clock never
+    /// moves back.
+    RtoAfterAck,
+    /// 2·RTO linger after the active closer's final ack, timed from the
+    /// receive pipeline like [`TimerKind::RtoAfterAck`].
     TimeWait,
-    /// Client starts its payload `hold` after establishment.
+    /// Client starts its payload `hold` after establishment, timed from
+    /// the receive pipeline: monotone while every session has the same
+    /// `hold`, which [`SessionMux::open`] does not promise, so an
+    /// earlier deadline is placed by binary search.
     StartData,
+}
+
+impl TimerKind {
+    /// Every kind, indexed by its stream.
+    const ALL: [TimerKind; 4] = [
+        TimerKind::RtoAfterEmit,
+        TimerKind::RtoAfterAck,
+        TimerKind::TimeWait,
+        TimerKind::StartData,
+    ];
 }
 
 #[derive(Debug, Clone, Copy)]
 struct MuxTimer {
     at: Time,
+    /// Unique per timer, so `(at, seq)` is a total deterministic order.
     seq: u64,
-    kind: TimerKind,
     key: FlowKey,
     timer_gen: u32,
 }
 
-// `seq` is unique per timer, so (at, seq) is a total deterministic
-// order and the Eq/Ord contract (equal iff the same timer) holds.
-impl Ord for MuxTimer {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl Keyed for MuxTimer {
+    type Key = (Time, u64);
+
+    fn key(&self) -> (Time, u64) {
+        (self.at, self.seq)
     }
 }
-
-impl PartialOrd for MuxTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for MuxTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for MuxTimer {}
 
 struct Flow {
     conn: Connection,
@@ -234,7 +240,8 @@ pub struct SessionMux {
     cfg: TcpStackConfig,
     mask: PortMask,
     table: FlowTable<Flow>,
-    timers: BinaryHeap<Reverse<MuxTimer>>,
+    /// Pending timers, one stream per [`TimerKind`].
+    timers: SortedStreams<MuxTimer>,
     timer_seq: u64,
     /// Shared transmit-pipeline clock (all flows, one pipeline).
     tx_free: Time,
@@ -256,7 +263,7 @@ impl SessionMux {
             cfg,
             mask,
             table: FlowTable::new(),
-            timers: BinaryHeap::new(),
+            timers: SortedStreams::new(TimerKind::ALL.len()),
             timer_seq: 0,
             tx_free: Time::ZERO,
             rx_free: Time::ZERO,
@@ -320,7 +327,7 @@ impl SessionMux {
     /// any. Stale timers (superseded RTOs) are included; firing them is
     /// a deterministic no-op.
     pub fn next_timer(&self) -> Option<(Time, u64)> {
-        self.timers.peek().map(|t| (t.0.at, t.0.seq))
+        self.timers.peek().map(|t| (t.at, t.seq))
     }
 
     /// Opens a client session: `bytes` of payload toward `dst_board`,
@@ -422,25 +429,25 @@ impl SessionMux {
 
     fn schedule(&mut self, at: Time, kind: TimerKind, key: FlowKey, timer_gen: u32) {
         self.timer_seq += 1;
-        self.timers.push(Reverse(MuxTimer {
+        let timer = MuxTimer {
             at,
             seq: self.timer_seq,
-            kind,
             key,
             timer_gen,
-        }));
+        };
+        self.timers.push(kind as usize, timer);
     }
 
     /// Pops and fires the earliest timer, emitting any resulting
     /// segments. Returns the timer's deadline, or `None` if no timer
     /// was pending. Stale timers fire as deterministic no-ops.
     pub fn fire_next_timer(&mut self, out: &mut Vec<WireSegment>) -> Option<Time> {
-        let t = self.timers.pop()?.0;
+        let (site, t) = self.timers.pop()?;
         let Some(f) = self.table.get_mut(t.key) else {
             return Some(t.at); // flow already closed
         };
-        match t.kind {
-            TimerKind::Rto => {
+        match TimerKind::ALL[site] {
+            TimerKind::RtoAfterEmit | TimerKind::RtoAfterAck => {
                 if !f.rto_armed || f.timer_gen != t.timer_gen {
                     return Some(t.at); // superseded by an ack
                 }
@@ -516,7 +523,7 @@ impl SessionMux {
             let timer_gen = f.timer_gen;
             let done = self.emit(now, seg, !retransmit, out);
             if rearm {
-                self.schedule(done + self.cfg.rto, TimerKind::Rto, key, timer_gen);
+                self.schedule(done + self.cfg.rto, TimerKind::RtoAfterEmit, key, timer_gen);
             }
         }
     }
@@ -806,7 +813,7 @@ impl SessionMux {
             f.rto_armed = true;
             let timer_gen = f.timer_gen;
             let deadline = p + self.cfg.rto;
-            self.schedule(deadline, TimerKind::Rto, key, timer_gen);
+            self.schedule(deadline, TimerKind::RtoAfterAck, key, timer_gen);
         } else {
             f.rto_armed = false;
         }
@@ -895,6 +902,8 @@ mod tests {
     use super::*;
     use crate::tcp::SEGMENT_LOSS_TARGET;
     use crate::traffic::{decode_segment, encode_segment};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// Delivers segments between muxes with a fixed one-way latency,
     /// interleaving wire arrivals and timers in deterministic
@@ -1064,5 +1073,49 @@ mod tests {
         };
         assert_eq!(run(8192), run(8192), "same history, same digest");
         assert_ne!(run(8192), run(16384), "different histories collide");
+    }
+
+    /// Seeded timers on every site, mostly in deadline order but with
+    /// ties and late deadlines, interleaved with firings: the mux fires
+    /// the same `(at, seq)` sequence as a binary heap would, and its
+    /// pending count agrees throughout. The timers name no live flow, so
+    /// each fires as a no-op.
+    #[test]
+    fn timer_streams_fire_like_a_heap() {
+        for seed in 0..16 {
+            let mut rng = enzian_sim::SimRng::seed_from(0x7135_0000 + seed);
+            let mut mux = pair(TcpStackConfig::fpga_coyote()).remove(0);
+            let mut heap = BinaryHeap::new();
+            let mut tails = [0u64; 4];
+            let mut late = 0;
+            let mut out = Vec::new();
+            for n in 0..4_000u32 {
+                if rng.next_below(3) > 0 {
+                    let site = rng.next_below(4) as usize;
+                    let at = match rng.next_below(8) {
+                        0 => tails[site],
+                        1 => tails[site].saturating_sub(rng.next_below(50)),
+                        _ => tails[site] + rng.next_below(20),
+                    };
+                    late += u64::from(at < tails[site]);
+                    tails[site] = tails[site].max(at);
+                    let key = FlowKey { slot: n, gen: 1 };
+                    mux.schedule(Time::from_ps(at), TimerKind::ALL[site], key, 0);
+                    heap.push(Reverse((at, mux.timer_seq)));
+                } else {
+                    let next = mux.next_timer().map(|(at, seq)| (at.as_ps(), seq));
+                    assert_eq!(next, heap.pop().map(|Reverse(k)| k), "seed {seed}");
+                    let fired = mux.fire_next_timer(&mut out).map(Time::as_ps);
+                    assert_eq!(fired, next.map(|(at, _)| at));
+                }
+                assert_eq!(mux.timers.len(), heap.len(), "seed {seed}");
+            }
+            assert!(late > 0, "seed {seed}: no late deadline");
+            while let Some(Reverse((at, seq))) = heap.pop() {
+                assert_eq!(mux.next_timer(), Some((Time::from_ps(at), seq)));
+                mux.fire_next_timer(&mut out);
+            }
+            assert!(mux.idle() && out.is_empty());
+        }
     }
 }

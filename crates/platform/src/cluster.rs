@@ -15,8 +15,7 @@
 //! follow-on work starts from), so there is no cross-board coherence
 //! state to maintain — every access observes the owner's current value.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use enzian_eci::bridge::{write_bridge, BridgeFrame, BridgeHeader, BridgeOpcode};
 use enzian_eci::link::fault_targets;
@@ -27,7 +26,8 @@ use enzian_net::eth::{EthLink, EthLinkConfig, FRAME_OVERHEAD_BYTES};
 use enzian_sim::channel::Transfer;
 use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::{
-    Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, SimRng, Time,
+    Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, SimRng,
+    SortedStreams, Time,
 };
 
 /// Identifies a board in the cluster.
@@ -368,7 +368,13 @@ pub(crate) struct FabricPort<const N: usize> {
     /// Outgoing channel per destination board (`None` for self).
     out: Vec<Option<Channel>>,
     flows: Vec<FlowStats>,
-    inbox: BinaryHeap<Reverse<Envelope<FabricFrame<N>>>>,
+    /// Delivered envelopes waiting for their turn, one stream per
+    /// source board. A channel carries one source's frames one after
+    /// another at a constant latency, so they arrive in the order of
+    /// their keys and are appended; a reply that filled an earlier gap
+    /// on its channel, a frame delayed by a fault and a loopback frame
+    /// can arrive out of that order and are placed by binary search.
+    inbox: SortedStreams<Envelope<FabricFrame<N>>>,
     /// Time of the work item the board is running: no send starts
     /// before it.
     now: Time,
@@ -396,7 +402,7 @@ impl<const N: usize> FabricPort<N> {
                 .map(|d| (d != id).then(|| Channel::new(cfg)))
                 .collect(),
             flows: vec![FlowStats::default(); n],
-            inbox: BinaryHeap::new(),
+            inbox: SortedStreams::new(n),
             now: Time::ZERO,
             seq: 0,
             frame: Vec::with_capacity(N),
@@ -501,7 +507,7 @@ impl<const N: usize> FabricPort<N> {
 
     /// Holds a delivered envelope until its key comes up.
     pub(crate) fn push_arrival(&mut self, env: Envelope<FabricFrame<N>>) {
-        self.inbox.push(Reverse(env));
+        self.inbox.push(env.src, env);
     }
 
     /// The earliest held envelope's work key: class 0, so deliveries
@@ -510,12 +516,12 @@ impl<const N: usize> FabricPort<N> {
     pub(crate) fn next_key(&self) -> Option<WorkKey> {
         self.inbox
             .peek()
-            .map(|Reverse(env)| (env.at, 0, env.src as u64, env.seq))
+            .map(|env| (env.at, 0, env.src as u64, env.seq))
     }
 
     /// Removes the earliest held envelope (which must exist).
     pub(crate) fn pop_arrival(&mut self) -> Envelope<FabricFrame<N>> {
-        self.inbox.pop().expect("inbox not empty").0
+        self.inbox.pop().expect("inbox not empty").1
     }
 
     /// `true` when no delivered envelope is waiting.
@@ -1314,6 +1320,72 @@ mod tests {
             for f in row {
                 assert_eq!(f.wire_bytes, f.payload_bytes + f.frames * BRIDGE_HEADER);
             }
+        }
+    }
+
+    /// Seeded arrivals from three source boards, each mostly in key
+    /// order with ties and late out-of-order frames, plus loopback
+    /// frames at arbitrary times, interleaved with pops: the port hands
+    /// out the same `next_key`/`pop_arrival` sequence as a binary heap
+    /// over `(at, src, seq)`.
+    #[test]
+    fn inbox_pops_like_a_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        for seed in 0..16 {
+            let mut rng = SimRng::seed_from(0x1B0C_0000 + seed);
+            let mut port = FabricPort::<LINE_FRAME_BYTES>::new(0, 4, &EthLinkConfig::hundred_gig());
+            let mut heap = BinaryHeap::new();
+            let mut tails = [0u64; 4];
+            let mut seqs = [0u64; 4];
+            let (mut late, mut looped) = (0, 0);
+            for _ in 0..3_000 {
+                match rng.next_below(8) {
+                    0..=3 => {
+                        let src = 1 + rng.next_below(3) as usize;
+                        let at = match rng.next_below(8) {
+                            0 => tails[src],
+                            1 => tails[src].saturating_sub(rng.next_below(40)),
+                            _ => tails[src] + rng.next_below(30),
+                        };
+                        late += u64::from(at < tails[src]);
+                        tails[src] = tails[src].max(at);
+                        seqs[src] += 1;
+                        let env = Envelope {
+                            at: Time::from_ps(at),
+                            src,
+                            seq: seqs[src],
+                            payload: FabricFrame::new(&[src as u8]),
+                        };
+                        heap.push(Reverse(env.key()));
+                        port.push_arrival(env);
+                    }
+                    4 => {
+                        looped += 1;
+                        let framed = port.frame(BridgeOpcode::WriteAck, 0, 0, 0, |_| {});
+                        let at = Time::from_ps(rng.next_below(tails.iter().max().unwrap() + 50));
+                        heap.push(Reverse((at, 0, framed.seq)));
+                        port.loop_back(framed, at);
+                    }
+                    _ => {
+                        let expect = heap.pop().map(|Reverse(k)| k);
+                        let next = port.next_key();
+                        assert_eq!(next, expect.map(|(at, src, seq)| (at, 0, src as u64, seq)));
+                        if next.is_some() {
+                            assert_eq!(Some(port.pop_arrival().key()), expect, "seed {seed}");
+                        }
+                    }
+                }
+                assert_eq!(port.inbox_is_empty(), heap.is_empty());
+            }
+            assert!(
+                late > 0 && looped > 0,
+                "seed {seed}: {late} late, {looped} looped"
+            );
+            while let Some(Reverse(expect)) = heap.pop() {
+                assert_eq!(port.pop_arrival().key(), expect, "seed {seed}");
+            }
+            assert!(port.inbox_is_empty());
         }
     }
 

@@ -25,6 +25,9 @@
 //!   timestamped [`Envelope`]s through per-shard mailboxes, with results that
 //!   are bit-identical for every thread count (and, for
 //!   [`KeyedShard`]s, to a sequential reference sweep),
+//! * [`streams`] — [`SortedStreams`], the priority queue of a fabric
+//!   port's inbox and a TCP mux's timers: one sorted stream per source,
+//!   since each source's items arrive almost always in key order,
 //! * [`digest`] — the [`Fnv`] digest every determinism check folds
 //!   final states into,
 //! * [`hash`] — the one Fx hash ([`FxBuildHasher`]) every map keyed by
@@ -56,6 +59,7 @@ pub mod par;
 pub mod reference;
 pub mod rng;
 pub mod stats;
+pub mod streams;
 pub mod telemetry;
 pub mod time;
 
@@ -74,5 +78,6 @@ pub use par::{
     WorkKey,
 };
 pub use rng::SimRng;
+pub use streams::{Keyed, SortedStreams};
 pub use telemetry::{Instrumented, MetricsRegistry, TraceEvent, TraceRing};
 pub use time::{Duration, Time};

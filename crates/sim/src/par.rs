@@ -10,7 +10,7 @@
 //! effect before `t + lookahead`, so every shard may safely advance
 //! `lookahead` ahead of its peers without risking a causality violation.
 //!
-//! This module implements the null-message/barrier hybrid the cluster
+//! This module implements the epoch-synchronous scheme the cluster
 //! uses:
 //!
 //! * every [`Shard`] (one board) is owned privately by one worker;
@@ -18,9 +18,15 @@
 //! * messages produced in epoch *k* carry timestamps `≥ (k+1)·lookahead`
 //!   (checked at send time) and are pushed into the receiving shard's
 //!   mailbox;
-//! * at each epoch edge a worker empties its shards' mailboxes and hands the
-//!   newly arrived envelopes to its shards, which process them strictly
-//!   in `(time, source shard, sequence)` order.
+//! * at the end of each epoch a worker publishes a report — how many of
+//!   its shards were active, how many envelopes they sent and the
+//!   earliest instant any of them could act next — and waits for every
+//!   peer's report of the same epoch. Every worker folds the same
+//!   reports into the same decision (stop, or which epoch to run next),
+//!   so no worker leads and nothing else is shared;
+//! * at each epoch start a worker empties its shards' mailboxes and hands
+//!   the newly arrived envelopes to its shards, which process them
+//!   strictly in `(time, source shard, sequence)` order.
 //!
 //! Because a shard's work inside an epoch depends only on its own state
 //! and its (deterministically ordered) inbox, the results are **bit
@@ -30,10 +36,14 @@
 //!
 //! # Deadlock freedom
 //!
-//! Each shard's mailbox is unbounded, so a send never blocks, and the
-//! epoch barrier is the only place a worker ever waits: no cycle of
-//! waiting workers can form. Memory stays bounded by one epoch's
-//! traffic, since every mailbox is emptied at the start of the next.
+//! Each shard's mailbox is unbounded, so a send never blocks (its lock
+//! is held only to move a vector), and the wait for the peers' reports
+//! of the current epoch is the only place a worker ever waits. Every
+//! worker publishes its own report before it waits, so no cycle of
+//! waiting workers can form. A worker that panics poisons the run,
+//! which releases every waiter so the run unwinds instead of hanging.
+//! Memory stays bounded by one epoch's traffic, since every mailbox is
+//! emptied at the start of the next.
 //!
 //! # Keyed shards
 //!
@@ -47,8 +57,10 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
 
+use crate::streams::Keyed;
 use crate::time::{Duration, Time};
 
 /// A timestamped message between shards.
@@ -72,6 +84,14 @@ impl<T> Envelope<T> {
     /// The deterministic merge key.
     pub fn key(&self) -> (Time, usize, u64) {
         (self.at, self.src, self.seq)
+    }
+}
+
+impl<T> Keyed for Envelope<T> {
+    type Key = (Time, usize, u64);
+
+    fn key(&self) -> (Time, usize, u64) {
+        Envelope::key(self)
     }
 }
 
@@ -128,7 +148,7 @@ pub trait Shard: Send {
 
     /// A conservative lower bound on the next instant at which this
     /// shard could do local work (earliest pending local event or held
-    /// inbound message); `None` when it has neither. The barrier leader
+    /// inbound message); `None` when it has neither. Every worker
     /// takes the global minimum over these bounds — together with the
     /// timestamps of every envelope sent this epoch — and jumps the next
     /// epoch forward to the window containing it, skipping the quiet
@@ -201,7 +221,7 @@ impl<S: KeyedShard> Shard for S {
 
     /// The earliest key. Awaited work has none, but its wake-up envelope
     /// is either held (covered here) or in flight (covered by the
-    /// engine's send-time fold), so the leader never jumps past it.
+    /// engine's send-time fold), so no worker jumps past it.
     fn next_activity(&self) -> Option<Time> {
         self.next_key().map(|k| k.0)
     }
@@ -214,7 +234,7 @@ impl<S: KeyedShard> Shard for S {
 pub struct ParReport {
     /// Epochs executed, including the final all-quiet epoch.
     pub epochs: u64,
-    /// Quiet epochs the adaptive-lookahead leader jumped over instead of
+    /// Quiet epochs the adaptive lookahead jumped over instead of
     /// executing (zero when every shard uses the default
     /// [`Shard::next_activity`]).
     pub epochs_skipped: u64,
@@ -222,152 +242,210 @@ pub struct ParReport {
     pub messages: u64,
 }
 
-/// The epoch barrier: workers arrive once per epoch; the last arrival
-/// runs a leader section (global quiescence accounting) before releasing
-/// the generation, so every worker observes the leader's decision on
-/// wake-up. A worker that panics poisons it, releasing every waiter for
-/// good so the run can unwind instead of hanging.
-struct EpochBarrier {
-    n: usize,
-    state: Mutex<BarrierState>,
-    generation: AtomicU64,
-    poisoned: AtomicBool,
-    release: Condvar,
+/// One worker's report of the epochs it has finished, alone on its cache
+/// lines so that publishing it never invalidates a peer's data.
+///
+/// A worker writes an epoch's `[active, sent, min-activity]` counts into
+/// the slot of the epoch's parity and then bumps `epochs`. Double
+/// buffering is enough: a worker writes the same slot again only two
+/// epochs later, after waiting for every peer's report of the epoch in
+/// between, which each peer publishes only once it has read this one.
+#[repr(align(128))]
+struct Report {
+    /// Epochs this worker has reported.
+    epochs: AtomicU64,
+    /// `[active shards, envelopes sent, least next activity in ps]` of
+    /// the last two reported epochs, indexed by epoch parity.
+    slots: [[AtomicU64; 3]; 2],
+    /// Set while the worker is parked, or about to park, waiting for a
+    /// peer's report.
+    parked: AtomicBool,
+    /// The worker's thread, for [`RunShared::publish`] to unpark.
+    thread: OnceLock<Thread>,
 }
 
-/// Why the barrier's lock is never poisoned: nothing panics while
-/// holding it, since the run's leader section only touches atomics.
-const BARRIER_LOCK: &str = "the barrier lock is never held across a panic";
-
-/// What the barrier's lock guards.
-struct BarrierState {
-    /// Workers arrived in the current generation.
-    arrived: usize,
-    /// Workers blocked on the condition variable. The leader notifies
-    /// only when one is, so a generation every worker spins through
-    /// costs no futex call.
-    parked: usize,
+/// Envelopes sent to one shard by other workers, taken at the start of
+/// the receiver's next epoch. `full` is set, under the lock, whenever
+/// envelopes are put in and cleared when they are taken, so a receiver
+/// never locks an empty mailbox.
+#[repr(align(128))]
+struct Mailbox<T> {
+    full: AtomicBool,
+    queue: Mutex<Vec<Envelope<T>>>,
 }
 
-impl EpochBarrier {
-    /// A barrier for `n` workers.
-    fn new(n: usize) -> Self {
-        EpochBarrier {
-            n,
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                parked: 0,
-            }),
-            generation: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-            release: Condvar::new(),
+/// Why a mailbox's lock is never poisoned: it is held only to move
+/// envelopes between vectors, which cannot panic.
+const MAILBOX_LOCK: &str = "a mailbox is locked only to move envelopes";
+
+impl<T> Mailbox<T> {
+    fn new() -> Self {
+        Mailbox {
+            full: AtomicBool::new(false),
+            queue: Mutex::new(Vec::new()),
         }
     }
 
-    /// Arrives at the barrier. The last worker to arrive runs `leader`
-    /// *before* anyone is released. Returns `false`, without waiting for
-    /// the others, once the barrier is poisoned.
-    fn wait(&self, leader: impl FnOnce()) -> bool {
-        let mut state = self.state.lock().expect(BARRIER_LOCK);
-        let gen = self.generation.load(Ordering::Acquire);
-        state.arrived += 1;
-        if state.arrived == self.n {
-            state.arrived = 0;
-            leader();
-            self.generation.fetch_add(1, Ordering::Release);
-            let parked = state.parked > 0;
-            drop(state);
-            if parked {
-                self.release.notify_all();
-            }
-            return true;
+    /// Moves every envelope of `outbox` into the mailbox, by swapping
+    /// the two vectors when the mailbox is empty.
+    fn put(&self, outbox: &mut Vec<Envelope<T>>) {
+        let mut queue = self.queue.lock().expect(MAILBOX_LOCK);
+        if queue.is_empty() {
+            std::mem::swap(&mut *queue, outbox);
+        } else {
+            queue.append(outbox);
         }
-        drop(state);
-        let released = || {
-            self.generation.load(Ordering::Acquire) != gen || self.poisoned.load(Ordering::Acquire)
-        };
-        // Short spin first: epochs are typically much shorter than a
-        // sleep/wake round trip. Yield early so an oversubscribed host
-        // (fewer cores than workers) makes progress instead of burning
-        // the peer's time slice.
+        self.full.store(true, Ordering::Release);
+    }
+
+    /// Moves every envelope in the mailbox to the end of `bucket`, by
+    /// swapping the two vectors when `bucket` is empty.
+    fn take(&self, bucket: &mut Vec<Envelope<T>>) {
+        if !self.full.load(Ordering::Acquire) {
+            return;
+        }
+        let mut queue = self.queue.lock().expect(MAILBOX_LOCK);
+        if bucket.is_empty() {
+            std::mem::swap(&mut *queue, bucket);
+        } else {
+            bucket.append(&mut queue);
+        }
+        self.full.store(false, Ordering::Relaxed);
+    }
+}
+
+/// Shared state of one conservative run: a mailbox per shard and a
+/// report per worker. Nothing else is shared, so every worker reaches
+/// the same decisions by folding the same reports itself.
+struct RunShared<T> {
+    mailboxes: Vec<Mailbox<T>>,
+    reports: Vec<Report>,
+    /// Set when a worker panics: its peers stop waiting for its report.
+    poisoned: AtomicBool,
+}
+
+impl<T> RunShared<T> {
+    fn new(shards: usize, workers: usize) -> Self {
+        RunShared {
+            mailboxes: (0..shards).map(|_| Mailbox::new()).collect(),
+            reports: (0..workers)
+                .map(|_| Report {
+                    epochs: AtomicU64::new(0),
+                    slots: Default::default(),
+                    parked: AtomicBool::new(false),
+                    thread: OnceLock::new(),
+                })
+                .collect(),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Publishes worker `me`'s counts for its epoch number `round`
+    /// (counting executed epochs from zero) and wakes every parked peer.
+    fn publish(&self, me: usize, round: u64, counts: [u64; 3]) {
+        let report = &self.reports[me];
+        for (slot, count) in report.slots[(round % 2) as usize].iter().zip(counts) {
+            slot.store(count, Ordering::Relaxed);
+        }
+        report.epochs.store(round + 1, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// Unparks every worker that is parked or about to park. Called
+    /// after a `SeqCst` store of what waiters wait for (a report or the
+    /// poison flag), this load of each `parked` flag pairs with the
+    /// waiter's `SeqCst` store of `parked` and load of that value in
+    /// [`RunShared::wait_for`]: either the waiter sees the store before
+    /// it parks, or this sees the waiter parked and unparks it.
+    fn wake(&self) {
+        for report in &self.reports {
+            if report.parked.load(Ordering::SeqCst) {
+                report
+                    .thread
+                    .get()
+                    .expect("a worker registers before it parks")
+                    .unpark();
+            }
+        }
+    }
+
+    /// Waits for every peer's report of epoch number `round`, then sums
+    /// `[active, sent]` and takes the least next activity over every
+    /// worker's report, `counts` being `me`'s own. `None` when a peer
+    /// panicked.
+    fn gather(&self, me: usize, round: u64, counts: [u64; 3]) -> Option<[u64; 3]> {
+        let [mut active, mut sent, mut min_ps] = counts;
+        for (w, peer) in self.reports.iter().enumerate() {
+            if w == me {
+                continue;
+            }
+            self.wait_for(me, peer, round + 1)?;
+            let slot = &peer.slots[(round % 2) as usize];
+            active += slot[0].load(Ordering::Relaxed);
+            sent += slot[1].load(Ordering::Relaxed);
+            min_ps = min_ps.min(slot[2].load(Ordering::Relaxed));
+        }
+        Some([active, sent, min_ps])
+    }
+
+    /// Waits until `peer` has reported `epochs` epochs: a short spin,
+    /// since epochs are typically much shorter than a sleep/wake round
+    /// trip, with early yields so that an oversubscribed host (fewer
+    /// cores than workers) runs the peer instead of the spinner, then
+    /// parks. `None` when a peer panicked.
+    fn wait_for(&self, me: usize, peer: &Report, epochs: u64) -> Option<()> {
+        let ready = || peer.epochs.load(Ordering::Acquire) >= epochs;
         for _ in 0..32 {
             for _ in 0..200 {
-                if released() {
-                    return !self.poisoned.load(Ordering::Acquire);
+                if ready() {
+                    return Some(());
                 }
                 std::hint::spin_loop();
             }
+            if self.poisoned.load(Ordering::Acquire) {
+                return None;
+            }
             std::thread::yield_now();
         }
-        // The leader bumps the generation (and a panicking worker sets
-        // the poison flag) under this lock and reads `parked` there, so
-        // a waiter that parks is either seen and notified or finds
-        // itself released before it sleeps: no wake-up is missed.
-        let mut state = self.state.lock().expect(BARRIER_LOCK);
-        state.parked += 1;
-        let mut state = self
-            .release
-            .wait_while(state, |_| !released())
-            .expect(BARRIER_LOCK);
-        state.parked -= 1;
-        drop(state);
-        !self.poisoned.load(Ordering::Acquire)
+        let report = &self.reports[me];
+        loop {
+            report.parked.store(true, Ordering::SeqCst);
+            let ready = peer.epochs.load(Ordering::SeqCst) >= epochs;
+            if ready || self.poisoned.load(Ordering::SeqCst) {
+                report.parked.store(false, Ordering::Relaxed);
+                return ready.then_some(());
+            }
+            std::thread::park();
+        }
     }
 
     /// Releases every current and future waiter for good.
     fn poison(&self) {
-        let _state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        self.poisoned.store(true, Ordering::Release);
-        self.generation.fetch_add(1, Ordering::Release);
-        self.release.notify_all();
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.wake();
     }
-}
-
-/// Shared state of one conservative run.
-struct RunShared<T> {
-    /// Envelopes sent to each shard by other workers, taken at the
-    /// start of the receiver's next epoch.
-    mailboxes: Vec<Mutex<Vec<Envelope<T>>>>,
-    barrier: EpochBarrier,
-    /// Shards that were active this epoch; swapped to zero by the
-    /// barrier leader.
-    active: AtomicU64,
-    /// Envelopes exchanged, cumulative; each worker adds its epoch's
-    /// count once, before the barrier.
-    messages: AtomicU64,
-    /// Minimum over every shard's [`Shard::next_activity`] and every
-    /// envelope timestamp sent this epoch, in picoseconds; each worker
-    /// folds its own minimum in once per epoch, and the barrier leader
-    /// resets it to `u64::MAX`. The happens-before edges of the barrier
-    /// make the relaxed `fetch_min`s visible to the leader.
-    next_min_ps: AtomicU64,
-    /// Leader's decision: the epoch index every worker executes next
-    /// (may jump past quiet epochs).
-    next_epoch: AtomicU64,
-    /// Quiet epochs jumped over, cumulative.
-    epochs_skipped: AtomicU64,
-    /// Leader's decision: the run is globally quiet, stop after this
-    /// epoch.
-    done: AtomicBool,
 }
 
 /// One worker's view: the contiguous range of shards it owns.
 struct Worker<'a, S: Shard> {
     shards: &'a mut [S],
+    /// This worker's index, which names its [`Report`].
+    index: usize,
     /// Global index of `shards[0]`.
     base: usize,
     /// Arrived-but-not-yet-delivered envelopes, per owned shard.
     stash: Vec<Vec<Envelope<S::Msg>>>,
     /// Envelopes for other workers' shards sent this epoch, per global
-    /// destination; appended to its mailbox in one lock at epoch end.
+    /// destination; put in its mailbox in one lock at epoch end.
     outbox: Vec<Vec<Envelope<S::Msg>>>,
 }
 
 impl<'a, S: Shard> Worker<'a, S> {
-    fn new(shards: &'a mut [S], base: usize, total: usize) -> Self {
+    fn new(shards: &'a mut [S], index: usize, base: usize, total: usize) -> Self {
         let stash = shards.iter().map(|_| Vec::new()).collect();
         Worker {
             shards,
+            index,
             base,
             stash,
             outbox: (0..total).map(|_| Vec::new()).collect(),
@@ -390,11 +468,16 @@ impl<'a, S: Shard> Worker<'a, S> {
         }
     }
 
-    /// Runs epochs until the leader declares global quiescence; returns
-    /// the number of epochs *executed* (jumped-over epochs excluded).
-    fn run(&mut self, shared: &RunShared<S::Msg>, lookahead: Duration) -> u64 {
+    /// Runs epochs until every report of one epoch is quiet, and returns
+    /// what the whole run did. Every worker folds the same reports, so
+    /// every worker returns the same report. A worker returns early,
+    /// with a partial report, when a peer panicked.
+    fn run(&mut self, shared: &RunShared<S::Msg>, lookahead: Duration) -> ParReport {
+        shared.reports[self.index]
+            .thread
+            .get_or_init(std::thread::current);
+        let mut report = ParReport::default();
         let mut epoch = 0u64;
-        let mut executed = 0u64;
         let mut out: Vec<(usize, Envelope<S::Msg>)> = Vec::new();
         let lookahead_ps = lookahead.as_ps();
         loop {
@@ -406,11 +489,12 @@ impl<'a, S: Shard> Worker<'a, S> {
             let mut active = 0u64;
             let mut messages = 0u64;
             let mut local_min = u64::MAX;
-            // Everything sent before the last barrier is here; anything a
-            // peer already sends in this epoch is timestamped at or after
-            // its end, so taking it now or next epoch is equally sound.
+            // Everything peers sent before reporting the last epoch is
+            // here; anything a peer already sends in this epoch is
+            // timestamped at or after its end, so taking it now or next
+            // epoch is equally sound.
             for (local, bucket) in self.stash.iter_mut().enumerate() {
-                bucket.append(&mut shared.mailboxes[self.base + local].lock().unwrap());
+                shared.mailboxes[self.base + local].take(bucket);
             }
             for local in 0..self.shards.len() {
                 let arrivals = &mut self.stash[local];
@@ -431,8 +515,8 @@ impl<'a, S: Shard> Worker<'a, S> {
                         window.end
                     );
                     // An in-flight envelope is future activity its
-                    // receiver cannot see yet; fold its timestamp so the
-                    // leader never jumps past it.
+                    // receiver cannot see yet; fold its timestamp so no
+                    // worker jumps past it.
                     local_min = local_min.min(env.at.as_ps());
                     self.send(dst, env);
                 }
@@ -449,51 +533,38 @@ impl<'a, S: Shard> Worker<'a, S> {
                 }
             }
             // Everything sent to another worker goes out before the
-            // barrier, so its receiver takes it at the next epoch start.
+            // report, so its receiver takes it at its next epoch start.
             for (dst, outbox) in self.outbox.iter_mut().enumerate() {
                 if !outbox.is_empty() {
-                    shared.mailboxes[dst]
-                        .lock()
-                        .expect("a mailbox is locked only to append to it")
-                        .append(outbox);
+                    shared.mailboxes[dst].put(outbox);
                 }
             }
-            if active > 0 {
-                shared.active.fetch_add(active, Ordering::AcqRel);
-            }
-            if messages > 0 {
-                shared.messages.fetch_add(messages, Ordering::Relaxed);
-            }
-            if local_min != u64::MAX {
-                shared.next_min_ps.fetch_min(local_min, Ordering::Relaxed);
-            }
-            let released = shared.barrier.wait(|| {
-                let quiet = shared.active.swap(0, Ordering::AcqRel) == 0;
-                shared.done.store(quiet, Ordering::Release);
-                // Adaptive lookahead: everything anyone could do next
-                // — local events, held messages, envelopes still in
-                // flight — lies at or beyond `min_ps`, so the epoch
-                // containing it is the next one worth executing.
-                // Window length never changes, only quiet windows are
-                // jumped, so the lookahead guarantee is untouched.
-                let min_ps = shared.next_min_ps.swap(u64::MAX, Ordering::AcqRel);
-                let jump = if min_ps == u64::MAX {
-                    epoch + 1
-                } else {
-                    (min_ps / lookahead_ps).max(epoch + 1)
-                };
-                shared
-                    .epochs_skipped
-                    .fetch_add(jump - (epoch + 1), Ordering::Relaxed);
-                shared.next_epoch.store(jump, Ordering::Release);
-            });
-            epoch = shared.next_epoch.load(Ordering::Acquire);
-            executed += 1;
-            // A poisoned barrier means a peer panicked; `run_conservative`
+            let counts = [active, messages, local_min];
+            shared.publish(self.index, report.epochs, counts);
+            // A poisoned run means a peer panicked; `run_conservative`
             // re-raises its panic.
-            if !released || shared.done.load(Ordering::Acquire) {
-                return executed;
+            let Some([active, messages, min_ps]) = shared.gather(self.index, report.epochs, counts)
+            else {
+                return report;
+            };
+            report.epochs += 1;
+            report.messages += messages;
+            // Adaptive lookahead: everything anyone could do next — local
+            // events, held messages, envelopes still in flight — lies at
+            // or beyond `min_ps`, so the epoch containing it is the next
+            // one worth executing. Window length never changes, only
+            // quiet windows are jumped, so the lookahead guarantee is
+            // untouched.
+            let jump = if min_ps == u64::MAX {
+                epoch + 1
+            } else {
+                (min_ps / lookahead_ps).max(epoch + 1)
+            };
+            report.epochs_skipped += jump - (epoch + 1);
+            if active == 0 {
+                return report;
             }
+            epoch = jump;
         }
     }
 }
@@ -518,62 +589,56 @@ pub fn run_conservative<S: Shard>(
     lookahead: Duration,
     threads: usize,
 ) -> ParReport {
+    let reports = run_workers(shards, lookahead, threads);
+    let report = reports.first().copied().unwrap_or_default();
+    assert!(
+        reports.iter().all(|r| *r == report),
+        "workers disagree on the run: {reports:?}"
+    );
+    report
+}
+
+/// [`run_conservative`]'s engine: the report each worker returns, in
+/// worker order (none for an empty shard list).
+fn run_workers<S: Shard>(shards: &mut [S], lookahead: Duration, threads: usize) -> Vec<ParReport> {
     assert!(lookahead > Duration::ZERO, "lookahead must be positive");
     assert!(threads > 0, "at least one worker required");
     if shards.is_empty() {
-        return ParReport::default();
+        return Vec::new();
     }
     let n = shards.len();
     let workers = threads.min(n);
-    let shared = RunShared {
-        mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-        barrier: EpochBarrier::new(workers),
-        active: AtomicU64::new(0),
-        messages: AtomicU64::new(0),
-        next_min_ps: AtomicU64::new(u64::MAX),
-        next_epoch: AtomicU64::new(0),
-        epochs_skipped: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-    };
-
-    let epochs = if workers == 1 {
-        Worker::new(shards, 0, n).run(&shared, lookahead)
-    } else {
-        // Contiguous partition: worker w owns shards [lo, hi). The split
-        // has no observable effect on results, only on load balance.
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let mut handles = Vec::with_capacity(workers);
-            let mut rest = shards;
-            let mut base = 0usize;
-            for w in 0..workers {
-                let take = (n - base).div_ceil(workers - w);
-                let (slice, tail) = rest.split_at_mut(take);
-                handles.push(scope.spawn(move || {
-                    // A panicking worker poisons the barrier, releasing its
-                    // peers so the run unwinds instead of hanging.
-                    panic::catch_unwind(AssertUnwindSafe(|| {
-                        Worker::new(slice, base, n).run(shared, lookahead)
-                    }))
-                    .inspect_err(|_| shared.barrier.poison())
-                }));
-                base += take;
-                rest = tail;
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().and_then(|run| run))
-                .collect::<std::thread::Result<Vec<u64>>>()
-        })
-        .unwrap_or_else(|payload| panic::resume_unwind(payload))
-        .into_iter()
-        .fold(0, u64::max)
-    };
-    ParReport {
-        epochs,
-        epochs_skipped: shared.epochs_skipped.load(Ordering::Acquire),
-        messages: shared.messages.load(Ordering::Acquire),
+    let shared = RunShared::new(n, workers);
+    if workers == 1 {
+        return vec![Worker::new(shards, 0, 0, n).run(&shared, lookahead)];
     }
+    // Contiguous partition: worker w owns shards [lo, hi). The split has
+    // no observable effect on results, only on load balance.
+    std::thread::scope(|scope| {
+        let shared = &shared;
+        let mut handles = Vec::with_capacity(workers);
+        let mut rest = shards;
+        let mut base = 0usize;
+        for w in 0..workers {
+            let take = (n - base).div_ceil(workers - w);
+            let (slice, tail) = rest.split_at_mut(take);
+            handles.push(scope.spawn(move || {
+                // A panicking worker poisons the run, releasing its peers
+                // so the run unwinds instead of hanging.
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    Worker::new(slice, w, base, n).run(shared, lookahead)
+                }))
+                .inspect_err(|_| shared.poison())
+            }));
+            base += take;
+            rest = tail;
+        }
+        handles
+            .into_iter()
+            .map(|h| h.join().and_then(|run| run))
+            .collect::<std::thread::Result<Vec<ParReport>>>()
+    })
+    .unwrap_or_else(|payload| panic::resume_unwind(payload))
 }
 
 /// Every shard's cached next key in an indexed binary min-heap on
@@ -839,7 +904,7 @@ mod tests {
     }
 
     /// A shard with widely spaced work and an honest [`Shard::next_activity`],
-    /// so the leader can jump quiet windows. Each due time sends one
+    /// so the run can jump quiet windows. Each due time sends one
     /// envelope to the peer; arrivals are logged in merge order.
     struct SparseShard {
         id: usize,
@@ -1116,10 +1181,18 @@ mod tests {
                 false
             }
         }
-        // At two threads the honest shard's worker waits at the barrier
-        // while the rogue's worker panics; the run must still return.
-        for (mut shards, threads) in [(vec![Rogue(true)], 1), (vec![Rogue(false), Rogue(true)], 2)]
-        {
+        // With more than one worker the honest shards' workers wait for
+        // the rogue's report while the rogue's worker panics, from before
+        // and after the rogue in worker order at three and four workers;
+        // the run must still return.
+        let rogue_at = |at: usize, n: usize| (0..n).map(|i| Rogue(i == at)).collect::<Vec<_>>();
+        for (mut shards, threads) in [
+            (rogue_at(0, 1), 1),
+            (rogue_at(1, 2), 2),
+            (rogue_at(1, 3), 3),
+            (rogue_at(2, 4), 4),
+            (rogue_at(1, 4), 4),
+        ] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_conservative(&mut shards, Duration::from_ns(1), threads)
             }));
@@ -1179,25 +1252,45 @@ mod tests {
         assert_eq!(keys, vec![(3, 1, 2), (3, 1, 7), (3, 2, 0), (5, 0, 1)]);
     }
 
+    /// Every worker folds the same reports, so every worker ends the
+    /// run with the same report, and that report does not depend on how
+    /// many workers share the shards.
     #[test]
-    fn barrier_leader_runs_before_release() {
-        let barrier = std::sync::Arc::new(EpochBarrier::new(3));
-        let flag = std::sync::Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let barrier = barrier.clone();
-            let flag = flag.clone();
-            handles.push(std::thread::spawn(move || {
-                assert!(barrier.wait(|| panic!("only the last arrival leads")));
-                flag.load(Ordering::Acquire)
-            }));
+    fn every_worker_reports_the_same_run() {
+        let spacing = Duration::from_ns(25);
+        let one = run_workers(&mut relays(5, spacing), Duration::from_ns(10), 1);
+        assert_eq!(one.len(), 1);
+        assert!(one[0].epochs > 0 && one[0].messages > 0, "{one:?}");
+        for threads in [2, 3, 4] {
+            let reports = run_workers(&mut relays(5, spacing), Duration::from_ns(10), threads);
+            assert_eq!(reports.len(), threads, "one report per worker");
+            assert!(
+                reports.iter().all(|r| *r == one[0]),
+                "threads={threads}: {reports:?} against {one:?}"
+            );
         }
-        // Give the two waiters a moment to arrive first (timing only
-        // affects which thread leads, never correctness).
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert!(barrier.wait(|| flag.store(42, Ordering::Release)));
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 42, "leader section visible on wake");
-        }
+        // Skipped epochs too: a ring of sparse shards jumps most windows.
+        let ring = || -> Vec<SparseShard> {
+            (0..3)
+                .map(|id| SparseShard {
+                    id,
+                    peer: (id + 1) % 3,
+                    times: (1..=4)
+                        .map(|i| Time::ZERO + Duration::from_us(3) * i)
+                        .collect(),
+                    seq: 0,
+                    latency: Duration::from_ns(10),
+                    log: Vec::new(),
+                    inbox: std::collections::BinaryHeap::new(),
+                })
+                .collect()
+        };
+        let one = run_workers(&mut ring(), Duration::from_ns(10), 1);
+        assert!(one[0].epochs_skipped > 1000, "{one:?}");
+        let three = run_workers(&mut ring(), Duration::from_ns(10), 3);
+        assert!(
+            three.iter().all(|r| *r == one[0]),
+            "{three:?} against {one:?}"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! and wire bytes), so a change to the frame bytes, their sequence
 //! numbers, their send times or the flow accounting moves a digest
 //! here. Each digest is checked on the sequential reference driver, and
-//! the parallel engine at one and two threads must match that report
+//! the parallel engine at one, two and three threads must match that report
 //! field for field.
 
 use enzian::platform::{
@@ -16,7 +16,7 @@ use enzian::platform::{
 
 const MIB: u64 = 1 << 20;
 
-const THREADS: [usize; 2] = [1, 2];
+const THREADS: [usize; 3] = [1, 2, 3];
 
 #[test]
 fn cluster_trace_digests_are_pinned() {
