@@ -164,7 +164,7 @@ fn run_one(e: &dyn Experiment, opts: &Opts) {
         reg: &mut reg,
         threads,
     });
-    println!("{}", e.render(&rows));
+    println!("{}", rows.text);
     for t in &rows.tables {
         export(&opts.csv, t.name, enzian_bench::to_csv(t.header, &t.rows));
     }

@@ -29,9 +29,13 @@
 //! * [`txn`] — the transaction layer of that engine: the async
 //!   issue/poll surface ([`TxnHandle`] and friends) and the MSHR-style
 //!   table that bounds and serializes concurrent transactions;
-//! * [`replay`] — sequence-numbered ack/replay (ARQ) protection that
-//!   turns the lossy physical lanes into an exactly-once, in-order frame
-//!   stream, recovering CRC failures and losses by NAK-driven replay;
+//! * [`replay`] — a functional go-back-N ack/replay (ARQ) model:
+//!   sealing, CRC check, gap NAK and replay of the whole tail. Only its
+//!   property tests run it. The timed link ([`EciLinks::send_faulty`])
+//!   instead resends just the faulted frame, after `replay_timeout` for
+//!   a drop or a one-propagation-delay NAK for a corruption, and does
+//!   not replay the frames behind it; one ARQ for both is an open
+//!   ROADMAP item;
 //! * [`checker`] — assertion checkers "generated from the specification":
 //!   they validate every observed transition and global invariant online;
 //! * [`explore`] — an exhaustive, canonicalized state-space explorer

@@ -23,13 +23,19 @@ use enzian_sim::{Channel, ChannelConfig, Duration, FaultPlan, Time};
 use crate::message::Message;
 
 /// Fault-plan targets the link layer presents injection opportunities
-/// for (see [`EciLinks::send_faulty`]).
+/// for (see [`EciLinks::send_faulty`]). The link models recovery as
+/// timing only: a faulted first transmission delays that one frame, and
+/// the frames behind it are not replayed. [`crate::replay`] is a
+/// separate functional go-back-N model that only its property tests
+/// run; making the link drive it is an open ROADMAP item.
 pub mod fault_targets {
-    /// The frame arrives with a bad CRC; the receiver NAKs and the
-    /// sender replays the frame from its retransmit buffer.
+    /// The frame's first transmission arrives damaged; the receiver
+    /// NAKs it, and the sender resends that frame one propagation delay
+    /// after the first copy finished.
     pub const FRAME_CORRUPT: &str = "eci.frame_corrupt";
-    /// The frame is lost in flight; the sender's replay timer expires
-    /// and the frame is retransmitted.
+    /// The frame's first transmission is lost in flight; no NAK comes
+    /// back, and the sender resends that frame `replay_timeout` after
+    /// the first copy finished.
     pub const FRAME_DROP: &str = "eci.frame_drop";
     /// A lane on an up link fails; the link retrains at half width and
     /// traffic falls back to its partner meanwhile.
@@ -441,9 +447,10 @@ impl EciLinks {
     /// [`send`](EciLinks::send) under a fault plan: presents one
     /// injection opportunity per frame for [`fault_targets::FRAME_DROP`]
     /// and [`fault_targets::FRAME_CORRUPT`] (a faulted first transmission
-    /// is replayed from the retransmit buffer — timer-triggered for a
-    /// loss, NAK-triggered for a CRC failure — so every frame is still
-    /// delivered exactly once, just later), plus one
+    /// is resent clean — after `replay_timeout` for a loss, after a
+    /// one-propagation-delay NAK for a corruption — so every frame is
+    /// still delivered exactly once, just later; the frames behind it
+    /// are not replayed), plus one
     /// [`fault_targets::LANE_FAIL`] opportunity per send while both links
     /// are up (the victim link retrains at half width; traffic falls back
     /// to its partner meanwhile).

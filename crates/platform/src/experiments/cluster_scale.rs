@@ -176,9 +176,9 @@ impl super::Experiment for Driver {
                 ]
             })
             .collect();
-        super::ExperimentRows::new(
-            rows,
-            vec![super::Table {
+        super::ExperimentRows {
+            text: render(&rows),
+            tables: vec![super::Table {
                 name: "cluster_scale",
                 header: &[
                     "boards",
@@ -193,11 +193,7 @@ impl super::Experiment for Driver {
                 ],
                 rows: csv,
             }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Vec<ClusterScaleRow>>())
+        }
     }
 }
 

@@ -230,9 +230,9 @@ impl super::Experiment for Driver {
                 ]
             })
             .collect();
-        super::ExperimentRows::new(
-            rows,
-            vec![super::Table {
+        super::ExperimentRows {
+            text: render(&rows),
+            tables: vec![super::Table {
                 name: "fault_sweep",
                 header: &[
                     "rate_bp",
@@ -245,11 +245,7 @@ impl super::Experiment for Driver {
                 ],
                 rows: csv,
             }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Vec<FaultSweepRow>>())
+        }
     }
 }
 

@@ -163,15 +163,6 @@ pub fn render(rows: &[Fig11Row], table1: &[Table1Row]) -> String {
     out
 }
 
-/// Both figure-11 panels: the throughput figure and Table 1's PMU rows.
-#[derive(Debug)]
-pub struct Fig11Rows {
-    /// Figure 11 proper.
-    pub figure: Vec<Fig11Row>,
-    /// Table 1 (PMU counters for the same modes).
-    pub table1: Vec<Table1Row>,
-}
-
 /// Registry adapter: figure 11 + Table 1 through the
 /// [`Experiment`](super::Experiment) trait.
 pub struct Driver;
@@ -205,9 +196,9 @@ impl super::Experiment for Driver {
                 ]
             })
             .collect();
-        super::ExperimentRows::new(
-            Fig11Rows { figure, table1 },
-            vec![
+        super::ExperimentRows {
+            text: render(&figure, &table1),
+            tables: vec![
                 super::Table {
                     name: "fig11",
                     header: &["mode", "cores", "gpixels_per_sec", "interconnect_gib"],
@@ -219,12 +210,7 @@ impl super::Experiment for Driver {
                     rows: t1_csv,
                 },
             ],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        let r = rows.downcast::<Fig11Rows>();
-        render(&r.figure, &r.table1)
+        }
     }
 }
 

@@ -178,18 +178,14 @@ impl super::Experiment for Driver {
             }
             csv.push(row);
         }
-        super::ExperimentRows::new(
-            result,
-            vec![super::Table {
+        super::ExperimentRows {
+            text: render(&result),
+            tables: vec![super::Table {
                 name: "fig12",
                 header: &["t_s", "fpga_w", "cpu_w", "dram0_w", "dram1_w"],
                 rows: csv,
             }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Fig12Result>())
+        }
     }
 }
 

@@ -176,18 +176,14 @@ impl super::Experiment for Driver {
                 ]
             })
             .collect();
-        super::ExperimentRows::new(
-            points,
-            vec![super::Table {
+        super::ExperimentRows {
+            text: render(&points),
+            tables: vec![super::Table {
                 name: "fig3",
                 header: &["platform", "bw_gib", "latency_us", "measured"],
                 rows,
             }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Vec<Fig3Point>>())
+        }
     }
 }
 

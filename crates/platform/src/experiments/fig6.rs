@@ -223,9 +223,14 @@ impl super::Experiment for Driver {
                 ]
             })
             .collect();
-        super::ExperimentRows::new(
-            rows,
-            vec![super::Table {
+        let (bw, lat) = ccpi_reference();
+        let mut text = render(&rows);
+        text.push_str(&format!(
+            "\nReference (2-socket ThunderX-1 CCPI, both links): {bw:.1} GiB/s, {lat:.0} ns\n"
+        ));
+        super::ExperimentRows {
+            text,
+            tables: vec![super::Table {
                 name: "fig6",
                 header: &[
                     "size_b",
@@ -240,16 +245,7 @@ impl super::Experiment for Driver {
                 ],
                 rows: csv,
             }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        let (bw, lat) = ccpi_reference();
-        let mut out = render(rows.downcast::<Vec<Fig6Row>>());
-        out.push_str(&format!(
-            "\nReference (2-socket ThunderX-1 CCPI, both links): {bw:.1} GiB/s, {lat:.0} ns\n"
-        ));
-        out
+        }
     }
 }
 

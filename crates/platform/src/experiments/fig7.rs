@@ -173,16 +173,6 @@ pub fn render(rows: &[Fig7Row]) -> String {
     )
 }
 
-/// Both figure-7 panels: the single-flow size sweep and the flow-scaling
-/// rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig7Rows {
-    /// Size sweep, Enzian vs Linux, one flow each.
-    pub single_flow: Vec<Fig7Row>,
-    /// Aggregate goodput of 1..=4 kernel flows vs one hardware flow.
-    pub multiflow: Vec<MultiflowRow>,
-}
-
 /// Registry adapter: figure 7 through the [`Experiment`](super::Experiment) trait.
 pub struct Driver;
 
@@ -210,12 +200,14 @@ impl super::Experiment for Driver {
             .iter()
             .map(|r| vec![r.label.clone(), r.gbps.to_string()])
             .collect();
-        super::ExperimentRows::new(
-            Fig7Rows {
-                single_flow,
-                multiflow,
-            },
-            vec![
+        let mut text = render(&single_flow);
+        text.push_str("\nFlow scaling (2 MiB per flow):\n");
+        for m in &multiflow {
+            text.push_str(&format!("  {:<10} {:>6.1} Gb/s\n", m.label, m.gbps));
+        }
+        super::ExperimentRows {
+            text,
+            tables: vec![
                 super::Table {
                     name: "fig7",
                     header: &[
@@ -233,17 +225,7 @@ impl super::Experiment for Driver {
                     rows: multi_csv,
                 },
             ],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        let r = rows.downcast::<Fig7Rows>();
-        let mut out = render(&r.single_flow);
-        out.push_str("\nFlow scaling (2 MiB per flow):\n");
-        for m in &r.multiflow {
-            out.push_str(&format!("  {:<10} {:>6.1} Gb/s\n", m.label, m.gbps));
         }
-        out
     }
 }
 

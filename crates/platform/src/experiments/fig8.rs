@@ -225,9 +225,9 @@ impl super::Experiment for Driver {
                 ]
             })
             .collect();
-        super::ExperimentRows::new(
-            rows,
-            vec![super::Table {
+        super::ExperimentRows {
+            text: render(&rows),
+            tables: vec![super::Table {
                 name: "fig8",
                 header: &[
                     "config",
@@ -239,11 +239,7 @@ impl super::Experiment for Driver {
                 ],
                 rows: csv,
             }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Vec<Fig8Row>>())
+        }
     }
 }
 

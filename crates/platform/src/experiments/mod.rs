@@ -9,9 +9,17 @@
 //! looks experiments up by name in [`registry`] instead of hard-coding
 //! one entry point per figure, and the Makefile's and CI's determinism
 //! lists name every registry entry (a root test holds them equal). Each
-//! module still exposes its typed `run_instrumented()` for tests; the
-//! module's `Driver` unit struct adapts it to the trait, carrying the
-//! CSV tables and the rendered text in an [`ExperimentRows`] bundle.
+//! module still exposes its typed `run_instrumented()` and `render()`
+//! for tests; the module's `Driver` adapts them to the trait, and its
+//! [`Experiment::run`] is the whole job: it returns the rendered text
+//! and the CSV tables in an [`ExperimentRows`] bundle. The typed rows
+//! never leave the module, so the trait has no second step that could
+//! be handed another experiment's bundle.
+//!
+//! `modelcheck` and `tcp_explore` share one row type, one check of each
+//! row's expected violation, one table and one `Driver`
+//! ([`model_sweep`]); each keeps only its own sweep, walk and
+//! assertions.
 
 pub mod cc_sweep;
 pub mod cluster_scale;
@@ -23,6 +31,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod model_sweep;
 pub mod modelcheck;
 pub mod pipelining;
 pub mod sched_hotpath;
@@ -55,42 +64,27 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
 }
 
-/// The result bundle of one [`Experiment::run`]: the driver's typed rows
-/// (behind `Any` so the trait stays object-safe) plus the CSV tables.
-/// The tables carry every exported field, so comparing two bundles'
-/// `tables` is as strong as comparing the typed rows directly — the
-/// thread-matrix determinism check relies on this.
+/// The result of one [`Experiment::run`]: the rendered series, as
+/// `reproduce` prints them, and the CSV tables. The tables carry every
+/// exported field, so comparing two bundles' `tables` is as strong as
+/// comparing the typed rows directly — the thread-matrix determinism
+/// check relies on this.
 pub struct ExperimentRows {
-    rows: Box<dyn std::any::Any + Send>,
+    /// The paper's series, rendered.
+    pub text: String,
     /// CSV panels, in export order.
     pub tables: Vec<Table>,
 }
 
-impl ExperimentRows {
-    /// Bundles typed rows with their CSV tables.
-    pub fn new<R: std::any::Any + Send>(rows: R, tables: Vec<Table>) -> Self {
-        Self {
-            rows: Box::new(rows),
-            tables,
-        }
-    }
-
-    /// Recovers the typed rows; panics if `R` is not the type the
-    /// experiment's `run()` stored (a bug in the caller, not data).
-    pub fn downcast<R: std::any::Any>(&self) -> &R {
-        self.rows
-            .downcast_ref()
-            .expect("ExperimentRows downcast to a type the experiment did not produce")
-    }
-}
-
 /// One table or figure of the evaluation, dispatchable by name.
 ///
-/// Implementations are unit structs (`fig3::Driver`, …) listed in
-/// [`registry`]. `run()` must keep every exported observable (rows,
-/// tables, registry metrics) independent of `ctx.threads` and of wall
-/// clock: the BENCH JSON contract is byte-identical output for every
-/// thread count, which CI enforces.
+/// Implementations are unit structs (`fig3::Driver`, …) and the two
+/// model-check sweeps' `DRIVER`s, listed in [`registry`]. `run()` must
+/// keep every exported observable (tables, registry metrics)
+/// independent of `ctx.threads` and of wall clock: the BENCH JSON
+/// contract is byte-identical output for every thread count, which CI
+/// enforces. Only the rendered text may show a wall-clock figure
+/// (`sched_hotpath`'s Mev/s column).
 pub trait Experiment: Sync {
     /// Selector name (`reproduce <name>`, `BENCH_<name>.json`).
     fn name(&self) -> &'static str;
@@ -101,11 +95,9 @@ pub trait Experiment: Sync {
         false
     }
 
-    /// Runs the experiment, publishing telemetry into `ctx.reg`.
+    /// Runs the experiment, publishing telemetry into `ctx.reg`, and
+    /// returns its rendered series and CSV tables.
     fn run(&self, ctx: &mut ExperimentCtx<'_>) -> ExperimentRows;
-
-    /// Renders the paper's series from a bundle produced by `run`.
-    fn render(&self, rows: &ExperimentRows) -> String;
 }
 
 /// Every experiment, in the order `reproduce all` executes them.
@@ -121,8 +113,8 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
         &fault_sweep::Driver,
         &cc_sweep::Driver,
         &pipelining::Driver,
-        &modelcheck::Driver,
-        &tcp_explore::Driver,
+        &modelcheck::DRIVER,
+        &tcp_explore::DRIVER,
         &cluster_scale::Driver,
         &sched_hotpath::Driver,
         &service::Driver,

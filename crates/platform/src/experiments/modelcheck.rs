@@ -14,34 +14,22 @@
 //! so two runs render byte-identical `BENCH_modelcheck.json` files —
 //! which CI asserts with a byte compare.
 
-use enzian_eci::{ExploreConfig, Explorer, ALL_MUTATIONS};
+use enzian_eci::{ExploreConfig, ExploreOutcome, Explorer, ALL_MUTATIONS};
 use enzian_sim::MetricsRegistry;
+
+pub use super::model_sweep::ModelCheckRow;
+
+/// The sweep through the [`Experiment`](super::Experiment) trait.
+pub static DRIVER: super::model_sweep::Driver = super::model_sweep::Driver {
+    name: "modelcheck",
+    title: "Model check — exhaustive ECI protocol exploration + mutation self-test (§4.6)",
+    run: run_instrumented,
+};
 
 /// Seed for the random-walk row (any value works; fixed for CI).
 const WALK_SEED: u64 = 7;
 /// Steps of the random-walk row.
 const WALK_STEPS: u64 = 4_000;
-
-/// One configuration's exploration result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelCheckRow {
-    /// Human-facing configuration label.
-    pub name: String,
-    /// `"exhaustive"` or `"walk"`.
-    pub mode: &'static str,
-    /// Distinct canonical states visited.
-    pub states: u64,
-    /// Transitions taken.
-    pub transitions: u64,
-    /// BFS frontier high-water mark (or walk depth).
-    pub frontier_peak: u64,
-    /// Depth of the deepest state reached.
-    pub max_depth: u64,
-    /// The invariant that broke, if any (mutation rows only).
-    pub violation: Option<String>,
-    /// Whether this row injected a bug and so *must* report one.
-    pub expect_violation: bool,
-}
 
 /// The sweep: clean configurations that must explore violation-free,
 /// then the mutation battery that must trip.
@@ -90,8 +78,7 @@ pub fn run() -> Vec<ModelCheckRow> {
 }
 
 /// [`run`], publishing each row's deterministic search statistics into
-/// `reg` under `modelcheck.*`. (States-per-second and other wall-clock
-/// figures deliberately never enter the registry.)
+/// `reg` under `modelcheck.*`.
 pub fn run_instrumented(reg: &mut MetricsRegistry) -> Vec<ModelCheckRow> {
     let mut rows = Vec::new();
     for (name, cfg, expect_violation) in sweep() {
@@ -112,27 +99,7 @@ pub fn run_instrumented(reg: &mut MetricsRegistry) -> Vec<ModelCheckRow> {
         outcome,
     ));
 
-    for r in &rows {
-        match (&r.violation, r.expect_violation) {
-            (Some(v), false) => panic!("{}: unexpected violation: {v}", r.name),
-            (None, true) => panic!("{}: injected bug was not caught", r.name),
-            _ => {}
-        }
-        let base = format!("modelcheck.{}", super::metric_slug(&r.name));
-        reg.counter_set(&format!("{base}.states"), r.states);
-        reg.counter_set(&format!("{base}.transitions"), r.transitions);
-        reg.counter_set(&format!("{base}.frontier_peak"), r.frontier_peak);
-        reg.counter_set(&format!("{base}.max_depth"), r.max_depth);
-        reg.counter_set(
-            &format!("{base}.violation"),
-            u64::from(r.violation.is_some()),
-        );
-    }
-    reg.counter_set("modelcheck.configs", rows.len() as u64);
-    reg.counter_set(
-        "modelcheck.mutations_caught",
-        rows.iter().filter(|r| r.violation.is_some()).count() as u64,
-    );
+    DRIVER.publish(&rows, reg);
     rows
 }
 
@@ -140,15 +107,12 @@ fn row(
     name: String,
     mode: &'static str,
     expect_violation: bool,
-    outcome: enzian_eci::ExploreOutcome,
+    outcome: ExploreOutcome,
 ) -> ModelCheckRow {
     ModelCheckRow {
         name,
         mode,
-        states: outcome.stats.states,
-        transitions: outcome.stats.transitions,
-        frontier_peak: outcome.stats.frontier_peak,
-        max_depth: outcome.stats.max_depth,
+        stats: outcome.stats,
         violation: outcome.violation.map(|v| v.kind.to_string()),
         expect_violation,
     }
@@ -156,79 +120,7 @@ fn row(
 
 /// Renders the sweep as a table.
 pub fn render(rows: &[ModelCheckRow]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.mode.to_string(),
-                r.states.to_string(),
-                r.transitions.to_string(),
-                r.max_depth.to_string(),
-                r.violation.clone().unwrap_or_else(|| "-".into()),
-            ]
-        })
-        .collect();
-    super::render_table(
-        "Model check — exhaustive ECI protocol exploration + mutation self-test (§4.6)",
-        &[
-            "configuration",
-            "mode",
-            "states",
-            "transitions",
-            "depth",
-            "violation",
-        ],
-        &table_rows,
-    )
-}
-
-/// Registry adapter: the model checker through the
-/// [`Experiment`](super::Experiment) trait.
-pub struct Driver;
-
-impl super::Experiment for Driver {
-    fn name(&self) -> &'static str {
-        "modelcheck"
-    }
-
-    fn run(&self, ctx: &mut super::ExperimentCtx<'_>) -> super::ExperimentRows {
-        let rows = run_instrumented(ctx.reg);
-        let csv = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    r.mode.to_string(),
-                    r.states.to_string(),
-                    r.transitions.to_string(),
-                    r.frontier_peak.to_string(),
-                    r.max_depth.to_string(),
-                    r.violation.clone().unwrap_or_default(),
-                ]
-            })
-            .collect();
-        super::ExperimentRows::new(
-            rows,
-            vec![super::Table {
-                name: "modelcheck",
-                header: &[
-                    "configuration",
-                    "mode",
-                    "states",
-                    "transitions",
-                    "frontier_peak",
-                    "max_depth",
-                    "violation",
-                ],
-                rows: csv,
-            }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Vec<ModelCheckRow>>())
-    }
+    DRIVER.render(rows)
 }
 
 #[cfg(test)]
@@ -242,11 +134,11 @@ mod tests {
         assert_eq!(rows.len(), 9);
         for r in &rows {
             assert_eq!(r.violation.is_some(), r.expect_violation, "{}", r.name);
-            assert!(r.states > 0 && r.transitions > 0, "{}", r.name);
+            assert!(r.stats.states > 0 && r.stats.transitions > 0, "{}", r.name);
         }
         // The exhaustive spaces have known sizes; pin the smallest so a
         // silently shrunken search can't masquerade as a clean one.
-        assert!(rows[0].states > 500, "2-agent space collapsed");
+        assert!(rows[0].stats.states > 500, "2-agent space collapsed");
         let caught: Vec<_> = rows.iter().filter_map(|r| r.violation.as_deref()).collect();
         assert!(caught.contains(&"SWMR invariant"));
         assert!(caught.contains(&"data-value invariant"));

@@ -405,18 +405,14 @@ impl super::Experiment for Driver {
                 ]
             })
             .collect();
-        super::ExperimentRows::new(
-            rows,
-            vec![super::Table {
+        super::ExperimentRows {
+            text: render(&rows),
+            tables: vec![super::Table {
                 name: "sched_hotpath",
                 header: &["leg", "events", "digest", "allocs"],
                 rows: csv,
             }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Vec<SchedHotpathRow>>())
+        }
     }
 }
 

@@ -20,38 +20,27 @@
 //! so two runs render byte-identical `BENCH_tcp_explore.json` files —
 //! which CI asserts with a byte compare.
 
-use enzian_net::tcp::{TcpModel, TcpModelConfig, ALL_TCP_MUTATIONS};
+use enzian_net::tcp::{TcpModel, TcpModelConfig, TcpViolationKind, ALL_TCP_MUTATIONS};
+use enzian_sim::explore::SearchOutcome;
 use enzian_sim::MetricsRegistry;
+
+pub use super::model_sweep::ModelCheckRow;
+
+/// The sweep through the [`Experiment`](super::Experiment) trait.
+pub static DRIVER: super::model_sweep::Driver = super::model_sweep::Driver {
+    name: "tcp_explore",
+    title: "TCP model check — bounded exploration of the connection FSM + mutation self-test",
+    run: run_instrumented,
+};
 
 /// Seed for the random-walk row (any value works; fixed for CI).
 const WALK_SEED: u64 = 7;
 /// Steps of the random-walk row.
 const WALK_STEPS: u64 = 4_000;
 
-/// The ISSUE's acceptance bar: the primary clean configuration must
-/// exhaust a space of at least this many states with zero violations.
+/// The acceptance bar: the primary clean configuration must exhaust a
+/// space of at least this many states with zero violations.
 const MIN_CLEAN_STATES: u64 = 10_000;
-
-/// One configuration's exploration result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpExploreRow {
-    /// Human-facing configuration label.
-    pub name: String,
-    /// `"exhaustive"` or `"walk"`.
-    pub mode: &'static str,
-    /// Distinct canonical states visited.
-    pub states: u64,
-    /// Transitions taken.
-    pub transitions: u64,
-    /// BFS frontier high-water mark (or walk depth).
-    pub frontier_peak: u64,
-    /// Depth of the deepest state reached.
-    pub max_depth: u64,
-    /// The invariant that broke, if any (mutation rows only).
-    pub violation: Option<String>,
-    /// Whether this row injected a bug and so *must* report one.
-    pub expect_violation: bool,
-}
 
 /// The sweep: clean configurations that must explore violation-free,
 /// then the mutation battery that must trip.
@@ -91,14 +80,13 @@ fn sweep() -> Vec<(String, TcpModelConfig, bool)> {
 /// fails to, an exploration hits its state budget, or the primary clean
 /// space shrinks below the 10⁴-state acceptance bar — each of those is
 /// a protocol (or checker) bug this experiment exists to surface.
-pub fn run() -> Vec<TcpExploreRow> {
+pub fn run() -> Vec<ModelCheckRow> {
     run_instrumented(&mut MetricsRegistry::new())
 }
 
 /// [`run`], publishing each row's deterministic search statistics into
-/// `reg` under `tcp_explore.*`. (States-per-second and other wall-clock
-/// figures deliberately never enter the registry.)
-pub fn run_instrumented(reg: &mut MetricsRegistry) -> Vec<TcpExploreRow> {
+/// `reg` under `tcp_explore.*`.
+pub fn run_instrumented(reg: &mut MetricsRegistry) -> Vec<ModelCheckRow> {
     let mut rows = Vec::new();
     for (name, cfg, expect_violation) in sweep() {
         let outcome = TcpModel::new(cfg)
@@ -120,31 +108,11 @@ pub fn run_instrumented(reg: &mut MetricsRegistry) -> Vec<TcpExploreRow> {
     ));
 
     assert!(
-        rows[0].states >= MIN_CLEAN_STATES,
+        rows[0].stats.states >= MIN_CLEAN_STATES,
         "the one-way space collapsed to {} states (bar: {MIN_CLEAN_STATES})",
-        rows[0].states
+        rows[0].stats.states
     );
-    for r in &rows {
-        match (&r.violation, r.expect_violation) {
-            (Some(v), false) => panic!("{}: unexpected violation: {v}", r.name),
-            (None, true) => panic!("{}: injected bug was not caught", r.name),
-            _ => {}
-        }
-        let base = format!("tcp_explore.{}", super::metric_slug(&r.name));
-        reg.counter_set(&format!("{base}.states"), r.states);
-        reg.counter_set(&format!("{base}.transitions"), r.transitions);
-        reg.counter_set(&format!("{base}.frontier_peak"), r.frontier_peak);
-        reg.counter_set(&format!("{base}.max_depth"), r.max_depth);
-        reg.counter_set(
-            &format!("{base}.violation"),
-            u64::from(r.violation.is_some()),
-        );
-    }
-    reg.counter_set("tcp_explore.configs", rows.len() as u64);
-    reg.counter_set(
-        "tcp_explore.mutations_caught",
-        rows.iter().filter(|r| r.violation.is_some()).count() as u64,
-    );
+    DRIVER.publish(&rows, reg);
     rows
 }
 
@@ -152,95 +120,20 @@ fn row(
     name: String,
     mode: &'static str,
     expect_violation: bool,
-    outcome: enzian_sim::explore::SearchOutcome<enzian_net::tcp::TcpViolationKind>,
-) -> TcpExploreRow {
-    TcpExploreRow {
+    outcome: SearchOutcome<TcpViolationKind>,
+) -> ModelCheckRow {
+    ModelCheckRow {
         name,
         mode,
-        states: outcome.stats.states,
-        transitions: outcome.stats.transitions,
-        frontier_peak: outcome.stats.frontier_peak,
-        max_depth: outcome.stats.max_depth,
+        stats: outcome.stats,
         violation: outcome.violation.map(|c| c.violation.to_string()),
         expect_violation,
     }
 }
 
 /// Renders the sweep as a table.
-pub fn render(rows: &[TcpExploreRow]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.mode.to_string(),
-                r.states.to_string(),
-                r.transitions.to_string(),
-                r.max_depth.to_string(),
-                r.violation.clone().unwrap_or_else(|| "-".into()),
-            ]
-        })
-        .collect();
-    super::render_table(
-        "TCP model check — bounded exploration of the connection FSM + mutation self-test",
-        &[
-            "configuration",
-            "mode",
-            "states",
-            "transitions",
-            "depth",
-            "violation",
-        ],
-        &table_rows,
-    )
-}
-
-/// Registry adapter: the TCP model checker through the
-/// [`Experiment`](super::Experiment) trait.
-pub struct Driver;
-
-impl super::Experiment for Driver {
-    fn name(&self) -> &'static str {
-        "tcp_explore"
-    }
-
-    fn run(&self, ctx: &mut super::ExperimentCtx<'_>) -> super::ExperimentRows {
-        let rows = run_instrumented(ctx.reg);
-        let csv = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    r.mode.to_string(),
-                    r.states.to_string(),
-                    r.transitions.to_string(),
-                    r.frontier_peak.to_string(),
-                    r.max_depth.to_string(),
-                    r.violation.clone().unwrap_or_default(),
-                ]
-            })
-            .collect();
-        super::ExperimentRows::new(
-            rows,
-            vec![super::Table {
-                name: "tcp_explore",
-                header: &[
-                    "configuration",
-                    "mode",
-                    "states",
-                    "transitions",
-                    "frontier_peak",
-                    "max_depth",
-                    "violation",
-                ],
-                rows: csv,
-            }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Vec<TcpExploreRow>>())
-    }
+pub fn render(rows: &[ModelCheckRow]) -> String {
+    DRIVER.render(rows)
 }
 
 #[cfg(test)]

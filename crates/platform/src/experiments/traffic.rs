@@ -290,9 +290,9 @@ impl super::Experiment for Driver {
                 ]
             })
             .collect();
-        super::ExperimentRows::new(
-            rows,
-            vec![super::Table {
+        super::ExperimentRows {
+            text: render(&rows),
+            tables: vec![super::Table {
                 name: "traffic",
                 header: &[
                     "leg",
@@ -313,11 +313,7 @@ impl super::Experiment for Driver {
                 ],
                 rows: csv,
             }],
-        )
-    }
-
-    fn render(&self, rows: &super::ExperimentRows) -> String {
-        render(rows.downcast::<Vec<TrafficRow>>())
+        }
     }
 }
 

@@ -37,8 +37,8 @@ fn find_round_trips_every_name() {
 }
 
 /// The trait contract on a real (cheap) experiment: tables are
-/// rectangular against their headers, and render consumes the bundle
-/// run produced.
+/// rectangular against their headers, and run returns the rendered
+/// text.
 #[test]
 fn fig3_runs_through_the_trait_with_rectangular_tables() {
     let e = experiments::find("fig3").unwrap();
@@ -55,8 +55,7 @@ fn fig3_runs_through_the_trait_with_rectangular_tables() {
     for row in &t.rows {
         assert_eq!(row.len(), t.header.len(), "ragged row in {}", t.name);
     }
-    let rendered = e.render(&rows);
-    assert!(rendered.contains("Fig. 3"), "render lost the title");
+    assert!(rows.text.contains("Fig. 3"), "run lost the title");
     assert!(
         reg.export_json().contains("fig3.sim_time_ps"),
         "run did not publish the standard header counters"

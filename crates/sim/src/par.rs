@@ -572,8 +572,10 @@ impl<'a, S: Shard> Worker<'a, S> {
 /// Runs `shards` conservatively to global quiescence and reports what
 /// happened. The shards are advanced in place; inspect them afterwards
 /// for results. `lookahead` is the minimum cross-shard message latency
-/// and the length of every epoch; `threads` workers share the shards,
-/// and `1` executes the identical epoch algorithm on the calling thread.
+/// and the length of every epoch; `threads` workers share the shards.
+/// The calling thread is worker 0 and `threads - 1` spawned threads run
+/// the rest, so `1` executes the identical epoch algorithm on the
+/// calling thread alone.
 ///
 /// The run is bit-identical for every `threads` value and for the
 /// number of shards per worker: inside an epoch each shard depends only
@@ -608,129 +610,37 @@ fn run_workers<S: Shard>(shards: &mut [S], lookahead: Duration, threads: usize) 
     }
     let n = shards.len();
     let workers = threads.min(n);
-    let shared = RunShared::new(n, workers);
-    if workers == 1 {
-        return vec![Worker::new(shards, 0, 0, n).run(&shared, lookahead)];
-    }
+    let shared = &RunShared::new(n, workers);
+    // A panicking worker poisons the run, releasing its peers so the run
+    // unwinds instead of hanging.
+    let work = |slice: &mut [S], w: usize, base: usize| {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            Worker::new(slice, w, base, n).run(shared, lookahead)
+        }))
+        .inspect_err(|_| shared.poison())
+    };
     // Contiguous partition: worker w owns shards [lo, hi). The split has
-    // no observable effect on results, only on load balance.
+    // no observable effect on results, only on load balance. The calling
+    // thread is worker 0; the scope joins the spawned peers before a
+    // worker's panic is re-raised.
     std::thread::scope(|scope| {
-        let shared = &shared;
-        let mut handles = Vec::with_capacity(workers);
-        let mut rest = shards;
-        let mut base = 0usize;
-        for w in 0..workers {
+        let (mut rest, mut base) = (shards, 0);
+        let mut parts = (0..workers).map(|w| {
             let take = (n - base).div_ceil(workers - w);
-            let (slice, tail) = rest.split_at_mut(take);
-            handles.push(scope.spawn(move || {
-                // A panicking worker poisons the run, releasing its peers
-                // so the run unwinds instead of hanging.
-                panic::catch_unwind(AssertUnwindSafe(|| {
-                    Worker::new(slice, w, base, n).run(shared, lookahead)
-                }))
-                .inspect_err(|_| shared.poison())
-            }));
-            base += take;
+            let (slice, tail) = std::mem::take(&mut rest).split_at_mut(take);
             rest = tail;
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().and_then(|run| run))
+            base += take;
+            (slice, w, base - take)
+        });
+        let (own, _, _) = parts.next().expect("at least one worker");
+        let peers: Vec<_> = parts
+            .map(|(slice, w, lo)| scope.spawn(move || work(slice, w, lo)))
+            .collect();
+        std::iter::once(work(own, 0, 0))
+            .chain(peers.into_iter().map(|h| h.join().and_then(|run| run)))
             .collect::<std::thread::Result<Vec<ParReport>>>()
     })
     .unwrap_or_else(|payload| panic::resume_unwind(payload))
-}
-
-/// Every shard's cached next key in an indexed binary min-heap on
-/// `(key, shard)`: the root is the reference sweep's earliest item, and
-/// re-keying one shard costs O(log shards). A shard without a key is
-/// not in the heap.
-struct KeyHeap {
-    heap: Vec<(WorkKey, usize)>,
-    /// Each shard's index in `heap`, or [`KeyHeap::ABSENT`].
-    pos: Vec<usize>,
-}
-
-impl KeyHeap {
-    const ABSENT: usize = usize::MAX;
-
-    fn new(shards: usize) -> Self {
-        KeyHeap {
-            heap: Vec::with_capacity(shards),
-            pos: vec![Self::ABSENT; shards],
-        }
-    }
-
-    /// The earliest `(key, shard)`.
-    fn min(&self) -> Option<(WorkKey, usize)> {
-        self.heap.first().copied()
-    }
-
-    /// Sets `shard`'s key.
-    fn set(&mut self, shard: usize, key: Option<WorkKey>) {
-        let at = self.pos[shard];
-        match key {
-            Some(key) if at == Self::ABSENT => {
-                self.heap.push((key, shard));
-                self.pos[shard] = self.heap.len() - 1;
-                self.sift_up(self.heap.len() - 1);
-            }
-            Some(key) => {
-                self.heap[at].0 = key;
-                self.fix(at);
-            }
-            None if at == Self::ABSENT => {}
-            None => {
-                self.pos[shard] = Self::ABSENT;
-                let last = self.heap.pop().expect("a keyed shard is in the heap");
-                if at < self.heap.len() {
-                    self.heap[at] = last;
-                    self.pos[last.1] = at;
-                    self.fix(at);
-                }
-            }
-        }
-    }
-
-    /// Restores the heap order around an entry whose key changed.
-    fn fix(&mut self, at: usize) {
-        let at = self.sift_up(at);
-        self.sift_down(at);
-    }
-
-    fn sift_up(&mut self, mut at: usize) -> usize {
-        while at > 0 {
-            let parent = (at - 1) / 2;
-            if self.heap[parent] <= self.heap[at] {
-                break;
-            }
-            self.swap(at, parent);
-            at = parent;
-        }
-        at
-    }
-
-    fn sift_down(&mut self, mut at: usize) {
-        loop {
-            let left = 2 * at + 1;
-            let Some(&l) = self.heap.get(left) else { break };
-            let child = match self.heap.get(left + 1) {
-                Some(&r) if r < l => left + 1,
-                _ => left,
-            };
-            if self.heap[at] <= self.heap[child] {
-                break;
-            }
-            self.swap(at, child);
-            at = child;
-        }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a].1] = a;
-        self.pos[self.heap[b].1] = b;
-    }
 }
 
 /// The sequential reference engine: one global clock repeatedly runs
@@ -741,22 +651,32 @@ impl KeyHeap {
 /// validates the lookahead/epoch machinery.
 ///
 /// Only running an item and holding an arrival change a shard, so the
-/// sweep keeps every shard's key in an indexed min-heap and asks again
-/// only the shard that ran and the shards it delivered to.
+/// sweep caches every shard's key, scans the cache for the earliest
+/// `(key, shard)` and asks again only the shard that ran and the shards
+/// it delivered to.
 pub fn run_sequential<S: KeyedShard>(shards: &mut [S]) -> ParReport {
     let mut messages = 0;
     let mut out = Vec::new();
-    let mut keys = KeyHeap::new(shards.len());
-    for (i, s) in shards.iter().enumerate() {
-        keys.set(i, s.next_key());
-    }
-    while let Some((key, i)) = keys.min() {
+    let mut keys: Vec<Option<WorkKey>> = shards.iter().map(|s| s.next_key()).collect();
+    // The first shard holding the least key: ties go to the lower index.
+    let earliest = |keys: &[Option<WorkKey>]| {
+        let mut min: Option<(WorkKey, usize)> = None;
+        for (i, &key) in keys.iter().enumerate() {
+            if let Some(key) = key {
+                if min.is_none_or(|(least, _)| key < least) {
+                    min = Some((key, i));
+                }
+            }
+        }
+        min
+    };
+    while let Some((key, i)) = earliest(&keys) {
         shards[i].process_next(key, &mut out);
-        keys.set(i, shards[i].next_key());
+        keys[i] = shards[i].next_key();
         messages += out.len() as u64;
         for (dst, env) in out.drain(..) {
             shards[dst].push_arrival(env);
-            keys.set(dst, shards[dst].next_key());
+            keys[dst] = shards[dst].next_key();
         }
     }
     ParReport {
@@ -1184,10 +1104,13 @@ mod tests {
         // With more than one worker the honest shards' workers wait for
         // the rogue's report while the rogue's worker panics, from before
         // and after the rogue in worker order at three and four workers;
-        // the run must still return.
+        // the run must still return. Worker 0 runs on the calling thread,
+        // so a rogue there must still release the spawned peers.
         let rogue_at = |at: usize, n: usize| (0..n).map(|i| Rogue(i == at)).collect::<Vec<_>>();
         for (mut shards, threads) in [
             (rogue_at(0, 1), 1),
+            (rogue_at(0, 2), 2),
+            (rogue_at(0, 3), 3),
             (rogue_at(1, 2), 2),
             (rogue_at(1, 3), 3),
             (rogue_at(2, 4), 4),
@@ -1202,32 +1125,6 @@ mod tests {
                 message.contains("lookahead violation"),
                 "threads={threads}: {message:?}"
             );
-        }
-    }
-
-    /// Random re-keyings (new, earlier, later and removed keys, ties
-    /// broken by shard) leave the heap's root equal to a scan over every
-    /// shard's key.
-    #[test]
-    fn key_heap_root_is_the_scanned_minimum() {
-        let mut rng = crate::SimRng::seed_from(7);
-        let n = 9;
-        let mut heap = KeyHeap::new(n);
-        let mut keys: Vec<Option<WorkKey>> = vec![None; n];
-        for _ in 0..20_000 {
-            let shard = rng.next_below(n as u64) as usize;
-            let key = (rng.next_below(4) > 0).then(|| {
-                let at = Time::from_ps(rng.next_below(50));
-                (at, rng.next_below(3) as u8, rng.next_below(3), 0)
-            });
-            heap.set(shard, key);
-            keys[shard] = key;
-            let scanned = keys
-                .iter()
-                .enumerate()
-                .filter_map(|(i, k)| k.map(|k| (k, i)))
-                .min();
-            assert_eq!(heap.min(), scanned);
         }
     }
 

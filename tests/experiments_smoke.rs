@@ -3,7 +3,8 @@
 //! shape assertions live in `enzian-platform`'s unit tests; these keep
 //! the `reproduce` binary's surface healthy.)
 
-use enzian::platform::experiments::{fig11, fig3, fig9};
+use enzian::platform::experiments::{self, fig11, fig12, fig3, fig9, ExperimentCtx};
+use enzian::sim::MetricsRegistry;
 
 #[test]
 fn fig3_produces_all_platforms() {
@@ -37,4 +38,23 @@ fn fig11_and_table1_cover_all_modes() {
     assert!(rendered.contains("Table 1"));
     assert!(rendered.contains("8bpp"));
     assert!(rendered.contains("4bpp"));
+}
+
+/// `Experiment::run` returns the same text the module's own `render`
+/// makes of its typed `run()`: the registry path adds nothing and drops
+/// nothing.
+#[test]
+fn registry_text_is_the_module_render() {
+    let via_registry = |name: &str| {
+        experiments::find(name)
+            .unwrap()
+            .run(&mut ExperimentCtx {
+                reg: &mut MetricsRegistry::new(),
+                threads: 1,
+            })
+            .text
+    };
+    assert_eq!(via_registry("fig3"), fig3::render(&fig3::run()));
+    assert_eq!(via_registry("fig9"), fig9::render(&fig9::run()));
+    assert_eq!(via_registry("fig12"), fig12::render(&fig12::run()));
 }
