@@ -515,39 +515,30 @@ impl EciLinks {
         // buffer's copy goes out clean, so recovery is bounded and every
         // frame is delivered exactly once.
         if let Some(plan) = plan {
-            if plan.should_fire(fault_targets::FRAME_DROP, now) {
+            let fault = if plan.should_fire(fault_targets::FRAME_DROP, now) {
                 // Lost in flight: no NAK can come back, so the sender's
                 // replay timer expires before the buffered copy goes out.
-                let rt = dir.channel.send(t.done + replay_timeout, bytes);
-                delivered = rt.done;
-                self.frames_dropped += 1;
-                self.retransmissions += 1;
-                retransmissions = 1;
-                self.bytes_sent += bytes;
-                self.vc_bytes[vc] += bytes;
-                self.recovery_ps += delivered.since(t.done).as_ps();
-                plan.note_recovery(
-                    fault_targets::FRAME_DROP,
-                    delivered,
-                    delivered.since(t.done),
-                );
+                let dropped = &mut self.frames_dropped;
+                Some((fault_targets::FRAME_DROP, replay_timeout, dropped))
             } else if plan.should_fire(fault_targets::FRAME_CORRUPT, now) {
                 // The receiver's CRC check fails on arrival and it NAKs
                 // the sequence number; the replay leaves once the NAK has
                 // propagated back.
-                let rt = dir.channel.send(t.done + nak_return, bytes);
+                let corrupted = &mut self.frames_corrupted;
+                Some((fault_targets::FRAME_CORRUPT, nak_return, corrupted))
+            } else {
+                None
+            };
+            if let Some((target, wait, faulted)) = fault {
+                let rt = dir.channel.send(t.done + wait, bytes);
                 delivered = rt.done;
-                self.frames_corrupted += 1;
+                *faulted += 1;
                 self.retransmissions += 1;
                 retransmissions = 1;
                 self.bytes_sent += bytes;
                 self.vc_bytes[vc] += bytes;
                 self.recovery_ps += delivered.since(t.done).as_ps();
-                plan.note_recovery(
-                    fault_targets::FRAME_CORRUPT,
-                    delivered,
-                    delivered.since(t.done),
-                );
+                plan.note_recovery(target, delivered, delivered.since(t.done));
             }
         }
         // The receiver's buffer credit is held until the frame is
