@@ -30,12 +30,14 @@
 //! — and therefore every [`TransferOutcome`] — bit-identical to the
 //! monolith's (pinned by `tests/tcp_golden.rs`).
 //!
-//! The engine still does real protocol work: it segments the byte
-//! stream, computes and verifies the Internet checksum on every segment,
-//! enforces the composed send window with cumulative acknowledgements,
-//! and recovers from injected loss with go-back-N retransmission on
-//! timeout. Timing comes from the [`EthLink`] plus per-segment
-//! processing costs.
+//! The engine still does real protocol work, in one send/ack loop that
+//! every flow runs ([`TcpEngine::transfer`] is the one-flow case of
+//! [`TcpEngine::transfer_interleaved`]): it segments the byte stream,
+//! computes and verifies the Internet checksum on every segment,
+//! reassembles the stream in order, enforces the composed send window
+//! with cumulative acknowledgements, and recovers from injected loss
+//! with go-back-N retransmission on timeout. Timing comes from the
+//! [`EthLink`] plus per-segment processing costs.
 
 pub mod congestion;
 pub mod conn;
@@ -53,7 +55,8 @@ pub use reliability::{checksum_verifies, internet_checksum, segment_len, GoBackN
 
 use enzian_sim::stats::Summary;
 use enzian_sim::telemetry::MetricsRegistry;
-use enzian_sim::{CalendarQueue, Duration, FaultPlan, FaultSpec, Time};
+use enzian_sim::{Duration, FaultPlan, FaultSpec, Time};
+use std::collections::{HashMap, VecDeque};
 
 use crate::eth::{EthLink, Switch};
 
@@ -349,9 +352,10 @@ impl Default for LossPattern {
 
 /// A unidirectional TCP transfer engine between endpoint `a` (sender)
 /// and `b` (receiver) over a shared [`EthLink`] and [`Switch`],
-/// composed from the four protocol modules. The congestion controller
-/// is built from the sender config's [`CcAlgorithm`] and keeps its
-/// state across transfers (connection-lifetime policy state).
+/// composed from the four protocol modules. Each transfer call builds
+/// its flows' congestion controllers from the sender config's
+/// [`CcAlgorithm`], so policy state lives for one call, as a
+/// connection's does.
 #[derive(Debug)]
 pub struct TcpEngine {
     tx: TcpStackConfig,
@@ -359,7 +363,6 @@ pub struct TcpEngine {
     switch: Switch,
     loss: LossPattern,
     telemetry: TcpTelemetry,
-    cc: Box<dyn CongestionController>,
 }
 
 /// Per-flow transfer counters — the telemetry's single source of truth;
@@ -544,13 +547,88 @@ impl enzian_sim::Instrumented for TcpTelemetry {
     }
 }
 
+/// One flow's sender, receiver and module state for the length of one
+/// [`TcpEngine::transfer_interleaved`] call.
+struct FlowRun<'d> {
+    data: &'d [u8],
+    len: u64,
+    delivered: Vec<u8>,
+    // Sender state.
+    acked: u64,
+    sent: u64,
+    tx_free: Time,
+    segments: u64,
+    swnd: SendWindow,
+    acks: AckLedger,
+    // Window advertisement riding on each in-flight ack (same wire
+    // order as `acks`); normally the full receive window, zero when the
+    // rwnd-shrink fault fires.
+    advs: VecDeque<u64>,
+    gbn: GoBackN,
+    // Which fault target scheduled the rewind for an offset, so the
+    // recovery is noted on the ledger that injected it.
+    rewind_causes: HashMap<u64, &'static str>,
+    cc: Box<dyn CongestionController>,
+    // Receiver state (go-back-N discards anything out of order and
+    // re-acks the in-order edge).
+    reassembler: Reassembler,
+    rx_free: Time,
+    last_delivery: Time,
+}
+
+impl<'d> FlowRun<'d> {
+    fn new(data: &'d [u8], start: Time, tx: &TcpStackConfig) -> Self {
+        assert!(!data.is_empty(), "empty transfer");
+        FlowRun {
+            data,
+            len: data.len() as u64,
+            delivered: vec![0u8; data.len()],
+            acked: 0,
+            sent: 0,
+            tx_free: start + tx.per_transfer,
+            segments: 0,
+            swnd: SendWindow::new(tx.window),
+            acks: AckLedger::new(),
+            advs: VecDeque::new(),
+            gbn: GoBackN::new(),
+            rewind_causes: HashMap::new(),
+            cc: tx.cc.build(tx),
+            reassembler: Reassembler::new(),
+            rx_free: Time::ZERO,
+            last_delivery: start,
+        }
+    }
+
+    fn window_open(&self) -> bool {
+        self.sent - self.acked < self.swnd.effective(self.cc.cwnd()) && self.sent < self.len
+    }
+
+    /// The pending RTO rewind once it is due: its timer expired before
+    /// the sender pipeline frees, or nothing else can happen first.
+    fn due_rto(&self) -> Option<(Time, u64)> {
+        self.gbn
+            .pending()
+            .filter(|&(at, _)| at <= self.tx_free || (!self.window_open() && self.acks.is_empty()))
+    }
+
+    /// When this flow's next step acts, mirroring the step's choice: a
+    /// due RTO, else a send while the window is open, else the oldest
+    /// ack.
+    fn next_at(&self) -> Time {
+        match self.due_rto() {
+            Some((at, _)) => self.tx_free.max(at),
+            None if self.window_open() => self.tx_free,
+            None => self.acks.next_arrival().expect("flow deadlock"),
+        }
+    }
+}
+
 impl TcpEngine {
     /// Creates an engine between two stack personalities through a
-    /// top-of-rack switch. The congestion controller is built from the
-    /// sender (`tx`) config's [`CcAlgorithm`].
+    /// top-of-rack switch. Each flow's congestion controller is built
+    /// from the sender (`tx`) config's [`CcAlgorithm`].
     pub fn new(tx: TcpStackConfig, rx: TcpStackConfig, switch: Switch) -> Self {
         TcpEngine {
-            cc: tx.cc.build(&tx),
             tx,
             rx,
             switch,
@@ -564,234 +642,28 @@ impl TcpEngine {
         &self.telemetry
     }
 
-    /// The congestion-control module instance (current window, name).
-    pub fn congestion(&self) -> &dyn CongestionController {
-        self.cc.as_ref()
-    }
-
     /// Enables loss injection.
     pub fn with_loss(mut self, loss: LossPattern) -> Self {
         self.loss = loss;
         self
     }
 
-    /// Transfers `data` from a to b starting at `start`, verifying the
-    /// checksum on every segment and reassembling the stream in order.
+    /// Transfers `data` from a to b starting at `start`: the one-flow
+    /// case of [`transfer_interleaved`](Self::transfer_interleaved).
     ///
     /// Returns the delivered bytes and the timing outcome.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or a checksum ever fails to verify (a
-    /// model bug, since the link never corrupts).
+    /// model bug: injected corruption is rejected before the check).
     pub fn transfer(
         &mut self,
         link: &mut EthLink,
         start: Time,
         data: &[u8],
     ) -> (Vec<u8>, TransferOutcome) {
-        assert!(!data.is_empty(), "empty transfer");
-        let len = data.len() as u64;
-        let hop = self.switch.forwarding_latency();
-
-        let mut delivered = vec![0u8; data.len()];
-        // Sender state.
-        let mut acked: u64 = 0;
-        let mut sent: u64 = 0;
-        let mut tx_free = start + self.tx.per_transfer;
-        // Receiver state (go-back-N discards anything out of order and
-        // re-acks the in-order edge).
-        let mut reassembler = Reassembler::new();
-        let mut rx_free = Time::ZERO;
-        let mut last_delivery = start;
-        let mut segments = 0u64;
-        // Module instances for this transfer.
-        let mut swnd = SendWindow::new(self.tx.window);
-        let mut acks = AckLedger::new();
-        let mut gbn = GoBackN::new();
-        // Window advertisement riding on each in-flight ack (same wire
-        // order as `acks`); normally the full receive window, zero when
-        // the rwnd-shrink fault fires.
-        let mut advs: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-        // Which fault target scheduled the rewind for an offset, so the
-        // recovery is noted on the ledger that injected it.
-        let mut rewind_causes: std::collections::HashMap<u64, &'static str> =
-            std::collections::HashMap::new();
-
-        while acked < len {
-            let wnd = swnd.effective(self.cc.cwnd());
-            let window_open = sent - acked < wnd && sent < len;
-            // Take an expired RTO rewind before anything else.
-            if let Some((at, seq)) = gbn.pending() {
-                if at <= tx_free || (!window_open && acks.is_empty()) {
-                    self.cc.on_rto(sent - acked, at);
-                    gbn.fire();
-                    sent = seq.min(sent);
-                    tx_free = tx_free.max(at);
-                    let cause = rewind_causes.remove(&seq).unwrap_or(SEGMENT_LOSS_TARGET);
-                    self.loss.note_recovered_on(cause, at, self.tx.rto);
-                    continue;
-                }
-            }
-            if window_open {
-                // Send the next segment.
-                let seg_len = segment_len(self.tx.mss, len, sent);
-                let seq = sent;
-                let payload = &data[seq as usize..seq as usize + seg_len];
-                let checksum = internet_checksum(payload);
-                segments += 1;
-                self.telemetry.module.cwnd_bytes.record(wnd as f64);
-                let tx_done = tx_free + self.tx.segment_cost(seg_len);
-                tx_free = tx_done;
-                sent = seq + seg_len as u64;
-
-                // Fault opportunities are offered on first transmissions
-                // only, so every pattern terminates: a retransmitted
-                // copy (and the ack it elicits) always goes through.
-                let first = gbn.first_transmission(seq);
-                let drop = first && self.loss.should_drop(tx_done);
-                if drop {
-                    // The receiver never sees this one; arrange an RTO
-                    // rewind to it if none is already pending earlier.
-                    gbn.schedule_rewind(tx_done + self.tx.rto, seq);
-                    rewind_causes.insert(seq, SEGMENT_LOSS_TARGET);
-                    continue;
-                }
-
-                let arrived = link.send_a_to_b(tx_done, seg_len as u64) + hop;
-                let rx_done = arrived.max(rx_free) + self.rx.segment_cost(seg_len);
-                rx_free = rx_done;
-
-                if first && self.loss.should_corrupt(tx_done) {
-                    // The copy arrived damaged: the reliability module's
-                    // checksum check rejects it and the receiver stays
-                    // silent, exactly as for a lost segment — the
-                    // sender's RTO recovers it through the same ledger.
-                    let mut damaged = payload.to_vec();
-                    damaged[0] ^= 0x5A;
-                    assert!(
-                        !checksum_verifies(&damaged, checksum),
-                        "corruption must not survive verification"
-                    );
-                    self.telemetry.module.checksum_rejects += 1;
-                    gbn.schedule_rewind(tx_done + self.tx.rto, seq);
-                    rewind_causes.insert(seq, SEGMENT_CORRUPT_TARGET);
-                    continue;
-                }
-
-                assert!(
-                    checksum_verifies(payload, checksum),
-                    "checksum mismatch at {seq}"
-                );
-                if reassembler.deliver_in_order(seq, payload, &mut delivered) {
-                    last_delivery = last_delivery.max(rx_done);
-                }
-                // Either way a cumulative ack for the in-order edge
-                // rides back.
-                let ack_arrival = link.send_b_to_a(rx_done, CONTROL_SEGMENT_BYTES) + hop;
-                if first && self.loss.should_drop_ack(ack_arrival) {
-                    // The data delivered but its ack is gone. Arm the
-                    // RTO; if a later cumulative ack covers this offset
-                    // first, the timer is cancelled and nothing is
-                    // retransmitted (the single ledger never moves).
-                    gbn.schedule_rewind(ack_arrival + self.tx.rto, seq);
-                    rewind_causes.insert(seq, ACK_LOSS_TARGET);
-                    continue;
-                }
-                let adv = if first && self.loss.should_shrink_rwnd(ack_arrival) {
-                    0
-                } else {
-                    self.tx.window
-                };
-                self.telemetry
-                    .rtt_flow(0)
-                    .record_micros(ack_arrival.since(tx_done));
-                acks.push(ack_arrival, reassembler.rcv_next());
-                advs.push_back(adv);
-            } else {
-                // Window closed or data exhausted: consume the next ack.
-                match acks.pop() {
-                    Some((at, upto)) => {
-                        if sent < len {
-                            // A genuine window stall: attribute it to
-                            // the module whose bound was binding.
-                            if swnd.rwnd_is_binding(self.cc.cwnd()) {
-                                self.telemetry.module.rwnd_stalls += 1;
-                            } else {
-                                self.telemetry.module.cwnd_stalls += 1;
-                            }
-                        }
-                        let newly = upto.saturating_sub(acked);
-                        acked = acked.max(upto);
-                        tx_free = tx_free.max(at) + self.tx.per_ack;
-                        self.cc.on_ack(newly, at);
-                        // Everything up to `upto` is delivered; anything
-                        // beyond `sent` cannot regress below it.
-                        if acked > sent {
-                            sent = acked;
-                        }
-                        // A cumulative ack covering a pending rewind
-                        // voids the timer: the bytes are delivered, no
-                        // retransmission is needed (this is how a lost
-                        // ack recovers without the ledger ever moving).
-                        if let Some((_, seq)) = gbn.cancel_covered(acked) {
-                            let cause = rewind_causes.remove(&seq).unwrap_or(SEGMENT_LOSS_TARGET);
-                            self.loss.note_recovered_on(cause, at, self.tx.rto);
-                        }
-                        // Apply this ack's window advertisement.
-                        let adv = advs.pop_front().expect("one advertisement per ack");
-                        if adv != swnd.rwnd() {
-                            if adv == 0 {
-                                // Zero window: the receiver's buffer is
-                                // full. It drains one MSS, then a window
-                                // update reopens the flow.
-                                self.telemetry.module.rwnd_shrinks += 1;
-                                let drain = self.rx.segment_cost(self.rx.mss);
-                                acks.push(at + drain, upto);
-                                advs.push_back(self.tx.window);
-                            } else {
-                                // Reopening update: flow control
-                                // unblocks and queued sends drain.
-                                let drain = self.rx.segment_cost(self.rx.mss);
-                                self.loss.note_recovered_on(RWND_SHRINK_TARGET, at, drain);
-                            }
-                            swnd.set_rwnd(adv);
-                        }
-                    }
-                    None => {
-                        let (at, seq) = gbn.pending().expect("deadlock: no acks, no retry");
-                        self.cc.on_rto(sent - acked, at);
-                        gbn.fire();
-                        sent = seq.min(sent);
-                        tx_free = tx_free.max(at);
-                        let cause = rewind_causes.remove(&seq).unwrap_or(SEGMENT_LOSS_TARGET);
-                        self.loss.note_recovered_on(cause, at, self.tx.rto);
-                    }
-                }
-            }
-        }
-
-        assert_eq!(
-            reassembler.rcv_next(),
-            len,
-            "receiver did not reach end of stream"
-        );
-        let retransmissions = gbn.retransmissions();
-        let fs = self.telemetry.stats_flow(0);
-        fs.transfers += 1;
-        fs.bytes += len;
-        fs.segments += segments;
-        fs.retransmissions += retransmissions;
-        (
-            delivered,
-            TransferOutcome {
-                bytes: len,
-                started: start,
-                delivered: last_delivery,
-                retransmissions,
-                segments,
-            },
-        )
+        self.transfer_interleaved(link, start, &[data]).remove(0)
     }
 
     /// Runs a full connection-managed session: three-way handshake,
@@ -887,134 +759,202 @@ impl TcpEngine {
         )
     }
 
-    /// Simulates `flows` concurrent transfers (all a→b) sharing the link,
-    /// with true time interleaving: at each step the flow whose sender
-    /// pipeline frees earliest transmits next. Each flow gets its own
-    /// sender/receiver pipeline and its own congestion-controller
-    /// instance (its own core or connection state), as in the iperf
-    /// multi-flow comparison.
+    /// Transfers each of `flows` from a to b, all starting at `start`
+    /// and sharing the link: the live flow whose next action comes
+    /// first acts next, the lowest index on a tie. Each flow has its own
+    /// sender/receiver pipeline, modules and congestion controller (its
+    /// own core or connection state), as in the iperf multi-flow
+    /// comparison. Every flow verifies the checksum on every segment,
+    /// reassembles its stream in order and attributes its window stalls.
     ///
-    /// Returns per-flow outcomes.
+    /// Returns each flow's delivered bytes and timing outcome.
     ///
     /// # Panics
     ///
-    /// Panics if `flows` is empty, any flow is empty, or loss injection
-    /// is configured (single-flow only).
+    /// Panics if `flows` is empty, any flow is empty, a checksum fails
+    /// to verify, or loss injection is configured for more than one
+    /// flow (one fault plan is not shared across flows).
     pub fn transfer_interleaved(
         &mut self,
         link: &mut EthLink,
         start: Time,
         flows: &[&[u8]],
-    ) -> Vec<TransferOutcome> {
+    ) -> Vec<(Vec<u8>, TransferOutcome)> {
         assert!(!flows.is_empty(), "no flows");
         assert!(
-            self.loss.is_lossless(),
+            flows.len() == 1 || self.loss.is_lossless(),
             "loss injection unsupported for multi-flow"
         );
-        struct Flow {
-            len: u64,
-            acked: u64,
-            sent: u64,
-            tx_free: Time,
-            rx_free: Time,
-            last_delivery: Time,
-            segments: u64,
-            acks: AckLedger,
-            cc: Box<dyn CongestionController>,
-        }
-        let hop = self.switch.forwarding_latency();
-        let swnd = SendWindow::new(self.tx.window);
-        let mut states: Vec<Flow> = flows
+        let mut runs: Vec<FlowRun> = flows
             .iter()
-            .map(|d| {
-                assert!(!d.is_empty(), "empty flow");
-                Flow {
-                    len: d.len() as u64,
-                    acked: 0,
-                    sent: 0,
-                    tx_free: start + self.tx.per_transfer,
-                    rx_free: Time::ZERO,
-                    last_delivery: start,
-                    segments: 0,
-                    acks: AckLedger::new(),
-                    cc: self.tx.cc.build(&self.tx),
-                }
-            })
+            .map(|data| FlowRun::new(data, start, &self.tx))
             .collect();
-
-        // Each live flow keeps exactly one candidate in the calendar
-        // queue: the time of its next action (transmit if the window is
-        // open, otherwise its oldest in-flight ack). A flow's candidate
-        // depends only on its own state, so processing one flow never
-        // invalidates another's queued entry; popping by (time, flow
-        // index) reproduces the old linear scan's earliest-time,
-        // lowest-index-on-tie order bit for bit.
-        let next_at = |f: &Flow| -> Time {
-            if f.sent < f.len && f.sent - f.acked < swnd.effective(f.cc.cwnd()) {
-                f.tx_free
-            } else {
-                f.acks.next_arrival().expect("flow deadlock")
-            }
-        };
-        let mut runnable = CalendarQueue::new();
-        for (i, f) in states.iter().enumerate() {
-            runnable.push(next_at(f), i as u64, 0, 0);
+        // A plain scan suffices for the one to four flows callers run;
+        // `min_by_key` keeps the lowest index on a tie.
+        while let Some(i) = (0..runs.len())
+            .filter(|&i| runs[i].acked < runs[i].len)
+            .min_by_key(|&i| runs[i].next_at())
+        {
+            self.step(link, i, &mut runs[i]);
         }
-
-        while let Some(entry) = runnable.pop() {
-            let i = entry.key as usize;
-            let f = &mut states[i];
-            let wnd = swnd.effective(f.cc.cwnd());
-            let is_send = f.sent < f.len && f.sent - f.acked < wnd;
-            if is_send {
-                let seg_len = segment_len(self.tx.mss, f.len, f.sent);
-                let seq = f.sent;
-                let payload = &flows[i][seq as usize..seq as usize + seg_len];
-                let _ = internet_checksum(payload);
-                f.segments += 1;
-                self.telemetry.module.cwnd_bytes.record(wnd as f64);
-                let tx_done = f.tx_free + self.tx.segment_cost(seg_len);
-                f.tx_free = tx_done;
-                f.sent = seq + seg_len as u64;
-                let arrived = link.send_a_to_b(tx_done, seg_len as u64) + hop;
-                let rx_done = arrived.max(f.rx_free) + self.rx.segment_cost(seg_len);
-                f.rx_free = rx_done;
-                f.last_delivery = f.last_delivery.max(rx_done);
-                let ack_arrival = link.send_b_to_a(rx_done, CONTROL_SEGMENT_BYTES) + hop;
-                self.telemetry
-                    .rtt_flow(i)
-                    .record_micros(ack_arrival.since(tx_done));
-                f.acks.push(ack_arrival, f.sent);
-            } else {
-                let (at, upto) = f.acks.pop().expect("checked above");
-                let newly = upto.saturating_sub(f.acked);
-                f.acked = f.acked.max(upto);
-                f.tx_free = f.tx_free.max(at) + self.tx.per_ack;
-                f.cc.on_ack(newly, at);
-            }
-            let f = &states[i];
-            if f.acked < f.len {
-                runnable.push(next_at(f), i as u64, 0, 0);
-            }
-        }
-
-        states
-            .into_iter()
+        runs.into_iter()
             .enumerate()
             .map(|(i, f)| {
+                assert_eq!(
+                    f.reassembler.rcv_next(),
+                    f.len,
+                    "receiver did not reach end of stream"
+                );
+                let retransmissions = f.gbn.retransmissions();
                 let fs = self.telemetry.stats_flow(i);
                 fs.transfers += 1;
                 fs.bytes += f.len;
                 fs.segments += f.segments;
-                TransferOutcome {
+                fs.retransmissions += retransmissions;
+                let outcome = TransferOutcome {
                     bytes: f.len,
                     started: start,
                     delivered: f.last_delivery,
-                    retransmissions: 0,
+                    retransmissions,
                     segments: f.segments,
-                }
+                };
+                (f.delivered, outcome)
             })
             .collect()
+    }
+
+    /// Takes flow `i`'s next action (see [`FlowRun::next_at`]).
+    fn step(&mut self, link: &mut EthLink, i: usize, f: &mut FlowRun<'_>) {
+        let hop = self.switch.forwarding_latency();
+        if let Some((at, seq)) = f.due_rto() {
+            f.cc.on_rto(f.sent - f.acked, at);
+            f.gbn.fire();
+            f.sent = seq.min(f.sent);
+            f.tx_free = f.tx_free.max(at);
+            let cause = f.rewind_causes.remove(&seq).unwrap_or(SEGMENT_LOSS_TARGET);
+            self.loss.note_recovered_on(cause, at, self.tx.rto);
+        } else if f.window_open() {
+            // Send the next segment.
+            let wnd = f.swnd.effective(f.cc.cwnd());
+            let seg_len = segment_len(self.tx.mss, f.len, f.sent);
+            let seq = f.sent;
+            let payload = &f.data[seq as usize..seq as usize + seg_len];
+            let checksum = internet_checksum(payload);
+            f.segments += 1;
+            self.telemetry.module.cwnd_bytes.record(wnd as f64);
+            let tx_done = f.tx_free + self.tx.segment_cost(seg_len);
+            f.tx_free = tx_done;
+            f.sent = seq + seg_len as u64;
+
+            // Fault opportunities are offered on first transmissions
+            // only, so every pattern terminates: a retransmitted copy
+            // (and the ack it elicits) always goes through.
+            let first = f.gbn.first_transmission(seq);
+            if first && self.loss.should_drop(tx_done) {
+                // The receiver never sees this one; arrange an RTO
+                // rewind to it if none is already pending earlier.
+                f.gbn.schedule_rewind(tx_done + self.tx.rto, seq);
+                f.rewind_causes.insert(seq, SEGMENT_LOSS_TARGET);
+                return;
+            }
+
+            let arrived = link.send_a_to_b(tx_done, seg_len as u64) + hop;
+            let rx_done = arrived.max(f.rx_free) + self.rx.segment_cost(seg_len);
+            f.rx_free = rx_done;
+
+            if first && self.loss.should_corrupt(tx_done) {
+                // The copy arrived damaged: the reliability module's
+                // checksum check rejects it and the receiver stays
+                // silent, exactly as for a lost segment — the sender's
+                // RTO recovers it through the same ledger.
+                let mut damaged = payload.to_vec();
+                damaged[0] ^= 0x5A;
+                assert!(
+                    !checksum_verifies(&damaged, checksum),
+                    "corruption must not survive verification"
+                );
+                self.telemetry.module.checksum_rejects += 1;
+                f.gbn.schedule_rewind(tx_done + self.tx.rto, seq);
+                f.rewind_causes.insert(seq, SEGMENT_CORRUPT_TARGET);
+                return;
+            }
+
+            assert!(
+                checksum_verifies(payload, checksum),
+                "checksum mismatch at {seq}"
+            );
+            if f.reassembler
+                .deliver_in_order(seq, payload, &mut f.delivered)
+            {
+                f.last_delivery = f.last_delivery.max(rx_done);
+            }
+            // Either way a cumulative ack for the in-order edge rides
+            // back.
+            let ack_arrival = link.send_b_to_a(rx_done, CONTROL_SEGMENT_BYTES) + hop;
+            if first && self.loss.should_drop_ack(ack_arrival) {
+                // The data delivered but its ack is gone. Arm the RTO; if
+                // a later cumulative ack covers this offset first, the
+                // timer is cancelled and nothing is retransmitted (the
+                // single ledger never moves).
+                f.gbn.schedule_rewind(ack_arrival + self.tx.rto, seq);
+                f.rewind_causes.insert(seq, ACK_LOSS_TARGET);
+                return;
+            }
+            let adv = if first && self.loss.should_shrink_rwnd(ack_arrival) {
+                0
+            } else {
+                self.tx.window
+            };
+            self.telemetry
+                .rtt_flow(i)
+                .record_micros(ack_arrival.since(tx_done));
+            f.acks.push(ack_arrival, f.reassembler.rcv_next());
+            f.advs.push_back(adv);
+        } else {
+            // Window closed or data exhausted: consume the next ack.
+            let (at, upto) = f.acks.pop().expect("flow deadlock");
+            if f.sent < f.len {
+                // A genuine window stall: attribute it to the module
+                // whose bound was binding.
+                if f.swnd.rwnd_is_binding(f.cc.cwnd()) {
+                    self.telemetry.module.rwnd_stalls += 1;
+                } else {
+                    self.telemetry.module.cwnd_stalls += 1;
+                }
+            }
+            let newly = upto.saturating_sub(f.acked);
+            f.acked = f.acked.max(upto);
+            f.tx_free = f.tx_free.max(at) + self.tx.per_ack;
+            f.cc.on_ack(newly, at);
+            // Everything up to `upto` is delivered; anything beyond
+            // `sent` cannot regress below it.
+            f.sent = f.sent.max(f.acked);
+            // A cumulative ack covering a pending rewind voids the timer:
+            // the bytes are delivered, no retransmission is needed (this
+            // is how a lost ack recovers without the ledger ever moving).
+            if let Some((_, seq)) = f.gbn.cancel_covered(f.acked) {
+                let cause = f.rewind_causes.remove(&seq).unwrap_or(SEGMENT_LOSS_TARGET);
+                self.loss.note_recovered_on(cause, at, self.tx.rto);
+            }
+            // Apply this ack's window advertisement.
+            let adv = f.advs.pop_front().expect("one advertisement per ack");
+            if adv != f.swnd.rwnd() {
+                let drain = self.rx.segment_cost(self.rx.mss);
+                if adv == 0 {
+                    // Zero window: the receiver's buffer is full. It
+                    // drains one MSS, then a window update reopens the
+                    // flow.
+                    self.telemetry.module.rwnd_shrinks += 1;
+                    f.acks.push(at + drain, upto);
+                    f.advs.push_back(self.tx.window);
+                } else {
+                    // Reopening update: flow control unblocks and queued
+                    // sends drain.
+                    self.loss.note_recovered_on(RWND_SHRINK_TARGET, at, drain);
+                }
+                f.swnd.set_rwnd(adv);
+            }
+        }
     }
 }
 
@@ -1124,7 +1064,7 @@ mod tests {
         let data = payload(per_flow);
         let flows = [&data[..], &data[..], &data[..], &data[..]];
         let results = kernel_engine().transfer_interleaved(&mut link, Time::ZERO, &flows);
-        let last = results.iter().map(|r| r.delivered).max().unwrap();
+        let last = results.iter().map(|(_, r)| r.delivered).max().unwrap();
         let total_bits = (4 * per_flow) as f64 * 8.0;
         let gbps = total_bits / last.as_secs_f64() / 1e9;
         assert!(gbps > 75.0, "4 kernel flows reached only {gbps:.1} Gb/s");
@@ -1239,7 +1179,7 @@ mod tests {
         let mut link = EthLink::new(EthLinkConfig::hundred_gig());
         let flows = [&data[..], &data[..]];
         let results = fpga_engine().transfer_interleaved(&mut link, Time::ZERO, &flows);
-        let last = results.iter().map(|r| r.delivered).max().unwrap();
+        let last = results.iter().map(|(_, r)| r.delivered).max().unwrap();
         let gbps = (2 * per_flow) as f64 * 8.0 / last.as_secs_f64() / 1e9;
         assert!(
             gbps > 90.0,

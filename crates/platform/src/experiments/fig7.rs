@@ -121,7 +121,8 @@ pub fn run_multiflow() -> Vec<MultiflowRow> {
         TcpStackConfig::fpga_coyote(),
         Switch::tor(),
     );
-    let (_, r) = hw.transfer(&mut link, Time::ZERO, &data);
+    let (delivered, r) = hw.transfer(&mut link, Time::ZERO, &data);
+    assert_eq!(delivered, data, "hardware stack corrupted the stream");
     out.push(MultiflowRow {
         label: "enzian x1".to_string(),
         gbps: r.throughput_bits() / 1e9,
@@ -136,7 +137,11 @@ pub fn run_multiflow() -> Vec<MultiflowRow> {
         );
         let refs: Vec<&[u8]> = (0..flows).map(|_| &data[..]).collect();
         let results = sw.transfer_interleaved(&mut link, Time::ZERO, &refs);
-        let last = results.iter().map(|r| r.delivered).max().expect("flows");
+        let mut last = Time::ZERO;
+        for (delivered, r) in &results {
+            assert_eq!(*delivered, data, "kernel stack corrupted a flow");
+            last = last.max(r.delivered);
+        }
         let bits = (flows * per_flow) as f64 * 8.0;
         out.push(MultiflowRow {
             label: format!("linux x{flows}"),
