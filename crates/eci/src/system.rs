@@ -31,10 +31,12 @@
 //! operation, when it began service, the data it completes with, and the
 //! return step its CPU-side fill or upgrade ends in). Each of its events
 //! is a `Step` — a `Copy` value of kind, record slot, line, protocol
-//! transaction id, flags and delivery time that packs into the event's
-//! [`Pod`] — so a transaction schedules no closures and allocates nothing
-//! but the data boxes of the messages it sends. A nested chain (probe,
-//! then fill, then finish) is a "next step" carried by the step itself.
+//! transaction id, flags and delivery time. The engine schedules it as
+//! it is: it is one variant of the engine's [`Model::Event`], the other
+//! being an engine-level VC credit coming back. So a transaction
+//! schedules no closures and allocates nothing but the data boxes of the
+//! messages it sends. A nested chain (probe, then fill, then finish) is
+//! a "next step" carried by the step itself.
 //! Completions wait in a window indexed by handle (handles are
 //! sequential) until taken.
 //!
@@ -65,7 +67,7 @@ use enzian_cache::{AccessOutcome, L2Cache, L2Config, LineState};
 use enzian_mem::{
     Addr, CacheLine, MemoryController, MemoryControllerConfig, MemoryMap, NodeId, Op,
 };
-use enzian_sim::{Duration, FaultPlan, FxHashMap, Pod, Scheduler, Simulator, Time};
+use enzian_sim::{Duration, FaultPlan, FxHashMap, Model, Scheduler, Simulator, Time};
 use std::collections::VecDeque;
 
 use crate::checker::ProtocolChecker;
@@ -265,7 +267,20 @@ pub struct EciSystemStats {
 const VC_COUNT: usize = VirtualChannel::ALL.len();
 
 /// The scheduler type every event handler in the engine receives.
-type Sched = Scheduler<EngineCore>;
+type Sched = Scheduler<Event>;
+
+/// One event of the engine.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A transaction's next step.
+    Step(Step),
+    /// An engine-level credit came back to output queue (node `n`, VC `v`).
+    Credit { n: u8, v: u8 },
+}
+
+// The calendar queue copies every entry on each bucket sort, so an event
+// stays within four words.
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 
 /// What a [`Step`] does when its event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,27 +317,6 @@ enum StepKind {
     Finish,
 }
 
-impl StepKind {
-    /// Every kind, indexed by its discriminant (for decoding a [`Pod`]).
-    const ALL: [StepKind; 15] = [
-        StepKind::Admit,
-        StepKind::FpgaReadAtHome,
-        StepKind::FpgaWriteAtHome,
-        StepKind::FpgaAcquireAtHome,
-        StepKind::FpgaUpgradeAtHome,
-        StepKind::FpgaReleaseAtHome,
-        StepKind::FpgaResponse,
-        StepKind::ProbeAtFpga,
-        StepKind::LocalFill,
-        StepKind::RemoteFillAtHome,
-        StepKind::RemoteFillData,
-        StepKind::RemoteUpgradeAtHome,
-        StepKind::Return,
-        StepKind::Victim,
-        StepKind::Finish,
-    ];
-}
-
 /// [`Step::flags`]: the probe invalidates, the fill is for a write.
 const FOR_WRITE: u8 = 1;
 /// [`Step::flags`]: the probe ack continues with a [`StepKind::LocalFill`]
@@ -334,8 +328,8 @@ const DIRTY: u8 = 4;
 const WAS_OWNER: u8 = 8;
 
 /// One link in a transaction's event chain: everything the next event
-/// needs besides the transaction's [`TxnRecord`]. It is `Copy` and packs
-/// into the event's [`Pod`], so scheduling a step allocates nothing.
+/// needs besides the transaction's [`TxnRecord`]. It is `Copy` and is
+/// scheduled as it is, so scheduling a step allocates nothing.
 #[derive(Debug, Clone, Copy)]
 struct Step {
     kind: StepKind,
@@ -370,31 +364,6 @@ impl Step {
     fn has(self, flag: u8) -> bool {
         self.flags & flag != 0
     }
-
-    fn pod(self) -> Pod {
-        Pod::new(
-            u64::from(self.slot) | u64::from(self.txn.0) << 32,
-            self.line.0,
-            self.delivered.as_ps(),
-            self.kind as u64 | u64::from(self.flags) << 8,
-        )
-    }
-
-    fn from_pod(p: Pod) -> Self {
-        Step {
-            kind: StepKind::ALL[(p.d & 0xff) as usize],
-            slot: p.a as u32,
-            line: CacheLine(p.b),
-            txn: TxnId((p.a >> 32) as u32),
-            flags: (p.d >> 8) as u8,
-            delivered: Time::from_ps(p.c),
-        }
-    }
-}
-
-/// The event handler of every [`Step`].
-fn step_event(core: &mut EngineCore, s: &mut Sched, p: Pod) {
-    core.run_step(s, Step::from_pod(p));
 }
 
 /// What a CPU-initiated transaction does once its fill or upgrade is
@@ -431,14 +400,14 @@ struct QueuedSend {
 /// A tiny reusable slab: slots recycle through a free stack, so the
 /// steady-state insert/take cycle of transaction records touches
 /// recycled memory only.
-struct PodSlab<T> {
+struct RecordSlab<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
 }
 
-impl<T> PodSlab<T> {
+impl<T> RecordSlab<T> {
     fn new() -> Self {
-        PodSlab {
+        RecordSlab {
             slots: Vec::new(),
             free: Vec::new(),
         }
@@ -451,7 +420,7 @@ impl<T> PodSlab<T> {
                 i
             }
             None => {
-                let i = u32::try_from(self.slots.len()).expect("pod slab overflow");
+                let i = u32::try_from(self.slots.len()).expect("record slab overflow");
                 self.slots.push(Some(v));
                 i
             }
@@ -461,19 +430,19 @@ impl<T> PodSlab<T> {
     fn get_mut(&mut self, i: u32) -> &mut T {
         self.slots[i as usize]
             .as_mut()
-            .expect("pod slab slot is vacant")
+            .expect("record slab slot is vacant")
     }
 
     fn get(&self, i: u32) -> &T {
         self.slots[i as usize]
             .as_ref()
-            .expect("pod slab slot is vacant")
+            .expect("record slab slot is vacant")
     }
 
     fn take(&mut self, i: u32) -> T {
         let v = self.slots[i as usize]
             .take()
-            .expect("pod slab slot already taken");
+            .expect("record slab slot already taken");
         self.free.push(i);
         v
     }
@@ -576,9 +545,20 @@ struct EngineCore {
     mshrs: MshrTable,
     vcq: [[VcState; VC_COUNT]; 2],
     /// Every issued transaction from issue to completion.
-    txns: PodSlab<TxnRecord>,
+    txns: RecordSlab<TxnRecord>,
     completions: CompletionWindow,
     engine: EngineStats,
+}
+
+impl Model for EngineCore {
+    type Event = Event;
+
+    fn handle(&mut self, s: &mut Sched, ev: Event) {
+        match ev {
+            Event::Step(step) => self.run_step(s, step),
+            Event::Credit { n, v } => self.vc_credit_return(s, usize::from(n), usize::from(v)),
+        }
+    }
 }
 
 impl EngineCore {
@@ -606,7 +586,7 @@ impl EngineCore {
                     waiting: VecDeque::new(),
                 })
             }),
-            txns: PodSlab::new(),
+            txns: RecordSlab::new(),
             completions: CompletionWindow::new(),
             engine: EngineStats::default(),
             cfg,
@@ -726,12 +706,12 @@ impl EngineCore {
         let at = ready.max(s.now());
         let delivered = self.emit(at, &msg);
         let credit_back = delivered + self.cfg.link.credit_return;
-        let _ = s.schedule_pod_at_or_now(
+        s.schedule_at_or_now(
             credit_back,
-            |core: &mut EngineCore, s: &mut Sched, p: Pod| {
-                core.vc_credit_return(s, p.a as usize, p.b as usize);
+            Event::Credit {
+                n: n as u8,
+                v: v as u8,
             },
-            Pod::new(n as u64, v as u64, 0, 0),
         );
         self.schedule_step(s, Step { delivered, ..step });
     }
@@ -752,7 +732,7 @@ impl EngineCore {
 
     /// Schedules `step` at its `delivered` time (or now, if later).
     fn schedule_step(&mut self, s: &mut Sched, step: Step) {
-        let _ = s.schedule_pod_at_or_now(step.delivered, step_event, step.pod());
+        s.schedule_at_or_now(step.delivered, Event::Step(step));
     }
 
     fn run_step(&mut self, s: &mut Sched, step: Step) {
@@ -1594,7 +1574,7 @@ impl EciSystem {
         });
         let mut step = Step::new(StepKind::Admit, slot, addr.line(), TxnId(0), 0);
         step.delivered = at;
-        let _ = self.sim.schedule_pod_at_or_now(at, step_event, step.pod());
+        self.sim.schedule_at_or_now(at, Event::Step(step));
         handle
     }
 
@@ -2359,40 +2339,6 @@ mod tests {
         assert_eq!(c.data, Some(sync_data));
         assert_eq!(c.completed, sync_done);
         sys.checker().assert_clean();
-    }
-
-    #[test]
-    fn steps_survive_their_pod_encoding() {
-        for (i, &kind) in StepKind::ALL.iter().enumerate() {
-            assert_eq!(kind as usize, i, "StepKind::ALL out of order at {kind:?}");
-            let mut step = Step::new(
-                kind,
-                u32::MAX - 1,
-                CacheLine(u64::MAX >> 7),
-                TxnId(u32::MAX),
-                WAS_OWNER | DIRTY,
-            );
-            step.delivered = Time::from_ps(u64::MAX - 3);
-            let back = Step::from_pod(step.pod());
-            assert_eq!(
-                (
-                    back.kind,
-                    back.slot,
-                    back.line,
-                    back.txn,
-                    back.flags,
-                    back.delivered
-                ),
-                (
-                    step.kind,
-                    step.slot,
-                    step.line,
-                    step.txn,
-                    step.flags,
-                    step.delivered
-                )
-            );
-        }
     }
 
     #[test]

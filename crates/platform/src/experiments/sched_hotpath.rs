@@ -2,31 +2,30 @@
 //!
 //! Not a paper figure — this is the DES-core companion to the evaluation:
 //! a self-perpetuating event storm (every fired event schedules the next
-//! one for its actor) pushed through four configurations of the kernel:
+//! one for its actor) pushed through three configurations of the kernel:
 //!
 //! * `reference` — the retained `BTreeMap`/`BinaryHeap` core
 //!   ([`enzian_sim::reference`]), boxed-closure events,
-//! * `closure` — the calendar-queue core, boxed-closure events,
-//! * `pod` — the calendar-queue core, POD events (fn pointer + 4×u64
-//!   payload, slab-recycled: the steady-state hot path allocates
-//!   nothing),
+//! * `pod` — the calendar-queue core, whose events are the storm's own
+//!   plain-old-data `Copy` value (the actor index), stored inline in the
+//!   queue: the steady-state hot path allocates nothing,
 //! * `parallel` — the same storm sharded over the conservative PDES
 //!   engine.
 //!
-//! The three sequential legs fire the identical storm, and the run
-//! asserts their fire-order digests match — the calendar queue and the
-//! POD path are drop-in replacements, event for event. Events, digests,
-//! and allocation deltas are pure functions of the seed and land in
+//! The two sequential legs fire the identical storm, and the run
+//! asserts their fire-order digests match — the calendar queue is a
+//! drop-in replacement, event for event. Events, digests, and
+//! allocation deltas are pure functions of the seed and land in
 //! `BENCH_sched_hotpath.json`, which is byte-identical across reruns and
 //! thread counts like every other BENCH file. Events-per-second
 //! throughput is wall-clock, so it goes to stderr and the rendered table
-//! only; the root `des_floor` test holds the POD core to its throughput
-//! floor over the reference core.
+//! only; the root `des_floor` test holds the `pod` core to its
+//! throughput floor over the reference core.
 
 use enzian_sim::alloc_count;
 use enzian_sim::{
-    reference, run_conservative, Duration, Envelope, EpochWindow, Fnv, MetricsRegistry, Pod, Shard,
-    Simulator, Time, TraceEvent,
+    reference, run_conservative, Duration, Envelope, EpochWindow, Fnv, MetricsRegistry, Model,
+    Scheduler, Shard, Simulator, Time, TraceEvent,
 };
 
 /// Actors in the storm; each runs an independent event chain.
@@ -110,20 +109,32 @@ impl Storm {
     }
 }
 
+/// On the calendar-queue core each event is the actor it fires; the
+/// handler reschedules the actor until its chain is exhausted.
+impl Model for Storm {
+    type Event = u32;
+
+    fn handle(&mut self, s: &mut Scheduler<u32>, actor: u32) {
+        if let Some(d) = self.fire(s.now(), actor as usize) {
+            s.schedule_in(d, actor);
+        }
+    }
+}
+
 /// Drives the storm on the retained reference core (boxed closures).
 pub fn run_reference_core() -> (u64, u64, Time) {
     fn chain(sim: &mut reference::Simulator<Storm>, at: Time, actor: usize) {
-        let _ = sim.schedule_at_or_now(at, move |m: &mut Storm, s| {
+        sim.schedule_at_or_now(at, move |m: &mut Storm, s| {
             if let Some(d) = m.fire(s.now(), actor) {
                 let at = s.now() + d;
-                let _ = s.schedule_at(at, move |m: &mut Storm, s| chain_sched(m, s, actor));
+                s.schedule_at(at, move |m: &mut Storm, s| chain_sched(m, s, actor));
             }
         });
     }
     fn chain_sched(m: &mut Storm, s: &mut reference::Scheduler<Storm>, actor: usize) {
         if let Some(d) = m.fire(s.now(), actor) {
             let at = s.now() + d;
-            let _ = s.schedule_at(at, move |m: &mut Storm, s| chain_sched(m, s, actor));
+            s.schedule_at(at, move |m: &mut Storm, s| chain_sched(m, s, actor));
         }
     }
     let mut sim = reference::Simulator::new(Storm::new(0, ACTORS));
@@ -136,38 +147,12 @@ pub fn run_reference_core() -> (u64, u64, Time) {
     (m.fired(), m.digest(), end)
 }
 
-/// Drives the storm on the calendar-queue core with boxed closures.
-pub fn run_closure_core() -> (u64, u64, Time) {
-    fn chain_sched(m: &mut Storm, s: &mut enzian_sim::Scheduler<Storm>, actor: usize) {
-        if let Some(d) = m.fire(s.now(), actor) {
-            let at = s.now() + d;
-            let _ = s.schedule_at(at, move |m: &mut Storm, s| chain_sched(m, s, actor));
-        }
-    }
-    let mut sim = Simulator::new(Storm::new(0, ACTORS));
-    for actor in 0..ACTORS {
-        let _ =
-            sim.schedule_at_or_now(Time::ZERO, move |m: &mut Storm, s| chain_sched(m, s, actor));
-    }
-    sim.run();
-    let end = sim.now();
-    let m = sim.into_model();
-    (m.fired(), m.digest(), end)
-}
-
-/// The POD event handler: fires the actor in `pod.a` and reschedules
-/// itself. Non-capturing, so steady-state scheduling is allocation-free.
-fn pod_chain(m: &mut Storm, s: &mut enzian_sim::Scheduler<Storm>, pod: Pod) {
-    if let Some(d) = m.fire(s.now(), pod.a as usize) {
-        let _ = s.schedule_pod_in(d, pod_chain, pod);
-    }
-}
-
-/// Drives the storm on the calendar-queue core with POD events.
+/// Drives the storm on the calendar-queue core with the storm's own
+/// `Copy` events.
 pub fn run_pod_core() -> (u64, u64, Time) {
     let mut sim = Simulator::new(Storm::new(0, ACTORS));
-    for actor in 0..ACTORS {
-        let _ = sim.schedule_pod_at_or_now(Time::ZERO, pod_chain, Pod::new(actor as u64, 0, 0, 0));
+    for actor in 0..ACTORS as u32 {
+        sim.schedule_at_or_now(Time::ZERO, actor);
     }
     sim.run();
     let end = sim.now();
@@ -204,9 +189,8 @@ impl Shard for StormShard {
     }
 
     fn next_activity(&self) -> Option<Time> {
-        // `peek_next_time` needs `&mut self` (it may compact the
-        // queue); the simulator's clock is a valid lower bound right
-        // after `run_before` drained everything before the window end.
+        // The simulator's clock is a valid lower bound right after
+        // `run_before` drained everything before the window end.
         (self.sim.pending() > 0).then(|| self.sim.now())
     }
 }
@@ -218,12 +202,8 @@ pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
     let mut shards: Vec<StormShard> = (0..SHARDS)
         .map(|i| {
             let mut sim = Simulator::new(Storm::new(i * per, per));
-            for actor in 0..per {
-                let _ = sim.schedule_pod_at_or_now(
-                    Time::ZERO,
-                    pod_chain,
-                    Pod::new(actor as u64, 0, 0, 0),
-                );
+            for actor in 0..per as u32 {
+                sim.schedule_at_or_now(Time::ZERO, actor);
             }
             StormShard { sim }
         })
@@ -250,7 +230,7 @@ pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
 /// One leg of the sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedHotpathRow {
-    /// Leg name: `reference`, `closure`, `pod`, or `parallel`.
+    /// Leg name: `reference`, `pod`, or `parallel`.
     pub leg: &'static str,
     /// Events the kernel dispatched.
     pub events: u64,
@@ -271,7 +251,7 @@ impl SchedHotpathRow {
     }
 }
 
-/// Runs all four legs and returns one row per leg.
+/// Runs all three legs and returns one row per leg.
 pub fn run(threads: usize) -> Vec<SchedHotpathRow> {
     run_instrumented(threads, &mut MetricsRegistry::new())
 }
@@ -281,7 +261,7 @@ pub fn run(threads: usize) -> Vec<SchedHotpathRow> {
 ///
 /// # Panics
 ///
-/// Panics if the three sequential legs disagree on fire order — the
+/// Panics if the two sequential legs disagree on fire order — the
 /// cross-core conformance check this experiment exists to enforce.
 pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<SchedHotpathRow> {
     let mut rows = Vec::new();
@@ -301,12 +281,9 @@ pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<SchedH
         end
     };
     let end_ref = leg("reference", &run_reference_core);
-    let end_new = leg("closure", &run_closure_core);
     let end_pod = leg("pod", &run_pod_core);
     assert_eq!(rows[0].digest, rows[1].digest, "calendar queue diverged");
-    assert_eq!(rows[1].digest, rows[2].digest, "POD path diverged");
-    assert_eq!(end_ref, end_new);
-    assert_eq!(end_new, end_pod);
+    assert_eq!(end_ref, end_pod);
 
     let started = std::time::Instant::now();
     let (events, digest, epochs, skipped, end_par) = run_parallel(threads);
@@ -331,8 +308,8 @@ pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<SchedH
     }
     reg.trace_event(
         TraceEvent::new(end_pod, "sched_hotpath", "storm-drained")
-            .field("events", rows[2].events)
-            .field("digest", rows[2].digest),
+            .field("events", rows[1].events)
+            .field("digest", rows[1].digest),
     );
     reg.counter_set("sched_hotpath.sim_time_ps", end_pod.max(end_par).as_ps());
     reg.counter_set(
@@ -423,11 +400,9 @@ mod tests {
     #[test]
     fn sequential_cores_agree_event_for_event() {
         let (er, dr, tr) = run_reference_core();
-        let (ec, dc, tc) = run_closure_core();
         let (ep, dp, tp) = run_pod_core();
         assert_eq!(er, (ACTORS as u64) * u64::from(EVENTS_PER_ACTOR));
-        assert_eq!((er, dr, tr), (ec, dc, tc));
-        assert_eq!((ec, dc, tc), (ep, dp, tp));
+        assert_eq!((er, dr, tr), (ep, dp, tp));
     }
 
     #[test]
@@ -443,7 +418,7 @@ mod tests {
     fn instrumented_run_feeds_the_bench_contract() {
         let mut reg = MetricsRegistry::new();
         let rows = run_instrumented(2, &mut reg);
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 3);
         assert!(reg.counter("sched_hotpath.sim_time_ps") > 0);
         assert_eq!(
             reg.counter("sched_hotpath.events_executed"),

@@ -1,14 +1,14 @@
-//! An indexed calendar queue over POD entries.
+//! An indexed calendar queue over `Copy` entries.
 //!
 //! [`CalendarQueue`] is the priority queue under the DES hot path: a
 //! bucket wheel (Brown's calendar queue, simplified to a fixed bucket
-//! count) holding 24-byte plain-old-data entries, with a sorted current
+//! count) holding plain-old-data entries inline, with a sorted current
 //! run popped from the back and a binary-heap overflow for far-future
-//! times. Entries are totally ordered by `(at, key, a, b)`; callers that
-//! need deterministic FIFO tie order give every entry a unique,
-//! monotonically increasing `key` (the scheduler uses its event sequence
-//! number), making pop order independent of the internal bucket layout,
-//! the bucket width, and the insertion pattern.
+//! times. Entries are totally ordered by `(at, key)`; callers that need
+//! deterministic FIFO tie order give every entry a unique, monotonically
+//! increasing `key` (the scheduler uses its event sequence number),
+//! making pop order independent of the internal bucket layout and the
+//! insertion pattern.
 //!
 //! All three tiers recycle their `Vec` capacity: once the queue has seen
 //! its steady-state population, `push`/`pop` allocate nothing. The
@@ -24,38 +24,50 @@ const NBUCKETS: usize = 1024;
 const MASK: usize = NBUCKETS - 1;
 /// Words in the occupancy bitmap (`NBUCKETS / 64`).
 const OCC_WORDS: usize = NBUCKETS / 64;
-/// Default bucket width: ~1 ns of simulated time per bucket, matching
-/// the event spacing of the ECI/NIC models that dominate the hot path.
-const DEFAULT_WIDTH_PS: u64 = 1024;
+/// Bucket width: ~1 ns of simulated time per bucket, matching the event
+/// spacing of the ECI/NIC models that dominate the hot path.
+const WIDTH_PS: u64 = 1024;
+/// Simulated time one rotation of the wheel covers, less the one bucket
+/// that is always left unused so the index mapping stays injective.
+const SPAN_PS: u64 = (NBUCKETS as u64 - 1) * WIDTH_PS;
 
-/// One queue entry: a timestamp, a total-order tie-break key, and two
-/// caller-defined payload words (the scheduler stores its slab slot
-/// index and generation; the TCP interleaver stores a flow index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CalEntry {
+/// One queue entry: a timestamp, a total-order tie-break key, and the
+/// payload, stored inline. The simulator's engine is the one user; its
+/// payload is the model's event.
+///
+/// Entries compare by `(at_ps, key)` alone: the payload never takes part
+/// in the order, so it needs no `Ord` of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct CalEntry<T> {
     /// Firing time, picoseconds.
     pub at_ps: u64,
     /// Tie-break key; unique keys give a strict deterministic total order.
     pub key: u64,
-    /// First payload word.
-    pub a: u32,
-    /// Second payload word.
-    pub b: u32,
+    /// The payload.
+    pub ev: T,
 }
 
-impl CalEntry {
-    fn sort_key(&self) -> (u64, u64, u32, u32) {
-        (self.at_ps, self.key, self.a, self.b)
+impl<T> CalEntry<T> {
+    fn sort_key(&self) -> (u64, u64) {
+        (self.at_ps, self.key)
     }
 }
 
-impl PartialOrd for CalEntry {
+impl<T> PartialEq for CalEntry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.sort_key() == other.sort_key()
+    }
+}
+
+impl<T> Eq for CalEntry<T> {}
+
+impl<T> PartialOrd for CalEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for CalEntry {
+impl<T> Ord for CalEntry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.sort_key().cmp(&other.sort_key())
     }
@@ -70,67 +82,52 @@ impl Ord for CalEntry {
 /// use enzian_sim::Time;
 ///
 /// let mut q = CalendarQueue::new();
-/// q.push(Time::from_ps(30), 0, 3, 0);
-/// q.push(Time::from_ps(10), 1, 1, 0);
-/// q.push(Time::from_ps(10), 2, 2, 0); // same instant, later key
-/// assert_eq!(q.pop().unwrap().a, 1);
-/// assert_eq!(q.pop().unwrap().a, 2);
-/// assert_eq!(q.pop().unwrap().a, 3);
+/// q.push(Time::from_ps(30), 0, 'c');
+/// q.push(Time::from_ps(10), 1, 'a');
+/// q.push(Time::from_ps(10), 2, 'b'); // same instant, later key
+/// assert_eq!(q.pop().unwrap().ev, 'a');
+/// assert_eq!(q.pop().unwrap().ev, 'b');
+/// assert_eq!(q.pop().unwrap().ev, 'c');
 /// assert!(q.pop().is_none());
 /// ```
 #[derive(Debug)]
-pub struct CalendarQueue {
+pub struct CalendarQueue<T> {
     /// Current run, sorted *descending* so the minimum pops from the back.
-    cur: Vec<CalEntry>,
+    cur: Vec<CalEntry<T>>,
     /// The wheel: covers `[frontier, horizon)`, bucket `i` holding times
-    /// with `(t / width) % NBUCKETS == i`.
-    buckets: Vec<Vec<CalEntry>>,
+    /// with `(t / WIDTH_PS) % NBUCKETS == i`.
+    buckets: Vec<Vec<CalEntry<T>>>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occ: [u64; OCC_WORDS],
     /// Entries currently in the wheel.
     wheel_len: usize,
     /// Times at or beyond `horizon` wait here until the wheel rotates
     /// forward to cover them.
-    overflow: BinaryHeap<Reverse<CalEntry>>,
-    width_ps: u64,
+    overflow: BinaryHeap<Reverse<CalEntry<T>>>,
     /// Start of the next untaken bucket; every entry in `cur` is earlier.
     frontier_ps: u64,
-    /// `frontier + (NBUCKETS - 1) * width`. One bucket is always left
-    /// unused so the index mapping stays injective over the window.
+    /// `frontier + SPAN_PS`.
     horizon_ps: u64,
     len: usize,
 }
 
-impl Default for CalendarQueue {
+impl<T: Copy> Default for CalendarQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl CalendarQueue {
-    /// An empty queue with the default ~1 ns bucket width.
+impl<T: Copy> CalendarQueue<T> {
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_bucket_width_ps(DEFAULT_WIDTH_PS)
-    }
-
-    /// An empty queue whose wheel buckets each span `width_ps`
-    /// picoseconds. Width is a throughput knob only — pop order never
-    /// depends on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_ps` is zero.
-    pub fn with_bucket_width_ps(width_ps: u64) -> Self {
-        assert!(width_ps > 0, "bucket width must be positive");
         CalendarQueue {
             cur: Vec::new(),
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; OCC_WORDS],
             wheel_len: 0,
             overflow: BinaryHeap::new(),
-            width_ps,
             frontier_ps: 0,
-            horizon_ps: (NBUCKETS as u64 - 1) * width_ps,
+            horizon_ps: SPAN_PS,
             len: 0,
         }
     }
@@ -147,20 +144,14 @@ impl CalendarQueue {
 
     /// Enqueues an entry. Any `at` is accepted — callers enforce their
     /// own monotonicity rules.
-    pub fn push(&mut self, at: Time, key: u64, a: u32, b: u32) {
+    pub fn push(&mut self, at: Time, key: u64, ev: T) {
         let t = at.as_ps();
         if self.len == 0 {
             // Empty queue: rebase the wheel so `t` lands in its first
             // bucket instead of trickling through the overflow heap.
-            self.frontier_ps = (t / self.width_ps) * self.width_ps;
-            self.horizon_ps = self.frontier_ps + (NBUCKETS as u64 - 1) * self.width_ps;
+            self.rebase(t);
         }
-        let e = CalEntry {
-            at_ps: t,
-            key,
-            a,
-            b,
-        };
+        let e = CalEntry { at_ps: t, key, ev };
         self.len += 1;
         if t < self.frontier_ps {
             // Earlier than every untaken bucket: belongs in the current
@@ -175,7 +166,7 @@ impl CalendarQueue {
     }
 
     /// Removes and returns the earliest entry.
-    pub fn pop(&mut self) -> Option<CalEntry> {
+    pub fn pop(&mut self) -> Option<CalEntry<T>> {
         if !self.refill() {
             return None;
         }
@@ -184,28 +175,11 @@ impl CalendarQueue {
     }
 
     /// The earliest entry without removing it.
-    pub fn peek(&mut self) -> Option<&CalEntry> {
+    pub fn peek(&mut self) -> Option<&CalEntry<T>> {
         if !self.refill() {
             return None;
         }
         self.cur.last()
-    }
-
-    /// Discards every entry, retaining allocated capacity.
-    pub fn clear(&mut self) {
-        self.cur.clear();
-        for w in 0..OCC_WORDS {
-            let mut bits = self.occ[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                self.buckets[w * 64 + b].clear();
-                bits &= bits - 1;
-            }
-            self.occ[w] = 0;
-        }
-        self.wheel_len = 0;
-        self.overflow.clear();
-        self.len = 0;
     }
 
     /// Total retained entry capacity across all tiers — the number the
@@ -217,9 +191,15 @@ impl CalendarQueue {
             + self.overflow.capacity()
     }
 
-    fn bucket_push(&mut self, e: CalEntry) {
+    /// Moves the window so its first bucket holds time `t`.
+    fn rebase(&mut self, t: u64) {
+        self.frontier_ps = t / WIDTH_PS * WIDTH_PS;
+        self.horizon_ps = self.frontier_ps + SPAN_PS;
+    }
+
+    fn bucket_push(&mut self, e: CalEntry<T>) {
         debug_assert!(e.at_ps >= self.frontier_ps && e.at_ps < self.horizon_ps);
-        let bi = (e.at_ps / self.width_ps) as usize & MASK;
+        let bi = (e.at_ps / WIDTH_PS) as usize & MASK;
         self.occ[bi >> 6] |= 1u64 << (bi & 63);
         self.buckets[bi].push(e);
         self.wheel_len += 1;
@@ -269,16 +249,14 @@ impl CalendarQueue {
                 // at the overflow minimum instead of spinning the wheel
                 // across the gap.
                 let m = self.overflow.peek().expect("len > 0").0.at_ps;
-                self.frontier_ps = (m / self.width_ps) * self.width_ps;
-                self.horizon_ps = self.frontier_ps + (NBUCKETS as u64 - 1) * self.width_ps;
+                self.rebase(m);
                 self.drain_overflow();
             }
-            let start = (self.frontier_ps / self.width_ps) as usize & MASK;
+            let start = (self.frontier_ps / WIDTH_PS) as usize & MASK;
             let d = self.next_occupied(start);
-            let bucket_start = self.frontier_ps + d as u64 * self.width_ps;
-            self.frontier_ps = bucket_start + self.width_ps;
-            self.horizon_ps = self.frontier_ps + (NBUCKETS as u64 - 1) * self.width_ps;
-            let bi = (bucket_start / self.width_ps) as usize & MASK;
+            let bucket_start = self.frontier_ps + d as u64 * WIDTH_PS;
+            self.rebase(bucket_start + WIDTH_PS);
+            let bi = (bucket_start / WIDTH_PS) as usize & MASK;
             // Copy the bucket into the (empty) current run rather than
             // swapping Vecs: a swap would circulate capacities around
             // the wheel, so a small Vec would keep landing on heavy
@@ -290,8 +268,7 @@ impl CalendarQueue {
             self.buckets[bi].clear();
             self.wheel_len -= self.cur.len();
             self.occ[bi >> 6] &= !(1u64 << (bi & 63));
-            self.cur
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.sort_key()));
+            self.cur.sort_unstable_by_key(|e| Reverse(e.sort_key()));
             self.drain_overflow();
         }
         true
@@ -302,7 +279,7 @@ impl CalendarQueue {
 mod tests {
     use super::*;
 
-    fn drain(q: &mut CalendarQueue) -> Vec<(u64, u64)> {
+    fn drain(q: &mut CalendarQueue<u32>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(e) = q.pop() {
             out.push((e.at_ps, e.key));
@@ -313,10 +290,10 @@ mod tests {
     #[test]
     fn pops_in_time_then_key_order() {
         let mut q = CalendarQueue::new();
-        q.push(Time::from_ps(50), 1, 0, 0);
-        q.push(Time::from_ps(10), 2, 0, 0);
-        q.push(Time::from_ps(50), 0, 0, 0);
-        q.push(Time::from_ps(10), 3, 0, 0);
+        q.push(Time::from_ps(50), 1, 0);
+        q.push(Time::from_ps(10), 2, 0);
+        q.push(Time::from_ps(50), 0, 0);
+        q.push(Time::from_ps(10), 3, 0);
         assert_eq!(drain(&mut q), vec![(10, 2), (10, 3), (50, 0), (50, 1)]);
     }
 
@@ -326,7 +303,7 @@ mod tests {
         // Spread far beyond one rotation (1024 buckets * 1024 ps ≈ 1 µs).
         let times = [0u64, 1, 1_000, 2_000_000, 5_000_000_000, 3];
         for (k, &t) in times.iter().enumerate() {
-            q.push(Time::from_ps(t), k as u64, 0, 0);
+            q.push(Time::from_ps(t), k as u64, k as u32);
         }
         let got = drain(&mut q);
         let mut want: Vec<(u64, u64)> = times
@@ -362,11 +339,14 @@ mod tests {
                     1..=3 => rnd() % 100_000,
                     _ => 1_000_000 + rnd() % 10_000_000,
                 };
-                q.push(Time::from_ps(now + delta), key, 0, 0);
+                q.push(Time::from_ps(now + delta), key, key as u32);
                 oracle.push(Reverse((now + delta, key)));
                 key += 1;
             } else {
-                let got = q.pop().map(|e| (e.at_ps, e.key));
+                let got = q.pop().map(|e| {
+                    assert_eq!(e.ev, e.key as u32, "payload travels with its entry");
+                    (e.at_ps, e.key)
+                });
                 let want = oracle.pop().map(|Reverse(p)| p);
                 assert_eq!(got, want);
                 if let Some((t, _)) = got {
@@ -384,28 +364,12 @@ mod tests {
     #[test]
     fn peek_matches_pop() {
         let mut q = CalendarQueue::new();
-        q.push(Time::from_ps(7), 0, 9, 8);
-        q.push(Time::from_ps(3), 1, 1, 2);
+        q.push(Time::from_ps(7), 0, (9, 8));
+        q.push(Time::from_ps(3), 1, (1, 2));
         let peeked = *q.peek().unwrap();
-        assert_eq!(q.pop().unwrap(), peeked);
-        assert_eq!(peeked.at_ps, 3);
-        assert_eq!((peeked.a, peeked.b), (1, 2));
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_capacity() {
-        let mut q = CalendarQueue::new();
-        for i in 0..1000u64 {
-            q.push(Time::from_ps(i * 777), i, 0, 0);
-        }
-        let cap = q.footprint();
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-        assert!(q.footprint() >= cap.min(1), "capacity retained");
-        // Still usable after clear.
-        q.push(Time::from_ps(5), 0, 0, 0);
-        assert_eq!(q.pop().unwrap().at_ps, 5);
+        let popped = q.pop().unwrap();
+        assert_eq!((popped.at_ps, popped.key, popped.ev), (3, 1, (1, 2)));
+        assert_eq!((peeked.at_ps, peeked.key, peeked.ev), (3, 1, (1, 2)));
     }
 
     #[test]
@@ -416,12 +380,12 @@ mod tests {
         let mut q = CalendarQueue::new();
         let mut key = 0u64;
         let mut now = 0u64;
-        let mut churn = |q: &mut CalendarQueue| {
+        let mut churn = |q: &mut CalendarQueue<u64>| {
             for _ in 0..200_000 {
                 if let Some(e) = q.pop() {
                     now = e.at_ps;
                 }
-                q.push(Time::from_ps(now + 1 + key % 50_000), key, 0, 0);
+                q.push(Time::from_ps(now + 1 + key % 50_000), key, key);
                 key += 1;
             }
         };

@@ -5,7 +5,8 @@
 //! workspace:
 //!
 //! * [`Time`] / [`Duration`] — picosecond-resolution simulated time,
-//! * [`Simulator`] — a generic event-driven scheduler over a user model,
+//! * [`Simulator`] — a generic event-driven scheduler over a user
+//!   [`Model`] and the model's own `Copy` events,
 //! * [`Channel`] — a bandwidth/latency pipe model used for every serial
 //!   link in the platform (ECI lanes, PCIe, Ethernet, I2C),
 //! * [`stats`] — counters, histograms and time series for collecting the
@@ -36,14 +37,24 @@
 //! # Example
 //!
 //! ```
-//! use enzian_sim::{Simulator, Duration};
+//! use enzian_sim::{Duration, Model, Scheduler, Simulator};
 //!
-//! // A model with a single counter; two events bump it at different times.
-//! let mut sim = Simulator::new(0u64);
-//! sim.schedule_in(Duration::from_ns(5), |m: &mut u64, _s| *m += 1);
-//! sim.schedule_in(Duration::from_ns(10), |m: &mut u64, _s| *m += 2);
+//! // A counter model whose events carry the amount to add.
+//! struct Counter(u64);
+//!
+//! impl Model for Counter {
+//!     type Event = u64;
+//!     fn handle(&mut self, _s: &mut Scheduler<u64>, add: u64) {
+//!         self.0 += add;
+//!     }
+//! }
+//!
+//! // Two events bump the counter at different times.
+//! let mut sim = Simulator::new(Counter(0));
+//! sim.schedule_in(Duration::from_ns(5), 1);
+//! sim.schedule_in(Duration::from_ns(10), 2);
 //! sim.run();
-//! assert_eq!(*sim.model(), 3);
+//! assert_eq!(sim.model().0, 3);
 //! assert_eq!(sim.now().as_ns(), 10);
 //! ```
 
@@ -66,7 +77,7 @@ pub mod time;
 pub use calq::{CalEntry, CalendarQueue};
 pub use channel::{Channel, ChannelConfig};
 pub use digest::Fnv;
-pub use engine::{EventId, LivelockError, Pod, PodFn, Scheduler, Simulator};
+pub use engine::{LivelockError, Model, Scheduler, Simulator};
 pub use explore::{
     Counterexample, ProtocolModel, SearchOutcome, SearchStats, SplitMix64, StateLimit, Succ,
     Violation,

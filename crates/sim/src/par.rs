@@ -713,15 +713,27 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
+    use crate::engine::{Model, Scheduler, Simulator};
     use std::collections::VecDeque;
 
-    /// A shard wrapping a [`Simulator`] over a counter model: every
+    /// The local model of a [`PingShard`]: a log of arrivals, each
+    /// event carrying the arriving payload.
+    struct PingLog(Vec<u64>);
+
+    impl Model for PingLog {
+        type Event = u64;
+
+        fn handle(&mut self, s: &mut Scheduler<u64>, value: u64) {
+            self.0.push(s.now().as_ps() ^ value);
+        }
+    }
+
+    /// A shard wrapping a [`Simulator`] over a log model: every
     /// arrival schedules a local event; every `period`, the shard pings
     /// its peer until `budget` runs out. Exercises the
     /// [`Simulator::run_before`] epoch-stepping primitive.
     struct PingShard {
-        sim: Simulator<Vec<u64>>,
+        sim: Simulator<PingLog>,
         peer: usize,
         id: usize,
         seq: u64,
@@ -736,7 +748,7 @@ mod tests {
     impl PingShard {
         fn new(id: usize, peer: usize, budget: u64, latency: Duration) -> Self {
             PingShard {
-                sim: Simulator::new(Vec::new()),
+                sim: Simulator::new(PingLog(Vec::new())),
                 peer,
                 id,
                 seq: 0,
@@ -766,10 +778,7 @@ mod tests {
                     break;
                 }
                 let std::cmp::Reverse(env) = self.inbox.pop().unwrap();
-                let value = env.payload;
-                self.sim.schedule_at(env.at, move |log: &mut Vec<u64>, s| {
-                    log.push(s.now().as_ps() ^ value);
-                });
+                self.sim.schedule_at(env.at, env.payload);
             }
             // Emit pings due inside this window.
             while self.budget > 0 && self.next_ping < window.end {
@@ -805,7 +814,7 @@ mod tests {
         let report = run_conservative(&mut shards, latency, threads);
         let b = shards.pop().unwrap();
         let a = shards.pop().unwrap();
-        (a.sim.into_model(), b.sim.into_model(), report)
+        (a.sim.into_model().0, b.sim.into_model().0, report)
     }
 
     #[test]

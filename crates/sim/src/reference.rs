@@ -7,8 +7,12 @@
 //! over randomized schedules and the `sched_hotpath` experiment
 //! re-checks (and times) on every benchmark run.
 //!
-//! Apart from the module path and these docs the code is unchanged, so
-//! a divergence found by the battery is attributable to the new engine.
+//! Apart from the module path, these docs and the removal of
+//! cancellation and `run_until` (which the production core no longer
+//! has either) the code is unchanged, so a divergence found by the
+//! battery is attributable to the new engine. It keeps boxed closures:
+//! the production core's typed events and these closures are driven
+//! over the same scripts.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -17,13 +21,9 @@ use crate::time::{Duration, Time};
 
 pub use crate::engine::LivelockError;
 
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
 /// Events are `Send` so models built on the simulator (and the simulator
 /// itself) can be moved across threads.
-type EventFn<M> = Box<dyn FnOnce(&mut M, &mut Scheduler<M>) + Send>;
+type Handler<M> = Box<dyn FnOnce(&mut M, &mut Scheduler<M>) + Send>;
 
 struct QueueEntry {
     at: Time,
@@ -52,10 +52,10 @@ pub struct Scheduler<M> {
     now: Time,
     next_seq: u64,
     queue: BinaryHeap<Reverse<QueueEntry>>,
-    // Keyed by sequence number; entries are removed when they fire or are
-    // cancelled, so memory stays proportional to *pending* events no
-    // matter how many have executed.
-    handlers: BTreeMap<u64, EventFn<M>>,
+    // Keyed by sequence number; entries are removed when they fire, so
+    // memory stays proportional to *pending* events no matter how many
+    // have executed.
+    handlers: BTreeMap<u64, Handler<M>>,
     events_executed: u64,
 }
 
@@ -100,7 +100,7 @@ impl<M> Scheduler<M> {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_at<F>(&mut self, at: Time, f: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: Time, f: F)
     where
         F: FnOnce(&mut M, &mut Scheduler<M>) + Send + 'static,
     {
@@ -109,38 +109,33 @@ impl<M> Scheduler<M> {
         self.next_seq += 1;
         self.queue.push(Reverse(QueueEntry { at, seq }));
         self.handlers.insert(seq, Box::new(f));
-        EventId(seq)
     }
 
     /// Schedules `f` at `at`, clamped to the present.
-    pub fn schedule_at_or_now<F>(&mut self, at: Time, f: F) -> EventId
+    pub fn schedule_at_or_now<F>(&mut self, at: Time, f: F)
     where
         F: FnOnce(&mut M, &mut Scheduler<M>) + Send + 'static,
     {
-        self.schedule_at(at.max(self.now), f)
+        self.schedule_at(at.max(self.now), f);
     }
 
     /// Schedules `f` to run `after` from now.
-    pub fn schedule_in<F>(&mut self, after: Duration, f: F) -> EventId
+    pub fn schedule_in<F>(&mut self, after: Duration, f: F)
     where
         F: FnOnce(&mut M, &mut Scheduler<M>) + Send + 'static,
     {
-        self.schedule_at(self.now + after, f)
+        self.schedule_at(self.now + after, f);
     }
 
-    /// Cancels a pending event. Returns `true` if the event existed and had
-    /// not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.handlers.remove(&id.0).is_some()
-    }
-
-    fn take_handler(&mut self, seq: u64) -> Option<EventFn<M>> {
-        self.handlers.remove(&seq)
+    fn take_handler(&mut self, seq: u64) -> Handler<M> {
+        self.handlers
+            .remove(&seq)
+            .expect("queued event has a handler")
     }
 }
 
-/// The reference discrete-event simulator over a model `M`. API-identical
-/// to [`crate::Simulator`] minus the POD scheduling entry points.
+/// The reference discrete-event simulator over a model `M`: the
+/// [`crate::Simulator`] API, with boxed closures for events.
 pub struct Simulator<M> {
     model: M,
     sched: Scheduler<M>,
@@ -176,54 +171,37 @@ impl<M> Simulator<M> {
     }
 
     /// Schedules an event at an absolute time.
-    pub fn schedule_at<F>(&mut self, at: Time, f: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: Time, f: F)
     where
         F: FnOnce(&mut M, &mut Scheduler<M>) + Send + 'static,
     {
-        self.sched.schedule_at(at, f)
+        self.sched.schedule_at(at, f);
     }
 
     /// Schedules an event at `at`, clamped to the present.
-    pub fn schedule_at_or_now<F>(&mut self, at: Time, f: F) -> EventId
+    pub fn schedule_at_or_now<F>(&mut self, at: Time, f: F)
     where
         F: FnOnce(&mut M, &mut Scheduler<M>) + Send + 'static,
     {
-        self.sched.schedule_at_or_now(at, f)
+        self.sched.schedule_at_or_now(at, f);
     }
 
     /// Schedules an event relative to now.
-    pub fn schedule_in<F>(&mut self, after: Duration, f: F) -> EventId
+    pub fn schedule_in<F>(&mut self, after: Duration, f: F)
     where
         F: FnOnce(&mut M, &mut Scheduler<M>) + Send + 'static,
     {
-        self.sched.schedule_in(after, f)
-    }
-
-    /// Cancels a pending event.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.sched.cancel(id)
-    }
-
-    /// The time of the next live (non-cancelled) pending event, if any.
-    /// Cancelled queue entries encountered on the way are discarded.
-    pub fn peek_next_time(&mut self) -> Option<Time> {
-        while let Some(Reverse(entry)) = self.sched.queue.peek() {
-            if self.sched.handlers.contains_key(&entry.seq) {
-                return Some(entry.at);
-            }
-            self.sched.queue.pop();
-        }
-        None
+        self.sched.schedule_in(after, f);
     }
 
     /// Resets the clock to [`Time::ZERO`] once the queue has fully drained.
     ///
     /// # Panics
     ///
-    /// Panics if a live event is still pending.
+    /// Panics if an event is still pending.
     pub fn rewind(&mut self) {
         assert!(
-            self.peek_next_time().is_none(),
+            self.sched.queue.is_empty(),
             "cannot rewind with events pending"
         );
         self.sched.now = Time::ZERO;
@@ -232,19 +210,15 @@ impl<M> Simulator<M> {
     /// Runs a single event if any is pending; returns `false` when the
     /// queue is empty.
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some(Reverse(entry)) = self.sched.queue.pop() else {
-                return false;
-            };
-            debug_assert!(entry.at >= self.sched.now, "event queue went backwards");
-            if let Some(handler) = self.sched.take_handler(entry.seq) {
-                self.sched.now = entry.at;
-                self.sched.events_executed += 1;
-                handler(&mut self.model, &mut self.sched);
-                return true;
-            }
-            // Cancelled event: skip without advancing time.
-        }
+        let Some(Reverse(entry)) = self.sched.queue.pop() else {
+            return false;
+        };
+        debug_assert!(entry.at >= self.sched.now, "event queue went backwards");
+        let handler = self.sched.take_handler(entry.seq);
+        self.sched.now = entry.at;
+        self.sched.events_executed += 1;
+        handler(&mut self.model, &mut self.sched);
+        true
     }
 
     /// Runs until the event queue is empty; returns the number of events
@@ -260,8 +234,8 @@ impl<M> Simulator<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`LivelockError`] if the budget is exhausted with live
-    /// events still pending.
+    /// Returns [`LivelockError`] if the budget is exhausted with events
+    /// still pending.
     pub fn run_bounded(&mut self, max_events: u64) -> Result<u64, LivelockError> {
         let start = self.sched.events_executed;
         while self.sched.events_executed - start < max_events {
@@ -269,7 +243,7 @@ impl<M> Simulator<M> {
                 return Ok(self.sched.events_executed - start);
             }
         }
-        if self.peek_next_time().is_none() {
+        if self.sched.queue.is_empty() {
             return Ok(self.sched.events_executed - start);
         }
         Err(LivelockError {
@@ -299,22 +273,6 @@ impl<M> Simulator<M> {
         }
         self.sched.events_executed - start
     }
-
-    /// Runs until the queue is empty or simulated time would exceed
-    /// `deadline`; events scheduled later stay queued.
-    pub fn run_until(&mut self, deadline: Time) -> u64 {
-        let start = self.sched.events_executed;
-        while let Some(Reverse(entry)) = self.sched.queue.peek() {
-            if entry.at > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.sched.now < deadline {
-            self.sched.now = deadline;
-        }
-        self.sched.events_executed - start
-    }
 }
 
 #[cfg(test)]
@@ -322,15 +280,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reference_core_still_orders_and_cancels() {
+    fn reference_core_still_orders_and_rewinds() {
         let mut sim = Simulator::new(Vec::new());
         for i in 0..4u32 {
             sim.schedule_in(Duration::from_ns(5), move |v: &mut Vec<u32>, _| v.push(i));
         }
-        let dead = sim.schedule_in(Duration::from_ns(1), |v: &mut Vec<u32>, _| v.push(99));
-        assert!(sim.cancel(dead));
+        sim.schedule_in(Duration::from_ns(1), |v: &mut Vec<u32>, _| v.push(99));
         sim.run();
-        assert_eq!(*sim.model(), vec![0, 1, 2, 3]);
+        assert_eq!(*sim.model(), vec![99, 0, 1, 2, 3]);
         sim.rewind();
         assert_eq!(sim.now(), Time::ZERO);
     }

@@ -1,4 +1,4 @@
-//! Proof that the POD hot path schedules without allocating.
+//! Proof that the typed-event hot path schedules without allocating.
 //!
 //! This battery is its own test binary so the counting global allocator
 //! observes exactly one test: the default harness runs tests on pool
@@ -7,7 +7,7 @@
 //! for gets a binary to itself.
 
 use enzian_sim::alloc_count::{self, CountingAllocator};
-use enzian_sim::{Duration, Pod, Scheduler, Simulator, Time};
+use enzian_sim::{Duration, Model, Scheduler, Simulator, Time};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -27,13 +27,16 @@ fn splitmix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Endless POD chain: fire, mix, reschedule. Non-capturing, so the
-/// event is a fn pointer plus a 4×u64 payload — nothing to box.
-fn chain(m: &mut State, s: &mut Scheduler<State>, pod: Pod) {
-    let i = pod.a as usize;
-    m.seeds[i] = splitmix(m.seeds[i] ^ s.now().as_ps());
-    m.fired += 1;
-    let _ = s.schedule_pod_in(Duration::from_ns(1 + m.seeds[i] % 97), chain, pod);
+/// Endless chains: each event names its actor, which fires, mixes and
+/// reschedules itself. The event is a plain index — nothing to box.
+impl Model for State {
+    type Event = usize;
+
+    fn handle(&mut self, s: &mut Scheduler<usize>, i: usize) {
+        self.seeds[i] = splitmix(self.seeds[i] ^ s.now().as_ps());
+        self.fired += 1;
+        s.schedule_in(Duration::from_ns(1 + self.seeds[i] % 97), i);
+    }
 }
 
 #[test]
@@ -43,27 +46,25 @@ fn pod_hot_loop_is_allocation_free() {
         fired: 0,
     });
     for i in 0..ACTORS {
-        let _ = sim.schedule_pod_at(Time::ZERO, chain, Pod::new(i as u64, 0, 0, 0));
+        sim.schedule_at(Time::ZERO, i);
     }
-    // Warm-up: grows the slab to the 16 concurrent chains and rotates
-    // the wheel enough times (16 chains x ~50 ns mean delay across a
-    // ~1 us wheel) for every bucket position to ratchet its capacity to
-    // its peak load.
+    // Warm-up: rotates the wheel enough times (16 chains x ~50 ns mean
+    // delay across a ~1 us wheel) for every bucket position to ratchet
+    // its capacity to its peak load.
     let _ = sim.run_bounded(150_000);
     let warm = sim.model().fired;
     assert!(warm >= 150_000);
 
     // Steady state: another 100k scheduled-and-fired events, zero heap
-    // traffic. This is the tentpole claim of the POD redesign — not
-    // "few" allocations, none.
+    // traffic. Not "few" allocations, none.
     let before = alloc_count::snapshot();
     let _ = sim.run_bounded(100_000);
     let delta = alloc_count::snapshot().since(&before);
     assert!(sim.model().fired >= warm + 100_000);
     assert_eq!(
         delta.allocations, 0,
-        "POD hot loop allocated {} times ({} bytes)",
+        "typed-event hot loop allocated {} times ({} bytes)",
         delta.allocations, delta.bytes_allocated
     );
-    assert_eq!(delta.deallocations, 0, "POD hot loop freed memory");
+    assert_eq!(delta.deallocations, 0, "typed-event hot loop freed memory");
 }

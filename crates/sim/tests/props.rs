@@ -5,7 +5,7 @@
 //! never depends on external crates or wall-clock entropy.
 
 use enzian_sim::stats::Summary;
-use enzian_sim::{Channel, ChannelConfig, Duration, SimRng, Simulator, Time};
+use enzian_sim::{Channel, ChannelConfig, Duration, Model, Scheduler, SimRng, Simulator, Time};
 
 /// Channel bookings never overlap and never start before submission;
 /// total occupancy never exceeds wall-clock capacity.
@@ -36,6 +36,17 @@ fn channel_conservation() {
     }
 }
 
+/// Logs the nanosecond each event fires at.
+struct FireLog(Vec<u64>);
+
+impl Model for FireLog {
+    type Event = ();
+
+    fn handle(&mut self, s: &mut Scheduler<()>, _ev: ()) {
+        self.0.push(s.now().as_ns());
+    }
+}
+
 /// Events fire in nondecreasing time order regardless of insertion order.
 #[test]
 fn simulator_fires_in_time_order() {
@@ -43,14 +54,12 @@ fn simulator_fires_in_time_order() {
     for _case in 0..64 {
         let n = rng.range(1, 199) as usize;
         let delays: Vec<u64> = (0..n).map(|_| rng.next_below(1_000_000)).collect();
-        let mut sim = Simulator::new(Vec::<u64>::new());
+        let mut sim = Simulator::new(FireLog(Vec::new()));
         for &d in &delays {
-            sim.schedule_in(Duration::from_ns(d), move |log: &mut Vec<u64>, s| {
-                log.push(s.now().as_ns());
-            });
+            sim.schedule_in(Duration::from_ns(d), ());
         }
         sim.run();
-        let log = sim.model();
+        let log = &sim.model().0;
         assert_eq!(log.len(), delays.len());
         for w in log.windows(2) {
             assert!(w[1] >= w[0]);
