@@ -19,6 +19,11 @@ clippy:
 build:
 	$(CARGO) build --release --workspace
 
+# The CI `Test` step, then its release step: the explorer batteries
+# (MOESI packing round trip, key-set blocks, the pipelined-search
+# equality battery at chunk lengths 1, 2, 3, 7 and 64 and its model-panic
+# cases), the service, traffic and parallel-engine batteries again at
+# release speed.
 test:
 	$(CARGO) test -q --workspace
 	$(CARGO) test -q --release -p enzian-eci -p enzian-sim -p enzian-apps -p enzian-net -p enzian-platform

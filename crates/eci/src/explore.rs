@@ -2084,6 +2084,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn packed_pipelined_search_equals_the_serial_search() {
+        let cfg = ExploreConfig::two_agent().with_lines(2).with_max_writes(1);
+        let model = MoesiModel::new(cfg);
+        let serial = explore::explore(&model, cfg.max_states).expect("within state budget");
+        let packed = explore::explore_packed(&model, cfg.max_states).expect("within state budget");
+        assert_eq!(serial.stats, packed.stats);
+        assert_eq!(
+            serial.violation.map(|cx| cx.to_string()),
+            packed.violation.map(|cx| cx.to_string())
+        );
+        assert_eq!(serial.stats.states, 112_943);
+    }
+
+    #[test]
     fn two_agent_one_line_is_clean() {
         let out = Explorer::new(ExploreConfig::two_agent())
             .run_exhaustive()

@@ -1124,7 +1124,7 @@ impl TcpModel {
     /// Returns [`StateLimit`] if the state budget runs out before the
     /// frontier drains.
     pub fn run_exhaustive(&self) -> Result<SearchOutcome<TcpViolationKind>, StateLimit> {
-        explore::explore(self, self.cfg.max_states)
+        explore::explore_parallel(self, self.cfg.max_states)
     }
 
     /// Seeded random walk, checking the same invariants as the

@@ -237,8 +237,9 @@ pub struct SchedHotpathRow {
     /// FNV-1a fire-order digest.
     pub digest: u64,
     /// Heap allocations during the leg (0 unless the counting allocator
-    /// is installed, as in the `reproduce` binary).
-    pub allocs: u64,
+    /// is installed, as in the `reproduce` binary); `None` for the
+    /// `parallel` leg, which is not counted.
+    pub allocs: Option<u64>,
     /// Wall-clock seconds the leg took. Non-deterministic, so it is
     /// rendered and printed but never exported to the registry.
     pub wall_s: f64,
@@ -275,7 +276,7 @@ pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<SchedH
             leg: name,
             events,
             digest,
-            allocs,
+            allocs: Some(allocs),
             wall_s: wall,
         });
         end
@@ -292,7 +293,7 @@ pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<SchedH
         leg: "parallel",
         events,
         digest,
-        allocs: 0,
+        allocs: None,
         wall_s: wall,
     });
     reg.counter_set("sched_hotpath.parallel.epochs", epochs);
@@ -302,8 +303,8 @@ pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<SchedH
         let base = format!("sched_hotpath.{}", r.leg);
         reg.counter_set(&format!("{base}.events"), r.events);
         reg.counter_set(&format!("{base}.digest"), r.digest);
-        if r.leg != "parallel" {
-            reg.counter_set(&format!("{base}.allocs"), r.allocs);
+        if let Some(allocs) = r.allocs {
+            reg.counter_set(&format!("{base}.allocs"), allocs);
         }
     }
     reg.trace_event(
@@ -328,7 +329,7 @@ pub fn render(rows: &[SchedHotpathRow]) -> String {
                 r.leg.to_string(),
                 r.events.to_string(),
                 format!("{:.2}", r.mevents_per_sec()),
-                r.allocs.to_string(),
+                r.allocs.map_or_else(|| "-".to_string(), |a| a.to_string()),
                 format!("{:016x}", r.digest),
             ]
         })
@@ -378,7 +379,7 @@ impl super::Experiment for Driver {
                     r.leg.to_string(),
                     r.events.to_string(),
                     r.digest.to_string(),
-                    r.allocs.to_string(),
+                    r.allocs.map_or_else(String::new, |a| a.to_string()),
                 ]
             })
             .collect();

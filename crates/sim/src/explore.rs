@@ -60,11 +60,46 @@
 //! lookups then run in successor order, so node numbering, statistics
 //! and counterexamples are those of one-at-a-time insertion. A table
 //! growth prefetches the same way, a batch of keys at a time.
+//!
+//! # Threads
+//!
+//! The search has two stages. *Expanding* a state needs only the
+//! model: its successors, each `Ok` successor's canonical key and
+//! hash, and whether it is a deadlock. *Merging* it needs the search:
+//! look each key up in the visited set, number and check the new
+//! states, queue them, and stop at the first violation. [`explore`]
+//! runs both stages on the calling thread, one state at a time, and
+//! never starts a thread (so a model need not be `Sync`).
+//!
+//! [`explore_parallel`] and [`explore_packed`] start one scoped worker
+//! thread on a host with two or more CPUs, once the frontier holds two
+//! chunks of states: one to merge and one beyond it. A search smaller
+//! than that runs the one-state-at-a-time path to its end. From then on
+//! the searching thread pops chunks of consecutive frontier states,
+//! keeps up to four of them in flight, and merges them strictly in
+//! frontier order. The worker expands queued chunks ahead of the merge;
+//! when the chunk due next is still on the worker, the searching
+//! thread expands a later queued one itself, so both CPUs expand.
+//! Chunks may span BFS levels: there is no barrier between levels.
+//!
+//! Merging in frontier order is what keeps the numbering: node `k` is
+//! still the `k`-th state popped, each state's successors are still
+//! looked up in successor order, and the frontier length the statistics
+//! report is derived from node numbers. Statistics, counterexamples and
+//! [`StateLimit`] are therefore those of the serial search at any
+//! thread count. A chunk is sized by bytes: about 1 MiB of successors
+//! at eight per state, so 1,638 TCP states or 481 MOESI states. Its
+//! buffers are allocated on the searching thread when first needed and
+//! reused, and expansion stops before a state that might not fit in
+//! them; the merge expands what is left. A model panic on either thread
+//! ends the search with that panic, and the worker is joined before
+//! the search returns.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 mod keyset;
+mod pipeline;
 
 use keyset::KeySet;
 
@@ -384,7 +419,8 @@ fn path_to<A: Clone>(nodes: &[Node<A>], idx: u32) -> Vec<A> {
 
 /// Exhaustive canonicalized BFS from the model's initial state. Returns
 /// the statistics and the first (shortest-path) violation found, if
-/// any.
+/// any. Runs on the calling thread alone; [`explore_parallel`] is the
+/// same search with a second thread.
 ///
 /// # Errors
 ///
@@ -395,151 +431,329 @@ pub fn explore<M: ProtocolModel>(
     model: &M,
     max_states: u64,
 ) -> Result<SearchOutcome<M::Kind>, StateLimit> {
-    search(model, max_states, VecDeque::new())
+    search(model, max_states, VecDeque::new(), Serial)
 }
 
-/// [`explore`] with the frontier holding packed states (see
+/// [`explore`] with a worker thread expanding frontier chunks ahead of
+/// the search (see [Threads](self#threads)): the same statistics and
+/// counterexamples, sooner on a host with two or more CPUs.
+///
+/// # Errors
+///
+/// Returns [`StateLimit`] as [`explore`] does.
+///
+/// # Panics
+///
+/// Panics if the model panics, on either thread.
+pub fn explore_parallel<M>(model: &M, max_states: u64) -> Result<SearchOutcome<M::Kind>, StateLimit>
+where
+    M: ProtocolModel + Sync,
+    M::State: Send,
+    M::Action: Send,
+{
+    search_on_host(model, max_states, VecDeque::new())
+}
+
+/// [`explore_parallel`] with the frontier holding packed states (see
 /// [`PackedModel`]): the same search, statistics and counterexamples in
 /// less memory.
 ///
 /// # Errors
 ///
 /// Returns [`StateLimit`] as [`explore`] does.
-pub fn explore_packed<M: PackedModel>(
-    model: &M,
-    max_states: u64,
-) -> Result<SearchOutcome<M::Kind>, StateLimit> {
-    search(model, max_states, PackedFrontier::new(model, UNPACKED_MAX))
+///
+/// # Panics
+///
+/// Panics if the model panics, on either thread.
+pub fn explore_packed<M>(model: &M, max_states: u64) -> Result<SearchOutcome<M::Kind>, StateLimit>
+where
+    M: PackedModel + Sync,
+    M::State: Send,
+    M::Action: Send,
+{
+    search_on_host(model, max_states, PackedFrontier::new(model, UNPACKED_MAX))
 }
 
-/// The BFS of [`explore`] over any frontier representation.
-fn search<M: ProtocolModel>(
+/// [`search`] with a worker thread if the host has a CPU for one.
+fn search_on_host<M, F>(model: &M, max_states: u64, frontier: F) -> Done<M::Kind>
+where
+    M: ProtocolModel + Sync,
+    M::State: Send,
+    M::Action: Send,
+    F: Frontier<M::State>,
+{
+    match pipeline::Pipelined::for_host::<M>() {
+        Some(pipelined) => search(model, max_states, frontier, pipelined),
+        None => search(model, max_states, frontier, Serial),
+    }
+}
+
+/// What a search returns.
+type Done<K> = Result<SearchOutcome<K>, StateLimit>;
+
+/// The expansion of one or more frontier states, in frontier order:
+/// each state's successors, the canonical key and hash of every `Ok`
+/// successor, and whether the state is a deadlock. Expanding needs only
+/// the model, so it can run on any thread; [`Search::merge`] then takes
+/// the states' successors into the search one state at a time.
+struct Expansion<S, A> {
+    succs: Vec<Succ<S, A>>,
+    /// The keys of the `Ok` successors, back to back.
+    keys: Vec<u8>,
+    /// Each key's end offset in `keys`, and its hash.
+    batch: Vec<(usize, u64)>,
+    /// Per expanded state, where its successors and keys end.
+    ends: Vec<StateEnd>,
+}
+
+/// Where one expanded state's entries end in its [`Expansion`].
+#[derive(Clone, Copy, Default)]
+struct StateEnd {
+    succs: usize,
+    batch: usize,
+    /// No successor, and not quiescent.
+    deadlock: bool,
+}
+
+impl<S, A> Expansion<S, A> {
+    /// Room for `states` states of `fanout` successors each, with keys
+    /// of `key_len` bytes.
+    fn with_capacity(states: usize, fanout: usize, key_len: usize) -> Self {
+        Expansion {
+            succs: Vec::with_capacity(states * fanout),
+            keys: Vec::with_capacity(states * fanout * key_len),
+            batch: Vec::with_capacity(states * fanout),
+            ends: Vec::with_capacity(states),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.succs.clear();
+        self.keys.clear();
+        self.batch.clear();
+        self.ends.clear();
+    }
+
+    /// Expands `state` after the states already here.
+    fn push<M: ProtocolModel<State = S, Action = A>>(&mut self, model: &M, state: &S) {
+        let first = self.succs.len();
+        model.successors_into(state, &mut self.succs);
+        let deadlock = self.succs.len() == first && !model.quiescent(state);
+        for next in self.succs[first..]
+            .iter()
+            .filter_map(|s| s.result.as_ref().ok())
+        {
+            let start = self.keys.len();
+            model.canonical_into(next, &mut self.keys);
+            let hash = keyset::fx_hash(&self.keys[start..]);
+            self.batch.push((self.keys.len(), hash));
+        }
+        self.ends.push(StateEnd {
+            succs: self.succs.len(),
+            batch: self.batch.len(),
+            deadlock,
+        });
+    }
+
+    /// Expanded states.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+}
+
+/// Where [`search`] expands states once its initial state is queued.
+trait Expand<M: ProtocolModel> {
+    /// Runs `s` to its end. `state` is the initial state: the buffer
+    /// the frontier pops into.
+    fn finish<F: Frontier<M::State>>(self, s: Search<'_, M, F>, state: M::State) -> Done<M::Kind>;
+}
+
+/// Every state expanded on the searching thread, one at a time.
+struct Serial;
+
+impl<M: ProtocolModel> Expand<M> for Serial {
+    fn finish<F: Frontier<M::State>>(
+        self,
+        mut s: Search<'_, M, F>,
+        mut state: M::State,
+    ) -> Done<M::Kind> {
+        let mut exp = Expansion::with_capacity(0, 0, 0);
+        loop {
+            if let Some(done) = s.step(&mut state, &mut exp) {
+                return done;
+            }
+        }
+    }
+}
+
+/// A BFS in progress: everything but the states being expanded. Node
+/// `idx` is the next to merge; the frontier holds the states of the
+/// nodes after the ones popped so far.
+struct Search<'m, M: ProtocolModel, F> {
+    model: &'m M,
+    max_states: u64,
+    /// `max_states`, capped to the node store's index space.
+    state_cap: u64,
+    visited: KeySet,
+    nodes: Vec<Node<M::Action>>,
+    stats: SearchStats,
+    frontier: F,
+    /// The node to merge next, its depth, and the first node one level
+    /// deeper than it.
+    idx: u32,
+    depth: u64,
+    level_end: usize,
+    /// The initial state's key length, to size chunk buffers by.
+    key_len: usize,
+}
+
+/// The BFS of [`explore`] over any frontier representation, expanding
+/// states where `expand` says.
+fn search<M: ProtocolModel, F: Frontier<M::State>>(
     model: &M,
     max_states: u64,
-    mut frontier: impl Frontier<M::State>,
-) -> Result<SearchOutcome<M::Kind>, StateLimit> {
-    let state_cap = max_states.min(MAX_NODES);
+    mut frontier: F,
+    expand: impl Expand<M>,
+) -> Done<M::Kind> {
     let init = model.initial();
     let mut key = Vec::new();
     model.canonical_into(&init, &mut key);
     let mut visited = KeySet::new();
     visited.insert(&key);
-    let mut nodes: Vec<Node<M::Action>> = vec![Node {
-        parent: 0,
-        action: None,
-    }];
-    let mut stats = SearchStats {
+    let stats = SearchStats {
         states: 1,
         frontier_peak: 1,
         ..SearchStats::default()
     };
-
     if let Some((kind, description)) = model.check(&init) {
         return Ok(SearchOutcome {
             stats,
             violation: Some(report(model, &[], Violation::Invariant(kind), description)),
         });
     }
-
     frontier.push(&init, &key);
-    // The state being expanded, overwritten by each pop.
-    let mut state = init;
-    // The node being expanded, its depth, and the first node one level
-    // deeper than it.
-    let (mut idx, mut depth, mut level_end) = (0u32, 0u64, 1usize);
-    let mut succs = Vec::new();
-    // The keys of one state's `Ok` successors, back to back in `key`,
-    // with each key's end offset and hash.
-    let mut batch: Vec<(usize, u64)> = Vec::new();
-    while frontier.pop_into(&mut state) {
-        if idx as usize == level_end {
-            // Every node of this level was found while expanding the
-            // last one, and none of the next level yet.
-            depth += 1;
-            level_end = nodes.len();
+    let s = Search {
+        model,
+        max_states,
+        state_cap: max_states.min(MAX_NODES),
+        visited,
+        nodes: vec![Node {
+            parent: 0,
+            action: None,
+        }],
+        stats,
+        frontier,
+        idx: 0,
+        depth: 0,
+        level_end: 1,
+        key_len: key.len(),
+    };
+    expand.finish(s, init)
+}
+
+impl<M: ProtocolModel, F: Frontier<M::State>> Search<'_, M, F> {
+    /// Pops the next state into `state`, expands it into `exp` and
+    /// merges it; `Some` once the search is over.
+    fn step(
+        &mut self,
+        state: &mut M::State,
+        exp: &mut Expansion<M::State, M::Action>,
+    ) -> Option<Done<M::Kind>> {
+        if !self.frontier.pop_into(state) {
+            return Some(self.end(None));
         }
-        model.successors_into(&state, &mut succs);
-        if succs.is_empty() && !model.quiescent(&state) {
-            let path = path_to(&nodes, idx);
-            return Ok(SearchOutcome {
-                stats,
-                violation: Some(report(
-                    model,
-                    &path,
-                    Violation::Deadlock,
-                    DEADLOCK_DESCRIPTION.into(),
-                )),
-            });
+        exp.clear();
+        exp.push(self.model, state);
+        self.merge(exp, 0)
+    }
+
+    /// Takes the `i`-th state of `exp`, node `idx`, into the search:
+    /// numbers and queues its new successors and checks them. `Some`
+    /// once the search is over.
+    fn merge(&mut self, exp: &Expansion<M::State, M::Action>, i: usize) -> Option<Done<M::Kind>> {
+        if self.idx as usize == self.level_end {
+            // Every node of this level was found while merging the last
+            // one, and none of the next level yet.
+            self.depth += 1;
+            self.level_end = self.nodes.len();
         }
-        // Hash every key and prefetch its table slot first, so the
-        // lookups below overlap their cache misses instead of taking
-        // them one after another.
-        key.clear();
-        batch.clear();
-        for next in succs.iter().filter_map(|s| s.result.as_ref().ok()) {
-            let start = key.len();
-            model.canonical_into(next, &mut key);
-            let hash = keyset::fx_hash(&key[start..]);
-            visited.prefetch(hash);
-            batch.push((key.len(), hash));
+        let first = i
+            .checked_sub(1)
+            .map_or(StateEnd::default(), |p| exp.ends[p]);
+        let last = exp.ends[i];
+        if last.deadlock {
+            let path = path_to(&self.nodes, self.idx);
+            let cx = report(
+                self.model,
+                &path,
+                Violation::Deadlock,
+                DEADLOCK_DESCRIPTION.into(),
+            );
+            return Some(self.end(Some(cx)));
+        }
+        // Prefetch every key's table slot first, so the lookups below
+        // overlap their cache misses instead of taking them one after
+        // another.
+        let batch = &exp.batch[first.batch..last.batch];
+        for &(_, hash) in batch {
+            self.visited.prefetch(hash);
         }
         let mut keys = batch.iter();
-        let mut start = 0;
+        let mut start = first.batch.checked_sub(1).map_or(0, |p| exp.batch[p].0);
         // By reference: a successor is copied only if it is queued.
-        for succ in &succs {
-            stats.transitions += 1;
+        for succ in &exp.succs[first.succs..last.succs] {
+            self.stats.transitions += 1;
             match &succ.result {
                 Err(e) => {
                     // Render the path up to the offending action.
-                    let path = path_to(&nodes, idx);
-                    let mut cx = report(model, &path, Violation::IllegalStep, e.clone());
+                    let path = path_to(&self.nodes, self.idx);
+                    let mut cx = report(self.model, &path, Violation::IllegalStep, e.clone());
                     cx.actions.push(succ.action.to_string());
-                    return Ok(SearchOutcome {
-                        stats,
-                        violation: Some(cx),
-                    });
+                    return Some(self.end(Some(cx)));
                 }
                 Ok(next) => {
                     let &(end, hash) = keys.next().expect("one key per Ok successor");
-                    let next_key = &key[start..end];
+                    let next_key = &exp.keys[start..end];
                     start = end;
-                    if !visited.insert_hashed(next_key, hash) {
+                    if !self.visited.insert_hashed(next_key, hash) {
                         continue;
                     }
-                    let node_idx = nodes.len() as u32;
-                    nodes.push(Node {
-                        parent: idx,
+                    let node_idx = self.nodes.len() as u32;
+                    self.nodes.push(Node {
+                        parent: self.idx,
                         action: Some(succ.action.clone()),
                     });
-                    stats.states += 1;
-                    stats.max_depth = stats.max_depth.max(depth + 1);
-                    if stats.states > state_cap {
-                        return Err(StateLimit { limit: max_states });
+                    self.stats.states += 1;
+                    self.stats.max_depth = self.stats.max_depth.max(self.depth + 1);
+                    if self.stats.states > self.state_cap {
+                        return Some(Err(StateLimit {
+                            limit: self.max_states,
+                        }));
                     }
-                    if let Some((kind, description)) = model.check(next) {
-                        let path = path_to(&nodes, node_idx);
-                        return Ok(SearchOutcome {
-                            stats,
-                            violation: Some(report(
-                                model,
-                                &path,
-                                Violation::Invariant(kind),
-                                description,
-                            )),
-                        });
+                    if let Some((kind, description)) = self.model.check(next) {
+                        let path = path_to(&self.nodes, node_idx);
+                        let cx = report(self.model, &path, Violation::Invariant(kind), description);
+                        return Some(self.end(Some(cx)));
                     }
-                    frontier.push(next, next_key);
-                    stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u64);
+                    self.frontier.push(next, next_key);
+                    // Every node up to `idx` has been popped, and every
+                    // later one is queued: the frontier's length as a
+                    // one-state-at-a-time search sees it.
+                    let queued = self.nodes.len() as u64 - u64::from(self.idx) - 1;
+                    self.stats.frontier_peak = self.stats.frontier_peak.max(queued);
                 }
             }
         }
-        succs.clear();
-        idx += 1;
+        self.idx += 1;
+        None
     }
-    Ok(SearchOutcome {
-        stats,
-        violation: None,
-    })
+
+    fn end(&self, violation: Option<Counterexample<M::Kind>>) -> Done<M::Kind> {
+        Ok(SearchOutcome {
+            stats: self.stats,
+            violation,
+        })
+    }
 }
 
 /// Seeded random walk: follows one pseudo-random enabled transition per
@@ -672,6 +886,10 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::thread;
 
     /// A toy token-ring model: `n` stations pass a token; station 0
     /// stops the ring after `laps` laps. Mutations: `lose_token` makes
@@ -807,35 +1025,364 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_packed_frontier_changes_nothing_but_memory() {
-        let rings = [
-            Ring::clean(4, 3),
-            Ring {
-                split_token: true,
-                ..Ring::clean(3, 2)
-            },
-            Ring {
-                lose_token: true,
-                ..Ring::clean(3, 2)
-            },
-            Ring {
-                bad_step: true,
-                ..Ring::clean(2, 1)
-            },
-        ];
-        for ring in &rings {
-            let plain = explore(ring, 1_000).unwrap();
-            // All packed, at most one whole state, and as many whole
-            // states as the real frontier keeps.
-            for unpacked_max in [0, 1, UNPACKED_MAX] {
-                let packed = search(ring, 1_000, PackedFrontier::new(ring, unpacked_max)).unwrap();
-                assert_eq!(plain.stats, packed.stats);
+    /// A model with a wide frontier: three counters below `n`, each
+    /// step raising one of them, quiescent when all are at `n - 1`. The
+    /// state `bad` breaks the way its [`Fault`] says. `panic_after`
+    /// makes the model panic at the `panic_after`-th state it expands on
+    /// a thread other than the one that built it (the worker), or, if
+    /// not `panic_on_worker`, at the `panic_after`-th state it checks
+    /// (always on the searching thread). `slow_searcher` makes the
+    /// searching thread sleep on every state it expands, so the worker
+    /// takes chunks however fast the host is. With `burst`, every state
+    /// with its first two counters equal offers each step five times,
+    /// more successors than a chunk's buffers are sized for.
+    struct Lattice {
+        n: u8,
+        burst: bool,
+        bad: Option<([u8; 3], Fault)>,
+        panic_after: Option<u64>,
+        panic_on_worker: bool,
+        slow_searcher: bool,
+        searcher: thread::ThreadId,
+        /// States expanded on other threads than the searching one.
+        on_worker: AtomicU64,
+        checked: AtomicU64,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        Invariant,
+        Deadlock,
+        Illegal,
+    }
+
+    impl Lattice {
+        fn new(n: u8, bad: Option<([u8; 3], Fault)>) -> Self {
+            Lattice {
+                n,
+                burst: false,
+                bad,
+                panic_after: None,
+                panic_on_worker: true,
+                slow_searcher: false,
+                searcher: thread::current().id(),
+                on_worker: AtomicU64::new(0),
+                checked: AtomicU64::new(0),
+            }
+        }
+    }
+
+    #[derive(Clone, Copy, PartialEq)]
+    struct Raise(usize);
+
+    impl fmt::Display for Raise {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "raise counter {}", self.0)
+        }
+    }
+
+    impl ProtocolModel for Lattice {
+        type State = [u8; 3];
+        type Action = Raise;
+        type Kind = &'static str;
+
+        fn initial(&self) -> [u8; 3] {
+            [0; 3]
+        }
+
+        fn successors(&self, s: &[u8; 3]) -> Vec<Succ<[u8; 3], Raise>> {
+            let on_worker = thread::current().id() != self.searcher;
+            if on_worker {
+                let n = self.on_worker.fetch_add(1, Ordering::Relaxed) + 1;
+                if self.panic_on_worker && self.panic_after == Some(n) {
+                    panic!("lattice model panics expanding state {n}");
+                }
+            } else if self.slow_searcher {
+                thread::sleep(std::time::Duration::from_micros(100));
+            }
+            let bad = self.bad.filter(|(at, _)| at == s).map(|(_, fault)| fault);
+            if matches!(bad, Some(Fault::Deadlock)) {
+                return Vec::new();
+            }
+            let repeat = if self.burst && s[0] == s[1] { 5 } else { 1 };
+            (0..3)
+                .filter(|&i| s[i] + 1 < self.n)
+                .flat_map(|i| std::iter::repeat_n(i, repeat))
+                .enumerate()
+                .map(|(k, i)| {
+                    let mut next = *s;
+                    next[i] += 1;
+                    let result = match bad {
+                        Some(Fault::Illegal) if k == 1 => Err("raised past the fault".into()),
+                        _ => Ok(next),
+                    };
+                    Succ {
+                        action: Raise(i),
+                        result,
+                    }
+                })
+                .collect()
+        }
+
+        fn quiescent(&self, s: &[u8; 3]) -> bool {
+            s.iter().all(|&c| c + 1 == self.n)
+        }
+
+        fn canonical(&self, s: &[u8; 3]) -> Vec<u8> {
+            s.to_vec()
+        }
+
+        fn check(&self, s: &[u8; 3]) -> Option<(&'static str, String)> {
+            let n = self.checked.fetch_add(1, Ordering::Relaxed) + 1;
+            if !self.panic_on_worker && self.panic_after == Some(n) {
+                panic!("lattice model panics checking state {n}");
+            }
+            let bad = self
+                .bad
+                .is_some_and(|(at, f)| at == *s && matches!(f, Fault::Invariant));
+            bad.then(|| ("lattice invariant", format!("reached {s:?}")))
+        }
+
+        fn render_path(&self, path: &[Raise]) -> String {
+            path.iter()
+                .map(|r| format!("counter {} up", r.0))
+                .collect::<Vec<_>>()
+                .join("\n")
+        }
+    }
+
+    impl PackedModel for Lattice {
+        fn pack_into(&self, s: &[u8; 3], _key: &[u8], out: &mut Vec<u8>) {
+            out.extend_from_slice(s);
+        }
+
+        fn unpack_into(&self, packed: &[u8], s: &mut [u8; 3]) {
+            s.copy_from_slice(packed);
+        }
+    }
+
+    /// Chunk lengths the equality battery forces the worker on at.
+    const CHUNK_LENS: [usize; 5] = [1, 2, 3, 7, 64];
+
+    /// Held by every test that may start a worker, so
+    /// [`no_worker_thread_is_left`] sees only its own test's threads.
+    static WORKERS: Mutex<()> = Mutex::new(());
+
+    fn lock_workers() -> MutexGuard<'static, ()> {
+        WORKERS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `true` unless a thread of this process is named like the
+    /// explore worker (or the process's threads cannot be listed).
+    fn no_worker_thread_is_left() -> bool {
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return true;
+        };
+        tasks.flatten().all(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .map_or(true, |comm| comm.trim_end() != pipeline::WORKER_NAME)
+        })
+    }
+
+    /// A search's outputs, with the counterexample rendered.
+    fn seen<K: fmt::Display>(out: Done<K>) -> Result<(SearchStats, Option<String>), StateLimit> {
+        out.map(|o| (o.stats, o.violation.map(|cx| cx.to_string())))
+    }
+
+    /// Runs `model` through [`explore`], then through every frontier
+    /// and, forced on whatever the host, the pipelined search at every
+    /// chunk length in [`CHUNK_LENS`]; every run must equal the first.
+    fn assert_searches_agree<M>(label: &str, model: &M, max_states: u64)
+    where
+        M: PackedModel + Sync,
+        M::State: Send,
+        M::Action: Send,
+    {
+        let _workers = lock_workers();
+        let want = seen(explore(model, max_states));
+        for unpacked_max in [0, 1, UNPACKED_MAX] {
+            let packed = search(
+                model,
+                max_states,
+                PackedFrontier::new(model, unpacked_max),
+                Serial,
+            );
+            assert_eq!(seen(packed), want, "{label}: packed, {unpacked_max} plain");
+        }
+        for chunk_len in CHUNK_LENS {
+            let plain = search(
+                model,
+                max_states,
+                VecDeque::new(),
+                pipeline::Pipelined { chunk_len },
+            );
+            assert_eq!(
+                seen(plain),
+                want,
+                "{label}: plain frontier, chunks of {chunk_len}"
+            );
+            for unpacked_max in [0, UNPACKED_MAX] {
+                let frontier = PackedFrontier::new(model, unpacked_max);
+                let packed = search(
+                    model,
+                    max_states,
+                    frontier,
+                    pipeline::Pipelined { chunk_len },
+                );
                 assert_eq!(
-                    plain.violation.as_ref().map(|cx| cx.to_string()),
-                    packed.violation.map(|cx| cx.to_string())
+                    seen(packed),
+                    want,
+                    "{label}: packed frontier, {unpacked_max} plain, chunks of {chunk_len}"
                 );
             }
+        }
+        assert!(
+            no_worker_thread_is_left(),
+            "{label}: a worker outlived its search"
+        );
+    }
+
+    #[test]
+    fn ring_searches_agree_on_every_frontier_and_chunk_length() {
+        let rings = [
+            ("clean", Ring::clean(4, 3), 1_000),
+            (
+                "split token",
+                Ring {
+                    split_token: true,
+                    ..Ring::clean(3, 2)
+                },
+                1_000,
+            ),
+            (
+                "lose token",
+                Ring {
+                    lose_token: true,
+                    ..Ring::clean(3, 2)
+                },
+                1_000,
+            ),
+            (
+                "bad step",
+                Ring {
+                    bad_step: true,
+                    ..Ring::clean(2, 1)
+                },
+                1_000,
+            ),
+            ("state limit", Ring::clean(4, 4), 3),
+        ];
+        for (label, ring, max_states) in &rings {
+            assert_searches_agree(label, ring, *max_states);
+        }
+    }
+
+    #[test]
+    fn lattice_searches_agree_on_every_frontier_and_chunk_length() {
+        let n = 12;
+        // Violations deep in the search, so they fall in the middle of
+        // a chunk, and a budget that runs out there too; bursts of
+        // successors that leave part of a chunk to the merge.
+        let cases = [
+            ("clean", None, 10_000, false),
+            (
+                "invariant",
+                Some(([5, 6, 4], Fault::Invariant)),
+                10_000,
+                false,
+            ),
+            (
+                "deadlock",
+                Some(([7, 3, 5], Fault::Deadlock)),
+                10_000,
+                false,
+            ),
+            (
+                "illegal step",
+                Some(([4, 4, 6], Fault::Illegal)),
+                10_000,
+                false,
+            ),
+            ("state limit", None, 777, false),
+            ("burst", None, 10_000, true),
+            (
+                "burst invariant",
+                Some(([6, 6, 5], Fault::Invariant)),
+                10_000,
+                true,
+            ),
+        ];
+        for (label, bad, max_states, burst) in cases {
+            let lattice = Lattice {
+                burst,
+                ..Lattice::new(n, bad)
+            };
+            assert_searches_agree(label, &lattice, max_states);
+            let out = explore(&lattice, max_states);
+            match (label, out) {
+                ("clean" | "burst", Ok(o)) => assert_eq!(o.stats.states, u64::from(n).pow(3)),
+                ("state limit", Err(e)) => assert_eq!(e.limit, 777),
+                (_, Ok(o)) => assert!(o.violation.is_some(), "{label} not caught"),
+                (_, Err(e)) => panic!("{label}: {e}"),
+            }
+        }
+    }
+
+    /// Runs the pipelined search of a lattice that panics at its
+    /// `panic_after`-th state on (or off) the worker, on a thread of
+    /// its own, and returns the panic message; fails if the search
+    /// hangs, returns, or leaves its worker behind. The pipeline decides
+    /// which thread expands which chunk, so a run whose worker expanded
+    /// fewer than `panic_after` states proves nothing and runs again.
+    fn pipelined_panic(panic_after: u64, panic_on_worker: bool) -> String {
+        for _ in 0..5 {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let searcher = thread::spawn(move || {
+                let lattice = Lattice {
+                    panic_after: Some(panic_after),
+                    panic_on_worker,
+                    slow_searcher: true,
+                    ..Lattice::new(12, None)
+                };
+                let pipelined = pipeline::Pipelined { chunk_len: 7 };
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    search(&lattice, 10_000, VecDeque::new(), pipelined)
+                }));
+                let _ = tx.send(());
+                let message = run.err().map(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default()
+                });
+                (message, lattice.on_worker.load(Ordering::Relaxed))
+            });
+            rx.recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the search hung after a model panic");
+            let (message, on_worker) = searcher.join().expect("the search's panic is caught");
+            assert!(no_worker_thread_is_left(), "a worker outlived its search");
+            match message {
+                Some(message) => return message,
+                None => assert!(
+                    panic_on_worker && on_worker < panic_after,
+                    "the search returned despite the model's panic"
+                ),
+            }
+        }
+        panic!("the worker never expanded {panic_after} states")
+    }
+
+    #[test]
+    fn a_model_panic_on_either_thread_ends_the_search() {
+        let _workers = lock_workers();
+        for panic_after in [1, 7, 100] {
+            // On the worker: its own panic reaches the caller.
+            let message = pipelined_panic(panic_after, true);
+            assert!(message.starts_with("lattice model panics"), "{message}");
+            // On the searching thread: the worker is stopped and joined.
+            let message = pipelined_panic(panic_after, false);
+            assert!(message.starts_with("lattice model panics"), "{message}");
         }
     }
 

@@ -20,7 +20,9 @@
 //! * [`explore`] — a generic bounded model checker: canonicalized BFS
 //!   with shortest-path counterexamples and seeded random walks over
 //!   any [`ProtocolModel`] (the ECI coherence protocol and the TCP
-//!   connection FSM are the two in-tree instances),
+//!   connection FSM are the two in-tree instances), on the calling
+//!   thread or with a worker thread expanding frontier chunks ahead,
+//!   with identical results,
 //! * [`par`] — a conservative parallel execution layer: [`Shard`]s
 //!   advance in lock-step epochs of one lookahead, exchanging
 //!   timestamped [`Envelope`]s through per-shard mailboxes, with results that

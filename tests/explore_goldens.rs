@@ -7,8 +7,10 @@
 //! none of them. A digest is FNV-1a over the rendered counterexample.
 
 use enzian::eci::explore::{ExploreConfig, Explorer, Mutation};
-use enzian::net::tcp::{TcpModel, TcpModelConfig, TcpMutation};
-use enzian::sim::explore::SearchStats;
+use enzian::net::tcp::{
+    TcpModel, TcpModelConfig, TcpMutation, TcpViolationKind, ALL_TCP_MUTATIONS,
+};
+use enzian::sim::explore::{self, SearchOutcome, SearchStats};
 use enzian::sim::Fnv;
 
 /// (states, transitions, frontier peak, max depth)
@@ -136,5 +138,22 @@ fn tcp_mutations_keep_their_counterexamples() {
         assert_eq!(stats(out.stats), golden, "{m:?}");
         assert_eq!(v.violation.to_string(), kind, "{m:?}");
         assert_eq!(digest(&v.to_string()), cx, "{m:?}:\n{v}");
+    }
+}
+
+#[test]
+fn tcp_searches_match_the_serial_explorer() {
+    // `run_exhaustive` may expand on a second thread; the serial search
+    // must find the same statistics and the same counterexamples.
+    fn seen(out: SearchOutcome<TcpViolationKind>) -> (SearchStats, Option<String>) {
+        (out.stats, out.violation.map(|cx| cx.to_string()))
+    }
+    let mut configs = vec![TcpModelConfig::one_way()];
+    configs.extend(ALL_TCP_MUTATIONS.map(|m| TcpModelConfig::duplex().with_mutation(Some(m))));
+    for cfg in configs {
+        let model = TcpModel::new(cfg);
+        let serial = explore::explore(&model, cfg.max_states).expect("within budget");
+        let run = model.run_exhaustive().expect("within budget");
+        assert_eq!(seen(serial), seen(run), "{:?}", cfg.mutation);
     }
 }
