@@ -14,8 +14,8 @@
 //! rendered series, export each CSV table, then write the registry
 //! snapshot as `BENCH_<name>.json` (schema documented in
 //! `docs/BENCH_SCHEMA.md`). The JSON carries only simulated quantities,
-//! so same-seed runs produce byte-identical files; wall-clock timings go
-//! to stderr only.
+//! so same-seed runs produce byte-identical files; wall-clock timings and
+//! the process's peak resident memory (`VmHWM`) go to stderr only.
 //!
 //! `--threads N` sets the worker count for the experiments that run on
 //! the parallel cluster engine (default: available parallelism, capped
@@ -136,8 +136,17 @@ fn export(dir: &Option<std::path::PathBuf>, name: &str, contents: String) {
     }
 }
 
+/// The process's peak resident memory so far (`VmHWM` in
+/// `/proc/self/status`) in KiB, where the kernel reports it.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 /// Writes the registry snapshot as `BENCH_<figure>.json` and reports the
-/// figure's wall-clock cost (stderr only: the JSON stays deterministic).
+/// figure's wall-clock cost and the process's peak resident memory so
+/// far (stderr only: the JSON stays deterministic).
 fn finish(opts: &Opts, figure: &str, reg: &MetricsRegistry, started: std::time::Instant) {
     if let Some(dir) = &opts.bench {
         let path = dir.join(format!("BENCH_{figure}.json"));
@@ -147,7 +156,11 @@ fn finish(opts: &Opts, figure: &str, reg: &MetricsRegistry, started: std::time::
             eprintln!("wrote {}", path.display());
         }
     }
-    eprintln!("{figure}: {} ms wall clock", started.elapsed().as_millis());
+    let ms = started.elapsed().as_millis();
+    match peak_rss_kib() {
+        Some(kib) => eprintln!("{figure}: {ms} ms wall clock, peak RSS {kib} KiB"),
+        None => eprintln!("{figure}: {ms} ms wall clock"),
+    }
 }
 
 /// The generic driver every experiment runs through: run, print the

@@ -221,7 +221,8 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3, reflected) of `data`, eight bytes per step.
+/// CRC-32 (IEEE 802.3, reflected) of `data`, eight bytes per step, then
+/// at most one four-byte step and three single bytes.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
@@ -238,7 +239,16 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[1][((hi >> 16) & 0xFF) as usize]
             ^ t[0][(hi >> 24) as usize];
     }
-    for &b in words.remainder() {
+    let mut rest = words.remainder();
+    if let [a, b, c, d, tail @ ..] = rest {
+        let x = crc ^ u32::from_le_bytes([*a, *b, *c, *d]);
+        crc = t[3][(x & 0xFF) as usize]
+            ^ t[2][((x >> 8) & 0xFF) as usize]
+            ^ t[1][((x >> 16) & 0xFF) as usize]
+            ^ t[0][(x >> 24) as usize];
+        rest = tail;
+    }
+    for &b in rest {
         crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
@@ -764,6 +774,32 @@ mod tests {
             }
         }
         !crc
+    }
+
+    /// The table-driven CRC-32 one byte per step: the oracle for the
+    /// sliced kernel.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let t = &CRC32_TABLES[0];
+        !data.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+            t[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+        })
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_oracle_at_every_length() {
+        let mut rng = enzian_sim::SplitMix64::new(0xC7C3_2009);
+        let random: Vec<u8> = (0..600).map(|_| rng.next() as u8).collect();
+        let ones = [0xFFu8; 600];
+        for data in [&random[..], &ones] {
+            for len in 0..=data.len() {
+                assert_eq!(
+                    crc32(&data[..len]),
+                    crc32_bytewise(&data[..len]),
+                    "len {len}: {:02x?}",
+                    &data[..len.min(8)]
+                );
+            }
+        }
     }
 
     #[test]

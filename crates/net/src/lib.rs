@@ -39,7 +39,7 @@ pub use eth::{EthLink, EthLinkConfig, Switch};
 pub use farview::{FarviewServer, Operator, Predicate};
 pub use rdma::{RdmaBackend, RdmaEngine, RdmaOutcome};
 pub use tcp::{
-    CcAlgorithm, CongestionController, SessionMux, StackKind, TcpEngine, TcpStackConfig,
-    TransferOutcome, WireSegment,
+    CcAlgorithm, CongestionController, LossyMultiFlow, SessionMux, StackKind, TcpEngine,
+    TcpStackConfig, TransferOutcome, WireSegment,
 };
 pub use traffic::{FlowKey, FlowTable, PortMask, Segment};

@@ -185,6 +185,27 @@ impl TcpStackConfig {
     }
 }
 
+/// [`TcpEngine::transfer_interleaved`] was asked to run several flows
+/// on an engine with loss injection: one fault plan is not shared
+/// across flows, so only a one-flow transfer may be lossy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LossyMultiFlow {
+    /// The flows the call asked for.
+    pub flows: usize,
+}
+
+impl std::fmt::Display for LossyMultiFlow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "loss injection is configured, so a transfer takes one flow, not {}",
+            self.flows
+        )
+    }
+}
+
+impl std::error::Error for LossyMultiFlow {}
+
 /// Result of one simulated transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferOutcome {
@@ -663,7 +684,9 @@ impl TcpEngine {
         start: Time,
         data: &[u8],
     ) -> (Vec<u8>, TransferOutcome) {
-        self.transfer_interleaved(link, start, &[data]).remove(0)
+        self.transfer_interleaved(link, start, &[data])
+            .expect("one flow may be lossy")
+            .remove(0)
     }
 
     /// Runs a full connection-managed session: three-way handshake,
@@ -769,22 +792,25 @@ impl TcpEngine {
     ///
     /// Returns each flow's delivered bytes and timing outcome.
     ///
+    /// # Errors
+    ///
+    /// Returns [`LossyMultiFlow`], and transfers nothing, if loss
+    /// injection is configured and `flows` holds more than one flow.
+    ///
     /// # Panics
     ///
-    /// Panics if `flows` is empty, any flow is empty, a checksum fails
-    /// to verify, or loss injection is configured for more than one
-    /// flow (one fault plan is not shared across flows).
+    /// Panics if `flows` is empty, any flow is empty, or a checksum
+    /// fails to verify.
     pub fn transfer_interleaved(
         &mut self,
         link: &mut EthLink,
         start: Time,
         flows: &[&[u8]],
-    ) -> Vec<(Vec<u8>, TransferOutcome)> {
+    ) -> Result<Vec<(Vec<u8>, TransferOutcome)>, LossyMultiFlow> {
         assert!(!flows.is_empty(), "no flows");
-        assert!(
-            flows.len() == 1 || self.loss.is_lossless(),
-            "loss injection unsupported for multi-flow"
-        );
+        if flows.len() > 1 && !self.loss.is_lossless() {
+            return Err(LossyMultiFlow { flows: flows.len() });
+        }
         let mut runs: Vec<FlowRun> = flows
             .iter()
             .map(|data| FlowRun::new(data, start, &self.tx))
@@ -797,7 +823,8 @@ impl TcpEngine {
         {
             self.step(link, i, &mut runs[i]);
         }
-        runs.into_iter()
+        Ok(runs
+            .into_iter()
             .enumerate()
             .map(|(i, f)| {
                 assert_eq!(
@@ -820,7 +847,7 @@ impl TcpEngine {
                 };
                 (f.delivered, outcome)
             })
-            .collect()
+            .collect())
     }
 
     /// Takes flow `i`'s next action (see [`FlowRun::next_at`]).
@@ -1063,7 +1090,9 @@ mod tests {
         let per_flow = 2 << 20;
         let data = payload(per_flow);
         let flows = [&data[..], &data[..], &data[..], &data[..]];
-        let results = kernel_engine().transfer_interleaved(&mut link, Time::ZERO, &flows);
+        let results = kernel_engine()
+            .transfer_interleaved(&mut link, Time::ZERO, &flows)
+            .expect("lossless");
         let last = results.iter().map(|(_, r)| r.delivered).max().unwrap();
         let total_bits = (4 * per_flow) as f64 * 8.0;
         let gbps = total_bits / last.as_secs_f64() / 1e9;
@@ -1178,7 +1207,9 @@ mod tests {
         let data = payload(per_flow);
         let mut link = EthLink::new(EthLinkConfig::hundred_gig());
         let flows = [&data[..], &data[..]];
-        let results = fpga_engine().transfer_interleaved(&mut link, Time::ZERO, &flows);
+        let results = fpga_engine()
+            .transfer_interleaved(&mut link, Time::ZERO, &flows)
+            .expect("lossless");
         let last = results.iter().map(|(_, r)| r.delivered).max().unwrap();
         let gbps = (2 * per_flow) as f64 * 8.0 / last.as_secs_f64() / 1e9;
         assert!(
@@ -1229,7 +1260,9 @@ mod tests {
         let mut link = EthLink::new(EthLinkConfig::hundred_gig());
         let mut engine = kernel_engine();
         let flows = [&data[..], &data[..], &data[..]];
-        let _ = engine.transfer_interleaved(&mut link, Time::ZERO, &flows);
+        engine
+            .transfer_interleaved(&mut link, Time::ZERO, &flows)
+            .expect("lossless");
         let t = engine.telemetry();
         assert_eq!(t.flow_rtt_us.len(), 3);
         for s in &t.flow_rtt_us {
@@ -1304,6 +1337,25 @@ mod tests {
                 "{target} must count as lossy"
             );
         }
+    }
+
+    #[test]
+    fn lossy_multi_flow_transfers_are_a_typed_error() {
+        let data = payload(64 * 1024);
+        let mut link = EthLink::new(EthLinkConfig::hundred_gig());
+        let mut engine = fpga_engine().with_loss(LossPattern::drop_every(17));
+        let err = engine
+            .transfer_interleaved(&mut link, Time::ZERO, &[&data, &data])
+            .unwrap_err();
+        assert_eq!(err, LossyMultiFlow { flows: 2 });
+        assert!(err.to_string().contains("not 2"), "{err}");
+        assert_eq!(engine.telemetry().transfers(), 0, "nothing was sent");
+        // One lossy flow is still a transfer.
+        let results = engine
+            .transfer_interleaved(&mut link, Time::ZERO, &[&data])
+            .expect("one flow may be lossy");
+        assert_eq!(results[0].0, data);
+        assert!(results[0].1.retransmissions > 0);
     }
 
     #[test]

@@ -56,9 +56,12 @@
 //! The model state is a plain `Copy` value — each channel is one count
 //! per segment kind, each retransmission budget a fixed array — and
 //! the model fills the explorer's reused successor and key buffers
-//! directly, so the exhaustive search allocates nothing per state.
+//! directly, so the exhaustive search allocates nothing per state. The
+//! canonical key is lossless (there is no symmetry to reduce), so a
+//! state waits on the search frontier as its key, a quarter of the
+//! state's size, and is decoded from it when its turn comes.
 
-use enzian_sim::explore::{self, ProtocolModel, SearchOutcome, StateLimit};
+use enzian_sim::explore::{self, PackedModel, ProtocolModel, SearchOutcome, StateLimit};
 
 use crate::traffic::{decode_segment, encode_segment, flags, Segment};
 
@@ -355,6 +358,18 @@ impl Bag {
         key[at] = u8::try_from(end - at - 1).expect("a bag holds at most 255 segments");
         end
     }
+
+    /// The bag [`Bag::encode`] wrote at the start of `key`, and the
+    /// bytes after it.
+    fn decode(key: &[u8]) -> (Bag, &[u8]) {
+        let (&count, rest) = key.split_first().expect("a bag's count byte");
+        let (segs, rest) = rest.split_at(usize::from(count));
+        let mut bag = Bag::EMPTY;
+        for &i in segs {
+            bag.0[usize::from(i)] += 1;
+        }
+        (bag, rest)
+    }
 }
 
 /// Longest [`Bag::encode`]: the count byte plus at most `u8::MAX`
@@ -400,6 +415,21 @@ fn enc_conn(c: ConnState) -> u8 {
         ConnState::TimeWait => 10,
     }
 }
+
+/// Every connection state, at its [`enc_conn`] code.
+const CONN_STATES: [ConnState; 11] = [
+    ConnState::Closed,
+    ConnState::Listen,
+    ConnState::SynSent,
+    ConnState::SynReceived,
+    ConnState::Established,
+    ConnState::FinWait1,
+    ConnState::FinWait2,
+    ConnState::Closing,
+    ConnState::CloseWait,
+    ConnState::LastAck,
+    ConnState::TimeWait,
+];
 
 /// Drives one event through the real transition relation.
 fn fsm(state: ConnState, event: ConnEvent) -> Result<ConnState, String> {
@@ -628,6 +658,29 @@ impl TcpState {
         let end = self.ab.encode(&mut key, SCALAR_KEY_LEN);
         let end = self.ba.encode(&mut key, end);
         out.extend_from_slice(&key[..end]);
+    }
+
+    /// Overwrites every field with the state [`TcpState::encode`]
+    /// encoded as `key`.
+    fn decode(&mut self, key: &[u8]) {
+        let (scalars, bags) = key.split_at(SCALAR_KEY_LEN);
+        let nibbles = |i: usize| (scalars[i] >> 4, scalars[i] & 0xF);
+        let (a, b) = nibbles(0);
+        (self.a, self.b) = (CONN_STATES[usize::from(a)], CONN_STATES[usize::from(b)]);
+        (self.a_snd, self.a_rcv) = nibbles(1);
+        (self.a_acked, self.b_snd) = nibbles(2);
+        (self.b_rcv, self.b_acked) = nibbles(3);
+        (self.a_rbuf, self.b_rbuf) = nibbles(4);
+        (self.loss, self.dup) = nibbles(5);
+        (self.rt_syn, self.rt_syn_ack) = nibbles(6);
+        (self.rt_fin_a, self.rt_fin_b) = nibbles(7);
+        let [(da0, da1), (da2, da3), (db0, db1), (db2, db3)] = [8, 9, 10, 11].map(nibbles);
+        self.rt_data_a = [da0, da1, da2, da3];
+        self.rt_data_b = [db0, db1, db2, db3];
+        let (ab, rest) = Bag::decode(bags);
+        let (ba, rest) = Bag::decode(rest);
+        debug_assert!(rest.is_empty(), "{} bytes past the channels", rest.len());
+        (self.ab, self.ba) = (ab, ba);
     }
 
     /// Checks the state invariants; `None` means clean.
@@ -1124,7 +1177,7 @@ impl TcpModel {
     /// Returns [`StateLimit`] if the state budget runs out before the
     /// frontier drains.
     pub fn run_exhaustive(&self) -> Result<SearchOutcome<TcpViolationKind>, StateLimit> {
-        explore::explore_parallel(self, self.cfg.max_states)
+        explore::explore_packed(self, self.cfg.max_states)
     }
 
     /// Seeded random walk, checking the same invariants as the
@@ -1289,8 +1342,22 @@ impl ProtocolModel for TcpModel {
     }
 }
 
+/// A queued state is its canonical key: the encoding is lossless, so
+/// packing copies the key the search computed and unpacking decodes it.
+impl PackedModel for TcpModel {
+    fn pack_into(&self, _state: &TcpState, key: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(key);
+    }
+
+    fn unpack_into(&self, packed: &[u8], state: &mut TcpState) {
+        state.decode(packed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashSet, VecDeque};
+
     use enzian_sim::explore::{expect_clean, expect_violation, SearchStats, Violation};
 
     use super::*;
@@ -1310,6 +1377,55 @@ mod tests {
             stats.states
         );
         assert!(stats.transitions > stats.states);
+    }
+
+    #[test]
+    fn packed_states_are_their_keys_and_unpack_to_themselves() {
+        for (i, &c) in CONN_STATES.iter().enumerate() {
+            assert_eq!(usize::from(enc_conn(c)), i, "{c:?}");
+        }
+        // Two data segments each way and no loss: out-of-order data in
+        // both reassembly buffers, which one segment a side never has.
+        let reordered = TcpModelConfig::duplex()
+            .with_data_a(2)
+            .with_data_b(2)
+            .with_loss_budget(0)
+            .with_retransmit_budget(0);
+        let mut cases = vec![
+            ("one_way", TcpModelConfig::one_way(), 129_835),
+            ("reordered", reordered, 8_338),
+        ];
+        // 1.24M states: the release test run affords them.
+        if !cfg!(debug_assertions) {
+            cases.push(("duplex", TcpModelConfig::duplex(), 1_241_672));
+        }
+        for (name, cfg, states) in cases {
+            let model = TcpModel::new(cfg);
+            let init = model.initial();
+            let mut seen = HashSet::from([model.canonical(&init)]);
+            let mut queue = VecDeque::from([init]);
+            let (mut key, mut packed, mut succs) = (Vec::new(), Vec::new(), Vec::new());
+            // Unpacked into over and over, as the search does, so a
+            // field the decode forgets to overwrite shows.
+            let mut unpacked = init;
+            while let Some(s) = queue.pop_front() {
+                key.clear();
+                model.canonical_into(&s, &mut key);
+                packed.clear();
+                model.pack_into(&s, &key, &mut packed);
+                assert_eq!(packed, key, "{name}: {s:?}");
+                model.unpack_into(&packed, &mut unpacked);
+                assert_eq!(unpacked, s, "{name}: {s:?}");
+                succs.clear();
+                model.successors_into(&s, &mut succs);
+                for next in succs.iter().filter_map(|n| n.result.as_ref().ok()) {
+                    if seen.insert(model.canonical(next)) {
+                        queue.push_back(*next);
+                    }
+                }
+            }
+            assert_eq!(seen.len(), states, "{name}");
+        }
     }
 
     #[test]

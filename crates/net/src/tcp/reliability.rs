@@ -27,18 +27,26 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 
 /// The folded ones'-complement sum of `data` read as big-endian 16-bit
 /// words, an odd trailing byte padded with zero; always `<= 0xFFFF`.
+///
+/// Sums big-endian 32-bit words into a `u64` and folds the carries once
+/// at the end (RFC 1071 §2): 2^16 ≡ 1 modulo 0xFFFF, so a 32-bit word
+/// adds the same as its two 16-bit halves, and a fold keeps the sum's
+/// residue and whether it is zero. The `u64` cannot overflow below
+/// 2^32 words (16 GiB).
 fn ones_complement_sum(data: &[u8]) -> u32 {
-    let mut sum = 0u32;
-    for chunk in data.chunks(2) {
-        let word = if chunk.len() == 2 {
-            u16::from_be_bytes([chunk[0], chunk[1]])
-        } else {
-            u16::from_be_bytes([chunk[0], 0])
-        };
-        sum += u32::from(word);
+    let mut words = data.chunks_exact(4);
+    let mut sum: u64 = words
+        .by_ref()
+        .map(|w| u64::from(u32::from_be_bytes([w[0], w[1], w[2], w[3]])))
+        .sum();
+    let mut tail = [0u8; 4];
+    let rest = words.remainder();
+    tail[..rest.len()].copy_from_slice(rest);
+    sum += u64::from(u32::from_be_bytes(tail));
+    while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
-    sum
+    sum as u32
 }
 
 /// Verifies `data` against a checksum computed by [`internet_checksum`]:
@@ -215,6 +223,49 @@ mod tests {
         }
         // Even-length all-ones sums to 0xFFFF, so the checksum is 0.
         assert_eq!(internet_checksum(&[0xFF; 8]), 0);
+    }
+
+    /// The sum folded after every 16-bit word: the oracle for the
+    /// 32-bit-word kernel.
+    fn ones_complement_sum_by_word(data: &[u8]) -> u32 {
+        let mut sum = 0u32;
+        for chunk in data.chunks(2) {
+            let word = if chunk.len() == 2 {
+                u16::from_be_bytes([chunk[0], chunk[1]])
+            } else {
+                u16::from_be_bytes([chunk[0], 0])
+            };
+            sum += u32::from(word);
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        sum
+    }
+
+    #[test]
+    fn word_sum_matches_the_folding_oracle_at_every_length() {
+        let mut rng = SimRng::seed_from(0xC4EC_0004);
+        let mut random = vec![0u8; 600];
+        rng.fill_bytes(&mut random);
+        let ones = [0xFFu8; 600];
+        let zeros = [0u8; 600];
+        for data in [&random[..], &ones, &zeros] {
+            for len in 0..=data.len() {
+                let data = &data[..len];
+                assert_eq!(
+                    ones_complement_sum(data),
+                    ones_complement_sum_by_word(data),
+                    "len {len}: {:02x?}",
+                    &data[..len.min(8)]
+                );
+            }
+        }
+        // Every alignment of the four-byte words, too.
+        for start in 1..4 {
+            assert_eq!(
+                ones_complement_sum(&random[start..]),
+                ones_complement_sum_by_word(&random[start..])
+            );
+        }
     }
 
     #[test]

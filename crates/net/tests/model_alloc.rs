@@ -20,9 +20,10 @@ fn exhaustive_search_allocates_only_to_grow_its_stores() {
     assert!(out.violation.is_none());
     assert_eq!(out.stats.states, 129_835);
     // The state is `Copy` and successors and keys go into buffers the
-    // search reuses, so what remains is one 64 KiB block per arena-full
-    // of keys (never reallocated), and the doubling of the node store,
-    // the visited table and the frontier: a few dozen allocations, not
+    // search reuses, so what remains is one 64 KiB block per full block
+    // of keys, of nodes or of packed frontier states (never
+    // reallocated), the doubling of the visited table and the
+    // pipelined search's chunk buffers: a few dozen allocations, not
     // one per state.
     assert!(
         delta.allocations < 200,

@@ -52,6 +52,15 @@
 //! (`enzian-net`) and the MOESI coherence model (`enzian-eci`) keep
 //! their whole state in a fixed-size `Copy` value.
 //!
+//! In [`explore_packed`] every store the search grows lives in blocks
+//! of at most 64 KiB: the key arena, the node store and the packed
+//! frontier. A whole block is never reallocated or copied; only the
+//! node store's first block starts small and doubles in place. The
+//! visited set's slot table is the one store allocated whole, and it
+//! doubles. A 64 KiB block lies below the allocator's mmap threshold,
+//! so the blocks one search frees are the ones the next search in the
+//! process allocates.
+//!
 //! The visited set is far larger than the caches, so a lookup is
 //! usually a cache miss. The search therefore works on one state's
 //! successors as a batch: it encodes every successor's key into one
@@ -71,15 +80,15 @@
 //! runs both stages on the calling thread, one state at a time, and
 //! never starts a thread (so a model need not be `Sync`).
 //!
-//! [`explore_parallel`] and [`explore_packed`] start one scoped worker
-//! thread on a host with two or more CPUs, once the frontier holds two
-//! chunks of states: one to merge and one beyond it. A search smaller
-//! than that runs the one-state-at-a-time path to its end. From then on
-//! the searching thread pops chunks of consecutive frontier states,
-//! keeps up to four of them in flight, and merges them strictly in
-//! frontier order. The worker expands queued chunks ahead of the merge;
-//! when the chunk due next is still on the worker, the searching
-//! thread expands a later queued one itself, so both CPUs expand.
+//! [`explore_packed`] starts one scoped worker thread on a host with
+//! two or more CPUs, once the frontier holds two chunks of states: one
+//! to merge and one beyond it. A search smaller than that runs the
+//! one-state-at-a-time path to its end. From then on the searching
+//! thread pops chunks of consecutive frontier states, keeps up to three
+//! of them in flight, and merges them strictly in frontier order. The
+//! worker expands queued chunks ahead of the merge; when the chunk due
+//! next is still on the worker, the searching thread expands a later
+//! queued one itself, so both CPUs expand.
 //! Chunks may span BFS levels: there is no barrier between levels.
 //!
 //! Merging in frontier order is what keeps the numbering: node `k` is
@@ -97,6 +106,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::mem::size_of;
 
 mod keyset;
 mod pipeline;
@@ -284,6 +294,75 @@ struct Node<A> {
     action: Option<A>,
 }
 
+/// Bytes of one block of the node store or the packed frontier: the
+/// key arena's largest block, below the allocator's mmap threshold.
+const BLOCK_BYTES: usize = 1 << 16;
+
+/// Nodes the node store's first block holds before it first doubles:
+/// 4 KiB of eight-byte nodes, as the key arena's first block.
+const FIRST_NODES: usize = 1 << 9;
+
+/// The nodes in discovery order, in blocks of `1 << block_bits` nodes.
+/// Every block but the first is allocated whole and never reallocated:
+/// the store grows without copying, and a block freed by one search is
+/// reused as it is by the next. The first block starts at
+/// [`FIRST_NODES`] and doubles in place up to a whole block, so a small
+/// search allocates little.
+struct Nodes<A> {
+    /// The whole blocks, in order.
+    full: Vec<Vec<Node<A>>>,
+    /// The block being filled.
+    last: Vec<Node<A>>,
+    block_bits: u32,
+}
+
+impl<A> Nodes<A> {
+    /// An empty store of blocks of at most [`BLOCK_BYTES`] (8,192
+    /// eight-byte nodes), or of one node if a node is larger.
+    fn new() -> Self {
+        let per_block = (BLOCK_BYTES / size_of::<Node<A>>().max(1)).max(1);
+        Self::with_block_bits(per_block.ilog2())
+    }
+
+    /// An empty store of blocks of `1 << block_bits` nodes.
+    fn with_block_bits(block_bits: u32) -> Self {
+        Nodes {
+            full: Vec::new(),
+            last: Vec::with_capacity(FIRST_NODES.min(1 << block_bits)),
+            block_bits,
+        }
+    }
+
+    fn push(&mut self, node: Node<A>) {
+        if self.last.len() == self.last.capacity() {
+            self.open();
+        }
+        self.last.push(node);
+    }
+
+    /// Makes room in `last`: doubles the first block until it is whole,
+    /// then opens a new block.
+    #[cold]
+    fn open(&mut self) {
+        let whole = 1 << self.block_bits;
+        if self.last.capacity() < whole {
+            self.last.reserve_exact(self.last.capacity());
+        } else {
+            let block = std::mem::replace(&mut self.last, Vec::with_capacity(whole));
+            self.full.push(block);
+        }
+    }
+
+    fn get(&self, idx: usize) -> &Node<A> {
+        let block = self.full.get(idx >> self.block_bits).unwrap_or(&self.last);
+        &block[idx & ((1 << self.block_bits) - 1)]
+    }
+
+    fn len(&self) -> usize {
+        (self.full.len() << self.block_bits) + self.last.len()
+    }
+}
+
 /// The BFS queue of states waiting for expansion. The search numbers
 /// nodes in the order it queues their states and expands them in that
 /// same order, so an entry is the bare state: the k-th state popped is
@@ -316,18 +395,23 @@ impl<S: Clone> Frontier<S> for VecDeque<S> {
 /// part drains. All plain states are older than all packed ones, so
 /// popping `plain` first keeps the order first in, first out.
 ///
-/// Packed states lie back to back in `buf`, each as a LEB128 length
-/// plus its bytes, consumed from `head`. The consumed prefix is dropped
-/// once it is at least half the buffer, so the buffer holds at most
-/// twice the live entries.
+/// Packed states lie back to back as a LEB128 length plus their bytes
+/// in a first-in, first-out queue of blocks of `block_bytes`, allocated
+/// whole and never grown. As in the key arena, an entry never straddles
+/// two blocks. The oldest block is consumed from `head`; once it is
+/// used up, it is cleared and kept for the next block the queue opens.
 struct PackedFrontier<'m, M: ProtocolModel> {
     model: &'m M,
     plain: VecDeque<M::State>,
     unpacked_max: usize,
-    buf: Vec<u8>,
+    blocks: VecDeque<Vec<u8>>,
+    block_bytes: usize,
+    /// Where the next entry starts in `blocks[0]`.
     head: usize,
-    /// Packed states in `buf[head..]`.
+    /// Packed states in the blocks.
     packed: usize,
+    /// A consumed block, cleared.
+    spare: Option<Vec<u8>>,
     /// Where a state is packed before its length is known.
     scratch: Vec<u8>,
 }
@@ -336,15 +420,65 @@ struct PackedFrontier<'m, M: ProtocolModel> {
 const UNPACKED_MAX: usize = 1 << 10;
 
 impl<'m, M: PackedModel> PackedFrontier<'m, M> {
-    fn new(model: &'m M, unpacked_max: usize) -> Self {
+    fn new(model: &'m M, unpacked_max: usize, block_bytes: usize) -> Self {
         PackedFrontier {
             model,
             plain: VecDeque::new(),
             unpacked_max,
-            buf: Vec::new(),
+            blocks: VecDeque::new(),
+            block_bytes,
             head: 0,
             packed: 0,
+            spare: None,
             scratch: Vec::new(),
+        }
+    }
+
+    /// Packs `state` onto the frontier. Out of line, as is
+    /// [`PackedFrontier::pop_packed`], so a search that never packs
+    /// runs [`Frontier`]'s plain path alone.
+    #[inline(never)]
+    fn push_packed(&mut self, state: &M::State, key: &[u8]) {
+        self.scratch.clear();
+        self.model.pack_into(state, key, &mut self.scratch);
+        let need = keyset::len_of_len(self.scratch.len()) + self.scratch.len();
+        let block_bytes = self.block_bytes;
+        if self
+            .blocks
+            .back()
+            .is_none_or(|block| block.len() + need > block_bytes)
+        {
+            assert!(
+                need <= block_bytes,
+                "a {}-byte packed state exceeds a frontier block",
+                self.scratch.len()
+            );
+            let block = self
+                .spare
+                .take()
+                .unwrap_or_else(|| Vec::with_capacity(block_bytes));
+            self.blocks.push_back(block);
+        }
+        let block = self.blocks.back_mut().expect("a block with room");
+        keyset::push_len(block, self.scratch.len());
+        block.extend_from_slice(&self.scratch);
+        debug_assert!(block.capacity() <= block_bytes, "a frontier block grew");
+        self.packed += 1;
+    }
+
+    /// Unpacks the oldest packed state into `state`; there is one.
+    #[inline(never)]
+    fn pop_packed(&mut self, state: &mut M::State) {
+        let block = &self.blocks[0];
+        let (packed, next) = keyset::read_entry(block, self.head);
+        self.model.unpack_into(packed, state);
+        self.packed -= 1;
+        self.head = next;
+        if self.head == block.len() {
+            let mut used = self.blocks.pop_front().expect("the block just read");
+            used.clear();
+            self.spare = Some(used);
+            self.head = 0;
         }
     }
 }
@@ -353,30 +487,18 @@ impl<M: PackedModel> Frontier<M::State> for PackedFrontier<'_, M> {
     fn push(&mut self, state: &M::State, key: &[u8]) {
         if self.packed == 0 && self.plain.len() < self.unpacked_max {
             self.plain.push_back(state.clone());
-            return;
+        } else {
+            self.push_packed(state, key);
         }
-        self.scratch.clear();
-        self.model.pack_into(state, key, &mut self.scratch);
-        keyset::push_len(&mut self.buf, self.scratch.len());
-        self.buf.extend_from_slice(&self.scratch);
-        self.packed += 1;
     }
 
     fn pop_into(&mut self, state: &mut M::State) -> bool {
         if let Some(next) = self.plain.pop_front() {
             *state = next;
-            return true;
-        }
-        if self.packed == 0 {
+        } else if self.packed > 0 {
+            self.pop_packed(state);
+        } else {
             return false;
-        }
-        let (packed, next) = keyset::read_entry(&self.buf, self.head);
-        self.model.unpack_into(packed, state);
-        self.head = next;
-        self.packed -= 1;
-        if self.head * 2 >= self.buf.len() {
-            self.buf.drain(..self.head);
-            self.head = 0;
         }
         true
     }
@@ -406,12 +528,12 @@ fn report<M: ProtocolModel>(
     }
 }
 
-fn path_to<A: Clone>(nodes: &[Node<A>], idx: u32) -> Vec<A> {
+fn path_to<A: Clone>(nodes: &Nodes<A>, idx: u32) -> Vec<A> {
     let mut actions = Vec::new();
-    let mut cur = idx as usize;
-    while let Some(a) = &nodes[cur].action {
+    let mut node = nodes.get(idx as usize);
+    while let Some(a) = &node.action {
         actions.push(a.clone());
-        cur = nodes[cur].parent as usize;
+        node = nodes.get(node.parent as usize);
     }
     actions.reverse();
     actions
@@ -419,8 +541,8 @@ fn path_to<A: Clone>(nodes: &[Node<A>], idx: u32) -> Vec<A> {
 
 /// Exhaustive canonicalized BFS from the model's initial state. Returns
 /// the statistics and the first (shortest-path) violation found, if
-/// any. Runs on the calling thread alone; [`explore_parallel`] is the
-/// same search with a second thread.
+/// any. Runs on the calling thread alone; [`explore_packed`] is the
+/// same search with a second thread and a packed frontier.
 ///
 /// # Errors
 ///
@@ -434,29 +556,11 @@ pub fn explore<M: ProtocolModel>(
     search(model, max_states, VecDeque::new(), Serial)
 }
 
-/// [`explore`] with a worker thread expanding frontier chunks ahead of
-/// the search (see [Threads](self#threads)): the same statistics and
-/// counterexamples, sooner on a host with two or more CPUs.
-///
-/// # Errors
-///
-/// Returns [`StateLimit`] as [`explore`] does.
-///
-/// # Panics
-///
-/// Panics if the model panics, on either thread.
-pub fn explore_parallel<M>(model: &M, max_states: u64) -> Result<SearchOutcome<M::Kind>, StateLimit>
-where
-    M: ProtocolModel + Sync,
-    M::State: Send,
-    M::Action: Send,
-{
-    search_on_host(model, max_states, VecDeque::new())
-}
-
-/// [`explore_parallel`] with the frontier holding packed states (see
-/// [`PackedModel`]): the same search, statistics and counterexamples in
-/// less memory.
+/// [`explore`] with the frontier holding packed states (see
+/// [`PackedModel`]) and, on a host with two or more CPUs, a worker
+/// thread expanding frontier chunks ahead of the search (see
+/// [Threads](self#threads)): the same search, statistics and
+/// counterexamples, in less memory and sooner.
 ///
 /// # Errors
 ///
@@ -471,17 +575,7 @@ where
     M::State: Send,
     M::Action: Send,
 {
-    search_on_host(model, max_states, PackedFrontier::new(model, UNPACKED_MAX))
-}
-
-/// [`search`] with a worker thread if the host has a CPU for one.
-fn search_on_host<M, F>(model: &M, max_states: u64, frontier: F) -> Done<M::Kind>
-where
-    M: ProtocolModel + Sync,
-    M::State: Send,
-    M::Action: Send,
-    F: Frontier<M::State>,
-{
+    let frontier = PackedFrontier::new(model, UNPACKED_MAX, BLOCK_BYTES);
     match pipeline::Pipelined::for_host::<M>() {
         Some(pipelined) => search(model, max_states, frontier, pipelined),
         None => search(model, max_states, frontier, Serial),
@@ -595,7 +689,7 @@ struct Search<'m, M: ProtocolModel, F> {
     /// `max_states`, capped to the node store's index space.
     state_cap: u64,
     visited: KeySet,
-    nodes: Vec<Node<M::Action>>,
+    nodes: Nodes<M::Action>,
     stats: SearchStats,
     frontier: F,
     /// The node to merge next, its depth, and the first node one level
@@ -632,15 +726,17 @@ fn search<M: ProtocolModel, F: Frontier<M::State>>(
         });
     }
     frontier.push(&init, &key);
+    let mut nodes = Nodes::new();
+    nodes.push(Node {
+        parent: 0,
+        action: None,
+    });
     let s = Search {
         model,
         max_states,
         state_cap: max_states.min(MAX_NODES),
         visited,
-        nodes: vec![Node {
-            parent: 0,
-            action: None,
-        }],
+        nodes,
         stats,
         frontier,
         idx: 0,
@@ -1164,6 +1260,12 @@ mod tests {
     /// Chunk lengths the equality battery forces the worker on at.
     const CHUNK_LENS: [usize; 5] = [1, 2, 3, 7, 64];
 
+    /// Packed-frontier blocks that one packed ring state of four
+    /// stations fills exactly (seven bytes with its length) and two
+    /// four-byte lattice states overflow by one byte, so the frontier
+    /// opens and recycles a block for every state.
+    const SMALL_BLOCK: usize = 7;
+
     /// Held by every test that may start a worker, so
     /// [`no_worker_thread_is_left`] sees only its own test's threads.
     static WORKERS: Mutex<()> = Mutex::new(());
@@ -1201,13 +1303,15 @@ mod tests {
         let _workers = lock_workers();
         let want = seen(explore(model, max_states));
         for unpacked_max in [0, 1, UNPACKED_MAX] {
-            let packed = search(
-                model,
-                max_states,
-                PackedFrontier::new(model, unpacked_max),
-                Serial,
-            );
-            assert_eq!(seen(packed), want, "{label}: packed, {unpacked_max} plain");
+            for block_bytes in [SMALL_BLOCK, BLOCK_BYTES] {
+                let frontier = PackedFrontier::new(model, unpacked_max, block_bytes);
+                let packed = search(model, max_states, frontier, Serial);
+                assert_eq!(
+                    seen(packed),
+                    want,
+                    "{label}: packed, {unpacked_max} plain, {block_bytes}-byte blocks"
+                );
+            }
         }
         for chunk_len in CHUNK_LENS {
             let plain = search(
@@ -1222,7 +1326,7 @@ mod tests {
                 "{label}: plain frontier, chunks of {chunk_len}"
             );
             for unpacked_max in [0, UNPACKED_MAX] {
-                let frontier = PackedFrontier::new(model, unpacked_max);
+                let frontier = PackedFrontier::new(model, unpacked_max, SMALL_BLOCK);
                 let packed = search(
                     model,
                     max_states,
@@ -1468,6 +1572,50 @@ mod tests {
         let out = random_walk(&m, 1, 100);
         let v = out.violation.expect("the walk must hit the lost token");
         assert_eq!(v.violation, Violation::Deadlock);
+    }
+
+    #[test]
+    fn the_node_store_fills_whole_blocks_and_moves_only_the_first() {
+        // 1,024 nodes a block: the first block doubles from 512, and
+        // 4,099 nodes fill four blocks and open a fifth. Every path
+        // runs back through earlier blocks.
+        let mut nodes = Nodes::with_block_bits(10);
+        nodes.push(Node {
+            parent: 0,
+            action: None,
+        });
+        assert_eq!(nodes.last.capacity(), FIRST_NODES);
+        let mut later_blocks = Vec::new();
+        for i in 1..4_099u32 {
+            nodes.push(Node {
+                parent: i / 2,
+                action: Some(i),
+            });
+            if i % 1_024 == 0 {
+                later_blocks.push(nodes.last.as_ptr());
+            }
+        }
+        assert_eq!(nodes.len(), 4_099);
+        assert_eq!(nodes.full.len(), 4);
+        assert!(nodes.full.iter().all(|b| b.capacity() == 1_024));
+        assert_eq!(nodes.last.capacity(), 1_024);
+        let now: Vec<_> = nodes.full[1..]
+            .iter()
+            .chain([&nodes.last])
+            .map(|b| b.as_ptr())
+            .collect();
+        assert_eq!(now, later_blocks, "a later block moved");
+        for i in [1, 511, 512, 1_023, 1_024, 1_025, 4_098] {
+            let node = nodes.get(i as usize);
+            assert_eq!((node.parent, node.action), (i / 2, Some(i)));
+        }
+        // Node 4,098 descends by halving: 1, 2, 4, 8, 16, 32, ...
+        let path = path_to(&nodes, 4_098);
+        let want: Vec<u32> = (0..13).map(|k| 4_098 >> (12 - k)).collect();
+        assert_eq!(path, want);
+        // A default store holds 64 KiB blocks: 8,192 eight-byte nodes.
+        assert_eq!(size_of::<Node<u8>>(), 8);
+        assert_eq!(Nodes::<u8>::new().block_bits, 13);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub(crate) fn push_len(out: &mut Vec<u8>, mut n: usize) {
 }
 
 /// Bytes [`push_len`] writes for `n`.
-fn len_of_len(n: usize) -> usize {
+pub(crate) fn len_of_len(n: usize) -> usize {
     (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
 }
 

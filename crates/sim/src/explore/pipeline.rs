@@ -1,8 +1,7 @@
-//! The two-stage search of [`super::explore_parallel`] and
-//! [`super::explore_packed`]: a scoped worker thread expands chunks of
-//! frontier states while the searching thread merges them in frontier
-//! order, expanding a queued later chunk itself whenever the one it
-//! merges next is still on the worker.
+//! The two-stage search of [`super::explore_packed`]: a scoped worker
+//! thread expands chunks of frontier states while the searching thread
+//! merges them in frontier order, expanding a queued later chunk itself
+//! whenever the one it merges next is still on the worker.
 //!
 //! Chunks move between the threads by value through one [`Ring`] under
 //! a mutex, which is held only to change a chunk's stage, never while a

@@ -73,6 +73,7 @@ fn errors_implement_std_error() {
     assert_error::<enzian::sim::LivelockError>();
     assert_error::<enzian::eci::DirStepError>();
     assert_error::<enzian::eci::ExploreError>();
+    assert_error::<enzian::net::LossyMultiFlow>();
 }
 
 /// The `Instrumented` trait is object-safe, so heterogeneous component

@@ -145,8 +145,9 @@ fn interleaved_kernel_flows_match_monolith_bit_for_bit() {
     let data = payload(per_flow);
     let mut link = EthLink::new(EthLinkConfig::hundred_gig());
     let flows = [&data[..], &data[..], &data[..], &data[..]];
-    let results =
-        engine(TcpStackConfig::linux_kernel()).transfer_interleaved(&mut link, Time::ZERO, &flows);
+    let results = engine(TcpStackConfig::linux_kernel())
+        .transfer_interleaved(&mut link, Time::ZERO, &flows)
+        .expect("a lossless engine runs any number of flows");
     let golden_delivered = [714_957_520u64, 715_076_400, 715_195_280, 715_314_160];
     assert_eq!(results.len(), 4);
     for (i, ((_, r), &g)) in results.iter().zip(&golden_delivered).enumerate() {
@@ -182,7 +183,9 @@ fn one_flow_interleaved_is_transfer() {
             let label = format!("{name} lossless={}", loss.is_lossless());
             let mut multi = engine(cfg).with_loss(loss);
             let mut link = EthLink::new(EthLinkConfig::hundred_gig());
-            let got = multi.transfer_interleaved(&mut link, Time::ZERO, &[&data]);
+            let got = multi
+                .transfer_interleaved(&mut link, Time::ZERO, &[&data])
+                .expect("one flow may be lossy");
             assert_eq!(got, expected, "{label}: outcomes differ");
             assert_eq!(
                 export(&multi),
