@@ -4,45 +4,30 @@
 //! The mlwip design argument (see `docs/ARCHITECTURE.md`): congestion
 //! control is pure *policy* — it consumes ack/loss events and produces a
 //! window — so it is the natural module to move across the CPU/FPGA
-//! boundary independently of the data path. Three implementations span
-//! that space:
+//! boundary independently of the data path. [`CongestionController`]
+//! is that policy as a plain `Copy` value, an enum over three policies
+//! that span that space:
 //!
-//! * [`FixedWindow`] — the single-pipeline FPGA stack's behaviour: the
-//!   hardware buffer is the window and never moves. This is what the
-//!   monolithic engine always did implicitly, so the `fpga_coyote` and
-//!   `linux_kernel` presets select it and reproduce the pre-split
-//!   numbers bit for bit.
+//! * [`CongestionController::Fixed`] — the single-pipeline FPGA stack's
+//!   behaviour: the hardware buffer is the window and never moves. This
+//!   is what the monolithic engine always did implicitly, so the
+//!   `fpga_coyote` and `linux_kernel` presets select it and reproduce
+//!   the pre-split numbers bit for bit.
 //! * [`Reno`] — slow start plus AIMD congestion avoidance with timeout
 //!   collapse, the classic software policy.
 //! * [`CubicShaped`] — concave/convex window growth around the last
 //!   loss point, shaped like CUBIC's `W(t) = C·(t−K)³ + W_max`.
 //!
-//! Controllers see simulated [`Time`] only, so every trajectory is a
-//! pure function of the workload and the seed.
+//! A controller holds only what moves per connection. Constants of the
+//! stack — the MSS, and the fixed policy's window, which is the stack's
+//! `window` — come from the [`TcpStackConfig`] each call takes, so a
+//! flow carries at most 48 bytes of congestion state inline and no heap
+//! allocation. Controllers see simulated [`Time`] only, so every
+//! trajectory is a pure function of the workload and the seed.
 
 use enzian_sim::Time;
 
 use super::TcpStackConfig;
-
-/// The congestion-control interface: a window in bytes, updated by ack
-/// and timeout events. Implementations must be deterministic — no wall
-/// clock, no global state — so transfers replay bit-identically.
-pub trait CongestionController: std::fmt::Debug + Send {
-    /// Short stable name for telemetry and experiment labels.
-    fn name(&self) -> &'static str;
-
-    /// Current congestion window in bytes. The engine sends while
-    /// `in_flight < min(cwnd, receive_window)`.
-    fn cwnd(&self) -> u64;
-
-    /// `newly_acked` bytes were cumulatively acknowledged at `now`
-    /// (zero for duplicate acks from discarded out-of-order segments).
-    fn on_ack(&mut self, newly_acked: u64, now: Time);
-
-    /// The reliability module's retransmission timeout fired at `now`
-    /// with `in_flight` unacknowledged bytes outstanding.
-    fn on_rto(&mut self, in_flight: u64, now: Time);
-}
 
 /// Which controller a [`TcpStackConfig`] composes into the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +41,7 @@ pub enum CcAlgorithm {
 }
 
 impl CcAlgorithm {
-    /// Short stable label (matches the built controller's `name()`).
+    /// Short stable label for telemetry and experiment labels.
     pub fn label(&self) -> &'static str {
         match self {
             CcAlgorithm::Fixed => "fixed",
@@ -65,44 +50,69 @@ impl CcAlgorithm {
         }
     }
 
-    /// Builds the controller instance for one connection of `cfg`.
-    pub fn build(&self, cfg: &TcpStackConfig) -> Box<dyn CongestionController> {
+    /// Builds the controller for one connection of `cfg`.
+    pub fn build(&self, cfg: &TcpStackConfig) -> CongestionController {
         match self {
-            CcAlgorithm::Fixed => Box::new(FixedWindow::new(cfg.window)),
-            CcAlgorithm::Reno => Box::new(Reno::new(cfg.mss as u64, cfg.window)),
-            CcAlgorithm::Cubic => Box::new(CubicShaped::new(cfg.mss as u64, cfg.window)),
+            CcAlgorithm::Fixed => CongestionController::Fixed,
+            CcAlgorithm::Reno => CongestionController::Reno(Reno::new(cfg)),
+            CcAlgorithm::Cubic => CongestionController::Cubic(CubicShaped::new(cfg)),
         }
     }
 }
 
-/// The FPGA pipeline's "congestion control": a window fixed at the
-/// hardware buffer size. Ack and timeout events never move it — loss
-/// recovery is purely the reliability module's go-back-N rewind, exactly
-/// as the pre-split monolith behaved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedWindow {
-    cwnd: u64,
+/// One connection's congestion controller: a window in bytes, updated
+/// by ack and timeout events. Every method takes the stack config the
+/// controller was built from, which supplies the MSS and the fixed
+/// window. Deterministic — no wall clock, no global state — so
+/// transfers replay bit-identically.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CongestionController {
+    /// The FPGA pipeline's "congestion control": a window fixed at the
+    /// hardware buffer size, the stack's `window`. Ack and timeout
+    /// events never move it — loss recovery is purely the reliability
+    /// module's go-back-N rewind, exactly as the pre-split monolith
+    /// behaved.
+    Fixed,
+    /// Slow start plus AIMD.
+    Reno(Reno),
+    /// Cubic growth around the last loss point.
+    Cubic(CubicShaped),
 }
 
-impl FixedWindow {
-    /// A window pinned at `bytes`.
-    pub fn new(bytes: u64) -> Self {
-        FixedWindow { cwnd: bytes }
+impl CongestionController {
+    /// Current congestion window in bytes. The engine sends while
+    /// `in_flight < min(cwnd, receive_window)`.
+    pub fn cwnd(&self, cfg: &TcpStackConfig) -> u64 {
+        match self {
+            CongestionController::Fixed => cfg.window,
+            CongestionController::Reno(r) => r.cwnd,
+            CongestionController::Cubic(c) => c.cwnd as u64,
+        }
+    }
+
+    /// `newly_acked` bytes were cumulatively acknowledged at `now`
+    /// (zero for duplicate acks from discarded out-of-order segments).
+    pub fn on_ack(&mut self, cfg: &TcpStackConfig, newly_acked: u64, now: Time) {
+        match self {
+            CongestionController::Fixed => {}
+            CongestionController::Reno(r) => r.on_ack(mss(cfg), newly_acked),
+            CongestionController::Cubic(c) => c.on_ack(mss(cfg), newly_acked, now),
+        }
+    }
+
+    /// The reliability module's retransmission timeout fired at `now`
+    /// with `in_flight` unacknowledged bytes outstanding.
+    pub fn on_rto(&mut self, cfg: &TcpStackConfig, in_flight: u64, now: Time) {
+        match self {
+            CongestionController::Fixed => {}
+            CongestionController::Reno(r) => r.on_rto(mss(cfg), in_flight),
+            CongestionController::Cubic(c) => c.on_rto(mss(cfg), now),
+        }
     }
 }
 
-impl CongestionController for FixedWindow {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd
-    }
-
-    fn on_ack(&mut self, _newly_acked: u64, _now: Time) {}
-
-    fn on_rto(&mut self, _in_flight: u64, _now: Time) {}
+fn mss(cfg: &TcpStackConfig) -> u64 {
+    cfg.mss as u64
 }
 
 /// Reno: exponential slow start to `ssthresh`, then additive increase of
@@ -111,7 +121,6 @@ impl CongestionController for FixedWindow {
 /// one segment for a fresh slow start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reno {
-    mss: u64,
     cwnd: u64,
     ssthresh: u64,
     /// Bytes acked since the last additive increase.
@@ -123,46 +132,35 @@ const INITIAL_WINDOW_SEGMENTS: u64 = 10;
 
 impl Reno {
     /// A fresh connection: IW10 initial window, slow-start threshold at
-    /// the receive window `rwnd`.
-    pub fn new(mss: u64, rwnd: u64) -> Self {
+    /// the receive window.
+    fn new(cfg: &TcpStackConfig) -> Self {
         Reno {
-            mss,
-            cwnd: mss * INITIAL_WINDOW_SEGMENTS,
-            ssthresh: rwnd,
+            cwnd: mss(cfg) * INITIAL_WINDOW_SEGMENTS,
+            ssthresh: cfg.window,
             acked_accum: 0,
         }
     }
-}
 
-impl CongestionController for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd
-    }
-
-    fn on_ack(&mut self, newly_acked: u64, _now: Time) {
+    fn on_ack(&mut self, mss: u64, newly_acked: u64) {
         if newly_acked == 0 {
             return;
         }
         if self.cwnd < self.ssthresh {
             // Slow start: one MSS per ack (bounded by what it covers).
-            self.cwnd += newly_acked.min(self.mss);
+            self.cwnd += newly_acked.min(mss);
         } else {
             // Congestion avoidance: one MSS per cwnd of acked bytes.
             self.acked_accum += newly_acked;
             while self.acked_accum >= self.cwnd {
                 self.acked_accum -= self.cwnd;
-                self.cwnd += self.mss;
+                self.cwnd += mss;
             }
         }
     }
 
-    fn on_rto(&mut self, in_flight: u64, _now: Time) {
-        self.ssthresh = (in_flight / 2).max(2 * self.mss);
-        self.cwnd = self.mss;
+    fn on_rto(&mut self, mss: u64, in_flight: u64) {
+        self.ssthresh = (in_flight / 2).max(2 * mss);
+        self.cwnd = mss;
         self.acked_accum = 0;
     }
 }
@@ -183,7 +181,6 @@ const CUBIC_BETA: f64 = 0.7;
 /// apply multiplicative decrease by `β` and start a new epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CubicShaped {
-    mss: u64,
     cwnd: f64,
     ssthresh: f64,
     /// Window (segments) at the last loss event.
@@ -196,56 +193,44 @@ pub struct CubicShaped {
 }
 
 impl CubicShaped {
-    /// A fresh connection: IW10, slow-start threshold at `rwnd`.
-    pub fn new(mss: u64, rwnd: u64) -> Self {
+    /// A fresh connection: IW10, slow-start threshold at the receive
+    /// window.
+    fn new(cfg: &TcpStackConfig) -> Self {
         CubicShaped {
-            mss,
-            cwnd: (mss * INITIAL_WINDOW_SEGMENTS) as f64,
-            ssthresh: rwnd as f64,
+            cwnd: (mss(cfg) * INITIAL_WINDOW_SEGMENTS) as f64,
+            ssthresh: cfg.window as f64,
             w_max_segments: 0.0,
             epoch: None,
             k: 0.0,
         }
     }
 
-    fn mss_f(&self) -> f64 {
-        self.mss as f64
-    }
-}
-
-impl CongestionController for CubicShaped {
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd as u64
-    }
-
-    fn on_ack(&mut self, newly_acked: u64, now: Time) {
+    fn on_ack(&mut self, mss: u64, newly_acked: u64, now: Time) {
         if newly_acked == 0 {
             return;
         }
         if self.cwnd < self.ssthresh {
-            self.cwnd += (newly_acked.min(self.mss)) as f64;
+            self.cwnd += (newly_acked.min(mss)) as f64;
             return;
         }
+        let mss_f = mss as f64;
         let epoch = *self.epoch.get_or_insert(now);
         let t = now.since(epoch).as_secs_f64() * 1e3; // epoch clock in ms
         let target_segments = CUBIC_C * (t - self.k).powi(3) + self.w_max_segments;
-        let target = (target_segments * self.mss_f()).max(self.mss_f());
+        let target = (target_segments * mss_f).max(mss_f);
         if target > self.cwnd {
             // Grow toward the cubic target, paced by acked bytes.
             self.cwnd += (target - self.cwnd).min(newly_acked as f64);
         } else {
             // Below-target plateau: creep additively like Reno's floor.
-            self.cwnd += self.mss_f() * self.mss_f() / self.cwnd;
+            self.cwnd += mss_f * mss_f / self.cwnd;
         }
     }
 
-    fn on_rto(&mut self, _in_flight: u64, now: Time) {
-        self.w_max_segments = self.cwnd / self.mss_f();
-        self.cwnd = (self.cwnd * CUBIC_BETA).max(self.mss_f());
+    fn on_rto(&mut self, mss: u64, now: Time) {
+        let mss_f = mss as f64;
+        self.w_max_segments = self.cwnd / mss_f;
+        self.cwnd = (self.cwnd * CUBIC_BETA).max(mss_f);
         self.ssthresh = self.cwnd;
         self.k = (self.w_max_segments * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
         self.epoch = Some(now);
@@ -255,35 +240,230 @@ impl CongestionController for CubicShaped {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enzian_sim::Duration;
+    use enzian_sim::{Duration, SimRng};
+
+    /// The policies as they were before the controller became a value:
+    /// one boxed trait object per connection, each carrying its own MSS
+    /// and fixed window. Kept only as the oracle the inline controller
+    /// is compared against.
+    mod boxed {
+        use super::super::{CUBIC_BETA, CUBIC_C, INITIAL_WINDOW_SEGMENTS};
+        use crate::tcp::{CcAlgorithm, TcpStackConfig};
+        use enzian_sim::Time;
+
+        pub trait Policy {
+            fn name(&self) -> &'static str;
+            fn cwnd(&self) -> u64;
+            fn on_ack(&mut self, newly_acked: u64, now: Time);
+            fn on_rto(&mut self, in_flight: u64, now: Time);
+        }
+
+        pub fn build(alg: CcAlgorithm, cfg: &TcpStackConfig) -> Box<dyn Policy> {
+            let mss = cfg.mss as u64;
+            match alg {
+                CcAlgorithm::Fixed => Box::new(FixedWindow { cwnd: cfg.window }),
+                CcAlgorithm::Reno => Box::new(Reno {
+                    mss,
+                    cwnd: mss * INITIAL_WINDOW_SEGMENTS,
+                    ssthresh: cfg.window,
+                    acked_accum: 0,
+                }),
+                CcAlgorithm::Cubic => Box::new(CubicShaped {
+                    mss,
+                    cwnd: (mss * INITIAL_WINDOW_SEGMENTS) as f64,
+                    ssthresh: cfg.window as f64,
+                    w_max_segments: 0.0,
+                    epoch: None,
+                    k: 0.0,
+                }),
+            }
+        }
+
+        struct FixedWindow {
+            cwnd: u64,
+        }
+
+        impl Policy for FixedWindow {
+            fn name(&self) -> &'static str {
+                "fixed"
+            }
+            fn cwnd(&self) -> u64 {
+                self.cwnd
+            }
+            fn on_ack(&mut self, _newly_acked: u64, _now: Time) {}
+            fn on_rto(&mut self, _in_flight: u64, _now: Time) {}
+        }
+
+        struct Reno {
+            mss: u64,
+            cwnd: u64,
+            ssthresh: u64,
+            acked_accum: u64,
+        }
+
+        impl Policy for Reno {
+            fn name(&self) -> &'static str {
+                "reno"
+            }
+            fn cwnd(&self) -> u64 {
+                self.cwnd
+            }
+            fn on_ack(&mut self, newly_acked: u64, _now: Time) {
+                if newly_acked == 0 {
+                    return;
+                }
+                if self.cwnd < self.ssthresh {
+                    self.cwnd += newly_acked.min(self.mss);
+                } else {
+                    self.acked_accum += newly_acked;
+                    while self.acked_accum >= self.cwnd {
+                        self.acked_accum -= self.cwnd;
+                        self.cwnd += self.mss;
+                    }
+                }
+            }
+            fn on_rto(&mut self, in_flight: u64, _now: Time) {
+                self.ssthresh = (in_flight / 2).max(2 * self.mss);
+                self.cwnd = self.mss;
+                self.acked_accum = 0;
+            }
+        }
+
+        struct CubicShaped {
+            mss: u64,
+            cwnd: f64,
+            ssthresh: f64,
+            w_max_segments: f64,
+            epoch: Option<Time>,
+            k: f64,
+        }
+
+        impl CubicShaped {
+            fn mss_f(&self) -> f64 {
+                self.mss as f64
+            }
+        }
+
+        impl Policy for CubicShaped {
+            fn name(&self) -> &'static str {
+                "cubic"
+            }
+            fn cwnd(&self) -> u64 {
+                self.cwnd as u64
+            }
+            fn on_ack(&mut self, newly_acked: u64, now: Time) {
+                if newly_acked == 0 {
+                    return;
+                }
+                if self.cwnd < self.ssthresh {
+                    self.cwnd += (newly_acked.min(self.mss)) as f64;
+                    return;
+                }
+                let epoch = *self.epoch.get_or_insert(now);
+                let t = now.since(epoch).as_secs_f64() * 1e3;
+                let target_segments = CUBIC_C * (t - self.k).powi(3) + self.w_max_segments;
+                let target = (target_segments * self.mss_f()).max(self.mss_f());
+                if target > self.cwnd {
+                    self.cwnd += (target - self.cwnd).min(newly_acked as f64);
+                } else {
+                    self.cwnd += self.mss_f() * self.mss_f() / self.cwnd;
+                }
+            }
+            fn on_rto(&mut self, _in_flight: u64, now: Time) {
+                self.w_max_segments = self.cwnd / self.mss_f();
+                self.cwnd = (self.cwnd * CUBIC_BETA).max(self.mss_f());
+                self.ssthresh = self.cwnd;
+                self.k = (self.w_max_segments * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
+                self.epoch = Some(now);
+            }
+        }
+    }
+
+    const ALL: [CcAlgorithm; 3] = [CcAlgorithm::Fixed, CcAlgorithm::Reno, CcAlgorithm::Cubic];
+
+    /// A stack config with the given MSS and receive window.
+    fn stack(mss: usize, window: u64) -> TcpStackConfig {
+        let mut cfg = TcpStackConfig::fpga_coyote();
+        cfg.mss = mss;
+        cfg.window = window;
+        cfg
+    }
+
+    /// Every algorithm, on every preset and on a small-window stack,
+    /// through seeded random sequences of acks (duplicates, partial and
+    /// multi-segment) and timeouts at nondecreasing times: the inline
+    /// controller's window equals the boxed policy's after every event.
+    #[test]
+    fn inline_controllers_track_the_boxed_policies_bit_for_bit() {
+        let stacks = [
+            TcpStackConfig::fpga_coyote(),
+            TcpStackConfig::linux_kernel(),
+            TcpStackConfig::hybrid_offload(),
+            stack(1448, 64 * 1024),
+        ];
+        for (s, cfg) in stacks.iter().enumerate() {
+            for alg in ALL {
+                for seed in 0..8 {
+                    let mut rng = SimRng::seed_from(0xCC_0000 + 64 * s as u64 + seed);
+                    let mut cc = alg.build(cfg);
+                    let mut oracle = boxed::build(alg, cfg);
+                    assert_eq!(alg.label(), oracle.name());
+                    let mut now = Time::ZERO;
+                    for step in 0..2_000 {
+                        now += Duration::from_ns(rng.next_below(200_000));
+                        if rng.next_below(16) == 0 {
+                            let in_flight = rng.next_below(4 * cfg.window);
+                            cc.on_rto(cfg, in_flight, now);
+                            oracle.on_rto(in_flight, now);
+                        } else {
+                            let newly = match rng.next_below(4) {
+                                0 => 0,
+                                1 => rng.next_below(cfg.mss as u64),
+                                _ => rng.next_below(16 * cfg.mss as u64),
+                            };
+                            cc.on_ack(cfg, newly, now);
+                            oracle.on_ack(newly, now);
+                        }
+                        assert_eq!(
+                            cc.cwnd(cfg),
+                            oracle.cwnd(),
+                            "{} on stack {s}, seed {seed}, step {step}",
+                            alg.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn fixed_window_never_moves() {
-        let mut cc = FixedWindow::new(256 * 1024);
-        assert_eq!(cc.cwnd(), 256 * 1024);
-        cc.on_ack(10_000, Time::from_ns(100));
-        cc.on_rto(200_000, Time::from_ns(200));
-        assert_eq!(cc.cwnd(), 256 * 1024);
-        assert_eq!(cc.name(), "fixed");
+        let cfg = stack(2048, 256 * 1024);
+        let mut cc = CcAlgorithm::Fixed.build(&cfg);
+        assert_eq!(cc.cwnd(&cfg), 256 * 1024);
+        cc.on_ack(&cfg, 10_000, Time::from_ns(100));
+        cc.on_rto(&cfg, 200_000, Time::from_ns(200));
+        assert_eq!(cc.cwnd(&cfg), 256 * 1024);
     }
 
     #[test]
     fn reno_slow_starts_then_grows_linearly() {
         let mss = 1448;
-        let mut cc = Reno::new(mss, 64 * 1024);
-        assert_eq!(cc.cwnd(), mss * INITIAL_WINDOW_SEGMENTS);
+        let cfg = stack(1448, 64 * 1024);
+        let mut cc = CcAlgorithm::Reno.build(&cfg);
+        assert_eq!(cc.cwnd(&cfg), mss * INITIAL_WINDOW_SEGMENTS);
         // Slow start: each full-MSS ack adds one MSS.
-        let before = cc.cwnd();
-        cc.on_ack(mss, Time::from_us(1));
-        assert_eq!(cc.cwnd(), before + mss);
+        let before = cc.cwnd(&cfg);
+        cc.on_ack(&cfg, mss, Time::from_us(1));
+        assert_eq!(cc.cwnd(&cfg), before + mss);
         // Push past ssthresh, then growth becomes ~1 MSS per window.
-        while cc.cwnd() < 64 * 1024 {
-            cc.on_ack(mss, Time::from_us(2));
+        while cc.cwnd(&cfg) < 64 * 1024 {
+            cc.on_ack(&cfg, mss, Time::from_us(2));
         }
-        let at_thresh = cc.cwnd();
-        cc.on_ack(mss, Time::from_us(3));
+        let at_thresh = cc.cwnd(&cfg);
+        cc.on_ack(&cfg, mss, Time::from_us(3));
         assert!(
-            cc.cwnd() - at_thresh < mss,
+            cc.cwnd(&cfg) - at_thresh < mss,
             "avoidance must be slower than slow start"
         );
     }
@@ -291,32 +471,34 @@ mod tests {
     #[test]
     fn reno_timeout_collapses_to_one_segment() {
         let mss = 2048;
-        let mut cc = Reno::new(mss, 256 * 1024);
+        let cfg = stack(2048, 256 * 1024);
+        let mut cc = CcAlgorithm::Reno.build(&cfg);
         for _ in 0..40 {
-            cc.on_ack(mss, Time::from_us(5));
+            cc.on_ack(&cfg, mss, Time::from_us(5));
         }
-        let flight = cc.cwnd();
-        cc.on_rto(flight, Time::from_us(6));
-        assert_eq!(cc.cwnd(), mss);
+        let flight = cc.cwnd(&cfg);
+        cc.on_rto(&cfg, flight, Time::from_us(6));
+        assert_eq!(cc.cwnd(&cfg), mss);
         // ssthresh remembers half the flight.
         let mut grown = cc;
         for _ in 0..200 {
-            grown.on_ack(mss, Time::from_us(7));
+            grown.on_ack(&cfg, mss, Time::from_us(7));
         }
-        assert!(grown.cwnd() > mss);
+        assert!(grown.cwnd(&cfg) > mss);
     }
 
     #[test]
     fn cubic_recovers_concavely_toward_w_max() {
         let mss = 2048u64;
-        let mut cc = CubicShaped::new(mss, 512 * 1024);
+        let cfg = stack(2048, 512 * 1024);
+        let mut cc = CcAlgorithm::Cubic.build(&cfg);
         // Reach avoidance, then take a loss at a known window.
-        while cc.cwnd() < 512 * 1024 {
-            cc.on_ack(mss, Time::from_us(1));
+        while cc.cwnd(&cfg) < 512 * 1024 {
+            cc.on_ack(&cfg, mss, Time::from_us(1));
         }
-        let w_loss = cc.cwnd();
-        cc.on_rto(w_loss, Time::from_us(10));
-        let floor = cc.cwnd();
+        let w_loss = cc.cwnd(&cfg);
+        cc.on_rto(&cfg, w_loss, Time::from_us(10));
+        let floor = cc.cwnd(&cfg);
         assert!(floor < w_loss, "decrease must shrink the window");
         assert!(floor >= (w_loss as f64 * CUBIC_BETA) as u64 - mss);
         // Growth right after the loss is concave: early acks move the
@@ -325,11 +507,11 @@ mod tests {
         let mut deltas = Vec::new();
         for _ in 0..50 {
             t += Duration::from_us(100);
-            let before = cc.cwnd();
+            let before = cc.cwnd(&cfg);
             // Cumulative acks cover several segments, so the clamp never
             // hides the curve's shape.
-            cc.on_ack(8 * mss, t);
-            deltas.push(cc.cwnd() as i64 - before as i64);
+            cc.on_ack(&cfg, 8 * mss, t);
+            deltas.push(cc.cwnd(&cfg) as i64 - before as i64);
         }
         let early: i64 = deltas[..5].iter().sum();
         let late: i64 = deltas[45..].iter().sum();
@@ -337,24 +519,17 @@ mod tests {
             early > late,
             "cubic must decelerate near W_max: early {early}, late {late}"
         );
-        assert!(cc.cwnd() <= w_loss + mss, "plateau holds near W_max");
+        assert!(cc.cwnd(&cfg) <= w_loss + mss, "plateau holds near W_max");
     }
 
     #[test]
     fn duplicate_acks_move_nothing() {
-        let mut reno = Reno::new(1448, 64 * 1024);
-        let mut cubic = CubicShaped::new(1448, 64 * 1024);
-        let (r0, c0) = (reno.cwnd(), cubic.cwnd());
-        reno.on_ack(0, Time::from_us(1));
-        cubic.on_ack(0, Time::from_us(1));
-        assert_eq!((reno.cwnd(), cubic.cwnd()), (r0, c0));
-    }
-
-    #[test]
-    fn algorithm_labels_match_built_controllers() {
-        let cfg = TcpStackConfig::fpga_coyote();
-        for alg in [CcAlgorithm::Fixed, CcAlgorithm::Reno, CcAlgorithm::Cubic] {
-            assert_eq!(alg.label(), alg.build(&cfg).name());
+        let cfg = stack(1448, 64 * 1024);
+        for alg in ALL {
+            let mut cc = alg.build(&cfg);
+            let before = cc;
+            cc.on_ack(&cfg, 0, Time::from_us(1));
+            assert_eq!(cc, before, "{}", alg.label());
         }
     }
 }

@@ -5,8 +5,8 @@
 //! ([`conn`] — the handshake/teardown FSM), **reliability**
 //! ([`reliability`] — segmentation, checksums, go-back-N retransmission,
 //! in-order reassembly), **congestion control** ([`congestion`] — a
-//! [`CongestionController`] trait with fixed-window, Reno, and
-//! CUBIC-shaped implementations), and **flow control** ([`flow`] —
+//! [`CongestionController`] value over fixed-window, Reno, and
+//! CUBIC-shaped policies), and **flow control** ([`flow`] —
 //! receive-window accounting and the ack ledger). [`TcpEngine`] is now a
 //! composition of those modules, and a stack preset is a *module
 //! selection*:
@@ -46,11 +46,11 @@ pub mod model;
 pub mod mux;
 pub mod reliability;
 
-pub use congestion::{CcAlgorithm, CongestionController, CubicShaped, FixedWindow, Reno};
+pub use congestion::{CcAlgorithm, CongestionController, CubicShaped, Reno};
 pub use conn::{ConnError, ConnEvent, ConnState, Connection};
 pub use flow::{AckLedger, SendWindow};
 pub use model::{TcpModel, TcpModelConfig, TcpMutation, TcpViolationKind, ALL_TCP_MUTATIONS};
-pub use mux::{MuxStats, SessionMux, WireSegment};
+pub use mux::{MuxStats, SessionMux, WireSegment, MAX_SESSION_BYTES};
 pub use reliability::{checksum_verifies, internet_checksum, segment_len, GoBackN, Reassembler};
 
 use enzian_sim::stats::Summary;
@@ -589,7 +589,7 @@ struct FlowRun<'d> {
     // Which fault target scheduled the rewind for an offset, so the
     // recovery is noted on the ledger that injected it.
     rewind_causes: HashMap<u64, &'static str>,
-    cc: Box<dyn CongestionController>,
+    cc: CongestionController,
     // Receiver state (go-back-N discards anything out of order and
     // re-acks the in-order edge).
     reassembler: Reassembler,
@@ -620,25 +620,27 @@ impl<'d> FlowRun<'d> {
         }
     }
 
-    fn window_open(&self) -> bool {
-        self.sent - self.acked < self.swnd.effective(self.cc.cwnd()) && self.sent < self.len
+    /// `tx` is the sender config the flow was built from, here and in
+    /// every method that reads the congestion window.
+    fn window_open(&self, tx: &TcpStackConfig) -> bool {
+        self.sent - self.acked < self.swnd.effective(self.cc.cwnd(tx)) && self.sent < self.len
     }
 
     /// The pending RTO rewind once it is due: its timer expired before
     /// the sender pipeline frees, or nothing else can happen first.
-    fn due_rto(&self) -> Option<(Time, u64)> {
-        self.gbn
-            .pending()
-            .filter(|&(at, _)| at <= self.tx_free || (!self.window_open() && self.acks.is_empty()))
+    fn due_rto(&self, tx: &TcpStackConfig) -> Option<(Time, u64)> {
+        self.gbn.pending().filter(|&(at, _)| {
+            at <= self.tx_free || (!self.window_open(tx) && self.acks.is_empty())
+        })
     }
 
     /// When this flow's next step acts, mirroring the step's choice: a
     /// due RTO, else a send while the window is open, else the oldest
     /// ack.
-    fn next_at(&self) -> Time {
-        match self.due_rto() {
+    fn next_at(&self, tx: &TcpStackConfig) -> Time {
+        match self.due_rto(tx) {
             Some((at, _)) => self.tx_free.max(at),
-            None if self.window_open() => self.tx_free,
+            None if self.window_open(tx) => self.tx_free,
             None => self.acks.next_arrival().expect("flow deadlock"),
         }
     }
@@ -819,7 +821,7 @@ impl TcpEngine {
         // `min_by_key` keeps the lowest index on a tie.
         while let Some(i) = (0..runs.len())
             .filter(|&i| runs[i].acked < runs[i].len)
-            .min_by_key(|&i| runs[i].next_at())
+            .min_by_key(|&i| runs[i].next_at(&self.tx))
         {
             self.step(link, i, &mut runs[i]);
         }
@@ -853,16 +855,16 @@ impl TcpEngine {
     /// Takes flow `i`'s next action (see [`FlowRun::next_at`]).
     fn step(&mut self, link: &mut EthLink, i: usize, f: &mut FlowRun<'_>) {
         let hop = self.switch.forwarding_latency();
-        if let Some((at, seq)) = f.due_rto() {
-            f.cc.on_rto(f.sent - f.acked, at);
+        if let Some((at, seq)) = f.due_rto(&self.tx) {
+            f.cc.on_rto(&self.tx, f.sent - f.acked, at);
             f.gbn.fire();
             f.sent = seq.min(f.sent);
             f.tx_free = f.tx_free.max(at);
             let cause = f.rewind_causes.remove(&seq).unwrap_or(SEGMENT_LOSS_TARGET);
             self.loss.note_recovered_on(cause, at, self.tx.rto);
-        } else if f.window_open() {
+        } else if f.window_open(&self.tx) {
             // Send the next segment.
-            let wnd = f.swnd.effective(f.cc.cwnd());
+            let wnd = f.swnd.effective(f.cc.cwnd(&self.tx));
             let seg_len = segment_len(self.tx.mss, f.len, f.sent);
             let seq = f.sent;
             let payload = &f.data[seq as usize..seq as usize + seg_len];
@@ -943,7 +945,7 @@ impl TcpEngine {
             if f.sent < f.len {
                 // A genuine window stall: attribute it to the module
                 // whose bound was binding.
-                if f.swnd.rwnd_is_binding(f.cc.cwnd()) {
+                if f.swnd.rwnd_is_binding(f.cc.cwnd(&self.tx)) {
                     self.telemetry.module.rwnd_stalls += 1;
                 } else {
                     self.telemetry.module.cwnd_stalls += 1;
@@ -952,7 +954,7 @@ impl TcpEngine {
             let newly = upto.saturating_sub(f.acked);
             f.acked = f.acked.max(upto);
             f.tx_free = f.tx_free.max(at) + self.tx.per_ack;
-            f.cc.on_ack(newly, at);
+            f.cc.on_ack(&self.tx, newly, at);
             // Everything up to `upto` is delivered; anything beyond
             // `sent` cannot regress below it.
             f.sent = f.sent.max(f.acked);

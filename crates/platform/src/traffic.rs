@@ -28,7 +28,9 @@
 
 use enzian_eci::bridge::BridgeOpcode;
 use enzian_net::eth::EthLinkConfig;
-use enzian_net::tcp::{LossPattern, SessionMux, TcpStackConfig, WireSegment, SEGMENT_LOSS_TARGET};
+use enzian_net::tcp::{
+    LossPattern, SessionMux, TcpStackConfig, WireSegment, MAX_SESSION_BYTES, SEGMENT_LOSS_TARGET,
+};
 use enzian_net::traffic::{decode_segment, encode_segment_into, PortMask, SEGMENT_HEADER_BYTES};
 use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 use enzian_sim::stats::LatencyHistogram;
@@ -200,6 +202,11 @@ impl TrafficWorkload {
         assert!(self.boards >= 2, "traffic needs at least two boards");
         assert!(self.sessions_per_board > 0, "traffic needs sessions");
         assert!(self.bytes_per_session > 0, "sessions carry payload");
+        assert!(
+            self.bytes_per_session <= MAX_SESSION_BYTES,
+            "bytes_per_session {} exceeds the session limit MAX_SESSION_BYTES ({MAX_SESSION_BYTES})",
+            self.bytes_per_session
+        );
         assert!(self.open_gap > Duration::ZERO, "opens need a gap");
         assert!(
             self.loss_bp <= 10_000,
@@ -700,6 +707,14 @@ mod tests {
         assert_eq!(r.table_slots, r.peak_flows);
         assert!(r.conns_per_sec() > 0.0);
         assert_eq!(r.handshake.count(), 96);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the session limit MAX_SESSION_BYTES")]
+    fn sessions_above_the_32_bit_offset_limit_are_rejected() {
+        TrafficWorkload::small()
+            .with_bytes_per_session(MAX_SESSION_BYTES + 1)
+            .validate();
     }
 
     #[test]

@@ -37,6 +37,7 @@ fn value_types_are_sync() {
     assert_sync::<enzian::eci::ExploreConfig>();
     assert_sync::<enzian::eci::ExploreStats>();
     assert_sync::<enzian::eci::Mutation>();
+    assert_sync::<enzian::net::CongestionController>();
 }
 
 #[test]
@@ -49,6 +50,10 @@ fn debug_is_never_empty() {
         format!("{:?}", enzian::bmc::RailId::CpuVdd),
         format!("{:?}", enzian::eci::EciSystemConfig::enzian()),
         format!("{:?}", enzian::net::tcp::TcpStackConfig::fpga_coyote()),
+        format!(
+            "{:?}",
+            enzian::net::CcAlgorithm::Cubic.build(&enzian::net::tcp::TcpStackConfig::fpga_coyote())
+        ),
         format!("{:?}", enzian::apps::reduction::ReductionMode::Y8),
         format!("{:?}", enzian::eci::ExploreConfig::two_agent()),
         format!("{:?}", enzian::eci::ALL_MUTATIONS),

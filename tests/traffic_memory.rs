@@ -11,7 +11,9 @@
 //! driver, one and two threads) asked for 1,134–1,144 bytes per session
 //! and fail the bound below. With the channels retiring the intervals
 //! behind each board's work time and the slots in blocks that never
-//! move, they ask for 558–568.
+//! move, they asked for 591–601 while each flow was a 152-byte slot
+//! plus a boxed congestion controller, and ask for 510–523 with the
+//! controller inline in a 120-byte slot.
 //!
 //! Its own test binary, so the counting global allocator observes only
 //! what this file runs.
