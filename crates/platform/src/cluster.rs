@@ -24,11 +24,13 @@ use enzian_eci::{EciSystem, EciSystemConfig};
 use enzian_mem::Addr;
 use enzian_net::eth::{EthLink, EthLinkConfig, FRAME_OVERHEAD_BYTES};
 use enzian_sim::channel::Transfer;
-use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
+use enzian_sim::par::{Engine, Envelope, KeyedShard, WorkKey};
 use enzian_sim::{
     Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, SimRng,
     SortedStreams, Time,
 };
+
+use crate::harness::{self, FabricBoard, RunReport};
 
 /// Identifies a board in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -644,15 +646,14 @@ impl ClusterWorkload {
 }
 
 /// What one cluster run did — a pure function of the cluster
-/// configuration and [`ClusterWorkload`], never of the thread count.
-///
-/// The only engine-dependent field is `epochs` (zero for the
-/// sequential reference driver); [`ClusterRunReport::assert_matches`]
-/// compares everything else.
+/// configuration and [`ClusterWorkload`], never of the thread count
+/// (except the epoch counts; see [`RunReport`]).
+pub type ClusterRunReport = RunReport<ClusterStats>;
+
+/// The memory-bridge workload's own totals in a [`ClusterRunReport`]; its
+/// `fabric` totals count the bridge frames (requests and responses).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClusterRunReport {
-    /// Boards simulated.
-    pub boards: usize,
+pub struct ClusterStats {
     /// Operations issued (= boards × streams × ops_per_stream).
     pub total_ops: u64,
     /// Local coherent reads completed.
@@ -667,45 +668,11 @@ pub struct ClusterRunReport {
     pub nacks: u64,
     /// Operations that failed (local retry-budget exhaustion + nacks).
     pub failures: u64,
-    /// Bridge frames carried by the fabric (requests and responses).
-    pub bridge_frames: u64,
-    /// Cache-line payload bytes carried by those frames.
-    pub bridge_payload_bytes: u64,
-    /// Encoded bytes handed to the fabric.
-    pub bridge_wire_bytes: u64,
-    /// Latest instant any board observed.
-    pub sim_end: Time,
-    /// Lock-step epochs executed (zero under the reference driver).
-    pub epochs: u64,
-    /// Quiet epochs the adaptive-lookahead engine jumped over instead
-    /// of executing (zero under the reference driver).
-    pub epochs_skipped: u64,
-    /// Cross-board envelopes exchanged.
-    pub messages: u64,
-    /// FNV-1a digest over every board's final state: stream clocks,
-    /// shadow memory, flow tables and captured wire traces.
-    pub trace_digest: u64,
     /// `flows[src][dst]`: per-directed-pair traffic accounting.
     pub flows: Vec<Vec<FlowStats>>,
 }
 
 impl ClusterRunReport {
-    /// Asserts this report equals `other` on every engine-independent
-    /// field (everything but `epochs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first differing field.
-    pub fn assert_matches(&self, other: &ClusterRunReport) {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.epochs = 0;
-        b.epochs = 0;
-        a.epochs_skipped = 0;
-        b.epochs_skipped = 0;
-        assert_eq!(a, b, "cluster run reports diverge");
-    }
-
     /// Publishes the report under `prefix.*`. Every exported value is
     /// deterministic across thread counts, so two exports of same-seed
     /// runs are byte-identical.
@@ -721,14 +688,14 @@ impl ClusterRunReport {
         c(reg, "remote_writes", self.remote_writes);
         c(reg, "nacks", self.nacks);
         c(reg, "failures", self.failures);
-        c(reg, "bridge_frames", self.bridge_frames);
-        c(reg, "bridge_payload_bytes", self.bridge_payload_bytes);
-        c(reg, "bridge_wire_bytes", self.bridge_wire_bytes);
+        c(reg, "bridge_frames", self.fabric.frames);
+        c(reg, "bridge_payload_bytes", self.fabric.payload_bytes);
+        c(reg, "bridge_wire_bytes", self.fabric.wire_bytes);
         c(reg, "sim_end_ps", self.sim_end.as_ps());
         c(reg, "epochs", self.epochs);
         c(reg, "epochs_skipped", self.epochs_skipped);
         c(reg, "messages", self.messages);
-        c(reg, "trace_digest", self.trace_digest);
+        c(reg, "trace_digest", self.digest);
     }
 }
 
@@ -954,34 +921,6 @@ impl BoardShard {
         self.failures += 1;
         self.last = self.last.max(s.at);
     }
-
-    /// Folds this board's externally observable final state into `d`.
-    fn digest_into(&self, d: &mut Fnv) {
-        d.u64(self.id as u64);
-        for s in &self.streams {
-            d.u64(s.at.as_ps());
-            d.u64(s.remaining);
-            for (addr, val) in &s.shadow {
-                d.u64(*addr);
-                match val {
-                    Some(v) => {
-                        d.u64(1);
-                        d.u64(u64::from(*v));
-                    }
-                    None => d.u64(2),
-                }
-            }
-        }
-        self.port.digest_into(d);
-        d.u64(self.last.as_ps());
-        d.u64(self.local_reads);
-        d.u64(self.local_writes);
-        d.u64(self.remote_reads);
-        d.u64(self.remote_writes);
-        d.u64(self.nacks);
-        d.u64(self.failures);
-        d.bytes(self.sys.trace().wire_bytes());
-    }
 }
 
 /// Work keys: held deliveries (class 0), then ready stream issues
@@ -1023,6 +962,38 @@ impl KeyedShard for BoardShard {
                 .streams
                 .iter()
                 .all(|s| s.remaining == 0 && s.blocked.is_none())
+    }
+}
+
+impl FabricBoard for BoardShard {
+    fn fabric_end(&self) -> (FlowStats, Time) {
+        (self.port.audit(), self.last)
+    }
+
+    fn digest_into(&self, d: &mut Fnv) {
+        for s in &self.streams {
+            d.u64(s.at.as_ps());
+            d.u64(s.remaining);
+            for (addr, val) in &s.shadow {
+                d.u64(*addr);
+                match val {
+                    Some(v) => {
+                        d.u64(1);
+                        d.u64(u64::from(*v));
+                    }
+                    None => d.u64(2),
+                }
+            }
+        }
+        self.port.digest_into(d);
+        d.u64(self.last.as_ps());
+        d.u64(self.local_reads);
+        d.u64(self.local_writes);
+        d.u64(self.remote_reads);
+        d.u64(self.remote_writes);
+        d.u64(self.nacks);
+        d.u64(self.failures);
+        d.bytes(self.sys.trace().wire_bytes());
     }
 }
 
@@ -1099,83 +1070,56 @@ impl EnzianCluster {
             .collect()
     }
 
-    /// Tears shards back down into the cluster and builds the report.
-    fn finish_run(
-        &mut self,
-        shards: Vec<BoardShard>,
-        w: &ClusterWorkload,
-        par: ParReport,
-    ) -> ClusterRunReport {
-        let n = shards.len();
-        let mut digest = Fnv::new();
-        let mut bridge = FlowStats::default();
-        for shard in &shards {
-            assert!(shard.idle(), "run finished with live work on a board");
-            shard.digest_into(&mut digest);
-            let total = shard.port.audit();
-            bridge.frames += total.frames;
-            bridge.payload_bytes += total.payload_bytes;
-            bridge.wire_bytes += total.wire_bytes;
-        }
+    /// Puts the boards back into the cluster and folds the workload's
+    /// own totals.
+    fn finish_run(&mut self, shards: Vec<BoardShard>, w: &ClusterWorkload) -> ClusterStats {
         let sum = |f: fn(&BoardShard) -> u64| shards.iter().map(f).sum();
-        let report = ClusterRunReport {
-            boards: n,
-            total_ops: (n * w.streams_per_board) as u64 * w.ops_per_stream,
+        let stats = ClusterStats {
+            total_ops: (shards.len() * w.streams_per_board) as u64 * w.ops_per_stream,
             local_reads: sum(|s| s.local_reads),
             local_writes: sum(|s| s.local_writes),
             remote_reads: sum(|s| s.remote_reads),
             remote_writes: sum(|s| s.remote_writes),
             nacks: sum(|s| s.nacks),
             failures: sum(|s| s.failures),
-            bridge_frames: bridge.frames,
-            bridge_payload_bytes: bridge.payload_bytes,
-            bridge_wire_bytes: bridge.wire_bytes,
-            sim_end: shards.iter().map(|s| s.last).fold(Time::ZERO, Time::max),
-            epochs: par.epochs,
-            epochs_skipped: par.epochs_skipped,
-            messages: par.messages,
-            trace_digest: digest.finish(),
             flows: shards.iter().map(|s| s.port.flows().to_vec()).collect(),
         };
-        self.remote_reads += report.remote_reads;
-        self.remote_writes += report.remote_writes;
+        self.remote_reads += stats.remote_reads;
+        self.remote_writes += stats.remote_writes;
         self.boards.extend(shards.into_iter().map(|s| s.sys));
-        let completed = report.local_reads
-            + report.local_writes
-            + report.remote_reads
-            + report.remote_writes
-            + report.failures;
-        assert_eq!(completed, report.total_ops, "operations went missing");
+        let completed = stats.local_reads
+            + stats.local_writes
+            + stats.remote_reads
+            + stats.remote_writes
+            + stats.failures;
+        assert_eq!(completed, stats.total_ops, "operations went missing");
         self.assert_all_clean();
-        report
+        stats
     }
 
     /// Runs `w` across all boards on the conservative-parallel engine
     /// with `threads` workers (clamped to the board count; `1` runs
     /// the same epoch protocol inline).
-    ///
-    /// The report — and any metrics or bench JSON derived from it — is
-    /// bit-identical for every thread count: each board's work is a
-    /// pure function of its own state plus a deterministically ordered
-    /// inbox, and the merge order `(time, src, seq)` never observes
-    /// the partitioning.
     pub fn run_parallel(&mut self, w: &ClusterWorkload, threads: usize) -> ClusterRunReport {
         self.run(w, Engine::Conservative(threads))
     }
 
     /// Runs `w` on the sequential reference driver (global
     /// earliest-work loop, immediate delivery). Exists to validate the
-    /// parallel engine: [`ClusterRunReport::assert_matches`] against a
+    /// parallel engine: [`RunReport::assert_matches`] against a
     /// [`EnzianCluster::run_parallel`] report must hold for any thread
     /// count.
     pub fn run_reference(&mut self, w: &ClusterWorkload) -> ClusterRunReport {
         self.run(w, Engine::Sequential)
     }
 
-    fn run(&mut self, w: &ClusterWorkload, engine: Engine) -> ClusterRunReport {
-        let mut shards = self.make_shards(w);
-        let par = engine.run(&mut shards, self.lookahead());
-        self.finish_run(shards, w, par)
+    /// Runs `w` across all boards on `engine`, then puts the boards back.
+    pub fn run(&mut self, w: &ClusterWorkload, engine: Engine) -> ClusterRunReport {
+        let shards = self.make_shards(w);
+        let lookahead = self.lookahead();
+        harness::run(shards, lookahead, engine, |shards| {
+            self.finish_run(shards, w)
+        })
     }
 }
 
@@ -1282,39 +1226,23 @@ mod tests {
     #[test]
     fn parallel_run_matches_reference_and_every_thread_count() {
         let w = ClusterWorkload::small();
-        let reference = EnzianCluster::new(3, MIB).run_reference(&w);
-        assert_eq!(reference.epochs, 0);
-        assert!(reference.remote_reads + reference.remote_writes > 0);
-        assert_eq!(reference.failures, 0);
-        let mut parallel: Vec<ClusterRunReport> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| EnzianCluster::new(3, MIB).run_parallel(&w, t))
-            .collect();
-        for p in &parallel {
-            p.assert_matches(&reference);
-        }
-        // Including `epochs`, every parallel run is identical.
-        let first = parallel.remove(0);
-        assert!(first.epochs > 0);
-        for p in &parallel {
-            assert_eq!(*p, first);
-        }
+        let r = harness::check_engines(&[1, 2, 4], |e| EnzianCluster::new(3, MIB).run(&w, e));
+        assert!(r.remote_reads + r.remote_writes > 0);
+        assert_eq!(r.failures, 0);
     }
 
     #[test]
     fn parallel_run_is_deterministic_under_faults() {
         let w = ClusterWorkload::small().with_fault_rate_bp(400);
-        let reference = EnzianCluster::new(2, MIB).run_reference(&w);
-        let par = EnzianCluster::new(2, MIB).run_parallel(&w, 2);
-        par.assert_matches(&reference);
+        harness::check_engines(&[2], |e| EnzianCluster::new(2, MIB).run(&w, e));
     }
 
     #[test]
     fn flow_accounting_matches_the_bridge_header() {
         let r = EnzianCluster::new(3, MIB).run_parallel(&ClusterWorkload::small(), 2);
         assert_eq!(
-            r.bridge_wire_bytes,
-            r.bridge_payload_bytes + r.bridge_frames * BRIDGE_HEADER
+            r.fabric.wire_bytes,
+            r.fabric.payload_bytes + r.fabric.frames * BRIDGE_HEADER
         );
         for row in &r.flows {
             for f in row {

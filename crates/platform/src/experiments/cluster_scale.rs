@@ -15,6 +15,8 @@
 //! reported on stderr only.
 
 use crate::cluster::{ClusterWorkload, EnzianCluster};
+use crate::harness::check_engines;
+use enzian_sim::par::Engine;
 use enzian_sim::{Instrumented, MetricsRegistry, Time, TraceEvent};
 
 /// One row of the sweep: a cluster size under the scale workload.
@@ -68,28 +70,34 @@ pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<Cluste
     let mut sim_end = Time::ZERO;
     let mut events = 0u64;
     for &n in &BOARD_COUNTS {
-        let mut cluster = EnzianCluster::new(n, SLICE_BYTES);
-        let report = cluster.run_parallel(&w, threads);
-        if n == BOARD_COUNTS[0] {
+        let mut cluster = None;
+        let mut run = |engine| {
+            cluster
+                .insert(EnzianCluster::new(n, SLICE_BYTES))
+                .run(&w, engine)
+        };
+        let report = if n == BOARD_COUNTS[0] {
             // Cross-engine validation: the sequential reference driver
             // must reproduce the parallel run bit-for-bit.
-            let reference = EnzianCluster::new(n, SLICE_BYTES).run_reference(&w);
-            report.assert_matches(&reference);
-        }
+            check_engines(&[threads], run)
+        } else {
+            run(Engine::Conservative(threads))
+        };
+        let cluster = cluster.expect("the cluster ran");
         let remote = report.remote_reads + report.remote_writes;
         let row = ClusterScaleRow {
             boards: n,
             total_ops: report.total_ops,
             remote_pct: remote as f64 / report.total_ops as f64 * 100.0,
-            bridge_frames: report.bridge_frames,
-            goodput_gib: report.bridge_payload_bytes as f64
+            bridge_frames: report.fabric.frames,
+            goodput_gib: report.fabric.payload_bytes as f64
                 / report.sim_end.since(Time::ZERO).as_secs_f64()
                 / (1u64 << 30) as f64,
             sim_end_us: report.sim_end.as_micros_f64(),
             epochs: report.epochs,
             epochs_skipped: report.epochs_skipped,
             messages: report.messages,
-            trace_digest: report.trace_digest,
+            trace_digest: report.digest,
         };
         let base = format!("cluster_scale.b{n}");
         report.export_metrics(&base, reg);
@@ -98,7 +106,7 @@ pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<Cluste
         reg.trace_event(
             TraceEvent::new(report.sim_end, "cluster_scale", "size-done")
                 .field("boards", n as u64)
-                .field("bridge_frames", report.bridge_frames)
+                .field("bridge_frames", report.fabric.frames)
                 .field("messages", report.messages),
         );
         sim_end = sim_end.max(report.sim_end);

@@ -14,6 +14,7 @@
 //! byte-identical across `--threads` values, which `make determinism`
 //! and the CI `determinism` matrix assert.
 
+use crate::harness::check_engines;
 use crate::service::{FaultScenario, ServiceConfig};
 use enzian_sim::{MetricsRegistry, Time, TraceEvent};
 
@@ -84,12 +85,13 @@ pub fn run_instrumented(threads: usize, reg: &mut MetricsRegistry) -> Vec<Servic
     let mut events = 0u64;
     for scenario in FaultScenario::all() {
         let cfg = config().with_scenario(scenario);
-        let report = cfg.run_parallel(threads);
-        if scenario == FaultScenario::CrashOneBoard {
+        let report = if scenario == FaultScenario::CrashOneBoard {
             // Cross-engine validation on the scenario where the fault,
             // failover and catch-up machinery is all exercised.
-            report.assert_matches(&cfg.run_reference());
-        }
+            check_engines(&[threads], |e| cfg.run(e))
+        } else {
+            cfg.run_parallel(threads)
+        };
         report
             .verify_linearizable(cfg.store)
             .expect("committed logs must replay linearizably");

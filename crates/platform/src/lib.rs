@@ -12,6 +12,7 @@ pub mod catapult;
 pub mod cluster;
 pub mod devicetree;
 pub mod experiments;
+pub mod harness;
 pub mod machine;
 pub mod presets;
 pub mod service;
@@ -24,6 +25,7 @@ pub use cluster::{
     BoardId, ClusterRunReport, ClusterWorkload, EnzianCluster, FlowStats, BRIDGE_HEADER,
 };
 pub use devicetree::{render_dts, DeviceTreeOptions};
+pub use harness::{check_engines, RunReport};
 pub use machine::{EnzianMachine, MachineConfig};
 pub use presets::PlatformPreset;
 pub use service::{FaultScenario, ServiceConfig, ServiceRunReport};

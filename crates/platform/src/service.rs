@@ -24,9 +24,9 @@
 //!   [`KvResult`] or fails with a typed [`SvcError`] within its retry
 //!   budget; timed-out GETs may degrade to one stale read. No client
 //!   operation can hang.
-//! * **Audits**: [`ServiceRunReport::verify_linearizable`] replays
+//! * **Audits**: [`ServiceStats::verify_linearizable`] replays
 //!   every shard's committed log against a fresh sequential store, and
-//!   [`ServiceRunReport::audit_zero_lost_acks`] checks that no
+//!   [`ServiceStats::audit_zero_lost_acks`] checks that no
 //!   acknowledged write was lost across crashes and failovers.
 //!
 //! Everything is a pure function of the [`ServiceConfig`] — reports
@@ -43,6 +43,7 @@
 //! quorum — *before* its replication retry budget does: it steps down
 //! instead of solo-committing a write the promoted backup never saw.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use enzian_apps::service::{
@@ -53,10 +54,11 @@ use enzian_apps::service::{
 use enzian_apps::{decode_svc, encode_heartbeat_into, encode_svc_into, KvStoreConfig};
 use enzian_eci::bridge::BridgeOpcode;
 use enzian_net::eth::EthLinkConfig;
-use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
+use enzian_sim::par::{Engine, Envelope, KeyedShard, WorkKey};
 use enzian_sim::{cluster_targets, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FabricFrame, FabricPort, BRIDGE_HEADER};
+use crate::cluster::{FabricFrame, FabricPort, FlowStats, BRIDGE_HEADER};
+use crate::harness::{self, FabricBoard, RunReport};
 
 /// Bytes a service frame holds inline in its envelope: the bridge
 /// framing plus 64 bytes of payload. That fits every request, response
@@ -1400,10 +1402,14 @@ impl ServiceBoard {
             _ => unreachable!("unknown work class"),
         }
     }
+}
 
-    /// Folds this board's externally observable final state into `d`.
+impl FabricBoard for ServiceBoard {
+    fn fabric_end(&self) -> (FlowStats, Time) {
+        (self.port.audit(), self.last)
+    }
+
     fn digest_into(&self, d: &mut Fnv) {
-        d.u64(self.id as u64);
         for r in self.replicas.values() {
             r.digest_into(&mut |v| d.u64(v));
         }
@@ -1560,13 +1566,15 @@ fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
 }
 
 /// What one service run did — a pure function of the [`ServiceConfig`],
-/// never of the thread count. Only `epochs`/`epochs_skipped` depend on
-/// the engine; [`ServiceRunReport::assert_matches`] compares everything
-/// else.
+/// never of the thread count (except the epoch counts; see
+/// [`RunReport`]). Its `fabric` totals count service frames and their
+/// encoded bytes.
+pub type ServiceRunReport = RunReport<ServiceStats>;
+
+/// The replicated service's own totals in a [`ServiceRunReport`], with
+/// the committed logs and acknowledgements its audits replay.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServiceRunReport {
-    /// Boards simulated.
-    pub boards: usize,
+pub struct ServiceStats {
     /// Shards served.
     pub shards: u16,
     /// Clients simulated.
@@ -1617,24 +1625,10 @@ pub struct ServiceRunReport {
     pub availability_in_window: f64,
     /// Availability for ops issued outside the fault window.
     pub availability_out_window: f64,
-    /// Service frames handed to the fabric.
-    pub svc_frames: u64,
-    /// Encoded bytes handed to the fabric.
-    pub wire_bytes: u64,
     /// Service frames, loopback ones included, too long for the 88-byte
     /// inline envelope buffer and held on the heap instead. Not exported
     /// to metrics.
     pub spilled_frames: u64,
-    /// Latest instant any board observed.
-    pub sim_end: Time,
-    /// Lock-step epochs executed (zero under the reference driver).
-    pub epochs: u64,
-    /// Quiet epochs the engine jumped over (zero under the reference).
-    pub epochs_skipped: u64,
-    /// Cross-board envelopes exchanged.
-    pub messages: u64,
-    /// FNV-1a digest over every board's final state.
-    pub digest: u64,
     /// Merged SLO telemetry across all boards.
     pub slo: SloRecorder,
     /// Final (highest) epoch per shard.
@@ -1646,23 +1640,7 @@ pub struct ServiceRunReport {
     pub acked: Vec<(u32, BTreeMap<u64, AckState>)>,
 }
 
-impl ServiceRunReport {
-    /// Asserts this report equals `other` on every engine-independent
-    /// field (everything but `epochs`/`epochs_skipped`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first differing field.
-    pub fn assert_matches(&self, other: &ServiceRunReport) {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.epochs = 0;
-        b.epochs = 0;
-        a.epochs_skipped = 0;
-        b.epochs_skipped = 0;
-        assert_eq!(a, b, "service run reports diverge");
-    }
-
+impl ServiceStats {
     /// Replays every shard's authoritative committed log against a
     /// fresh sequential store and demands identical results — the
     /// linearizability check over everything the service acknowledged.
@@ -1718,7 +1696,9 @@ impl ServiceRunReport {
         }
         Ok(())
     }
+}
 
+impl ServiceRunReport {
     /// Publishes the report under `prefix.*`. Every exported value is
     /// deterministic across thread counts, so two exports of same-seed
     /// runs are byte-identical.
@@ -1747,8 +1727,8 @@ impl ServiceRunReport {
         c(reg, "client_rejections", self.client_rejections);
         c(reg, "local_msgs", self.local_msgs);
         c(reg, "committed_entries", self.committed_entries);
-        c(reg, "svc_frames", self.svc_frames);
-        c(reg, "wire_bytes", self.wire_bytes);
+        c(reg, "svc_frames", self.fabric.frames);
+        c(reg, "wire_bytes", self.fabric.wire_bytes);
         c(reg, "sim_end_ps", self.sim_end.as_ps());
         c(reg, "epochs", self.epochs);
         c(reg, "epochs_skipped", self.epochs_skipped);
@@ -1765,10 +1745,10 @@ fn describe(v: &Option<Vec<u8>>) -> String {
     }
 }
 
-fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) -> ServiceRunReport {
+fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>) -> ServiceStats {
     // Authoritative log per shard: the replica with the highest epoch;
     // ties prefer the primary role, then the lower board id.
-    let mut best: Vec<Option<(u32, u8, usize)>> = vec![None; usize::from(cfg.shards)];
+    let mut best = vec![None; usize::from(cfg.shards)];
     for b in &boards {
         for (&shard, r) in &b.replicas {
             let role_rank = match r.role {
@@ -1776,24 +1756,15 @@ fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) ->
                 Role::Backup => 1,
                 Role::Recovering => 2,
             };
-            let cand = (r.epoch, role_rank, b.id);
-            let better = match best[usize::from(shard)] {
-                None => true,
-                Some((e, rr, id)) => {
-                    (cand.0, std::cmp::Reverse(cand.1), std::cmp::Reverse(cand.2))
-                        > (e, std::cmp::Reverse(rr), std::cmp::Reverse(id))
-                }
-            };
-            if better {
-                best[usize::from(shard)] = Some(cand);
+            let cand = (r.epoch, Reverse(role_rank), Reverse(b.id));
+            let slot = &mut best[usize::from(shard)];
+            if slot.is_none_or(|s| cand > s) {
+                *slot = Some(cand);
             }
         }
     }
     let mut slo = SloRecorder::new(cfg.scenario.fault_window());
-    let mut digest = Fnv::new();
-    let (mut svc_frames, mut wire_bytes) = (0, 0);
     for b in &boards {
-        assert!(b.idle(), "run finished with live work on a board");
         for c in &b.clients {
             assert!(
                 c.state.done(),
@@ -1801,15 +1772,10 @@ fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) ->
                 c.state.uid
             );
         }
-        b.digest_into(&mut digest);
         slo.merge(&b.slo);
-        let total = b.port.audit();
-        svc_frames += total.frames;
-        wire_bytes += total.wire_bytes;
     }
     let sum = |f: fn(&ServiceBoard) -> u64| boards.iter().map(f).sum();
-    let mut report = ServiceRunReport {
-        boards: boards.len(),
+    let mut stats = ServiceStats {
         shards: cfg.shards,
         clients: u32::from(cfg.boards) * u32::from(cfg.clients_per_board),
         total_client_ops: cfg.total_client_ops(),
@@ -1835,14 +1801,7 @@ fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) ->
         committed_entries: 0,
         availability_in_window: slo.availability_in_window(),
         availability_out_window: slo.availability_out_window(),
-        svc_frames,
-        wire_bytes,
         spilled_frames: sum(|b| b.port.spilled()),
-        sim_end: boards.iter().map(|b| b.last).fold(Time::ZERO, Time::max),
-        epochs: par.epochs,
-        epochs_skipped: par.epochs_skipped,
-        messages: par.messages,
-        digest: digest.finish(),
         slo,
         shard_epochs: vec![0; usize::from(cfg.shards)],
         shard_logs: vec![Vec::new(); usize::from(cfg.shards)],
@@ -1851,47 +1810,47 @@ fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) ->
     for b in boards {
         for (shard, r) in b.replicas {
             let s = usize::from(shard);
-            report.shard_epochs[s] = report.shard_epochs[s].max(r.epoch);
-            if let Some((_, _, id)) = best[s] {
+            stats.shard_epochs[s] = stats.shard_epochs[s].max(r.epoch);
+            if let Some((_, _, Reverse(id))) = best[s] {
                 if id == b.id {
-                    report.shard_logs[s] = r.log;
+                    stats.shard_logs[s] = r.log;
                 }
             }
         }
         for c in b.clients {
-            report.acked.push((c.state.uid, c.state.acked));
+            stats.acked.push((c.state.uid, c.state.acked));
         }
     }
-    report.acked.sort_by_key(|(uid, _)| *uid);
-    report.committed_entries = report.shard_logs.iter().map(|l| l.len() as u64).sum();
+    stats.acked.sort_by_key(|(uid, _)| *uid);
+    stats.committed_entries = stats.shard_logs.iter().map(|l| l.len() as u64).sum();
     assert_eq!(
-        report.slo.completed() + report.crashed_ops,
-        report.total_client_ops,
+        stats.slo.completed() + stats.crashed_ops,
+        stats.total_client_ops,
         "client operations went missing"
     );
-    report
+    stats
 }
 
 impl ServiceConfig {
     /// Runs the service on the conservative-parallel engine with
-    /// `threads` workers. The report — and any metrics or bench JSON
-    /// derived from it — is bit-identical for every thread count.
+    /// `threads` workers.
     pub fn run_parallel(&self, threads: usize) -> ServiceRunReport {
         self.run(Engine::Conservative(threads))
     }
 
     /// Runs the service on the sequential reference driver. Exists to
     /// validate the parallel engine:
-    /// [`ServiceRunReport::assert_matches`] against any
+    /// [`RunReport::assert_matches`] against any
     /// [`ServiceConfig::run_parallel`] report must hold.
     pub fn run_reference(&self) -> ServiceRunReport {
         self.run(Engine::Sequential)
     }
 
-    fn run(&self, engine: Engine) -> ServiceRunReport {
-        let mut boards = make_boards(self);
-        let par = engine.run(&mut boards, self.lookahead());
-        finish_run(self, boards, par)
+    /// Runs the service on `engine`.
+    pub fn run(&self, engine: Engine) -> ServiceRunReport {
+        harness::run(make_boards(self), self.lookahead(), engine, |boards| {
+            finish_run(self, boards)
+        })
     }
 }
 
@@ -1921,20 +1880,7 @@ mod tests {
     #[test]
     fn parallel_matches_reference_across_threads() {
         let cfg = ServiceConfig::small().with_scenario(FaultScenario::CrashOneBoard);
-        let reference = cfg.run_reference();
-        assert_eq!(reference.epochs, 0);
-        let mut parallel: Vec<ServiceRunReport> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| cfg.run_parallel(t))
-            .collect();
-        for p in &parallel {
-            p.assert_matches(&reference);
-        }
-        let first = parallel.remove(0);
-        assert!(first.epochs > 0);
-        for p in &parallel {
-            assert_eq!(*p, first, "thread counts diverge even on epochs");
-        }
+        harness::check_engines(&[1, 2, 4], |e| cfg.run(e));
     }
 
     #[test]
@@ -2009,17 +1955,13 @@ mod tests {
         let hb_frame = BRIDGE_HEADER as usize + 7 + 12 * 6;
         assert_eq!(hb_frame, 103);
         assert!(hb_frame > SVC_FRAME_CAPACITY);
-        let reference = cfg.run_reference();
-        cfg.run_parallel(2).assert_matches(&reference);
+        let r = harness::check_engines(&[2], |e| cfg.run(e));
         // Every heartbeat spills, and no other frame does.
-        assert!(reference.heartbeats_sent > 0);
-        assert_eq!(reference.spilled_frames, reference.heartbeats_sent);
-        assert_eq!(reference.ok_ops, reference.total_client_ops);
-        reference
-            .verify_linearizable(cfg.store)
-            .expect("linearizable");
-        reference
-            .audit_zero_lost_acks()
+        assert!(r.heartbeats_sent > 0);
+        assert_eq!(r.spilled_frames, r.heartbeats_sent);
+        assert_eq!(r.ok_ops, r.total_client_ops);
+        r.verify_linearizable(cfg.store).expect("linearizable");
+        r.audit_zero_lost_acks()
             .expect("no acknowledged write lost");
     }
 

@@ -32,11 +32,12 @@ use enzian_net::tcp::{
     LossPattern, SessionMux, TcpStackConfig, WireSegment, MAX_SESSION_BYTES, SEGMENT_LOSS_TARGET,
 };
 use enzian_net::traffic::{decode_segment, encode_segment_into, PortMask, SEGMENT_HEADER_BYTES};
-use enzian_sim::par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
+use enzian_sim::par::{Engine, Envelope, KeyedShard, WorkKey};
 use enzian_sim::stats::LatencyHistogram;
 use enzian_sim::{Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::cluster::{FabricFrame, FabricPort, BRIDGE_HEADER};
+use crate::cluster::{FabricFrame, FabricPort, FlowStats, BRIDGE_HEADER};
+use crate::harness::{self, FabricBoard, RunReport};
 
 /// Store-and-forward latency of the top-of-rack hop every inter-board
 /// frame crosses (the same 1 µs as [`enzian_net::eth::Switch::tor`]).
@@ -342,10 +343,14 @@ impl TrafficBoard {
         self.next_open = (self.opens_left > 0).then(|| now + self.w.open_gap);
         self.flush(out);
     }
+}
 
-    /// Folds this board's externally observable final state into `d`.
+impl FabricBoard for TrafficBoard {
+    fn fabric_end(&self) -> (FlowStats, Time) {
+        (self.port.audit(), self.last)
+    }
+
     fn digest_into(&self, d: &mut Fnv) {
-        d.u64(self.id as u64);
         d.u64(self.mux.state_digest());
         self.port.digest_into(d);
         d.u64(self.last.as_ps());
@@ -429,13 +434,14 @@ fn make_boards(w: &TrafficWorkload) -> Vec<TrafficBoard> {
 }
 
 /// What one traffic run did — a pure function of the
-/// [`TrafficWorkload`], never of the thread count. Only
-/// `epochs`/`epochs_skipped` depend on the engine;
-/// [`TrafficRunReport::assert_matches`] compares everything else.
+/// [`TrafficWorkload`], never of the thread count (except the epoch
+/// counts; see [`RunReport`]). Its `fabric` totals count bridge frames
+/// and their encoded bytes, synthetic payload included.
+pub type TrafficRunReport = RunReport<TrafficStats>;
+
+/// The traffic generator's own totals in a [`TrafficRunReport`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrafficRunReport {
-    /// Boards simulated.
-    pub boards: usize,
+pub struct TrafficStats {
     /// Client sessions opened.
     pub opened: u64,
     /// Client sessions completed end to end.
@@ -477,43 +483,13 @@ pub struct TrafficRunReport {
     pub losses_injected: u64,
     /// Drops recovered by retransmission.
     pub losses_recovered: u64,
-    /// Bridge frames handed to the fabric.
-    pub frames: u64,
-    /// Encoded bytes handed to the fabric (synthetic payload included).
-    pub wire_bytes: u64,
     /// Client handshake latency, merged across boards.
     pub handshake: LatencyHistogram,
     /// Client whole-session latency, merged across boards.
     pub session: LatencyHistogram,
-    /// Latest instant any board observed.
-    pub sim_end: Time,
-    /// Lock-step epochs executed (zero under the reference driver).
-    pub epochs: u64,
-    /// Quiet epochs the engine jumped over (zero under the reference).
-    pub epochs_skipped: u64,
-    /// Cross-board envelopes exchanged.
-    pub messages: u64,
-    /// FNV-1a digest over every board's final state.
-    pub digest: u64,
 }
 
 impl TrafficRunReport {
-    /// Asserts this report equals `other` on every engine-independent
-    /// field (everything but `epochs`/`epochs_skipped`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first differing field.
-    pub fn assert_matches(&self, other: &TrafficRunReport) {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.epochs = 0;
-        b.epochs = 0;
-        a.epochs_skipped = 0;
-        b.epochs_skipped = 0;
-        assert_eq!(a, b, "traffic run reports diverge");
-    }
-
     /// Completed client sessions per second of simulated time.
     pub fn conns_per_sec(&self) -> f64 {
         let s = self.sim_end.as_secs_f64();
@@ -563,8 +539,8 @@ impl TrafficRunReport {
         c(reg, "out_of_order", self.out_of_order);
         c(reg, "losses_injected", self.losses_injected);
         c(reg, "losses_recovered", self.losses_recovered);
-        c(reg, "frames", self.frames);
-        c(reg, "wire_bytes", self.wire_bytes);
+        c(reg, "frames", self.fabric.frames);
+        c(reg, "wire_bytes", self.fabric.wire_bytes);
         c(reg, "sim_end_ps", self.sim_end.as_ps());
         c(reg, "epochs", self.epochs);
         c(reg, "epochs_skipped", self.epochs_skipped);
@@ -573,19 +549,15 @@ impl TrafficRunReport {
     }
 }
 
-fn finish_run(w: &TrafficWorkload, boards: Vec<TrafficBoard>, par: ParReport) -> TrafficRunReport {
-    let mut digest = Fnv::new();
+fn finish_run(w: &TrafficWorkload, boards: Vec<TrafficBoard>) -> TrafficStats {
     let (mut handshake, mut session) = (LatencyHistogram::new(), LatencyHistogram::new());
-    let (mut frames, mut wire_bytes) = (0, 0);
     for b in &boards {
-        assert!(b.idle(), "run finished with live work on a board");
         assert_eq!(b.opens_left, 0, "a board retired with opens outstanding");
         assert_eq!(
             b.mux.table_slots(),
             b.mux.peak_flows(),
             "the slab grew past the concurrency high-water mark"
         );
-        b.digest_into(&mut digest);
         handshake.merge(&b.mux.stats().handshake);
         session.merge(&b.mux.stats().session);
         let total = b.port.audit();
@@ -595,12 +567,9 @@ fn finish_run(w: &TrafficWorkload, boards: Vec<TrafficBoard>, par: ParReport) ->
             "board {}: every traffic frame adds exactly TCP_FRAME_BYTES",
             b.id
         );
-        frames += total.frames;
-        wire_bytes += total.wire_bytes;
     }
     let sum = |f: fn(&TrafficBoard) -> u64| boards.iter().map(f).sum();
-    let report = TrafficRunReport {
-        boards: boards.len(),
+    let stats = TrafficStats {
         opened: sum(|b| b.mux.stats().opened),
         completed: sum(|b| b.mux.stats().completed),
         accepted: sum(|b| b.mux.stats().accepted),
@@ -624,66 +593,56 @@ fn finish_run(w: &TrafficWorkload, boards: Vec<TrafficBoard>, par: ParReport) ->
         out_of_order: sum(|b| b.mux.stats().out_of_order),
         losses_injected: sum(|b| b.mux.loss().plan().injected(SEGMENT_LOSS_TARGET)),
         losses_recovered: sum(|b| b.mux.loss().plan().recovered(SEGMENT_LOSS_TARGET)),
-        frames,
-        wire_bytes,
         handshake,
         session,
-        sim_end: boards.iter().map(|b| b.last).fold(Time::ZERO, Time::max),
-        epochs: par.epochs,
-        epochs_skipped: par.epochs_skipped,
-        messages: par.messages,
-        digest: digest.finish(),
     };
-    assert_eq!(report.opened, w.total_sessions(), "opens went missing");
+    assert_eq!(stats.opened, w.total_sessions(), "opens went missing");
     assert_eq!(
-        report.completed, report.opened,
+        stats.completed, stats.opened,
         "client sessions went missing"
     );
     assert_eq!(
-        report.closed_server, report.accepted,
+        stats.closed_server, stats.accepted,
         "passive flows went missing"
     );
     if w.proxy {
+        assert_eq!(stats.relayed_sessions, stats.opened, "splices went missing");
         assert_eq!(
-            report.relayed_sessions, report.opened,
-            "splices went missing"
-        );
-        assert_eq!(
-            report.payload_delivered,
-            report.opened * w.bytes_per_session * 2,
+            stats.payload_delivered,
+            stats.opened * w.bytes_per_session * 2,
             "proxied payload delivered once per hop"
         );
     } else {
-        assert_eq!(report.relayed_sessions, 0);
+        assert_eq!(stats.relayed_sessions, 0);
         assert_eq!(
-            report.payload_delivered,
-            report.opened * w.bytes_per_session,
+            stats.payload_delivered,
+            stats.opened * w.bytes_per_session,
             "payload went missing"
         );
     }
-    report
+    stats
 }
 
 impl TrafficWorkload {
     /// Runs the workload on the conservative-parallel engine with
-    /// `threads` workers. The report — and any metrics or bench JSON
-    /// derived from it — is bit-identical for every thread count.
+    /// `threads` workers.
     pub fn run_parallel(&self, threads: usize) -> TrafficRunReport {
         self.run(Engine::Conservative(threads))
     }
 
     /// Runs the workload on the sequential reference driver. Exists to
     /// validate the parallel engine:
-    /// [`TrafficRunReport::assert_matches`] against any
+    /// [`RunReport::assert_matches`] against any
     /// [`TrafficWorkload::run_parallel`] report must hold.
     pub fn run_reference(&self) -> TrafficRunReport {
         self.run(Engine::Sequential)
     }
 
-    fn run(&self, engine: Engine) -> TrafficRunReport {
-        let mut boards = make_boards(self);
-        let par = engine.run(&mut boards, self.lookahead());
-        finish_run(self, boards, par)
+    /// Runs the workload on `engine`.
+    pub fn run(&self, engine: Engine) -> TrafficRunReport {
+        harness::run(make_boards(self), self.lookahead(), engine, |boards| {
+            finish_run(self, boards)
+        })
     }
 }
 
@@ -720,18 +679,7 @@ mod tests {
     #[test]
     fn parallel_matches_reference_across_threads() {
         let w = TrafficWorkload::small();
-        let reference = w.run_reference();
-        assert_eq!(reference.epochs, 0);
-        let mut parallel: Vec<TrafficRunReport> =
-            [1usize, 2, 4].iter().map(|&t| w.run_parallel(t)).collect();
-        for p in &parallel {
-            p.assert_matches(&reference);
-        }
-        let first = parallel.remove(0);
-        assert!(first.epochs > 0);
-        for p in &parallel {
-            assert_eq!(*p, first, "thread counts diverge even on epochs");
-        }
+        harness::check_engines(&[1, 2, 4], |e| w.run(e));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use enzian_eci::EciSystemConfig;
 use enzian_platform::experiments::{cluster_scale, fault_sweep};
 use enzian_platform::{
-    BoardId, ClusterRunReport, ClusterWorkload, EnzianCluster, FaultScenario, ServiceConfig,
+    check_engines, BoardId, ClusterWorkload, EnzianCluster, FaultScenario, ServiceConfig,
 };
 use enzian_sim::MetricsRegistry;
 
@@ -44,20 +44,13 @@ fn cluster_scale_exports_are_byte_identical_across_threads() {
 fn parallel_engine_matches_reference_with_traces_captured() {
     let w = ClusterWorkload::small();
     let cfg = EciSystemConfig::enzian().with_capture_trace(true);
-    let make = || EnzianCluster::with_board_config(3, MIB, cfg);
-    let reference = make().run_reference(&w);
+    let r = check_engines(&THREADS, |e| {
+        EnzianCluster::with_board_config(3, MIB, cfg).run(&w, e)
+    });
     assert!(
-        reference.remote_reads + reference.remote_writes > 0,
+        r.remote_reads + r.remote_writes > 0,
         "workload must exercise the bridge"
     );
-    for &t in &THREADS {
-        let par = make().run_parallel(&w, t);
-        par.assert_matches(&reference);
-        assert_eq!(
-            par.trace_digest, reference.trace_digest,
-            "trace digest diverged at {t} threads"
-        );
-    }
 }
 
 /// The same invariant holds with fault injection active: nacks and
@@ -68,8 +61,11 @@ fn parallel_engine_is_deterministic_under_an_active_fault_plan() {
     let w = ClusterWorkload::small()
         .with_ops_per_stream(64)
         .with_fault_rate_bp(500);
-    let mut cluster = EnzianCluster::new(2, MIB);
-    let reference = cluster.run_reference(&w);
+    let mut cluster = None;
+    check_engines(&THREADS, |e| {
+        cluster.insert(EnzianCluster::new(2, MIB)).run(&w, e)
+    });
+    let mut cluster = cluster.expect("the cluster ran");
     // The plan must actually have fired (recovery may still absorb
     // every fault without surfacing a failure — that's its job).
     let injected: u64 = (0..2)
@@ -82,17 +78,6 @@ fn parallel_engine_is_deterministic_under_an_active_fault_plan() {
         })
         .sum();
     assert!(injected > 0, "fault plan at 5% must inject something");
-    let reports: Vec<ClusterRunReport> = THREADS
-        .iter()
-        .map(|&t| EnzianCluster::new(2, MIB).run_parallel(&w, t))
-        .collect();
-    for r in &reports {
-        r.assert_matches(&reference);
-    }
-    // Including epoch counts, all parallel runs are identical.
-    for r in &reports[1..] {
-        assert_eq!(*r, reports[0]);
-    }
 }
 
 /// `fault_sweep` — the other seeded bench driver — exports identically
@@ -131,17 +116,9 @@ fn fault_sweep_is_invariant_across_concurrent_instances() {
 #[test]
 fn service_with_crash_plan_is_byte_identical_across_threads() {
     let cfg = ServiceConfig::small().with_scenario(FaultScenario::RollingCrashes);
-    let reference = cfg.run_reference();
-    assert!(reference.crashes > 0, "the crash plan must fire");
-    assert!(reference.failovers > 0, "crashes must force failovers");
-    let reports: Vec<_> = THREADS.iter().map(|&t| cfg.run_parallel(t)).collect();
-    for r in &reports {
-        r.assert_matches(&reference);
-    }
-    // Including engine epoch counts, all parallel runs are identical.
-    for r in &reports[1..] {
-        assert_eq!(*r, reports[0]);
-    }
+    let r = check_engines(&THREADS, |e| cfg.run(e));
+    assert!(r.crashes > 0, "the crash plan must fire");
+    assert!(r.failovers > 0, "crashes must force failovers");
 }
 
 /// The `service` bench driver — the path behind `BENCH_service.json` —
@@ -173,10 +150,10 @@ fn digest_tracks_the_seed_not_the_engine() {
     let w = ClusterWorkload::small();
     let a = EnzianCluster::new(2, MIB).run_parallel(&w, 1);
     let b = EnzianCluster::new(2, MIB).run_parallel(&w, 8);
-    assert_eq!(a.trace_digest, b.trace_digest);
+    assert_eq!(a.digest, b.digest);
     let other = EnzianCluster::new(2, MIB).run_parallel(&w.with_seed(w.seed ^ 1), 8);
     assert_ne!(
-        a.trace_digest, other.trace_digest,
+        a.digest, other.digest,
         "digest must be sensitive to the workload"
     );
 }

@@ -69,7 +69,7 @@ fn randomized_addresses_obey_the_striping_algebra() {
 fn flow_stats_match_bridge_header_accounting() {
     let w = ClusterWorkload::small().with_ops_per_stream(96);
     let r = EnzianCluster::new(4, MIB).run_parallel(&w, 2);
-    assert!(r.bridge_frames > 0, "workload must bridge traffic");
+    assert!(r.fabric.frames > 0, "workload must bridge traffic");
     let mut frames = 0;
     let mut payload = 0;
     let mut wire = 0;
@@ -89,9 +89,9 @@ fn flow_stats_match_bridge_header_accounting() {
             wire += f.wire_bytes;
         }
     }
-    assert_eq!(frames, r.bridge_frames);
-    assert_eq!(payload, r.bridge_payload_bytes);
-    assert_eq!(wire, r.bridge_wire_bytes);
+    assert_eq!(frames, r.fabric.frames);
+    assert_eq!(payload, r.fabric.payload_bytes);
+    assert_eq!(wire, r.fabric.wire_bytes);
     assert_eq!(wire, payload + frames * BRIDGE_HEADER);
 }
 
@@ -103,11 +103,11 @@ fn request_and_response_frames_balance() {
     let w = ClusterWorkload::small();
     let r = EnzianCluster::new(3, MIB).run_parallel(&w, 2);
     assert_eq!(r.nacks, 0, "fault-free run");
-    assert_eq!(r.bridge_frames, 2 * (r.remote_reads + r.remote_writes));
+    assert_eq!(r.fabric.frames, 2 * (r.remote_reads + r.remote_writes));
     // Each bridged op carries exactly one 128-byte line (on the request
     // for writes, on the response for reads).
     assert_eq!(
-        r.bridge_payload_bytes,
+        r.fabric.payload_bytes,
         128 * (r.remote_reads + r.remote_writes)
     );
     for (src, row) in r.flows.iter().enumerate() {

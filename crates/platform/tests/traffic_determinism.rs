@@ -8,7 +8,7 @@
 //! `BENCH_traffic.json` run in release through `make determinism`; these
 //! tests drive scaled-down workloads through the identical code path.
 
-use enzian_platform::{TrafficRunReport, TrafficStack, TrafficWorkload};
+use enzian_platform::{check_engines, TrafficStack, TrafficWorkload};
 use enzian_sim::{Duration, MetricsRegistry};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -18,15 +18,8 @@ const THREADS: [usize; 3] = [1, 2, 8];
 #[test]
 fn traffic_reports_are_byte_identical_across_threads() {
     let w = TrafficWorkload::small().with_boards(4);
-    let reference = w.run_reference();
-    assert!(reference.completed > 0, "sessions must complete");
-    let reports: Vec<TrafficRunReport> = THREADS.iter().map(|&t| w.run_parallel(t)).collect();
-    for r in &reports {
-        r.assert_matches(&reference);
-    }
-    for r in &reports[1..] {
-        assert_eq!(*r, reports[0]);
-    }
+    let r = check_engines(&THREADS, |e| w.run(e));
+    assert!(r.completed > 0, "sessions must complete");
 }
 
 /// The metric export — the exact content of `BENCH_traffic.json`'s
@@ -58,19 +51,12 @@ fn traffic_is_deterministic_under_an_active_fault_plan() {
         .with_sessions_per_board(24)
         .with_bytes_per_session(64 * 1024)
         .with_loss_bp(200);
-    let reference = w.run_reference();
-    assert!(reference.losses_injected > 0, "the loss plan must fire");
+    let r = check_engines(&THREADS, |e| w.run(e));
+    assert!(r.losses_injected > 0, "the loss plan must fire");
     assert!(
-        reference.retransmissions > 0,
+        r.retransmissions > 0,
         "injected loss must force retransmissions"
     );
-    let reports: Vec<TrafficRunReport> = THREADS.iter().map(|&t| w.run_parallel(t)).collect();
-    for r in &reports {
-        r.assert_matches(&reference);
-    }
-    for r in &reports[1..] {
-        assert_eq!(*r, reports[0]);
-    }
 }
 
 /// The client → proxy → server chain is deterministic too, and really
@@ -78,12 +64,9 @@ fn traffic_is_deterministic_under_an_active_fault_plan() {
 #[test]
 fn proxy_chain_is_deterministic_across_threads() {
     let w = TrafficWorkload::small().with_proxy();
-    let reference = w.run_reference();
-    assert_eq!(reference.relayed_sessions, reference.completed);
-    assert!(reference.relayed_bytes > 0);
-    for &t in &THREADS {
-        w.run_parallel(t).assert_matches(&reference);
-    }
+    let r = check_engines(&THREADS, |e| w.run(e));
+    assert_eq!(r.relayed_sessions, r.completed);
+    assert!(r.relayed_bytes > 0);
 }
 
 /// Flow-table property: under sustained churn the slab reuses retired

@@ -57,10 +57,10 @@ fn cluster_frames_add_fewer_allocations_than_frames() {
         };
         let (a, short_allocs) = counted_run(&short, &short_ref);
         let (b, long_allocs) = counted_run(&long, &long_ref);
-        let extra_frames = b.bridge_frames - a.bridge_frames;
+        let extra_frames = b.fabric.frames - a.fabric.frames;
         let extra_allocs = long_allocs.saturating_sub(short_allocs);
         assert!(
-            extra_frames >= a.bridge_frames,
+            extra_frames >= a.fabric.frames,
             "doubling the operations must double the frames"
         );
         assert!(

@@ -6,12 +6,12 @@
 //! final state and its per-destination flow accounting (frames, payload
 //! and wire bytes), so a change to the frame bytes, their sequence
 //! numbers, their send times or the flow accounting moves a digest
-//! here. Each digest is checked on the sequential reference driver, and
-//! the parallel engine at one, two and three threads must match that report
-//! field for field.
+//! here. Each plane runs on the sequential reference driver and on the
+//! parallel engine at one, two and three threads, which must match that
+//! report field for field, and the digest is checked on the result.
 
 use enzian::platform::{
-    ClusterWorkload, EnzianCluster, FaultScenario, ServiceConfig, TrafficWorkload,
+    check_engines, ClusterWorkload, EnzianCluster, FaultScenario, ServiceConfig, TrafficWorkload,
 };
 
 const MIB: u64 = 1 << 20;
@@ -28,17 +28,12 @@ fn cluster_trace_digests_are_pinned() {
             0xf8b3_4512_046e_45ca,
         ),
     ] {
-        let reference = EnzianCluster::new(3, MIB).run_reference(&w);
+        let r = check_engines(&THREADS, |e| EnzianCluster::new(3, MIB).run(&w, e));
         assert_eq!(
-            reference.trace_digest, expected,
+            r.digest, expected,
             "cluster {label}: trace digest {:#018x}",
-            reference.trace_digest
+            r.digest
         );
-        for t in THREADS {
-            EnzianCluster::new(3, MIB)
-                .run_parallel(&w, t)
-                .assert_matches(&reference);
-        }
     }
 }
 
@@ -53,17 +48,14 @@ fn service_digests_are_pinned() {
     assert_eq!(expected.map(|(s, _)| s), FaultScenario::all());
     for (scenario, digest) in expected {
         let cfg = ServiceConfig::small().with_scenario(scenario);
-        let reference = cfg.run_reference();
+        let r = check_engines(&THREADS, |e| cfg.run(e));
         assert_eq!(
-            reference.digest,
+            r.digest,
             digest,
             "service {}: digest {:#018x}",
             scenario.label(),
-            reference.digest
+            r.digest
         );
-        for t in THREADS {
-            cfg.run_parallel(t).assert_matches(&reference);
-        }
     }
 }
 
@@ -82,14 +74,11 @@ fn traffic_digests_are_pinned() {
             0xdff8_a2ba_c02e_5b98,
         ),
     ] {
-        let reference = w.run_reference();
+        let r = check_engines(&THREADS, |e| w.run(e));
         assert_eq!(
-            reference.digest, expected,
+            r.digest, expected,
             "traffic {label}: digest {:#018x}",
-            reference.digest
+            r.digest
         );
-        for t in THREADS {
-            w.run_parallel(t).assert_matches(&reference);
-        }
     }
 }

@@ -45,7 +45,7 @@ fn a_traffic_frame_allocates_nothing() {
             "{name}: {} allocations for {} sessions and {} frames (bound {bound})",
             delta.allocations,
             report.completed,
-            report.frames,
+            report.fabric.frames,
         );
     }
 }
