@@ -14,7 +14,6 @@ use enzian_eci::link::fault_targets;
 use enzian_eci::system::TXN_STALL_TARGET;
 use enzian_eci::{EciSystem, EciSystemConfig, TxnError};
 use enzian_mem::Addr;
-use enzian_sim::telemetry::FieldValue;
 use enzian_sim::{Duration, FaultPlan, FaultSpec, Instrumented, MetricsRegistry, Time, TraceEvent};
 
 /// One row of the sweep: a fault rate with everything observed under it.
@@ -116,19 +115,10 @@ pub fn run_instrumented(reg: &mut MetricsRegistry) -> Vec<FaultSweepRow> {
         // Recovery latency histogram, harvested from the plan's ledger.
         let mut recovery_ps_sum = 0u64;
         let mut recoveries = 0u64;
-        for ev in plan.trace().iter() {
-            if ev.kind != "recover" {
-                continue;
-            }
-            for (name, value) in &ev.fields {
-                if name == "latency_ps" {
-                    if let FieldValue::U64(ps) = value {
-                        reg.record_latency("fault_sweep.recovery", Duration::from_ps(*ps));
-                        recovery_ps_sum += ps;
-                        recoveries += 1;
-                    }
-                }
-            }
+        for latency in plan.records().filter_map(|r| r.recovery) {
+            reg.record_latency("fault_sweep.recovery", latency);
+            recovery_ps_sum += latency.as_ps();
+            recoveries += 1;
         }
         let mean_recovery_ns = if recoveries == 0 {
             0.0

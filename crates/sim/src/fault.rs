@@ -6,7 +6,8 @@
 //! injection opportunity ([`FaultPlan::should_fire`]) and report every
 //! completed recovery back ([`FaultPlan::note_recovery`]), so the plan
 //! doubles as the system-wide fault ledger: injected/recovered counters
-//! per target plus a [`TraceRing`] event for each.
+//! per target plus a compact [`FaultRecord`] for each, which its
+//! telemetry export renders as a [`TraceEvent`].
 //!
 //! Determinism is the whole point. Triggers reference simulated
 //! [`Time`] and opportunity counts only — the wall clock is banned — and
@@ -28,10 +29,10 @@
 //! assert_eq!(plan.injected("link.drop"), 2);
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use crate::rng::SimRng;
-use crate::telemetry::{TraceEvent, TraceRing};
+use crate::telemetry::{TraceEvent, DEFAULT_TRACE_CAPACITY};
 use crate::time::{Duration, Time};
 
 /// Cluster-level fault targets, consulted by multi-board drivers (the
@@ -150,20 +151,46 @@ struct SpecState {
     armed: bool,
 }
 
+/// One injection or recovery the plan retains. The
+/// [`Instrumented`](crate::telemetry::Instrumented) export renders it as
+/// a `fault` `inject` or `recover` [`TraceEvent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultRecord {
+    /// When the fault fired or finished recovering.
+    pub at: Time,
+    /// `None` for an injection; for a recovery, how long after its
+    /// injection it finished.
+    pub recovery: Option<Duration>,
+    /// The target's index in the plan's ledger.
+    target: u32,
+}
+
+/// One target's entry in the plan's ledger.
+#[derive(Debug, Clone, PartialEq)]
+struct TargetCount {
+    name: String,
+    injected: u64,
+    recovered: u64,
+}
+
 /// A seeded, deterministic schedule of faults plus the ledger of what
 /// was injected and recovered.
 ///
-/// The plan records one `inject`/`recover` [`TraceEvent`] per call into
-/// an internal ring; the [`Instrumented`](crate::telemetry::Instrumented)
-/// impl publishes the counters (and replays the retained events) into a
-/// shared registry.
+/// The plan keeps one [`FaultRecord`] per injection and recovery in a
+/// ring of the last [`DEFAULT_TRACE_CAPACITY`]; recording one allocates
+/// nothing once the ring and the target's ledger entry exist. The
+/// [`Instrumented`](crate::telemetry::Instrumented) impl publishes the
+/// counters and renders the retained records into a shared registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     specs: Vec<SpecState>,
-    injected: BTreeMap<String, u64>,
-    recovered: BTreeMap<String, u64>,
-    trace: TraceRing,
+    /// Every target counted so far, in first-counted order; records name
+    /// theirs by index.
+    ledger: Vec<TargetCount>,
+    records: VecDeque<FaultRecord>,
+    /// Records ever kept, retained or dropped from the full ring.
+    recorded: u64,
 }
 
 impl FaultPlan {
@@ -173,9 +200,9 @@ impl FaultPlan {
         FaultPlan {
             seed,
             specs: Vec::new(),
-            injected: BTreeMap::new(),
-            recovered: BTreeMap::new(),
-            trace: TraceRing::default(),
+            ledger: Vec::new(),
+            records: VecDeque::new(),
+            recorded: 0,
         }
     }
 
@@ -237,9 +264,7 @@ impl FaultPlan {
             fired |= hit;
         }
         if fired {
-            bump(&mut self.injected, target);
-            self.trace
-                .record(TraceEvent::new(now, "fault", "inject").field("target", target));
+            self.record(target, now, None);
         }
         fired
     }
@@ -247,65 +272,97 @@ impl FaultPlan {
     /// Records that a previously injected `target` fault finished
     /// recovering at `now`, `latency` after it was injected.
     pub fn note_recovery(&mut self, target: &str, now: Time, latency: Duration) {
-        bump(&mut self.recovered, target);
-        self.trace.record(
-            TraceEvent::new(now, "fault", "recover")
-                .field("target", target)
-                .field("latency_ps", latency.as_ps()),
-        );
+        self.record(target, now, Some(latency));
+    }
+
+    /// Counts one injection (`recovery` is `None`) or recovery of
+    /// `target` and keeps its record, evicting the oldest from a full
+    /// ring.
+    fn record(&mut self, target: &str, at: Time, recovery: Option<Duration>) {
+        let index = match self.ledger.iter().position(|t| t.name == target) {
+            Some(i) => i,
+            None => {
+                self.ledger.push(TargetCount {
+                    name: target.to_string(),
+                    injected: 0,
+                    recovered: 0,
+                });
+                self.ledger.len() - 1
+            }
+        };
+        let count = &mut self.ledger[index];
+        match recovery {
+            None => count.injected += 1,
+            Some(_) => count.recovered += 1,
+        }
+        if self.records.len() == DEFAULT_TRACE_CAPACITY {
+            self.records.pop_front();
+        }
+        self.records.push_back(FaultRecord {
+            at,
+            recovery,
+            target: index as u32,
+        });
+        self.recorded += 1;
+    }
+
+    fn count(&self, target: &str) -> Option<&TargetCount> {
+        self.ledger.iter().find(|t| t.name == target)
     }
 
     /// Faults injected so far for `target`.
     pub fn injected(&self, target: &str) -> u64 {
-        self.injected.get(target).copied().unwrap_or(0)
+        self.count(target).map_or(0, |t| t.injected)
     }
 
     /// Recoveries recorded so far for `target`.
     pub fn recovered(&self, target: &str) -> u64 {
-        self.recovered.get(target).copied().unwrap_or(0)
+        self.count(target).map_or(0, |t| t.recovered)
     }
 
     /// Total faults injected across all targets.
     pub fn total_injected(&self) -> u64 {
-        self.injected.values().sum()
+        self.ledger.iter().map(|t| t.injected).sum()
     }
 
     /// Total recoveries recorded across all targets.
     pub fn total_recovered(&self) -> u64 {
-        self.recovered.values().sum()
+        self.ledger.iter().map(|t| t.recovered).sum()
     }
 
-    /// The plan's inject/recover event ring (read-only).
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
+    /// The retained injection and recovery records, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = &FaultRecord> {
+        self.records.iter()
     }
-}
 
-/// Counts one more fault for `target` in `ledger`, allocating its key
-/// only the first time the target appears.
-fn bump(ledger: &mut BTreeMap<String, u64>, target: &str) {
-    match ledger.get_mut(target) {
-        Some(n) => *n += 1,
-        None => {
-            ledger.insert(target.to_string(), 1);
-        }
+    /// Records dropped because the ring was full.
+    pub fn dropped_records(&self) -> u64 {
+        self.recorded - self.records.len() as u64
     }
 }
 
 /// Publishes per-target injected/recovered counters (plus totals), and
-/// replays the retained trace events into the registry's ring.
+/// renders the retained records into the registry's trace ring.
 impl crate::telemetry::Instrumented for FaultPlan {
     fn export_metrics(&self, prefix: &str, registry: &mut crate::telemetry::MetricsRegistry) {
-        for (target, n) in &self.injected {
-            registry.counter_set(&format!("{prefix}.injected.{target}"), *n);
-        }
-        for (target, n) in &self.recovered {
-            registry.counter_set(&format!("{prefix}.recovered.{target}"), *n);
+        for t in &self.ledger {
+            if t.injected > 0 {
+                registry.counter_set(&format!("{prefix}.injected.{}", t.name), t.injected);
+            }
+            if t.recovered > 0 {
+                registry.counter_set(&format!("{prefix}.recovered.{}", t.name), t.recovered);
+            }
         }
         registry.counter_set(&format!("{prefix}.injected_total"), self.total_injected());
         registry.counter_set(&format!("{prefix}.recovered_total"), self.total_recovered());
-        for ev in self.trace.iter() {
-            registry.trace_event(ev.clone());
+        for r in &self.records {
+            let target = self.ledger[r.target as usize].name.as_str();
+            registry.trace_event(match r.recovery {
+                None => TraceEvent::new(r.at, "fault", "inject").field("target", target),
+                Some(latency) => TraceEvent::new(r.at, "fault", "recover")
+                    .field("target", target)
+                    .field("latency_ps", latency.as_ps()),
+            });
         }
     }
 }
@@ -380,7 +437,29 @@ mod tests {
         assert_eq!(reg.counter("fault.injected.x"), 1);
         assert_eq!(reg.counter("fault.recovered.x"), 1);
         assert_eq!(reg.counter("fault.injected_total"), 1);
-        assert_eq!(reg.trace().len(), 2);
+        let events: Vec<&TraceEvent> = reg.trace().iter().collect();
+        assert_eq!(
+            events,
+            [
+                &TraceEvent::new(Time::from_ns(1), "fault", "inject").field("target", "x"),
+                &TraceEvent::new(Time::from_ns(3), "fault", "recover")
+                    .field("target", "x")
+                    .field("latency_ps", 2_000u64),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_record_ring_keeps_the_last_records_and_counts_the_rest() {
+        let mut plan = FaultPlan::new(10).with(FaultSpec::every_nth("x", 1));
+        let n = DEFAULT_TRACE_CAPACITY as u64 + 5;
+        for i in 0..n {
+            assert!(plan.should_fire("x", Time::from_ps(i)));
+        }
+        assert_eq!(plan.records().count(), DEFAULT_TRACE_CAPACITY);
+        assert_eq!(plan.dropped_records(), 5);
+        assert_eq!(plan.records().next().map(|r| r.at), Some(Time::from_ps(5)));
+        assert_eq!(plan.injected("x"), n);
     }
 
     #[test]
