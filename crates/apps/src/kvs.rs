@@ -15,7 +15,7 @@
 //! ```
 
 use enzian_mem::{Addr, MemoryController, Op};
-use enzian_sim::{Duration, Time};
+use enzian_sim::{mix64, Duration, Time};
 
 /// Bytes per slot.
 const SLOT_BYTES: usize = 32;
@@ -118,14 +118,6 @@ pub struct KvStore {
     stats: KvStats,
 }
 
-fn mix(key: u64, salt: u64) -> u64 {
-    // SplitMix64-style avalanche, salted per hash function.
-    let mut z = key ^ salt;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl KvStore {
     /// Creates an empty store over `mem`.
     ///
@@ -167,8 +159,9 @@ impl KvStore {
     }
 
     fn buckets_of(&self, key: u64) -> (u64, u64) {
-        let b1 = mix(key, 0x9E37_79B9_7F4A_7C15);
-        let mut b2 = mix(key, 0xC2B2_AE3D_27D4_EB4F);
+        // The SplitMix64 finaliser, salted per hash function.
+        let b1 = mix64(key ^ 0x9E37_79B9_7F4A_7C15);
+        let mut b2 = mix64(key ^ 0xC2B2_AE3D_27D4_EB4F);
         if (b1 & (self.config.buckets - 1)) == (b2 & (self.config.buckets - 1)) {
             b2 = b2.wrapping_add(1);
         }

@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 
 use enzian_mem::{MemoryController, MemoryControllerConfig};
 use enzian_sim::stats::LatencyHistogram;
-use enzian_sim::{Duration, Fnv, Instrumented, MetricsRegistry, SimRng, Time};
+use enzian_sim::{mix64, Duration, Fnv, Instrumented, MetricsRegistry, SimRng, Time};
 
 use crate::kvs::{KvStore, KvStoreConfig, MAX_VALUE_BYTES};
 
@@ -100,10 +100,7 @@ impl ShardMap {
     /// one multiply round leaves `uid<<32 | small` keys clustered on a
     /// few residues).
     pub fn shard_of(&self, key: u64) -> u16 {
-        let mut z = key ^ 0xA076_1D64_78BD_642F;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % u64::from(self.shards)) as u16
+        (mix64(key ^ 0xA076_1D64_78BD_642F) % u64::from(self.shards)) as u16
     }
 }
 

@@ -24,8 +24,8 @@
 
 use enzian_sim::alloc_count;
 use enzian_sim::{
-    reference, run_conservative, Duration, Envelope, EpochWindow, Fnv, MetricsRegistry, Model,
-    Scheduler, Shard, Simulator, Time, TraceEvent,
+    mix64, reference, run_conservative, Duration, Envelope, EpochWindow, Fnv, MetricsRegistry,
+    Model, Scheduler, Shard, Simulator, Time, TraceEvent, SPLITMIX64_GAMMA,
 };
 
 /// Actors in the storm; each runs an independent event chain.
@@ -42,10 +42,7 @@ pub const SEED: u64 = 0x5eed_5c4e_d001;
 
 /// SplitMix64 step: the storm's per-actor state transition.
 fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(x.wrapping_add(SPLITMIX64_GAMMA))
 }
 
 /// The storm model: per-actor chained events over a shared digest.

@@ -113,6 +113,8 @@ mod pipeline;
 
 use keyset::KeySet;
 
+use crate::rng::{mix64, SPLITMIX64_GAMMA};
+
 /// A bounded protocol model the generic checker can explore.
 pub trait ProtocolModel {
     /// A full protocol state (endpoints, queues, budgets).
@@ -965,17 +967,14 @@ pub struct SplitMix64(u64);
 impl SplitMix64 {
     /// A generator for `seed`.
     pub fn new(seed: u64) -> Self {
-        SplitMix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
+        SplitMix64(seed.wrapping_add(SPLITMIX64_GAMMA))
     }
 
     /// Next raw 64-bit value.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(SPLITMIX64_GAMMA);
+        mix64(self.0)
     }
 }
 

@@ -90,7 +90,7 @@ pub use par::{
     run_conservative, run_sequential, Engine, Envelope, EpochWindow, KeyedShard, ParReport, Shard,
     WorkKey,
 };
-pub use rng::SimRng;
+pub use rng::{mix64, SimRng, SPLITMIX64_GAMMA};
 pub use streams::{Keyed, SortedStreams};
 pub use telemetry::{Instrumented, MetricsRegistry, TraceEvent, TraceRing};
 pub use time::{Duration, Time};

@@ -5,6 +5,19 @@
 //! seedable xoshiro256** generator. Using our own implementation keeps
 //! every experiment bit-reproducible across `rand` crate upgrades.
 
+/// SplitMix64's increment, ⌊2^64 / φ⌋.
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finaliser (Steele, Lea and Flood, OOPSLA 2014, with
+/// Stafford's "Mix13" constants): a bijection on `u64` that spreads
+/// every input bit over the whole output. SplitMix64's `n`-th output
+/// from `seed` is `mix64(seed + n · SPLITMIX64_GAMMA)`, `n` from 1.
+pub fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A deterministic xoshiro256** PRNG.
 ///
 /// # Example
@@ -26,11 +39,8 @@ impl SimRng {
     pub fn seed_from(seed: u64) -> Self {
         let mut sm = seed;
         let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            sm = sm.wrapping_add(SPLITMIX64_GAMMA);
+            mix64(sm)
         };
         let s = [next(), next(), next(), next()];
         SimRng { s }
@@ -124,6 +134,28 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn mix64_reproduces_the_published_splitmix64_sequence() {
+        // The first outputs of the reference splitmix64.c for seed 1234567.
+        let mut state = 1_234_567u64;
+        let outputs: Vec<u64> = (0..5)
+            .map(|_| {
+                state = state.wrapping_add(SPLITMIX64_GAMMA);
+                mix64(state)
+            })
+            .collect();
+        assert_eq!(
+            outputs,
+            [
+                6_457_827_717_110_365_317,
+                3_203_168_211_198_807_973,
+                9_817_491_932_198_370_423,
+                4_593_380_528_125_082_431,
+                16_408_922_859_458_223_821,
+            ]
+        );
     }
 
     #[test]

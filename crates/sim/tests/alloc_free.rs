@@ -7,7 +7,7 @@
 //! for gets a binary to itself.
 
 use enzian_sim::alloc_count::{self, CountingAllocator};
-use enzian_sim::{Duration, Model, Scheduler, Simulator, Time};
+use enzian_sim::{mix64, Duration, Model, Scheduler, Simulator, Time, SPLITMIX64_GAMMA};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -20,20 +20,13 @@ struct State {
 
 const ACTORS: usize = 16;
 
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Endless chains: each event names its actor, which fires, mixes and
 /// reschedules itself. The event is a plain index — nothing to box.
 impl Model for State {
     type Event = usize;
 
     fn handle(&mut self, s: &mut Scheduler<usize>, i: usize) {
-        self.seeds[i] = splitmix(self.seeds[i] ^ s.now().as_ps());
+        self.seeds[i] = mix64((self.seeds[i] ^ s.now().as_ps()).wrapping_add(SPLITMIX64_GAMMA));
         self.fired += 1;
         s.schedule_in(Duration::from_ns(1 + self.seeds[i] % 97), i);
     }
