@@ -51,12 +51,14 @@ pub use conn::{ConnError, ConnEvent, ConnState, Connection};
 pub use flow::{AckLedger, SendWindow};
 pub use model::{TcpModel, TcpModelConfig, TcpMutation, TcpViolationKind, ALL_TCP_MUTATIONS};
 pub use mux::{MuxStats, SessionMux, WireSegment, MAX_SESSION_BYTES};
-pub use reliability::{checksum_verifies, internet_checksum, segment_len, GoBackN, Reassembler};
+pub use reliability::{
+    checksum_verifies, internet_checksum, segment_len, GoBackN, Reassembler, Rewind,
+};
 
 use enzian_sim::stats::Summary;
 use enzian_sim::telemetry::MetricsRegistry;
 use enzian_sim::{Duration, FaultPlan, FaultSpec, Time};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::eth::{EthLink, Switch};
 
@@ -586,9 +588,6 @@ struct FlowRun<'d> {
     // rwnd-shrink fault fires.
     advs: VecDeque<u64>,
     gbn: GoBackN,
-    // Which fault target scheduled the rewind for an offset, so the
-    // recovery is noted on the ledger that injected it.
-    rewind_causes: HashMap<u64, &'static str>,
     cc: CongestionController,
     // Receiver state (go-back-N discards anything out of order and
     // re-acks the in-order edge).
@@ -612,7 +611,6 @@ impl<'d> FlowRun<'d> {
             acks: AckLedger::new(),
             advs: VecDeque::new(),
             gbn: GoBackN::new(),
-            rewind_causes: HashMap::new(),
             cc: tx.cc.build(tx),
             reassembler: Reassembler::new(),
             rx_free: Time::ZERO,
@@ -628,10 +626,10 @@ impl<'d> FlowRun<'d> {
 
     /// The pending RTO rewind once it is due: its timer expired before
     /// the sender pipeline frees, or nothing else can happen first.
-    fn due_rto(&self, tx: &TcpStackConfig) -> Option<(Time, u64)> {
-        self.gbn.pending().filter(|&(at, _)| {
-            at <= self.tx_free || (!self.window_open(tx) && self.acks.is_empty())
-        })
+    fn due_rto(&self, tx: &TcpStackConfig) -> Option<Rewind> {
+        self.gbn
+            .pending()
+            .filter(|r| r.at <= self.tx_free || (!self.window_open(tx) && self.acks.is_empty()))
     }
 
     /// When this flow's next step acts, mirroring the step's choice: a
@@ -639,7 +637,7 @@ impl<'d> FlowRun<'d> {
     /// ack.
     fn next_at(&self, tx: &TcpStackConfig) -> Time {
         match self.due_rto(tx) {
-            Some((at, _)) => self.tx_free.max(at),
+            Some(r) => self.tx_free.max(r.at),
             None if self.window_open(tx) => self.tx_free,
             None => self.acks.next_arrival().expect("flow deadlock"),
         }
@@ -855,13 +853,12 @@ impl TcpEngine {
     /// Takes flow `i`'s next action (see [`FlowRun::next_at`]).
     fn step(&mut self, link: &mut EthLink, i: usize, f: &mut FlowRun<'_>) {
         let hop = self.switch.forwarding_latency();
-        if let Some((at, seq)) = f.due_rto(&self.tx) {
-            f.cc.on_rto(&self.tx, f.sent - f.acked, at);
+        if let Some(r) = f.due_rto(&self.tx) {
+            f.cc.on_rto(&self.tx, f.sent - f.acked, r.at);
             f.gbn.fire();
-            f.sent = seq.min(f.sent);
-            f.tx_free = f.tx_free.max(at);
-            let cause = f.rewind_causes.remove(&seq).unwrap_or(SEGMENT_LOSS_TARGET);
-            self.loss.note_recovered_on(cause, at, self.tx.rto);
+            f.sent = r.seq.min(f.sent);
+            f.tx_free = f.tx_free.max(r.at);
+            self.loss.note_recovered_on(r.cause, r.at, self.tx.rto);
         } else if f.window_open(&self.tx) {
             // Send the next segment.
             let wnd = f.swnd.effective(f.cc.cwnd(&self.tx));
@@ -878,12 +875,12 @@ impl TcpEngine {
             // Fault opportunities are offered on first transmissions
             // only, so every pattern terminates: a retransmitted copy
             // (and the ack it elicits) always goes through.
-            let first = f.gbn.first_transmission(seq);
+            let first = f.gbn.first_transmission(seq, f.sent);
             if first && self.loss.should_drop(tx_done) {
                 // The receiver never sees this one; arrange an RTO
                 // rewind to it if none is already pending earlier.
-                f.gbn.schedule_rewind(tx_done + self.tx.rto, seq);
-                f.rewind_causes.insert(seq, SEGMENT_LOSS_TARGET);
+                f.gbn
+                    .schedule_rewind(tx_done + self.tx.rto, seq, SEGMENT_LOSS_TARGET);
                 return;
             }
 
@@ -903,8 +900,8 @@ impl TcpEngine {
                     "corruption must not survive verification"
                 );
                 self.telemetry.module.checksum_rejects += 1;
-                f.gbn.schedule_rewind(tx_done + self.tx.rto, seq);
-                f.rewind_causes.insert(seq, SEGMENT_CORRUPT_TARGET);
+                f.gbn
+                    .schedule_rewind(tx_done + self.tx.rto, seq, SEGMENT_CORRUPT_TARGET);
                 return;
             }
 
@@ -925,8 +922,8 @@ impl TcpEngine {
                 // a later cumulative ack covers this offset first, the
                 // timer is cancelled and nothing is retransmitted (the
                 // single ledger never moves).
-                f.gbn.schedule_rewind(ack_arrival + self.tx.rto, seq);
-                f.rewind_causes.insert(seq, ACK_LOSS_TARGET);
+                f.gbn
+                    .schedule_rewind(ack_arrival + self.tx.rto, seq, ACK_LOSS_TARGET);
                 return;
             }
             let adv = if first && self.loss.should_shrink_rwnd(ack_arrival) {
@@ -961,9 +958,8 @@ impl TcpEngine {
             // A cumulative ack covering a pending rewind voids the timer:
             // the bytes are delivered, no retransmission is needed (this
             // is how a lost ack recovers without the ledger ever moving).
-            if let Some((_, seq)) = f.gbn.cancel_covered(f.acked) {
-                let cause = f.rewind_causes.remove(&seq).unwrap_or(SEGMENT_LOSS_TARGET);
-                self.loss.note_recovered_on(cause, at, self.tx.rto);
+            if let Some(r) = f.gbn.cancel_covered(f.acked) {
+                self.loss.note_recovered_on(r.cause, at, self.tx.rto);
             }
             // Apply this ack's window advertisement.
             let adv = f.advs.pop_front().expect("one advertisement per ack");

@@ -4,7 +4,7 @@
 //! Everything here is mechanism, not policy: given an MSS the
 //! [`segment_len`] schedule carves the byte stream, [`internet_checksum`]
 //! guards each segment, [`GoBackN`] tracks first transmissions and the
-//! pending retransmission-timeout rewind, and [`Reassembler`] delivers
+//! pending retransmission-timeout [`Rewind`], and [`Reassembler`] delivers
 //! the stream in order with cumulative acknowledgement. This is the
 //! module every stack preset keeps on the FPGA side of the offload
 //! boundary (the hybrid preset included) because it touches every
@@ -14,8 +14,6 @@
 //! what the property tests below exploit: under any scripted drop
 //! pattern, every dropped segment is retransmitted exactly once and the
 //! receiver sees the stream in order.
-
-use std::collections::HashSet;
 
 use enzian_sim::Time;
 
@@ -65,9 +63,21 @@ pub fn segment_len(mss: usize, len: u64, sent: u64) -> usize {
     usize::min(mss, (len - sent) as usize)
 }
 
-/// Go-back-N retransmission state: which byte offsets have had their
-/// first transmission (loss injection applies only to those), the
-/// pending RTO rewind, and the retransmission ledger.
+/// A pending retransmission-timeout rewind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rewind {
+    /// When the timer fires.
+    pub at: Time,
+    /// The offset the sender rewinds to.
+    pub seq: u64,
+    /// The fault target whose loss scheduled the rewind, so the recovery
+    /// is noted on the ledger that injected it.
+    pub cause: &'static str,
+}
+
+/// Go-back-N retransmission state: how far first transmissions have
+/// reached (loss injection applies only to those), the pending RTO
+/// rewind, and the retransmission ledger.
 ///
 /// This ledger is the **single source of truth** for retransmission
 /// counts: the engine copies it into [`FlowStats`](super::FlowStats)
@@ -76,9 +86,9 @@ pub fn segment_len(mss: usize, len: u64, sent: u64) -> usize {
 /// derives from the same events, so nothing is double-counted.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GoBackN {
-    first_tx: HashSet<u64>,
-    /// Pending RTO rewind: (fire time, rewind-to offset).
-    pending: Option<(Time, u64)>,
+    /// End of the furthest segment sent so far.
+    first_tx_high: u64,
+    pending: Option<Rewind>,
     retransmissions: u64,
 }
 
@@ -88,25 +98,31 @@ impl GoBackN {
         GoBackN::default()
     }
 
-    /// Records that the segment at `seq` is being transmitted; returns
-    /// `true` iff this is its first transmission (the only copies
-    /// offered to loss injection).
-    pub fn first_transmission(&mut self, seq: u64) -> bool {
-        self.first_tx.insert(seq)
+    /// Records that the segment `[seq, end)` is being transmitted;
+    /// returns `true` iff this is its first transmission (the only
+    /// copies offered to loss injection).
+    ///
+    /// A high-water mark stands in for the set of offsets sent: every
+    /// send, rewind and acknowledgement edge is a segment boundary of
+    /// the one MSS schedule, so a segment starting below the mark was
+    /// sent before.
+    pub fn first_transmission(&mut self, seq: u64, end: u64) -> bool {
+        let first = seq >= self.first_tx_high;
+        self.first_tx_high = self.first_tx_high.max(end);
+        first
     }
 
-    /// The segment at `seq` was dropped at `fire_at = tx_done + rto`;
-    /// arrange the rewind unless one is already pending for an earlier
-    /// offset.
-    pub fn schedule_rewind(&mut self, fire_at: Time, seq: u64) {
-        self.pending = Some(match self.pending {
-            Some((t, s)) if s < seq => (t, s),
-            _ => (fire_at, seq),
-        });
+    /// The segment at `seq` was lost to `cause` and its timer fires at
+    /// `at = tx_done + rto`; arrange the rewind unless one is already
+    /// pending for an earlier offset.
+    pub fn schedule_rewind(&mut self, at: Time, seq: u64, cause: &'static str) {
+        if self.pending.is_none_or(|p| p.seq >= seq) {
+            self.pending = Some(Rewind { at, seq, cause });
+        }
     }
 
-    /// The pending rewind, if any: (fire time, rewind-to offset).
-    pub fn pending(&self) -> Option<(Time, u64)> {
+    /// The pending rewind, if any.
+    pub fn pending(&self) -> Option<Rewind> {
         self.pending
     }
 
@@ -118,9 +134,9 @@ impl GoBackN {
     /// for a *dropped* segment can never be cancelled this way — the
     /// receiver's in-order edge (and therefore every cumulative ack)
     /// stops at the dropped offset until the retransmission lands.
-    pub fn cancel_covered(&mut self, acked: u64) -> Option<(Time, u64)> {
+    pub fn cancel_covered(&mut self, acked: u64) -> Option<Rewind> {
         match self.pending {
-            Some((_, seq)) if seq < acked => self.pending.take(),
+            Some(p) if p.seq < acked => self.pending.take(),
             _ => None,
         }
     }
@@ -130,7 +146,7 @@ impl GoBackN {
     /// # Panics
     ///
     /// Panics if no rewind is pending.
-    pub fn fire(&mut self) -> (Time, u64) {
+    pub fn fire(&mut self) -> Rewind {
         let fired = self.pending.take().expect("no pending rewind to fire");
         self.retransmissions += 1;
         fired
@@ -180,6 +196,7 @@ impl Reassembler {
 mod tests {
     use super::*;
     use enzian_sim::{Duration, SimRng};
+    use std::collections::HashSet;
 
     #[test]
     fn checksum_known_values() {
@@ -336,21 +353,20 @@ mod tests {
         let mut now = Time::ZERO;
 
         while rsm.rcv_next() < len {
-            if let Some((at, seq)) = gbn.pending() {
+            if let Some(pending) = gbn.pending() {
                 // No window in this harness: fire as soon as scheduled.
-                let (fired_at, rewind) = gbn.fire();
-                assert_eq!((fired_at, rewind), (at, seq));
-                retransmitted.push(seq);
-                sent = seq.min(sent);
-                now = now.max(at);
+                assert_eq!(gbn.fire(), pending);
+                retransmitted.push(pending.seq);
+                sent = pending.seq.min(sent);
+                now = now.max(pending.at);
             }
             let seg = segment_len(mss, len, sent);
             let seq = sent;
             now += Duration::from_ns(10);
             sent = seq + seg as u64;
-            let first = gbn.first_transmission(seq);
+            let first = gbn.first_transmission(seq, sent);
             if first && dropped.remove(&seq) {
-                gbn.schedule_rewind(now + rto, seq);
+                gbn.schedule_rewind(now + rto, seq, "drop");
                 continue;
             }
             let payload = &data[seq as usize..seq as usize + seg];
@@ -402,11 +418,24 @@ mod tests {
     #[test]
     fn rewind_keeps_the_earliest_offset() {
         let mut gbn = GoBackN::new();
-        gbn.schedule_rewind(Time::from_us(30), 5000);
-        gbn.schedule_rewind(Time::from_us(10), 9000);
-        // The earlier *offset* wins, keeping go-back-N monotone.
-        assert_eq!(gbn.pending(), Some((Time::from_us(30), 5000)));
-        assert_eq!(gbn.fire(), (Time::from_us(30), 5000));
+        gbn.schedule_rewind(Time::from_us(30), 5000, "a");
+        gbn.schedule_rewind(Time::from_us(10), 9000, "b");
+        // The earlier *offset* wins, keeping go-back-N monotone, and
+        // carries its own cause.
+        let earliest = Rewind {
+            at: Time::from_us(30),
+            seq: 5000,
+            cause: "a",
+        };
+        assert_eq!(gbn.pending(), Some(earliest));
+        // An earlier offset replaces the pending rewind, cause and all.
+        gbn.schedule_rewind(Time::from_us(40), 1000, "c");
+        let replaced = Rewind {
+            at: Time::from_us(40),
+            seq: 1000,
+            cause: "c",
+        };
+        assert_eq!(gbn.fire(), replaced);
         assert_eq!(gbn.pending(), None);
         assert_eq!(gbn.retransmissions(), 1);
     }
@@ -414,13 +443,16 @@ mod tests {
     #[test]
     fn ack_coverage_cancels_a_pending_rewind_without_counting() {
         let mut gbn = GoBackN::new();
-        gbn.schedule_rewind(Time::from_us(10), 4000);
+        gbn.schedule_rewind(Time::from_us(10), 4000, "x");
         // Acks up to (but not past) the offset leave the timer armed.
         assert_eq!(gbn.cancel_covered(4000), None);
         assert!(gbn.pending().is_some());
         // A cumulative ack past the offset voids the timer, and the
         // cancellation is not a retransmission event.
-        assert_eq!(gbn.cancel_covered(4001), Some((Time::from_us(10), 4000)));
+        assert_eq!(
+            gbn.cancel_covered(4001).map(|r| (r.at, r.seq, r.cause)),
+            Some((Time::from_us(10), 4000, "x"))
+        );
         assert_eq!(gbn.pending(), None);
         assert_eq!(gbn.retransmissions(), 0);
     }
@@ -434,5 +466,45 @@ mod tests {
         assert!(rsm.deliver_in_order(0, &[1, 2, 3, 4], &mut out));
         assert!(rsm.deliver_in_order(4, &[5, 6, 7, 8], &mut out));
         assert_eq!(out, [1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    /// The high-water mark answers "first transmission?" exactly as the
+    /// set of every offset sent would, over random schedules of sends,
+    /// go-back-N rewinds and cumulative acks on one MSS schedule.
+    #[test]
+    fn the_first_transmission_watermark_matches_a_set_of_sent_offsets() {
+        let mut rng = SimRng::seed_from(0xC4EC_0005);
+        for case in 0..200 {
+            let mss = 1 + rng.next_below(64) as usize;
+            let len = 1 + rng.next_below(4_000);
+            let mut gbn = GoBackN::new();
+            let mut oracle = HashSet::new();
+            let (mut sent, mut acked) = (0u64, 0u64);
+            let mut firsts = 0;
+            while acked < len {
+                match rng.next_below(8) {
+                    // Rewind to a segment boundary at or after the ack edge.
+                    0 if sent > acked => {
+                        let back = rng.next_below((sent - acked).div_ceil(mss as u64));
+                        sent = (acked + back * mss as u64).min(sent);
+                    }
+                    // A cumulative ack up to a boundary already sent.
+                    1 if sent > acked => {
+                        let segs = (sent - acked).div_ceil(mss as u64);
+                        acked = (acked + (1 + rng.next_below(segs)) * mss as u64).min(sent);
+                        sent = sent.max(acked);
+                    }
+                    _ if sent < len => {
+                        let seq = sent;
+                        sent += segment_len(mss, len, sent) as u64;
+                        let first = gbn.first_transmission(seq, sent);
+                        assert_eq!(first, oracle.insert(seq), "case {case}: seq {seq}");
+                        firsts += u64::from(first);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(firsts, len.div_ceil(mss as u64), "case {case}");
+        }
     }
 }
