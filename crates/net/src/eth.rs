@@ -66,16 +66,6 @@ impl EthLink {
     pub fn send_b_to_a(&mut self, now: Time, payload: u64) -> Time {
         self.b_to_a.send(now, payload).done
     }
-
-    /// Payload bytes carried a→b so far.
-    pub fn bytes_a_to_b(&self) -> u64 {
-        self.a_to_b.bytes_carried()
-    }
-
-    /// Payload bytes carried b→a so far.
-    pub fn bytes_b_to_a(&self) -> u64 {
-        self.b_to_a.bytes_carried()
-    }
 }
 
 /// A store-and-forward switch hop: adds a fixed forwarding latency per

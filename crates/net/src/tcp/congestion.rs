@@ -21,8 +21,10 @@
 //! A controller holds only what moves per connection. Constants of the
 //! stack — the MSS, and the fixed policy's window, which is the stack's
 //! `window` — come from the [`TcpStackConfig`] each call takes, so a
-//! flow carries at most 48 bytes of congestion state inline and no heap
-//! allocation. Controllers see simulated [`Time`] only, so every
+//! controller is at most 48 bytes and no heap allocation, and `Fixed`
+//! holds nothing at all: the session mux stores controllers only for
+//! the policies that have state. Controllers see simulated [`Time`]
+//! only, so every
 //! trajectory is a pure function of the workload and the seed.
 
 use enzian_sim::Time;

@@ -45,12 +45,6 @@ impl SendWindow {
         self.rwnd.min(cwnd)
     }
 
-    /// `true` when `in_flight` more bytes may enter the wire under the
-    /// effective window.
-    pub fn is_open(&self, in_flight: u64, cwnd: u64) -> bool {
-        in_flight < self.effective(cwnd)
-    }
-
     /// Which module closed the window at `in_flight` outstanding bytes:
     /// `true` when the receive window is the binding constraint (a flow
     /// control stall), `false` when `cwnd` is tighter (a congestion
@@ -103,8 +97,6 @@ mod tests {
         let w = SendWindow::new(256 * 1024);
         assert_eq!(w.effective(u64::MAX), 256 * 1024);
         assert_eq!(w.effective(10_240), 10_240);
-        assert!(w.is_open(10_239, 10_240));
-        assert!(!w.is_open(10_240, 10_240));
         assert!(w.rwnd_is_binding(u64::MAX));
         assert!(!w.rwnd_is_binding(4096));
     }
@@ -112,13 +104,16 @@ mod tests {
     #[test]
     fn shrink_to_zero_closes_and_reopen_restores() {
         let mut w = SendWindow::new(64 * 1024);
-        assert!(w.is_open(0, u64::MAX));
         w.set_rwnd(0);
         assert_eq!(w.rwnd(), 0);
-        assert!(!w.is_open(0, u64::MAX), "zero window admits nothing");
+        assert_eq!(w.effective(u64::MAX), 0, "zero window admits nothing");
         assert!(w.rwnd_is_binding(1), "a zero window is always binding");
         w.set_rwnd(64 * 1024);
-        assert!(w.is_open(0, u64::MAX), "reopen restores the bound");
+        assert_eq!(
+            w.effective(u64::MAX),
+            64 * 1024,
+            "reopen restores the bound"
+        );
     }
 
     #[test]

@@ -114,12 +114,6 @@ pub struct TcpStackConfig {
 }
 
 impl TcpStackConfig {
-    /// Returns the config with `window` replaced.
-    pub fn with_window(mut self, window: u64) -> Self {
-        self.window = window;
-        self
-    }
-
     /// Returns the config with the congestion controller replaced.
     pub fn with_cc(mut self, cc: CcAlgorithm) -> Self {
         self.cc = cc;
@@ -480,11 +474,6 @@ impl TcpTelemetry {
         &mut self.flow_stats[i]
     }
 
-    /// Per-flow counters, indexed by flow.
-    pub fn flow_stats(&self) -> &[FlowStats] {
-        &self.flow_stats
-    }
-
     /// Per-module observations (congestion trajectory, stall
     /// attribution, connection counts).
     pub fn module(&self) -> &ModuleTelemetry {
@@ -521,7 +510,7 @@ impl TcpTelemetry {
     }
 
     /// All flows' RTT samples merged into one summary.
-    pub fn rtt_us(&self) -> Summary {
+    fn rtt_us(&self) -> Summary {
         let mut all = Summary::new();
         for s in &self.flow_rtt_us {
             all.merge(s);
@@ -1269,12 +1258,12 @@ mod tests {
         assert_eq!(t.transfers(), 3);
         // Per-flow counters are the source of truth; the aggregate is
         // their sum.
-        assert_eq!(t.flow_stats().len(), 3);
+        assert_eq!(t.flow_stats.len(), 3);
         assert_eq!(
-            t.flow_stats().iter().map(|f| f.segments).sum::<u64>(),
+            t.flow_stats.iter().map(|f| f.segments).sum::<u64>(),
             t.segments()
         );
-        for f in t.flow_stats() {
+        for f in &t.flow_stats {
             assert_eq!(f.transfers, 1);
             assert_eq!(f.bytes, 1 << 20);
         }
@@ -1422,7 +1411,10 @@ mod tests {
         // A small window forces ack-paced sending, so the zero-window
         // advertisement lands while data is still queued.
         let data = payload(128 * 1024);
-        let cfg = TcpStackConfig::fpga_coyote().with_window(8 * 1024);
+        let cfg = TcpStackConfig {
+            window: 8 * 1024,
+            ..TcpStackConfig::fpga_coyote()
+        };
         let plan = FaultPlan::new(0).with(FaultSpec::once(RWND_SHRINK_TARGET, Time::ZERO));
         let mut engine =
             TcpEngine::new(cfg, cfg, Switch::tor()).with_loss(LossPattern::from_plan(plan));

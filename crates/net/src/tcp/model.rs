@@ -165,12 +165,6 @@ impl TcpModelConfig {
         }
     }
 
-    /// Returns the config with `data_a` replaced.
-    pub fn with_data_a(mut self, data_a: u8) -> Self {
-        self.data_a = data_a;
-        self
-    }
-
     /// Returns the config with `data_b` replaced.
     pub fn with_data_b(mut self, data_b: u8) -> Self {
         self.data_b = data_b;
@@ -1386,11 +1380,13 @@ mod tests {
         }
         // Two data segments each way and no loss: out-of-order data in
         // both reassembly buffers, which one segment a side never has.
-        let reordered = TcpModelConfig::duplex()
-            .with_data_a(2)
-            .with_data_b(2)
-            .with_loss_budget(0)
-            .with_retransmit_budget(0);
+        let reordered = TcpModelConfig {
+            data_a: 2,
+            ..TcpModelConfig::duplex()
+        }
+        .with_data_b(2)
+        .with_loss_budget(0)
+        .with_retransmit_budget(0);
         let mut cases = vec![
             ("one_way", TcpModelConfig::one_way(), 129_835),
             ("reordered", reordered, 8_338),
@@ -1432,7 +1428,10 @@ mod tests {
     fn duplication_budget_is_clean_on_the_control_plane() {
         // No data, but one duplication on top of loss: stale handshake
         // and teardown segments arriving arbitrarily late.
-        let cfg = TcpModelConfig::deep().with_data_a(0);
+        let cfg = TcpModelConfig {
+            data_a: 0,
+            ..TcpModelConfig::deep()
+        };
         let stats = expect_clean(&TcpModel::new(cfg), 500_000, "dup control plane");
         assert!(stats.states > 10_000, "got {}", stats.states);
     }

@@ -3,18 +3,20 @@
 //!
 //! Every TCP segment crosses the fabric as a fixed 52-byte bridge frame
 //! held inline in its envelope, written through the scratch buffer of
-//! each board's fabric port, and every flow, congestion controller
-//! included, lives inline in its flow-table slot. So a run's
-//! allocations are its set-up (boards, flow-table blocks, channels,
-//! inboxes and their growth) and not a multiple of its frames or its
-//! sessions. Its own test binary, so the counting global allocator
-//! observes only what this file runs.
+//! each board's fabric port, and every flow lives inline in its
+//! flow-table slot. A stack with a stateful congestion policy keeps one
+//! controller per slot in a side array that grows with the table; the
+//! fixed-window FPGA stack keeps none. So a run's allocations are its
+//! set-up (boards, flow-table blocks, channels, inboxes and their
+//! growth) and not a multiple of its frames or its sessions. Its own
+//! test binary, so the counting global allocator observes only what
+//! this file runs.
 //!
 //! Measured on `TrafficWorkload::small()` (96 sessions, 192 flows,
-//! 1,440 frames): 99, 112 and 139 allocations per run on the reference
-//! driver and at one and two threads. With one boxed congestion
-//! controller per flow the same runs made 291–325, and with one
-//! `Vec<u8>` per frame 1,712–1,752; both fail the bound below.
+//! 1,440 frames, the FPGA stack): 95, 108 and 129 allocations per run
+//! on the reference driver and at one and two threads. With one boxed
+//! congestion controller per flow the same runs made 291–325, and with
+//! one `Vec<u8>` per frame 1,712–1,752; both fail the bound below.
 
 use enzian::platform::traffic::{TrafficRunReport, TrafficWorkload};
 use enzian::sim::alloc_count::{self, CountingAllocator};
