@@ -22,10 +22,12 @@
 //! only; the root `des_floor` test holds the `pod` core to its
 //! throughput floor over the reference core.
 
+use std::convert::Infallible;
+
 use enzian_sim::alloc_count;
 use enzian_sim::{
-    mix64, reference, run_conservative, Duration, Envelope, EpochWindow, Fnv, MetricsRegistry,
-    Model, Scheduler, Shard, Simulator, Time, TraceEvent, SPLITMIX64_GAMMA,
+    mix64, reference, Duration, Engine, Envelope, Fnv, KeyedShard, MetricsRegistry, Model,
+    ParReport, Scheduler, Simulator, Time, TraceEvent, WorkKey, SPLITMIX64_GAMMA,
 };
 
 /// Actors in the storm; each runs an independent event chain.
@@ -39,6 +41,9 @@ pub const SHARDS: usize = 8;
 
 /// Seed for the initial actor states.
 pub const SEED: u64 = 0x5eed_5c4e_d001;
+
+/// Epoch length of the parallel leg.
+const LOOKAHEAD: Duration = Duration::from_ns(64);
 
 /// SplitMix64 step: the storm's per-actor state transition.
 fn splitmix(x: u64) -> u64 {
@@ -158,69 +163,83 @@ pub fn run_pod_core() -> (u64, u64, Time) {
 }
 
 /// One PDES shard of the parallel leg: a slice of the actors on its own
-/// calendar-queue simulator, advanced window by window. The storm is
-/// embarrassingly parallel (no cross-shard messages), which makes this
-/// leg a pure measurement of the epoch machinery plus per-shard kernel
-/// throughput. Its [`Shard::next_activity`] is the clock, which
-/// `run_before` has just set to the window end, so adaptive lookahead
-/// never skips an epoch here (`parallel.epochs_skipped` is 0).
+/// calendar-queue simulator. Its one kind of work item is the
+/// simulator's next event, keyed by that event's time (cached, since
+/// [`Simulator::next_event_at`] takes `&mut self`), and running it is one
+/// [`Simulator::step`]. The storm is embarrassingly parallel (no
+/// cross-shard messages), which makes this leg a pure measurement of the
+/// epoch machinery plus per-shard kernel throughput. Every actor fires
+/// again within 7 ns, well inside one 64 ns epoch, so every epoch until
+/// the storm drains has work and adaptive lookahead skips none
+/// (`parallel.epochs_skipped` is 0).
 struct StormShard {
     sim: Simulator<Storm>,
+    /// The time of the simulator's next event.
+    next: Option<Time>,
 }
 
-impl Shard for StormShard {
-    type Msg = ();
+impl StormShard {
+    /// Actors `[first, first + actors)`, each with its first event at
+    /// time zero.
+    fn new(first: usize, actors: usize) -> Self {
+        let mut sim = Simulator::new(Storm::new(first, actors));
+        for actor in 0..actors as u32 {
+            sim.schedule_at_or_now(Time::ZERO, actor);
+        }
+        let next = sim.next_event_at();
+        StormShard { sim, next }
+    }
+}
 
-    fn step(
-        &mut self,
-        window: EpochWindow,
-        arrivals: &mut Vec<Envelope<()>>,
-        _out: &mut Vec<(usize, Envelope<()>)>,
-    ) {
-        debug_assert!(arrivals.is_empty());
-        let _ = self.sim.run_before(window.end);
+impl KeyedShard for StormShard {
+    type Msg = Infallible;
+
+    fn next_key(&self) -> Option<WorkKey> {
+        self.next.map(|t| (t, 0, 0, 0))
+    }
+
+    fn process_next(&mut self, _key: WorkKey, _out: &mut Vec<(usize, Envelope<Infallible>)>) {
+        self.sim.step();
+        self.next = self.sim.next_event_at();
+    }
+
+    fn push_arrival(&mut self, env: Envelope<Infallible>) {
+        match env.payload {}
     }
 
     fn idle(&self) -> bool {
-        self.sim.pending() == 0
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        // The simulator's clock is a valid lower bound right after
-        // `run_before` drained everything before the window end.
-        (self.sim.pending() > 0).then(|| self.sim.now())
+        self.next.is_none()
     }
 }
 
-/// Drives the storm sharded across the conservative engine. Returns
-/// `(events, digest, epochs, epochs_skipped, sim_end)`.
-pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
+/// The storm split evenly across [`SHARDS`] shards and run to completion
+/// on `engine`.
+fn run_shards(engine: Engine) -> (Vec<StormShard>, ParReport) {
     let per = ACTORS / SHARDS;
-    let mut shards: Vec<StormShard> = (0..SHARDS)
-        .map(|i| {
-            let mut sim = Simulator::new(Storm::new(i * per, per));
-            for actor in 0..per as u32 {
-                sim.schedule_at_or_now(Time::ZERO, actor);
-            }
-            StormShard { sim }
-        })
-        .collect();
-    let report = run_conservative(&mut shards, Duration::from_ns(64), threads);
+    let mut shards: Vec<StormShard> = (0..SHARDS).map(|i| StormShard::new(i * per, per)).collect();
+    let report = engine.run(&mut shards, LOOKAHEAD);
+    (shards, report)
+}
+
+/// Drives the storm sharded across the conservative engine. Returns
+/// `(events, digest, epochs, epochs_skipped, sim_end)`, where `sim_end`
+/// is the end of the last epoch window the run reached.
+pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
+    let (shards, report) = run_shards(Engine::Conservative(threads));
     let mut events = 0;
     let mut digest = Fnv::new();
-    let mut end = Time::ZERO;
     for sh in &shards {
         let m = sh.sim.model();
         events += m.fired();
         digest.u64(m.digest());
-        end = end.max(sh.sim.now());
     }
+    let windows = report.epochs + report.epochs_skipped;
     (
         events,
         digest.finish(),
         report.epochs,
         report.epochs_skipped,
-        end,
+        Time::ZERO + LOOKAHEAD * windows,
     )
 }
 
@@ -410,6 +429,32 @@ mod tests {
         assert_eq!((e1, d1, ep1, sk1, t1), (e2, d2, ep2, sk2, t2));
         assert_eq!(e1, (ACTORS as u64) * u64::from(EVENTS_PER_ACTOR));
         assert!(ep1 > 0);
+    }
+
+    #[test]
+    fn storm_shards_agree_across_engines() {
+        let per_shard = |engine| {
+            let (shards, _) = run_shards(engine);
+            shards
+                .iter()
+                .map(|sh| {
+                    (
+                        sh.sim.model().fired(),
+                        sh.sim.model().digest(),
+                        sh.sim.now(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let reference = per_shard(Engine::Sequential);
+        assert_eq!(reference.len(), SHARDS);
+        for threads in 1..=3 {
+            assert_eq!(
+                per_shard(Engine::Conservative(threads)),
+                reference,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -307,27 +307,11 @@ impl<M: Model> Simulator<M> {
         self.sched.pending()
     }
 
-    /// Runs every event scheduled strictly *before* `deadline`, then
-    /// advances the clock to exactly `deadline`; events at `deadline` or
-    /// later stay queued. This is the epoch-stepping primitive of the
-    /// conservative parallel engine ([`crate::par`]): calling it with
-    /// successive window edges `k·L, (k+1)·L, …` executes each half-open
-    /// window `[k·L, (k+1)·L)` completely while leaving the simulator
-    /// able to accept cross-shard events that land exactly on the next
-    /// edge.
-    pub fn run_before(&mut self, deadline: Time) -> u64 {
-        let start = self.sched.events_executed;
-        let deadline_ps = deadline.as_ps();
-        while let Some(entry) = self.sched.queue.peek() {
-            if entry.at_ps >= deadline_ps {
-                break;
-            }
-            self.step();
-        }
-        if self.sched.now < deadline {
-            self.sched.now = deadline;
-        }
-        self.sched.events_executed - start
+    /// The time of the earliest pending event, or `None` when none is
+    /// pending. Takes `&mut self` because finding it may refill the
+    /// calendar queue's current bucket.
+    pub fn next_event_at(&mut self) -> Option<Time> {
+        self.sched.queue.peek().map(|e| Time::from_ps(e.at_ps))
     }
 }
 
@@ -449,32 +433,25 @@ mod tests {
     }
 
     #[test]
-    fn run_before_is_exclusive_of_the_deadline() {
+    fn next_event_at_names_the_earliest_pending_event() {
         let mut sim = sim();
-        sim.schedule_in(Duration::from_ns(10), Ev::Push(10));
-        sim.schedule_in(Duration::from_ns(20), Ev::Push(20));
+        assert_eq!(sim.next_event_at(), None);
         sim.schedule_in(Duration::from_ns(30), Ev::Push(30));
-        // The event at exactly 20 ns stays queued for the next window.
-        assert_eq!(sim.run_before(Time::ZERO + Duration::from_ns(20)), 1);
-        assert_eq!(sim.model().0, vec![10]);
-        assert_eq!(sim.now(), Time::ZERO + Duration::from_ns(20));
-        assert_eq!(sim.pending(), 2);
-        // Stepping window edges covers every event exactly once.
-        assert_eq!(sim.run_before(Time::ZERO + Duration::from_ns(40)), 2);
-        assert_eq!(sim.model().0, vec![10, 20, 30]);
-        assert_eq!(sim.now(), Time::ZERO + Duration::from_ns(40));
-    }
-
-    #[test]
-    fn run_before_allows_events_on_the_edge() {
-        let mut sim = sim();
-        let edge = Time::ZERO + Duration::from_ns(100);
-        sim.run_before(edge);
-        // An event landing exactly on the new now is schedulable (the
-        // cross-shard arrival case).
-        sim.schedule_at(edge, Ev::Push(1));
-        sim.run_before(edge + Duration::from_ns(1));
-        assert_eq!(sim.model().0, vec![1]);
+        sim.schedule_in(Duration::from_ns(10), Ev::Push(10));
+        assert_eq!(
+            sim.next_event_at(),
+            Some(Time::ZERO + Duration::from_ns(10))
+        );
+        // Peeking runs nothing and moves no clock.
+        assert_eq!(sim.now(), Time::ZERO);
+        assert!(sim.step());
+        assert_eq!(
+            sim.next_event_at(),
+            Some(Time::ZERO + Duration::from_ns(30))
+        );
+        sim.run();
+        assert_eq!(sim.next_event_at(), None);
+        assert_eq!(sim.model().0, vec![10, 30]);
     }
 
     #[test]

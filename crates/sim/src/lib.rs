@@ -23,11 +23,12 @@
 //!   connection FSM are the two in-tree instances), on the calling
 //!   thread or with a worker thread expanding frontier chunks ahead,
 //!   with identical results,
-//! * [`par`] — a conservative parallel execution layer: [`Shard`]s
-//!   advance in lock-step epochs of one lookahead, exchanging
-//!   timestamped [`Envelope`]s through per-shard mailboxes, with results that
-//!   are bit-identical for every thread count (and, for
-//!   [`KeyedShard`]s, to a sequential reference sweep),
+//! * [`par`] — a conservative parallel execution layer: [`KeyedShard`]s
+//!   advance in lock-step epochs of one lookahead, skipping quiet ones,
+//!   and exchange timestamped [`Envelope`]s through per-shard mailboxes.
+//!   [`Engine::run`] runs them there or on a sequential reference sweep,
+//!   with results bit-identical across both engines and every thread
+//!   count,
 //! * [`streams`] — [`SortedStreams`], the priority queue of a fabric
 //!   port's inbox and a TCP mux's timers: one sorted stream per source,
 //!   since each source's items arrive almost always in key order,
@@ -86,10 +87,7 @@ pub use explore::{
 };
 pub use fault::{cluster_targets, FaultPlan, FaultSpec, FaultTrigger};
 pub use hash::{FxBuildHasher, FxHashMap};
-pub use par::{
-    run_conservative, run_sequential, Engine, Envelope, EpochWindow, KeyedShard, ParReport, Shard,
-    WorkKey,
-};
+pub use par::{Engine, Envelope, KeyedShard, ParReport, WorkKey};
 pub use rng::{mix64, SimRng, SPLITMIX64_GAMMA};
 pub use streams::{Keyed, SortedStreams};
 pub use telemetry::{Instrumented, MetricsRegistry, TraceEvent, TraceRing};

@@ -13,7 +13,7 @@
 //! This module implements the epoch-synchronous scheme the cluster
 //! uses:
 //!
-//! * every [`Shard`] (one board) is owned privately by one worker;
+//! * every [`KeyedShard`] (one board) is owned privately by one worker;
 //! * workers advance in lock-step **epochs** of exactly `lookahead`;
 //! * messages produced in epoch *k* carry timestamps `≥ (k+1)·lookahead`
 //!   (checked at send time) and are pushed into the receiving shard's
@@ -26,7 +26,10 @@
 //!   so no worker leads and nothing else is shared;
 //! * at each epoch start a worker empties its shards' mailboxes and hands
 //!   the newly arrived envelopes to its shards, which process them
-//!   strictly in `(time, source shard, sequence)` order.
+//!   strictly in `(time, source shard, sequence)` order;
+//! * quiet windows are skipped: the next epoch run is the one holding
+//!   the earliest pending work key or in-flight envelope (adaptive
+//!   lookahead, see [`ParReport::epochs_skipped`]).
 //!
 //! Because a shard's work inside an epoch depends only on its own state
 //! and its (deterministically ordered) inbox, the results are **bit
@@ -47,13 +50,13 @@
 //!
 //! # Keyed shards
 //!
-//! Most multi-board models are a heap of discrete work items processed
-//! earliest-first. Such a model implements [`KeyedShard`] — its next
-//! [`WorkKey`], how to run that item, how to hold an arrival — and gets
-//! [`Shard`] for free. It can then also run on [`run_sequential`], a
-//! genuinely different engine (one global earliest-work sweep with
-//! immediate delivery) whose final states must match the epoch engine's
-//! bit for bit. [`Engine::run`] is the single entry point for both.
+//! A multi-board model is a heap of discrete work items per board,
+//! processed earliest-first. Each board implements [`KeyedShard`] — its
+//! next [`WorkKey`], how to run that item, how to hold an arrival — and
+//! nothing else. [`Engine::run`] is the single entry point: it runs the
+//! shards on the epoch engine above or on a genuinely different one (one
+//! global earliest-work sweep with immediate delivery), whose final
+//! states must match the epoch engine's bit for bit.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -107,63 +110,6 @@ impl<T: Eq> Ord for Envelope<T> {
     }
 }
 
-/// One lock-step window `[start, end)` of a conservative run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochWindow {
-    /// Zero-based epoch number.
-    pub index: u64,
-    /// First instant of the window (inclusive).
-    pub start: Time,
-    /// First instant *after* the window (exclusive); equals
-    /// `start + lookahead`.
-    pub end: Time,
-}
-
-/// A unit of parallel work: one board (or any sub-model) advanced
-/// privately by a single worker, communicating only via [`Envelope`]s.
-pub trait Shard: Send {
-    /// The inter-shard message payload.
-    type Msg: Send;
-
-    /// Advances the shard across `window`, first draining `arrivals`
-    /// (messages destined to this shard; *not* necessarily limited to
-    /// this window — the shard must hold messages timestamped beyond
-    /// `window.end` for later epochs). The engine hands the same vector
-    /// back every epoch, so it must be left empty; its capacity is kept
-    /// for the next epoch. Every outbound message is pushed
-    /// as `(destination shard, envelope)`; its `at` must be
-    /// `≥ window.end`, which the lookahead guarantees for any physical
-    /// link at least one epoch long.
-    fn step(
-        &mut self,
-        window: EpochWindow,
-        arrivals: &mut Vec<Envelope<Self::Msg>>,
-        out: &mut Vec<(usize, Envelope<Self::Msg>)>,
-    );
-
-    /// `true` when the shard has no local work left *and* holds no
-    /// undelivered inbound messages. The run ends after an epoch in
-    /// which every shard is idle and nothing was sent.
-    fn idle(&self) -> bool;
-
-    /// A conservative lower bound on the next instant at which this
-    /// shard could do local work (earliest pending local event or held
-    /// inbound message); `None` when it has neither. Every worker
-    /// takes the global minimum over these bounds — together with the
-    /// timestamps of every envelope sent this epoch — and jumps the next
-    /// epoch forward to the window containing it, skipping the quiet
-    /// epochs in between (see [`ParReport::epochs_skipped`]).
-    ///
-    /// The default, `Some(Time::ZERO)`, means "could act at any time"
-    /// and disables skipping for runs containing this shard. A shard
-    /// only needs a real bound to benefit; a bound that is too *low*
-    /// merely wastes epochs, while one that is too high would skip real
-    /// work — so when in doubt, return the default.
-    fn next_activity(&self) -> Option<Time> {
-        Some(Time::ZERO)
-    }
-}
-
 /// Orders a [`KeyedShard`]'s work items: `(time, class, a, b)`. The
 /// class breaks same-instant ties between kinds of work (by convention
 /// class 0 is an inbox delivery keyed `(src, seq)`, so held messages run
@@ -171,72 +117,55 @@ pub trait Shard: Send {
 /// a class.
 pub type WorkKey = (Time, u8, u64, u64);
 
-/// A shard whose work is a sequence of discrete items run strictly in
-/// [`WorkKey`] order. Every implementor is a [`Shard`] (it steps a window
-/// by absorbing its arrivals and then running every item keyed before
-/// the window's end) and can also run on [`run_sequential`].
+/// A unit of parallel work: one board (or any sub-model) whose work is a
+/// sequence of discrete items run strictly in [`WorkKey`] order,
+/// communicating with its peers only via [`Envelope`]s.
+///
+/// The epoch engine absorbs a shard's arrivals through
+/// [`KeyedShard::push_arrival`], runs every item keyed before the
+/// window's end, and takes the shard's next activity from
+/// [`KeyedShard::next_key`] to jump quiet windows. The sequential sweep
+/// runs the same items one global earliest key at a time.
 pub trait KeyedShard: Send {
     /// The inter-shard message payload.
     type Msg: Send;
 
-    /// The key of the earliest pending work item, or `None` when the
-    /// shard has nothing to run (though it may still be waiting on a
-    /// reply; see [`KeyedShard::idle`]).
+    /// The key of the earliest pending work item, local or held, or
+    /// `None` when the shard has nothing to run (though it may still be
+    /// waiting on a reply; see [`KeyedShard::idle`]). Its time is the
+    /// earliest instant the shard could act, so it must never lie past
+    /// real work: the epoch engine skips every window before it.
     fn next_key(&self) -> Option<WorkKey>;
 
     /// Runs the item `key` names, pushing outbound messages as
     /// `(destination shard, envelope)`. `key` is what
     /// [`KeyedShard::next_key`] just returned, so the shard need not
-    /// compute it again.
+    /// compute it again. No envelope's `at` may lie before the end of
+    /// the epoch window the item runs in, which a link latency of at
+    /// least one lookahead guarantees.
     fn process_next(&mut self, key: WorkKey, out: &mut Vec<(usize, Envelope<Self::Msg>)>);
 
-    /// Holds a delivered message until its key comes up.
+    /// Holds a delivered message until its key comes up. A message may
+    /// arrive epochs before its time.
     fn push_arrival(&mut self, env: Envelope<Self::Msg>);
 
-    /// `true` when the shard has no work left, held or awaited (see
-    /// [`Shard::idle`]).
+    /// `true` when the shard has no work left, held or awaited. The run
+    /// ends after an epoch in which every shard is idle and nothing was
+    /// sent.
     fn idle(&self) -> bool;
 }
 
-impl<S: KeyedShard> Shard for S {
-    type Msg = S::Msg;
-
-    fn step(
-        &mut self,
-        window: EpochWindow,
-        arrivals: &mut Vec<Envelope<Self::Msg>>,
-        out: &mut Vec<(usize, Envelope<Self::Msg>)>,
-    ) {
-        for env in arrivals.drain(..) {
-            self.push_arrival(env);
-        }
-        while let Some(key) = self.next_key().filter(|k| k.0 < window.end) {
-            self.process_next(key, out);
-        }
-    }
-
-    fn idle(&self) -> bool {
-        KeyedShard::idle(self)
-    }
-
-    /// The earliest key. Awaited work has none, but its wake-up envelope
-    /// is either held (covered here) or in flight (covered by the
-    /// engine's send-time fold), so no worker jumps past it.
-    fn next_activity(&self) -> Option<Time> {
-        self.next_key().map(|k| k.0)
-    }
-}
-
-/// What a conservative run did. Every field is a pure function of the
-/// shards and the lookahead — never of the thread count. A
-/// [`run_sequential`] run has no epochs, so it reports only `messages`.
+/// What a run did. Every field is a pure function of the shards and the
+/// lookahead — never of the thread count. An [`Engine::Sequential`] run
+/// has no epochs, so it reports only `messages`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParReport {
     /// Epochs executed, including the final all-quiet epoch.
     pub epochs: u64,
     /// Quiet epochs the adaptive lookahead jumped over instead of
-    /// executing (zero when every shard uses the default
-    /// [`Shard::next_activity`]).
+    /// executing: every window before the earliest
+    /// [`KeyedShard::next_key`] or in-flight envelope, which no shard
+    /// can act in.
     pub epochs_skipped: u64,
     /// Envelopes exchanged between shards.
     pub messages: u64,
@@ -427,7 +356,7 @@ impl<T> RunShared<T> {
 }
 
 /// One worker's view: the contiguous range of shards it owns.
-struct Worker<'a, S: Shard> {
+struct Worker<'a, S: KeyedShard> {
     shards: &'a mut [S],
     /// This worker's index, which names its [`Report`].
     index: usize,
@@ -440,7 +369,7 @@ struct Worker<'a, S: Shard> {
     outbox: Vec<Vec<Envelope<S::Msg>>>,
 }
 
-impl<'a, S: Shard> Worker<'a, S> {
+impl<'a, S: KeyedShard> Worker<'a, S> {
     fn new(shards: &'a mut [S], index: usize, base: usize, total: usize) -> Self {
         let stash = shards.iter().map(|_| Vec::new()).collect();
         Worker {
@@ -481,11 +410,7 @@ impl<'a, S: Shard> Worker<'a, S> {
         let mut out: Vec<(usize, Envelope<S::Msg>)> = Vec::new();
         let lookahead_ps = lookahead.as_ps();
         loop {
-            let window = EpochWindow {
-                index: epoch,
-                start: Time::ZERO + lookahead * epoch,
-                end: Time::ZERO + lookahead * (epoch + 1),
-            };
+            let end = Time::ZERO + lookahead * (epoch + 1);
             let mut active = 0u64;
             let mut messages = 0u64;
             let mut local_min = u64::MAX;
@@ -497,39 +422,46 @@ impl<'a, S: Shard> Worker<'a, S> {
                 shared.mailboxes[self.base + local].take(bucket);
             }
             for local in 0..self.shards.len() {
-                let arrivals = &mut self.stash[local];
-                self.shards[local].step(window, arrivals, &mut out);
-                assert!(
-                    arrivals.is_empty(),
-                    "shard {} left arrivals undrained",
-                    self.base + local
-                );
-                let sent = out.len() as u64;
-                messages += sent;
-                for (dst, env) in out.drain(..) {
-                    assert!(
-                        env.at >= window.end,
-                        "lookahead violation: {} sends an envelope at {} inside window ending {}",
-                        self.base + local,
-                        env.at,
-                        window.end
-                    );
-                    // An in-flight envelope is future activity its
-                    // receiver cannot see yet; fold its timestamp so no
-                    // worker jumps past it.
-                    local_min = local_min.min(env.at.as_ps());
-                    self.send(dst, env);
+                let shard = &mut self.shards[local];
+                for env in self.stash[local].drain(..) {
+                    shard.push_arrival(env);
+                }
+                let next = loop {
+                    match shard.next_key() {
+                        Some(key) if key.0 < end => shard.process_next(key, &mut out),
+                        next => break next,
+                    }
+                };
+                // The earliest key is the shard's next activity. Awaited
+                // work has none, but its wake-up envelope is either held
+                // (covered by the key) or in flight (folded below), so no
+                // worker jumps past it.
+                if let Some(key) = next {
+                    local_min = local_min.min(key.0.as_ps());
                 }
                 // Activity is a function of simulated state only (did the
                 // shard send, does it still have work) — never of *when*
                 // an envelope physically moved between queues — so the
                 // epoch count is identical for every partitioning of
                 // shards onto workers.
-                if sent > 0 || !self.shards[local].idle() {
+                let sent = out.len() as u64;
+                if sent > 0 || !shard.idle() {
                     active += 1;
                 }
-                if let Some(t) = self.shards[local].next_activity() {
-                    local_min = local_min.min(t.as_ps());
+                messages += sent;
+                for (dst, env) in out.drain(..) {
+                    assert!(
+                        env.at >= end,
+                        "lookahead violation: {} sends an envelope at {} inside window ending {}",
+                        self.base + local,
+                        env.at,
+                        end
+                    );
+                    // An in-flight envelope is future activity its
+                    // receiver cannot see yet; fold its timestamp so no
+                    // worker jumps past it.
+                    local_min = local_min.min(env.at.as_ps());
+                    self.send(dst, env);
                 }
             }
             // Everything sent to another worker goes out before the
@@ -569,24 +501,8 @@ impl<'a, S: Shard> Worker<'a, S> {
     }
 }
 
-/// Runs `shards` conservatively to global quiescence and reports what
-/// happened. The shards are advanced in place; inspect them afterwards
-/// for results. `lookahead` is the minimum cross-shard message latency
-/// and the length of every epoch; `threads` workers share the shards.
-/// The calling thread is worker 0 and `threads - 1` spawned threads run
-/// the rest, so `1` executes the identical epoch algorithm on the
-/// calling thread alone.
-///
-/// The run is bit-identical for every `threads` value and for the
-/// number of shards per worker: inside an epoch each shard depends only
-/// on its own state and its deterministically ordered inbox.
-///
-/// # Panics
-///
-/// Panics when a shard emits an envelope timestamped inside the current
-/// window (a lookahead violation), when a shard panics (with that
-/// shard's payload), or when `lookahead` or `threads` is zero.
-pub fn run_conservative<S: Shard>(
+/// [`Engine::Conservative`]: the report every worker agrees on.
+fn run_conservative<S: KeyedShard>(
     shards: &mut [S],
     lookahead: Duration,
     threads: usize,
@@ -600,9 +516,13 @@ pub fn run_conservative<S: Shard>(
     report
 }
 
-/// [`run_conservative`]'s engine: the report each worker returns, in
-/// worker order (none for an empty shard list).
-fn run_workers<S: Shard>(shards: &mut [S], lookahead: Duration, threads: usize) -> Vec<ParReport> {
+/// The epoch engine: the report each worker returns, in worker order
+/// (none for an empty shard list).
+fn run_workers<S: KeyedShard>(
+    shards: &mut [S],
+    lookahead: Duration,
+    threads: usize,
+) -> Vec<ParReport> {
     assert!(lookahead > Duration::ZERO, "lookahead must be positive");
     assert!(threads > 0, "at least one worker required");
     if shards.is_empty() {
@@ -643,18 +563,11 @@ fn run_workers<S: Shard>(shards: &mut [S], lookahead: Duration, threads: usize) 
     .unwrap_or_else(|payload| panic::resume_unwind(payload))
 }
 
-/// The sequential reference engine: one global clock repeatedly runs
-/// the earliest `(key, shard index)` work item across all shards and
-/// delivers its messages immediately. Each shard still sees its own
-/// items in key order, so its final state must equal what
-/// [`run_conservative`] leaves — a genuinely different execution that
-/// validates the lookahead/epoch machinery.
-///
-/// Only running an item and holding an arrival change a shard, so the
-/// sweep caches every shard's key, scans the cache for the earliest
-/// `(key, shard)` and asks again only the shard that ran and the shards
-/// it delivered to.
-pub fn run_sequential<S: KeyedShard>(shards: &mut [S]) -> ParReport {
+/// [`Engine::Sequential`]. Only running an item and holding an arrival
+/// change a shard, so the sweep caches every shard's key, scans the
+/// cache for the earliest `(key, shard)` and asks again only the shard
+/// that ran and the shards it delivered to.
+fn run_sequential<S: KeyedShard>(shards: &mut [S]) -> ParReport {
     let mut messages = 0;
     let mut out = Vec::new();
     let mut keys: Vec<Option<WorkKey>> = shards.iter().map(|s| s.next_key()).collect();
@@ -685,23 +598,40 @@ pub fn run_sequential<S: KeyedShard>(shards: &mut [S]) -> ParReport {
     }
 }
 
-/// Which engine runs a set of [`KeyedShard`]s.
+/// Which engine runs a set of [`KeyedShard`]s. The two must leave every
+/// shard in the same final state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// [`run_sequential`]: the reference sweep.
+    /// The sequential reference sweep: one global clock repeatedly runs
+    /// the earliest `(key, shard index)` work item across all shards and
+    /// delivers its messages immediately. Each shard still sees its own
+    /// items in key order, so its final state must equal what the epoch
+    /// engine leaves — a genuinely different execution that validates
+    /// the lookahead/epoch machinery.
     Sequential,
-    /// [`run_conservative`] with this many worker threads.
+    /// The conservative epoch engine with this many worker threads. The
+    /// calling thread is worker 0 and the spawned threads run the rest,
+    /// so `Conservative(1)` executes the identical epoch algorithm on
+    /// the calling thread alone. The run is bit-identical for every
+    /// thread count and for the number of shards per worker: inside an
+    /// epoch each shard depends only on its own state and its
+    /// deterministically ordered inbox.
     Conservative(usize),
 }
 
 impl Engine {
-    /// Runs `shards` to quiescence on this engine. `lookahead` is the
-    /// minimum cross-shard latency (unused by the sequential sweep).
+    /// Runs `shards` to global quiescence on this engine and reports
+    /// what happened. The shards are advanced in place; inspect them
+    /// afterwards for results. `lookahead` is the minimum cross-shard
+    /// message latency and the length of every epoch (unused by the
+    /// sequential sweep).
     ///
     /// # Panics
     ///
-    /// Panics on zero worker threads, and wherever the chosen engine
-    /// panics.
+    /// On the epoch engine: when a shard emits an envelope timestamped
+    /// inside the current window (a lookahead violation), when a shard
+    /// panics (with that shard's payload), or when `lookahead` or the
+    /// thread count is zero.
     pub fn run<S: KeyedShard>(self, shards: &mut [S], lookahead: Duration) -> ParReport {
         match self {
             Engine::Sequential => run_sequential(shards),
@@ -714,7 +644,18 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::engine::{Model, Scheduler, Simulator};
-    use std::collections::VecDeque;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, VecDeque};
+
+    /// Held arrivals, earliest merge key first.
+    type Inbox<T> = BinaryHeap<Reverse<Envelope<T>>>;
+
+    /// The class-0 key of an inbox's earliest held arrival.
+    fn held_key<T: Eq>(inbox: &Inbox<T>) -> Option<WorkKey> {
+        inbox
+            .peek()
+            .map(|Reverse(e)| (e.at, 0, e.src as u64, e.seq))
+    }
 
     /// The local model of a [`PingShard`]: a log of arrivals, each
     /// event carrying the arriving payload.
@@ -728,90 +669,98 @@ mod tests {
         }
     }
 
-    /// A shard wrapping a [`Simulator`] over a log model: every
-    /// arrival schedules a local event; every `period`, the shard pings
-    /// its peer until `budget` runs out. Exercises the
-    /// [`Simulator::run_before`] epoch-stepping primitive.
+    /// A shard wrapping a [`Simulator`] over a log model: every held
+    /// arrival schedules a local event, and every `latency` the shard
+    /// pings its peer until `budget` runs out. Its local work is keyed
+    /// by the simulator's next event time, cached because
+    /// [`Simulator::next_event_at`] takes `&mut self`.
     struct PingShard {
         sim: Simulator<PingLog>,
+        /// The simulator's next event time.
+        next_event: Option<Time>,
         peer: usize,
         id: usize,
         seq: u64,
         /// Pings this shard still owes its peer.
         budget: u64,
-        /// Next time this shard may ping.
+        /// Next time this shard pings.
         next_ping: Time,
         latency: Duration,
-        inbox: std::collections::BinaryHeap<std::cmp::Reverse<Envelope<u64>>>,
+        inbox: Inbox<u64>,
     }
 
     impl PingShard {
         fn new(id: usize, peer: usize, budget: u64, latency: Duration) -> Self {
             PingShard {
                 sim: Simulator::new(PingLog(Vec::new())),
+                next_event: None,
                 peer,
                 id,
                 seq: 0,
                 budget,
                 next_ping: Time::ZERO,
                 latency,
-                inbox: std::collections::BinaryHeap::new(),
+                inbox: Inbox::new(),
             }
         }
     }
 
-    impl Shard for PingShard {
+    impl KeyedShard for PingShard {
         type Msg = u64;
 
-        fn step(
-            &mut self,
-            window: EpochWindow,
-            arrivals: &mut Vec<Envelope<u64>>,
-            out: &mut Vec<(usize, Envelope<u64>)>,
-        ) {
-            for env in arrivals.drain(..) {
-                self.inbox.push(std::cmp::Reverse(env));
-            }
-            // Deliver due messages as local events, in merge order.
-            while let Some(std::cmp::Reverse(env)) = self.inbox.peek() {
-                if env.at >= window.end {
-                    break;
+        fn next_key(&self) -> Option<WorkKey> {
+            let local = self.next_event.map(|t| (t, 1, 0, 0));
+            let ping = (self.budget > 0).then_some((self.next_ping, 2, 0, 0));
+            [held_key(&self.inbox), local, ping]
+                .into_iter()
+                .flatten()
+                .min()
+        }
+
+        fn process_next(&mut self, key: WorkKey, out: &mut Vec<(usize, Envelope<u64>)>) {
+            match key.1 {
+                0 => {
+                    let Reverse(env) = self.inbox.pop().unwrap();
+                    self.sim.schedule_at(env.at, env.payload);
                 }
-                let std::cmp::Reverse(env) = self.inbox.pop().unwrap();
-                self.sim.schedule_at(env.at, env.payload);
+                1 => {
+                    self.sim.step();
+                }
+                _ => {
+                    let at = self.next_ping;
+                    self.budget -= 1;
+                    self.seq += 1;
+                    out.push((
+                        self.peer,
+                        Envelope {
+                            at: at + self.latency,
+                            src: self.id,
+                            seq: self.seq,
+                            payload: at.as_ps(),
+                        },
+                    ));
+                    self.next_ping = at + self.latency;
+                }
             }
-            // Emit pings due inside this window.
-            while self.budget > 0 && self.next_ping < window.end {
-                let at = self.next_ping.max(window.start);
-                self.budget -= 1;
-                self.seq += 1;
-                out.push((
-                    self.peer,
-                    Envelope {
-                        at: at + self.latency,
-                        src: self.id,
-                        seq: self.seq,
-                        payload: at.as_ps(),
-                    },
-                ));
-                self.next_ping = at + self.latency;
-            }
-            // Advance the local event queue through the window.
-            self.sim.run_before(window.end);
+            self.next_event = self.sim.next_event_at();
+        }
+
+        fn push_arrival(&mut self, env: Envelope<u64>) {
+            self.inbox.push(Reverse(env));
         }
 
         fn idle(&self) -> bool {
-            self.budget == 0 && self.inbox.is_empty() && self.sim.pending() == 0
+            self.budget == 0 && self.inbox.is_empty() && self.next_event.is_none()
         }
     }
 
-    fn run_pair(threads: usize) -> (Vec<u64>, Vec<u64>, ParReport) {
+    fn run_pair(engine: Engine) -> (Vec<u64>, Vec<u64>, ParReport) {
         let latency = Duration::from_ns(100);
         let mut shards = vec![
             PingShard::new(0, 1, 5, latency),
             PingShard::new(1, 0, 3, latency),
         ];
-        let report = run_conservative(&mut shards, latency, threads);
+        let report = engine.run(&mut shards, latency);
         let b = shards.pop().unwrap();
         let a = shards.pop().unwrap();
         (a.sim.into_model().0, b.sim.into_model().0, report)
@@ -819,22 +768,21 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_bit_for_bit() {
-        let (a1, b1, r1) = run_pair(1);
-        let (a2, b2, r2) = run_pair(2);
-        let (a8, b8, r8) = run_pair(8);
-        assert_eq!(a1, a2);
-        assert_eq!(b1, b2);
-        assert_eq!(a1, a8);
-        assert_eq!(b1, b8);
-        assert_eq!(r1, r2);
-        assert_eq!(r1, r8);
-        assert_eq!(a1.len(), 3, "board 0 hears board 1's three pings");
-        assert_eq!(b1.len(), 5, "board 1 hears board 0's five pings");
+        let (a, b, seq) = run_pair(Engine::Sequential);
+        assert_eq!(a.len(), 3, "board 0 hears board 1's three pings");
+        assert_eq!(b.len(), 5, "board 1 hears board 0's five pings");
+        let reports = [1, 2, 8].map(|threads| {
+            let (a2, b2, report) = run_pair(Engine::Conservative(threads));
+            assert_eq!((&a2, &b2), (&a, &b), "threads={threads}");
+            report
+        });
+        assert!(reports.iter().all(|r| *r == reports[0]), "{reports:?}");
+        assert_eq!(reports[0].messages, seq.messages);
     }
 
-    /// A shard with widely spaced work and an honest [`Shard::next_activity`],
-    /// so the run can jump quiet windows. Each due time sends one
-    /// envelope to the peer; arrivals are logged in merge order.
+    /// A shard with widely spaced work, so the run can jump quiet
+    /// windows. Each due time sends one envelope to the peer; arrivals
+    /// are logged in merge order.
     struct SparseShard {
         id: usize,
         peer: usize,
@@ -842,74 +790,66 @@ mod tests {
         seq: u64,
         latency: Duration,
         log: Vec<u64>,
-        inbox: std::collections::BinaryHeap<std::cmp::Reverse<Envelope<u64>>>,
+        inbox: Inbox<u64>,
     }
 
-    impl Shard for SparseShard {
+    impl SparseShard {
+        /// Shard `id`, sending to `peer` every 3 µs, `sends` times, over
+        /// a 10 ns link.
+        fn new(id: usize, peer: usize, sends: u64) -> Self {
+            SparseShard {
+                id,
+                peer,
+                times: (1..=sends)
+                    .map(|i| Time::ZERO + Duration::from_us(3) * i)
+                    .collect(),
+                seq: 0,
+                latency: Duration::from_ns(10),
+                log: Vec::new(),
+                inbox: Inbox::new(),
+            }
+        }
+    }
+
+    impl KeyedShard for SparseShard {
         type Msg = u64;
 
-        fn step(
-            &mut self,
-            window: EpochWindow,
-            arrivals: &mut Vec<Envelope<u64>>,
-            out: &mut Vec<(usize, Envelope<u64>)>,
-        ) {
-            for env in arrivals.drain(..) {
-                self.inbox.push(std::cmp::Reverse(env));
-            }
-            while let Some(std::cmp::Reverse(env)) = self.inbox.peek() {
-                if env.at >= window.end {
-                    break;
-                }
-                let std::cmp::Reverse(env) = self.inbox.pop().unwrap();
+        fn next_key(&self) -> Option<WorkKey> {
+            let send = self.times.front().map(|&t| (t, 1, 0, 0));
+            held_key(&self.inbox).into_iter().chain(send).min()
+        }
+
+        fn process_next(&mut self, key: WorkKey, out: &mut Vec<(usize, Envelope<u64>)>) {
+            if key.1 == 0 {
+                let Reverse(env) = self.inbox.pop().unwrap();
                 self.log.push(env.payload);
+                return;
             }
-            while let Some(&t) = self.times.front() {
-                if t >= window.end {
-                    break;
-                }
-                self.times.pop_front();
-                self.seq += 1;
-                out.push((
-                    self.peer,
-                    Envelope {
-                        at: t.max(window.start) + self.latency,
-                        src: self.id,
-                        seq: self.seq,
-                        payload: t.as_ps(),
-                    },
-                ));
-            }
+            let t = self.times.pop_front().unwrap();
+            self.seq += 1;
+            out.push((
+                self.peer,
+                Envelope {
+                    at: t + self.latency,
+                    src: self.id,
+                    seq: self.seq,
+                    payload: t.as_ps(),
+                },
+            ));
+        }
+
+        fn push_arrival(&mut self, env: Envelope<u64>) {
+            self.inbox.push(Reverse(env));
         }
 
         fn idle(&self) -> bool {
             self.times.is_empty() && self.inbox.is_empty()
         }
-
-        fn next_activity(&self) -> Option<Time> {
-            let local = self.times.front().copied();
-            let held = self.inbox.peek().map(|std::cmp::Reverse(e)| e.at);
-            match (local, held) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        }
     }
 
     fn run_sparse(threads: usize) -> (Vec<u64>, Vec<u64>, ParReport) {
-        let latency = Duration::from_ns(10);
-        let gap = Duration::from_us(3);
-        let mk = |id: usize, peer: usize, n: u64| SparseShard {
-            id,
-            peer,
-            times: (0..n).map(|i| Time::ZERO + gap * (i + 1)).collect(),
-            seq: 0,
-            latency,
-            log: Vec::new(),
-            inbox: std::collections::BinaryHeap::new(),
-        };
-        let mut shards = vec![mk(0, 1, 7), mk(1, 0, 4)];
-        let report = run_conservative(&mut shards, latency, threads);
+        let mut shards = vec![SparseShard::new(0, 1, 7), SparseShard::new(1, 0, 4)];
+        let report = Engine::Conservative(threads).run(&mut shards, Duration::from_ns(10));
         let b = shards.pop().unwrap();
         let a = shards.pop().unwrap();
         (a.log, b.log, report)
@@ -943,7 +883,7 @@ mod tests {
         latency: Duration,
         ticks: VecDeque<Time>,
         seq: u64,
-        inbox: std::collections::BinaryHeap<std::cmp::Reverse<Envelope<u32>>>,
+        inbox: Inbox<u32>,
         /// Every delivery, in processing order.
         log: Vec<Delivery>,
     }
@@ -968,20 +908,13 @@ mod tests {
         type Msg = u32;
 
         fn next_key(&self) -> Option<WorkKey> {
-            let held = self
-                .inbox
-                .peek()
-                .map(|std::cmp::Reverse(e)| (e.at, 0, e.src as u64, e.seq));
             let tick = self.ticks.front().map(|&t| (t, 1, 0, 0));
-            match (held, tick) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
+            held_key(&self.inbox).into_iter().chain(tick).min()
         }
 
         fn process_next(&mut self, key: WorkKey, out: &mut Vec<(usize, Envelope<u32>)>) {
             if key.1 == 0 {
-                let std::cmp::Reverse(env) = self.inbox.pop().unwrap();
+                let Reverse(env) = self.inbox.pop().unwrap();
                 self.log.push((env.at.as_ps(), env.src, env.payload));
                 if env.payload > 0 {
                     // Relay away from the sender, never to ourselves.
@@ -1002,7 +935,7 @@ mod tests {
         }
 
         fn push_arrival(&mut self, env: Envelope<u32>) {
-            self.inbox.push(std::cmp::Reverse(env));
+            self.inbox.push(Reverse(env));
         }
 
         fn idle(&self) -> bool {
@@ -1020,7 +953,7 @@ mod tests {
                 latency: Duration::from_ns(10),
                 ticks: (0..ticks).map(|i| Time::ZERO + spacing * i).collect(),
                 seq: 0,
-                inbox: std::collections::BinaryHeap::new(),
+                inbox: Inbox::new(),
                 log: Vec::new(),
             })
             .collect()
@@ -1042,7 +975,7 @@ mod tests {
         // them from other workers' shards at every thread count above 1.
         for (ticks, spacing) in [(5, Duration::from_ns(25)), (500, Duration::ZERO)] {
             let mut reference = relays(ticks, spacing);
-            let seq = run_sequential(&mut reference);
+            let seq = Engine::Sequential.run(&mut reference, Duration::from_ns(10));
             let expect = relay_state(&reference);
             assert_eq!(seq.epochs, 0);
             // Four shards x `ticks` ticks x three peers, each relayed twice.
@@ -1057,7 +990,7 @@ mod tests {
             );
             for threads in [1, 2, 4] {
                 let mut shards = relays(ticks, spacing);
-                let par = run_conservative(&mut shards, Duration::from_ns(10), threads);
+                let par = Engine::Conservative(threads).run(&mut shards, Duration::from_ns(10));
                 assert_eq!(
                     relay_state(&shards),
                     expect,
@@ -1070,42 +1003,30 @@ mod tests {
                 assert!(par.epochs > 0);
             }
         }
-        let via_engine = Engine::Conservative(2)
-            .run(&mut relays(5, Duration::from_ns(25)), Duration::from_ns(10));
-        assert_eq!(via_engine.messages, 4 * 5 * 3 * 3);
-    }
-
-    #[test]
-    fn default_next_activity_never_skips() {
-        let (_, _, report) = run_pair(1);
-        assert_eq!(report.epochs_skipped, 0, "{report:?}");
     }
 
     #[test]
     fn lookahead_violations_are_caught() {
-        /// Sends an envelope timestamped at its window's start when its
-        /// flag is set; otherwise never finishes.
-        struct Rogue(bool);
-        impl Shard for Rogue {
+        /// Sends an envelope timestamped at its own work item's instant,
+        /// inside the window, when it holds one; otherwise never
+        /// finishes.
+        struct Rogue(Option<Time>);
+        impl KeyedShard for Rogue {
             type Msg = ();
-            fn step(
-                &mut self,
-                window: EpochWindow,
-                _arrivals: &mut Vec<Envelope<()>>,
-                out: &mut Vec<(usize, Envelope<()>)>,
-            ) {
-                if self.0 {
-                    out.push((
-                        0,
-                        Envelope {
-                            at: window.start,
-                            src: 0,
-                            seq: 0,
-                            payload: (),
-                        },
-                    ));
-                }
+            fn next_key(&self) -> Option<WorkKey> {
+                self.0.map(|t| (t, 1, 0, 0))
             }
+            fn process_next(&mut self, key: WorkKey, out: &mut Vec<(usize, Envelope<()>)>) {
+                self.0 = None;
+                let env = Envelope {
+                    at: key.0,
+                    src: 0,
+                    seq: 0,
+                    payload: (),
+                };
+                out.push((0, env));
+            }
+            fn push_arrival(&mut self, _env: Envelope<()>) {}
             fn idle(&self) -> bool {
                 false
             }
@@ -1115,7 +1036,11 @@ mod tests {
         // and after the rogue in worker order at three and four workers;
         // the run must still return. Worker 0 runs on the calling thread,
         // so a rogue there must still release the spawned peers.
-        let rogue_at = |at: usize, n: usize| (0..n).map(|i| Rogue(i == at)).collect::<Vec<_>>();
+        let rogue_at = |at: usize, n: usize| {
+            (0..n)
+                .map(|i| Rogue((i == at).then_some(Time::ZERO)))
+                .collect::<Vec<_>>()
+        };
         for (mut shards, threads) in [
             (rogue_at(0, 1), 1),
             (rogue_at(0, 2), 2),
@@ -1126,7 +1051,7 @@ mod tests {
             (rogue_at(1, 4), 4),
         ] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_conservative(&mut shards, Duration::from_ns(1), threads)
+                Engine::Conservative(threads).run(&mut shards, Duration::from_ns(1))
             }));
             let payload = result.expect_err("lookahead violation must panic");
             let message = payload.downcast_ref::<String>().map_or("", String::as_str);
@@ -1139,7 +1064,7 @@ mod tests {
 
     #[test]
     fn empty_shard_list_is_a_noop() {
-        let report = run_conservative::<PingShard>(&mut [], Duration::from_ns(1), 1);
+        let report = Engine::Conservative(1).run::<PingShard>(&mut [], Duration::from_ns(1));
         assert_eq!(report.epochs, 0);
         assert_eq!(report.messages, 0);
     }
@@ -1178,17 +1103,7 @@ mod tests {
         // Skipped epochs too: a ring of sparse shards jumps most windows.
         let ring = || -> Vec<SparseShard> {
             (0..3)
-                .map(|id| SparseShard {
-                    id,
-                    peer: (id + 1) % 3,
-                    times: (1..=4)
-                        .map(|i| Time::ZERO + Duration::from_us(3) * i)
-                        .collect(),
-                    seq: 0,
-                    latency: Duration::from_ns(10),
-                    log: Vec::new(),
-                    inbox: std::collections::BinaryHeap::new(),
-                })
+                .map(|id| SparseShard::new(id, (id + 1) % 3, 4))
                 .collect()
         };
         let one = run_workers(&mut ring(), Duration::from_ns(10), 1);

@@ -7,10 +7,11 @@
 //! over randomized schedules and the `sched_hotpath` experiment
 //! re-checks (and times) on every benchmark run.
 //!
-//! Apart from the module path, these docs and the removal of
-//! cancellation and `run_until` (which the production core no longer
-//! has either) the code is unchanged, so a divergence found by the
-//! battery is attributable to the new engine. It keeps boxed closures:
+//! Apart from the module path, these docs, the removal of cancellation,
+//! `run_until` and `run_before` (which the production core no longer has
+//! either) and a `next_event_at` peek to match the production core's,
+//! the code is unchanged, so a divergence found by the battery is
+//! attributable to the new engine. It keeps boxed closures:
 //! the production core's typed events and these closures are driven
 //! over the same scripts.
 
@@ -258,20 +259,10 @@ impl<M> Simulator<M> {
         self.sched.pending()
     }
 
-    /// Runs every event scheduled strictly *before* `deadline`, then
-    /// advances the clock to exactly `deadline`.
-    pub fn run_before(&mut self, deadline: Time) -> u64 {
-        let start = self.sched.events_executed;
-        while let Some(Reverse(entry)) = self.sched.queue.peek() {
-            if entry.at >= deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.sched.now < deadline {
-            self.sched.now = deadline;
-        }
-        self.sched.events_executed - start
+    /// The time of the earliest pending event, or `None` when none is
+    /// pending.
+    pub fn next_event_at(&self) -> Option<Time> {
+        self.sched.queue.peek().map(|Reverse(e)| e.at)
     }
 }
 

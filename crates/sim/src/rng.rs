@@ -108,14 +108,6 @@ impl SimRng {
         }
     }
 
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
     /// Forks a statistically independent child generator, advancing this
     /// generator's state.
     pub fn fork(&mut self) -> SimRng {
@@ -182,17 +174,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean = {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::seed_from(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "shuffle left the slice in order");
     }
 
     #[test]

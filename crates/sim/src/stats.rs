@@ -1,9 +1,8 @@
-//! Measurement collection: counters, summaries, histograms, time series.
+//! Measurement collection: summaries, histograms, time series.
 //!
-//! Every experiment in the paper reports one of three things: a mean rate
-//! (throughput), a latency distribution, or a sampled time series (the
-//! power traces in Fig. 12). This module provides small, allocation-light
-//! collectors for each.
+//! Every experiment in the paper reports a mean, a latency distribution
+//! or a sampled time series (the power traces in Fig. 12). This module
+//! provides small, allocation-light collectors for each.
 
 use crate::time::{Duration, Time};
 
@@ -171,7 +170,7 @@ impl LatencyHistogram {
     }
 
     /// Approximate 99.9th percentile in microseconds; `None` when empty.
-    pub fn p999_micros(&self) -> Option<f64> {
+    fn p999_micros(&self) -> Option<f64> {
         self.percentile_micros(99.9)
     }
 
@@ -306,53 +305,6 @@ impl TimeSeries {
     }
 }
 
-/// A throughput meter: counts units (bytes, tuples, pixels) over a
-/// simulated interval.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Meter {
-    units: u64,
-    first: Option<Time>,
-    last: Time,
-}
-
-impl Meter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Meter::default()
-    }
-
-    /// Records `units` completed at time `at`.
-    pub fn record(&mut self, at: Time, units: u64) {
-        self.first.get_or_insert(at);
-        self.last = self.last.max(at);
-        self.units += units;
-    }
-
-    /// Total units recorded.
-    pub fn units(&self) -> u64 {
-        self.units
-    }
-
-    /// Units per second over the window from the configured start (or the
-    /// first sample) to the last sample. Zero when fewer than 2 time points.
-    pub fn rate_from(&self, start: Time) -> f64 {
-        let span = self.last.saturating_since(start).as_secs_f64();
-        if span == 0.0 {
-            0.0
-        } else {
-            self.units as f64 / span
-        }
-    }
-
-    /// Units per second over the meter's own observed window.
-    pub fn rate(&self) -> f64 {
-        match self.first {
-            Some(first) => self.rate_from(first),
-            None => 0.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,16 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn meter_rate() {
-        let mut m = Meter::new();
-        m.record(Time::ZERO, 0);
-        m.record(Time::ZERO + Duration::from_secs(1), 500);
-        m.record(Time::ZERO + Duration::from_secs(2), 500);
-        assert_eq!(m.units(), 1000);
-        assert!((m.rate() - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn histogram_exports_deterministic_percentile_gauges() {
         use crate::telemetry::{Instrumented, MetricsRegistry};
         let mut h = LatencyHistogram::new();
@@ -472,6 +414,5 @@ mod tests {
         assert_eq!(Summary::new().min(), None);
         assert_eq!(LatencyHistogram::new().percentile_micros(50.0), None);
         assert_eq!(TimeSeries::new().max_value(), None);
-        assert_eq!(Meter::new().rate(), 0.0);
     }
 }

@@ -143,7 +143,7 @@ pub fn fmt_f64(x: f64) -> String {
 }
 
 /// Writes `s` as a quoted, escaped JSON string into `out`.
-pub fn write_escaped(s: &str, out: &mut String) {
+fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

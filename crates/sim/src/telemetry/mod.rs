@@ -149,15 +149,9 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     /// Creates an empty registry with the default trace capacity.
     pub fn new() -> Self {
-        MetricsRegistry::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Creates an empty registry whose trace ring holds `capacity`
-    /// events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         MetricsRegistry {
             metrics: BTreeMap::new(),
-            trace: TraceRing::new(capacity),
+            trace: TraceRing::new(DEFAULT_TRACE_CAPACITY),
         }
     }
 
@@ -177,11 +171,6 @@ impl MetricsRegistry {
             MetricValue::Counter(n) => *n += by,
             other => panic!("metric {name} is a {}, not a counter", other.kind_name()),
         }
-    }
-
-    /// Increments the counter `name` by one.
-    pub fn counter_inc(&mut self, name: &str) {
-        self.counter_add(name, 1);
     }
 
     /// Sets the counter `name` to an absolute value (used by components
@@ -289,7 +278,7 @@ impl MetricsRegistry {
     }
 
     /// Merges a whole [`LatencyHistogram`] into the histogram `name`.
-    pub fn merge_histogram(&mut self, name: &str, histogram: &LatencyHistogram) {
+    fn merge_histogram(&mut self, name: &str, histogram: &LatencyHistogram) {
         match self
             .metrics
             .entry(name.to_string())
@@ -304,14 +293,6 @@ impl MetricsRegistry {
     pub fn summary(&self, name: &str) -> Option<&Summary> {
         match self.metrics.get(name) {
             Some(MetricValue::Summary(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The histogram bound to `name`, if any.
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        match self.metrics.get(name) {
-            Some(MetricValue::Histogram(h)) => Some(h),
             _ => None,
         }
     }
@@ -343,11 +324,6 @@ impl MetricsRegistry {
     /// The event trace (read-only).
     pub fn trace(&self) -> &TraceRing {
         &self.trace
-    }
-
-    /// The event trace (for recording).
-    pub fn trace_mut(&mut self) -> &mut TraceRing {
-        &mut self.trace
     }
 
     /// Records a trace event.
@@ -427,7 +403,7 @@ mod tests {
     #[test]
     fn counters_and_gauges() {
         let mut reg = MetricsRegistry::new();
-        reg.counter_inc("a.b");
+        reg.counter_add("a.b", 1);
         reg.counter_add("a.b", 4);
         reg.gauge_set("a.g", 2.5);
         reg.gauge_set("a.g", 3.5);
@@ -446,14 +422,14 @@ mod tests {
         assert_eq!(reg.summary("s").unwrap().count(), 3);
         assert!((reg.summary("s").unwrap().mean() - 2.0).abs() < 1e-12);
         reg.record_latency("h", Duration::from_ns(100));
-        assert_eq!(reg.histogram("h").unwrap().count(), 1);
+        assert!(matches!(reg.get("h"), Some(MetricValue::Histogram(h)) if h.count() == 1));
     }
 
     #[test]
     #[should_panic(expected = "is a counter, not a gauge")]
     fn kind_mismatch_panics() {
         let mut reg = MetricsRegistry::new();
-        reg.counter_inc("x");
+        reg.counter_add("x", 1);
         reg.gauge_set("x", 1.0);
     }
 
@@ -473,7 +449,7 @@ mod tests {
         assert_eq!(a.counter("c"), 5);
         assert_eq!(a.gauge("g"), Some(9.0));
         assert_eq!(a.summary("s").unwrap().count(), 2);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
+        assert!(matches!(a.get("h"), Some(MetricValue::Histogram(h)) if h.count() == 2));
     }
 
     #[test]

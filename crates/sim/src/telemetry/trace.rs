@@ -68,15 +68,6 @@ impl From<Duration> for FieldValue {
 }
 
 impl FieldValue {
-    fn to_json(&self) -> Json {
-        match self {
-            FieldValue::U64(v) => Json::U64(*v),
-            FieldValue::I64(v) => Json::I64(*v),
-            FieldValue::F64(v) => Json::F64(*v),
-            FieldValue::Text(v) => Json::Str(v.clone()),
-        }
-    }
-
     fn render_text(&self) -> String {
         match self {
             FieldValue::U64(v) => v.to_string(),
@@ -116,26 +107,6 @@ impl TraceEvent {
     pub fn field(mut self, name: impl Into<String>, value: impl Into<FieldValue>) -> Self {
         self.fields.push((name.into(), value.into()));
         self
-    }
-
-    fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("at_ps".to_string(), Json::U64(self.at.as_ps())),
-            ("component".to_string(), Json::Str(self.component.clone())),
-            ("kind".to_string(), Json::Str(self.kind.clone())),
-        ];
-        if !self.fields.is_empty() {
-            members.push((
-                "fields".to_string(),
-                Json::Obj(
-                    self.fields
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ));
-        }
-        Json::Obj(members)
     }
 }
 
@@ -239,17 +210,6 @@ impl TraceRing {
         out
     }
 
-    /// Renders the retained events as JSON-lines (one JSON object per
-    /// line, oldest first).
-    pub fn export_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_json().render());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Summarises the ring as a JSON object (counts only, not events).
     pub fn to_json_summary(&self) -> Json {
         Json::obj(vec![
@@ -290,21 +250,6 @@ mod tests {
         let text = ring.export_text();
         assert!(text.contains("2 earlier events dropped"), "{text}");
         assert!(text.contains("test.comp tick n=3"), "{text}");
-    }
-
-    #[test]
-    fn jsonl_export_is_one_object_per_line() {
-        let mut ring = TraceRing::new(8);
-        ring.record(
-            TraceEvent::new(Time::from_ps(7), "a", "b")
-                .field("x", 1u64)
-                .field("y", "z"),
-        );
-        let jsonl = ring.export_jsonl();
-        assert_eq!(
-            jsonl,
-            "{\"at_ps\":7,\"component\":\"a\",\"kind\":\"b\",\"fields\":{\"x\":1,\"y\":\"z\"}}\n"
-        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! ([`Trace::fire`]); only the kernel and its event representation
 //! differ. The scripts deliberately lean on the corners where the two
 //! queue disciplines could diverge: bursts of same-timestamp events (FIFO
-//! tie order), partial runs against `run_before` deadlines,
+//! tie order), partial runs that step while the peeked next event lies
+//! before a deadline (the calendar queue's peek-and-refill path),
 //! handler-scheduled follow-ups, and full drains followed by `rewind`
 //! (which the calendar queue answers with a window rebase).
 
@@ -118,9 +119,14 @@ macro_rules! drive {
                     }
                 }
                 5..=7 => {
-                    // Partial run against a nearby deadline.
+                    // Partial run: every event before a nearby deadline.
                     let deadline = sim.now() + Duration::from_ns(1 + script.next_u64() % 16);
-                    runs.u64(sim.run_before(deadline));
+                    let mut ran = 0u64;
+                    while sim.next_event_at().is_some_and(|t| t < deadline) {
+                        sim.step();
+                        ran += 1;
+                    }
+                    runs.u64(ran);
                 }
                 _ => {
                     // Drain and rewind.
