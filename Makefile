@@ -23,10 +23,12 @@ build:
 # (MOESI packing round trip, key-set blocks, the pipelined-search
 # equality battery at chunk lengths 1, 2, 3, 7 and 64 and its model-panic
 # cases), the service, traffic and parallel-engine batteries again at
-# release speed.
+# release speed, and the root DES-floor, ECI-digest and ECI-allocation
+# tests on optimised code.
 test:
 	$(CARGO) test -q --workspace
 	$(CARGO) test -q --release -p enzian-eci -p enzian-sim -p enzian-apps -p enzian-net -p enzian-platform
+	$(CARGO) test -q --release -p enzian --test des_floor --test eci_engine_golden --test eci_alloc
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace

@@ -27,18 +27,20 @@
 //! it reaches the link layer's own credit/replay machinery. The protocol
 //! checker observes the message stream exactly as before.
 //!
-//! A transaction is a record in a slab (`TxnRecord`: the pending
-//! operation, when it began service, the data it completes with, and the
-//! return step its CPU-side fill or upgrade ends in). Each of its events
-//! is a `Step` — a `Copy` value of kind, record slot, line, protocol
-//! transaction id, flags and delivery time. The engine schedules it as
-//! it is: it is one variant of the engine's [`Model::Event`], the other
-//! being an engine-level VC credit coming back. So a transaction
-//! schedules no closures and allocates nothing but the data boxes of the
-//! messages it sends. A nested chain (probe, then fill, then finish) is
-//! a "next step" carried by the step itself.
+//! A transaction is a record in a slab (`TxnRecord`: handle, address,
+//! the operation without its payload, when it began service, and the
+//! return step its CPU-side fill or upgrade ends in), with its 128-byte
+//! line (the operation's payload, or the data it completes with) in a
+//! buffer beside it that only the steps using the line touch. Each of
+//! its events is a `Step` — a `Copy` value of kind, record slot, line,
+//! protocol transaction id, flags and delivery time. The engine
+//! schedules it as it is: it is one variant of the engine's
+//! [`Model::Event`], the other being an engine-level VC credit coming
+//! back. So a transaction schedules no closures and allocates nothing
+//! but the data boxes of the messages it sends. A nested chain (probe,
+//! then fill, then finish) is a "next step" carried by the step itself.
 //! Completions wait in a window indexed by handle (handles are
-//! sequential) until taken.
+//! sequential) until taken; the record stays in its slot until then.
 //!
 //! Maps keyed by lines, pages or transaction ids use
 //! [`enzian_sim::FxHashMap`]: no SipHash on simulator-internal keys.
@@ -76,7 +78,7 @@ use crate::directory::{Directory, RemoteCopy};
 use crate::link::{EciLinkConfig, EciLinks, LinkPolicy, VirtualChannel};
 use crate::message::{Message, MessageKind, TxnId};
 use crate::txn::{
-    Admitted, EngineStats, MshrTable, PendingTxn, TxnCompletion, TxnHandle, TxnOp, TxnStatus,
+    Admitted, EngineStats, MshrTable, OpKind, TxnCompletion, TxnHandle, TxnOp, TxnStatus,
 };
 
 /// Fault-injection target: a transaction stalls at the requester and must
@@ -278,8 +280,8 @@ enum Event {
     Credit { n: u8, v: u8 },
 }
 
-// The calendar queue copies every entry on each bucket sort, so an event
-// stays within four words.
+// The calendar queue copies every entry from tier to tier and on each
+// bucket sort, so an event stays within four words.
 const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 
 /// What a [`Step`] does when its event fires.
@@ -378,17 +380,26 @@ enum Ret {
     Upgrade,
 }
 
-/// A transaction from issue to completion: parked in
-/// [`EngineCore::txns`] and named by slot in every [`Step`] of its chain.
+/// A transaction from issue until its completion is taken, as every
+/// step of its chain reads it: parked in [`EngineCore::txns`] and named
+/// by slot in every [`Step`]. Its 128-byte line waits apart, in the
+/// slab's line buffer.
+#[derive(Clone, Copy)]
 struct TxnRecord {
-    p: PendingTxn,
+    handle: TxnHandle,
+    addr: Addr,
     /// When it left the MSHR admission queue and began service.
     issued: Time,
-    /// The data it completes with, captured when the protocol reads it.
-    data: Option<[u8; 128]>,
+    op: OpKind,
     /// Set by CPU-initiated transactions that fill or upgrade.
     ret: Option<Ret>,
+    /// The line buffer holds the data it completes with.
+    captured: bool,
 }
+
+// Every step reads its record, and taking the completion copies it out:
+// it stays within half a cache line.
+const _: () = assert!(std::mem::size_of::<Option<TxnRecord>>() <= 32);
 
 /// A send waiting for an engine-level VC credit.
 struct QueuedSend {
@@ -397,61 +408,91 @@ struct QueuedSend {
     step: Step,
 }
 
-/// A tiny reusable slab: slots recycle through a free stack, so the
-/// steady-state insert/take cycle of transaction records touches
-/// recycled memory only.
-struct RecordSlab<T> {
-    slots: Vec<Option<T>>,
+/// Transaction records by slot, from issue until the completion is
+/// taken: the compact [`TxnRecord`] every step reads, and beside it a
+/// 128-byte line buffer that only issue, the payload's write, data
+/// capture and the completion's take touch. The buffer holds the
+/// operation's payload (a write's or a dirty release's line) from issue,
+/// or the data a read-like operation captures; no operation has both.
+/// Slots recycle through a free stack, so the steady-state insert/take
+/// cycle touches recycled memory only.
+struct TxnSlab {
+    records: Vec<Option<TxnRecord>>,
+    lines: Vec<[u8; 128]>,
     free: Vec<u32>,
 }
 
-impl<T> RecordSlab<T> {
+impl TxnSlab {
     fn new() -> Self {
-        RecordSlab {
-            slots: Vec::new(),
+        TxnSlab {
+            records: Vec::new(),
+            lines: Vec::new(),
             free: Vec::new(),
         }
     }
 
-    fn insert(&mut self, v: T) -> u32 {
+    /// Parks `rec` with its operation's payload, if any.
+    fn insert(&mut self, rec: TxnRecord, payload: Option<&[u8; 128]>) -> u32 {
         match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Some(v);
+                self.records[i as usize] = Some(rec);
+                if let Some(d) = payload {
+                    self.lines[i as usize] = *d;
+                }
                 i
             }
             None => {
-                let i = u32::try_from(self.slots.len()).expect("record slab overflow");
-                self.slots.push(Some(v));
+                let i = u32::try_from(self.records.len()).expect("record slab overflow");
+                self.records.push(Some(rec));
+                self.lines.push(payload.copied().unwrap_or([0; 128]));
                 i
             }
         }
     }
 
-    fn get_mut(&mut self, i: u32) -> &mut T {
-        self.slots[i as usize]
+    fn get_mut(&mut self, i: u32) -> &mut TxnRecord {
+        self.records[i as usize]
             .as_mut()
             .expect("record slab slot is vacant")
     }
 
-    fn get(&self, i: u32) -> &T {
-        self.slots[i as usize]
+    fn get(&self, i: u32) -> &TxnRecord {
+        self.records[i as usize]
             .as_ref()
             .expect("record slab slot is vacant")
     }
 
-    fn take(&mut self, i: u32) -> T {
-        let v = self.slots[i as usize]
+    /// The line buffer of slot `i`.
+    fn line(&self, i: u32) -> &[u8; 128] {
+        &self.lines[i as usize]
+    }
+
+    /// Stores the data transaction `i` completes with.
+    fn capture(&mut self, i: u32, data: [u8; 128]) {
+        self.get_mut(i).captured = true;
+        self.lines[i as usize] = data;
+    }
+
+    /// Frees slot `i`, returning its record and any captured data.
+    fn take(&mut self, i: u32) -> (TxnRecord, Option<[u8; 128]>) {
+        let rec = self.records[i as usize]
             .take()
             .expect("record slab slot already taken");
         self.free.push(i);
-        v
+        (rec, rec.captured.then(|| self.lines[i as usize]))
     }
 }
 
 /// One handle's entry in the [`CompletionWindow`].
+#[derive(Clone, Copy)]
 enum Completion {
     InFlight,
-    Done(TxnCompletion),
+    /// Completed at `at`; its record waits in slab slot `slot` until
+    /// taken.
+    Done {
+        slot: u32,
+        at: Time,
+    },
     Taken,
 }
 
@@ -484,33 +525,32 @@ impl CompletionWindow {
         (i < self.slots.len()).then_some(i)
     }
 
-    fn complete(&mut self, c: TxnCompletion) {
-        let i = self.index(c.handle).expect("completion of an open handle");
-        self.slots[i] = Completion::Done(c);
+    fn complete(&mut self, h: TxnHandle, slot: u32, at: Time) {
+        let i = self.index(h).expect("completion of an open handle");
+        self.slots[i] = Completion::Done { slot, at };
     }
 
     fn status(&self, h: TxnHandle) -> TxnStatus {
         match self.index(h).map(|i| &self.slots[i]) {
             Some(Completion::InFlight) => TxnStatus::InFlight,
-            Some(Completion::Done(_)) => TxnStatus::Completed,
+            Some(Completion::Done { .. }) => TxnStatus::Completed,
             Some(Completion::Taken) | None => TxnStatus::Retired,
         }
     }
 
-    fn take(&mut self, h: TxnHandle) -> Option<TxnCompletion> {
+    /// Marks `h` taken if it completed, returning its record's slot and
+    /// completion time.
+    fn take(&mut self, h: TxnHandle) -> Option<(u32, Time)> {
         let i = self.index(h)?;
-        let c = match std::mem::replace(&mut self.slots[i], Completion::Taken) {
-            Completion::Done(c) => c,
-            other => {
-                self.slots[i] = other;
-                return None;
-            }
+        let Completion::Done { slot, at } = self.slots[i] else {
+            return None;
         };
+        self.slots[i] = Completion::Taken;
         while matches!(self.slots.front(), Some(Completion::Taken)) {
             self.slots.pop_front();
             self.base += 1;
         }
-        Some(c)
+        Some((slot, at))
     }
 }
 
@@ -544,8 +584,8 @@ struct EngineCore {
     /// Transactions holding or waiting for an entry, by record slot.
     mshrs: MshrTable,
     vcq: [[VcState; VC_COUNT]; 2],
-    /// Every issued transaction from issue to completion.
-    txns: RecordSlab<TxnRecord>,
+    /// Every issued transaction, from issue until its completion is taken.
+    txns: TxnSlab,
     completions: CompletionWindow,
     engine: EngineStats,
 }
@@ -586,7 +626,7 @@ impl EngineCore {
                     waiting: VecDeque::new(),
                 })
             }),
-            txns: RecordSlab::new(),
+            txns: TxnSlab::new(),
             completions: CompletionWindow::new(),
             engine: EngineStats::default(),
             cfg,
@@ -791,7 +831,7 @@ impl EngineCore {
     // ---------------------------------------------------------------
 
     fn admit_txn(&mut self, s: &mut Sched, slot: u32) {
-        let key = self.txns.get(slot).p.addr.line().base().0;
+        let key = self.txns.get(slot).addr.line().base().0;
         match self.mshrs.admit(key, slot) {
             Admitted::Start(slot) => self.begin(s, slot),
             Admitted::Conflict => self.engine.mshr_conflicts += 1,
@@ -804,15 +844,15 @@ impl EngineCore {
         self.engine.max_inflight = self.engine.max_inflight.max(self.mshrs.in_flight() as u64);
         let rec = self.txns.get_mut(slot);
         rec.issued = s.now();
-        let p = rec.p;
-        match p.op {
-            TxnOp::FpgaRead => self.begin_fpga_read(s, slot, p),
-            TxnOp::FpgaWrite(_) => self.begin_fpga_write(s, slot, p),
-            TxnOp::FpgaAcquire { .. } => self.begin_fpga_acquire(s, slot, p),
-            TxnOp::FpgaUpgrade => self.begin_fpga_upgrade(s, slot, p),
-            TxnOp::FpgaRelease(_) => self.begin_fpga_release(s, slot, p),
-            TxnOp::CpuRead => self.begin_cpu_read(s, slot, p),
-            TxnOp::CpuWrite(_) => self.begin_cpu_write(s, slot, p),
+        let addr = rec.addr;
+        match rec.op {
+            OpKind::FpgaRead => self.begin_fpga_read(s, slot, addr),
+            OpKind::FpgaWrite => self.begin_fpga_write(s, slot, addr),
+            OpKind::FpgaAcquire { exclusive } => self.begin_fpga_acquire(s, slot, addr, exclusive),
+            OpKind::FpgaUpgrade => self.begin_fpga_upgrade(s, slot, addr),
+            OpKind::FpgaRelease { dirty } => self.begin_fpga_release(s, slot, addr, dirty),
+            OpKind::CpuRead => self.begin_cpu_read(s, slot, addr),
+            OpKind::CpuWrite => self.begin_cpu_write(s, slot, addr),
         }
     }
 
@@ -825,31 +865,41 @@ impl EngineCore {
 
     /// Like [`EngineCore::finish`], completing with `data`.
     fn finish_with(&mut self, s: &mut Sched, slot: u32, data: [u8; 128], end: Time) {
-        self.txns.get_mut(slot).data = Some(data);
+        self.txns.capture(slot, data);
         self.finish(s, slot, end);
     }
 
+    /// Completes transaction `slot` at `at`. Its record stays in the
+    /// slab until the completion is taken.
     fn complete(&mut self, s: &mut Sched, slot: u32, at: Time) {
-        let rec = self.txns.take(slot);
+        let rec = self.txns.get(slot);
+        let (handle, key) = (rec.handle, rec.addr.line().base().0);
         self.engine.completed += 1;
-        self.completions.complete(TxnCompletion {
-            handle: rec.p.handle,
-            addr: rec.p.addr,
-            op: rec.p.op.name(),
-            issued: rec.issued,
-            completed: at,
-            data: rec.data,
-        });
-        if let Some(next) = self.mshrs.retire(rec.p.addr.line().base().0) {
+        self.completions.complete(handle, slot, at);
+        if let Some(next) = self.mshrs.retire(key) {
             self.begin(s, next);
         }
+    }
+
+    /// Removes and returns the completion of `h`, freeing its record.
+    fn take_completion(&mut self, h: TxnHandle) -> Option<TxnCompletion> {
+        let (slot, completed) = self.completions.take(h)?;
+        let (rec, data) = self.txns.take(slot);
+        Some(TxnCompletion {
+            handle: rec.handle,
+            addr: rec.addr,
+            op: rec.op.name(),
+            issued: rec.issued,
+            completed,
+            data,
+        })
     }
 
     /// Runs the return step of CPU transaction `slot`, whose fill or
     /// upgrade is done at `at`.
     fn ret(&mut self, s: &mut Sched, slot: u32, at: Time) {
         let rec = self.txns.get(slot);
-        let addr = rec.p.addr;
+        let addr = rec.addr;
         match rec.ret.expect("CPU transaction has a return step") {
             Ret::Read => {
                 let home = self.cfg.map.home_of(addr);
@@ -879,7 +929,7 @@ impl EngineCore {
         flags: u8,
     ) {
         let issue = s.now() + self.fpga_delay();
-        let line = self.txns.get(slot).p.addr.line();
+        let line = self.txns.get(slot).addr.line();
         let txn = self.txn();
         let step = Step::new(kind, slot, line, txn, flags);
         self.vc_send(
@@ -917,9 +967,9 @@ impl EngineCore {
         self.vc_send(s, ready, rsp, step.then(StepKind::FpgaResponse));
     }
 
-    fn begin_fpga_read(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
+    fn begin_fpga_read(&mut self, s: &mut Sched, slot: u32, addr: Addr) {
         self.stats.fpga_reads += 1;
-        let msg = MessageKind::ReadOnce(p.addr.line());
+        let msg = MessageKind::ReadOnce(addr.line());
         self.fpga_request(s, slot, msg, StepKind::FpgaReadAtHome, 0);
     }
 
@@ -930,7 +980,7 @@ impl EngineCore {
         let lookup_done = self.cpu_home_accept(step.delivered, self.cfg.home_occupancy_read);
         let data_ready = self.cpu_home_data_ready(line, lookup_done);
         let data = self.cpu_mem.store().read_line(line.base());
-        self.txns.get_mut(step.slot).data = Some(data);
+        self.txns.capture(step.slot, data);
         self.cpu_home_respond(
             s,
             step,
@@ -939,19 +989,13 @@ impl EngineCore {
         );
     }
 
-    fn begin_fpga_write(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
-        let TxnOp::FpgaWrite(data) = p.op else {
-            unreachable!("begin_fpga_write on {:?}", p.op)
-        };
+    fn begin_fpga_write(&mut self, s: &mut Sched, slot: u32, addr: Addr) {
         self.stats.fpga_writes += 1;
-        let msg = MessageKind::WriteLine(p.addr.line(), Box::new(data));
+        let msg = MessageKind::WriteLine(addr.line(), Box::new(*self.txns.line(slot)));
         self.fpga_request(s, slot, msg, StepKind::FpgaWriteAtHome, 0);
     }
 
     fn fpga_write_at_home(&mut self, s: &mut Sched, step: Step) {
-        let TxnOp::FpgaWrite(data) = self.txns.get(step.slot).p.op else {
-            unreachable!("fpga_write_at_home on another op")
-        };
         let line = step.line;
         let lookup_done = self.cpu_home_accept(step.delivered, self.cfg.home_occupancy_write);
         // Invalidate any local L2 copy (the home and the cache share a
@@ -961,6 +1005,7 @@ impl EngineCore {
             self.l2.probe(line, true);
             self.l2_transition(line, was, LineState::Invalid);
         }
+        let data = self.txns.line(step.slot);
         let done = self.cpu_mem.write(lookup_done, line.base(), &data[..]);
         self.cpu_home_respond(s, step, done, MessageKind::Ack(line));
     }
@@ -969,11 +1014,8 @@ impl EngineCore {
     // FPGA-side cached lines (remote-memory research path)
     // ---------------------------------------------------------------
 
-    fn begin_fpga_acquire(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
-        let TxnOp::FpgaAcquire { exclusive } = p.op else {
-            unreachable!("begin_fpga_acquire on {:?}", p.op)
-        };
-        let line = p.addr.line();
+    fn begin_fpga_acquire(&mut self, s: &mut Sched, slot: u32, addr: Addr, exclusive: bool) {
+        let line = addr.line();
         let msg = if exclusive {
             MessageKind::ReadExclusive(line)
         } else {
@@ -983,7 +1025,7 @@ impl EngineCore {
     }
 
     fn fpga_acquire_at_home(&mut self, s: &mut Sched, step: Step) {
-        let TxnOp::FpgaAcquire { exclusive } = self.txns.get(step.slot).p.op else {
+        let OpKind::FpgaAcquire { exclusive } = self.txns.get(step.slot).op else {
             unreachable!("fpga_acquire_at_home on another op")
         };
         let line = step.line;
@@ -1008,7 +1050,7 @@ impl EngineCore {
         let data_ready = self.cpu_home_data_ready(line, lookup_done);
 
         let data = self.cpu_mem.store().read_line(line.base());
-        self.txns.get_mut(step.slot).data = Some(data);
+        self.txns.capture(step.slot, data);
         if exclusive {
             self.dir_cpu.grant_owner(line);
             self.fpga_transition(line, LineState::Invalid, LineState::Shared);
@@ -1025,8 +1067,8 @@ impl EngineCore {
         self.cpu_home_respond(s, step, data_ready, kind);
     }
 
-    fn begin_fpga_upgrade(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
-        let line = p.addr.line();
+    fn begin_fpga_upgrade(&mut self, s: &mut Sched, slot: u32, addr: Addr) {
+        let line = addr.line();
         assert_eq!(
             self.dir_cpu.remote_copy(line),
             RemoteCopy::Shared,
@@ -1050,33 +1092,33 @@ impl EngineCore {
         self.cpu_home_respond(s, step, lookup_done, MessageKind::Ack(line));
     }
 
-    fn begin_fpga_release(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
-        let TxnOp::FpgaRelease(dirty) = p.op else {
-            unreachable!("begin_fpga_release on {:?}", p.op)
-        };
-        let line = p.addr.line();
+    fn begin_fpga_release(&mut self, s: &mut Sched, slot: u32, addr: Addr, dirty: bool) {
+        let line = addr.line();
         let flags = match self.dir_cpu.remote_copy(line) {
             RemoteCopy::Owner => WAS_OWNER,
             RemoteCopy::Shared => 0,
             RemoteCopy::None => panic!("release of unheld line {line}"),
         };
         self.stats.victims += 1;
-        let msg = match dirty {
-            Some(d) => MessageKind::VictimDirty(line, Box::new(d)),
-            None => MessageKind::VictimClean(line),
+        let msg = if dirty {
+            MessageKind::VictimDirty(line, Box::new(*self.txns.line(slot)))
+        } else {
+            MessageKind::VictimClean(line)
         };
         self.fpga_request(s, slot, msg, StepKind::FpgaReleaseAtHome, flags);
     }
 
     fn fpga_release_at_home(&mut self, s: &mut Sched, step: Step) {
-        let TxnOp::FpgaRelease(dirty) = self.txns.get(step.slot).p.op else {
+        let OpKind::FpgaRelease { dirty } = self.txns.get(step.slot).op else {
             unreachable!("fpga_release_at_home on another op")
         };
         let line = step.line;
         let lookup_done = self.cpu_home_accept(step.delivered, self.cfg.home_occupancy_write);
-        let done = match dirty {
-            Some(d) => self.cpu_mem.write(lookup_done, line.base(), &d[..]),
-            None => lookup_done,
+        let done = if dirty {
+            let data = self.txns.line(step.slot);
+            self.cpu_mem.write(lookup_done, line.base(), &data[..])
+        } else {
+            lookup_done
         };
         self.dir_cpu.revoke(line);
         let was = if step.has(WAS_OWNER) {
@@ -1092,14 +1134,14 @@ impl EngineCore {
     // CPU-initiated cached accesses
     // ---------------------------------------------------------------
 
-    fn begin_cpu_read(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
+    fn begin_cpu_read(&mut self, s: &mut Sched, slot: u32, addr: Addr) {
         let issued = s.now();
         self.stats.cpu_reads += 1;
-        let line = p.addr.line();
-        let home = self.cfg.map.home_of(p.addr);
+        let line = addr.line();
+        let home = self.cfg.map.home_of(addr);
         match self.l2.read(line) {
             AccessOutcome::Hit => {
-                let data = self.home_store(home).read_line(p.addr);
+                let data = self.home_store(home).read_line(addr);
                 self.finish_with(s, slot, data, issued + self.cfg.l2_hit_latency);
             }
             AccessOutcome::UpgradeMiss => unreachable!("reads do not upgrade"),
@@ -1113,19 +1155,17 @@ impl EngineCore {
         }
     }
 
-    fn begin_cpu_write(&mut self, s: &mut Sched, slot: u32, p: PendingTxn) {
-        let TxnOp::CpuWrite(data) = p.op else {
-            unreachable!("begin_cpu_write on {:?}", p.op)
-        };
+    fn begin_cpu_write(&mut self, s: &mut Sched, slot: u32, addr: Addr) {
         let issued = s.now();
         self.stats.cpu_writes += 1;
-        let line = p.addr.line();
-        let home = self.cfg.map.home_of(p.addr);
+        let line = addr.line();
+        let home = self.cfg.map.home_of(addr);
         let outcome = self.l2.write(line);
         // Functional convention: data commits to the home store now.
+        let data = self.txns.line(slot);
         match home {
-            NodeId::Cpu => self.cpu_mem.store_mut().write_line(p.addr, &data),
-            NodeId::Fpga => self.fpga_mem.store_mut().write_line(p.addr, &data),
+            NodeId::Cpu => self.cpu_mem.store_mut().write_line(addr, data),
+            NodeId::Fpga => self.fpga_mem.store_mut().write_line(addr, data),
         }
         match outcome {
             AccessOutcome::Hit => {
@@ -1134,7 +1174,7 @@ impl EngineCore {
             AccessOutcome::UpgradeMiss => {
                 // Invalidate remote sharers, then proceed.
                 self.txns.get_mut(slot).ret = Some(Ret::Upgrade);
-                self.invalidate_remote_sharers(s, slot, issued, p.addr);
+                self.invalidate_remote_sharers(s, slot, issued, addr);
             }
             AccessOutcome::Miss(_) => {
                 self.txns.get_mut(slot).ret = Some(Ret::Write);
@@ -1566,12 +1606,17 @@ impl EciSystem {
         }
         let core = self.core_mut();
         let handle = core.completions.open();
-        let slot = core.txns.insert(TxnRecord {
-            p: PendingTxn { handle, addr, op },
-            issued: Time::ZERO,
-            data: None,
-            ret: None,
-        });
+        let slot = core.txns.insert(
+            TxnRecord {
+                handle,
+                addr,
+                issued: Time::ZERO,
+                op: op.kind(),
+                ret: None,
+                captured: false,
+            },
+            op.payload(),
+        );
         let mut step = Step::new(StepKind::Admit, slot, addr.line(), TxnId(0), 0);
         step.delivered = at;
         self.sim.schedule_at_or_now(at, Event::Step(step));
@@ -1597,7 +1642,7 @@ impl EciSystem {
 
     /// Removes and returns the completion of `h`, if it completed.
     pub fn take_completion(&mut self, h: TxnHandle) -> Option<TxnCompletion> {
-        self.core_mut().completions.take(h)
+        self.core_mut().take_completion(h)
     }
 
     /// Runs the event loop until `h` completes, returning (and consuming)
@@ -1610,7 +1655,7 @@ impl EciSystem {
     /// issued, or its completion was already taken.
     pub fn run_until_complete(&mut self, h: TxnHandle) -> TxnCompletion {
         loop {
-            if let Some(c) = self.core_mut().completions.take(h) {
+            if let Some(c) = self.core_mut().take_completion(h) {
                 return c;
             }
             assert!(
@@ -2395,7 +2440,8 @@ mod tests {
         }
         assert_eq!(sys.engine_stats().completed, 100_000);
         // The record slab never held more than one batch.
-        assert!(sys.core().txns.slots.len() <= batch as usize);
+        assert!(sys.core().txns.records.len() <= batch as usize);
+        assert_eq!(sys.core().txns.lines.len(), sys.core().txns.records.len());
     }
 
     #[test]

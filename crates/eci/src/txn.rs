@@ -46,14 +46,56 @@ pub enum TxnOp {
 impl TxnOp {
     /// The operation name used in completions and error reports.
     pub fn name(&self) -> &'static str {
+        self.kind().name()
+    }
+
+    /// The operation without its line payload.
+    pub(crate) fn kind(&self) -> OpKind {
+        match *self {
+            TxnOp::FpgaRead => OpKind::FpgaRead,
+            TxnOp::FpgaWrite(_) => OpKind::FpgaWrite,
+            TxnOp::FpgaAcquire { exclusive } => OpKind::FpgaAcquire { exclusive },
+            TxnOp::FpgaUpgrade => OpKind::FpgaUpgrade,
+            TxnOp::FpgaRelease(d) => OpKind::FpgaRelease { dirty: d.is_some() },
+            TxnOp::CpuRead => OpKind::CpuRead,
+            TxnOp::CpuWrite(_) => OpKind::CpuWrite,
+        }
+    }
+
+    /// The line the operation writes, if it carries one.
+    pub(crate) fn payload(&self) -> Option<&[u8; 128]> {
         match self {
-            TxnOp::FpgaRead => "fpga_read_line",
-            TxnOp::FpgaWrite(_) => "fpga_write_line",
-            TxnOp::FpgaAcquire { .. } => "fpga_acquire_line",
-            TxnOp::FpgaUpgrade => "fpga_upgrade_line",
-            TxnOp::FpgaRelease(_) => "fpga_release_line",
-            TxnOp::CpuRead => "cpu_read_line",
-            TxnOp::CpuWrite(_) => "cpu_write_line",
+            TxnOp::FpgaWrite(d) | TxnOp::CpuWrite(d) | TxnOp::FpgaRelease(Some(d)) => Some(d),
+            _ => None,
+        }
+    }
+}
+
+/// A [`TxnOp`] without its line payload: two bytes the engine keeps in
+/// every transaction's record, while the payload waits apart until the
+/// step that writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    FpgaRead,
+    FpgaWrite,
+    FpgaAcquire { exclusive: bool },
+    FpgaUpgrade,
+    FpgaRelease { dirty: bool },
+    CpuRead,
+    CpuWrite,
+}
+
+impl OpKind {
+    /// [`TxnOp::name`] of the operation.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            OpKind::FpgaRead => "fpga_read_line",
+            OpKind::FpgaWrite => "fpga_write_line",
+            OpKind::FpgaAcquire { .. } => "fpga_acquire_line",
+            OpKind::FpgaUpgrade => "fpga_upgrade_line",
+            OpKind::FpgaRelease { .. } => "fpga_release_line",
+            OpKind::CpuRead => "cpu_read_line",
+            OpKind::CpuWrite => "cpu_write_line",
         }
     }
 }
@@ -89,15 +131,6 @@ pub struct TxnCompletion {
     pub data: Option<[u8; 128]>,
 }
 
-/// A transaction waiting in the MSHR machinery: everything needed to
-/// start its event chain.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingTxn {
-    pub(crate) handle: TxnHandle,
-    pub(crate) addr: Addr,
-    pub(crate) op: TxnOp,
-}
-
 /// Outcome of presenting a transaction to the MSHR table.
 pub(crate) enum Admitted {
     /// A free entry was allocated; start the transaction now.
@@ -115,18 +148,33 @@ pub(crate) enum Admitted {
 /// requests arriving with the table full queue FIFO in an overflow queue.
 ///
 /// A transaction is the slot of its record in the engine, presented with
-/// its line key. Waiter queues of freed entries are kept for reuse, so
-/// once the table has seen its peak the admit/retire cycle allocates
-/// nothing.
+/// its line key. An entry is a line key and the index of its waiter
+/// queue, if it ever had a waiter; most never do. Waiter queues of freed
+/// entries are kept for reuse, so once the table has seen its peak the
+/// admit/retire cycle allocates nothing.
 #[derive(Debug)]
 pub(crate) struct MshrTable {
     capacity: usize,
-    /// Keyed by line base address. The value holds the *waiters*; the
-    /// in-flight head transaction lives in the event chain itself.
-    entries: FxHashMap<u64, VecDeque<u32>>,
+    /// Keyed by line base address: the entry's waiter queue in `queues`,
+    /// or [`NO_WAITERS`]. The in-flight head transaction lives in the
+    /// event chain itself.
+    entries: FxHashMap<u64, u32>,
+    /// Waiter queues, named by index from `entries` or listed in `spare`.
+    queues: Vec<VecDeque<u32>>,
+    /// Indices of empty waiter queues, capacity retained.
+    spare: Vec<u32>,
     overflow: VecDeque<(u64, u32)>,
-    /// Empty waiter queues of freed entries, capacity retained.
-    spare: Vec<VecDeque<u32>>,
+}
+
+/// An [`MshrTable`] entry that has no waiter queue.
+const NO_WAITERS: u32 = u32::MAX;
+
+/// An empty waiter queue: a spare one, or a new one.
+fn waiter_queue(queues: &mut Vec<VecDeque<u32>>, spare: &mut Vec<u32>) -> u32 {
+    spare.pop().unwrap_or_else(|| {
+        queues.push(VecDeque::new());
+        u32::try_from(queues.len() - 1).expect("waiter queue index overflow")
+    })
 }
 
 impl MshrTable {
@@ -135,8 +183,9 @@ impl MshrTable {
         MshrTable {
             capacity,
             entries: FxHashMap::default(),
-            overflow: VecDeque::new(),
+            queues: Vec::new(),
             spare: Vec::new(),
+            overflow: VecDeque::new(),
         }
     }
 
@@ -147,20 +196,26 @@ impl MshrTable {
 
     /// Transactions queued (same-line waiters plus overflow).
     pub(crate) fn queued(&self) -> usize {
-        self.entries.values().map(VecDeque::len).sum::<usize>() + self.overflow.len()
+        let waiting = self.entries.values().filter(|&&q| q != NO_WAITERS);
+        waiting
+            .map(|&q| self.queues[q as usize].len())
+            .sum::<usize>()
+            + self.overflow.len()
     }
 
     /// Presents transaction `t` on line `key` to the table.
     pub(crate) fn admit(&mut self, key: u64, t: u32) -> Admitted {
-        if let Some(waiters) = self.entries.get_mut(&key) {
-            waiters.push_back(t);
+        if let Some(q) = self.entries.get_mut(&key) {
+            if *q == NO_WAITERS {
+                *q = waiter_queue(&mut self.queues, &mut self.spare);
+            }
+            self.queues[*q as usize].push_back(t);
             Admitted::Conflict
         } else if self.entries.len() >= self.capacity {
             self.overflow.push_back((key, t));
             Admitted::Full
         } else {
-            let waiters = self.spare.pop().unwrap_or_default();
-            self.entries.insert(key, waiters);
+            self.entries.insert(key, NO_WAITERS);
             Admitted::Start(t)
         }
     }
@@ -176,24 +231,30 @@ impl MshrTable {
     /// overflow transaction ever has a live entry, and a later same-line
     /// admission queues behind all of them instead of overtaking one.
     pub(crate) fn retire(&mut self, line_key: u64) -> Option<u32> {
-        let waiters = self
+        let q = *self
             .entries
-            .get_mut(&line_key)
+            .get(&line_key)
             .expect("retire of a line with no MSHR entry");
-        if let Some(next) = waiters.pop_front() {
-            return Some(next);
+        if q != NO_WAITERS {
+            if let Some(next) = self.queues[q as usize].pop_front() {
+                return Some(next);
+            }
+            self.spare.push(q);
         }
-        let freed = self.entries.remove(&line_key).expect("entry just seen");
-        self.spare.push(freed);
+        self.entries.remove(&line_key);
         let (key, t) = self.overflow.pop_front()?;
         debug_assert!(!self.entries.contains_key(&key));
-        let mut waiters = self.spare.pop().unwrap_or_default();
-        self.overflow.retain(|&(k, q)| {
-            let same = k == key;
-            if same {
-                waiters.push_back(q);
+        let (queues, spare) = (&mut self.queues, &mut self.spare);
+        let mut waiters = NO_WAITERS;
+        self.overflow.retain(|&(k, w)| {
+            if k != key {
+                return true;
             }
-            !same
+            if waiters == NO_WAITERS {
+                waiters = waiter_queue(queues, spare);
+            }
+            queues[waiters as usize].push_back(w);
+            false
         });
         self.entries.insert(key, waiters);
         Some(t)

@@ -3,21 +3,37 @@
 //! [`CalendarQueue`] is the priority queue under the DES hot path: a
 //! bucket wheel (Brown's calendar queue, simplified to a fixed bucket
 //! count) holding plain-old-data entries inline, with a sorted current
-//! run popped from the back and a binary-heap overflow for far-future
-//! times. Entries are totally ordered by `(at, key)`; callers that need
-//! deterministic FIFO tie order give every entry a unique, monotonically
-//! increasing `key` (the scheduler uses its event sequence number),
-//! making pop order independent of the internal bucket layout and the
-//! insertion pattern.
+//! run popped from the back, and beyond the wheel's horizon a sorted lane
+//! and a binary heap. Entries are totally ordered by `(at, key)`;
+//! callers that need deterministic FIFO tie order give every entry a
+//! unique, monotonically increasing `key` (the scheduler uses its event
+//! sequence number), making pop order independent of the internal
+//! layout and the insertion pattern.
 //!
-//! All three tiers recycle their `Vec` capacity: once the queue has seen
-//! its steady-state population, `push`/`pop` allocate nothing. The
-//! structure never shrinks on its own; [`CalendarQueue::footprint`]
-//! exposes the retained capacity so tests can pin it down.
+//! The tiers, nearest first:
+//!
+//! * the current run: every entry before the frontier, sorted;
+//! * the wheel: 1024 buckets of ~1 ns from the frontier to the horizon,
+//!   ~1 µs ahead. Taking a bucket moves the frontier past it; a bucket
+//!   of one entry (the common case) needs no sort;
+//! * the lane: a sorted run of entries at or beyond the horizon. A far
+//!   entry that does not precede the lane's last entry is appended in
+//!   O(1), so a burst scheduled in time order (a batch of issues) never
+//!   meets a comparison-sorted structure;
+//! * the overflow heap: far entries that precede the lane's last.
+//!
+//! The horizon is a multiple of a quarter rotation, so it moves, and the
+//! lane and the heap are looked at, once per ~262 ns of simulated time
+//! rather than once per bucket.
+//!
+//! Every tier recycles its capacity: once the queue has seen its
+//! steady-state population, `push`/`pop` allocate nothing. The structure
+//! never shrinks on its own; [`CalendarQueue::footprint`] exposes the
+//! retained capacity so tests can pin it down.
 
 use crate::time::Time;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Number of wheel buckets. Power of two so the bucket index is a mask.
 const NBUCKETS: usize = 1024;
@@ -27,9 +43,10 @@ const OCC_WORDS: usize = NBUCKETS / 64;
 /// Bucket width: ~1 ns of simulated time per bucket, matching the event
 /// spacing of the ECI/NIC models that dominate the hot path.
 const WIDTH_PS: u64 = 1024;
-/// Simulated time one rotation of the wheel covers, less the one bucket
-/// that is always left unused so the index mapping stays injective.
-const SPAN_PS: u64 = (NBUCKETS as u64 - 1) * WIDTH_PS;
+/// Simulated time one rotation of the wheel covers.
+const SPAN_PS: u64 = NBUCKETS as u64 * WIDTH_PS;
+/// The horizon's granularity: a quarter rotation, ~262 ns.
+const STEP_PS: u64 = SPAN_PS / 4;
 
 /// One queue entry: a timestamp, a total-order tie-break key, and the
 /// payload, stored inline. The simulator's engine is the one user; its
@@ -101,14 +118,21 @@ pub struct CalendarQueue<T> {
     occ: [u64; OCC_WORDS],
     /// Entries currently in the wheel.
     wheel_len: usize,
-    /// Times at or beyond `horizon` wait here until the wheel rotates
-    /// forward to cover them.
+    /// Times at or beyond `horizon`, sorted ascending.
+    lane: VecDeque<CalEntry<T>>,
+    /// Times at or beyond `horizon` that precede the lane's last entry.
     overflow: BinaryHeap<Reverse<CalEntry<T>>>,
     /// Start of the next untaken bucket; every entry in `cur` is earlier.
     frontier_ps: u64,
-    /// `frontier + SPAN_PS`.
+    /// [`horizon_of`] the frontier: where the wheel ends.
     horizon_ps: u64,
     len: usize,
+}
+
+/// The horizon for a frontier: the last [`STEP_PS`] boundary within one
+/// rotation of it.
+fn horizon_of(frontier_ps: u64) -> u64 {
+    (frontier_ps + SPAN_PS) / STEP_PS * STEP_PS
 }
 
 impl<T: Copy> Default for CalendarQueue<T> {
@@ -125,9 +149,10 @@ impl<T: Copy> CalendarQueue<T> {
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; OCC_WORDS],
             wheel_len: 0,
+            lane: VecDeque::new(),
             overflow: BinaryHeap::new(),
             frontier_ps: 0,
-            horizon_ps: SPAN_PS,
+            horizon_ps: horizon_of(0),
             len: 0,
         }
     }
@@ -148,7 +173,7 @@ impl<T: Copy> CalendarQueue<T> {
         let t = at.as_ps();
         if self.len == 0 {
             // Empty queue: rebase the wheel so `t` lands in its first
-            // bucket instead of trickling through the overflow heap.
+            // bucket instead of trickling through the far tiers.
             self.rebase(t);
         }
         let e = CalEntry { at_ps: t, key, ev };
@@ -161,7 +186,7 @@ impl<T: Copy> CalendarQueue<T> {
         } else if t < self.horizon_ps {
             self.bucket_push(e);
         } else {
-            self.overflow.push(Reverse(e));
+            self.far_push(e);
         }
     }
 
@@ -188,13 +213,15 @@ impl<T: Copy> CalendarQueue<T> {
     pub fn footprint(&self) -> usize {
         self.cur.capacity()
             + self.buckets.iter().map(Vec::capacity).sum::<usize>()
+            + self.lane.capacity()
             + self.overflow.capacity()
     }
 
-    /// Moves the window so its first bucket holds time `t`.
+    /// Moves the window so its first bucket holds time `t`. Only called
+    /// with the wheel empty.
     fn rebase(&mut self, t: u64) {
         self.frontier_ps = t / WIDTH_PS * WIDTH_PS;
-        self.horizon_ps = self.frontier_ps + SPAN_PS;
+        self.horizon_ps = horizon_of(self.frontier_ps);
     }
 
     fn bucket_push(&mut self, e: CalEntry<T>) {
@@ -205,14 +232,36 @@ impl<T: Copy> CalendarQueue<T> {
         self.wheel_len += 1;
     }
 
-    /// Pulls overflow entries the advancing horizon now covers into the
-    /// wheel. Each entry migrates at most once per rotation.
-    fn drain_overflow(&mut self) {
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if e.at_ps >= self.horizon_ps {
+    /// Appends a far entry to the lane unless it precedes the lane's
+    /// last entry; heaps it then.
+    fn far_push(&mut self, e: CalEntry<T>) {
+        if self
+            .lane
+            .back()
+            .is_none_or(|b| b.sort_key() <= e.sort_key())
+        {
+            self.lane.push_back(e);
+        } else {
+            self.overflow.push(Reverse(e));
+        }
+    }
+
+    /// Pulls the far entries the horizon now covers into the wheel. Each
+    /// entry migrates once.
+    fn drain_far(&mut self) {
+        let h = self.horizon_ps;
+        while let Some(&e) = self.lane.front() {
+            if e.at_ps >= h {
                 break;
             }
-            let Reverse(e) = self.overflow.pop().unwrap();
+            self.lane.pop_front();
+            self.bucket_push(e);
+        }
+        while let Some(Reverse(e)) = self.overflow.peek() {
+            if e.at_ps >= h {
+                break;
+            }
+            let Reverse(e) = self.overflow.pop().expect("peeked");
             self.bucket_push(e);
         }
     }
@@ -237,39 +286,51 @@ impl<T: Copy> CalendarQueue<T> {
         unreachable!("occupancy bitmap empty with wheel_len > 0")
     }
 
-    /// Makes `cur` non-empty, advancing (or rebasing) the wheel as
-    /// needed. Returns `false` iff the queue is empty.
+    /// Makes `cur` non-empty, taking the next occupied bucket. Returns
+    /// `false` iff the queue is empty.
     fn refill(&mut self) -> bool {
-        while self.cur.is_empty() {
-            if self.len == 0 {
-                return false;
-            }
-            if self.wheel_len == 0 {
-                // Everything waits beyond the horizon: rebase the window
-                // at the overflow minimum instead of spinning the wheel
-                // across the gap.
-                let m = self.overflow.peek().expect("len > 0").0.at_ps;
-                self.rebase(m);
-                self.drain_overflow();
-            }
-            let start = (self.frontier_ps / WIDTH_PS) as usize & MASK;
-            let d = self.next_occupied(start);
-            let bucket_start = self.frontier_ps + d as u64 * WIDTH_PS;
-            self.rebase(bucket_start + WIDTH_PS);
-            let bi = (bucket_start / WIDTH_PS) as usize & MASK;
-            // Copy the bucket into the (empty) current run rather than
-            // swapping Vecs: a swap would circulate capacities around
-            // the wheel, so a small Vec would keep landing on heavy
-            // positions and reallocate forever. Leaving each Vec at its
-            // position lets every capacity ratchet once to that
-            // position's peak load, after which steady-state operation
-            // touches the allocator not at all.
-            self.cur.extend_from_slice(&self.buckets[bi]);
-            self.buckets[bi].clear();
-            self.wheel_len -= self.cur.len();
-            self.occ[bi >> 6] &= !(1u64 << (bi & 63));
+        if !self.cur.is_empty() {
+            return true;
+        }
+        if self.len == 0 {
+            return false;
+        }
+        if self.wheel_len == 0 {
+            // Everything waits beyond the horizon: rebase the window at
+            // the earliest far entry instead of spinning the wheel
+            // across the gap.
+            let lane = self.lane.front().map(|e| e.at_ps);
+            let heap = self.overflow.peek().map(|Reverse(e)| e.at_ps);
+            let m = lane.into_iter().chain(heap).min().expect("len > 0");
+            self.rebase(m);
+            self.drain_far();
+        }
+        let start = (self.frontier_ps / WIDTH_PS) as usize & MASK;
+        let d = self.next_occupied(start);
+        let bucket_start = self.frontier_ps + d as u64 * WIDTH_PS;
+        let bi = (start + d) & MASK;
+        // Copy the bucket into the (empty) current run rather than
+        // swapping Vecs: a swap would circulate capacities around the
+        // wheel, so a small Vec would keep landing on heavy positions
+        // and reallocate forever. Leaving each Vec at its position lets
+        // every capacity ratchet once to that position's peak load,
+        // after which steady-state operation touches the allocator not
+        // at all.
+        let bucket = &mut self.buckets[bi];
+        if bucket.len() == 1 {
+            self.cur.push(bucket[0]);
+        } else {
+            self.cur.extend_from_slice(bucket);
             self.cur.sort_unstable_by_key(|e| Reverse(e.sort_key()));
-            self.drain_overflow();
+        }
+        bucket.clear();
+        self.wheel_len -= self.cur.len();
+        self.occ[bi >> 6] &= !(1u64 << (bi & 63));
+        self.frontier_ps = bucket_start + WIDTH_PS;
+        let h = horizon_of(self.frontier_ps);
+        if h != self.horizon_ps {
+            self.horizon_ps = h;
+            self.drain_far();
         }
         true
     }
@@ -372,24 +433,126 @@ mod tests {
         assert_eq!((peeked.at_ps, peeked.key, peeked.ev), (3, 1, (1, 2)));
     }
 
+    /// A calendar queue and a binary-heap oracle fed the same entries.
+    struct Checked {
+        q: CalendarQueue<u64>,
+        oracle: BinaryHeap<Reverse<(u64, u64)>>,
+        key: u64,
+    }
+
+    impl Checked {
+        fn push(&mut self, t: u64) {
+            self.q.push(Time::from_ps(t), self.key, self.key);
+            self.oracle.push(Reverse((t, self.key)));
+            self.key += 1;
+        }
+
+        /// Pops one entry from both, checking peek against pop.
+        fn pop(&mut self) -> Option<u64> {
+            let peeked = self.q.peek().map(|e| (e.at_ps, e.key));
+            let got = self.q.pop().map(|e| {
+                assert_eq!(e.ev, e.key, "payload travels with its entry");
+                (e.at_ps, e.key)
+            });
+            assert_eq!(peeked, got, "peek disagrees with pop");
+            assert_eq!(got, self.oracle.pop().map(|Reverse(p)| p));
+            got.map(|(t, _)| t)
+        }
+    }
+
+    #[test]
+    fn far_bursts_and_stragglers_match_a_heap() {
+        // Nondecreasing far bursts (the lane), far pushes that precede
+        // the burst's tail (the heap), near follow-ups (the wheel), and
+        // full drains after which time restarts lower (a rebase).
+        let mut c = Checked {
+            q: CalendarQueue::new(),
+            oracle: BinaryHeap::new(),
+            key: 0,
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut now = 0u64;
+        for round in 0..8u64 {
+            let mut t = now;
+            for _ in 0..2_000 {
+                t += rnd() % 20_000;
+                c.push(t);
+            }
+            for _ in 0..300 {
+                c.push(now + 2_000_000 + rnd() % 15_000_000);
+            }
+            assert!(c.q.lane.len() > 1_000, "the burst went to the lane");
+            assert!(!c.q.overflow.is_empty(), "stragglers went to the heap");
+            // Odd rounds drain the queue; even rounds stop halfway.
+            let pops = if round % 2 == 1 { usize::MAX } else { 1_200 };
+            for _ in 0..pops {
+                let Some(at) = c.pop() else { break };
+                now = at;
+                match rnd() % 8 {
+                    0..=3 => c.push(now + rnd() % 5_000),
+                    4 => c.push(now + 1_500_000 + rnd() % 3_000_000),
+                    _ => {}
+                }
+            }
+            if c.q.is_empty() {
+                now = rnd() % 1_000;
+            }
+        }
+        while c.pop().is_some() {}
+        assert!(c.oracle.is_empty());
+    }
+
+    #[test]
+    fn an_in_order_far_burst_leaves_the_heap_unallocated() {
+        // `eci_mix`'s shape: 5,000 admissions one FPGA clock apart, all
+        // pushed before the first pop, reaching ~16.7 µs past a ~1 µs
+        // wheel.
+        let mut q = CalendarQueue::new();
+        for k in 0..5_000u64 {
+            q.push(Time::from_ps(k * 3_333), k, k);
+        }
+        assert!(q.lane.len() > 4_500, "the burst waits in the lane");
+        let mut last = None;
+        while let Some(e) = q.pop() {
+            assert!(last < Some((e.at_ps, e.key)), "pops out of order");
+            last = Some((e.at_ps, e.key));
+        }
+        assert_eq!(last, Some((4_999 * 3_333, 4_999)));
+        assert_eq!(q.overflow.capacity(), 0, "the heap was allocated");
+    }
+
     #[test]
     fn footprint_stays_bounded_under_churn() {
-        // Retained capacity must reach a steady state: after one long
-        // churn phase has primed every tier, an identical second phase
-        // may not grow the footprint at all.
-        let mut q = CalendarQueue::new();
-        let mut key = 0u64;
-        let mut now = 0u64;
-        let mut churn = |q: &mut CalendarQueue<u64>| {
-            for _ in 0..200_000 {
-                if let Some(e) = q.pop() {
-                    now = e.at_ps;
-                }
-                q.push(Time::from_ps(now + 1 + key % 50_000), key, key);
-                key += 1;
+        // Retained capacity must reach a steady state: once one churn
+        // phase has primed every tier, replaying it from time zero may
+        // not grow the footprint at all. The churn keeps 2,000 entries
+        // pending: mostly near (the wheel and the current run), some a
+        // few µs ahead in time order (the lane), some before the lane's
+        // tail (the heap).
+        fn churn(q: &mut CalendarQueue<u64>) {
+            for key in 0..2_000u64 {
+                q.push(Time::from_ps(1 + key % 50_000), key, key);
             }
-        };
+            for key in 2_000..200_000u64 {
+                let now = q.pop().expect("the churn keeps entries pending").at_ps;
+                let at = match key % 16 {
+                    0 => now + 4_000_000,
+                    1 => now + 2_000_000 + key % 1_000_000,
+                    _ => now + 1 + key % 50_000,
+                };
+                q.push(Time::from_ps(at), key, key);
+            }
+            while q.pop().is_some() {}
+        }
+        let mut q = CalendarQueue::new();
         churn(&mut q);
+        assert!(q.lane.capacity() > 0 && q.overflow.capacity() > 0);
         let primed = q.footprint();
         churn(&mut q);
         assert_eq!(

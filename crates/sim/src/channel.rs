@@ -51,10 +51,13 @@ impl ChannelConfig {
 
     /// Pure serialization time for `payload` bytes plus framing overhead.
     pub fn serialization_time(&self, payload_bytes: u64) -> Duration {
-        Duration::serialization(
-            payload_bytes + self.frame_overhead_bytes,
-            self.effective_bits_per_sec(),
-        )
+        self.serialization_at(payload_bytes, self.effective_bits_per_sec())
+    }
+
+    /// [`ChannelConfig::serialization_time`] at an effective rate the
+    /// caller already has.
+    fn serialization_at(&self, payload_bytes: u64, bits_per_sec: u64) -> Duration {
+        Duration::serialization(payload_bytes + self.frame_overhead_bytes, bits_per_sec)
     }
 }
 
@@ -88,6 +91,8 @@ impl Transfer {
 #[derive(Debug, Clone)]
 pub struct Channel {
     config: ChannelConfig,
+    /// [`ChannelConfig::effective_bits_per_sec`], computed once.
+    rate: u64,
     /// Sorted, disjoint, merged busy intervals in picoseconds.
     busy: Vec<(u64, u64)>,
     /// No transfer is submitted before this instant, in picoseconds
@@ -111,6 +116,7 @@ impl Channel {
             "coding efficiency must be in (0, 1]"
         );
         Channel {
+            rate: config.effective_bits_per_sec(),
             config,
             busy: Vec::new(),
             floor: 0,
@@ -224,11 +230,18 @@ impl Channel {
         self.transfers
     }
 
+    /// Wire time of a `payload_bytes` transfer in picoseconds, framing
+    /// included, at the cached rate.
+    fn wire_ps(&self, payload_bytes: u64) -> u64 {
+        let ser = self.config.serialization_at(payload_bytes, self.rate);
+        ser.as_ps().max(1)
+    }
+
     /// Submits a `payload_bytes` transfer at time `now`, returning its
     /// timing. The transfer takes the first idle slot at or after `now`.
     pub fn send(&mut self, now: Time, payload_bytes: u64) -> Transfer {
         self.check_floor(now);
-        let ser = self.config.serialization_time(payload_bytes).as_ps().max(1);
+        let ser = self.wire_ps(payload_bytes);
         let start = self.start_of(now.as_ps(), ser);
         self.occupy(start, start + ser);
         self.bytes_carried += payload_bytes;
@@ -243,7 +256,7 @@ impl Channel {
     /// committing it.
     pub fn peek_done(&self, now: Time, payload_bytes: u64) -> Time {
         self.check_floor(now);
-        let ser = self.config.serialization_time(payload_bytes).as_ps().max(1);
+        let ser = self.wire_ps(payload_bytes);
         let start = self.start_of(now.as_ps(), ser);
         Time::from_ps(start + ser) + self.config.propagation
     }

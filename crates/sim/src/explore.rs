@@ -1275,7 +1275,7 @@ mod tests {
 
     /// `true` unless a thread of this process is named like the
     /// explore worker (or the process's threads cannot be listed).
-    fn no_worker_thread_is_left() -> bool {
+    fn no_worker_thread_listed() -> bool {
         let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
             return true;
         };
@@ -1283,6 +1283,23 @@ mod tests {
             std::fs::read_to_string(task.path().join("comm"))
                 .map_or(true, |comm| comm.trim_end() != pipeline::WORKER_NAME)
         })
+    }
+
+    /// `true` once no explore worker thread is listed. A joined thread's
+    /// `/proc/self/task` entry can outlive `join` for a moment, so this
+    /// polls for up to a second; a worker that was never joined stays
+    /// listed and fails it.
+    fn no_worker_thread_is_left() -> bool {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        loop {
+            if no_worker_thread_listed() {
+                return true;
+            }
+            if std::time::Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     /// A search's outputs, with the counterexample rendered.

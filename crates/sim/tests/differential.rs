@@ -10,8 +10,10 @@
 //! queue disciplines could diverge: bursts of same-timestamp events (FIFO
 //! tie order), partial runs that step while the peeked next event lies
 //! before a deadline (the calendar queue's peek-and-refill path),
-//! handler-scheduled follow-ups, and full drains followed by `rewind`
-//! (which the calendar queue answers with a window rebase).
+//! handler-scheduled follow-ups, full drains followed by `rewind`
+//! (which the calendar queue answers with a window rebase), and bursts
+//! scheduled in time order far past the wheel (the calendar queue's
+//! sorted lane) with later pushes landing before their tail (its heap).
 
 use enzian_sim::{reference, Duration, Fnv, Model, Scheduler, SimRng, Simulator, Time};
 
@@ -159,6 +161,71 @@ fn random_schedules_agree_across_cores() {
         );
         assert_eq!(new, old, "cores diverged on seed {seed}");
         assert!(new.1 > 0, "seed {seed} fired nothing — script too weak");
+    }
+}
+
+/// Admissions in one `eci_mix`-shaped burst.
+const BURST: u64 = 5_000;
+
+/// Runs `eci_mix`-shaped rounds on a core, like [`drive!`]: each round
+/// issues a burst of [`BURST`] events one FPGA clock (3,333 ps) apart in
+/// time order, reaching ~16.7 µs past the calendar wheel's ~1 µs, whose
+/// handlers schedule near follow-ups. Halfway through the burst's span a
+/// second, shorter burst lands before the first one's tail. Then the
+/// core drains and rewinds.
+macro_rules! drive_bursts {
+    ($sim:expr, $seed:expr, $schedule:expr) => {{
+        let mut sim = $sim;
+        let schedule = $schedule;
+        let mut script = SimRng::seed_from($seed ^ 0xb0_5e11);
+        let mut runs = Fnv::new();
+        let burst = |sim: &mut _, n: u64, script: &mut SimRng| {
+            for i in 0..n {
+                let tag = script.next_u64();
+                let ev = if tag.is_multiple_of(5) {
+                    Ev::Mark { tag }
+                } else {
+                    Ev::Chain { tag, depth: 3 }
+                };
+                schedule(sim, Duration::from_ps(3_333 * i), ev);
+            }
+        };
+        for _ in 0..3 {
+            burst(&mut sim, BURST, &mut script);
+            let deadline = Time::from_ps(3_333 * BURST / 2);
+            let mut ran = 0u64;
+            while sim.next_event_at().is_some_and(|t| t < deadline) {
+                sim.step();
+                ran += 1;
+            }
+            runs.u64(ran);
+            burst(&mut sim, BURST / 4, &mut script);
+            runs.u64(sim.run());
+            runs.u64(sim.now().as_ps());
+            sim.rewind();
+        }
+        let m = sim.into_model();
+        (m.digest.finish(), m.fired, runs.finish())
+    }};
+}
+
+#[test]
+fn eci_shaped_bursts_agree_across_cores() {
+    for seed in 0..4u64 {
+        let new = drive_bursts!(
+            Simulator::new(Trace::new(seed)),
+            seed,
+            |sim: &mut Simulator<Trace>, d, ev| sim.schedule_in(d, ev)
+        );
+        let old = drive_bursts!(
+            reference::Simulator::new(Trace::new(seed)),
+            seed,
+            |sim: &mut reference::Simulator<Trace>, d, ev: Ev| {
+                sim.schedule_in(d, move |m: &mut Trace, s| reference_fire(m, s, ev))
+            }
+        );
+        assert_eq!(new, old, "cores diverged on seed {seed}");
+        assert!(new.1 > 3 * BURST, "seed {seed} fired too little");
     }
 }
 
