@@ -18,7 +18,7 @@ use enzian_cache::moesi::{check_global_invariant, LineState};
 use enzian_mem::{CacheLine, NodeId};
 use enzian_sim::FxHashMap;
 
-use crate::message::{Message, MessageKind, TxnId};
+use crate::message::{Message, Opcode, TxnId};
 
 /// A specification violation found by the checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +107,7 @@ pub struct ProtocolChecker {
     // Last-known state of each line in each node's cache.
     states: FxHashMap<CacheLine, [LineState; 2]>,
     // Outstanding request transactions awaiting a response.
-    outstanding: FxHashMap<TxnId, &'static str>,
+    outstanding: FxHashMap<TxnId, Opcode>,
     violations: Vec<CheckerError>,
     transitions_checked: u64,
     messages_checked: u64,
@@ -152,33 +152,29 @@ impl ProtocolChecker {
 
     /// Observes a protocol message, enforcing request/response pairing.
     pub fn observe_message(&mut self, msg: &Message) -> Result<(), CheckerError> {
+        self.observe(msg.txn, msg.kind.opcode())
+    }
+
+    /// [`ProtocolChecker::observe_message`] from the parts pairing
+    /// reads: the message's transaction id and opcode.
+    pub(crate) fn observe(&mut self, txn: TxnId, op: Opcode) -> Result<(), CheckerError> {
         self.messages_checked += 1;
-        use MessageKind::*;
-        match &msg.kind {
+        use Opcode::*;
+        match op {
             // Requests open a transaction.
-            ReadShared(_)
-            | ReadExclusive(_)
-            | Upgrade(_)
-            | ReadOnce(_)
-            | WriteLine(..)
-            | IoRead { .. }
-            | IoWrite { .. } => {
-                if self
-                    .outstanding
-                    .insert(msg.txn, msg.kind.mnemonic())
-                    .is_some()
-                {
-                    let e = CheckerError::DuplicateTransaction { txn: msg.txn };
+            ReadShared | ReadExclusive | Upgrade | ReadOnce | WriteLine | IoRead | IoWrite => {
+                if self.outstanding.insert(txn, op).is_some() {
+                    let e = CheckerError::DuplicateTransaction { txn };
                     self.violations.push(e.clone());
                     return Err(e);
                 }
             }
             // Responses close it.
-            DataShared(..) | DataExclusive(..) | Ack(_) | IoData { .. } | IoAck { .. } => {
-                if self.outstanding.remove(&msg.txn).is_none() {
+            DataShared | DataExclusive | Ack | IoData | IoAck => {
+                if self.outstanding.remove(&txn).is_none() {
                     let e = CheckerError::UnsolicitedResponse {
-                        txn: msg.txn,
-                        mnemonic: msg.kind.mnemonic(),
+                        txn,
+                        mnemonic: op.mnemonic(),
                     };
                     self.violations.push(e.clone());
                     return Err(e);
@@ -186,13 +182,8 @@ impl ProtocolChecker {
             }
             // Probes and their acks pair within the home transaction;
             // victims and IPIs are fire-and-forget.
-            ProbeShared(_)
-            | ProbeInvalidate(_)
-            | ProbeAckData(..)
-            | ProbeAck(_)
-            | VictimDirty(..)
-            | VictimClean(_)
-            | Ipi { .. } => {}
+            ProbeShared | ProbeInvalidate | ProbeAckData | ProbeAck | VictimDirty | VictimClean
+            | Ipi => {}
         }
         Ok(())
     }
@@ -238,6 +229,7 @@ impl ProtocolChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::MessageKind;
     use enzian_mem::Addr;
 
     fn line() -> CacheLine {

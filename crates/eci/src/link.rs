@@ -16,7 +16,7 @@
 //! * a selectable [`LinkPolicy`] (single link, round-robin, or by
 //!   address) matching the boot-time configuration knob.
 
-use enzian_mem::NodeId;
+use enzian_mem::{CacheLine, NodeId};
 use enzian_sim::telemetry::MetricsRegistry;
 use enzian_sim::{Channel, ChannelConfig, Duration, FaultPlan, Time};
 
@@ -262,6 +262,28 @@ pub struct SendOutcome {
     pub retransmissions: u8,
 }
 
+/// What the link layer reads of a message: where it goes, the line it
+/// concerns (for [`LinkPolicy::ByAddress`]), its virtual channel and its
+/// size on the link.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame {
+    pub(crate) dst: NodeId,
+    pub(crate) line: Option<CacheLine>,
+    pub(crate) vc: VirtualChannel,
+    pub(crate) bytes: u64,
+}
+
+impl Frame {
+    pub(crate) fn of(msg: &Message) -> Self {
+        Frame {
+            dst: msg.dst,
+            line: msg.kind.line(),
+            vc: msg.virtual_channel(),
+            bytes: msg.link_bytes(),
+        }
+    }
+}
+
 /// The pair of ECI links between the CPU and FPGA.
 #[derive(Debug, Clone)]
 pub struct EciLinks {
@@ -407,12 +429,12 @@ impl EciLinks {
         }
     }
 
-    fn pick_link(&mut self, msg: &Message) -> u8 {
+    fn pick_link(&mut self, frame: &Frame) -> u8 {
         // Round-robin state is kept per direction: the two directions are
         // physically independent wire pairs, and a shared counter would
         // let an alternating request/response pattern pin each direction
         // to a single link.
-        let dir = match msg.dst {
+        let dir = match frame.dst {
             NodeId::Cpu => 0,
             NodeId::Fpga => 1,
         };
@@ -423,7 +445,7 @@ impl EciLinks {
                 self.rr_next[dir] ^= 1;
                 i
             }
-            LinkPolicy::ByAddress => match msg.kind.line() {
+            LinkPolicy::ByAddress => match frame.line {
                 Some(line) => (line.0 & 1) as u8,
                 None => {
                     let i = self.rr_next[dir];
@@ -441,7 +463,7 @@ impl EciLinks {
     ///
     /// Panics if no link is up.
     pub fn send(&mut self, now: Time, msg: &Message) -> SendOutcome {
-        self.send_impl(now, msg, None)
+        self.send_frame(now, Frame::of(msg), None)
     }
 
     /// [`send`](EciLinks::send) under a fault plan: presents one
@@ -459,12 +481,18 @@ impl EciLinks {
     ///
     /// Panics if no link is up.
     pub fn send_faulty(&mut self, now: Time, msg: &Message, plan: &mut FaultPlan) -> SendOutcome {
-        self.send_impl(now, msg, Some(plan))
+        self.send_frame(now, Frame::of(msg), Some(plan))
     }
 
-    fn send_impl(&mut self, now: Time, msg: &Message, plan: Option<&mut FaultPlan>) -> SendOutcome {
+    /// [`send`](EciLinks::send), or [`send_faulty`](EciLinks::send_faulty)
+    /// under `plan`, of the parts of a message the link layer reads.
+    pub(crate) fn send_frame(
+        &mut self,
+        now: Time,
+        frame: Frame,
+        mut plan: Option<&mut FaultPlan>,
+    ) -> SendOutcome {
         self.poll(now);
-        let mut plan = plan;
         // Lane failures strike before routing, so the victim's traffic
         // falls back to the surviving link. Injection is suppressed
         // unless both links are up: degradation must never take the
@@ -487,7 +515,7 @@ impl EciLinks {
                 }
             }
         }
-        let mut idx = self.pick_link(msg);
+        let mut idx = self.pick_link(&frame);
         if !matches!(self.links[usize::from(idx)].state, LinkState::Up { .. }) {
             idx ^= 1;
             self.fallbacks += 1;
@@ -496,14 +524,14 @@ impl EciLinks {
             matches!(self.links[usize::from(idx)].state, LinkState::Up { .. }),
             "no ECI link is up"
         );
-        let bytes = msg.link_bytes();
-        let vc = msg.virtual_channel().index();
+        let bytes = frame.bytes;
+        let vc = frame.vc.index();
         let credit_return = self.config.credit_return;
         let replay_timeout = self.config.replay_timeout;
         let nak_return = self.config.propagation;
         self.next_seq[usize::from(idx)] += 1;
         let link = &mut self.links[usize::from(idx)];
-        let dir = match msg.dst {
+        let dir = match frame.dst {
             NodeId::Cpu => &mut link.to_cpu,
             NodeId::Fpga => &mut link.to_fpga,
         };

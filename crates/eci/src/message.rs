@@ -105,54 +105,158 @@ pub enum MessageKind {
     },
 }
 
+/// A [`MessageKind`] without its fields: what the link layer and the
+/// protocol checker read of a message besides its routing, and all the
+/// transaction engine keeps of a coherence message while it is in flight
+/// (the line and the transaction id travel beside it, the 128-byte line
+/// stays where it already is).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Opcode {
+    ReadShared,
+    ReadExclusive,
+    Upgrade,
+    ReadOnce,
+    WriteLine,
+    ProbeShared,
+    ProbeInvalidate,
+    DataShared,
+    DataExclusive,
+    Ack,
+    ProbeAckData,
+    ProbeAck,
+    VictimDirty,
+    VictimClean,
+    IoRead,
+    IoWrite,
+    IoData,
+    IoAck,
+    Ipi,
+}
+
+impl Opcode {
+    /// The virtual channel this kind travels on.
+    pub(crate) fn virtual_channel(self) -> VirtualChannel {
+        use Opcode::*;
+        match self {
+            ReadShared | ReadExclusive | Upgrade | ReadOnce | WriteLine => VirtualChannel::Request,
+            ProbeShared | ProbeInvalidate => VirtualChannel::Forward,
+            DataShared | DataExclusive | Ack | ProbeAckData | ProbeAck => VirtualChannel::Response,
+            VictimDirty | VictimClean => VirtualChannel::Eviction,
+            IoRead | IoWrite | IoData | IoAck | Ipi => VirtualChannel::Io,
+        }
+    }
+
+    /// Whether the message carries a 128-byte line.
+    pub(crate) fn carries_line(self) -> bool {
+        use Opcode::*;
+        matches!(
+            self,
+            WriteLine | DataShared | DataExclusive | ProbeAckData | VictimDirty
+        )
+    }
+
+    /// Size on the physical link of a message of this kind with
+    /// `payload_bytes` of payload (see [`Message::link_bytes`]).
+    pub(crate) fn link_bytes(self, payload_bytes: u64) -> u64 {
+        use Opcode::*;
+        let ext = match self {
+            DataShared | DataExclusive | ProbeAckData => 8,
+            _ => 0,
+        };
+        16 + ext + payload_bytes
+    }
+
+    /// Whether this kind is a request expecting a reply.
+    pub(crate) fn expects_reply(self) -> bool {
+        use Opcode::*;
+        matches!(
+            self,
+            ReadShared
+                | ReadExclusive
+                | Upgrade
+                | ReadOnce
+                | WriteLine
+                | ProbeShared
+                | ProbeInvalidate
+                | IoRead
+                | IoWrite
+        )
+    }
+
+    /// A short mnemonic, as the trace decoder prints it.
+    pub(crate) fn mnemonic(self) -> &'static str {
+        use Opcode::*;
+        match self {
+            ReadShared => "RDS",
+            ReadExclusive => "RDE",
+            Upgrade => "UPG",
+            ReadOnce => "RDO",
+            WriteLine => "WRL",
+            ProbeShared => "PRS",
+            ProbeInvalidate => "PRI",
+            DataShared => "DSH",
+            DataExclusive => "DEX",
+            Ack => "ACK",
+            ProbeAckData => "PAD",
+            ProbeAck => "PAK",
+            VictimDirty => "VCD",
+            VictimClean => "VCC",
+            IoRead => "IOR",
+            IoWrite => "IOW",
+            IoData => "IOD",
+            IoAck => "IOA",
+            Ipi => "IPI",
+        }
+    }
+}
+
 impl MessageKind {
+    /// The kind without its fields.
+    pub(crate) fn opcode(&self) -> Opcode {
+        use MessageKind::*;
+        match self {
+            ReadShared(_) => Opcode::ReadShared,
+            ReadExclusive(_) => Opcode::ReadExclusive,
+            Upgrade(_) => Opcode::Upgrade,
+            ReadOnce(_) => Opcode::ReadOnce,
+            WriteLine(..) => Opcode::WriteLine,
+            ProbeShared(_) => Opcode::ProbeShared,
+            ProbeInvalidate(_) => Opcode::ProbeInvalidate,
+            DataShared(..) => Opcode::DataShared,
+            DataExclusive(..) => Opcode::DataExclusive,
+            Ack(_) => Opcode::Ack,
+            ProbeAckData(..) => Opcode::ProbeAckData,
+            ProbeAck(_) => Opcode::ProbeAck,
+            VictimDirty(..) => Opcode::VictimDirty,
+            VictimClean(_) => Opcode::VictimClean,
+            IoRead { .. } => Opcode::IoRead,
+            IoWrite { .. } => Opcode::IoWrite,
+            IoData { .. } => Opcode::IoData,
+            IoAck { .. } => Opcode::IoAck,
+            Ipi { .. } => Opcode::Ipi,
+        }
+    }
+
     /// The virtual channel this kind travels on. The assignment is the
     /// deadlock-avoidance core of the protocol: requests can never block
     /// behind responses.
     pub fn virtual_channel(&self) -> VirtualChannel {
-        use MessageKind::*;
-        match self {
-            ReadShared(_) | ReadExclusive(_) | Upgrade(_) | ReadOnce(_) | WriteLine(..) => {
-                VirtualChannel::Request
-            }
-            ProbeShared(_) | ProbeInvalidate(_) => VirtualChannel::Forward,
-            DataShared(..) | DataExclusive(..) | Ack(_) | ProbeAckData(..) | ProbeAck(_) => {
-                VirtualChannel::Response
-            }
-            VictimDirty(..) | VictimClean(_) => VirtualChannel::Eviction,
-            IoRead { .. } | IoWrite { .. } | IoData { .. } | IoAck { .. } | Ipi { .. } => {
-                VirtualChannel::Io
-            }
-        }
+        self.opcode().virtual_channel()
     }
 
     /// Bytes of payload the message carries beyond its header.
     pub fn payload_bytes(&self) -> u64 {
-        use MessageKind::*;
         match self {
-            WriteLine(..) | DataShared(..) | DataExclusive(..) | ProbeAckData(..)
-            | VictimDirty(..) => CACHE_LINE_BYTES,
-            IoWrite { size, .. } => u64::from(*size),
-            IoData { .. } => 8,
+            MessageKind::IoWrite { size, .. } => u64::from(*size),
+            MessageKind::IoData { .. } => 8,
+            kind if kind.opcode().carries_line() => CACHE_LINE_BYTES,
             _ => 0,
         }
     }
 
     /// Whether this kind is a request expecting a reply.
     pub fn expects_reply(&self) -> bool {
-        use MessageKind::*;
-        matches!(
-            self,
-            ReadShared(_)
-                | ReadExclusive(_)
-                | Upgrade(_)
-                | ReadOnce(_)
-                | WriteLine(..)
-                | ProbeShared(_)
-                | ProbeInvalidate(_)
-                | IoRead { .. }
-                | IoWrite { .. }
-        )
+        self.opcode().expects_reply()
     }
 
     /// The cache line the message concerns, when it concerns one.
@@ -179,28 +283,7 @@ impl MessageKind {
 
     /// A short mnemonic, as the trace decoder prints it.
     pub fn mnemonic(&self) -> &'static str {
-        use MessageKind::*;
-        match self {
-            ReadShared(_) => "RDS",
-            ReadExclusive(_) => "RDE",
-            Upgrade(_) => "UPG",
-            ReadOnce(_) => "RDO",
-            WriteLine(..) => "WRL",
-            ProbeShared(_) => "PRS",
-            ProbeInvalidate(_) => "PRI",
-            DataShared(..) => "DSH",
-            DataExclusive(..) => "DEX",
-            Ack(_) => "ACK",
-            ProbeAckData(..) => "PAD",
-            ProbeAck(_) => "PAK",
-            VictimDirty(..) => "VCD",
-            VictimClean(_) => "VCC",
-            IoRead { .. } => "IOR",
-            IoWrite { .. } => "IOW",
-            IoData { .. } => "IOD",
-            IoAck { .. } => "IOA",
-            Ipi { .. } => "IPI",
-        }
+        self.opcode().mnemonic()
     }
 }
 
@@ -249,12 +332,7 @@ impl Message {
     /// state and completion metadata). The 24-byte [`crate::wire`] header
     /// is the richer trace format, not what crosses the wire.
     pub fn link_bytes(&self) -> u64 {
-        use MessageKind::*;
-        let ext = match &self.kind {
-            DataShared(..) | DataExclusive(..) | ProbeAckData(..) => 8,
-            _ => 0,
-        };
-        16 + ext + self.kind.payload_bytes()
+        self.kind.opcode().link_bytes(self.kind.payload_bytes())
     }
 
     /// The virtual channel this message travels on.

@@ -36,9 +36,14 @@
 //! protocol transaction id, flags and delivery time. The engine
 //! schedules it as it is: it is one variant of the engine's
 //! [`Model::Event`], the other being an engine-level VC credit coming
-//! back. So a transaction schedules no closures and allocates nothing
-//! but the data boxes of the messages it sends. A nested chain (probe,
-//! then fill, then finish) is a "next step" carried by the step itself.
+//! back. A message the engine sends is a `Copy` `Wire` beside the step
+//! it is sent with: its opcode, its sender and where its line is
+//! kept (the step carries the line address and transaction id). The
+//! link layer and the checker read only those parts; a [`Message`] with
+//! its line bytes is built only when trace capture is on. So a
+//! transaction schedules no closures and allocates nothing. A nested
+//! chain (probe, then fill, then finish) is a "next step" carried by the
+//! step itself.
 //! Completions wait in a window indexed by handle (handles are
 //! sequential) until taken; the record stays in its slot until then.
 //!
@@ -75,8 +80,8 @@ use std::collections::VecDeque;
 use crate::checker::ProtocolChecker;
 use crate::decoder::TraceBuffer;
 use crate::directory::{Directory, RemoteCopy};
-use crate::link::{EciLinkConfig, EciLinks, LinkPolicy, VirtualChannel};
-use crate::message::{Message, MessageKind, TxnId};
+use crate::link::{EciLinkConfig, EciLinks, Frame, LinkPolicy, VirtualChannel};
+use crate::message::{Message, MessageKind, Opcode, TxnId};
 use crate::txn::{
     Admitted, EngineStats, MshrTable, OpKind, TxnCompletion, TxnHandle, TxnOp, TxnStatus,
 };
@@ -342,7 +347,8 @@ struct Step {
     txn: TxnId,
     flags: u8,
     /// When the awaited message was delivered (for [`StepKind::Finish`],
-    /// the completion time).
+    /// the completion time; while its send waits for a VC credit, the
+    /// time the send is ready).
     delivered: Time,
 }
 
@@ -401,11 +407,75 @@ struct TxnRecord {
 // it stays within half a cache line.
 const _: () = assert!(std::mem::size_of::<Option<TxnRecord>>() <= 32);
 
-/// A send waiting for an engine-level VC credit.
-struct QueuedSend {
-    ready: Time,
-    msg: Message,
-    step: Step,
+/// A coherence message as the engine sends it: `Copy`, and without its
+/// line bytes. Its line and transaction id are those of the [`Step`] it
+/// is sent with, and it goes to the peer of `src`. The [`Message`] it
+/// stands for is built only for trace capture.
+#[derive(Debug, Clone, Copy)]
+struct Wire {
+    op: Opcode,
+    src: NodeId,
+    /// Where its line is kept until it is emitted.
+    data: LineAt,
+}
+
+/// Where the line of a [`Wire`] is kept until the wire is emitted.
+#[derive(Debug, Clone, Copy)]
+enum LineAt {
+    /// Nowhere: the wire carries no line, or trace capture is off.
+    Nowhere,
+    /// In the line buffer of the sending step's transaction: its payload,
+    /// or the data it captured.
+    Txn,
+    /// In entry `i` of the engine's [`LinePool`].
+    Pool(u32),
+}
+
+impl Wire {
+    /// A wire that carries no line, or the line of its step's
+    /// transaction.
+    fn new(op: Opcode, src: NodeId) -> Self {
+        let data = if op.carries_line() {
+            LineAt::Txn
+        } else {
+            LineAt::Nowhere
+        };
+        Wire { op, src, data }
+    }
+}
+
+// A send waiting for an engine-level VC credit is a wire and its step,
+// moved into the queue and out again: they stay within 48 bytes.
+const _: () = assert!(std::mem::size_of::<(Wire, Step)>() <= 48);
+
+/// Lines of messages whose bytes have no other home (data read from a
+/// home's memory for a fill, a probe ack or an L2 victim), kept from when
+/// the message is made until it is emitted. Used only under trace
+/// capture; entries recycle through a free stack.
+struct LinePool {
+    lines: Vec<[u8; 128]>,
+    free: Vec<u32>,
+}
+
+impl LinePool {
+    fn put(&mut self, line: [u8; 128]) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.lines[i as usize] = line;
+                i
+            }
+            None => {
+                self.lines.push(line);
+                u32::try_from(self.lines.len() - 1).expect("line pool overflow")
+            }
+        }
+    }
+
+    /// Returns entry `i` and frees it.
+    fn take(&mut self, i: u32) -> [u8; 128] {
+        self.free.push(i);
+        self.lines[i as usize]
+    }
 }
 
 /// Transaction records by slot, from issue until the completion is
@@ -557,13 +627,19 @@ impl CompletionWindow {
 /// Per-(node, VC) output-queue state.
 struct VcState {
     free: u32,
-    waiting: VecDeque<QueuedSend>,
+    /// Sends waiting for a credit, each with its step (see
+    /// [`Step::delivered`]).
+    waiting: VecDeque<(Wire, Step)>,
 }
 
 /// The simulation model: all protocol and platform state. Event handlers
 /// run against this; [`EciSystem`] wraps it in a [`Simulator`].
 struct EngineCore {
     cfg: EciSystemConfig,
+    /// One FPGA clock cycle.
+    fpga_cycle: Duration,
+    /// The FPGA pipeline delay charged on each message issue and receive.
+    fpga_delay: Duration,
     links: EciLinks,
     l2: L2Cache,
     cpu_mem: MemoryController,
@@ -574,6 +650,8 @@ struct EngineCore {
     dir_fpga: Directory,
     checker: ProtocolChecker,
     trace: TraceBuffer,
+    /// Lines of captured messages that have no other home.
+    lines: LinePool,
     io_regs: [FxHashMap<u64, u64>; 2],
     pending_ipis: [Vec<u8>; 2],
     next_txn: u32,
@@ -603,7 +681,10 @@ impl Model for EngineCore {
 
 impl EngineCore {
     fn new(cfg: EciSystemConfig) -> Self {
+        let fpga_cycle = Duration::from_hz(cfg.fpga_clock_hz);
         EngineCore {
+            fpga_cycle,
+            fpga_delay: fpga_cycle * u64::from(cfg.fpga_pipeline_cycles),
             links: EciLinks::new_trained(cfg.link, cfg.policy),
             l2: L2Cache::new(cfg.l2),
             cpu_mem: MemoryController::new(cfg.cpu_mem),
@@ -612,6 +693,10 @@ impl EngineCore {
             dir_fpga: Directory::new(),
             checker: ProtocolChecker::new(),
             trace: TraceBuffer::new(),
+            lines: LinePool {
+                lines: Vec::new(),
+                free: Vec::new(),
+            },
             io_regs: Default::default(),
             pending_ipis: [Vec::new(), Vec::new()],
             next_txn: 0,
@@ -633,28 +718,91 @@ impl EngineCore {
         }
     }
 
-    fn fpga_delay(&self) -> Duration {
-        Duration::from_hz(self.cfg.fpga_clock_hz) * u64::from(self.cfg.fpga_pipeline_cycles)
-    }
-
     fn txn(&mut self) -> TxnId {
         self.next_txn = self.next_txn.wrapping_add(1);
         TxnId(self.next_txn)
     }
 
-    fn emit(&mut self, at: Time, msg: &Message) -> Time {
+    /// Emits `wire`, sent with `step`, at `at`; returns when it is
+    /// delivered.
+    fn emit(&mut self, at: Time, wire: Wire, step: &Step) -> Time {
+        if self.cfg.capture_trace {
+            let msg = self.message(wire, step);
+            self.trace.capture(at, &msg);
+        }
+        let payload = if wire.op.carries_line() { 128 } else { 0 };
+        let frame = Frame {
+            dst: wire.src.peer(),
+            line: Some(step.line),
+            vc: wire.op.virtual_channel(),
+            bytes: wire.op.link_bytes(payload),
+        };
+        self.send(at, step.txn, wire.op, frame)
+    }
+
+    /// Emits `msg` at `at`: the synchronous I/O and interrupt path.
+    fn emit_message(&mut self, at: Time, msg: &Message) -> Time {
         if self.cfg.capture_trace {
             self.trace.capture(at, msg);
         }
+        self.send(at, msg.txn, msg.kind.opcode(), Frame::of(msg))
+    }
+
+    /// Shows a message to the checker and puts it on a link; returns
+    /// when it is delivered.
+    fn send(&mut self, at: Time, txn: TxnId, op: Opcode, frame: Frame) -> Time {
         // Checker failures record themselves; they surface via
         // `checker().assert_clean()` at the end of a run. The checker sees
         // each logical message exactly once — frame-level retransmission
         // below happens underneath it.
-        let _ = self.checker.observe_message(msg);
-        match self.faults.as_mut() {
-            Some(plan) => self.links.send_faulty(at, msg, plan).delivered,
-            None => self.links.send(at, msg).delivered,
-        }
+        let _ = self.checker.observe(txn, op);
+        self.links
+            .send_frame(at, frame, self.faults.as_mut())
+            .delivered
+    }
+
+    /// The [`Message`] `wire` stands for, with its line bytes; a pooled
+    /// line is freed.
+    fn message(&mut self, wire: Wire, step: &Step) -> Message {
+        let bytes = match wire.data {
+            LineAt::Nowhere => None,
+            LineAt::Txn => Some(*self.txns.line(step.slot)),
+            LineAt::Pool(i) => Some(self.lines.take(i)),
+        };
+        let data = || Box::new(bytes.expect("a line-carrying wire keeps its line"));
+        let line = step.line;
+        let kind = match wire.op {
+            Opcode::ReadShared => MessageKind::ReadShared(line),
+            Opcode::ReadExclusive => MessageKind::ReadExclusive(line),
+            Opcode::Upgrade => MessageKind::Upgrade(line),
+            Opcode::ReadOnce => MessageKind::ReadOnce(line),
+            Opcode::WriteLine => MessageKind::WriteLine(line, data()),
+            Opcode::ProbeShared => MessageKind::ProbeShared(line),
+            Opcode::ProbeInvalidate => MessageKind::ProbeInvalidate(line),
+            Opcode::DataShared => MessageKind::DataShared(line, data()),
+            Opcode::DataExclusive => MessageKind::DataExclusive(line, data()),
+            Opcode::Ack => MessageKind::Ack(line),
+            Opcode::ProbeAckData => MessageKind::ProbeAckData(line, data()),
+            Opcode::ProbeAck => MessageKind::ProbeAck(line),
+            Opcode::VictimDirty => MessageKind::VictimDirty(line, data()),
+            Opcode::VictimClean => MessageKind::VictimClean(line),
+            Opcode::IoRead | Opcode::IoWrite | Opcode::IoData | Opcode::IoAck | Opcode::Ipi => {
+                unreachable!("I/O and interrupts are sent as messages")
+            }
+        };
+        Message::new(wire.src, wire.src.peer(), step.txn, kind)
+    }
+
+    /// A wire carrying `line` as `home`'s memory holds it now. Only trace
+    /// capture reads the bytes, so only then are they copied aside.
+    fn pooled(&mut self, op: Opcode, src: NodeId, home: NodeId, line: CacheLine) -> Wire {
+        let data = if self.cfg.capture_trace {
+            let bytes = self.home_store(home).read_line(line.base());
+            LineAt::Pool(self.lines.put(bytes))
+        } else {
+            LineAt::Nowhere
+        };
+        Wire { op, src, data }
     }
 
     /// Runs the stall/timeout/retry state machine that fronts every
@@ -721,30 +869,35 @@ impl EngineCore {
     // Engine-level VC queues with credit-based flow control
     // ---------------------------------------------------------------
 
-    /// Sends `msg` on its virtual channel no earlier than `ready`; `step`
-    /// runs at the delivery time. With no engine-level credit free on the
-    /// (source node, VC) queue, the send waits its turn.
-    fn vc_send(&mut self, s: &mut Sched, ready: Time, msg: Message, step: Step) {
-        let n = Self::node_index(msg.src);
-        let v = msg.kind.virtual_channel().index();
-        if self.vcq[n][v].free == 0 {
+    /// Sends `wire` on its virtual channel no earlier than `ready`;
+    /// `step` runs at the delivery time. With no engine-level credit free
+    /// on the (source node, VC) queue, the send waits its turn.
+    fn vc_send(&mut self, s: &mut Sched, ready: Time, wire: Wire, step: Step) {
+        let n = Self::node_index(wire.src);
+        let v = wire.op.virtual_channel().index();
+        let q = &mut self.vcq[n][v];
+        if q.free == 0 {
             self.engine.vc_queue_stalls += 1;
-            self.vcq[n][v]
-                .waiting
-                .push_back(QueuedSend { ready, msg, step });
+            q.waiting.push_back((
+                wire,
+                Step {
+                    delivered: ready,
+                    ..step
+                },
+            ));
             return;
         }
-        self.vcq[n][v].free -= 1;
-        self.dispatch_send(s, ready, msg, step);
+        q.free -= 1;
+        self.dispatch_send(s, ready, wire, step);
     }
 
     /// Emits a credit-holding send and schedules `step` at the delivery
     /// time and the credit's return after it.
-    fn dispatch_send(&mut self, s: &mut Sched, ready: Time, msg: Message, step: Step) {
-        let n = Self::node_index(msg.src);
-        let v = msg.kind.virtual_channel().index();
+    fn dispatch_send(&mut self, s: &mut Sched, ready: Time, wire: Wire, step: Step) {
+        let n = Self::node_index(wire.src);
+        let v = wire.op.virtual_channel().index();
         let at = ready.max(s.now());
-        let delivered = self.emit(at, &msg);
+        let delivered = self.emit(at, wire, &step);
         let credit_back = delivered + self.cfg.link.credit_return;
         s.schedule_at_or_now(
             credit_back,
@@ -759,8 +912,8 @@ impl EngineCore {
     /// A credit came back on queue (`n`, `v`): hand it to the oldest
     /// waiting send, or bank it.
     fn vc_credit_return(&mut self, s: &mut Sched, n: usize, v: usize) {
-        if let Some(q) = self.vcq[n][v].waiting.pop_front() {
-            self.dispatch_send(s, q.ready, q.msg, q.step);
+        if let Some((wire, step)) = self.vcq[n][v].waiting.pop_front() {
+            self.dispatch_send(s, step.delivered, wire, step);
         } else {
             self.vcq[n][v].free += 1;
         }
@@ -784,7 +937,7 @@ impl EngineCore {
             StepKind::FpgaUpgradeAtHome => self.fpga_upgrade_at_home(s, step),
             StepKind::FpgaReleaseAtHome => self.fpga_release_at_home(s, step),
             StepKind::FpgaResponse => {
-                let end = step.delivered + self.fpga_delay();
+                let end = step.delivered + self.fpga_delay;
                 self.finish(s, step.slot, end);
             }
             StepKind::ProbeAtFpga => self.probe_at_fpga(s, step),
@@ -803,14 +956,9 @@ impl EngineCore {
                 self.ret(s, step.slot, done);
             }
             StepKind::RemoteUpgradeAtHome => {
-                let service = step.delivered + self.fpga_delay();
+                let service = step.delivered + self.fpga_delay;
                 self.dir_fpga.grant_owner(step.line);
-                let ack = Message::new(
-                    NodeId::Fpga,
-                    NodeId::Cpu,
-                    step.txn,
-                    MessageKind::Ack(step.line),
-                );
+                let ack = Wire::new(Opcode::Ack, NodeId::Fpga);
                 self.vc_send(s, service, ack, step.then(StepKind::Return));
             }
             StepKind::Return => self.ret(s, step.slot, step.delivered),
@@ -846,9 +994,9 @@ impl EngineCore {
         rec.issued = s.now();
         let addr = rec.addr;
         match rec.op {
-            OpKind::FpgaRead => self.begin_fpga_read(s, slot, addr),
-            OpKind::FpgaWrite => self.begin_fpga_write(s, slot, addr),
-            OpKind::FpgaAcquire { exclusive } => self.begin_fpga_acquire(s, slot, addr, exclusive),
+            OpKind::FpgaRead => self.begin_fpga_read(s, slot),
+            OpKind::FpgaWrite => self.begin_fpga_write(s, slot),
+            OpKind::FpgaAcquire { exclusive } => self.begin_fpga_acquire(s, slot, exclusive),
             OpKind::FpgaUpgrade => self.begin_fpga_upgrade(s, slot, addr),
             OpKind::FpgaRelease { dirty } => self.begin_fpga_release(s, slot, addr, dirty),
             OpKind::CpuRead => self.begin_cpu_read(s, slot, addr),
@@ -920,24 +1068,12 @@ impl EngineCore {
 
     /// Sends an FPGA request to the CPU home one FPGA pipeline after the
     /// transaction began; `kind` runs when it arrives.
-    fn fpga_request(
-        &mut self,
-        s: &mut Sched,
-        slot: u32,
-        msg: MessageKind,
-        kind: StepKind,
-        flags: u8,
-    ) {
-        let issue = s.now() + self.fpga_delay();
+    fn fpga_request(&mut self, s: &mut Sched, slot: u32, op: Opcode, kind: StepKind, flags: u8) {
+        let issue = s.now() + self.fpga_delay;
         let line = self.txns.get(slot).addr.line();
         let txn = self.txn();
         let step = Step::new(kind, slot, line, txn, flags);
-        self.vc_send(
-            s,
-            issue,
-            Message::new(NodeId::Fpga, NodeId::Cpu, txn, msg),
-            step,
-        );
+        self.vc_send(s, issue, Wire::new(op, NodeId::Fpga), step);
     }
 
     /// Occupies the CPU home pipeline for a request delivered at
@@ -960,17 +1096,17 @@ impl EngineCore {
         }
     }
 
-    /// Sends the CPU home's response for `step`'s transaction; the FPGA
-    /// sees it complete one pipeline after delivery.
-    fn cpu_home_respond(&mut self, s: &mut Sched, step: Step, ready: Time, kind: MessageKind) {
-        let rsp = Message::new(NodeId::Cpu, NodeId::Fpga, step.txn, kind);
+    /// Sends the CPU home's response for `step`'s transaction (a data
+    /// grant carries the transaction's captured line); the FPGA sees it
+    /// complete one pipeline after delivery.
+    fn cpu_home_respond(&mut self, s: &mut Sched, step: Step, ready: Time, op: Opcode) {
+        let rsp = Wire::new(op, NodeId::Cpu);
         self.vc_send(s, ready, rsp, step.then(StepKind::FpgaResponse));
     }
 
-    fn begin_fpga_read(&mut self, s: &mut Sched, slot: u32, addr: Addr) {
+    fn begin_fpga_read(&mut self, s: &mut Sched, slot: u32) {
         self.stats.fpga_reads += 1;
-        let msg = MessageKind::ReadOnce(addr.line());
-        self.fpga_request(s, slot, msg, StepKind::FpgaReadAtHome, 0);
+        self.fpga_request(s, slot, Opcode::ReadOnce, StepKind::FpgaReadAtHome, 0);
     }
 
     /// ReadOnce leaves L2 state untouched: no copy is created at the
@@ -981,18 +1117,12 @@ impl EngineCore {
         let data_ready = self.cpu_home_data_ready(line, lookup_done);
         let data = self.cpu_mem.store().read_line(line.base());
         self.txns.capture(step.slot, data);
-        self.cpu_home_respond(
-            s,
-            step,
-            data_ready,
-            MessageKind::DataShared(line, Box::new(data)),
-        );
+        self.cpu_home_respond(s, step, data_ready, Opcode::DataShared);
     }
 
-    fn begin_fpga_write(&mut self, s: &mut Sched, slot: u32, addr: Addr) {
+    fn begin_fpga_write(&mut self, s: &mut Sched, slot: u32) {
         self.stats.fpga_writes += 1;
-        let msg = MessageKind::WriteLine(addr.line(), Box::new(*self.txns.line(slot)));
-        self.fpga_request(s, slot, msg, StepKind::FpgaWriteAtHome, 0);
+        self.fpga_request(s, slot, Opcode::WriteLine, StepKind::FpgaWriteAtHome, 0);
     }
 
     fn fpga_write_at_home(&mut self, s: &mut Sched, step: Step) {
@@ -1007,21 +1137,20 @@ impl EngineCore {
         }
         let data = self.txns.line(step.slot);
         let done = self.cpu_mem.write(lookup_done, line.base(), &data[..]);
-        self.cpu_home_respond(s, step, done, MessageKind::Ack(line));
+        self.cpu_home_respond(s, step, done, Opcode::Ack);
     }
 
     // ---------------------------------------------------------------
     // FPGA-side cached lines (remote-memory research path)
     // ---------------------------------------------------------------
 
-    fn begin_fpga_acquire(&mut self, s: &mut Sched, slot: u32, addr: Addr, exclusive: bool) {
-        let line = addr.line();
-        let msg = if exclusive {
-            MessageKind::ReadExclusive(line)
+    fn begin_fpga_acquire(&mut self, s: &mut Sched, slot: u32, exclusive: bool) {
+        let op = if exclusive {
+            Opcode::ReadExclusive
         } else {
-            MessageKind::ReadShared(line)
+            Opcode::ReadShared
         };
-        self.fpga_request(s, slot, msg, StepKind::FpgaAcquireAtHome, 0);
+        self.fpga_request(s, slot, op, StepKind::FpgaAcquireAtHome, 0);
     }
 
     fn fpga_acquire_at_home(&mut self, s: &mut Sched, step: Step) {
@@ -1059,12 +1188,12 @@ impl EngineCore {
             self.dir_cpu.grant_shared(line);
             self.fpga_transition(line, LineState::Invalid, LineState::Shared);
         }
-        let kind = if exclusive {
-            MessageKind::DataExclusive(line, Box::new(data))
+        let op = if exclusive {
+            Opcode::DataExclusive
         } else {
-            MessageKind::DataShared(line, Box::new(data))
+            Opcode::DataShared
         };
-        self.cpu_home_respond(s, step, data_ready, kind);
+        self.cpu_home_respond(s, step, data_ready, op);
     }
 
     fn begin_fpga_upgrade(&mut self, s: &mut Sched, slot: u32, addr: Addr) {
@@ -1074,8 +1203,7 @@ impl EngineCore {
             RemoteCopy::Shared,
             "upgrade without a shared copy of {line}"
         );
-        let msg = MessageKind::Upgrade(line);
-        self.fpga_request(s, slot, msg, StepKind::FpgaUpgradeAtHome, 0);
+        self.fpga_request(s, slot, Opcode::Upgrade, StepKind::FpgaUpgradeAtHome, 0);
     }
 
     fn fpga_upgrade_at_home(&mut self, s: &mut Sched, step: Step) {
@@ -1089,7 +1217,7 @@ impl EngineCore {
         }
         self.dir_cpu.grant_owner(line);
         self.fpga_transition(line, LineState::Shared, LineState::Modified);
-        self.cpu_home_respond(s, step, lookup_done, MessageKind::Ack(line));
+        self.cpu_home_respond(s, step, lookup_done, Opcode::Ack);
     }
 
     fn begin_fpga_release(&mut self, s: &mut Sched, slot: u32, addr: Addr, dirty: bool) {
@@ -1100,12 +1228,12 @@ impl EngineCore {
             RemoteCopy::None => panic!("release of unheld line {line}"),
         };
         self.stats.victims += 1;
-        let msg = if dirty {
-            MessageKind::VictimDirty(line, Box::new(*self.txns.line(slot)))
+        let op = if dirty {
+            Opcode::VictimDirty
         } else {
-            MessageKind::VictimClean(line)
+            Opcode::VictimClean
         };
-        self.fpga_request(s, slot, msg, StepKind::FpgaReleaseAtHome, flags);
+        self.fpga_request(s, slot, op, StepKind::FpgaReleaseAtHome, flags);
     }
 
     fn fpga_release_at_home(&mut self, s: &mut Sched, step: Step) {
@@ -1241,37 +1369,31 @@ impl EngineCore {
         for_write: bool,
     ) {
         let txn = self.txn();
-        let (kind, flags) = if for_write {
-            (MessageKind::ReadExclusive(line), FOR_WRITE)
+        let (op, flags) = if for_write {
+            (Opcode::ReadExclusive, FOR_WRITE)
         } else {
-            (MessageKind::ReadShared(line), 0)
+            (Opcode::ReadShared, 0)
         };
         let step = Step::new(StepKind::RemoteFillAtHome, slot, line, txn, flags);
-        self.vc_send(
-            s,
-            now,
-            Message::new(NodeId::Cpu, NodeId::Fpga, txn, kind),
-            step,
-        );
+        self.vc_send(s, now, Wire::new(op, NodeId::Cpu), step);
     }
 
     /// FPGA home: shell pipeline + DRAM.
     fn remote_fill_at_home(&mut self, s: &mut Sched, step: Step) {
         let line = step.line;
-        let service = step.delivered.max(self.fpga_home_busy) + self.fpga_delay();
+        let service = step.delivered.max(self.fpga_home_busy) + self.fpga_delay;
         let data_ready = self.fpga_mem.request(service, line.base(), 128, Op::Read);
-        self.fpga_home_busy = service + Duration::from_hz(self.cfg.fpga_clock_hz);
+        self.fpga_home_busy = service + self.fpga_cycle;
 
-        let data = self.fpga_mem.store().read_line(line.base());
-        let kind = if step.has(FOR_WRITE) {
+        let op = if step.has(FOR_WRITE) {
             self.dir_fpga.grant_owner(line);
-            MessageKind::DataExclusive(line, Box::new(data))
+            Opcode::DataExclusive
         } else {
             self.dir_fpga.grant_shared(line);
-            MessageKind::DataShared(line, Box::new(data))
+            Opcode::DataShared
         };
-        let msg = Message::new(NodeId::Fpga, NodeId::Cpu, step.txn, kind);
-        self.vc_send(s, data_ready, msg, step.then(StepKind::RemoteFillData));
+        let data = self.pooled(op, NodeId::Fpga, NodeId::Fpga, line);
+        self.vc_send(s, data_ready, data, step.then(StepKind::RemoteFillData));
     }
 
     /// Installs a line in the L2, handling the displaced victim.
@@ -1291,19 +1413,14 @@ impl EngineCore {
                     // Notify the FPGA home so its directory stays exact.
                     self.stats.victims += 1;
                     let txn = self.txn();
-                    let (kind, flags) = if ev.state.is_dirty() {
-                        let data = self.fpga_mem.store().read_line(ev.line.base());
-                        (MessageKind::VictimDirty(ev.line, Box::new(data)), DIRTY)
+                    let (wire, flags) = if ev.state.is_dirty() {
+                        let op = Opcode::VictimDirty;
+                        (self.pooled(op, NodeId::Cpu, NodeId::Fpga, ev.line), DIRTY)
                     } else {
-                        (MessageKind::VictimClean(ev.line), 0)
+                        (Wire::new(Opcode::VictimClean, NodeId::Cpu), 0)
                     };
                     let step = Step::new(StepKind::Victim, 0, ev.line, txn, flags);
-                    self.vc_send(
-                        s,
-                        now,
-                        Message::new(NodeId::Cpu, NodeId::Fpga, txn, kind),
-                        step,
-                    );
+                    self.vc_send(s, now, wire, step);
                 }
             }
         }
@@ -1322,29 +1439,23 @@ impl EngineCore {
     ) {
         self.stats.probes += 1;
         let txn = self.txn();
-        let (kind, flags) = if for_write {
-            (MessageKind::ProbeInvalidate(line), FOR_WRITE | then)
+        let (op, flags) = if for_write {
+            (Opcode::ProbeInvalidate, FOR_WRITE | then)
         } else {
-            (MessageKind::ProbeShared(line), then)
+            (Opcode::ProbeShared, then)
         };
         let step = Step::new(StepKind::ProbeAtFpga, slot, line, txn, flags);
-        self.vc_send(
-            s,
-            now,
-            Message::new(NodeId::Cpu, NodeId::Fpga, txn, kind),
-            step,
-        );
+        self.vc_send(s, now, Wire::new(op, NodeId::Cpu), step);
     }
 
     fn probe_at_fpga(&mut self, s: &mut Sched, step: Step) {
         let line = step.line;
-        let service = step.delivered + self.fpga_delay();
+        let service = step.delivered + self.fpga_delay;
         let was_owner = self.dir_cpu.remote_copy(line) == RemoteCopy::Owner;
-        let ack_kind = if was_owner {
-            let data = self.cpu_mem.store().read_line(line.base());
-            MessageKind::ProbeAckData(line, Box::new(data))
+        let ack = if was_owner {
+            self.pooled(Opcode::ProbeAckData, NodeId::Fpga, NodeId::Cpu, line)
         } else {
-            MessageKind::ProbeAck(line)
+            Wire::new(Opcode::ProbeAck, NodeId::Fpga)
         };
         if step.has(FOR_WRITE) {
             self.dir_cpu.revoke(line);
@@ -1363,7 +1474,6 @@ impl EngineCore {
         } else {
             StepKind::Return
         };
-        let ack = Message::new(NodeId::Fpga, NodeId::Cpu, step.txn, ack_kind);
         self.vc_send(s, service, ack, step.then(next));
     }
 
@@ -1384,8 +1494,7 @@ impl EngineCore {
             NodeId::Fpga => {
                 let txn = self.txn();
                 let step = Step::new(StepKind::RemoteUpgradeAtHome, slot, line, txn, 0);
-                let msg = Message::new(NodeId::Cpu, NodeId::Fpga, txn, MessageKind::Upgrade(line));
-                self.vc_send(s, now, msg, step);
+                self.vc_send(s, now, Wire::new(Opcode::Upgrade, NodeId::Cpu), step);
             }
         }
     }
@@ -1400,7 +1509,7 @@ impl EngineCore {
         self.stats.io_ops += 1;
         let txn = self.txn();
         let to = from.peer();
-        let delivered = self.emit(
+        let delivered = self.emit_message(
             now,
             &Message::new(
                 from,
@@ -1421,7 +1530,7 @@ impl EngineCore {
         let regs = &mut self.io_regs[Self::node_index(to)];
         let slot = regs.entry(reg.0).or_insert(0);
         *slot = (*slot & !mask) | (data & mask);
-        self.emit(
+        self.emit_message(
             delivered,
             &Message::new(to, from, txn, MessageKind::IoAck { addr: reg }),
         )
@@ -1432,7 +1541,7 @@ impl EngineCore {
         self.stats.io_ops += 1;
         let txn = self.txn();
         let to = from.peer();
-        let delivered = self.emit(
+        let delivered = self.emit_message(
             now,
             &Message::new(from, to, txn, MessageKind::IoRead { addr: reg, size }),
         );
@@ -1443,7 +1552,7 @@ impl EngineCore {
             (1u64 << (size * 8)) - 1
         };
         let value = raw & mask;
-        let done = self.emit(
+        let done = self.emit_message(
             delivered,
             &Message::new(
                 to,
@@ -1462,7 +1571,7 @@ impl EngineCore {
         self.stats.ipis += 1;
         let txn = self.txn();
         let to = from.peer();
-        let delivered = self.emit(
+        let delivered = self.emit_message(
             now,
             &Message::new(from, to, txn, MessageKind::Ipi { vector }),
         );

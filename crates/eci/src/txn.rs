@@ -11,6 +11,7 @@
 
 use enzian_mem::Addr;
 use enzian_sim::{FxHashMap, Time};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Opaque handle to a transaction issued through the async API
@@ -231,17 +232,17 @@ impl MshrTable {
     /// overflow transaction ever has a live entry, and a later same-line
     /// admission queues behind all of them instead of overtaking one.
     pub(crate) fn retire(&mut self, line_key: u64) -> Option<u32> {
-        let q = *self
-            .entries
-            .get(&line_key)
-            .expect("retire of a line with no MSHR entry");
+        let Entry::Occupied(entry) = self.entries.entry(line_key) else {
+            panic!("retire of a line with no MSHR entry");
+        };
+        let q = *entry.get();
         if q != NO_WAITERS {
             if let Some(next) = self.queues[q as usize].pop_front() {
                 return Some(next);
             }
             self.spare.push(q);
         }
-        self.entries.remove(&line_key);
+        entry.remove();
         let (key, t) = self.overflow.pop_front()?;
         debug_assert!(!self.entries.contains_key(&key));
         let (queues, spare) = (&mut self.queues, &mut self.spare);

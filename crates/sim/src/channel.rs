@@ -78,6 +78,172 @@ impl Transfer {
     }
 }
 
+/// The most busy intervals one chunk of a [`BusyList`] holds.
+const BUSY_CHUNK: usize = 512;
+
+/// Sorted, disjoint, merged busy intervals `(start, end)` in picoseconds,
+/// kept as a list of chunks, none empty, of at most `cap` intervals each.
+/// An insert into an old gap shifts the rest of one chunk, not the rest
+/// of the whole list, and a full chunk splits in two. A short list is one
+/// chunk that grows like any `Vec`.
+#[derive(Debug, Clone)]
+struct BusyList {
+    chunks: Vec<Vec<(u64, u64)>>,
+    cap: usize,
+    /// How often each chunk-level case ran (see [`Cases`]).
+    #[cfg(test)]
+    cases: Cases,
+}
+
+/// Counts of the chunk-level cases of a [`BusyList`], for the tests that
+/// must reach each of them.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct Cases {
+    /// A full chunk split in two to take an insert.
+    splits: u32,
+    /// A merge with the last interval of the chunk before.
+    cross_merges: u32,
+    /// A merge emptied a chunk, which was removed.
+    emptied: u32,
+    /// Chunks dropped whole by a retire.
+    retired_chunks: u32,
+}
+
+impl BusyList {
+    fn new(cap: usize) -> Self {
+        assert!(cap >= 2, "a busy-list chunk holds at least two intervals");
+        BusyList {
+            chunks: Vec::new(),
+            cap,
+            #[cfg(test)]
+            cases: Cases::default(),
+        }
+    }
+
+    fn last(&self) -> Option<&(u64, u64)> {
+        self.chunks.last().and_then(|c| c.last())
+    }
+
+    fn last_mut(&mut self) -> Option<&mut (u64, u64)> {
+        self.chunks.last_mut().and_then(|c| c.last_mut())
+    }
+
+    /// Appends `iv` after every interval.
+    fn push(&mut self, iv: (u64, u64)) {
+        match self.chunks.last_mut() {
+            Some(c) if c.len() < self.cap => c.push(iv),
+            last => {
+                let mut c = match last {
+                    Some(_) => Vec::with_capacity(self.cap),
+                    None => Vec::new(),
+                };
+                c.push(iv);
+                self.chunks.push(c);
+            }
+        }
+    }
+
+    /// The intervals from the first one that ends after `t` on.
+    fn ending_after(&self, t: u64) -> impl Iterator<Item = &(u64, u64)> {
+        let c = self.chunks.partition_point(|ch| ch[ch.len() - 1].1 <= t);
+        let (head, tail): (&[(u64, u64)], _) = match self.chunks[c..].split_first() {
+            Some((ch, tail)) => (&ch[ch.partition_point(|&(_, e)| e <= t)..], tail),
+            None => (&[], &[]),
+        };
+        head.iter().chain(tail.iter().flatten())
+    }
+
+    /// Inserts `[start, end)`, which overlaps no interval and precedes
+    /// the last one, merging it with its neighbours.
+    fn insert(&mut self, start: u64, end: u64) {
+        // The first interval that starts at or after `start` is index `i`
+        // of chunk `c`; its left neighbour may end the chunk before.
+        let c = self.chunks.partition_point(|ch| ch[ch.len() - 1].0 < start);
+        debug_assert!(c < self.chunks.len(), "insert after the last interval");
+        let i = self.chunks[c].partition_point(|&(s, _)| s < start);
+        let left = match (i, c) {
+            (0, 0) => None,
+            (0, _) => Some((c - 1, self.chunks[c - 1].len() - 1)),
+            _ => Some((c, i - 1)),
+        };
+        debug_assert!(left.is_none_or(|(lc, li)| self.chunks[lc][li].1 <= start));
+        debug_assert!(end <= self.chunks[c][i].0, "overlap right");
+        let merge_left = left.filter(|&(lc, li)| self.chunks[lc][li].1 == start);
+        let merge_right = (self.chunks[c][i].0 == end).then_some((c, i));
+        #[cfg(test)]
+        if merge_left.is_some_and(|(lc, _)| lc != c) {
+            self.cases.cross_merges += 1;
+        }
+        match (merge_left, merge_right) {
+            (Some((lc, li)), Some(_)) => {
+                self.chunks[lc][li].1 = self.chunks[c][i].1;
+                self.chunks[c].remove(i);
+                if self.chunks[c].is_empty() {
+                    self.chunks.remove(c);
+                    #[cfg(test)]
+                    {
+                        self.cases.emptied += 1;
+                    }
+                }
+            }
+            (Some((lc, li)), None) => self.chunks[lc][li].1 = end,
+            (None, Some(_)) => self.chunks[c][i].0 = start,
+            (None, None) => self.insert_at(c, i, (start, end)),
+        }
+    }
+
+    /// Inserts `iv` at index `i` of chunk `c`, splitting the chunk in two
+    /// first if it is full.
+    fn insert_at(&mut self, mut c: usize, mut i: usize, iv: (u64, u64)) {
+        if self.chunks[c].len() == self.cap {
+            let half = self.cap / 2;
+            let mut upper = Vec::with_capacity(self.cap);
+            upper.extend(self.chunks[c].drain(half..));
+            self.chunks.insert(c + 1, upper);
+            if i > half {
+                c += 1;
+                i -= half;
+            }
+            #[cfg(test)]
+            {
+                self.cases.splits += 1;
+            }
+        }
+        self.chunks[c].insert(i, iv);
+    }
+
+    /// Drops the intervals that end at or before `floor`, always keeping
+    /// the last one.
+    fn retire(&mut self, floor: u64) {
+        if self.chunks[0][0].1 > floor {
+            return;
+        }
+        let whole = self
+            .chunks
+            .partition_point(|ch| ch[ch.len() - 1].1 <= floor);
+        let whole = whole.min(self.chunks.len() - 1);
+        self.chunks.drain(..whole);
+        #[cfg(test)]
+        {
+            self.cases.retired_chunks += whole as u32;
+        }
+        let first = &mut self.chunks[0];
+        let dead = first.partition_point(|&(_, e)| e <= floor);
+        first.drain(..dead.min(first.len() - 1));
+    }
+
+    #[cfg(test)]
+    fn to_vec(&self) -> Vec<(u64, u64)> {
+        self.chunks.concat()
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+}
+
 /// A stateful link: tracks which wire intervals are occupied.
 ///
 /// Transfers submitted in increasing time order behave FCFS; a transfer
@@ -87,14 +253,15 @@ impl Transfer {
 /// engine. Contiguous busy intervals are merged, so back-to-back traffic
 /// keeps the interval list tiny. A caller that declares a floor (see
 /// [`Channel::retire_before`]) also keeps it short when its traffic
-/// leaves idle gaps.
+/// leaves idle gaps. A long list is kept in chunks, so a submission into
+/// an old gap costs a shift within one chunk.
 #[derive(Debug, Clone)]
 pub struct Channel {
     config: ChannelConfig,
     /// [`ChannelConfig::effective_bits_per_sec`], computed once.
     rate: u64,
     /// Sorted, disjoint, merged busy intervals in picoseconds.
-    busy: Vec<(u64, u64)>,
+    busy: BusyList,
     /// No transfer is submitted before this instant, in picoseconds
     /// (see [`Channel::retire_before`]).
     floor: u64,
@@ -118,7 +285,7 @@ impl Channel {
         Channel {
             rate: config.effective_bits_per_sec(),
             config,
-            busy: Vec::new(),
+            busy: BusyList::new(BUSY_CHUNK),
             floor: 0,
             bytes_carried: 0,
             transfers: 0,
@@ -156,8 +323,7 @@ impl Channel {
     fn find_gap(&self, from: u64, dur: u64) -> u64 {
         let mut candidate = from;
         // Start scanning from the first interval that could overlap.
-        let idx = self.busy.partition_point(|&(_, e)| e <= candidate);
-        for &(s, e) in &self.busy[idx..] {
+        for &(s, e) in self.busy.ending_after(candidate) {
             if s >= candidate.saturating_add(dur) {
                 break; // fits entirely before this interval
             }
@@ -181,23 +347,7 @@ impl Channel {
                 return;
             }
         }
-        let idx = self.busy.partition_point(|&(s, _)| s < start);
-        debug_assert!(idx == 0 || self.busy[idx - 1].1 <= start, "overlap left");
-        debug_assert!(
-            idx == self.busy.len() || end <= self.busy[idx].0,
-            "overlap right"
-        );
-        let merge_left = idx > 0 && self.busy[idx - 1].1 == start;
-        let merge_right = idx < self.busy.len() && self.busy[idx].0 == end;
-        match (merge_left, merge_right) {
-            (true, true) => {
-                self.busy[idx - 1].1 = self.busy[idx].1;
-                self.busy.remove(idx);
-            }
-            (true, false) => self.busy[idx - 1].1 = end,
-            (false, true) => self.busy[idx].0 = start,
-            (false, false) => self.busy.insert(idx, (start, end)),
-        }
+        self.busy.insert(start, end);
     }
 
     /// Promises that no later transfer is submitted before `t`, and
@@ -213,10 +363,8 @@ impl Channel {
     /// after it.
     pub fn retire_before(&mut self, t: Time) {
         self.floor = self.floor.max(t.as_ps());
-        if self.busy.len() > 1 && self.busy[0].1 <= self.floor {
-            let floor = self.floor;
-            let dead = self.busy.partition_point(|&(_, e)| e <= floor);
-            self.busy.drain(..dead.min(self.busy.len() - 1));
+        if !self.busy.chunks.is_empty() {
+            self.busy.retire(self.floor);
         }
     }
 
@@ -280,6 +428,19 @@ mod tests {
     fn ten_gbps() -> Channel {
         Channel::new(ChannelConfig::raw(10_000_000_000, Duration::from_ns(50)))
     }
+
+    /// [`ten_gbps`] with busy-list chunks of at most `cap` intervals.
+    fn ten_gbps_chunked(cap: usize) -> Channel {
+        Channel {
+            busy: BusyList::new(cap),
+            ..ten_gbps()
+        }
+    }
+
+    /// The busy-list chunk sizes the oracle tests run: one small enough
+    /// that chunks split, merge across their edges, empty and retire
+    /// whole within a short run, and the real one.
+    const CHUNKS: [usize; 2] = [2, BUSY_CHUNK];
 
     #[test]
     fn single_transfer_timing() {
@@ -384,13 +545,30 @@ mod tests {
     /// Seeded random submissions (monotone runs, jumps back into old
     /// gaps, bursts at one instant, zero- and large-byte transfers) give
     /// the same transfers and the same busy list as the general gap
-    /// search.
+    /// search, at both chunk sizes; with small chunks they split, merge
+    /// across a chunk edge and empty.
     #[test]
     fn tail_fast_path_matches_the_gap_search() {
+        for cap in CHUNKS {
+            let cases = tail_fast_path_matches_the_gap_search_at(cap);
+            if cap < BUSY_CHUNK {
+                let Cases {
+                    splits,
+                    cross_merges,
+                    emptied,
+                    ..
+                } = cases;
+                assert!(splits > 0 && cross_merges > 0 && emptied > 0, "{cases:?}");
+            }
+        }
+    }
+
+    fn tail_fast_path_matches_the_gap_search_at(cap: usize) -> Cases {
         let mut hits = [0u32; 2];
+        let mut cases = Cases::default();
         for seed in 0..64 {
             let mut rng = crate::SimRng::seed_from(seed);
-            let mut ch = ten_gbps();
+            let mut ch = ten_gbps_chunked(cap);
             let mut reference = GapSearch { busy: Vec::new() };
             let mut now = 0u64;
             for step in 0..400 {
@@ -429,25 +607,51 @@ mod tests {
                     "{ctx}"
                 );
                 assert_eq!(peeked, t.done, "{ctx}");
-                assert_eq!(ch.busy, reference.busy, "{ctx}");
+                assert_eq!(ch.busy.to_vec(), reference.busy, "{ctx}");
+                let chunks = &ch.busy.chunks;
+                assert!(chunks.iter().all(|c| (1..=cap).contains(&c.len())), "{ctx}");
             }
+            cases = sum(cases, ch.busy.cases);
         }
         // Both paths ran many times: [gap search, tail fast path].
         assert!(hits.iter().all(|&h| h > 1_000), "{hits:?}");
+        cases
+    }
+
+    fn sum(a: Cases, b: Cases) -> Cases {
+        Cases {
+            splits: a.splits + b.splits,
+            cross_merges: a.cross_merges + b.cross_merges,
+            emptied: a.emptied + b.emptied,
+            retired_chunks: a.retired_chunks + b.retired_chunks,
+        }
     }
 
     /// Seeded random submissions that jump back into gaps ahead of a
     /// nondecreasing floor, retired before each one, give the same
     /// transfers and the same `busy_until` as the same stream on a
-    /// channel that never retires, while its interval list stays short.
+    /// channel that never retires, while its interval list stays short,
+    /// at both chunk sizes; with small chunks, retiring drops whole
+    /// chunks and the list that keeps everything splits its chunks.
     #[test]
     fn retiring_behind_the_floor_changes_no_transfer() {
+        for cap in CHUNKS {
+            let (retiring, keeping) = retiring_behind_the_floor_changes_no_transfer_at(cap);
+            if cap < BUSY_CHUNK {
+                assert!(retiring.retired_chunks > 0, "{retiring:?}");
+                assert!(keeping.splits > 0, "{keeping:?}");
+            }
+        }
+    }
+
+    fn retiring_behind_the_floor_changes_no_transfer_at(cap: usize) -> (Cases, Cases) {
         let mut longest = 0;
         let mut kept = 0;
+        let (mut retiring, mut keeping) = (Cases::default(), Cases::default());
         for seed in 0..32 {
             let mut rng = crate::SimRng::seed_from(seed);
-            let mut ch = ten_gbps();
-            let mut keep_all = ten_gbps();
+            let mut ch = ten_gbps_chunked(cap);
+            let mut keep_all = ten_gbps_chunked(cap);
             let mut floor = 0u64;
             for step in 0..2_000 {
                 floor += rng.next_below(400_000);
@@ -467,9 +671,12 @@ mod tests {
                 longest = longest.max(ch.busy.len());
             }
             kept = kept.max(keep_all.busy.len());
+            retiring = sum(retiring, ch.busy.cases);
+            keeping = sum(keeping, keep_all.busy.cases);
         }
         assert!(longest <= 16, "retiring channel held {longest} intervals");
         assert!(kept > 500, "the stream left only {kept} gaps");
+        (retiring, keeping)
     }
 
     #[test]

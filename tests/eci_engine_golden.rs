@@ -11,13 +11,16 @@
 //!   under a fault plan that drops and corrupts frames and stalls
 //!   transactions.
 //!
-//! A digest is FNV-1a over the values in the order folded below.
+//! A digest is FNV-1a over the values in the order folded below. A third
+//! test pins the engine-captured wire trace of the async batches, whose
+//! bytes the engine builds only when trace capture is on, and checks that
+//! capturing changes nothing else.
 
 use enzian::cache::L2Config;
 use enzian::eci::link::fault_targets;
 use enzian::eci::system::{EciSystemStats, TXN_STALL_TARGET};
 use enzian::eci::{EciSystem, EciSystemConfig, EngineStats, TxnCompletion, TxnOp, TxnStatus};
-use enzian::mem::Addr;
+use enzian::mem::{Addr, NodeId};
 use enzian::sim::{Duration, FaultPlan, FaultSpec, Fnv, SimRng, Time};
 
 const LINE: u64 = 128;
@@ -158,14 +161,13 @@ fn fold_system(d: &mut Fnv, sys: &EciSystem) {
     d.u64(sys.checker().violations().len() as u64);
 }
 
-/// Runs three seeded batches through one system and returns the digest
-/// and the engine counters.
-fn async_batches() -> (u64, EngineStats, EciSystemStats) {
-    let mut sys = EciSystem::new(EciSystemConfig::enzian());
+/// Runs three seeded batches of `txns` transactions through `sys` and
+/// returns the digest and the engine counters.
+fn async_batches(sys: &mut EciSystem, txns: usize) -> (u64, EngineStats, EciSystemStats) {
     let remote = sys.config().map.fpga_base();
     let mut d = Fnv::new();
     for round in 0..3u64 {
-        let ops = batch(0xEC1_0000 + round, 1_500, remote);
+        let ops = batch(0xEC1_0000 + round, txns, remote);
         let handles: Vec<_> = ops
             .iter()
             .map(|&(at, addr, op)| sys.issue(at, addr, op))
@@ -179,7 +181,7 @@ fn async_batches() -> (u64, EngineStats, EciSystemStats) {
             assert_eq!(sys.poll(h), TxnStatus::Retired);
             fold_completion(&mut d, &c);
         }
-        fold_system(&mut d, &sys);
+        fold_system(&mut d, sys);
     }
     sys.checker().assert_clean();
     (d.finish(), *sys.engine_stats(), *sys.stats())
@@ -187,7 +189,8 @@ fn async_batches() -> (u64, EngineStats, EciSystemStats) {
 
 #[test]
 fn async_batch_over_every_op_and_both_homes_keeps_its_digest() {
-    let (digest, engine, stats) = async_batches();
+    let mut sys = EciSystem::new(EciSystemConfig::enzian());
+    let (digest, engine, stats) = async_batches(&mut sys, 1_500);
     // The batch reaches every engine path the digest is meant to pin.
     assert!(engine.mshr_full_stalls > 0, "{engine:?}");
     assert!(engine.mshr_conflicts > 0, "{engine:?}");
@@ -196,19 +199,105 @@ fn async_batch_over_every_op_and_both_homes_keeps_its_digest() {
     assert_eq!(digest, 0x0c0e_84f5_cd1e_dff3, "async batch digest");
 }
 
-/// The facade under frame drops, frame corruption and transaction
-/// stalls: every result, error and recovery counter is folded.
-fn faulted_facade() -> u64 {
-    let mut sys = EciSystem::new(small_l2());
-    sys.set_fault_plan(
-        FaultPlan::new(0xFA_17)
-            .with(FaultSpec::probability(fault_targets::FRAME_DROP, 0.05))
-            .with(FaultSpec::probability(fault_targets::FRAME_CORRUPT, 0.1))
-            .with(FaultSpec::probability(TXN_STALL_TARGET, 0.3)),
-    );
-    let remote = sys.config().map.fpga_base();
-    let ops = batch(0xFACADE, 400, remote);
+/// Whether `sys`'s trace holds a `mnemonic` message sent by `from`.
+fn traced(sys: &EciSystem, mnemonic: &str, from: NodeId) -> bool {
+    let mut recs = sys.trace().records().iter();
+    recs.any(|r| r.msg.kind.mnemonic() == mnemonic && r.msg.src == from)
+}
+
+/// A trace's record count, wire length and FNV-1a digest of its wire
+/// bytes.
+fn trace_key(sys: &EciSystem) -> (usize, usize, u64) {
     let mut d = Fnv::new();
+    d.bytes(sys.trace().wire_bytes());
+    (
+        sys.trace().len(),
+        sys.trace().wire_bytes().len(),
+        d.finish(),
+    )
+}
+
+/// The engine-captured wire trace, pinned, and a capture that changes
+/// nothing else: on the async batches (VC-queue stalls, dirty releases,
+/// CPU fills of FPGA-homed lines, probes with and without data) and on
+/// the facade over a small L2, whose CPU evicts dirty FPGA-homed lines.
+/// An untraced twin of each completes every transaction identically and
+/// sends and checks the same messages.
+#[test]
+fn engine_captured_trace_keeps_its_digest() {
+    let mut traced_async = EciSystem::new(EciSystemConfig::enzian().with_capture_trace(true));
+    let mut plain_async = EciSystem::new(EciSystemConfig::enzian());
+    let (digest, engine, stats) = async_batches(&mut traced_async, 3_000);
+    assert_eq!(
+        async_batches(&mut plain_async, 3_000),
+        (digest, engine, stats)
+    );
+    assert!(engine.vc_queue_stalls > 0, "{engine:?}");
+    assert!(stats.probes > 0 && stats.victims > 0, "{stats:?}");
+
+    let mut traced_facade = EciSystem::new(small_l2().with_capture_trace(true));
+    let mut plain_facade = EciSystem::new(small_l2());
+    let remote = plain_facade.config().map.fpga_base();
+    let ops = batch(0xFACADE, 400, remote);
+    let (mut a, mut b) = (Fnv::new(), Fnv::new());
+    facade_run(&mut traced_facade, &ops, &mut a);
+    facade_run(&mut plain_facade, &ops, &mut b);
+    fold_system(&mut a, &traced_facade);
+    fold_system(&mut b, &plain_facade);
+    assert_eq!(a.finish(), b.finish(), "facade results");
+
+    for (traced_sys, plain) in [
+        (&traced_async, &plain_async),
+        (&traced_facade, &plain_facade),
+    ] {
+        traced_sys.checker().assert_clean();
+        assert_eq!(
+            traced_sys.checker().checked_counts(),
+            plain.checker().checked_counts()
+        );
+        assert!(plain.trace().is_empty());
+        assert_eq!(
+            traced_sys.trace().len() as u64,
+            traced_sys.links().messages_sent()
+        );
+    }
+    // Every line-carrying message the engine sends is in a trace: FPGA
+    // writes, data grants both ways, probe acks with data, and dirty
+    // victims both ways.
+    for (mnemonic, from) in [
+        ("WRL", NodeId::Fpga),
+        ("DSH", NodeId::Cpu),
+        ("DEX", NodeId::Cpu),
+        ("DSH", NodeId::Fpga),
+        ("DEX", NodeId::Fpga),
+        ("PAD", NodeId::Fpga),
+        ("VCD", NodeId::Fpga),
+    ] {
+        assert!(
+            traced(&traced_async, mnemonic, from),
+            "no {mnemonic} from {from}"
+        );
+    }
+    assert!(
+        traced(&traced_facade, "VCD", NodeId::Cpu),
+        "no dirty L2 victim"
+    );
+    assert_eq!(
+        trace_key(&traced_async),
+        (11_342, 939_144, 0xfe8b_9a4b_c664_24aa),
+        "async trace: records, wire bytes, wire digest"
+    );
+    assert_eq!(
+        trace_key(&traced_facade),
+        (602, 51_544, 0x05a3_6a61_2973_5df1),
+        "facade trace: records, wire bytes, wire digest"
+    );
+}
+
+/// Runs `ops` one after another through the synchronous facade, each
+/// issued when the one before it completed, folding every result and
+/// error into `d`.
+fn facade_run(sys: &mut EciSystem, ops: &[(Time, Addr, TxnOp)], d: &mut Fnv) {
     let mut now = Time::ZERO;
     for (i, &(_, addr, op)) in ops.iter().enumerate() {
         d.u64(i as u64);
@@ -235,6 +324,22 @@ fn faulted_facade() -> u64 {
             Err(e) => d.bytes(e.to_string().as_bytes()),
         }
     }
+}
+
+/// The facade under frame drops, frame corruption and transaction
+/// stalls: every result, error and recovery counter is folded.
+fn faulted_facade() -> u64 {
+    let mut sys = EciSystem::new(small_l2());
+    sys.set_fault_plan(
+        FaultPlan::new(0xFA_17)
+            .with(FaultSpec::probability(fault_targets::FRAME_DROP, 0.05))
+            .with(FaultSpec::probability(fault_targets::FRAME_CORRUPT, 0.1))
+            .with(FaultSpec::probability(TXN_STALL_TARGET, 0.3)),
+    );
+    let remote = sys.config().map.fpga_base();
+    let ops = batch(0xFACADE, 400, remote);
+    let mut d = Fnv::new();
+    facade_run(&mut sys, &ops, &mut d);
     fold_system(&mut d, &sys);
     d.u64(sys.links().retransmissions());
     sys.checker().assert_clean();
