@@ -188,13 +188,6 @@ impl ProtocolChecker {
         Ok(())
     }
 
-    /// The checker's view of a line's state on a node.
-    pub fn known_state(&self, node: NodeId, line: CacheLine) -> LineState {
-        self.states
-            .get(&line)
-            .map_or(LineState::Invalid, |s| s[node_index(node)])
-    }
-
     /// All violations recorded so far.
     pub fn violations(&self) -> &[CheckerError] {
         &self.violations
@@ -246,7 +239,7 @@ mod tests {
         c.observe_transition(NodeId::Cpu, line(), LineState::Modified, LineState::Owned)
             .unwrap();
         c.assert_clean();
-        assert_eq!(c.known_state(NodeId::Cpu, line()), LineState::Owned);
+        assert_eq!(c.states[&line()][node_index(NodeId::Cpu)], LineState::Owned);
     }
 
     #[test]

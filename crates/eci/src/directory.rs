@@ -195,7 +195,7 @@ impl Directory {
     }
 
     /// Number of lines with an active remote copy.
-    pub fn active_remote_copies(&self) -> usize {
+    fn active_remote_copies(&self) -> usize {
         self.entries
             .values()
             .filter(|e| e.remote != RemoteCopy::None)

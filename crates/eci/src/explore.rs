@@ -166,12 +166,6 @@ impl ExploreConfig {
         self
     }
 
-    /// Returns the config with `fifo_capacity` replaced.
-    pub fn with_fifo_capacity(mut self, capacity: usize) -> Self {
-        self.fifo_capacity = capacity;
-        self
-    }
-
     /// Returns the config with `e_grant` replaced.
     pub fn with_e_grant(mut self, e_grant: bool) -> Self {
         self.e_grant = e_grant;
@@ -2352,10 +2346,12 @@ mod tests {
         // The envelope's limits with every queue full of data-carrying
         // messages and every line busy with data collected: the longest
         // encoding there is, which `KEY_MAX` must hold to the byte.
-        let cfg = ExploreConfig::three_agent()
-            .with_lines(MAX_LINES)
-            .with_max_writes(MAX_WRITES)
-            .with_fifo_capacity(MAX_FIFO);
+        let cfg = ExploreConfig {
+            fifo_capacity: MAX_FIFO,
+            ..ExploreConfig::three_agent()
+                .with_lines(MAX_LINES)
+                .with_max_writes(MAX_WRITES)
+        };
         let layout = Layout::new(&cfg);
         let mut s = ModelState::init(&cfg);
         for a in 0..MAX_AGENTS {
@@ -2419,15 +2415,16 @@ mod tests {
     #[test]
     fn every_reachable_queue_stays_within_its_proven_bound() {
         let two = ExploreConfig::two_agent;
+        let capacity_1 = |cfg| ExploreConfig {
+            fifo_capacity: 1,
+            ..cfg
+        };
         let cases = [
-            (two().with_fifo_capacity(1), 2),
+            (capacity_1(two()), 2),
             (two(), 2),
-            (ExploreConfig::three_agent().with_fifo_capacity(1), 2),
+            (capacity_1(ExploreConfig::three_agent()), 2),
             (ExploreConfig::three_agent(), 2),
-            (
-                two().with_lines(2).with_max_writes(1).with_fifo_capacity(1),
-                3,
-            ),
+            (capacity_1(two().with_lines(2).with_max_writes(1)), 3),
             (two().with_lines(2).with_max_writes(1), 4),
         ];
         for (cfg, peak) in cases {
@@ -2447,7 +2444,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "fifo_capacity must be 1..=4")]
     fn fifo_capacity_beyond_the_envelope_is_rejected() {
-        Explorer::new(ExploreConfig::two_agent().with_fifo_capacity(MAX_FIFO + 1));
+        Explorer::new(ExploreConfig {
+            fifo_capacity: MAX_FIFO + 1,
+            ..ExploreConfig::two_agent()
+        });
     }
 
     #[test]

@@ -134,6 +134,64 @@ pub(crate) enum Opcode {
 }
 
 impl Opcode {
+    /// Every opcode.
+    const ALL: [Opcode; 19] = {
+        use Opcode::*;
+        [
+            ReadShared,
+            ReadExclusive,
+            Upgrade,
+            ReadOnce,
+            WriteLine,
+            ProbeShared,
+            ProbeInvalidate,
+            DataShared,
+            DataExclusive,
+            Ack,
+            ProbeAckData,
+            ProbeAck,
+            VictimDirty,
+            VictimClean,
+            IoRead,
+            IoWrite,
+            IoData,
+            IoAck,
+            Ipi,
+        ]
+    };
+
+    /// The opcode byte in the [`crate::wire`] format, stable across
+    /// versions.
+    pub(crate) fn wire_code(self) -> u8 {
+        use Opcode::*;
+        match self {
+            ReadShared => 0x01,
+            ReadExclusive => 0x02,
+            Upgrade => 0x03,
+            ReadOnce => 0x04,
+            WriteLine => 0x05,
+            ProbeShared => 0x10,
+            ProbeInvalidate => 0x11,
+            DataShared => 0x20,
+            DataExclusive => 0x21,
+            Ack => 0x22,
+            ProbeAckData => 0x23,
+            ProbeAck => 0x24,
+            VictimDirty => 0x30,
+            VictimClean => 0x31,
+            IoRead => 0x40,
+            IoWrite => 0x41,
+            IoData => 0x42,
+            IoAck => 0x43,
+            Ipi => 0x50,
+        }
+    }
+
+    /// The opcode whose wire byte is `code`, if any.
+    pub(crate) fn from_wire(code: u8) -> Option<Opcode> {
+        Opcode::ALL.into_iter().find(|op| op.wire_code() == code)
+    }
+
     /// The virtual channel this kind travels on.
     pub(crate) fn virtual_channel(self) -> VirtualChannel {
         use Opcode::*;
@@ -166,23 +224,6 @@ impl Opcode {
         16 + ext + payload_bytes
     }
 
-    /// Whether this kind is a request expecting a reply.
-    pub(crate) fn expects_reply(self) -> bool {
-        use Opcode::*;
-        matches!(
-            self,
-            ReadShared
-                | ReadExclusive
-                | Upgrade
-                | ReadOnce
-                | WriteLine
-                | ProbeShared
-                | ProbeInvalidate
-                | IoRead
-                | IoWrite
-        )
-    }
-
     /// A short mnemonic, as the trace decoder prints it.
     pub(crate) fn mnemonic(self) -> &'static str {
         use Opcode::*;
@@ -211,6 +252,36 @@ impl Opcode {
 }
 
 impl MessageKind {
+    /// The kind `op` on `line`, carrying `data` if `op` carries a line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is an I/O or interrupt opcode (they name no line),
+    /// or if `op` carries a line and `data` is `None`.
+    pub(crate) fn with_line(op: Opcode, line: CacheLine, data: Option<Box<[u8; 128]>>) -> Self {
+        use MessageKind::*;
+        let data = || data.expect("a line-carrying opcode needs its line");
+        match op {
+            Opcode::ReadShared => ReadShared(line),
+            Opcode::ReadExclusive => ReadExclusive(line),
+            Opcode::Upgrade => Upgrade(line),
+            Opcode::ReadOnce => ReadOnce(line),
+            Opcode::WriteLine => WriteLine(line, data()),
+            Opcode::ProbeShared => ProbeShared(line),
+            Opcode::ProbeInvalidate => ProbeInvalidate(line),
+            Opcode::DataShared => DataShared(line, data()),
+            Opcode::DataExclusive => DataExclusive(line, data()),
+            Opcode::Ack => Ack(line),
+            Opcode::ProbeAckData => ProbeAckData(line, data()),
+            Opcode::ProbeAck => ProbeAck(line),
+            Opcode::VictimDirty => VictimDirty(line, data()),
+            Opcode::VictimClean => VictimClean(line),
+            Opcode::IoRead | Opcode::IoWrite | Opcode::IoData | Opcode::IoAck | Opcode::Ipi => {
+                panic!("{op:?} names no cache line")
+            }
+        }
+    }
+
     /// The kind without its fields.
     pub(crate) fn opcode(&self) -> Opcode {
         use MessageKind::*;
@@ -252,11 +323,6 @@ impl MessageKind {
             kind if kind.opcode().carries_line() => CACHE_LINE_BYTES,
             _ => 0,
         }
-    }
-
-    /// Whether this kind is a request expecting a reply.
-    pub fn expects_reply(&self) -> bool {
-        self.opcode().expects_reply()
     }
 
     /// The cache line the message concerns, when it concerns one.
@@ -429,12 +495,16 @@ mod tests {
     }
 
     #[test]
-    fn requests_expect_replies_and_responses_do_not() {
-        assert!(MessageKind::ReadShared(line()).expects_reply());
-        assert!(MessageKind::ProbeInvalidate(line()).expects_reply());
-        assert!(!MessageKind::Ack(line()).expects_reply());
-        assert!(!MessageKind::VictimClean(line()).expects_reply());
-        assert!(!MessageKind::Ipi { vector: 0 }.expects_reply());
+    fn every_opcode_has_its_own_wire_code() {
+        // Strictly increasing codes over 19 entries: no opcode is listed
+        // twice, so every variant is in `ALL`.
+        assert!(Opcode::ALL
+            .windows(2)
+            .all(|w| w[0].wire_code() < w[1].wire_code()));
+        for op in Opcode::ALL {
+            assert_eq!(Opcode::from_wire(op.wire_code()), Some(op));
+        }
+        assert_eq!(Opcode::from_wire(0x00), None);
     }
 
     #[test]

@@ -769,27 +769,7 @@ impl EngineCore {
             LineAt::Txn => Some(*self.txns.line(step.slot)),
             LineAt::Pool(i) => Some(self.lines.take(i)),
         };
-        let data = || Box::new(bytes.expect("a line-carrying wire keeps its line"));
-        let line = step.line;
-        let kind = match wire.op {
-            Opcode::ReadShared => MessageKind::ReadShared(line),
-            Opcode::ReadExclusive => MessageKind::ReadExclusive(line),
-            Opcode::Upgrade => MessageKind::Upgrade(line),
-            Opcode::ReadOnce => MessageKind::ReadOnce(line),
-            Opcode::WriteLine => MessageKind::WriteLine(line, data()),
-            Opcode::ProbeShared => MessageKind::ProbeShared(line),
-            Opcode::ProbeInvalidate => MessageKind::ProbeInvalidate(line),
-            Opcode::DataShared => MessageKind::DataShared(line, data()),
-            Opcode::DataExclusive => MessageKind::DataExclusive(line, data()),
-            Opcode::Ack => MessageKind::Ack(line),
-            Opcode::ProbeAckData => MessageKind::ProbeAckData(line, data()),
-            Opcode::ProbeAck => MessageKind::ProbeAck(line),
-            Opcode::VictimDirty => MessageKind::VictimDirty(line, data()),
-            Opcode::VictimClean => MessageKind::VictimClean(line),
-            Opcode::IoRead | Opcode::IoWrite | Opcode::IoData | Opcode::IoAck | Opcode::Ipi => {
-                unreachable!("I/O and interrupts are sent as messages")
-            }
-        };
+        let kind = MessageKind::with_line(wire.op, step.line, bytes.map(Box::new));
         Message::new(wire.src, wire.src.peer(), step.txn, kind)
     }
 
@@ -1655,11 +1635,6 @@ impl EciSystem {
         &mut self.core_mut().cpu_mem
     }
 
-    /// The FPGA-side memory controller (and its backing store).
-    pub fn fpga_mem(&mut self) -> &mut MemoryController {
-        &mut self.core_mut().fpga_mem
-    }
-
     /// The online protocol checker.
     pub fn checker(&self) -> &ProtocolChecker {
         &self.core().checker
@@ -1737,11 +1712,6 @@ impl EciSystem {
         self.issue(at, addr, TxnOp::FpgaRead)
     }
 
-    /// Issues an FPGA uncached coherent write ([`TxnOp::FpgaWrite`]).
-    pub fn issue_write(&mut self, at: Time, addr: Addr, data: &[u8; 128]) -> TxnHandle {
-        self.issue(at, addr, TxnOp::FpgaWrite(*data))
-    }
-
     /// Where transaction `h` currently is. [`TxnStatus::Completed`] means
     /// a completion waits in the table; [`TxnStatus::Retired`] means the
     /// handle was never issued or its completion was already taken.
@@ -1780,7 +1750,7 @@ impl EciSystem {
     /// issued at any time. Completions stay in the table until taken.
     pub fn run_to_idle(&mut self) {
         self.sim.run();
-        self.sim.rewind();
+        self.rewind();
     }
 
     /// [`EciSystem::run_to_idle`] with an event budget: runs at most
@@ -1800,8 +1770,16 @@ impl EciSystem {
         max_events: u64,
     ) -> Result<u64, enzian_sim::LivelockError> {
         let executed = self.sim.run_bounded(max_events)?;
-        self.sim.rewind();
+        self.rewind();
         Ok(executed)
+    }
+
+    /// Rewinds the drained engine's clock to zero and ends the links'
+    /// go-back-N recovery: the next batch may start at any time again,
+    /// so it must not count as sent behind an earlier fault.
+    fn rewind(&mut self) {
+        self.sim.rewind();
+        self.core_mut().links.end_recovery();
     }
 
     /// Issues one transaction, runs it (and anything else in flight) to
@@ -2229,7 +2207,10 @@ mod tests {
         let fpga_addr = sys.config().map.fpga_base().offset(0x1000);
         let mut line = [0u8; 128];
         line[1] = 7;
-        sys.fpga_mem().store_mut().write_line(fpga_addr, &line);
+        sys.core_mut()
+            .fpga_mem
+            .store_mut()
+            .write_line(fpga_addr, &line);
 
         let (data, done) = sys.cpu_read_line(Time::ZERO, fpga_addr);
         assert_eq!(data, line);
@@ -2611,8 +2592,8 @@ mod tests {
     fn conflicting_transactions_on_one_line_serialize() {
         let mut sys = system();
         let addr = Addr(0x50_000);
-        let h1 = sys.issue_write(Time::ZERO, addr, &[0x01; 128]);
-        let h2 = sys.issue_write(Time::ZERO, addr, &[0x02; 128]);
+        let h1 = sys.issue(Time::ZERO, addr, TxnOp::FpgaWrite([0x01; 128]));
+        let h2 = sys.issue(Time::ZERO, addr, TxnOp::FpgaWrite([0x02; 128]));
         let hr = sys.issue_read(Time::ZERO, addr);
         sys.run_to_idle();
         let c1 = sys.take_completion(h1).unwrap();

@@ -28,7 +28,7 @@
 
 use enzian_mem::{Addr, CacheLine, NodeId};
 
-use crate::message::{Message, MessageKind, TxnId, HEADER_BYTES};
+use crate::message::{Message, MessageKind, Opcode, TxnId, HEADER_BYTES};
 
 /// Frame magic byte.
 pub const MAGIC: u8 = 0xEC;
@@ -122,54 +122,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-// Opcode space, stable across versions.
-mod opcode {
-    pub const READ_SHARED: u8 = 0x01;
-    pub const READ_EXCLUSIVE: u8 = 0x02;
-    pub const UPGRADE: u8 = 0x03;
-    pub const READ_ONCE: u8 = 0x04;
-    pub const WRITE_LINE: u8 = 0x05;
-    pub const PROBE_SHARED: u8 = 0x10;
-    pub const PROBE_INVALIDATE: u8 = 0x11;
-    pub const DATA_SHARED: u8 = 0x20;
-    pub const DATA_EXCLUSIVE: u8 = 0x21;
-    pub const ACK: u8 = 0x22;
-    pub const PROBE_ACK_DATA: u8 = 0x23;
-    pub const PROBE_ACK: u8 = 0x24;
-    pub const VICTIM_DIRTY: u8 = 0x30;
-    pub const VICTIM_CLEAN: u8 = 0x31;
-    pub const IO_READ: u8 = 0x40;
-    pub const IO_WRITE: u8 = 0x41;
-    pub const IO_DATA: u8 = 0x42;
-    pub const IO_ACK: u8 = 0x43;
-    pub const IPI: u8 = 0x50;
-}
-
-fn kind_opcode(kind: &MessageKind) -> u8 {
-    use MessageKind::*;
-    match kind {
-        ReadShared(_) => opcode::READ_SHARED,
-        ReadExclusive(_) => opcode::READ_EXCLUSIVE,
-        Upgrade(_) => opcode::UPGRADE,
-        ReadOnce(_) => opcode::READ_ONCE,
-        WriteLine(..) => opcode::WRITE_LINE,
-        ProbeShared(_) => opcode::PROBE_SHARED,
-        ProbeInvalidate(_) => opcode::PROBE_INVALIDATE,
-        DataShared(..) => opcode::DATA_SHARED,
-        DataExclusive(..) => opcode::DATA_EXCLUSIVE,
-        Ack(_) => opcode::ACK,
-        ProbeAckData(..) => opcode::PROBE_ACK_DATA,
-        ProbeAck(_) => opcode::PROBE_ACK,
-        VictimDirty(..) => opcode::VICTIM_DIRTY,
-        VictimClean(_) => opcode::VICTIM_CLEAN,
-        IoRead { .. } => opcode::IO_READ,
-        IoWrite { .. } => opcode::IO_WRITE,
-        IoData { .. } => opcode::IO_DATA,
-        IoAck { .. } => opcode::IO_ACK,
-        Ipi { .. } => opcode::IPI,
-    }
-}
 
 fn node_byte(n: NodeId) -> u8 {
     match n {
@@ -297,7 +249,7 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
     buf.push(MAGIC);
     buf.push(VERSION);
     buf.push(msg.virtual_channel() as u8);
-    buf.push(kind_opcode(&msg.kind));
+    buf.push(msg.kind.opcode().wire_code());
     buf.push(node_byte(msg.src));
     buf.push(node_byte(msg.dst));
     buf.extend_from_slice(&(payload.len() as u16).to_le_bytes());
@@ -317,34 +269,6 @@ fn take_line_payload(payload: &[u8], op: u8, len: u16) -> Result<Box<[u8; 128]>,
         .try_into()
         .map_err(|_| WireError::BadPayloadLength { opcode: op, len })?;
     Ok(Box::new(arr))
-}
-
-/// Total length in bytes of the frame at the front of `buf`, computed
-/// from the header alone (magic and version are validated; the CRC is
-/// not checked). Lets stream consumers and the replay layer delimit
-/// frames without paying for a full decode.
-///
-/// # Errors
-///
-/// Returns [`WireError::Truncated`] when fewer than `HEADER_BYTES` are
-/// available, [`WireError::BadMagic`]/[`WireError::BadVersion`] when the
-/// bytes cannot be a frame of this format.
-pub fn frame_len(buf: &[u8]) -> Result<usize, WireError> {
-    let header = HEADER_BYTES as usize;
-    if buf.len() < header {
-        return Err(WireError::Truncated {
-            needed: header,
-            have: buf.len(),
-        });
-    }
-    if buf[0] != MAGIC {
-        return Err(WireError::BadMagic(buf[0]));
-    }
-    if buf[1] != VERSION {
-        return Err(WireError::BadVersion(buf[1]));
-    }
-    let len = u16::from_le_bytes(buf[6..8].try_into().expect("2 bytes"));
-    Ok(header + usize::from(len) + 4)
 }
 
 /// Decodes one framed message from the front of `buf`, returning the
@@ -403,7 +327,6 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
         });
     }
 
-    let line = CacheLine(addr_field);
     let addr = Addr(addr_field);
     let expect_len = |want: u16| -> Result<(), WireError> {
         if len == want {
@@ -420,55 +343,17 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
         }
     };
 
+    let Some(opcode) = Opcode::from_wire(op) else {
+        return Err(WireError::BadOpcode(op));
+    };
     use MessageKind::*;
-    let kind = match op {
-        opcode::READ_SHARED => {
-            expect_len(0)?;
-            ReadShared(line)
-        }
-        opcode::READ_EXCLUSIVE => {
-            expect_len(0)?;
-            ReadExclusive(line)
-        }
-        opcode::UPGRADE => {
-            expect_len(0)?;
-            Upgrade(line)
-        }
-        opcode::READ_ONCE => {
-            expect_len(0)?;
-            ReadOnce(line)
-        }
-        opcode::WRITE_LINE => WriteLine(line, take_line_payload(payload, op, len)?),
-        opcode::PROBE_SHARED => {
-            expect_len(0)?;
-            ProbeShared(line)
-        }
-        opcode::PROBE_INVALIDATE => {
-            expect_len(0)?;
-            ProbeInvalidate(line)
-        }
-        opcode::DATA_SHARED => DataShared(line, take_line_payload(payload, op, len)?),
-        opcode::DATA_EXCLUSIVE => DataExclusive(line, take_line_payload(payload, op, len)?),
-        opcode::ACK => {
-            expect_len(0)?;
-            Ack(line)
-        }
-        opcode::PROBE_ACK_DATA => ProbeAckData(line, take_line_payload(payload, op, len)?),
-        opcode::PROBE_ACK => {
-            expect_len(0)?;
-            ProbeAck(line)
-        }
-        opcode::VICTIM_DIRTY => VictimDirty(line, take_line_payload(payload, op, len)?),
-        opcode::VICTIM_CLEAN => {
-            expect_len(0)?;
-            VictimClean(line)
-        }
-        opcode::IO_READ => {
+    let kind = match opcode {
+        Opcode::IoRead => {
             expect_len(0)?;
             io_size_ok(aux)?;
             IoRead { addr, size: aux }
         }
-        opcode::IO_WRITE => {
+        Opcode::IoWrite => {
             io_size_ok(aux)?;
             expect_len(u16::from(aux))?;
             let mut data = [0u8; 8];
@@ -479,22 +364,31 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
                 data: u64::from_le_bytes(data),
             }
         }
-        opcode::IO_DATA => {
+        Opcode::IoData => {
             expect_len(8)?;
             IoData {
                 addr,
                 data: u64::from_le_bytes(payload.try_into().expect("8 bytes")),
             }
         }
-        opcode::IO_ACK => {
+        Opcode::IoAck => {
             expect_len(0)?;
             IoAck { addr }
         }
-        opcode::IPI => {
+        Opcode::Ipi => {
             expect_len(0)?;
             Ipi { vector: aux }
         }
-        other => return Err(WireError::BadOpcode(other)),
+        // Every other opcode names a cache line.
+        line_op => {
+            let data = if line_op.carries_line() {
+                Some(take_line_payload(payload, op, len)?)
+            } else {
+                expect_len(0)?;
+                None
+            };
+            MessageKind::with_line(line_op, CacheLine(addr_field), data)
+        }
     };
     // Only the bytes the encoder would write are accepted, so a decoded
     // frame always re-encodes to exactly the bytes it was read from.
@@ -738,19 +632,6 @@ mod tests {
         let crc = crc32(&enc[..n - 4]);
         enc[n - 4..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(decode_message(&enc).unwrap_err(), WireError::BadIoSize(3));
-    }
-
-    #[test]
-    fn frame_len_matches_decode_consumption() {
-        for msg in sample_messages() {
-            let enc = encode_message(&msg);
-            assert_eq!(frame_len(&enc).unwrap(), enc.len());
-        }
-        assert!(matches!(
-            frame_len(&[0xEC]),
-            Err(WireError::Truncated { .. })
-        ));
-        assert_eq!(frame_len(&[0u8; 32]).unwrap_err(), WireError::BadMagic(0));
     }
 
     #[test]

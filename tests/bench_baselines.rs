@@ -1,8 +1,10 @@
-//! The BENCH files of the two selectors that run every board on
-//! `sim::par`, byte for byte: runs `cluster_scale` and `service`
-//! in-process, renders each registry with the writer `reproduce` uses,
-//! and compares the result with the committed baseline in
-//! `benches/baselines/`. `scripts/determinism.sh` checks every selector's
+//! BENCH files byte for byte: runs a selector in-process, renders its
+//! registry with the writer `reproduce` uses, and compares the result
+//! with the committed baseline in `benches/baselines/`. Covered here:
+//! the two selectors that run every board on `sim::par` (`cluster_scale`,
+//! `service`) and three that run the ECI link: `fig6` and `pipelining`
+//! (fault-free) and `fault_sweep` (the link's go-back-N recovery under
+//! seeded frame faults). `scripts/determinism.sh` checks every selector's
 //! baseline from a release build; `sched_hotpath` (its `allocs` keys need
 //! `reproduce`'s counting allocator) and `traffic` (slow in a debug
 //! build) are left to it.
@@ -42,4 +44,19 @@ fn cluster_scale_bench_matches_its_baseline() {
 #[test]
 fn service_bench_matches_its_baseline() {
     assert_matches_baseline("service");
+}
+
+#[test]
+fn fig6_bench_matches_its_baseline() {
+    assert_matches_baseline("fig6");
+}
+
+#[test]
+fn pipelining_bench_matches_its_baseline() {
+    assert_matches_baseline("pipelining");
+}
+
+#[test]
+fn fault_sweep_bench_matches_its_baseline() {
+    assert_matches_baseline("fault_sweep");
 }
